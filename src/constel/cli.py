@@ -24,6 +24,7 @@ from .completion import complete_to_alternating, smallest_prime_greater
 from .constellations import amalgams_of, assemble_AG, maximal_constellations
 from .dissolve import (disconnection_equivalence, dissolve_all, key_lemma_report,
                        schreier_rank_check)
+from .errors import VerificationError
 from .gaschuetz import (GaschuetzLayer, TowerSpec, build_tower, center,
                         layer_abelianization)
 from .groups import (CyclicSpec, ExtensionSpec, KleinSpec, PermSpec, ProductSpec,
@@ -34,6 +35,9 @@ from .words import ASCII_LETTERS, Alphabet, Word, format_word, parse_word
 
 class InputError(ValueError):
     pass
+
+
+SPEC_DEPTH = 64  # deepest nesting of gaschutz / tilde / prodA in a group spec
 
 
 # ---------------------------------------------------------------- parsing
@@ -78,10 +82,12 @@ def _letter_args(parts: list[str]) -> list[str]:
     return [values[i] for i in range(len(values))]
 
 
-def parse_group_spec(text: str):
+def parse_group_spec(text: str, depth: int = 0):
     """Mini-language: cyclic(n; a=1, b=1), klein(a=10, b=01),
     perm(n; a=(0 1 2)), gaschutz(<spec>, p), tilde(<spec>, p),
-    prodA(<spec>, <spec>)."""
+    prodA(<spec>, <spec>); nested at most SPEC_DEPTH deep."""
+    if depth > SPEC_DEPTH:
+        raise InputError("group spec nested deeper than %d" % SPEC_DEPTH)
     text = text.strip()
     if "(" not in text or not text.endswith(")"):
         raise InputError("malformed group spec %r" % text)
@@ -117,12 +123,13 @@ def parse_group_spec(text: str):
             p = int(parts[1])
         except ValueError as exc:
             raise InputError(str(exc))
-        return ExtensionSpec(parse_group_spec(parts[0]), p, tilde=name == "tilde")
+        return ExtensionSpec(parse_group_spec(parts[0], depth + 1), p, tilde=name == "tilde")
     if name == "prodA":
         parts = _split_top(inner, ",")
         if len(parts) != 2:
             raise InputError("prodA(<spec>, <spec>) takes two arguments")
-        return ProductSpec(parse_group_spec(parts[0]), parse_group_spec(parts[1]))
+        return ProductSpec(parse_group_spec(parts[0], depth + 1),
+                           parse_group_spec(parts[1], depth + 1))
     raise InputError("unknown group constructor %r" % name)
 
 
@@ -661,6 +668,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
+        return 2
+    except VerificationError as exc:
+        sys.stderr.write("error: self-check failed: %s\n" % exc)
         return 2
 
 

@@ -27,6 +27,26 @@ from .groups import MaterializedGroup
 CUT_BOUND = 20
 
 
+def _check_constellations(xi: Subgraph, theta: Subgraph, g_choices) -> None:
+    """Raise ValueError unless (xi, g, theta) is a constellation for
+    every g in g_choices; the intersection component is found once."""
+    if xi.parent is not theta.parent:
+        raise ValueError("subgraphs live over different parent graphs")
+    base = xi.parent.base
+    if base is None:
+        raise ValueError("constellations need a based parent graph")
+    if base in g_choices:
+        raise ValueError("g coincides with the base vertex")
+    for name, sub in (("xi", xi), ("theta", theta)):
+        if not (sub.has_vertex(base) and all(sub.has_vertex(g) for g in g_choices)):
+            raise ValueError("%s must contain the base vertex and g" % name)
+        if not sub.is_connected():
+            raise ValueError("%s is not connected" % name)
+    upsilon = xi.intersection(theta).component_of(base)
+    if any(g in upsilon for g in g_choices):
+        raise ValueError("base and g lie in one component of the intersection")
+
+
 @dataclass(frozen=True, eq=False)
 class Constellation:
     xi: Subgraph
@@ -34,21 +54,7 @@ class Constellation:
     theta: Subgraph
 
     def __post_init__(self):
-        xi, theta = self.xi, self.theta
-        if xi.parent is not theta.parent:
-            raise ValueError("subgraphs live over different parent graphs")
-        base = xi.parent.base
-        if base is None:
-            raise ValueError("constellations need a based parent graph")
-        if self.g == base:
-            raise ValueError("g coincides with the base vertex")
-        for name, sub in (("xi", xi), ("theta", theta)):
-            if not (sub.has_vertex(base) and sub.has_vertex(self.g)):
-                raise ValueError("%s must contain the base vertex and g" % name)
-            if not sub.is_connected():
-                raise ValueError("%s is not connected" % name)
-        if self.g in xi.intersection(theta).component_of(base):
-            raise ValueError("base and g lie in one component of the intersection")
+        _check_constellations(self.xi, self.theta, (self.g,))
 
     @property
     def parent(self) -> InverseAutomaton:
@@ -96,6 +102,9 @@ class MaxConstellationPair:
     c_theta: frozenset[tuple[int, int]]
     g_choices: tuple[int, ...]
 
+    def __post_init__(self):
+        _check_constellations(self.xi, self.theta, self.g_choices)
+
     def constellation(self, g: int) -> Constellation:
         return Constellation(self.xi, g, self.theta)
 
@@ -106,7 +115,8 @@ class MaxConstellationPair:
 def maximal_constellations(group: MaterializedGroup,
                            bound: int = CUT_BOUND) -> list[MaxConstellationPair]:
     """All ordered pairs (C_Xi, C_Theta) over all minimal cuts, with the
-    far-side vertices as g choices.  Every emitted triple is validated."""
+    far-side vertices as g choices.  Every pair is validated once for
+    all its g choices."""
     gamma = group.cayley
     full = full_subgraph(gamma)
     out = []
@@ -123,7 +133,6 @@ def maximal_constellations(group: MaterializedGroup,
                 c_theta=c_theta,
                 g_choices=tuple(sorted(mc.far)),
             )
-            pair.constellations()  # the constructor asserts the invariants
             out.append(pair)
     return out
 

@@ -3,26 +3,39 @@
 A group H over G (via the canonical letter-respecting morphism)
 dissolves a constellation (Xi, g, Theta) when no pair of words u, v
 whose paths from 1 run inside Xi resp. Theta and end at g satisfies
-[u]_H = [v]_H.  Two exact deciders are provided:
+[u]_H = [v]_H.  Every decision is made per maximal pair: the g choices
+of one pair (Xi, Theta) share the lifts of Xi and Theta, so each pair
+is lifted once and each g is decided from the fibers of those lifts.
+A lift is found by BFS from the identity over preimage edges, so only
+its own component of the cover is visited.  Two exact deciders are
+provided:
 
 - reachability: materialize H, lift Xi and Theta to the components of 1
   of their edge preimages in Gamma(H), and intersect the endpoint fibers
   over g.  Complete because the fiber of g in the lift is exactly the
-  set of H-endpoints of qualifying words.
+  set of H-endpoints of qualifying words.  Witness words come from one
+  BFS tree per lift, built on first use.
 - linear: for a lazy mod-p top layer over a materialized M, endpoint
   sets over a fixed M-endpoint are cosets of the mod-p cycle spaces of
   the lifted subgraphs, so the fibers intersect iff the reference-path
   difference lies in the span of both cycle spaces (plus the per-letter
-  constant vectors for tilde layers).  Decided by Gaussian elimination.
+  constant vectors for tilde layers).  Decided by Gaussian elimination
+  in one span per pair, built only when some g has shared endpoints.
+
+`dissolves_materialized` and `dissolves_linear` decide one
+constellation through the same pair deciders.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from typing import Sequence
 
 from .automata import Subgraph, full_subgraph
 from .constellations import Constellation, delta_a, maximal_constellations
+from .errors import VerificationError
 from .gaschuetz import GaschuetzLayer, Tower
 from .groups import MaterializedGroup, Morphism, canonical_morphism, traversal_vector
 from .words import ASCII_LETTERS, Word
@@ -44,46 +57,85 @@ def reachable_lift(xi: Subgraph, h_group: MaterializedGroup, phi: Morphism
                    ) -> tuple[Subgraph, dict[int, frozenset[int]]]:
     """Component of the identity of the edge preimage of xi in Gamma(H),
     with its fibers: fibers[g] is exactly the set of H-endpoints of
-    words whose G-path from 1 stays inside xi and ends at g."""
-    gamma_h = h_group.cayley
+    words whose G-path from 1 stays inside xi and ends at g.  Found by
+    search from the identity over preimage edges."""
     base = xi.parent.base
     if base is None or not xi.has_vertex(base):
         raise ValueError("the base vertex must lie in the subgraph")
-    vertices = frozenset(h for h in range(h_group.order) if phi(h) in xi.vertices)
-    edges = frozenset((h, a) for h, a, _ in gamma_h.pos_edges()
-                      if (phi(h), a) in xi.edges)
-    comp = Subgraph(gamma_h, edges, vertices).component_of(0)
-    lifted = Subgraph(gamma_h, frozenset(e for e in edges if e[0] in comp), comp)
+    gamma_h = h_group.cayley
+    fwd, bwd, image, xi_edges = gamma_h.fwd, gamma_h.bwd, phi.mapping, xi.edges
+    letters = range(gamma_h.n_letters)
+    seen = {0}
+    stack = [0]
+    edges = []
+    while stack:
+        h = stack.pop()
+        g = image[h]
+        for a in letters:
+            if (g, a) in xi_edges:
+                edges.append((h, a))
+                nxt = fwd[h][a]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+            prv = bwd[h][a]
+            if prv not in seen and (image[prv], a) in xi_edges:
+                seen.add(prv)
+                stack.append(prv)
     fibers: dict[int, set[int]] = {}
-    for h in comp:
-        fibers.setdefault(phi(h), set()).add(h)
+    for h in seen:
+        fibers.setdefault(image[h], set()).add(h)
+    lifted = Subgraph(gamma_h, frozenset(edges), frozenset(seen))
     return lifted, {g: frozenset(s) for g, s in fibers.items()}
 
 
-def _subgraph_word(sub: Subgraph, src: int, dst: int) -> Word | None:
-    """Word labeling a path src -> dst inside the subgraph; prefers a
-    purely positive path (BFS over forward edges) before falling back
-    to a signed search."""
-    for positive_only in (True, False):
-        prev: dict[int, tuple[int, int, int]] = {src: (-1, -1, 0)}
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            for w, letter, sign, _ in sub.neighbors(v):
-                if sign < 0 and positive_only:
-                    continue
-                if w not in prev:
-                    prev[w] = (v, letter, sign)
-                    queue.append(w)
-        if dst in prev:
-            pairs = []
-            v = dst
-            while v != src:
-                u, letter, sign = prev[v]
-                pairs.append((letter, sign))
-                v = u
-            return Word(tuple(reversed(pairs)))
-    return None
+def _bfs_tree(sub: Subgraph, positive_only: bool = False) -> dict[int, tuple[int, int, int]]:
+    """BFS tree of the subgraph from the parent's base, optionally over
+    forward edges only: vertex -> (previous vertex, letter, sign), in
+    discovery order; the root maps to (-1, -1, 0).  Neighbors are taken
+    in the order of `Subgraph.neighbors`."""
+    parent, edges = sub.parent, sub.edges
+    root = parent.base
+    prev = {root: (-1, -1, 0)}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        out, into = parent.fwd[v], parent.bwd[v]
+        for letter in range(parent.n_letters):
+            w = out.get(letter)
+            if w is not None and w not in prev and (v, letter) in edges:
+                prev[w] = (v, letter, 1)
+                queue.append(w)
+            if positive_only:
+                continue
+            u = into.get(letter)
+            if u is not None and u not in prev and (u, letter) in edges:
+                prev[u] = (v, letter, -1)
+                queue.append(u)
+    return prev
+
+
+def _witness_words(sub: Subgraph):
+    """word(dst): label of a path from the base to dst inside the
+    subgraph, purely positive when one exists.  The positive BFS tree
+    and the signed one are each built once, on first use."""
+    trees: dict[bool, dict[int, tuple[int, int, int]]] = {}
+
+    def word(dst: int) -> Word | None:
+        for positive_only in (True, False):
+            if positive_only not in trees:
+                trees[positive_only] = _bfs_tree(sub, positive_only)
+            prev = trees[positive_only]
+            if dst in prev:
+                pairs = []
+                v = dst
+                while prev[v][0] >= 0:
+                    v, letter, sign = prev[v]
+                    pairs.append((letter, sign))
+                return Word(tuple(reversed(pairs)))
+        return None
+
+    return word
 
 
 def _path_stays(sub: Subgraph, w: Word) -> bool:
@@ -101,21 +153,34 @@ def _path_stays(sub: Subgraph, w: Word) -> bool:
     return True
 
 
+def dissolves_pair_materialized(h_group: MaterializedGroup, phi: Morphism,
+                                xi: Subgraph, theta: Subgraph, g_choices: Sequence[int],
+                                labels: Sequence[str]) -> list[DissolveReport]:
+    """Exact reachability decisions for (xi, g, theta), one report per g
+    choice, labelled by `labels`; failures carry a re-verified word pair."""
+    xi_hat, fib_xi = reachable_lift(xi, h_group, phi)
+    th_hat, fib_th = reachable_lift(theta, h_group, phi)
+    word_xi, word_th = _witness_words(xi_hat), _witness_words(th_hat)
+    out = []
+    for g, label in zip(g_choices, labels, strict=True):
+        shared = fib_xi.get(g, frozenset()) & fib_th.get(g, frozenset())
+        if not shared:
+            out.append(DissolveReport(label, True, "reachability"))
+            continue
+        h = min(shared)
+        u, v = word_xi(h), word_th(h)
+        if (u is None or v is None
+                or not h_group.evaluate(u) == h == h_group.evaluate(v)
+                or not (_path_stays(xi, u) and _path_stays(theta, v))):
+            raise VerificationError("witness for g=%d does not re-verify" % g)
+        out.append(DissolveReport(label, False, "reachability", witness=(u, v)))
+    return out
+
+
 def dissolves_materialized(h_group: MaterializedGroup, phi: Morphism,
                            c: Constellation, label: str = "") -> DissolveReport:
     """Exact reachability decision; failures carry a re-verified word pair."""
-    xi_hat, fib_xi = reachable_lift(c.xi, h_group, phi)
-    th_hat, fib_th = reachable_lift(c.theta, h_group, phi)
-    shared = sorted(fib_xi.get(c.g, frozenset()) & fib_th.get(c.g, frozenset()))
-    if not shared:
-        return DissolveReport(label, True, "reachability")
-    h = shared[0]
-    u = _subgraph_word(xi_hat, 0, h)
-    v = _subgraph_word(th_hat, 0, h)
-    assert u is not None and v is not None
-    assert h_group.evaluate(u) == h == h_group.evaluate(v)
-    assert _path_stays(c.xi, u) and _path_stays(c.theta, v)
-    return DissolveReport(label, False, "reachability", witness=(u, v))
+    return dissolves_pair_materialized(h_group, phi, c.xi, c.theta, (c.g,), (label,))[0]
 
 
 class GFpSpan:
@@ -161,26 +226,25 @@ class GFpSpan:
 def _tree_vectors(sub: Subgraph, p: int) -> dict[int, Vec]:
     """Traversal vectors (mod p) of BFS-tree paths from the parent base
     to every vertex of the connected subgraph."""
-    root = sub.parent.base
-    vecs: dict[int, Vec] = {root: {}}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w, _, sign, edge in sub.neighbors(v):
-            if w in vecs:
-                continue
-            nxt = dict(vecs[v])
-            nxt[edge] = (nxt.get(edge, 0) + sign) % p
-            if not nxt[edge]:
-                del nxt[edge]
-            vecs[w] = nxt
-            queue.append(w)
+    vecs: dict[int, Vec] = {}
+    for w, (v, letter, sign) in _bfs_tree(sub).items():
+        if v < 0:
+            vecs[w] = {}
+            continue
+        edge = (v, letter) if sign > 0 else (w, letter)
+        nxt = dict(vecs[v])
+        nxt[edge] = (nxt.get(edge, 0) + sign) % p
+        if not nxt[edge]:
+            del nxt[edge]
+        vecs[w] = nxt
     return vecs
 
 
-def cycle_space_rows(sub: Subgraph, p: int) -> list[Vec]:
-    """Fundamental-cycle basis of the subgraph's mod-p cycle space."""
-    vecs = _tree_vectors(sub, p)
+def cycle_space_rows(sub: Subgraph, p: int, vecs: dict[int, Vec] | None = None) -> list[Vec]:
+    """Fundamental-cycle basis of the subgraph's mod-p cycle space;
+    `vecs` are the subgraph's tree vectors when already built."""
+    if vecs is None:
+        vecs = _tree_vectors(sub, p)
     rows = []
     for edge in sorted(sub.edges):
         u, _ = edge
@@ -194,72 +258,87 @@ def cycle_space_rows(sub: Subgraph, p: int) -> list[Vec]:
     return rows
 
 
+def dissolves_pair_linear(layer: GaschuetzLayer, phi: Morphism,
+                          xi: Subgraph, theta: Subgraph, g_choices: Sequence[int],
+                          labels: Sequence[str]) -> list[DissolveReport]:
+    """Exact decisions for (xi, g, theta), one report per g choice,
+    labelled by `labels`, for a lazy top layer over the materialized
+    base of phi, without enumerating the layer."""
+    m_group = layer.base
+    if phi.src is not m_group:
+        raise ValueError("morphism must start at the layer's base group")
+    xi_hat, fib_xi = reachable_lift(xi, m_group, phi)
+    th_hat, fib_th = reachable_lift(theta, m_group, phi)
+    p = layer.p
+    span = None
+    out = []
+    for g, label in zip(g_choices, labels, strict=True):
+        report = DissolveReport(label, True, "linear")
+        shared = sorted(fib_xi.get(g, frozenset()) & fib_th.get(g, frozenset()))
+        if shared and span is None:
+            vx, vt = _tree_vectors(xi_hat, p), _tree_vectors(th_hat, p)
+            span = GFpSpan(p)
+            for row in cycle_space_rows(xi_hat, p, vx) + cycle_space_rows(th_hat, p, vt):
+                span.add(row)
+            if layer.tilde:
+                for a in range(m_group.n_letters):
+                    span.add({(h, a): 1 for h in range(m_group.order)})
+        for m in shared:
+            diff = dict(vx[m])
+            for e, cnt in vt[m].items():
+                diff[e] = (diff.get(e, 0) - cnt) % p
+            diff = {e: cnt for e, cnt in diff.items() if cnt}
+            if span.contains(diff):
+                report = DissolveReport(label, False, "linear", endpoint=m, vector=diff)
+                break
+        out.append(report)
+    return out
+
+
 def dissolves_linear(layer: GaschuetzLayer, phi: Morphism, c: Constellation,
                      label: str = "") -> DissolveReport:
     """Exact decision for a lazy top layer over the materialized base of
     phi, without enumerating the layer."""
-    m_group = layer.base
-    if phi.src is not m_group:
-        raise ValueError("morphism must start at the layer's base group")
-    xi_hat, fib_xi = reachable_lift(c.xi, m_group, phi)
-    th_hat, fib_th = reachable_lift(c.theta, m_group, phi)
-    shared = sorted(fib_xi.get(c.g, frozenset()) & fib_th.get(c.g, frozenset()))
-    if not shared:
-        return DissolveReport(label, True, "linear")
-    p = layer.p
-    span = GFpSpan(p)
-    for row in cycle_space_rows(xi_hat, p):
-        span.add(row)
-    for row in cycle_space_rows(th_hat, p):
-        span.add(row)
-    if layer.tilde:
-        for a in range(m_group.n_letters):
-            span.add({(h, a): 1 for h in range(m_group.order)})
-    vx = _tree_vectors(xi_hat, p)
-    vt = _tree_vectors(th_hat, p)
-    for m in shared:
-        diff = dict(vx[m])
-        for e, cnt in vt[m].items():
-            diff[e] = (diff.get(e, 0) - cnt) % p
-        diff = {e: cnt for e, cnt in diff.items() if cnt}
-        if span.contains(diff):
-            return DissolveReport(label, False, "linear", endpoint=m, vector=diff)
-    return DissolveReport(label, True, "linear")
+    return dissolves_pair_linear(layer, phi, c.xi, c.theta, (c.g,), (label,))[0]
 
 
 def _letter_label(letter: int, sign: int) -> str:
     return "delta:%s%s" % (ASCII_LETTERS[letter], "" if sign > 0 else "^-1")
 
 
-def _targets(base: MaterializedGroup, weak: bool) -> list[tuple[str, Constellation]]:
-    if weak:
-        return [(_letter_label(letter, sign), delta_a(base, letter, sign))
-                for letter in range(base.n_letters) for sign in (1, -1)]
-    out = []
-    for i, pair in enumerate(maximal_constellations(base)):
-        for g in pair.g_choices:
-            out.append(("max%d:g%d" % (i, g), pair.constellation(g)))
-    return out
-
-
 def dissolve_all(tower: Tower, weak: bool = False,
                  materialize_bound: int = 100000) -> list[DissolveReport]:
     """Dissolving reports for the tower's top group over its base, over
-    the weak (delta) or the full maximal constellation family.  Uses
-    reachability whenever the top materializes within the bound."""
+    the weak (delta) or the full maximal constellation family, decided
+    per pair.  Uses reachability whenever the top materializes within
+    the bound."""
     base = tower.levels[0]
-    targets = _targets(base, weak)
+    if weak:
+        pairs = []
+        for letter in range(base.n_letters):
+            for sign in (1, -1):
+                c = delta_a(base, letter, sign)
+                pairs.append((c.xi, c.theta, (c.g,), (_letter_label(letter, sign),)))
+    else:
+        pairs = [(pair.xi, pair.theta, pair.g_choices,
+                  ["max%d:g%d" % (i, g) for g in pair.g_choices])
+                 for i, pair in enumerate(maximal_constellations(base))]
     if tower.top is None:
-        h_group = tower.levels[-1]
-        phi = tower.morphism(len(tower.levels) - 1, 0)
-        return [dissolves_materialized(h_group, phi, c, label) for label, c in targets]
-    if tower.top.order() <= materialize_bound:
+        decide = partial(dissolves_pair_materialized, tower.levels[-1],
+                         tower.morphism(len(tower.levels) - 1, 0))
+    elif tower.top.order() <= materialize_bound:
         h_group = tower.top.materialize(materialize_bound)
         phi = canonical_morphism(h_group, base)
-        assert phi is not None
-        return [dissolves_materialized(h_group, phi, c, label) for label, c in targets]
-    phi = tower.morphism(len(tower.levels) - 1, 0)
-    return [dissolves_linear(tower.top, phi, c, label) for label, c in targets]
+        if phi is None:
+            raise VerificationError("the materialized top does not project onto the base")
+        decide = partial(dissolves_pair_materialized, h_group, phi)
+    else:
+        decide = partial(dissolves_pair_linear, tower.top,
+                         tower.morphism(len(tower.levels) - 1, 0))
+    reports = []
+    for xi, theta, g_choices, labels in pairs:
+        reports += decide(xi, theta, g_choices, labels)
+    return reports
 
 
 def is_weak_dissolver(tower: Tower, materialize_bound: int = 100000) -> bool:
@@ -345,7 +424,8 @@ def key_lemma_report(g_group: MaterializedGroup, p: int, k_set,
         raise ValueError("K is not a subgroup")
     h_group = GaschuetzLayer(g_group, p, tilde=True).materialize(bound)
     phi = canonical_morphism(h_group, g_group)
-    assert phi is not None
+    if phi is None:
+        raise VerificationError("the layer does not project onto its base")
     l_set = frozenset(h for h in range(h_group.order) if phi(h) in k_set)
     failures = tuple(edge[:2] for edge in h_group.cayley.pos_edges()
                      if not key_lemma_edge(h_group, l_set, edge[:2]))
@@ -410,7 +490,8 @@ def schreier_rank_check(layer: GaschuetzLayer, verify_bound: int = 100000) -> Ra
     if layer.order() <= verify_bound:
         mat = layer.materialize(verify_bound)
         phi = canonical_morphism(mat, base)
-        assert phi is not None
+        if phi is None:
+            raise VerificationError("the layer does not project onto its base")
         kernel = phi.kernel()
         verified = (len(kernel) == layer.p ** rank
                     and all(k == 0 or mat.element_order(k) == layer.p for k in kernel))

@@ -79,12 +79,14 @@ def identity(n: int) -> Permutation:
 
 def from_cycles(n: int, cycles) -> Permutation:
     images = list(range(n))
+    used: set[int] = set()
     for cyc in cycles:
-        for i, v in enumerate(cyc):
+        for v in cyc:
             if not 0 <= v < n:
                 raise ValueError("cycle point %r out of range for degree %d" % (v, n))
-            if images[v] != v:
+            if v in used:
                 raise ValueError("point %d appears twice in cycles" % v)
+            used.add(v)
         for i, v in enumerate(cyc):
             images[v] = cyc[(i + 1) % len(cyc)]
     return Permutation(tuple(images))
@@ -132,15 +134,16 @@ class PermGroupGens:
 
 
 def orbit(g: PermGroupGens, point: int) -> set[int]:
+    moves = [p.images for p in g.perms] + [p.inverse().images for p in g.perms]
     seen = {point}
     stack = [point]
     while stack:
         v = stack.pop()
-        for p in g.perms:
-            for w in (p.images[v], p.inverse().images[v]):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+        for images in moves:
+            w = images[v]
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
     return seen
 
 

@@ -270,3 +270,24 @@ def test_unknown_command_and_bad_spec():
     assert run(["nonsense"])[0] == 2
     code, _, err = run(["cayley", "--group", "wat(3)"])
     assert code == 2 and "error:" in err
+
+
+def test_repeated_cycle_point_is_an_input_error():
+    code, out, err = run(["cayley", "--group", "perm(3;a=(0 1 1),b=(1 2))"])
+    assert code == 2 and not out and "appears twice" in err
+
+
+def test_deeply_nested_spec_is_an_input_error():
+    spec = "tilde(" * 1200 + "cyclic(2;a=1,b=1)" + ",2)" * 1200
+    code, out, err = run(["evaluate", "--group", spec, "--word", "a"])
+    assert code == 2 and not out and "nested deeper" in err
+    shallow = "tilde(" * 3 + "cyclic(2;a=1,b=1)" + ",2)" * 3
+    assert run(["evaluate", "--group", shallow, "--word", "aa"])[0] in (0, 1)
+
+
+def test_failed_self_check_exits_2(monkeypatch):
+    import constel.dissolve
+    monkeypatch.setattr(constel.dissolve, "_path_stays", lambda sub, word: False)
+    code, out, err = run(["dissolve", "--group", "cyclic(2; a=1,b=1)", "--layers", "~2",
+                          "--weak"])
+    assert code == 2 and not out and "self-check failed" in err

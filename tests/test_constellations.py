@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -102,6 +103,18 @@ def test_maximal_pair_structure():
         assert pair.g_choices == tuple(sorted(pair.cut.far))
         for c in pair.constellations():
             assert c.g in pair.cut.far
+
+
+def test_maximal_pair_rejects_g_in_the_base_component():
+    for pair in maximal_constellations(klein()):
+        near = sorted(pair.cut.near - {0})
+        if near:
+            break
+    with pytest.raises(ValueError):
+        dataclasses.replace(pair, g_choices=pair.g_choices + (near[0],))
+    with pytest.raises(ValueError):
+        dataclasses.replace(pair, g_choices=(0,))
+    assert dataclasses.replace(pair, g_choices=pair.g_choices[:1]).g_choices
 
 
 def test_constellation_validation():

@@ -1,7 +1,9 @@
 import random
+from collections import deque
 
 import pytest
 
+import constel.dissolve
 from constel.automata import Subgraph, full_subgraph
 from constel.constellations import delta_a, maximal_constellations
 from constel.dissolve import (DissolveReport, GFpSpan, counting_lifts_check,
@@ -11,9 +13,11 @@ from constel.dissolve import (DissolveReport, GFpSpan, counting_lifts_check,
                               is_dissolver, is_weak_dissolver, key_lemma_edge,
                               key_lemma_report, reachable_lift,
                               schreier_rank_check)
+from constel.errors import VerificationError
 from constel.gaschuetz import GaschuetzLayer, TowerSpec, build_tower
-from constel.groups import (CyclicSpec, KleinSpec, canonical_morphism,
+from constel.groups import (CyclicSpec, KleinSpec, PermSpec, canonical_morphism,
                             identity_morphism, materialize, subgroup_closure)
+from constel.perms import from_cycles
 from constel.words import Alphabet, Word, parse_word
 
 A2 = Alphabet.of_size(2)
@@ -97,6 +101,115 @@ def test_reachable_lift_single_vertex():
     lifted, fibers = reachable_lift(sub, g, identity_morphism(g))
     assert lifted.vertices == frozenset({0})
     assert fibers == {0: frozenset({0})}
+
+
+S3 = PermSpec(3, (from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)])))
+
+
+def s3():
+    return materialize(S3)
+
+
+def filtered_lift(xi: Subgraph, h_group, phi):
+    """Lift oracle: filter all of Gamma(H) for preimage vertices and
+    edges, then keep the component of the identity."""
+    gamma_h = h_group.cayley
+    vertices = frozenset(h for h in range(h_group.order) if phi(h) in xi.vertices)
+    edges = frozenset((h, a) for h, a, _ in gamma_h.pos_edges() if (phi(h), a) in xi.edges)
+    comp = Subgraph(gamma_h, edges, vertices).component_of(0)
+    fibers: dict[int, set[int]] = {}
+    for h in comp:
+        fibers.setdefault(phi(h), set()).add(h)
+    return (frozenset(e for e in edges if e[0] in comp), comp,
+            {g: frozenset(hs) for g, hs in fibers.items()})
+
+
+def search_word(sub: Subgraph, dst: int):
+    """Word oracle: a fresh BFS from the base for each destination, over
+    forward edges first, then over all edges."""
+    for positive_only in (True, False):
+        prev = {0: None}
+        queue = deque([0])
+        while queue:
+            v = queue.popleft()
+            for nxt, letter, sign, _ in sub.neighbors(v):
+                if (sign > 0 or not positive_only) and nxt not in prev:
+                    prev[nxt] = (v, letter, sign)
+                    queue.append(nxt)
+        if dst in prev:
+            pairs = []
+            while prev[dst] is not None:
+                dst, letter, sign = prev[dst]
+                pairs.append((letter, sign))
+            return Word(tuple(reversed(pairs)))
+    return None
+
+
+def test_reachable_lift_matches_filtered_lift():
+    base = s3()
+    mat = GaschuetzLayer(base, 2, tilde=True).materialize()
+    phi = canonical_morphism(mat, base)
+    pairs = maximal_constellations(base)
+    subs = [delta_a(base, 0).xi, delta_a(base, 1, -1).theta]
+    subs += [sub for pair in pairs[::7] for sub in (pair.xi, pair.theta)]
+    for sub in subs:
+        lifted, fibers = reachable_lift(sub, mat, phi)
+        assert (lifted.edges, lifted.vertices, fibers) == filtered_lift(sub, mat, phi)
+
+
+def test_witness_words_match_a_search_per_endpoint():
+    base = s3()
+    mat = GaschuetzLayer(base, 2, tilde=True).materialize()
+    phi = canonical_morphism(mat, base)
+    for pair in maximal_constellations(base)[::42]:
+        lifted, _ = reachable_lift(pair.theta, mat, phi)
+        word = constel.dissolve._witness_words(lifted)
+        for h in sorted(lifted.vertices):
+            assert word(h) == search_word(lifted, h)
+
+
+def per_triple_reports(tower, materialize_bound=100000):
+    """Reports from one decision per constellation through the one-g
+    wrappers, as (label, dissolved, method, witness, endpoint, vector)."""
+    base = tower.levels[0]
+    if tower.top.order() <= materialize_bound:
+        mat = tower.top.materialize()
+        phi = canonical_morphism(mat, base)
+        decide = lambda c, label: dissolves_materialized(mat, phi, c, label)
+    else:
+        phi = tower.morphism(len(tower.levels) - 1, 0)
+        decide = lambda c, label: dissolves_linear(tower.top, phi, c, label)
+    return [astuple(decide(pair.constellation(g), "max%d:g%d" % (i, g)))
+            for i, pair in enumerate(maximal_constellations(base))
+            for g in pair.g_choices]
+
+
+def astuple(r: DissolveReport):
+    return (r.label, r.dissolved, r.method, r.witness, r.endpoint, r.vector)
+
+
+@pytest.mark.parametrize("spec, layers, bound, method", [
+    (S3, ((2, True),), 100000, "reachability"),
+    (KleinSpec(((1, 0), (0, 1))), ((3, True),), 100000, "reachability"),
+    (S3, ((2, True),), 1, "linear"),
+])
+def test_pair_deciders_match_per_constellation_decisions(spec, layers, bound, method):
+    tower = build_tower(TowerSpec(spec, layers))
+    reports = [astuple(r) for r in dissolve_all(tower, materialize_bound=bound)]
+    assert reports == per_triple_reports(tower, bound)
+    assert {r[2] for r in reports} == {method}
+    assert not all(r[1] for r in reports) and any(r[1] for r in reports)
+    if method == "linear":  # the same verdicts as the other method
+        assert [r[:2] for r in reports] == [(r.label, r.dissolved) for r in dissolve_all(tower)]
+
+
+def test_failed_witness_check_raises(monkeypatch):
+    base = z2()
+    mat = GaschuetzLayer(base, 2, tilde=True).materialize()
+    phi = canonical_morphism(mat, base)
+    monkeypatch.setattr(constel.dissolve, "_path_stays", lambda sub, word: False)
+    with pytest.raises(VerificationError):
+        dissolves_materialized(mat, phi, delta_a(base, 0))
 
 
 def test_reachable_lift_fibers_match_brute_force():

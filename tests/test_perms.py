@@ -6,7 +6,8 @@ import pytest
 from constel.perms import (AlternatingCertificate, PermGroupGens, Permutation,
                            alternating_certificate, format_cycles, from_cycles,
                            generated_order, identity, is_primitive, is_prime,
-                           is_transitive, parse_cycles, prime_power_cycle)
+                           is_transitive, orbit, parse_cycles,
+                           prime_power_cycle)
 
 
 def rand_perm(rng, n):
@@ -44,11 +45,33 @@ def test_cycle_notation_round_trip():
         parse_cycles("(0 1)(1 2)", 4)  # point repeated
     with pytest.raises(ValueError):
         parse_cycles("(0 9)", 4)
+    for bad in ("(0 1 1)", "(0 0)", "(1)(1 2)"):
+        with pytest.raises(ValueError):
+            parse_cycles(bad, 3)  # point repeated within or across cycles
 
 
 def test_transitivity():
     assert is_transitive(PermGroupGens(3, (from_cycles(3, [(0, 1, 2)]),)))
     assert not is_transitive(PermGroupGens(3, (from_cycles(3, [(0, 1)]),)))
+
+
+def brute_orbit(perms, point: int) -> set[int]:
+    orb = {point}
+    while True:
+        grown = orb | {p.images[v] for p in perms for v in orb}
+        if grown == orb:
+            return orb
+        orb = grown
+
+
+def test_orbit_against_brute_force():
+    rng = random.Random(13)
+    for _ in range(60):
+        n = rng.randrange(1, 12)
+        perms = tuple(from_cycles(n, [tuple(rng.sample(range(n), rng.randrange(1, n + 1)))])
+                      for _ in range(rng.randrange(1, 3)))
+        point = rng.randrange(n)
+        assert orbit(PermGroupGens(n, perms), point) == brute_orbit(perms, point)
 
 
 def test_primitivity_fixtures():
