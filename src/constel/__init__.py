@@ -18,13 +18,13 @@ from .perms import (AlternatingCertificate, PermGroupGens, Permutation,
 from .groups import (AbelianQuotient, CyclicSpec, ExtensionSpec, KleinSpec,
                      MaterializedGroup, Morphism, OrderBoundError, PermSpec,
                      ProductSpec, abelianization, canonical_morphism,
-                     commutator_subgroup, identity_morphism, kernel_elements,
-                     materialize, normal_closure, product_A, subgroup_closure,
+                     commutator_subgroup, identity_morphism, materialize,
+                     normal_closure, product_A, subgroup_closure,
                      traversal_vector)
-from .gaschuetz import (CenterInfo, EdgeVector, GaschuetzElement, GaschuetzLayer,
+from .gaschuetz import (CenterInfo, GaschuetzElement, GaschuetzLayer,
                         StructureReport, Tower, TowerSpec, build_tower, center,
-                        coprime_structure_checks, gaschutz_group,
-                        layer_abelianization, order_formula)
+                        coprime_structure_checks, layer_abelianization,
+                        order_formula)
 from .constellations import (Constellation, MaxConstellationPair, MinimalCut,
                              amalgams_of, assemble_AG, chain_letter, delta_a,
                              maximal_constellations, minimal_cut_sets)

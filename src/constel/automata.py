@@ -469,14 +469,14 @@ def induced_subgraph(aut: InverseAutomaton, vertices) -> Subgraph:
     return Subgraph(aut, edges, vs)
 
 
-def span_from_base(a: InverseAutomaton, c: InverseAutomaton) -> Subgraph:
-    """Image in c of all paths of a from its base, read from c's base."""
-    if a.base is None or c.base is None:
-        raise ValueError("span needs based automata")
+def _product_walk(a: InverseAutomaton, c: InverseAutomaton
+                  ) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
+    """Pairs (vertex of a, vertex of c) reached by reading the same path
+    in both from their bases, and the positive edges of c those paths
+    traverse."""
     seen = {(a.base, c.base)}
     queue = deque(seen)
     edges: set[tuple[int, int]] = set()
-    vertices = {c.base}
     while queue:
         p, g = queue.popleft()
         for letter in range(a.n_letters):
@@ -485,11 +485,18 @@ def span_from_base(a: InverseAutomaton, c: InverseAutomaton) -> Subgraph:
                 if np_ is None or ng is None:
                     continue
                 edges.add((g, letter) if sign > 0 else (ng, letter))
-                vertices.add(ng)
                 if (np_, ng) not in seen:
                     seen.add((np_, ng))
                     queue.append((np_, ng))
-    return Subgraph(c, frozenset(edges), frozenset(vertices))
+    return seen, edges
+
+
+def span_from_base(a: InverseAutomaton, c: InverseAutomaton) -> Subgraph:
+    """Image in c of all paths of a from its base, read from c's base."""
+    if a.base is None or c.base is None:
+        raise ValueError("span needs based automata")
+    seen, edges = _product_walk(a, c)
+    return Subgraph(c, frozenset(edges), frozenset(g for _, g in seen))
 
 
 def subgraph_automaton(sub: Subgraph, base: int) -> InverseAutomaton:

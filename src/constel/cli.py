@@ -281,6 +281,18 @@ def _cmd_ag(args) -> int:
     return 0
 
 
+def _certificate_json(cert) -> dict:
+    return {
+        "degree": cert.degree,
+        "transitive": cert.transitive,
+        "primitive": cert.primitive,
+        "all_even": cert.all_even,
+        "prime_cycle": None if cert.prime_cycle is None else
+            [cert.prime_cycle[0], cert.prime_cycle[1], _letter_name(cert.prime_cycle[2])],
+        "valid": cert.valid(),
+    }
+
+
 def _cmd_complete_alternating(args) -> int:
     aut = _read_automaton(args.automaton)
     if args.n is None and args.k is None:
@@ -295,16 +307,7 @@ def _cmd_complete_alternating(args) -> int:
         "command": "complete-alternating",
         "automaton": write_aut(completed),
         "m": plan.m, "q": plan.q, "k": plan.k, "n": plan.n,
-        "certificate": {
-            "degree": cert.degree,
-            "transitive": cert.transitive,
-            "primitive": cert.primitive,
-            "all_even": cert.all_even,
-            "prime_cycle": None if cert.prime_cycle is None else
-                [cert.prime_cycle[0], cert.prime_cycle[1],
-                 _letter_name(cert.prime_cycle[2])],
-            "valid": cert.valid(),
-        },
+        "certificate": _certificate_json(cert),
     })
     return 0 if cert.valid() else 1
 
@@ -312,16 +315,7 @@ def _cmd_complete_alternating(args) -> int:
 def _cmd_certify_an(args) -> int:
     aut = _read_automaton(args.automaton)
     cert = alternating_certificate(transition_group(aut))
-    _emit(args, {
-        "command": "certify-an",
-        "degree": cert.degree,
-        "transitive": cert.transitive,
-        "primitive": cert.primitive,
-        "all_even": cert.all_even,
-        "prime_cycle": None if cert.prime_cycle is None else
-            [cert.prime_cycle[0], cert.prime_cycle[1], _letter_name(cert.prime_cycle[2])],
-        "valid": cert.valid(),
-    })
+    _emit(args, {"command": "certify-an", **_certificate_json(cert)})
     return 0 if cert.valid() else 1
 
 
@@ -536,7 +530,8 @@ def _cmd_corpus(args) -> int:
     for i in range(args.count):
         m = rng.randint(args.m_min, args.m_max)
         aut = _random_corpus_automaton(rng, m)
-        assert aut.is_connected() and not aut.is_complete()
+        if not aut.is_connected() or aut.is_complete():
+            raise VerificationError("corpus automaton %d is disconnected or complete" % i)
         name = os.path.join(args.dir, "corpus_%03d.aut" % i)
         with open(name, "w") as fh:
             fh.write(write_aut(aut))

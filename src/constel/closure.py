@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from .automata import InverseAutomaton, Subgraph, member, pointed_isomorphic, subgraph_automaton
+from .automata import (InverseAutomaton, Subgraph, _product_walk, member, pointed_isomorphic,
+                       subgraph_automaton)
+from .errors import VerificationError
 from .gaschuetz import GaschuetzLayer, TowerSpec
 from .groups import DEFAULT_BOUND, MaterializedGroup, materialize, subgroup_closure
 from .words import Word
@@ -66,22 +68,7 @@ def extendible_at_level(a: InverseAutomaton, g_group: MaterializedGroup
     largest level-G quotient of a."""
     if a.base is None:
         raise ValueError("extendibility needs a based automaton")
-    gamma = g_group.cayley
-    seen = {(a.base, 0)}
-    queue = deque(seen)
-    g_edges: set[tuple[int, int]] = set()
-    while queue:
-        v, g = queue.popleft()
-        for letter in range(a.n_letters):
-            for sign in (1, -1):
-                w = a.step(v, letter, sign)
-                if w is None:
-                    continue
-                h = gamma.step(g, letter, sign)
-                g_edges.add((g, letter) if sign > 0 else (h, letter))
-                if (w, h) not in seen:
-                    seen.add((w, h))
-                    queue.append((w, h))
+    seen, g_edges = _product_walk(a, g_group.cayley)
     t_set = frozenset(g for v, g in seen if v == a.base)
     sigma, coset_of = schreier_graph(g_group, t_set)
     vertices = frozenset(coset_of[g] for _, g in seen)
@@ -112,5 +99,6 @@ def closure_chain(w: Word, gens: list[Word], spec: TowerSpec,
         level = GaschuetzLayer(level, p, tilde=tilde).materialize(bound)
         answers.append(member(closure_at_level(gens, level), w))
     for earlier, later in zip(answers, answers[1:]):
-        assert earlier or not later, "level membership must be nonincreasing"
+        if later and not earlier:
+            raise VerificationError("level membership must be nonincreasing")
     return answers

@@ -15,6 +15,8 @@ import random
 from dataclasses import dataclass
 
 from .automata import InverseAutomaton, embed_check, transition_group
+from .errors import VerificationError
+from .groups import DEFAULT_BOUND
 from .perms import AlternatingCertificate, Permutation, alternating_certificate, is_prime
 
 
@@ -50,6 +52,8 @@ class PredissolverReport:
 
 def complete_to_alternating(aut: InverseAutomaton, n: int, seed: int = 0
                             ) -> tuple[InverseAutomaton, AlternatingCertificate, CompletionPlan]:
+    if n > DEFAULT_BOUND:
+        raise ValueError("n = %d exceeds the bound %d" % (n, DEFAULT_BOUND))
     m = aut.n
     if m < 3:
         raise ValueError("completion needs at least 3 vertices, got %d" % m)
@@ -106,7 +110,7 @@ def complete_to_alternating(aut: InverseAutomaton, n: int, seed: int = 0
         if not perm.is_even():
             # merging two singleton fixed points into a 2-cycle flips parity
             if len(singles) < 2:
-                raise AssertionError("no singletons left for parity repair")
+                raise VerificationError("no singletons left for parity repair")
             u, w = rng.sample(sorted(singles), 2)
             action[u], action[w] = w, u
         fwd_by_letter[letter] = action
@@ -116,12 +120,15 @@ def complete_to_alternating(aut: InverseAutomaton, n: int, seed: int = 0
              for u in sorted(action)]
     result = InverseAutomaton(n, aut.n_letters, edges, base=aut.base)
 
-    for u, letter, w in aut.pos_edges():
-        assert result.fwd[u][letter] == w  # extends the input verbatim
+    if any(result.fwd[u][letter] != w for u, letter, w in aut.pos_edges()):
+        raise VerificationError("the completion does not extend the input verbatim")
     group = transition_group(result)
-    assert all(p.is_even() for p in group.perms)
+    if not all(p.is_even() for p in group.perms):
+        raise VerificationError("a completed letter acts as an odd permutation")
     b_lengths = sorted(len(c) for c in group.perms[b].cycles(include_fixed=True))
-    assert b_lengths.count(q) == 1 and all(l < q for l in b_lengths if l != q)
+    if b_lengths.count(q) != 1 or any(l >= q for l in b_lengths if l != q):
+        raise VerificationError("letter %d does not carry exactly one %d-cycle "
+                                "with all other cycles shorter" % (b, q))
     cert = alternating_certificate(group)
     plan = CompletionPlan(m, q, k, n, a, b, v, x, y, z, t)
     return result, cert, plan

@@ -22,6 +22,7 @@ from .automata import (
     induced_subgraph,
     write_aut,
 )
+from .errors import VerificationError
 from .groups import MaterializedGroup
 
 CUT_BOUND = 20
@@ -216,5 +217,6 @@ def assemble_AG(group: MaterializedGroup, bound: int = CUT_BOUND) -> InverseAuto
             has_in.add((v, letter))
     result = InverseAutomaton(total + 1, group.n_letters, edges, base=0)
     for i, a in enumerate(amalgams):
-        assert embed_check(a, result, offsets[i] + a.base) is not None
+        if embed_check(a, result, offsets[i] + a.base) is None:
+            raise VerificationError("amalgam %d does not embed in the assembly" % i)
     return result

@@ -7,9 +7,14 @@ edge indices by left multiplication.  The tilde layer is the quotient of
 the plain layer by its center, which consists of the pairs (alpha, 1)
 with alpha constant on each letter class.
 
-Elements are kept lazy: a word evaluates to (traversal vector mod p,
-base image) without enumerating the layer.  Materialization goes through
-the generic BFS in `groups` when the order fits the bound.
+An element is a pair (alpha, g): alpha is a dense tuple mod p over the
+edge index h * |A| + a of the base, g a base element index.  The left
+shift by g is a gather through an index map built from the base's
+left-multiplication row on first use, so products never rebuild or
+rehash vectors beyond the result.  Elements are kept lazy: a word
+evaluates to (traversal vector mod p, base image) without enumerating
+the layer.  Materialization goes through the generic BFS in `groups`
+when the order fits the bound.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .automata import path_word
+from .errors import VerificationError
 from .groups import (
     DEFAULT_BOUND,
     AbelianQuotient,
@@ -35,78 +41,12 @@ from .perms import is_prime
 from .words import Word, concat, invert, power
 
 
-class EdgeVector:
-    """Sparse F_p vector indexed by positive Cayley edges (element, letter)."""
-
-    __slots__ = ("p", "_items", "_key")
-
-    def __init__(self, p: int, entries=()):
-        self.p = p
-        items: dict[tuple[int, int], int] = {}
-        pairs = entries.items() if isinstance(entries, dict) else entries
-        for e, c in pairs:
-            c %= p
-            if c:
-                items[e] = c
-            elif e in items:
-                del items[e]
-        self._items = items
-        self._key = tuple(sorted(items.items()))
-
-    def __getitem__(self, edge: tuple[int, int]) -> int:
-        return self._items.get(edge, 0)
-
-    def items(self):
-        return iter(self._key)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._items
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, EdgeVector) and self.p == other.p and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash((self.p, self._key))
-
-    def __repr__(self):
-        return "EdgeVector(%d, %r)" % (self.p, dict(self._key))
-
-    def add(self, other: "EdgeVector") -> "EdgeVector":
-        if other.p != self.p:
-            raise ValueError("modulus mismatch")
-        out = dict(self._items)
-        for e, c in other._items.items():
-            out[e] = out.get(e, 0) + c
-        return EdgeVector(self.p, out)
-
-    def neg(self) -> "EdgeVector":
-        return EdgeVector(self.p, {e: -c for e, c in self._items.items()})
-
-    def shifted(self, g: int, group: MaterializedGroup) -> "EdgeVector":
-        """Image under the left shift (h, a) -> (g h, a)."""
-        return EdgeVector(self.p, {(group.mul_idx(g, h), a): c
-                                   for (h, a), c in self._items.items()})
-
-    def label_normalized(self, n_elements: int) -> "EdgeVector":
-        """Canonical coset form modulo constant-per-label vectors: the
-        entry at (element 0, a) is forced to zero for every letter."""
-        consts = {a: c for (h, a), c in self._items.items() if h == 0}
-        if not consts:
-            return self
-        out = dict(self._items)
-        for a, c in consts.items():
-            for h in range(n_elements):
-                out[(h, a)] = out.get((h, a), 0) - c
-        return EdgeVector(self.p, out)
-
-    def is_label_constant(self, n_elements: int) -> bool:
-        return self.label_normalized(n_elements).is_zero
-
-
 @dataclass(frozen=True)
 class GaschuetzElement:
-    alpha: EdgeVector
+    """Layer element (alpha, g): alpha is a dense tuple mod p over the
+    base's edge index h * |A| + a, g an element index of the base."""
+
+    alpha: tuple[int, ...]
     g: int
     tilde: bool = False
 
@@ -128,30 +68,52 @@ class GaschuetzLayer:
         self.p = p
         self.tilde = tilde
         self.n_letters = base.n_letters
-        self.identity = GaschuetzElement(EdgeVector(p), 0, tilde)
-        self.images = [self._make(EdgeVector(p, {(0, a): 1}), base.images[a])
+        size = base.order * base.n_letters
+        self.identity = GaschuetzElement((0,) * size, 0, tilde)
+        self.images = [self._make([1 if i == a else 0 for i in range(size)], base.images[a])
                        for a in range(base.n_letters)]
+        self._shifts: dict[int, list[int]] = {}
 
-    def _make(self, alpha: EdgeVector, g: int) -> GaschuetzElement:
+    def _make(self, alpha, g: int) -> GaschuetzElement:
+        """Element from an unreduced dense vector; the tilde layer takes
+        the coset form modulo label-constant vectors, with the entry of
+        every edge (1, a) forced to zero."""
+        p = self.p
         if self.tilde:
-            alpha = alpha.label_normalized(self.base.order)
-        return GaschuetzElement(alpha, g, self.tilde)
+            consts = alpha[:self.n_letters] * self.base.order
+            return GaschuetzElement(tuple([(u - c) % p for u, c in zip(alpha, consts)]), g, True)
+        return GaschuetzElement(tuple([u % p for u in alpha]), g, False)
+
+    def _shift(self, g: int) -> list[int]:
+        """Gather indices of the left shift (h, a) -> (g h, a): entry
+        (k, a) of the shifted vector is entry (g^-1 k, a) of the input."""
+        m = self._shifts.get(g)
+        if m is None:
+            n_letters = self.n_letters
+            m = [h * n_letters + a for h in self.base.left_row(self.base.inv_idx(g))
+                 for a in range(n_letters)]
+            self._shifts[g] = m
+        return m
 
     def mul(self, x: GaschuetzElement, y: GaschuetzElement) -> GaschuetzElement:
-        return self._make(x.alpha.add(y.alpha.shifted(x.g, self.base)),
+        beta = y.alpha
+        return self._make([u + beta[i] for u, i in zip(x.alpha, self._shift(x.g))],
                           self.base.mul_idx(x.g, y.g))
 
     def inv(self, x: GaschuetzElement) -> GaschuetzElement:
         gi = self.base.inv_idx(x.g)
-        return self._make(x.alpha.neg().shifted(gi, self.base), gi)
+        alpha = x.alpha
+        return self._make([-alpha[i] for i in self._shift(gi)], gi)
 
     def evaluate(self, w: Word) -> GaschuetzElement:
-        counts = traversal_vector(self.base, w)
-        return self._make(EdgeVector(self.p, counts), self.base.evaluate(w))
+        alpha = [0] * (self.base.order * self.n_letters)
+        for (h, a), c in traversal_vector(self.base, w).items():
+            alpha[h * self.n_letters + a] = c
+        return self._make(alpha, self.base.evaluate(w))
 
     def is_identity(self, w: Word) -> bool:
         x = self.evaluate(w)
-        return x.g == 0 and x.alpha.is_zero
+        return x.g == 0 and not any(x.alpha)
 
     def order(self) -> int:
         return order_formula(self.base.order, self.n_letters, self.p, self.tilde)
@@ -165,16 +127,11 @@ class GaschuetzLayer:
     def materialize(self, bound: int = DEFAULT_BOUND) -> MaterializedGroup:
         if self.order() > bound:
             raise OrderBoundError("layer order %d exceeds bound %d" % (self.order(), bound))
-        return _generate(self.n_letters, self.identity, self.images,
-                         self.mul, self.inv, bound)
+        return _generate(self.n_letters, self.identity, self.images, self.mul, bound)
 
     def __repr__(self):
         return "GaschuetzLayer(base_order=%d, p=%d, tilde=%r)" % (
             self.base.order, self.p, self.tilde)
-
-
-def gaschutz_group(base: MaterializedGroup, p: int, tilde: bool = False) -> GaschuetzLayer:
-    return GaschuetzLayer(base, p, tilde)
 
 
 @dataclass(frozen=True)
@@ -188,12 +145,8 @@ class CenterInfo:
 
     def elements(self):
         """All center elements: label-constant vectors paired with 1."""
-        letters = range(self.n_letters)
         for coeffs in itertools.product(range(self.p), repeat=self.n_letters):
-            vec = EdgeVector(self.p, {(h, a): coeffs[a]
-                                      for a in letters
-                                      for h in range(self.base_order)})
-            yield GaschuetzElement(vec, 0, False)
+            yield GaschuetzElement(coeffs * self.base_order, 0, False)
 
 
 def center(layer: GaschuetzLayer) -> CenterInfo:
@@ -211,7 +164,7 @@ def center(layer: GaschuetzLayer) -> CenterInfo:
     generators = []
     witnesses = []
     for a in range(base.n_letters):
-        vec = EdgeVector(p, {(h, a): 1 for h in range(base.order)})
+        vec = tuple(1 if b == a else 0 for b in range(base.n_letters)) * base.order
         gen = GaschuetzElement(vec, 0, False)
         ord_a = base.element_order(base.images[a])
         seen = set()
@@ -224,10 +177,12 @@ def center(layer: GaschuetzLayer) -> CenterInfo:
                 seen.add(h)
                 h = base.mul_idx(h, base.images[a])
             w_i = path_word(base.cayley, 0, start)
-            assert w_i is not None  # the Cayley graph is connected
+            if w_i is None:
+                raise VerificationError("element %d is unreachable in the Cayley graph" % start)
             pieces.append(concat(w_i, power(Word(((a, 1),)), ord_a), invert(w_i)))
         w_a = concat(*pieces)
-        assert layer.evaluate(w_a) == gen
+        if layer.evaluate(w_a) != gen:
+            raise VerificationError("the center witness for letter %d misses its generator" % a)
         generators.append(gen)
         witnesses.append(w_a)
     return CenterInfo(p, base.n_letters, base.order, p ** base.n_letters,
@@ -263,7 +218,8 @@ def coprime_structure_checks(base: MaterializedGroup, p: int,
     mat = layer.materialize(bound)
     expected = base.order * p ** (1 + (base.n_letters - 1) * base.order)
     phi = canonical_morphism(mat, base)
-    assert phi is not None
+    if phi is None:
+        raise VerificationError("the layer does not project onto its base")
     kernel = phi.kernel()
     exponent_ok = all(k == 0 or mat.element_order(k) == p for k in kernel)
     abelian_ok = all(mat.mul_idx(x, y) == mat.mul_idx(y, x)
@@ -317,9 +273,6 @@ class Tower:
             phi = phi.compose(self.projections[k - 1])
         return phi
 
-    def morphism_to_base(self, i: int) -> Morphism:
-        return self.morphism(i, 0)
-
     def is_identity(self, w: Word) -> bool:
         """Word problem at the top level."""
         if self.top is not None:
@@ -346,7 +299,8 @@ def build_tower(spec: TowerSpec, bound: int = DEFAULT_BOUND) -> Tower:
     projections = []
     for i in range(len(levels) - 1):
         phi = canonical_morphism(levels[i + 1], levels[i])
-        assert phi is not None  # successive layers project onto their base
+        if phi is None:
+            raise VerificationError("level %d does not project onto level %d" % (i + 1, i))
         projections.append(phi)
     return Tower(spec, tuple(levels), top, tuple(projections))
 
@@ -375,7 +329,8 @@ def layer_abelianization(base: MaterializedGroup, p: int, tilde: bool) -> list[i
         for a in range(n):
             rows.append([base.order if i == a else 0 for i in range(n)])
     diag = _smith_diagonal(rows, n)
-    assert len(diag) == n  # the relation lattice has finite index
+    if len(diag) != n:
+        raise VerificationError("the relation lattice has infinite index")
     return [d for d in diag if d > 1]
 
 

@@ -4,7 +4,11 @@ keyed by letter indices.
 
 Materialized groups carry their full element list (BFS discovery order
 from the identity, letters ascending, so element 0 is the identity) and
-their Cayley graph as a complete inverse automaton.
+their Cayley graph as a complete inverse automaton.  The Cayley table is
+recorded while the elements are discovered, and all later arithmetic is
+done by table: a product follows the right factor's generation-tree word
+through the Cayley graph, so element objects are never multiplied or
+hashed again after materialization.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .automata import InverseAutomaton
+from .errors import VerificationError
 from .perms import Permutation
 from .words import Word
 
@@ -81,33 +86,60 @@ class OrderBoundError(ValueError):
 
 
 class MaterializedGroup:
-    """Finite A-generated group with explicit elements and Cayley graph."""
+    """Finite A-generated group with explicit elements and Cayley graph.
 
-    def __init__(self, n_letters, elems, index, images, mul, inv):
+    Arithmetic runs on the Cayley graph alone.  Every element j > 0 was
+    discovered as parent[j] * image(letter[j]); the letters along that
+    generation tree spell j's positive word, so i * j is i moved along
+    that word and j^-1 is the identity moved back along it.
+    """
+
+    def __init__(self, n_letters, elems, index, images, table, parent, letter):
         self.n_letters = n_letters
         self.elems = elems
         self.index = index
         self.images = images  # element index per letter
-        self._mul = mul
-        self._inv = inv
         self.cayley = InverseAutomaton(
             len(elems), n_letters,
-            [(i, a, self.mul_idx(i, img)) for i in range(len(elems)) for a, img in enumerate(images)],
+            [(i, a, j) for i, row in enumerate(table) for a, j in enumerate(row)],
             base=0)
+        self._parent = parent
+        self._letter = letter
+        words = [()]
+        for j in range(1, len(elems)):
+            words.append(words[parent[j]] + (letter[j],))
+        self._words = words  # positive generation-tree word per element
 
     @property
     def order(self) -> int:
         return len(self.elems)
 
     def mul_idx(self, i: int, j: int) -> int:
-        return self.index[self._mul(self.elems[i], self.elems[j])]
+        fwd = self.cayley.fwd
+        for a in self._words[j]:
+            i = fwd[i][a]
+        return i
 
     def inv_idx(self, i: int) -> int:
-        return self.index[self._inv(self.elems[i])]
+        bwd = self.cayley.bwd
+        x = 0
+        for a in reversed(self._words[i]):
+            x = bwd[x][a]
+        return x
+
+    def left_row(self, i: int) -> list[int]:
+        """The products i * h for every element h, in one pass along the
+        generation tree."""
+        fwd = self.cayley.fwd
+        row = [i]
+        for j in range(1, len(self.elems)):
+            row.append(fwd[row[self._parent[j]]][self._letter[j]])
+        return row
 
     def evaluate(self, w: Word) -> int:
         v = self.cayley.trace(0, w)
-        assert v is not None  # the Cayley graph is complete
+        if v is None:
+            raise VerificationError("word %r leaves the Cayley graph" % (w,))
         return v
 
     def is_identity(self, w: Word) -> bool:
@@ -124,22 +156,30 @@ class MaterializedGroup:
         return "MaterializedGroup(order=%d, letters=%d)" % (self.order, self.n_letters)
 
 
-def _generate(n_letters, identity, images, mul, inv, bound) -> MaterializedGroup:
+def _generate(n_letters, identity, images, mul, bound) -> MaterializedGroup:
+    """Breadth-first closure of the identity under right multiplication
+    by the letter images, recording the Cayley table and the generation
+    tree as it goes."""
     index = {identity: 0}
     elems = [identity]
-    queue = deque([identity])
-    while queue:
-        x = queue.popleft()
-        for img in images:
+    table = []
+    parent, letter = [0], [-1]
+    for i, x in enumerate(elems):  # grows while it is walked
+        row = []
+        for a, img in enumerate(images):
             y = mul(x, img)
-            if y not in index:
+            j = index.get(y)
+            if j is None:
                 if len(elems) >= bound:
                     raise OrderBoundError("materialization exceeds bound %d" % bound)
-                index[y] = len(elems)
+                j = index[y] = len(elems)
                 elems.append(y)
-                queue.append(y)
-    return MaterializedGroup(n_letters, elems, index,
-                             [index[img] for img in images], mul, inv)
+                parent.append(i)
+                letter.append(a)
+            row.append(j)
+        table.append(row)
+    return MaterializedGroup(n_letters, elems, index, [index[img] for img in images],
+                             table, parent, letter)
 
 
 def _warn_identity_letters(images, identity):
@@ -156,13 +196,12 @@ def materialize(spec: GroupSpec, bound: int = DEFAULT_BOUND) -> MaterializedGrou
         if gcd(spec.n, *images) != 1 and spec.n > 1:
             raise ValueError("images do not generate the cyclic group of order %d" % spec.n)
         _warn_identity_letters(images, 0)
-        return _generate(spec.n_letters, 0, images,
-                         lambda x, y: (x + y) % spec.n, lambda x: (-x) % spec.n, bound)
+        return _generate(spec.n_letters, 0, images, lambda x, y: (x + y) % spec.n, bound)
     if isinstance(spec, KleinSpec):
         images = [tuple(b % 2 for b in img) for img in spec.images]
         _warn_identity_letters(images, (0, 0))
         g = _generate(spec.n_letters, (0, 0), images,
-                      lambda x, y: (x[0] ^ y[0], x[1] ^ y[1]), lambda x: x, bound)
+                      lambda x, y: (x[0] ^ y[0], x[1] ^ y[1]), bound)
         if g.order != 4:
             raise ValueError("images do not generate the Klein four-group")
         return g
@@ -173,15 +212,11 @@ def materialize(spec: GroupSpec, bound: int = DEFAULT_BOUND) -> MaterializedGrou
         from .perms import identity as perm_identity
         _warn_identity_letters(list(spec.images), perm_identity(spec.degree))
         return _generate(spec.n_letters, perm_identity(spec.degree), list(spec.images),
-                         lambda x, y: x * y, lambda x: x.inverse(), bound)
+                         lambda x, y: x * y, bound)
     if isinstance(spec, ExtensionSpec):
         from .gaschuetz import GaschuetzLayer
-        inner = materialize(spec.inner, bound)
-        layer = GaschuetzLayer(inner, spec.p, spec.tilde)
-        if layer.order() > bound:
-            raise OrderBoundError("layer order %d exceeds bound %d" % (layer.order(), bound))
-        return _generate(spec.n_letters, layer.identity, layer.images,
-                         layer.mul, layer.inv, bound)
+        return GaschuetzLayer(materialize(spec.inner, bound), spec.p,
+                              spec.tilde).materialize(bound)
     if isinstance(spec, ProductSpec):
         if spec.left.n_letters != spec.right.n_letters:
             raise ValueError("product components must share the alphabet")
@@ -196,8 +231,7 @@ def product_A(g: MaterializedGroup, h: MaterializedGroup, bound: int = DEFAULT_B
         raise ValueError("alphabet size mismatch")
     images = [(g.images[a], h.images[a]) for a in range(g.n_letters)]
     return _generate(g.n_letters, (0, 0), images,
-                     lambda x, y: (g.mul_idx(x[0], y[0]), h.mul_idx(x[1], y[1])),
-                     lambda x: (g.inv_idx(x[0]), h.inv_idx(x[1])), bound)
+                     lambda x, y: (g.mul_idx(x[0], y[0]), h.mul_idx(x[1], y[1])), bound)
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,6 +439,3 @@ def abelianization(g: MaterializedGroup) -> list[int]:
     """Invariant factors (ascending, each dividing the next) of g/[g,g]."""
     return AbelianQuotient(g).invariant_factors()
 
-
-def kernel_elements(phi: Morphism) -> tuple[int, ...]:
-    return phi.kernel()

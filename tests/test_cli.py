@@ -291,3 +291,23 @@ def test_failed_self_check_exits_2(monkeypatch):
     code, out, err = run(["dissolve", "--group", "cyclic(2; a=1,b=1)", "--layers", "~2",
                           "--weak"])
     assert code == 2 and not out and "self-check failed" in err
+
+
+def test_failed_corpus_check_exits_2(monkeypatch, tmp_path):
+    import constel.cli
+    from constel.automata import InverseAutomaton
+    monkeypatch.setattr(constel.cli, "_random_corpus_automaton",
+                        lambda rng, m: InverseAutomaton(m, 2, [], base=0))
+    code, out, err = run(["corpus", "--count", "1", "--dir", str(tmp_path / "c")])
+    assert code == 2 and not out and "self-check failed" in err
+
+
+def test_huge_completion_size_exits_2_before_allocating(tmp_path):
+    f = tmp_path / "f.aut"
+    f.write_text("edge 0 a 1\nedge 1 a 2\nedge 0 b 0\nbase 0\n")
+    code, out, err = run(["complete-alternating", "--automaton", str(f),
+                          "--n", "1000000000000"])
+    assert code == 2 and not out and "exceeds the bound" in err
+    code, out, err = run(["complete-alternating", "--automaton", str(f),
+                          "--k", "1000000000000"])
+    assert code == 2 and not out and "exceeds the bound" in err

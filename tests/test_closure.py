@@ -3,11 +3,13 @@ import warnings
 
 import pytest
 
+import constel.closure
 from constel.automata import (InverseAutomaton, core_of_words, embed_check,
                               member, rank_from_core, write_aut)
 from constel.closure import (closure_at_level, closure_chain,
                              extendible_at_level, product_membership_at_level,
                              schreier_graph, subgroup_image)
+from constel.errors import VerificationError
 from constel.gaschuetz import TowerSpec
 from constel.groups import CyclicSpec, KleinSpec, PermSpec, materialize
 from constel.perms import from_cycles
@@ -166,3 +168,11 @@ def test_closure_chain_is_nonincreasing():
         assert len(chain) == 3
         for earlier, later in zip(chain, chain[1:]):
             assert earlier or not later
+
+
+def test_closure_chain_checks_monotonicity(monkeypatch):
+    answers = iter([False, True, True])
+    monkeypatch.setattr(constel.closure, "member", lambda aut, word: next(answers))
+    spec = TowerSpec(CyclicSpec(2, (1, 1)), ((2, True), (2, True)))
+    with pytest.raises(VerificationError):
+        closure_chain(w("a"), [w("aa")], spec)

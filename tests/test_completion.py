@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+import constel.completion
 from constel.automata import (InverseAutomaton, core_of_words, embed_check,
                               transition_group)
 from constel.completion import (complete_to_alternating,
                                 predissolver_certificate,
                                 smallest_prime_greater)
 from constel.constellations import amalgams_of
-from constel.groups import CyclicSpec, materialize
+from constel.errors import VerificationError
+from constel.groups import DEFAULT_BOUND, CyclicSpec, materialize
+from constel.perms import PermGroupGens, from_cycles
 from constel.words import Alphabet, Word, parse_word, reduce
 
 A2 = Alphabet.of_size(2)
@@ -44,6 +47,24 @@ def test_plan_for_three_vertices():
 def test_minimum_size_enforced():
     with pytest.raises(ValueError):
         complete_to_alternating(chain3(), 9)
+
+
+def test_size_bound_checked_before_allocating():
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        complete_to_alternating(chain3(), DEFAULT_BOUND + 1)
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        complete_to_alternating(chain3(), 10 ** 12)
+
+
+def test_completion_checks_its_certificate(monkeypatch):
+    odd = PermGroupGens(10, (from_cycles(10, [(0, 1)]),) * 2)
+    monkeypatch.setattr(constel.completion, "transition_group", lambda aut: odd)
+    with pytest.raises(VerificationError, match="odd"):
+        complete_to_alternating(chain3(), 10)
+    trivial = PermGroupGens(10, (from_cycles(10, []),) * 2)
+    monkeypatch.setattr(constel.completion, "transition_group", lambda aut: trivial)
+    with pytest.raises(VerificationError, match="5-cycle"):
+        complete_to_alternating(chain3(), 10)
 
 
 def test_input_validation():

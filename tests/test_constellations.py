@@ -3,11 +3,13 @@ import itertools
 
 import pytest
 
+import constel.constellations
 from constel.automata import (InverseAutomaton, Subgraph, amalgam, canonical,
                               embed_check, full_subgraph, write_aut)
 from constel.constellations import (Constellation, MinimalCut, amalgams_of,
                                     assemble_AG, chain_letter, delta_a,
                                     maximal_constellations, minimal_cut_sets)
+from constel.errors import VerificationError
 from constel.groups import CyclicSpec, KleinSpec, materialize
 
 
@@ -235,3 +237,9 @@ def test_assemble_AG_z3():
     assert not ag.is_complete()
     for am in amalgams_of(z3()):
         assert any(embed_check(am, ag, s) is not None for s in range(ag.n))
+
+
+def test_assemble_AG_checks_its_embeddings(monkeypatch):
+    monkeypatch.setattr(constel.constellations, "embed_check", lambda a, b, start: None)
+    with pytest.raises(VerificationError):
+        assemble_AG(z2())

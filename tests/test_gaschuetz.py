@@ -2,12 +2,15 @@ import random
 
 import pytest
 
-from constel.gaschuetz import (EdgeVector, GaschuetzLayer, Tower, TowerSpec,
+import constel.gaschuetz
+from constel.errors import VerificationError
+from constel.gaschuetz import (GaschuetzElement, GaschuetzLayer, Tower, TowerSpec,
                                build_tower, center, coprime_structure_checks,
-                               gaschutz_group, layer_abelianization,
-                               order_formula)
-from constel.groups import (CyclicSpec, KleinSpec, OrderBoundError,
-                            abelianization, canonical_morphism, materialize)
+                               layer_abelianization, order_formula)
+from constel.groups import (CyclicSpec, KleinSpec, OrderBoundError, PermSpec,
+                            abelianization, canonical_morphism, materialize,
+                            traversal_vector)
+from constel.perms import from_cycles
 from constel.words import Alphabet, Word, parse_word
 
 A2 = Alphabet.of_size(2)
@@ -30,12 +33,94 @@ def random_word(rng, max_len=12, n_letters=2):
                       for _ in range(rng.randrange(max_len + 1))))
 
 
-def test_edge_vector_arithmetic():
-    v = EdgeVector(3, {(0, 0): 1, (1, 1): 2})
-    assert v.add(v.neg()).is_zero
-    assert v[(0, 0)] == 1 and v[(5, 1)] == 0
-    assert EdgeVector(3, {(0, 0): 3}).is_zero  # reduced mod p
-    assert v.add(v) == EdgeVector(3, {(0, 0): 2, (1, 1): 1})
+def s3():
+    return materialize(PermSpec(3, (from_cycles(3, [(0, 1)]),
+                                    from_cycles(3, [(1, 2)]))))
+
+
+def test_dense_alpha_matches_traversal_vector():
+    """Entry h*|A|+a of alpha is the signed traversal count of the Cayley
+    edge (h, a) mod p; tilde layers subtract the count of (1, a)."""
+    rng = random.Random(44)
+    for base in (z2(), klein(), s3()):
+        n_letters = base.n_letters
+        for p, tilde in ((2, False), (3, False), (2, True), (3, True)):
+            layer = GaschuetzLayer(base, p, tilde)
+            for _ in range(30):
+                u = random_word(rng)
+                counts = traversal_vector(base, u)
+                want = []
+                for h in range(base.order):
+                    for a in range(n_letters):
+                        c = counts.get((h, a), 0)
+                        if tilde:
+                            c -= counts.get((0, a), 0)
+                        want.append(c % p)
+                x = layer.evaluate(u)
+                assert x.alpha == tuple(want) and x.g == base.evaluate(u)
+
+
+class DenseOracle:
+    """Layer arithmetic straight from the definition, (alpha, g)(beta, h)
+    = (alpha + g.beta, gh), with every base product taken from the
+    element objects instead of the base's tables."""
+
+    def __init__(self, layer, base_mul, base_inv):
+        self.layer, self.base_mul, self.base_inv = layer, base_mul, base_inv
+
+    def _base(self, x, y):
+        base = self.layer.base
+        return base.index[self.base_mul(base.elems[x], base.elems[y])]
+
+    def _norm(self, alpha, g):
+        k = self.layer.n_letters
+        if self.layer.tilde:
+            alpha = [c - alpha[i % k] for i, c in enumerate(alpha)]
+        return GaschuetzElement(tuple(c % self.layer.p for c in alpha), g, self.layer.tilde)
+
+    def _shift(self, g, alpha):
+        k = self.layer.n_letters
+        out = [0] * len(alpha)
+        for h in range(self.layer.base.order):
+            gh = self._base(g, h)
+            out[gh * k:gh * k + k] = alpha[h * k:h * k + k]
+        return out
+
+    def mul(self, x, y):
+        shifted = self._shift(x.g, y.alpha)
+        return self._norm([u + v for u, v in zip(x.alpha, shifted)], self._base(x.g, y.g))
+
+    def inv(self, x):
+        base = self.layer.base
+        gi = base.index[self.base_inv(base.elems[x.g])]
+        return self._norm([-c for c in self._shift(gi, x.alpha)], gi)
+
+
+def test_layer_arithmetic_matches_dense_oracle():
+    rng = random.Random(45)
+    perm_mul, perm_inv = (lambda x, y: x * y), (lambda x: x.inverse())
+    lower = GaschuetzLayer(s3(), 2, True)
+    level = lower.materialize()
+    cases = [(GaschuetzLayer(s3(), p, tilde), perm_mul, perm_inv, 40)
+             for p, tilde in ((2, False), (2, True), (3, True))]
+    cases.append((GaschuetzLayer(level, 2, True), lower.mul, lower.inv, 8))
+    for layer, base_mul, base_inv, rounds in cases:
+        oracle = DenseOracle(layer, base_mul, base_inv)
+        for _ in range(rounds):
+            x = layer.evaluate(random_word(rng))
+            y = layer.evaluate(random_word(rng))
+            assert layer.mul(x, y) == oracle.mul(x, y)
+            assert layer.inv(x) == oracle.inv(x)
+
+
+def test_layers_over_the_trivial_group():
+    with pytest.warns(UserWarning):
+        trivial = materialize(CyclicSpec(1, (0,)))
+    plain = GaschuetzLayer(trivial, 2).materialize()
+    assert plain.order == 2
+    assert GaschuetzLayer(trivial, 2, tilde=True).materialize().order == 1
+    assert GaschuetzLayer(plain, 2, tilde=True).materialize().order == 2
+    assert GaschuetzLayer(plain, 2).materialize().order == 4
 
 
 def test_layer_requires_prime():
@@ -68,7 +153,7 @@ def test_materialize_respects_bound():
 
 def test_lazy_arithmetic_is_consistent():
     rng = random.Random(41)
-    layer = gaschutz_group(klein(), 3)
+    layer = GaschuetzLayer(klein(), 3)
     for _ in range(100):
         u, v = random_word(rng), random_word(rng)
         xu, xv = layer.evaluate(u), layer.evaluate(v)
@@ -172,7 +257,7 @@ def test_tower_morphisms_compose():
     assert phi.src is tower.levels[2] and phi.dst is tower.levels[0]
     step = tower.projections[1].compose(tower.projections[0])
     assert phi.mapping == step.mapping
-    assert tower.morphism_to_base(1).mapping == tower.projections[0].mapping
+    assert tower.morphism(1, 0).mapping == tower.projections[0].mapping
     with pytest.raises(ValueError):
         tower.morphism(0, 2)
     with pytest.raises(ValueError):
@@ -215,3 +300,27 @@ def test_layer_abelianization_scales_past_materialization():
     g108 = GaschuetzLayer(klein(), 3, tilde=True).materialize()
     assert g108.order == 108
     assert layer_abelianization(g108, 5, True) == [2, 2]
+
+
+def test_build_tower_checks_its_projections(monkeypatch):
+    monkeypatch.setattr(constel.gaschuetz, "canonical_morphism", lambda src, dst: None)
+    with pytest.raises(VerificationError):
+        build_tower(TowerSpec(CyclicSpec(2, (1, 1)), ((2, True), (2, True))))
+    with pytest.raises(VerificationError):
+        coprime_structure_checks(z2(), 3)
+
+
+def test_center_checks_its_witnesses(monkeypatch):
+    layer = GaschuetzLayer(z2(), 3)
+    monkeypatch.setattr(layer, "evaluate", lambda word: layer.identity)
+    with pytest.raises(VerificationError):
+        center(layer)
+    monkeypatch.setattr(constel.gaschuetz, "path_word", lambda aut, src, dst: None)
+    with pytest.raises(VerificationError):
+        center(GaschuetzLayer(z2(), 3))
+
+
+def test_layer_abelianization_checks_the_lattice_index(monkeypatch):
+    monkeypatch.setattr(constel.gaschuetz, "_smith_diagonal", lambda rows, ncols: [2])
+    with pytest.raises(VerificationError):
+        layer_abelianization(klein(), 2, tilde=False)

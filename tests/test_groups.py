@@ -1,12 +1,15 @@
 import random
+import warnings
 
 import pytest
 
+from constel.errors import VerificationError
+from constel.gaschuetz import GaschuetzLayer
 from constel.groups import (AbelianQuotient, CyclicSpec, ExtensionSpec,
                             KleinSpec, Morphism, OrderBoundError, PermSpec,
                             ProductSpec, abelianization, canonical_morphism,
                             commutator_subgroup, identity_morphism,
-                            kernel_elements, materialize, normal_closure,
+                            materialize, normal_closure,
                             product_A, subgroup_closure, traversal_vector)
 from constel.perms import from_cycles
 from constel.words import Alphabet, Word, parse_word
@@ -92,6 +95,65 @@ def test_evaluate_matches_permutation_action():
         assert p == q
 
 
+def check_table_arithmetic(g, mul, inv):
+    """mul_idx, inv_idx and left_row on all pairs against products of
+    the element objects themselves."""
+    for i, x in enumerate(g.elems):
+        assert g.elems[g.inv_idx(i)] == inv(x)
+        row = g.left_row(i)
+        for j, y in enumerate(g.elems):
+            assert g.elems[g.mul_idx(i, j)] == mul(x, y) == g.elems[row[j]]
+
+
+def test_table_arithmetic_of_plain_groups():
+    # repeated letter images, and identity letters (which warn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cyclic = [materialize(CyclicSpec(n, images))
+                  for n, images in ((6, (1, 2)), (5, (2, 2)), (4, (1, 0, 3)), (1, (0, 0)))]
+    for g in cyclic:
+        n = g.order
+        check_table_arithmetic(g, lambda x, y: (x + y) % n, lambda x: -x % n)
+    check_table_arithmetic(klein(), lambda x, y: (x[0] ^ y[0], x[1] ^ y[1]), lambda x: x)
+    a4 = materialize(PermSpec(4, (from_cycles(4, [(0, 1, 2)]),
+                                  from_cycles(4, [(1, 2, 3)]))))
+    for g in (s3(), a4):
+        check_table_arithmetic(g, lambda x, y: x * y, lambda x: x.inverse())
+
+
+def test_table_arithmetic_of_products():
+    left, right = s3(), materialize(CyclicSpec(4, (1, 3)))
+
+    def mul(x, y):
+        return (left.index[left.elems[x[0]] * left.elems[y[0]]],
+                right.index[(right.elems[x[1]] + right.elems[y[1]]) % 4])
+
+    def inv(x):
+        return left.index[left.elems[x[0]].inverse()], right.index[-right.elems[x[1]] % 4]
+
+    prod = product_A(left, right)
+    assert prod.order == 12
+    check_table_arithmetic(prod, mul, inv)
+
+
+def test_table_arithmetic_of_layers():
+    z2 = materialize(CyclicSpec(2, (1, 1)))
+    with pytest.warns(UserWarning):
+        z2_id = materialize(CyclicSpec(2, (1, 0)))
+    # the first case is level 1 of the S3 tower ~2,~2, 192 elements
+    for base, p, tilde in ((s3(), 2, True), (klein(), 2, False), (klein(), 3, True),
+                           (z2, 3, False), (z2_id, 2, False), (z2_id, 3, True)):
+        layer = GaschuetzLayer(base, p, tilde)
+        check_table_arithmetic(layer.materialize(), layer.mul, layer.inv)
+
+
+def test_evaluate_raises_off_the_cayley_graph(monkeypatch):
+    g = s3()
+    monkeypatch.setattr(g.cayley, "trace", lambda v, word: None)
+    with pytest.raises(VerificationError):
+        g.evaluate(w("ab"))
+
+
 def test_extension_spec_materializes():
     g = materialize(ExtensionSpec(CyclicSpec(2, (1, 1)), 2, True))
     assert g.order == 4
@@ -115,7 +177,7 @@ def test_canonical_morphism_projection():
     assert phi(0) == 0
     fib = phi.fibers()
     assert sorted(len(v) for v in fib.values()) == [2, 2]
-    assert kernel_elements(phi) == phi.kernel()
+    assert phi.kernel() == tuple(i for i in range(4) if phi(i) == 0)
 
 
 def test_canonical_morphism_conflict_is_none():
