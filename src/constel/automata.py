@@ -102,9 +102,6 @@ class InverseAutomaton:
     def missing_outgoing(self, letter: int) -> list[int]:
         return [v for v in range(self.n) if letter not in self.fwd[v]]
 
-    def missing_incoming(self, letter: int) -> list[int]:
-        return [v for v in range(self.n) if letter not in self.bwd[v]]
-
     def component_of(self, v: int) -> set[int]:
         seen = {v}
         stack = [v]
@@ -126,9 +123,6 @@ class InverseAutomaton:
                (other.n, other.n_letters, other.base, set(other.pos_edges()))
 
     __hash__ = None
-
-    def canonical_key(self):
-        return (self.n, self.base, tuple(self.pos_edges()))
 
     def __repr__(self):
         return "InverseAutomaton(n=%d, letters=%d, edges=%d, base=%r)" % (

@@ -10,13 +10,12 @@ membership in a product of finitely generated subgroups.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .automata import (InverseAutomaton, Subgraph, _product_walk, member, pointed_isomorphic,
                        subgraph_automaton)
 from .errors import VerificationError
 from .gaschuetz import GaschuetzLayer, TowerSpec
-from .groups import DEFAULT_BOUND, MaterializedGroup, materialize, subgroup_closure
+from .groups import (DEFAULT_BOUND, MaterializedGroup, _orbit, coset_walk, materialize,
+                     subgroup_closure, table_automaton)
 from .words import Word
 
 
@@ -32,26 +31,8 @@ def schreier_graph(g_group: MaterializedGroup, t_elems
     t_set = frozenset(t_elems)
     if 0 not in t_set:
         raise ValueError("subgroup must contain the identity")
-    coset_of = [-1] * g_group.order
-    start = frozenset(t_set)
-    ids = {start: 0}
-    for x in start:
-        coset_of[x] = 0
-    queue = deque([start])
-    edges = []
-    while queue:
-        coset = queue.popleft()
-        rep = min(coset)
-        for letter in range(g_group.n_letters):
-            nxt = frozenset(g_group.mul_idx(x, g_group.images[letter]) for x in coset)
-            if nxt not in ids:
-                ids[nxt] = len(ids)
-                for x in nxt:
-                    coset_of[x] = ids[nxt]
-                queue.append(nxt)
-            edges.append((ids[coset], letter, ids[nxt]))
-    aut = InverseAutomaton(len(ids), g_group.n_letters, edges, base=0)
-    return aut, tuple(coset_of)
+    coset_of, table, _, _ = coset_walk(g_group, t_set)
+    return table_automaton(table, g_group.n_letters), tuple(coset_of)
 
 
 def closure_at_level(gens: list[Word], g_group: MaterializedGroup) -> InverseAutomaton:
@@ -81,11 +62,12 @@ def product_membership_at_level(w: Word, subgroups: list[list[Word]],
                                 g_group: MaterializedGroup) -> bool:
     """Whether [w]_G lies in the literal set product T_1 ... T_n of the
     image subgroups; necessary at every level for membership in the
-    closure of the product."""
+    closure of the product.  P T_i is the orbit of P under right
+    multiplication by the generators of T_i."""
     prod = {0}
     for gens in subgroups:
-        t_set = subgroup_image(gens, g_group)
-        prod = {g_group.mul_idx(s, t) for s in prod for t in t_set}
+        prod = _orbit(prod, [[g_group.cayley.trace(x, u) for x in range(g_group.order)]
+                             for u in gens])
     return g_group.evaluate(w) in prod
 
 

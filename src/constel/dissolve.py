@@ -371,15 +371,15 @@ def disconnection_equivalence(phi: Morphism, letter: int, sign: int = 1
     are separated there, (3) every n and n*image are separated, (4) H
     dissolves the letter constellation of G."""
     h_group, g_group = phi.src, phi.dst
-    img = h_group.images[letter] if sign > 0 else h_group.inv_idx(h_group.images[letter])
+    cayley = h_group.cayley
     kernel = phi.kernel()
-    removed = {(h_group.mul_idx(n, img) if sign < 0 else n, letter) for n in kernel}
-    # for sign < 0 the geometric edge of (n, a^-1) is (n * img, a)
-    sub = full_subgraph(h_group.cayley).minus_edges(removed)
+    # n * img is one Cayley step; the geometric edge of (n, a^-1) is (n * img, a)
+    removed = {(cayley.step(n, letter, sign) if sign < 0 else n, letter) for n in kernel}
+    sub = full_subgraph(cayley).minus_edges(removed)
     ids = _component_ids(sub)
     disconnected = len(set(ids.values())) > 1
-    separated_1 = ids[0] != ids[img]
-    separated_all = all(ids[n] != ids[h_group.mul_idx(n, img)] for n in kernel)
+    separated_1 = ids[0] != ids[cayley.step(0, letter, sign)]
+    separated_all = all(ids[n] != ids[cayley.step(n, letter, sign)] for n in kernel)
     dissolved = dissolves_materialized(h_group, phi, delta_a(g_group, letter, sign)).dissolved
     return (disconnected, separated_1, separated_all, dissolved)
 

@@ -224,9 +224,9 @@ def coprime_structure_checks(base: MaterializedGroup, p: int,
     exponent_ok = all(k == 0 or mat.element_order(k) == p for k in kernel)
     abelian_ok = all(mat.mul_idx(x, y) == mat.mul_idx(y, x)
                      for x in kernel for y in kernel)
+    image_rows = [mat.left_row(img) for img in mat.images]
     center_size = sum(1 for x in range(mat.order)
-                      if all(mat.mul_idx(x, img) == mat.mul_idx(img, x)
-                             for img in mat.images))
+                      if all(mat.cayley.fwd[x][a] == row[x] for a, row in enumerate(image_rows)))
     return StructureReport(
         order=mat.order,
         order_ok=mat.order == expected,

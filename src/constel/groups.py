@@ -8,7 +8,10 @@ their Cayley graph as a complete inverse automaton.  The Cayley table is
 recorded while the elements are discovered, and all later arithmetic is
 done by table: a product follows the right factor's generation-tree word
 through the Cayley graph, so element objects are never multiplied or
-hashed again after materialization.
+hashed again after materialization.  A product costs one Cayley step per
+letter of that word, up to n - 1 in cyclic(n; a=1, b=1), so closures use
+whole left-multiplication rows, each one pass along the tree, and the
+abelianization walks the cosets of [G,G] over the letters.
 """
 
 from __future__ import annotations
@@ -91,7 +94,8 @@ class MaterializedGroup:
     Arithmetic runs on the Cayley graph alone.  Every element j > 0 was
     discovered as parent[j] * image(letter[j]); the letters along that
     generation tree spell j's positive word, so i * j is i moved along
-    that word and j^-1 is the identity moved back along it.
+    that word and j^-1 is the identity moved back along it.  Only the
+    tree is stored; a word is read off it when a product needs it.
     """
 
     def __init__(self, n_letters, elems, index, images, table, parent, letter):
@@ -99,32 +103,31 @@ class MaterializedGroup:
         self.elems = elems
         self.index = index
         self.images = images  # element index per letter
-        self.cayley = InverseAutomaton(
-            len(elems), n_letters,
-            [(i, a, j) for i, row in enumerate(table) for a, j in enumerate(row)],
-            base=0)
-        self._parent = parent
-        self._letter = letter
-        words = [()]
-        for j in range(1, len(elems)):
-            words.append(words[parent[j]] + (letter[j],))
-        self._words = words  # positive generation-tree word per element
+        self.cayley = table_automaton(table, n_letters)
+        self._parent = parent  # generation tree: element j > 0 is
+        self._letter = letter  # parent[j] * image(letter[j])
 
     @property
     def order(self) -> int:
         return len(self.elems)
 
     def mul_idx(self, i: int, j: int) -> int:
+        word = []  # j's tree letters, read off last letter first
+        while j:
+            word.append(self._letter[j])
+            j = self._parent[j]
         fwd = self.cayley.fwd
-        for a in self._words[j]:
+        for a in reversed(word):
             i = fwd[i][a]
         return i
 
     def inv_idx(self, i: int) -> int:
         bwd = self.cayley.bwd
+        parent, letter = self._parent, self._letter
         x = 0
-        for a in reversed(self._words[i]):
-            x = bwd[x][a]
+        while i:  # i's tree letters, last letter first
+            x = bwd[x][letter[i]]
+            i = parent[i]
         return x
 
     def left_row(self, i: int) -> list[int]:
@@ -154,6 +157,14 @@ class MaterializedGroup:
 
     def __repr__(self):
         return "MaterializedGroup(order=%d, letters=%d)" % (self.order, self.n_letters)
+
+
+def table_automaton(table: list[list[int]], n_letters: int) -> InverseAutomaton:
+    """The complete inverse automaton of a table of letter successors,
+    based at vertex 0."""
+    return InverseAutomaton(
+        len(table), n_letters,
+        ((i, a, j) for i, row in enumerate(table) for a, j in enumerate(row)), base=0)
 
 
 def _generate(n_letters, identity, images, mul, bound) -> MaterializedGroup:
@@ -306,25 +317,36 @@ def traversal_vector(g: MaterializedGroup, w: Word) -> dict[tuple[int, int], int
     return {e: c for e, c in counts.items() if c != 0}
 
 
-def subgroup_closure(g: MaterializedGroup, gens) -> frozenset[int]:
-    """Subgroup generated by the given element indices."""
-    gens = [i for i in gens] + [g.inv_idx(i) for i in gens]
-    seen = {0}
-    queue = deque([0])
+def _orbit(start, maps) -> set[int]:
+    """Closure of start under each map, every map an index list."""
+    seen = set(start)
+    queue = list(seen)
     while queue:
-        x = queue.popleft()
-        for s in gens:
-            y = g.mul_idx(x, s)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
+        x = queue.pop()
+        for m in maps:
+            if m[x] not in seen:
+                seen.add(m[x])
+                queue.append(m[x])
+    return seen
+
+
+def subgroup_closure(g: MaterializedGroup, gens) -> frozenset[int]:
+    """Subgroup generated by the given element indices, as an orbit under
+    left multiplication; at most log2|g| generators add a row."""
+    members, rows = {0}, []
+    for s in gens:
+        if s not in members:
+            rows.append(g.left_row(s))
+            members = _orbit(members, rows)
+    return frozenset(members)
 
 
 def normal_closure(g: MaterializedGroup, gens) -> frozenset[int]:
-    conjugates = {g.mul_idx(g.mul_idx(x, c), g.inv_idx(x))
-                  for c in gens for x in range(g.order)}
-    return subgroup_closure(g, conjugates)
+    """Subgroup generated by the orbit of gens under conjugation by the
+    letter images: image * x * image^-1 is a left row, then a bwd step."""
+    bwd = g.cayley.bwd
+    conj = [[bwd[y][a] for y in g.left_row(img)] for a, img in enumerate(g.images)]
+    return subgroup_closure(g, sorted(_orbit(gens, conj)))
 
 
 def commutator_subgroup(g: MaterializedGroup) -> frozenset[int]:
@@ -336,46 +358,64 @@ def commutator_subgroup(g: MaterializedGroup) -> frozenset[int]:
     return normal_closure(g, comms)
 
 
+def coset_walk(g: MaterializedGroup, t_elems):
+    """Right cosets T x numbered breadth-first from T over the letters (a
+    letter maps each coset onto a coset): the coset of every element, the
+    coset table, and the tree (parent coset, letter) of the walk."""
+    fwd = g.cayley.fwd
+    coset_of = [-1] * g.order
+    cosets = [list(t_elems)]
+    for x in cosets[0]:
+        coset_of[x] = 0
+    table, parent, letter = [], [0], [-1]
+    for c, members in enumerate(cosets):  # grows while it is walked
+        row = []
+        for a in range(g.n_letters):
+            d = coset_of[fwd[members[0]][a]]
+            if d == -1:
+                d = len(cosets)
+                cosets.append([fwd[x][a] for x in members])
+                for x in cosets[d]:
+                    coset_of[x] = d
+                parent.append(c)
+                letter.append(a)
+            row.append(d)
+        table.append(row)
+    return coset_of, table, parent, letter
+
+
 class AbelianQuotient:
-    """The abelianization of a materialized group, with coset arithmetic."""
+    """The abelianization of a materialized group, with coset arithmetic
+    in `quotient`, g/[g,g] as an A-generated group on the coset indices."""
 
     def __init__(self, g: MaterializedGroup):
         self.group = g
-        derived = sorted(commutator_subgroup(g))
-        self.coset_of = [-1] * g.order
-        self.reps: list[int] = []
-        for x in range(g.order):
-            if self.coset_of[x] != -1:
-                continue
-            cid = len(self.reps)
-            self.reps.append(x)
-            for k in derived:
-                self.coset_of[g.mul_idx(k, x)] = cid
+        self.coset_of, table, parent, letter = coset_walk(g, commutator_subgroup(g))
         self.letter_images = [self.coset_of[img] for img in g.images]
+        ids = range(len(table))
+        self.quotient = MaterializedGroup(g.n_letters, list(ids), {c: c for c in ids},
+                                          self.letter_images, table, parent, letter)
 
     @property
     def order(self) -> int:
-        return len(self.reps)
+        return self.quotient.order
 
     def mul(self, c1: int, c2: int) -> int:
-        return self.coset_of[self.group.mul_idx(self.reps[c1], self.reps[c2])]
+        return self.quotient.mul_idx(c1, c2)
 
     def coset_order(self, c: int) -> int:
-        k, x = 1, c
-        while x != 0:
-            x = self.mul(x, c)
-            k += 1
-        return k
+        row = self.quotient.left_row(c)  # the quotient is abelian: x * c = c * x
+        x = c
+        for k in range(1, self.order + 1):
+            if x == 0:
+                return k
+            x = row[x]
+        raise VerificationError("the powers of coset %d miss the identity" % c)
 
     def eval_vector(self, v) -> int:
         """Coset of prod_a image_a^{v_a}."""
-        out = 0
-        for a, k in enumerate(v):
-            img = self.letter_images[a]
-            step = img if k >= 0 else self.coset_of[self.group.inv_idx(self.reps[img])]
-            for _ in range(abs(k)):
-                out = self.mul(out, step)
-        return out
+        return self.quotient.evaluate(Word(tuple((a, 1 if k > 0 else -1)
+                                                 for a, k in enumerate(v) for _ in range(abs(k)))))
 
     def invariant_factors(self) -> list[int]:
         return _factors_from_order_counts(self.order, [self.coset_order(c) for c in range(self.order)])

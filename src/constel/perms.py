@@ -63,9 +63,6 @@ class Permutation:
                 out.append(tuple(cyc))
         return out
 
-    def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted((len(c) for c in self.cycles(include_fixed=True)), reverse=True))
-
     def is_even(self) -> bool:
         return (self.degree - len(self.cycles(include_fixed=True))) % 2 == 0
 

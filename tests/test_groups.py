@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -145,6 +147,83 @@ def test_table_arithmetic_of_layers():
                            (z2, 3, False), (z2_id, 2, False), (z2_id, 3, True)):
         layer = GaschuetzLayer(base, p, tilde)
         check_table_arithmetic(layer.materialize(), layer.mul, layer.inv)
+
+
+def test_long_generation_tree_stays_linear():
+    """In cyclic(n; a=1, b=1) element k is k letters deep in the
+    generation tree, so a per-element word store would hold about n^2/2
+    letters (about 100 MiB at n = 5000)."""
+    tracemalloc.start()
+    try:
+        materialize(CyclicSpec(5000, (1, 1)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    n = 100000
+    start = time.perf_counter()
+    g = materialize(CyclicSpec(n, (1, 1)))
+    assert time.perf_counter() - start < 15
+    assert g.order == n
+    for i, j in ((77777, 99999), (n - 1, n - 1), (0, 54321), (12345, 0)):
+        assert g.elems[g.mul_idx(i, j)] == (g.elems[i] + g.elems[j]) % n
+    assert [g.elems[g.inv_idx(i)] for i in (0, 1, n // 2, n - 1)] == [0, n - 1, n // 2, 1]
+    assert g.element_order(g.index[n // 4]) == 4
+    row = g.left_row(g.index[n - 3])
+    assert all(g.elems[row[j]] == (n - 3 + g.elems[j]) % n for j in range(0, n, 997))
+
+
+def dihedral(n: int):
+    rot = from_cycles(n, [tuple(range(n))])
+    ref = from_cycles(n, [(i, n - i) for i in range(1, (n + 1) // 2)])
+    return materialize(PermSpec(n, (rot, ref)))
+
+
+def permutation_span(g, gens):
+    """Subgroup generated by permutation elements, closed by products."""
+    span = {0}
+    while True:
+        bigger = span | {g.index[g.elems[x] * y] for x in span for y in gens}
+        if bigger == span:
+            return frozenset(span)
+        span = bigger
+
+
+def test_closures_and_quotient_against_permutation_products():
+    for g in (s3(), dihedral(12), dihedral(15)):
+        elems, index = g.elems, g.index
+        brute_derived = permutation_span(
+            g, {x * y * x.inverse() * y.inverse() for x in elems for y in elems})
+        assert commutator_subgroup(g) == brute_derived
+        ref = g.images[1]
+        assert normal_closure(g, [ref]) == permutation_span(
+            g, {x * elems[ref] * x.inverse() for x in elems})
+        rot = g.images[0]
+        assert subgroup_closure(g, [ref, rot, 0]) == frozenset(range(g.order))
+        assert subgroup_closure(g, [g.mul_idx(rot, rot), ref]) == permutation_span(
+            g, {elems[rot] * elems[rot], elems[ref]})
+        q = AbelianQuotient(g)
+        assert q.order * len(brute_derived) == g.order
+        for i, x in enumerate(elems):
+            for j, y in enumerate(elems):
+                assert q.coset_of[index[x * y]] == q.mul(q.coset_of[i], q.coset_of[j])
+            k, power = 1, x
+            while q.coset_of[index[power]] != 0:
+                power, k = power * x, k + 1
+            assert q.coset_order(q.coset_of[i]) == k
+        assert q.quotient.order == q.order == len(set(q.coset_of))
+    assert abelianization(dihedral(12)) == [2, 2]
+    assert abelianization(dihedral(15)) == [2]
+
+
+def test_abelianization_of_a_long_cycle():
+    start = time.perf_counter()
+    z = materialize(CyclicSpec(1000, (1, 1)))
+    assert abelianization(z) == [1000]
+    assert time.perf_counter() - start < 10
+    q = AbelianQuotient(z)
+    assert q.eval_vector([-3, 1]) == q.coset_of[z.index[998]]
+    assert q.eval_vector([0, -1000]) == 0
 
 
 def test_evaluate_raises_off_the_cayley_graph(monkeypatch):
