@@ -103,15 +103,7 @@ class InverseAutomaton:
         return [v for v in range(self.n) if letter not in self.fwd[v]]
 
     def component_of(self, v: int) -> set[int]:
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in list(self.fwd[u].values()) + list(self.bwd[u].values()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
+        return set(bfs_tree(self, v))
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.component_of(0)) == self.n
@@ -326,30 +318,47 @@ def pointed_isomorphic(a: InverseAutomaton, b: InverseAutomaton) -> bool:
     return canonical(a) == canonical(b)
 
 
+def bfs_tree(aut: InverseAutomaton, root: int, edges=None, forward_only: bool = False
+             ) -> dict[int, tuple[int, int, int]]:
+    """BFS tree from root: vertex -> (previous vertex, letter, sign), in
+    discovery order, with the root mapping to (-1, -1, 0).  Letters are
+    taken in ascending order, the forward step before the backward one.
+    Steps run only over the positive edges (src, letter) in `edges` when
+    it is given, and only forward when `forward_only` is set."""
+    tree = {root: (-1, -1, 0)}
+    order = [root]
+    letters = range(aut.n_letters)
+    for v in order:
+        out, into = aut.fwd[v], aut.bwd[v]
+        for letter in letters:
+            w = out.get(letter)
+            if w is not None and w not in tree and (edges is None or (v, letter) in edges):
+                tree[w] = (v, letter, 1)
+                order.append(w)
+            if forward_only:
+                continue
+            u = into.get(letter)
+            if u is not None and u not in tree and (edges is None or (u, letter) in edges):
+                tree[u] = (v, letter, -1)
+                order.append(u)
+    return tree
+
+
+def tree_word(tree: dict[int, tuple[int, int, int]], v: int) -> Word | None:
+    """Label of the tree path from the root to v, or None off the tree."""
+    if v not in tree:
+        return None
+    pairs = []
+    while tree[v][0] >= 0:
+        v, letter, sign = tree[v]
+        pairs.append((letter, sign))
+    return Word(tuple(reversed(pairs)))
+
+
 def path_word(aut: InverseAutomaton, src: int, dst: int) -> Word | None:
     """Label of a BFS-shortest path src -> dst (letters ascending,
     forward steps preferred at equal depth)."""
-    prev: dict[int, tuple[int, int, int]] = {src: (-1, -1, 0)}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        if v == dst:
-            break
-        for letter in range(aut.n_letters):
-            for sign in (1, -1):
-                w = aut.step(v, letter, sign)
-                if w is not None and w not in prev:
-                    prev[w] = (v, letter, sign)
-                    queue.append(w)
-    if dst not in prev:
-        return None
-    pairs = []
-    v = dst
-    while v != src:
-        u, letter, sign = prev[v]
-        pairs.append((letter, sign))
-        v = u
-    return Word(tuple(reversed(pairs)))
+    return tree_word(bfs_tree(aut, src), dst)
 
 
 def product_automaton(a: InverseAutomaton, b: InverseAutomaton) -> InverseAutomaton:
@@ -358,28 +367,12 @@ def product_automaton(a: InverseAutomaton, b: InverseAutomaton) -> InverseAutoma
         raise ValueError("product needs based automata")
     if a.n_letters != b.n_letters:
         raise ValueError("alphabet size mismatch")
-    start = (a.base, b.base)
-    index = {start: 0}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        u, v = queue.popleft()
-        for letter in range(a.n_letters):
-            for sign in (1, -1):
-                nu, nv = a.step(u, letter, sign), b.step(v, letter, sign)
-                if nu is None or nv is None:
-                    continue
-                if (nu, nv) not in index:
-                    index[(nu, nv)] = len(order)
-                    order.append((nu, nv))
-                    queue.append((nu, nv))
-    edges = []
-    for (u, v), i in index.items():
-        for letter in range(a.n_letters):
-            nu, nv = a.fwd[u].get(letter), b.fwd[v].get(letter)
-            if nu is not None and nv is not None and (nu, nv) in index:
-                edges.append((i, letter, index[(nu, nv)]))
-    return trim(InverseAutomaton(len(order), a.n_letters, edges, 0))
+    pairs, _ = _product_walk(a, b)
+    index = {pair: i for i, pair in enumerate(sorted(pairs))}
+    edges = [(i, letter, index[(a.fwd[u][letter], b.fwd[v][letter])])
+             for (u, v), i in index.items() for letter in range(a.n_letters)
+             if letter in a.fwd[u] and letter in b.fwd[v]]
+    return trim(InverseAutomaton(len(index), a.n_letters, edges, index[(a.base, b.base)]))
 
 
 def transition_group(aut: InverseAutomaton) -> PermGroupGens:
@@ -430,15 +423,7 @@ class Subgraph:
     def component_of(self, v: int) -> frozenset[int]:
         if v not in self.vertices:
             raise ValueError("vertex %d not in subgraph" % v)
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w, _, _, _ in self.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(seen)
+        return frozenset(bfs_tree(self.parent, v, self.edges))
 
     def is_connected(self) -> bool:
         if not self.vertices:

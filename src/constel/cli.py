@@ -113,6 +113,8 @@ def parse_group_spec(text: str, depth: int = 0):
             degree = int(head)
         except ValueError as exc:
             raise InputError(str(exc))
+        if degree < 0:
+            raise InputError("permutation degree must be nonnegative, got %d" % degree)
         images = _letter_args([p for p in _split_top(rest, ",") if p.strip()])
         return PermSpec(degree, tuple(parse_cycles(v, degree) for v in images))
     if name in ("gaschutz", "tilde"):

@@ -15,12 +15,18 @@ provided:
   over g.  Complete because the fiber of g in the lift is exactly the
   set of H-endpoints of qualifying words.  Witness words come from one
   BFS tree per lift, built on first use.
-- linear: for a lazy mod-p top layer over a materialized M, endpoint
-  sets over a fixed M-endpoint are cosets of the mod-p cycle spaces of
-  the lifted subgraphs, so the fibers intersect iff the reference-path
-  difference lies in the span of both cycle spaces (plus the per-letter
-  constant vectors for tilde layers).  Decided by Gaussian elimination
-  in one span per pair, built only when some g has shared endpoints.
+- linear: for a lazy mod-p top layer over a materialized M, the fibers
+  of the lifts meet at an M-endpoint m iff the difference of reference
+  paths to m lies in Z(Xi^) + Z(Theta^), the mod-p cycle spaces of the
+  lifts, plus the constants c_a for tilde layers.  By Mayer-Vietoris
+  for graphs that holds iff m and 1 lie in one component of Xi^
+  intersect Theta^.  A constant c_a counts only when every a-edge lies
+  in Xi^ or Theta^, and then adds the per-component boundary of its
+  Xi^ part: the test is whether [m] - [1] lies in the span of those at
+  most |A| vectors.  For plain layers the component of 1 lies over the
+  base component of Xi intersect Theta, which misses g, so plain layers
+  dissolve every constellation.  Components are labelled once per
+  pair, only when some g has shared endpoints.
 
 `dissolves_materialized` and `dissolves_linear` decide one
 constellation through the same pair deciders.
@@ -28,12 +34,12 @@ constellation through the same pair deciders.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
-from .automata import Subgraph, full_subgraph
+from .automata import Subgraph, bfs_tree, full_subgraph, tree_word
 from .constellations import Constellation, delta_a, maximal_constellations
 from .errors import VerificationError
 from .gaschuetz import GaschuetzLayer, Tower
@@ -89,32 +95,6 @@ def reachable_lift(xi: Subgraph, h_group: MaterializedGroup, phi: Morphism
     return lifted, {g: frozenset(s) for g, s in fibers.items()}
 
 
-def _bfs_tree(sub: Subgraph, positive_only: bool = False) -> dict[int, tuple[int, int, int]]:
-    """BFS tree of the subgraph from the parent's base, optionally over
-    forward edges only: vertex -> (previous vertex, letter, sign), in
-    discovery order; the root maps to (-1, -1, 0).  Neighbors are taken
-    in the order of `Subgraph.neighbors`."""
-    parent, edges = sub.parent, sub.edges
-    root = parent.base
-    prev = {root: (-1, -1, 0)}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        out, into = parent.fwd[v], parent.bwd[v]
-        for letter in range(parent.n_letters):
-            w = out.get(letter)
-            if w is not None and w not in prev and (v, letter) in edges:
-                prev[w] = (v, letter, 1)
-                queue.append(w)
-            if positive_only:
-                continue
-            u = into.get(letter)
-            if u is not None and u not in prev and (u, letter) in edges:
-                prev[u] = (v, letter, -1)
-                queue.append(u)
-    return prev
-
-
 def _witness_words(sub: Subgraph):
     """word(dst): label of a path from the base to dst inside the
     subgraph, purely positive when one exists.  The positive BFS tree
@@ -122,17 +102,13 @@ def _witness_words(sub: Subgraph):
     trees: dict[bool, dict[int, tuple[int, int, int]]] = {}
 
     def word(dst: int) -> Word | None:
-        for positive_only in (True, False):
-            if positive_only not in trees:
-                trees[positive_only] = _bfs_tree(sub, positive_only)
-            prev = trees[positive_only]
-            if dst in prev:
-                pairs = []
-                v = dst
-                while prev[v][0] >= 0:
-                    v, letter, sign = prev[v]
-                    pairs.append((letter, sign))
-                return Word(tuple(reversed(pairs)))
+        for forward_only in (True, False):
+            if forward_only not in trees:
+                trees[forward_only] = bfs_tree(sub.parent, sub.parent.base, sub.edges,
+                                               forward_only)
+            u = tree_word(trees[forward_only], dst)
+            if u is not None:
+                return u
         return None
 
     return word
@@ -184,7 +160,8 @@ def dissolves_materialized(h_group: MaterializedGroup, phi: Morphism,
 
 
 class GFpSpan:
-    """Row space over F_p with streaming insertion and membership tests."""
+    """Row space over F_p with streaming insertion and membership tests;
+    rows map sortable column keys (edges, component ids) to entries."""
 
     def __init__(self, p: int):
         self.p = p
@@ -227,7 +204,7 @@ def _tree_vectors(sub: Subgraph, p: int) -> dict[int, Vec]:
     """Traversal vectors (mod p) of BFS-tree paths from the parent base
     to every vertex of the connected subgraph."""
     vecs: dict[int, Vec] = {}
-    for w, (v, letter, sign) in _bfs_tree(sub).items():
+    for w, (v, letter, sign) in bfs_tree(sub.parent, sub.parent.base, sub.edges).items():
         if v < 0:
             vecs[w] = {}
             continue
@@ -240,11 +217,9 @@ def _tree_vectors(sub: Subgraph, p: int) -> dict[int, Vec]:
     return vecs
 
 
-def cycle_space_rows(sub: Subgraph, p: int, vecs: dict[int, Vec] | None = None) -> list[Vec]:
-    """Fundamental-cycle basis of the subgraph's mod-p cycle space;
-    `vecs` are the subgraph's tree vectors when already built."""
-    if vecs is None:
-        vecs = _tree_vectors(sub, p)
+def cycle_space_rows(sub: Subgraph, p: int) -> list[Vec]:
+    """Fundamental-cycle basis of the subgraph's mod-p cycle space."""
+    vecs = _tree_vectors(sub, p)
     rows = []
     for edge in sorted(sub.edges):
         u, _ = edge
@@ -258,37 +233,54 @@ def cycle_space_rows(sub: Subgraph, p: int, vecs: dict[int, Vec] | None = None) 
     return rows
 
 
+def _constant_boundary(sub: Subgraph, letter: int, p: int) -> dict[int, int]:
+    """Boundary mod p of the part inside sub of the constant vector
+    c_letter (every letter-edge once): vertex -> coefficient, zeros
+    dropped."""
+    edges = [e for e in sub.edges if e[1] == letter]
+    bnd = Counter(sub.dst(e) for e in edges)
+    bnd.subtract(h for h, _ in edges)
+    return {v: c % p for v, c in bnd.items() if c % p}
+
+
 def dissolves_pair_linear(layer: GaschuetzLayer, phi: Morphism,
                           xi: Subgraph, theta: Subgraph, g_choices: Sequence[int],
                           labels: Sequence[str]) -> list[DissolveReport]:
     """Exact decisions for (xi, g, theta), one report per g choice,
     labelled by `labels`, for a lazy top layer over the materialized
-    base of phi, without enumerating the layer."""
+    base of phi, without enumerating the layer.  Decided on the
+    components of the intersection of the lifts; failures carry the
+    endpoint and the difference of its signed BFS-tree vectors."""
     m_group = layer.base
     if phi.src is not m_group:
         raise ValueError("morphism must start at the layer's base group")
     xi_hat, fib_xi = reachable_lift(xi, m_group, phi)
     th_hat, fib_th = reachable_lift(theta, m_group, phi)
     p = layer.p
-    span = None
+    ids = vecs = None
     out = []
     for g, label in zip(g_choices, labels, strict=True):
         report = DissolveReport(label, True, "linear")
         shared = sorted(fib_xi.get(g, frozenset()) & fib_th.get(g, frozenset()))
-        if shared and span is None:
-            vx, vt = _tree_vectors(xi_hat, p), _tree_vectors(th_hat, p)
-            span = GFpSpan(p)
-            for row in cycle_space_rows(xi_hat, p, vx) + cycle_space_rows(th_hat, p, vt):
-                span.add(row)
-            if layer.tilde:
-                for a in range(m_group.n_letters):
-                    span.add({(h, a): 1 for h in range(m_group.order)})
+        if shared and ids is None:
+            ids = _component_ids(xi_hat.intersection(th_hat))
+            span = GFpSpan(p)  # per-component boundaries of the tilde constants
+            for a in range(m_group.n_letters):
+                if layer.tilde and all((h, a) in xi_hat.edges or (h, a) in th_hat.edges
+                                       for h in range(m_group.order)):
+                    row: Counter[int] = Counter()
+                    for v, c in _constant_boundary(xi_hat, a, p).items():
+                        if v not in ids:
+                            raise VerificationError("the boundary of constant %d leaves "
+                                                    "the intersection of the lifts" % a)
+                        row[ids[v]] += c
+                    span.add(row)
         for m in shared:
-            diff = dict(vx[m])
-            for e, cnt in vt[m].items():
-                diff[e] = (diff.get(e, 0) - cnt) % p
-            diff = {e: cnt for e, cnt in diff.items() if cnt}
-            if span.contains(diff):
+            if span.contains({} if ids[m] == ids[0] else {ids[m]: 1, ids[0]: -1}):
+                vecs = vecs or (_tree_vectors(xi_hat, p), _tree_vectors(th_hat, p))
+                diff = Counter(vecs[0][m])
+                diff.subtract(vecs[1][m])
+                diff = {e: cnt % p for e, cnt in diff.items() if cnt % p}
                 report = DissolveReport(label, False, "linear", endpoint=m, vector=diff)
                 break
         out.append(report)
@@ -352,14 +344,11 @@ def is_dissolver(tower: Tower, materialize_bound: int = 100000) -> bool:
 
 
 def _component_ids(sub: Subgraph) -> dict[int, int]:
+    """Vertex -> least vertex of its component."""
     ids: dict[int, int] = {}
-    nxt = 0
     for v in sorted(sub.vertices):
-        if v in ids:
-            continue
-        for w in sub.component_of(v):
-            ids[w] = nxt
-        nxt += 1
+        if v not in ids:
+            ids.update(dict.fromkeys(sub.component_of(v), v))
     return ids
 
 
@@ -416,7 +405,10 @@ def key_lemma_report(g_group: MaterializedGroup, p: int, k_set,
                      bound: int = 100000) -> KeyLemmaReport:
     """Check, for every edge (g,a) of Gamma(G~), that removing the
     translates of the edge by the preimage L of K disconnects the graph
-    with g and ga separated.  K must be a nontrivial subgroup of G."""
+    with g and ga separated.  K must be a nontrivial subgroup of G.
+    Left multiplication by L permutes Gamma(G~) and fixes the removed
+    set, so one edge per orbit (right coset L.g, letter) is checked; L.g
+    is the preimage of the coset K.phi(g)."""
     k_set = frozenset(k_set)
     if k_set == {0}:
         raise ValueError("K must be nontrivial")
@@ -427,9 +419,19 @@ def key_lemma_report(g_group: MaterializedGroup, p: int, k_set,
     if phi is None:
         raise VerificationError("the layer does not project onto its base")
     l_set = frozenset(h for h in range(h_group.order) if phi(h) in k_set)
-    failures = tuple(edge[:2] for edge in h_group.cayley.pos_edges()
-                     if not key_lemma_edge(h_group, l_set, edge[:2]))
-    return KeyLemmaReport(h_group.cayley.n_pos_edges, failures)
+    coset: dict[int, int] = {}  # element of G -> least element of its coset K.g
+    for g in range(g_group.order):
+        if g not in coset:
+            coset.update(dict.fromkeys((g_group.mul_idx(k, g) for k in k_set), g))
+    verdicts: dict[tuple[int, int], bool] = {}
+    failures = []
+    for h, letter, _ in h_group.cayley.pos_edges():
+        orbit = (coset[phi(h)], letter)
+        if orbit not in verdicts:
+            verdicts[orbit] = key_lemma_edge(h_group, l_set, (h, letter))
+        if not verdicts[orbit]:
+            failures.append((h, letter))
+    return KeyLemmaReport(h_group.cayley.n_pos_edges, tuple(failures))
 
 
 def counting_lifts_check(phi: Morphism, w: Word) -> bool:

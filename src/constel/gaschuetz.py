@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .automata import path_word
+from .automata import bfs_tree, tree_word
 from .errors import VerificationError
 from .groups import (
     DEFAULT_BOUND,
@@ -161,6 +161,7 @@ def center(layer: GaschuetzLayer) -> CenterInfo:
     if layer.tilde:
         raise ValueError("the center description applies to the plain layer")
     base, p = layer.base, layer.p
+    tree = bfs_tree(base.cayley, 0)
     generators = []
     witnesses = []
     for a in range(base.n_letters):
@@ -176,7 +177,7 @@ def center(layer: GaschuetzLayer) -> CenterInfo:
             while h not in seen:
                 seen.add(h)
                 h = base.mul_idx(h, base.images[a])
-            w_i = path_word(base.cayley, 0, start)
+            w_i = tree_word(tree, start)
             if w_i is None:
                 raise VerificationError("element %d is unreachable in the Cayley graph" % start)
             pieces.append(concat(w_i, power(Word(((a, 1),)), ord_a), invert(w_i)))

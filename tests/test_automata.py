@@ -4,13 +4,13 @@ import random
 import pytest
 
 from constel.automata import (InverseAutomaton, LabeledGraph, Subgraph,
-                              amalgam, as_inverse_automaton, bouquet,
+                              amalgam, as_inverse_automaton, bfs_tree, bouquet,
                               canonical, core_of_words, embed_check, fold,
                               full_subgraph, induced_subgraph, member,
                               path_word, pointed_isomorphic,
                               product_automaton, rank_from_core, read_aut,
                               span_from_base, subgraph_automaton, to_dot,
-                              transition_group, trim, write_aut)
+                              transition_group, tree_word, trim, write_aut)
 from constel.words import Alphabet, Word, parse_word, reduce, word
 
 A2 = Alphabet.of_size(2)
@@ -155,6 +155,12 @@ def test_product_automaton_language_is_intersection():
     prod = product_automaton(a, b)
     for u in enumerate_reduced(6):
         assert member(prod, u) == (member(a, u) and member(b, u)), u
+    # the same product from relabelled factors whose bases are not 0
+    moved = [InverseAutomaton(x.n, 2, [((u + 1) % x.n, l, (v + 1) % x.n)
+                                       for u, l, v in x.pos_edges()], (x.base + 1) % x.n)
+             for x in (a, b)]
+    assert all(x.base != 0 for x in moved)
+    assert product_automaton(*moved) == prod
 
 
 def test_transition_group_matches_tracing():
@@ -208,6 +214,57 @@ def test_path_word_prefers_positive():
     two = InverseAutomaton(2, 1, [(1, 0, 0)], 0)
     assert path_word(two, 0, 1) == w("A")
     assert path_word(InverseAutomaton(2, 1, [], 0), 0, 1) is None
+
+
+def distances(aut, root, edges, forward_only):
+    """Step counts from root by relaxing every allowed step until
+    nothing changes: the oracle for the BFS tree's depths."""
+    steps = [(u, v) for u, letter, v in aut.pos_edges()
+             if edges is None or (u, letter) in edges]
+    if not forward_only:
+        steps += [(v, u) for u, v in steps]
+    dist = {root: 0}
+    changed = True
+    while changed:
+        changed = False
+        for u, v in steps:
+            if u in dist and dist[u] + 1 < dist.get(v, len(steps) + 1):
+                dist[v] = dist[u] + 1
+                changed = True
+    return dist
+
+
+def test_bfs_tree_against_relaxed_distances():
+    rng = random.Random(7)
+    for _ in range(30):
+        words = [random_reduced_word(rng, rng.randrange(1, 7)) for _ in range(3)]
+        aut = core_of_words(words, 2)
+        edges = frozenset((u, l) for u, l, _ in aut.pos_edges() if rng.random() < 0.7)
+        for root in range(aut.n):
+            for sub_edges in (None, edges):
+                for forward_only in (False, True):
+                    tree = bfs_tree(aut, root, sub_edges, forward_only)
+                    dist = distances(aut, root, sub_edges, forward_only)
+                    assert set(tree) == set(dist)
+                    for v in tree:
+                        u = tree_word(tree, v)
+                        assert len(u) == dist[v] and aut.trace(root, u) == v
+                        assert not forward_only or all(s > 0 for _, s in u)
+                        assert sub_edges is None or all(
+                            e in sub_edges for e in traversed_edges(aut, root, u))
+                    if sub_edges is None and not forward_only:
+                        assert set(tree) == aut.component_of(root)
+                    elif not forward_only:
+                        sub = Subgraph(aut, sub_edges, frozenset(range(aut.n)))
+                        assert set(tree) == sub.component_of(root)
+    assert tree_word({0: (-1, -1, 0)}, 1) is None
+
+
+def traversed_edges(aut, v, u):
+    for letter, sign in u:
+        nxt = aut.step(v, letter, sign)
+        yield (v, letter) if sign > 0 else (nxt, letter)
+        v = nxt
 
 
 def test_subgraph_component_and_neighbors():

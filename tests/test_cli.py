@@ -277,6 +277,12 @@ def test_repeated_cycle_point_is_an_input_error():
     assert code == 2 and not out and "appears twice" in err
 
 
+def test_negative_permutation_degree_is_an_input_error():
+    for spec in ("perm(-1;a=())", "perm(-3;a=(0 1),b=(1 2))"):
+        code, out, err = run(["evaluate", "--group", spec, "--word", "a"])
+        assert code == 2 and not out and "degree must be nonnegative" in err
+
+
 def test_deeply_nested_spec_is_an_input_error():
     spec = "tilde(" * 1200 + "cyclic(2;a=1,b=1)" + ",2)" * 1200
     code, out, err = run(["evaluate", "--group", spec, "--word", "a"])

@@ -4,19 +4,21 @@ from collections import deque
 import pytest
 
 import constel.dissolve
-from constel.automata import Subgraph, full_subgraph
+from constel.automata import Subgraph, bfs_tree, full_subgraph, tree_word
 from constel.constellations import delta_a, maximal_constellations
 from constel.dissolve import (DissolveReport, GFpSpan, counting_lifts_check,
                               cycle_space_rows, detecting_edges_check,
                               disconnection_equivalence, dissolve_all,
                               dissolves_linear, dissolves_materialized,
+                              dissolves_pair_linear,
                               is_dissolver, is_weak_dissolver, key_lemma_edge,
                               key_lemma_report, reachable_lift,
                               schreier_rank_check)
 from constel.errors import VerificationError
 from constel.gaschuetz import GaschuetzLayer, TowerSpec, build_tower
 from constel.groups import (CyclicSpec, KleinSpec, PermSpec, canonical_morphism,
-                            identity_morphism, materialize, subgroup_closure)
+                            identity_morphism, materialize, subgroup_closure,
+                            traversal_vector)
 from constel.perms import from_cycles
 from constel.words import Alphabet, Word, parse_word
 
@@ -203,6 +205,89 @@ def test_pair_deciders_match_per_constellation_decisions(spec, layers, bound, me
         assert [r[:2] for r in reports] == [(r.label, r.dissolved) for r in dissolve_all(tower)]
 
 
+def elimination_reports(layer, phi, xi, theta, g_choices, labels):
+    """Linear-method oracle by Gaussian elimination: the fibers over g
+    meet at m iff the difference of the signed BFS-tree vectors to m
+    lies in the span of both cycle spaces and, for tilde layers, the
+    constants sum_h e_(h,a).  Reports as `astuple` gives them."""
+    m_group, p = layer.base, layer.p
+    xi_hat, fib_xi = reachable_lift(xi, m_group, phi)
+    th_hat, fib_th = reachable_lift(theta, m_group, phi)
+    span = GFpSpan(p)
+    for row in cycle_space_rows(xi_hat, p) + cycle_space_rows(th_hat, p):
+        span.add(row)
+    if layer.tilde:
+        for a in range(m_group.n_letters):
+            span.add({(h, a): 1 for h in range(m_group.order)})
+    trees = [bfs_tree(m_group.cayley, 0, lift.edges) for lift in (xi_hat, th_hat)]
+
+    def vector(m):
+        ux, ut = (traversal_vector(m_group, tree_word(tree, m)) for tree in trees)
+        diff = {e: (ux.get(e, 0) - ut.get(e, 0)) % p for e in set(ux) | set(ut)}
+        return {e: c for e, c in diff.items() if c}
+
+    out = []
+    for g, label in zip(g_choices, labels):
+        rep = (label, True, "linear", None, None, None)
+        for m in sorted(fib_xi.get(g, frozenset()) & fib_th.get(g, frozenset())):
+            if span.contains(vector(m)):
+                rep = (label, False, "linear", None, m, vector(m))
+                break
+        out.append(rep)
+    return out
+
+
+ONE_LAYER_BASES = [CyclicSpec(2, (1, 1)), CyclicSpec(3, (1, 1)), CyclicSpec(4, (1, 1)),
+                   KleinSpec(((1, 0), (0, 1))), S3]
+
+
+@pytest.mark.parametrize("spec, layers", [
+    (base, ((p, tilde),)) for base in ONE_LAYER_BASES for p in (2, 3, 5)
+    for tilde in (True, False)] + [
+    (S3, ((2, True), (2, True))),
+    (KleinSpec(((1, 0), (0, 1))), ((2, True), (3, True))),
+    (CyclicSpec(2, (1, 1)), ((3, True), (2, True))),
+])
+def test_component_test_matches_elimination(spec, layers):
+    tower = build_tower(TowerSpec(spec, layers))
+    base = tower.levels[0]
+    phi = tower.morphism(len(tower.levels) - 1, 0)
+    pairs = [(pair.xi, pair.theta, pair.g_choices,
+              ["max%d:g%d" % (i, g) for g in pair.g_choices])
+             for i, pair in enumerate(maximal_constellations(base))]
+    pairs += [(c.xi, c.theta, (c.g,), ("delta",))
+              for c in (delta_a(base, a, sign) for a in range(2) for sign in (1, -1))]
+    # not a constellation: every g lies in the base component of the
+    # intersection, so the lifts meet in the component of 1
+    full = full_subgraph(base.cayley)
+    pairs.append((full, full.minus_edges([(0, 0)]), tuple(range(1, base.order)),
+                  ["full:g%d" % g for g in range(1, base.order)]))
+    reports = []
+    for xi, theta, g_choices, labels in pairs:
+        got = [astuple(r) for r in dissolves_pair_linear(tower.top, phi, xi, theta,
+                                                         g_choices, labels)]
+        assert got == elimination_reports(tower.top, phi, xi, theta, g_choices, labels)
+        reports += got
+    assert not any(r[1] for r in reports if r[0].startswith("full:"))
+    constellations = [r for r in reports if not r[0].startswith("full:")]
+    if layers[-1][1]:
+        assert len(layers) > 1 or not all(r[1] for r in constellations)
+    else:  # plain top layers dissolve every constellation
+        assert all(r[1] for r in constellations)
+
+
+def test_constant_boundary_outside_the_intersection_raises(monkeypatch):
+    base = s3()
+    layer = GaschuetzLayer(base, 2, tilde=True)
+    c = delta_a(base, 0)  # every a-edge lies in Xi or Theta
+    assert not dissolves_linear(layer, identity_morphism(base), c).dissolved
+    outside = min(set(range(base.order)) - c.theta.vertices)
+    monkeypatch.setattr(constel.dissolve, "_constant_boundary",
+                        lambda sub, letter, p: {outside: 1})
+    with pytest.raises(VerificationError, match="leaves the intersection"):
+        dissolves_linear(layer, identity_morphism(base), c)
+
+
 def test_failed_witness_check_raises(monkeypatch):
     base = z2()
     mat = GaschuetzLayer(base, 2, tilde=True).materialize()
@@ -368,6 +453,65 @@ def test_key_lemma_reports():
 def test_key_lemma_rejects_trivial_subgroup():
     with pytest.raises(ValueError):
         key_lemma_report(z2(), 2, frozenset({0}))
+
+
+def edge_orbits(h_group, l_set):
+    """Orbits of the positive edges of Gamma(H) under left
+    multiplication by L."""
+    orbits = {}
+    for h, letter, _ in h_group.cayley.pos_edges():
+        orbit = frozenset((h_group.mul_idx(x, h), letter) for x in l_set)
+        orbits[orbit] = None
+    return list(orbits)
+
+
+@pytest.mark.parametrize("spec, p", [(KleinSpec(((1, 0), (0, 1))), 2), (S3, 2),
+                                     (CyclicSpec(4, (1, 1)), 3)])
+def test_key_lemma_edge_gives_one_verdict_per_orbit(spec, p):
+    base = materialize(spec)
+    mat = GaschuetzLayer(base, p, tilde=True).materialize()
+    phi = canonical_morphism(mat, base)
+    k_set = subgroup_closure(base, [base.images[0]])
+    for l_set, verdict in ((frozenset(phi.kernel()), False),
+                           (frozenset(h for h in range(mat.order) if phi(h) in k_set), True)):
+        orbits = edge_orbits(mat, l_set)
+        assert sum(map(len, orbits)) == mat.cayley.n_pos_edges
+        for orbit in orbits:
+            assert {key_lemma_edge(mat, l_set, edge) for edge in orbit} == {verdict}
+
+
+def per_edge_key_lemma(g_group, p, k_set):
+    """Key-lemma oracle: one call of key_lemma_edge per edge."""
+    mat = GaschuetzLayer(g_group, p, tilde=True).materialize()
+    phi = canonical_morphism(mat, g_group)
+    l_set = frozenset(h for h in range(mat.order) if phi(h) in k_set)
+    failures = tuple((h, a) for h, a, _ in mat.cayley.pos_edges()
+                     if not constel.dissolve.key_lemma_edge(mat, l_set, (h, a)))
+    return mat.cayley.n_pos_edges, failures
+
+
+def test_key_lemma_report_matches_the_per_edge_loop(monkeypatch):
+    cases = [(z2(), 3, frozenset({0, 1})), (klein(), 2, subgroup_closure(klein(), [1])),
+             (s3(), 2, subgroup_closure(s3(), [3]))]
+    real = constel.dissolve.key_lemma_edge
+    calls = []
+    monkeypatch.setattr(constel.dissolve, "key_lemma_edge",
+                        lambda *args: calls.append(args[2]) or real(*args))
+    for group, p, k_set in cases:
+        calls.clear()
+        rep = key_lemma_report(group, p, k_set)
+        # one call per (right coset L.g, letter)
+        assert len(calls) == group.order // len(k_set) * group.n_letters
+        assert rep.all_ok and (rep.n_edges, rep.failures) == per_edge_key_lemma(group, p, k_set)
+    # a stand-in verdict, constant on orbits: the b-edges at L fail
+    def fake(h_group, l_set, edge):
+        return edge[0] not in l_set or edge[1] == 0
+
+    monkeypatch.setattr(constel.dissolve, "key_lemma_edge", fake)
+    for group, p, k_set in cases:
+        rep = key_lemma_report(group, p, k_set)
+        assert (rep.n_edges, rep.failures) == per_edge_key_lemma(group, p, k_set)
+        assert 0 < len(rep.failures) < rep.n_edges
 
 
 def test_key_lemma_single_edge():

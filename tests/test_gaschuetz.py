@@ -315,7 +315,7 @@ def test_center_checks_its_witnesses(monkeypatch):
     monkeypatch.setattr(layer, "evaluate", lambda word: layer.identity)
     with pytest.raises(VerificationError):
         center(layer)
-    monkeypatch.setattr(constel.gaschuetz, "path_word", lambda aut, src, dst: None)
+    monkeypatch.setattr(constel.gaschuetz, "tree_word", lambda tree, v: None)
     with pytest.raises(VerificationError):
         center(GaschuetzLayer(z2(), 3))
 
