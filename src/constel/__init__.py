@@ -15,9 +15,9 @@ from .perms import (AlternatingCertificate, PermGroupGens, Permutation,
                     alternating_certificate, format_cycles, from_cycles,
                     generated_order, is_primitive, is_prime, is_transitive,
                     parse_cycles, prime_power_cycle)
-from .groups import (AbelianQuotient, CyclicSpec, ExtensionSpec, KleinSpec,
-                     MaterializedGroup, Morphism, OrderBoundError, PermSpec,
-                     ProductSpec, abelianization, canonical_morphism,
+from .groups import (CyclicSpec, ExtensionSpec, KleinSpec, MaterializedGroup,
+                     Morphism, OrderBoundError, PermSpec, ProductSpec,
+                     abelian_relations, abelianization, canonical_morphism,
                      commutator_subgroup, identity_morphism, materialize,
                      normal_closure, product_A, subgroup_closure,
                      traversal_vector)

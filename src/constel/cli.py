@@ -11,6 +11,7 @@ to standard output or `--out`.  Exit codes: 0 success / property holds,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -188,12 +189,10 @@ def _edge_json(edge: tuple[int, int]) -> list:
 
 def _emit(args, payload: dict) -> None:
     payload = {"schema": 1, **payload}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    out = getattr(args, "out", None)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_aut_file(args, aut) -> None:

@@ -73,11 +73,11 @@ class MinimalCut:
     far: frozenset[int]
 
 
-def minimal_cut_sets(aut: InverseAutomaton, bound: int = CUT_BOUND) -> list[MinimalCut]:
+def minimal_cut_sets(aut: InverseAutomaton) -> list[MinimalCut]:
     """All minimal cut sets of a connected graph: the crossing edge sets
     of vertex bipartitions whose two sides are induced-connected."""
-    if aut.n > bound:
-        raise ValueError("vertex count %d exceeds bound %d" % (aut.n, bound))
+    if aut.n > CUT_BOUND:
+        raise ValueError("vertex count %d exceeds bound %d" % (aut.n, CUT_BOUND))
     anchor = aut.base if aut.base is not None else 0
     others = [v for v in range(aut.n) if v != anchor]
     out = []
@@ -113,15 +113,14 @@ class MaxConstellationPair:
         return [Constellation(self.xi, g, self.theta) for g in self.g_choices]
 
 
-def maximal_constellations(group: MaterializedGroup,
-                           bound: int = CUT_BOUND) -> list[MaxConstellationPair]:
+def maximal_constellations(group: MaterializedGroup) -> list[MaxConstellationPair]:
     """All ordered pairs (C_Xi, C_Theta) over all minimal cuts, with the
     far-side vertices as g choices.  Every pair is validated once for
     all its g choices."""
     gamma = group.cayley
     full = full_subgraph(gamma)
     out = []
-    for mc in minimal_cut_sets(gamma, bound):
+    for mc in minimal_cut_sets(gamma):
         edges = sorted(mc.cut)
         for mask in range(1, (1 << len(edges)) - 1):
             c_xi = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
@@ -158,11 +157,11 @@ def delta_a(group: MaterializedGroup, letter: int, sign: int = 1) -> Constellati
     return Constellation(xi, g, theta)
 
 
-def amalgams_of(group: MaterializedGroup, bound: int = CUT_BOUND) -> list[InverseAutomaton]:
+def amalgams_of(group: MaterializedGroup) -> list[InverseAutomaton]:
     """Amalgams of the unordered maximal pairs, in a canonical order."""
     seen = set()
     out = []
-    for pair in maximal_constellations(group, bound):
+    for pair in maximal_constellations(group):
         key = frozenset((pair.xi.edges, pair.theta.edges))
         if key in seen:
             continue
@@ -180,13 +179,13 @@ def chain_letter(aut: InverseAutomaton) -> int:
     raise ValueError("every letter acts totally; nothing to chain on")
 
 
-def assemble_AG(group: MaterializedGroup, bound: int = CUT_BOUND) -> InverseAutomaton:
+def assemble_AG(group: MaterializedGroup) -> InverseAutomaton:
     """One connected, folded, incomplete automaton containing every
     amalgam of a maximal pair: group the amalgams by their chain letter,
     join consecutive members with a bridge edge (smallest vertex missing
     an outgoing edge to the smallest missing an incoming one), and give
     the last of each chain an edge to a common sink."""
-    amalgams = amalgams_of(group, bound)
+    amalgams = amalgams_of(group)
     if not amalgams:
         raise ValueError("no maximal constellations to assemble")
     classes: dict[int, list[int]] = {}

@@ -395,10 +395,9 @@ def key_lemma_edge(h_group: MaterializedGroup, l_set: frozenset[int],
     translates of one edge of Gamma(H)."""
     g, letter = edge
     removed = {(h_group.mul_idx(x, g), letter) for x in l_set}
-    sub = full_subgraph(h_group.cayley).minus_edges(removed)
-    comp = sub.component_of(g)
-    target = h_group.cayley.fwd[g][letter]
-    return len(comp) < h_group.order and target not in comp
+    kept = {(h, a) for h in range(h_group.order) for a in range(h_group.n_letters)} - removed
+    comp = bfs_tree(h_group.cayley, g, kept)
+    return len(comp) < h_group.order and h_group.cayley.fwd[g][letter] not in comp
 
 
 def key_lemma_report(g_group: MaterializedGroup, p: int, k_set,

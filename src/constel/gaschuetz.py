@@ -21,19 +21,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
 
 from .automata import bfs_tree, tree_word
 from .errors import VerificationError
 from .groups import (
     DEFAULT_BOUND,
-    AbelianQuotient,
     GroupSpec,
     MaterializedGroup,
     Morphism,
     OrderBoundError,
     _generate,
+    _smith_diagonal,
+    abelian_relations,
     canonical_morphism,
+    identity_morphism,
     materialize,
     traversal_vector,
 )
@@ -268,8 +269,7 @@ class Tower:
         """Composite projection levels[i] -> levels[j], i >= j."""
         if not 0 <= j <= i < len(self.levels):
             raise ValueError("level indices out of range")
-        phi = Morphism(self.levels[i], self.levels[i],
-                       tuple(range(self.levels[i].order)))
+        phi = identity_morphism(self.levels[i])
         for k in range(i, j, -1):
             phi = phi.compose(self.projections[k - 1])
         return phi
@@ -312,75 +312,19 @@ def layer_abelianization(base: MaterializedGroup, p: int, tilde: bool) -> list[i
 
     Words trivial in the plain layer are the w with trivial base image
     and traversal vector zero mod p; their letter-count vectors form
-    p * Lambda, Lambda = ker(Z^A -> ab(G)).  The tilde quotient further
+    p * Lambda, Lambda = ker(Z^A -> ab(G)), which the coset-graph
+    relations of `abelian_relations` generate.  The tilde quotient further
     kills the center witnesses, whose count vectors are |G| * e_a.  So
     the abelianization is Z^A / (p*Lambda) resp. Z^A / (p*Lambda + |G|Z^A).
     """
     if not is_prime(p):
         raise ValueError("modulus %d is not prime" % p)
-    ab = AbelianQuotient(base)
     n = base.n_letters
-    orders = [ab.coset_order(ab.letter_images[a]) for a in range(n)]
-    lam = [[orders[a] if i == a else 0 for i in range(n)] for a in range(n)]
-    for v in itertools.product(*[range(o) for o in orders]):
-        if any(v) and ab.eval_vector(v) == 0:
-            lam.append(list(v))
-    rows = [[p * x for x in row] for row in lam]
+    rows = [[p * x for x in row] for row in abelian_relations(base)]
     if tilde:
-        for a in range(n):
-            rows.append([base.order if i == a else 0 for i in range(n)])
+        rows.extend([base.order if i == a else 0 for i in range(n)] for a in range(n))
     diag = _smith_diagonal(rows, n)
     if len(diag) != n:
         raise VerificationError("the relation lattice has infinite index")
     return [d for d in diag if d > 1]
 
-
-def _smith_diagonal(rows: list[list[int]], ncols: int) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix, as a
-    nonincreasingly divisible list d_1 | d_2 | ... (zeros dropped)."""
-    mat = [list(r) for r in rows if any(r)]
-    k = 0
-    diag = []
-    while k < len(mat) and k < ncols:
-        piv = next(((i, j) for i in range(k, len(mat))
-                    for j in range(k, ncols) if mat[i][j]), None)
-        if piv is None:
-            break
-        i, j = piv
-        mat[k], mat[i] = mat[i], mat[k]
-        if j != k:
-            for row in mat:
-                row[k], row[j] = row[j], row[k]
-        while True:
-            dirty = False
-            for i in range(k + 1, len(mat)):
-                while mat[i][k]:
-                    q = mat[i][k] // mat[k][k]
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[k])]
-                    if mat[i][k]:
-                        mat[i], mat[k] = mat[k], mat[i]
-                        dirty = True
-            for j in range(k + 1, ncols):
-                while mat[k][j]:
-                    q = mat[k][j] // mat[k][k]
-                    for row in mat:
-                        row[j] -= q * row[k]
-                    if mat[k][j]:
-                        for row in mat:
-                            row[j], row[k] = row[k], row[j]
-                        dirty = True
-            if not dirty:
-                break
-        diag.append(abs(mat[k][k]))
-        k += 1
-    # enforce the divisibility chain; per prime this sorts exponents
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                if diag[j] % diag[i]:
-                    g = gcd(diag[i], diag[j])
-                    diag[i], diag[j] = g, diag[i] * diag[j] // g
-                    changed = True
-    return [d for d in diag if d]

@@ -2,16 +2,16 @@
 image per letter.  The assignment need not be injective; everything is
 keyed by letter indices.
 
-Materialized groups carry their full element list (BFS discovery order
-from the identity, letters ascending, so element 0 is the identity) and
-their Cayley graph as a complete inverse automaton.  The Cayley table is
-recorded while the elements are discovered, and all later arithmetic is
+A materialized group is its Cayley table: elements are the indices of
+their discovery by BFS from the identity, letters ascending, so element 0
+is the identity.  The table is recorded while the elements are discovered
+and the element objects are dropped afterwards; all later arithmetic is
 done by table: a product follows the right factor's generation-tree word
-through the Cayley graph, so element objects are never multiplied or
-hashed again after materialization.  A product costs one Cayley step per
-letter of that word, up to n - 1 in cyclic(n; a=1, b=1), so closures use
-whole left-multiplication rows, each one pass along the tree, and the
-abelianization walks the cosets of [G,G] over the letters.
+through the Cayley graph.  A product costs one Cayley step per letter of
+that word, up to n - 1 in cyclic(n; a=1, b=1), so closures use whole
+left-multiplication rows, each one pass along the tree, and the
+abelianization is the Smith normal form of the relations read off the
+coset graph of [G,G].
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class OrderBoundError(ValueError):
 
 
 class MaterializedGroup:
-    """Finite A-generated group with explicit elements and Cayley graph.
+    """Finite A-generated group given by its Cayley graph.
 
     Arithmetic runs on the Cayley graph alone.  Every element j > 0 was
     discovered as parent[j] * image(letter[j]); the letters along that
@@ -98,10 +98,8 @@ class MaterializedGroup:
     tree is stored; a word is read off it when a product needs it.
     """
 
-    def __init__(self, n_letters, elems, index, images, table, parent, letter):
+    def __init__(self, n_letters, images, table, parent, letter):
         self.n_letters = n_letters
-        self.elems = elems
-        self.index = index
         self.images = images  # element index per letter
         self.cayley = table_automaton(table, n_letters)
         self._parent = parent  # generation tree: element j > 0 is
@@ -109,7 +107,7 @@ class MaterializedGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elems)
+        return len(self._parent)
 
     def mul_idx(self, i: int, j: int) -> int:
         word = []  # j's tree letters, read off last letter first
@@ -135,7 +133,7 @@ class MaterializedGroup:
         generation tree."""
         fwd = self.cayley.fwd
         row = [i]
-        for j in range(1, len(self.elems)):
+        for j in range(1, len(self._parent)):
             row.append(fwd[row[self._parent[j]]][self._letter[j]])
         return row
 
@@ -170,7 +168,8 @@ def table_automaton(table: list[list[int]], n_letters: int) -> InverseAutomaton:
 def _generate(n_letters, identity, images, mul, bound) -> MaterializedGroup:
     """Breadth-first closure of the identity under right multiplication
     by the letter images, recording the Cayley table and the generation
-    tree as it goes."""
+    tree as it goes.  The element objects are dropped once the letter
+    images are resolved to indices."""
     index = {identity: 0}
     elems = [identity]
     table = []
@@ -189,8 +188,9 @@ def _generate(n_letters, identity, images, mul, bound) -> MaterializedGroup:
                 letter.append(a)
             row.append(j)
         table.append(row)
-    return MaterializedGroup(n_letters, elems, index, [index[img] for img in images],
-                             table, parent, letter)
+    image_ids = [index[img] for img in images]
+    del elems, index
+    return MaterializedGroup(n_letters, image_ids, table, parent, letter)
 
 
 def _warn_identity_letters(images, identity):
@@ -384,98 +384,78 @@ def coset_walk(g: MaterializedGroup, t_elems):
     return coset_of, table, parent, letter
 
 
-class AbelianQuotient:
-    """The abelianization of a materialized group, with coset arithmetic
-    in `quotient`, g/[g,g] as an A-generated group on the coset indices."""
-
-    def __init__(self, g: MaterializedGroup):
-        self.group = g
-        self.coset_of, table, parent, letter = coset_walk(g, commutator_subgroup(g))
-        self.letter_images = [self.coset_of[img] for img in g.images]
-        ids = range(len(table))
-        self.quotient = MaterializedGroup(g.n_letters, list(ids), {c: c for c in ids},
-                                          self.letter_images, table, parent, letter)
-
-    @property
-    def order(self) -> int:
-        return self.quotient.order
-
-    def mul(self, c1: int, c2: int) -> int:
-        return self.quotient.mul_idx(c1, c2)
-
-    def coset_order(self, c: int) -> int:
-        row = self.quotient.left_row(c)  # the quotient is abelian: x * c = c * x
-        x = c
-        for k in range(1, self.order + 1):
-            if x == 0:
-                return k
-            x = row[x]
-        raise VerificationError("the powers of coset %d miss the identity" % c)
-
-    def eval_vector(self, v) -> int:
-        """Coset of prod_a image_a^{v_a}."""
-        return self.quotient.evaluate(Word(tuple((a, 1 if k > 0 else -1)
-                                                 for a, k in enumerate(v) for _ in range(abs(k)))))
-
-    def invariant_factors(self) -> list[int]:
-        return _factors_from_order_counts(self.order, [self.coset_order(c) for c in range(self.order)])
-
-
-def _factors_from_order_counts(order: int, elem_orders: list[int]) -> list[int]:
-    """Invariant factors of a finite abelian group from its element orders.
-
-    For each prime p the counts n_j = #{x : x^(p^j) = 1} = p^(f_j) recover
-    the conjugate of the partition of p-exponents via f_j - f_(j-1);
-    factors are assembled largest-with-largest across primes.
-    """
-    if order == 1:
-        return []
-    primes = []
-    m, d = order, 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        primes.append(m)
-    partitions: dict[int, list[int]] = {}
-    for p in primes:
-        conj: list[int] = []
-        prev = 0
-        j = 1
-        while True:
-            pj = p ** j
-            n_j = sum(1 for o in elem_orders if pj % o == 0)
-            f_j = _ilog(n_j, p)
-            if f_j == prev:
-                break
-            conj.append(f_j - prev)
-            prev = f_j
-            j += 1
-        nparts = conj[0] if conj else 0
-        partitions[p] = [sum(1 for c in conj if c >= i) for i in range(1, nparts + 1)]
-    width = max(len(parts) for parts in partitions.values())
-    factors = []
-    for rank in range(width):
-        d = 1
-        for p, parts in partitions.items():
-            if rank < len(parts):
-                d *= p ** parts[rank]
-        factors.append(d)
-    return sorted(factors)
-
-
-def _ilog(n: int, p: int) -> int:
-    k = 0
-    while n > 1:
-        n //= p
-        k += 1
-    return k
+def abelian_relations(g: MaterializedGroup) -> list[tuple[int, ...]]:
+    """Generators of Lambda = ker(Z^A -> g/[g,g]), one per edge (c, a) of
+    the coset graph of [g,g]: the letter counts of the walk's tree path to
+    c, then a, then the tree path back from c.a.  Tree edges give zero;
+    zero and repeated rows are dropped."""
+    _, table, parent, letter = coset_walk(g, commutator_subgroup(g))
+    counts = [(0,) * g.n_letters]  # letter counts of the tree path to each coset
+    for c in range(1, len(table)):
+        v = list(counts[parent[c]])
+        v[letter[c]] += 1
+        counts.append(tuple(v))
+    rows = {}
+    for c, row in enumerate(table):
+        for a, d in enumerate(row):
+            r = tuple(x - y + (i == a) for i, (x, y) in enumerate(zip(counts[c], counts[d])))
+            if any(r):
+                rows[r] = None
+    return list(rows)
 
 
 def abelianization(g: MaterializedGroup) -> list[int]:
-    """Invariant factors (ascending, each dividing the next) of g/[g,g]."""
-    return AbelianQuotient(g).invariant_factors()
+    """Invariant factors (ascending, each dividing the next) of g/[g,g] =
+    Z^A / Lambda, from the Smith normal form of the coset-graph relations."""
+    return [d for d in _smith_diagonal(abelian_relations(g), g.n_letters) if d > 1]
 
+
+def _smith_diagonal(rows: list[list[int]], ncols: int) -> list[int]:
+    """Diagonal of the Smith normal form of an integer matrix, ascending
+    with each entry dividing the next (zeros dropped)."""
+    mat = [list(r) for r in rows if any(r)]
+    k = 0
+    diag = []
+    while k < len(mat) and k < ncols:
+        piv = next(((i, j) for i in range(k, len(mat))
+                    for j in range(k, ncols) if mat[i][j]), None)
+        if piv is None:
+            break
+        i, j = piv
+        mat[k], mat[i] = mat[i], mat[k]
+        if j != k:
+            for row in mat:
+                row[k], row[j] = row[j], row[k]
+        while True:
+            dirty = False
+            for i in range(k + 1, len(mat)):
+                while mat[i][k]:
+                    q = mat[i][k] // mat[k][k]
+                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[k])]
+                    if mat[i][k]:
+                        mat[i], mat[k] = mat[k], mat[i]
+                        dirty = True
+            for j in range(k + 1, ncols):
+                while mat[k][j]:
+                    q = mat[k][j] // mat[k][k]
+                    for row in mat:
+                        row[j] -= q * row[k]
+                    if mat[k][j]:
+                        for row in mat:
+                            row[j], row[k] = row[k], row[j]
+                        dirty = True
+            if not dirty:
+                break
+        diag.append(abs(mat[k][k]))
+        k += 1
+    # enforce the divisibility chain; per prime this sorts exponents
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag)):
+            for j in range(i + 1, len(diag)):
+                if diag[j] % diag[i]:
+                    g = gcd(diag[i], diag[j])
+                    diag[i], diag[j] = g, diag[i] * diag[j] // g
+                    changed = True
+    return [d for d in diag if d]

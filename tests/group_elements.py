@@ -1,0 +1,75 @@
+"""Element lists and sample groups for tests.
+
+A materialized group keeps only its Cayley table.  Its numbering is
+documented: breadth-first discovery from the identity under right
+multiplication by the letter images, letters ascending.  `element_list`
+rebuilds that numbering with the group's own element product and checks
+it against the Cayley table before a test relies on it.
+"""
+
+import warnings
+from math import gcd
+
+from constel.gaschuetz import GaschuetzLayer
+from constel.groups import (CyclicSpec, KleinSpec, PermSpec, ProductSpec,
+                            materialize, product_A)
+from constel.perms import from_cycles
+
+
+def element_list(g, identity, images, mul):
+    """(elems, index) of g: elems[i] is the element numbered i."""
+    elems, index = [identity], {identity: 0}
+    for x in elems:  # grows while it is walked
+        for img in images:
+            y = mul(x, img)
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+    assert len(elems) == g.order
+    assert [index[img] for img in images] == list(g.images)
+    assert all(index[mul(x, img)] == g.cayley.fwd[i][a]
+               for i, x in enumerate(elems) for a, img in enumerate(images))
+    return elems, index
+
+
+def _perm(degree, *gens):
+    return materialize(PermSpec(degree, tuple(from_cycles(degree, c) for c in gens)))
+
+
+def _dihedral(n):
+    return _perm(n, [tuple(range(n))], [(i, n - i) for i in range(1, (n + 1) // 2)])
+
+
+def sample_groups():
+    """(name, group) pairs: cyclic groups on one to three letters, some
+    letters mapping to the identity, Klein, S3, A4, S4, dihedral groups,
+    A-products and materialized layers."""
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # identity letters warn
+        for n in range(1, 13):
+            for images in ((1,), (1, 1), (1, 2), (1, 0), (0, 1, 1), (1, n // 2, 0), (2, 3)):
+                if n == 1 or gcd(n, *images) == 1:
+                    out.append(("cyclic(%d;%s)" % (n, images), materialize(CyclicSpec(n, images))))
+        klein = materialize(KleinSpec(((1, 0), (0, 1))))
+        s3 = _perm(3, [(0, 1)], [(1, 2)])
+        z2 = materialize(CyclicSpec(2, (1, 1)))
+        out += [
+            ("klein", klein),
+            ("klein3", materialize(KleinSpec(((1, 0), (0, 1), (1, 1))))),
+            ("s3", s3),
+            ("s3-rotation", _perm(3, [(0, 1, 2)], [(0, 1)])),
+            ("a4", _perm(4, [(0, 1, 2)], [(1, 2, 3)])),
+            ("s4", _perm(4, [(0, 1)], [(0, 1, 2, 3)])),
+            ("d4", _perm(4, [(0, 1, 2, 3)], [(0, 2)])),
+        ]
+        out += [("dihedral(%d)" % n, _dihedral(n)) for n in (5, 6, 8, 12)]
+        out += [
+            ("s3 x z4", product_A(s3, materialize(CyclicSpec(4, (1, 3))))),
+            ("klein x z2", product_A(klein, z2)),
+            ("z4 x z6", materialize(ProductSpec(CyclicSpec(4, (1, 1)), CyclicSpec(6, (1, 5))))),
+            ("s3 ~2", GaschuetzLayer(s3, 2, True).materialize()),
+            ("klein ~3", GaschuetzLayer(klein, 3, True).materialize()),
+            ("z2 3", GaschuetzLayer(z2, 3, False).materialize()),
+        ]
+    return out

@@ -27,6 +27,7 @@ from constel.groups import (CyclicSpec, ExtensionSpec, KleinSpec, PermSpec,
                             identity_morphism, materialize, subgroup_closure)
 from constel.perms import from_cycles
 from constel.words import Alphabet, Word, parse_word, reduce
+from group_elements import element_list
 
 A2 = Alphabet.of_size(2)
 Z2 = CyclicSpec(2, (1, 1))
@@ -221,7 +222,8 @@ def test_criterion_06_center_is_the_label_constant_subgroup():
         brute = {x for x in range(mat.order)
                  if all(mat.mul_idx(x, img) == mat.mul_idx(img, x)
                         for img in mat.images)}
-        assert {mat.index[el] for el in info.elements()} == brute
+        _, index = element_list(mat, layer.identity, layer.images, layer.mul)
+        assert {index[el] for el in info.elements()} == brute
         witness_elems = [mat.evaluate(word_) for word_ in info.witness_words]
         assert subgroup_closure(mat, witness_elems) == frozenset(brute)
 

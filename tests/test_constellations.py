@@ -85,8 +85,9 @@ def test_minimal_cut_structure():
 
 
 def test_minimal_cut_bound():
-    with pytest.raises(ValueError):
-        minimal_cut_sets(klein().cayley, bound=3)
+    big = materialize(CyclicSpec(21, (1,))).cayley  # one vertex over CUT_BOUND
+    with pytest.raises(ValueError, match="exceeds bound 20"):
+        minimal_cut_sets(big)
 
 
 def test_maximal_pair_counts():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from constel.groups import (CyclicSpec, KleinSpec, OrderBoundError, PermSpec,
                             traversal_vector)
 from constel.perms import from_cycles
 from constel.words import Alphabet, Word, parse_word
+from group_elements import element_list, sample_groups
 
 A2 = Alphabet.of_size(2)
 
@@ -33,9 +35,11 @@ def random_word(rng, max_len=12, n_letters=2):
                       for _ in range(rng.randrange(max_len + 1))))
 
 
+S3_GENS = (from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)]))
+
+
 def s3():
-    return materialize(PermSpec(3, (from_cycles(3, [(0, 1)]),
-                                    from_cycles(3, [(1, 2)]))))
+    return materialize(PermSpec(3, S3_GENS))
 
 
 def test_dense_alpha_matches_traversal_vector():
@@ -65,12 +69,12 @@ class DenseOracle:
     = (alpha + g.beta, gh), with every base product taken from the
     element objects instead of the base's tables."""
 
-    def __init__(self, layer, base_mul, base_inv):
+    def __init__(self, layer, base_identity, base_images, base_mul, base_inv):
         self.layer, self.base_mul, self.base_inv = layer, base_mul, base_inv
+        self.elems, self.index = element_list(layer.base, base_identity, base_images, base_mul)
 
     def _base(self, x, y):
-        base = self.layer.base
-        return base.index[self.base_mul(base.elems[x], base.elems[y])]
+        return self.index[self.base_mul(self.elems[x], self.elems[y])]
 
     def _norm(self, alpha, g):
         k = self.layer.n_letters
@@ -91,21 +95,21 @@ class DenseOracle:
         return self._norm([u + v for u, v in zip(x.alpha, shifted)], self._base(x.g, y.g))
 
     def inv(self, x):
-        base = self.layer.base
-        gi = base.index[self.base_inv(base.elems[x.g])]
+        gi = self.index[self.base_inv(self.elems[x.g])]
         return self._norm([-c for c in self._shift(gi, x.alpha)], gi)
 
 
 def test_layer_arithmetic_matches_dense_oracle():
     rng = random.Random(45)
-    perm_mul, perm_inv = (lambda x, y: x * y), (lambda x: x.inverse())
+    perms = (from_cycles(3, []), S3_GENS, lambda x, y: x * y, lambda x: x.inverse())
     lower = GaschuetzLayer(s3(), 2, True)
     level = lower.materialize()
-    cases = [(GaschuetzLayer(s3(), p, tilde), perm_mul, perm_inv, 40)
+    cases = [(GaschuetzLayer(s3(), p, tilde), perms, 40)
              for p, tilde in ((2, False), (2, True), (3, True))]
-    cases.append((GaschuetzLayer(level, 2, True), lower.mul, lower.inv, 8))
-    for layer, base_mul, base_inv, rounds in cases:
-        oracle = DenseOracle(layer, base_mul, base_inv)
+    cases.append((GaschuetzLayer(level, 2, True),
+                  (lower.identity, lower.images, lower.mul, lower.inv), 8))
+    for layer, base, rounds in cases:
+        oracle = DenseOracle(layer, *base)
         for _ in range(rounds):
             x = layer.evaluate(random_word(rng))
             y = layer.evaluate(random_word(rng))
@@ -192,7 +196,8 @@ def test_center_matches_brute_force():
         brute = {x for x in range(mat.order)
                  if all(mat.mul_idx(x, img) == mat.mul_idx(img, x)
                         for img in mat.images)}
-        listed = {mat.index[el] for el in info.elements()}
+        _, index = element_list(mat, layer.identity, layer.images, layer.mul)
+        listed = {index[el] for el in info.elements()}
         assert listed == brute
         for gen, word_ in zip(info.generators, info.witness_words):
             assert layer.evaluate(word_) == gen
@@ -218,13 +223,15 @@ def test_center_rejects_tilde():
 
 def test_tilde_is_plain_modulo_center():
     base = z2()
-    plain = GaschuetzLayer(base, 2, False).materialize()
+    plain_layer = GaschuetzLayer(base, 2, False)
+    plain = plain_layer.materialize()
     tilde = GaschuetzLayer(base, 2, True).materialize()
     assert plain.order == tilde.order * 4
     phi = canonical_morphism(plain, tilde)
     assert phi is not None
-    info = center(GaschuetzLayer(base, 2, False))
-    assert {plain.index[el] for el in info.elements()} == set(phi.kernel())
+    info = center(plain_layer)
+    _, index = element_list(plain, plain_layer.identity, plain_layer.images, plain_layer.mul)
+    assert {index[el] for el in info.elements()} == set(phi.kernel())
 
 
 def test_coprime_structure_checks():
@@ -287,10 +294,23 @@ def test_layer_abelianization_fixtures():
 
 
 def test_layer_abelianization_matches_materialized():
-    for base in (z2(), klein()):
-        for p, tilde in ((2, False), (2, True), (3, True)):
-            layer = GaschuetzLayer(base, p, tilde)
-            assert layer_abelianization(base, p, tilde) == abelianization(layer.materialize())
+    checked = 0
+    for name, base in sample_groups():
+        for p in (2, 3, 5, 7):
+            for tilde in (False, True):
+                layer = GaschuetzLayer(base, p, tilde)
+                if layer.order() <= 1000:
+                    want = abelianization(layer.materialize())
+                    assert layer_abelianization(base, p, tilde) == want, (name, p, tilde)
+                    checked += 1
+    assert checked >= 100
+
+
+def test_layer_abelianization_of_a_wide_base():
+    base = materialize(CyclicSpec(60, (1, 1, 1)))
+    start = time.perf_counter()
+    assert layer_abelianization(base, 2, False) == [2, 2, 120]
+    assert time.perf_counter() - start < 2
 
 
 def test_layer_abelianization_scales_past_materialization():

@@ -5,16 +5,19 @@ import warnings
 
 import pytest
 
+from constel.automata import bfs_tree, tree_word
 from constel.errors import VerificationError
 from constel.gaschuetz import GaschuetzLayer
-from constel.groups import (AbelianQuotient, CyclicSpec, ExtensionSpec,
-                            KleinSpec, Morphism, OrderBoundError, PermSpec,
-                            ProductSpec, abelianization, canonical_morphism,
-                            commutator_subgroup, identity_morphism,
-                            materialize, normal_closure,
-                            product_A, subgroup_closure, traversal_vector)
+from constel.groups import (CyclicSpec, ExtensionSpec, KleinSpec, Morphism,
+                            OrderBoundError, PermSpec, ProductSpec,
+                            _smith_diagonal, abelian_relations, abelianization,
+                            canonical_morphism, commutator_subgroup, coset_walk,
+                            identity_morphism, materialize, normal_closure,
+                            product_A, subgroup_closure, table_automaton,
+                            traversal_vector)
 from constel.perms import from_cycles
 from constel.words import Alphabet, Word, parse_word
+from group_elements import element_list, sample_groups
 
 A2 = Alphabet.of_size(2)
 
@@ -31,9 +34,18 @@ def klein():
     return materialize(KleinSpec(((1, 0), (0, 1))))
 
 
+S3_GENS = (from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)]))
+
+
 def s3():
-    return materialize(PermSpec(3, (from_cycles(3, [(0, 1)]),
-                                    from_cycles(3, [(1, 2)]))))
+    return materialize(PermSpec(3, S3_GENS))
+
+
+def perm_group(gens):
+    """A permutation group with its rebuilt element list and index."""
+    degree = gens[0].degree
+    g = materialize(PermSpec(degree, tuple(gens)))
+    return (g, *element_list(g, from_cycles(degree, []), gens, lambda x, y: x * y))
 
 
 def test_materialize_orders():
@@ -84,58 +96,63 @@ def test_evaluate_and_element_order():
 
 
 def test_evaluate_matches_permutation_action():
-    g = s3()
+    g, elems, _ = perm_group(S3_GENS)
     rng = random.Random(31)
-    perms = {0: from_cycles(3, [(0, 1)]), 1: from_cycles(3, [(1, 2)])}
     for _ in range(100):
         u = Word(tuple((rng.randrange(2), rng.choice((1, -1)))
                        for _ in range(rng.randrange(8))))
-        p = g.elems[g.evaluate(u)]
+        p = elems[g.evaluate(u)]
         q = from_cycles(3, [])
         for letter, sign in u:
-            q = q * (perms[letter] if sign > 0 else perms[letter].inverse())
+            q = q * (S3_GENS[letter] if sign > 0 else S3_GENS[letter].inverse())
         assert p == q
 
 
-def check_table_arithmetic(g, mul, inv):
+def check_table_arithmetic(g, identity, images, mul, inv):
     """mul_idx, inv_idx and left_row on all pairs against products of
     the element objects themselves."""
-    for i, x in enumerate(g.elems):
-        assert g.elems[g.inv_idx(i)] == inv(x)
+    elems, _ = element_list(g, identity, images, mul)
+    for i, x in enumerate(elems):
+        assert elems[g.inv_idx(i)] == inv(x)
         row = g.left_row(i)
-        for j, y in enumerate(g.elems):
-            assert g.elems[g.mul_idx(i, j)] == mul(x, y) == g.elems[row[j]]
+        for j, y in enumerate(elems):
+            assert elems[g.mul_idx(i, j)] == mul(x, y) == elems[row[j]]
 
 
 def test_table_arithmetic_of_plain_groups():
     # repeated letter images, and identity letters (which warn)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        cyclic = [materialize(CyclicSpec(n, images))
+        cyclic = [(materialize(CyclicSpec(n, images)), images)
                   for n, images in ((6, (1, 2)), (5, (2, 2)), (4, (1, 0, 3)), (1, (0, 0)))]
-    for g in cyclic:
+    for g, images in cyclic:
         n = g.order
-        check_table_arithmetic(g, lambda x, y: (x + y) % n, lambda x: -x % n)
-    check_table_arithmetic(klein(), lambda x, y: (x[0] ^ y[0], x[1] ^ y[1]), lambda x: x)
-    a4 = materialize(PermSpec(4, (from_cycles(4, [(0, 1, 2)]),
-                                  from_cycles(4, [(1, 2, 3)]))))
-    for g in (s3(), a4):
-        check_table_arithmetic(g, lambda x, y: x * y, lambda x: x.inverse())
+        check_table_arithmetic(g, 0, images, lambda x, y: (x + y) % n, lambda x: -x % n)
+    check_table_arithmetic(klein(), (0, 0), ((1, 0), (0, 1)),
+                           lambda x, y: (x[0] ^ y[0], x[1] ^ y[1]), lambda x: x)
+    a4_gens = (from_cycles(4, [(0, 1, 2)]), from_cycles(4, [(1, 2, 3)]))
+    for gens in (S3_GENS, a4_gens):
+        g = materialize(PermSpec(gens[0].degree, gens))
+        check_table_arithmetic(g, from_cycles(gens[0].degree, []), gens,
+                               lambda x, y: x * y, lambda x: x.inverse())
 
 
 def test_table_arithmetic_of_products():
-    left, right = s3(), materialize(CyclicSpec(4, (1, 3)))
+    left, l_elems, l_index = perm_group(S3_GENS)
+    right = materialize(CyclicSpec(4, (1, 3)))
+    r_elems, r_index = element_list(right, 0, (1, 3), lambda x, y: (x + y) % 4)
 
     def mul(x, y):
-        return (left.index[left.elems[x[0]] * left.elems[y[0]]],
-                right.index[(right.elems[x[1]] + right.elems[y[1]]) % 4])
+        return (l_index[l_elems[x[0]] * l_elems[y[0]]],
+                r_index[(r_elems[x[1]] + r_elems[y[1]]) % 4])
 
     def inv(x):
-        return left.index[left.elems[x[0]].inverse()], right.index[-right.elems[x[1]] % 4]
+        return l_index[l_elems[x[0]].inverse()], r_index[-r_elems[x[1]] % 4]
 
     prod = product_A(left, right)
     assert prod.order == 12
-    check_table_arithmetic(prod, mul, inv)
+    images = [(left.images[a], right.images[a]) for a in range(2)]
+    check_table_arithmetic(prod, (0, 0), images, mul, inv)
 
 
 def test_table_arithmetic_of_layers():
@@ -146,7 +163,8 @@ def test_table_arithmetic_of_layers():
     for base, p, tilde in ((s3(), 2, True), (klein(), 2, False), (klein(), 3, True),
                            (z2, 3, False), (z2_id, 2, False), (z2_id, 3, True)):
         layer = GaschuetzLayer(base, p, tilde)
-        check_table_arithmetic(layer.materialize(), layer.mul, layer.inv)
+        check_table_arithmetic(layer.materialize(), layer.identity, layer.images,
+                               layer.mul, layer.inv)
 
 
 def test_long_generation_tree_stays_linear():
@@ -165,53 +183,65 @@ def test_long_generation_tree_stays_linear():
     g = materialize(CyclicSpec(n, (1, 1)))
     assert time.perf_counter() - start < 15
     assert g.order == n
+    elems, index = element_list(g, 0, (1, 1), lambda x, y: (x + y) % n)
     for i, j in ((77777, 99999), (n - 1, n - 1), (0, 54321), (12345, 0)):
-        assert g.elems[g.mul_idx(i, j)] == (g.elems[i] + g.elems[j]) % n
-    assert [g.elems[g.inv_idx(i)] for i in (0, 1, n // 2, n - 1)] == [0, n - 1, n // 2, 1]
-    assert g.element_order(g.index[n // 4]) == 4
-    row = g.left_row(g.index[n - 3])
-    assert all(g.elems[row[j]] == (n - 3 + g.elems[j]) % n for j in range(0, n, 997))
+        assert elems[g.mul_idx(i, j)] == (elems[i] + elems[j]) % n
+    assert [elems[g.inv_idx(i)] for i in (0, 1, n // 2, n - 1)] == [0, n - 1, n // 2, 1]
+    assert g.element_order(index[n // 4]) == 4
+    row = g.left_row(index[n - 3])
+    assert all(elems[row[j]] == (n - 3 + elems[j]) % n for j in range(0, n, 997))
+
+
+def dihedral_gens(n: int):
+    rot = from_cycles(n, [tuple(range(n))])
+    ref = from_cycles(n, [(i, n - i) for i in range(1, (n + 1) // 2)])
+    return rot, ref
 
 
 def dihedral(n: int):
-    rot = from_cycles(n, [tuple(range(n))])
-    ref = from_cycles(n, [(i, n - i) for i in range(1, (n + 1) // 2)])
-    return materialize(PermSpec(n, (rot, ref)))
+    return materialize(PermSpec(n, dihedral_gens(n)))
 
 
-def permutation_span(g, gens):
+def permutation_span(index, gens):
     """Subgroup generated by permutation elements, closed by products."""
+    elems = {i: x for x, i in index.items()}
     span = {0}
     while True:
-        bigger = span | {g.index[g.elems[x] * y] for x in span for y in gens}
+        bigger = span | {index[elems[x] * y] for x in span for y in gens}
         if bigger == span:
             return frozenset(span)
         span = bigger
 
 
 def test_closures_and_quotient_against_permutation_products():
-    for g in (s3(), dihedral(12), dihedral(15)):
-        elems, index = g.elems, g.index
+    for gens in (S3_GENS, dihedral_gens(12), dihedral_gens(15)):
+        g, elems, index = perm_group(gens)
         brute_derived = permutation_span(
-            g, {x * y * x.inverse() * y.inverse() for x in elems for y in elems})
+            index, {x * y * x.inverse() * y.inverse() for x in elems for y in elems})
         assert commutator_subgroup(g) == brute_derived
         ref = g.images[1]
         assert normal_closure(g, [ref]) == permutation_span(
-            g, {x * elems[ref] * x.inverse() for x in elems})
+            index, {x * elems[ref] * x.inverse() for x in elems})
         rot = g.images[0]
         assert subgroup_closure(g, [ref, rot, 0]) == frozenset(range(g.order))
         assert subgroup_closure(g, [g.mul_idx(rot, rot), ref]) == permutation_span(
-            g, {elems[rot] * elems[rot], elems[ref]})
-        q = AbelianQuotient(g)
-        assert q.order * len(brute_derived) == g.order
+            index, {elems[rot] * elems[rot], elems[ref]})
+        coset_of, table, _, _ = coset_walk(g, brute_derived)
+        assert len(table) * len(brute_derived) == g.order
+        assert len(set(coset_of)) == len(table)
+        quotient = table_automaton(table, g.n_letters)
+        tree = bfs_tree(g.cayley, 0, forward_only=True)
+        words = [tree_word(tree, j) for j in range(g.order)]
         for i, x in enumerate(elems):
             for j, y in enumerate(elems):
-                assert q.coset_of[index[x * y]] == q.mul(q.coset_of[i], q.coset_of[j])
+                assert coset_of[index[x * y]] == quotient.trace(coset_of[i], words[j])
             k, power = 1, x
-            while q.coset_of[index[power]] != 0:
+            while coset_of[index[power]] != 0:
                 power, k = power * x, k + 1
-            assert q.coset_order(q.coset_of[i]) == k
-        assert q.quotient.order == q.order == len(set(q.coset_of))
+            c, m = coset_of[i], 1
+            while c != 0:
+                c, m = quotient.trace(c, words[i]), m + 1
+            assert m == k
     assert abelianization(dihedral(12)) == [2, 2]
     assert abelianization(dihedral(15)) == [2]
 
@@ -221,9 +251,11 @@ def test_abelianization_of_a_long_cycle():
     z = materialize(CyclicSpec(1000, (1, 1)))
     assert abelianization(z) == [1000]
     assert time.perf_counter() - start < 10
-    q = AbelianQuotient(z)
-    assert q.eval_vector([-3, 1]) == q.coset_of[z.index[998]]
-    assert q.eval_vector([0, -1000]) == 0
+    _, index = element_list(z, 0, (1, 1), lambda x, y: (x + y) % 1000)
+    coset_of, table, _, _ = coset_walk(z, commutator_subgroup(z))
+    quotient = table_automaton(table, 2)
+    assert quotient.trace(0, w("AAAb")) == coset_of[index[998]]
+    assert quotient.trace(0, Word(((1, -1),) * 1000)) == 0
 
 
 def test_evaluate_raises_off_the_cayley_graph(monkeypatch):
@@ -319,8 +351,8 @@ def test_traversal_vector_letter_sums_are_exponent_sums():
 
 def test_subgroup_closure():
     z6 = materialize(CyclicSpec(6, (1, 1)))
-    two = z6.index[2]
-    assert sorted(z6.elems[i] for i in subgroup_closure(z6, [two])) == [0, 2, 4]
+    elems, index = element_list(z6, 0, (1, 1), lambda x, y: (x + y) % 6)
+    assert sorted(elems[i] for i in subgroup_closure(z6, [index[2]])) == [0, 2, 4]
     assert subgroup_closure(z6, []) == frozenset({0})
 
 
@@ -361,10 +393,93 @@ def test_invariant_factors_divide():
 
 
 def test_abelian_quotient_arithmetic():
-    q = AbelianQuotient(s3())
-    assert q.order == 2
-    assert q.letter_images[0] == q.letter_images[1] != 0
-    assert q.mul(1, 1) == 0
-    assert q.eval_vector([1, 1]) == 0
-    assert q.eval_vector([1, 0]) == 1
-    assert q.eval_vector([-3, 0]) == 1
+    g = s3()
+    coset_of, table, parent, letter = coset_walk(g, commutator_subgroup(g))
+    assert len(table) == 2 and (parent, letter) == ([0, 0], [-1, 0])
+    assert coset_of[g.images[0]] == coset_of[g.images[1]] != 0
+    quotient = table_automaton(table, g.n_letters)
+    assert quotient.trace(0, w("aa")) == quotient.trace(0, w("ab")) == 0
+    assert quotient.trace(0, w("a")) == quotient.trace(0, w("AAA")) == 1
+    # the non-tree edges (0, b), (1, a) and (1, b) of the coset graph
+    assert abelian_relations(g) == [(-1, 1), (2, 0), (1, 1)]
+
+
+def factors_from_order_counts(order: int, elem_orders: list[int]) -> list[int]:
+    """Invariant factors of a finite abelian group from its element orders.
+
+    For each prime p the counts n_j = #{x : x^(p^j) = 1} = p^(f_j) recover
+    the conjugate of the partition of p-exponents via f_j - f_(j-1);
+    factors are assembled largest-with-largest across primes.
+    """
+    if order == 1:
+        return []
+    primes = [d for d in range(2, order + 1)
+              if order % d == 0 and all(d % e for e in range(2, d))]
+    partitions: dict[int, list[int]] = {}
+    for p in primes:
+        conj: list[int] = []
+        prev = 0
+        j = 1
+        while True:
+            n_j = sum(1 for o in elem_orders if p ** j % o == 0)
+            f_j = 0
+            while n_j > 1:
+                n_j //= p
+                f_j += 1
+            if f_j == prev:
+                break
+            conj.append(f_j - prev)
+            prev = f_j
+            j += 1
+        partitions[p] = [sum(1 for c in conj if c >= i) for i in range(1, conj[0] + 1)]
+    width = max(len(parts) for parts in partitions.values())
+    factors = []
+    for rank in range(width):
+        d = 1
+        for p, parts in partitions.items():
+            if rank < len(parts):
+                d *= p ** parts[rank]
+        factors.append(d)
+    return sorted(factors)
+
+
+def order_count_abelianization(g) -> list[int]:
+    """Invariant factors of g/[g,g] from the order of each coset of
+    [g,g], with cosets and powers taken by element products."""
+    derived = commutator_subgroup(g)
+    orders, seen = [], set()
+    for x in range(g.order):
+        if x in seen:
+            continue
+        seen.update(g.mul_idx(d, x) for d in derived)
+        k, y = 1, x
+        while y not in derived:
+            y, k = g.mul_idx(y, x), k + 1
+        orders.append(k)
+    return factors_from_order_counts(len(orders), orders)
+
+
+def test_abelianization_matches_order_counts():
+    groups = sample_groups()
+    assert len(groups) >= 80
+    for name, g in groups:
+        assert abelianization(g) == order_count_abelianization(g), name
+
+
+def test_smith_diagonal_matches_sympy():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    normalforms = pytest.importorskip("sympy.matrices.normalforms")
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(1, 4).flatmap(lambda ncols: st.tuples(
+        st.just(ncols),
+        st.lists(st.lists(st.integers(-30, 30), min_size=ncols, max_size=ncols),
+                 min_size=1, max_size=6))))
+    def check(case):
+        ncols, rows = case
+        want = normalforms.invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+        assert _smith_diagonal(rows, ncols) == [abs(int(d)) for d in want if d]
+
+    check()
