@@ -518,20 +518,18 @@ def amalgam(xi: Subgraph, theta: Subgraph) -> InverseAutomaton:
     return fold(g)
 
 
-def write_aut(g, letter_names: tuple[str, ...] | None = None) -> str:
+def write_aut(g) -> str:
     """Serialize to the .aut line format (deterministic ordering)."""
+    base = g.base
+    n_letters = g.n_letters
     if isinstance(g, InverseAutomaton):
         vertices = list(range(g.n))
         edges = g.pos_edges()
-        base = g.base
-        n_letters = g.n_letters
-        names = letter_names or tuple(ASCII_LETTERS[:n_letters])
+        names = tuple(ASCII_LETTERS[:n_letters])
     else:
         vertices = list(g.vertices)
         edges = list(g.edges)
-        base = g.base
-        n_letters = g.n_letters
-        names = letter_names or g.letter_names
+        names = g.letter_names
     if len(names) != n_letters:
         raise ValueError("need %d letter names" % n_letters)
     used = {letter for _, letter, _ in edges}
@@ -601,17 +599,16 @@ def as_inverse_automaton(g: LabeledGraph) -> InverseAutomaton:
     return InverseAutomaton(len(ids), g.n_letters, edges, base)
 
 
-def to_dot(aut, letter_names: tuple[str, ...] | None = None) -> str:
+def to_dot(aut) -> str:
+    base = aut.base
     if isinstance(aut, LabeledGraph):
         aut_edges = aut.edges
         vertices = aut.vertices
-        base = aut.base
-        names = letter_names or aut.letter_names
+        names = aut.letter_names
     else:
         aut_edges = aut.pos_edges()
         vertices = range(aut.n)
-        base = aut.base
-        names = letter_names or tuple(ASCII_LETTERS[:aut.n_letters])
+        names = tuple(ASCII_LETTERS[:aut.n_letters])
     lines = ["digraph aut {", "  rankdir=LR;"]
     for v in vertices:
         shape = "doublecircle" if v == base else "circle"

@@ -29,7 +29,7 @@ from .errors import VerificationError
 from .gaschuetz import (GaschuetzLayer, TowerSpec, build_tower, center,
                         layer_abelianization)
 from .groups import (CyclicSpec, ExtensionSpec, KleinSpec, PermSpec, ProductSpec,
-                     abelianization, canonical_morphism, materialize)
+                     abelianization, canonical_morphism, check_size, materialize)
 from .perms import alternating_certificate, parse_cycles
 from .words import ASCII_LETTERS, Alphabet, Word, format_word, parse_word
 
@@ -116,6 +116,7 @@ def parse_group_spec(text: str, depth: int = 0):
             raise InputError(str(exc))
         if degree < 0:
             raise InputError("permutation degree must be nonnegative, got %d" % degree)
+        check_size(degree, "permutation degree")
         images = _letter_args([p for p in _split_top(rest, ",") if p.strip()])
         return PermSpec(degree, tuple(parse_cycles(v, degree) for v in images))
     if name in ("gaschutz", "tilde"):
@@ -525,6 +526,7 @@ def _cmd_corpus(args) -> int:
         raise InputError("m must be at least 3 (completion precondition)")
     if args.m_max < args.m_min:
         raise InputError("empty m range")
+    check_size(args.m_max, "corpus automaton size m")
     rng = random.Random(args.seed)
     os.makedirs(args.dir, exist_ok=True)
     files = []

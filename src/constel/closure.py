@@ -14,8 +14,8 @@ from .automata import (InverseAutomaton, Subgraph, _product_walk, member, pointe
                        subgraph_automaton)
 from .errors import VerificationError
 from .gaschuetz import GaschuetzLayer, TowerSpec
-from .groups import (DEFAULT_BOUND, MaterializedGroup, _orbit, coset_walk, materialize,
-                     subgroup_closure, table_automaton)
+from .groups import (MaterializedGroup, _orbit, coset_walk, materialize, subgroup_closure,
+                     table_automaton)
 from .words import Word
 
 
@@ -71,14 +71,13 @@ def product_membership_at_level(w: Word, subgroups: list[list[Word]],
     return g_group.evaluate(w) in prod
 
 
-def closure_chain(w: Word, gens: list[Word], spec: TowerSpec,
-                  bound: int = DEFAULT_BOUND) -> list[bool]:
+def closure_chain(w: Word, gens: list[Word], spec: TowerSpec) -> list[bool]:
     """Membership of w in the level closure of <gens> at every level of
     the tower; nonincreasing since the projections carry image to image."""
-    level = materialize(spec.base, bound)
+    level = materialize(spec.base)
     answers = [member(closure_at_level(gens, level), w)]
     for p, tilde in spec.layers:
-        level = GaschuetzLayer(level, p, tilde=tilde).materialize(bound)
+        level = GaschuetzLayer(level, p, tilde=tilde).materialize()
         answers.append(member(closure_at_level(gens, level), w))
     for earlier, later in zip(answers, answers[1:]):
         if later and not earlier:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .automata import InverseAutomaton, embed_check, transition_group
 from .errors import VerificationError
-from .groups import DEFAULT_BOUND
+from .groups import check_size
 from .perms import AlternatingCertificate, Permutation, alternating_certificate, is_prime
 
 
@@ -52,8 +52,7 @@ class PredissolverReport:
 
 def complete_to_alternating(aut: InverseAutomaton, n: int, seed: int = 0
                             ) -> tuple[InverseAutomaton, AlternatingCertificate, CompletionPlan]:
-    if n > DEFAULT_BOUND:
-        raise ValueError("n = %d exceeds the bound %d" % (n, DEFAULT_BOUND))
+    check_size(n, "n =")
     m = aut.n
     if m < 3:
         raise ValueError("completion needs at least 3 vertices, got %d" % m)

@@ -43,10 +43,15 @@ from .automata import Subgraph, bfs_tree, full_subgraph, tree_word
 from .constellations import Constellation, delta_a, maximal_constellations
 from .errors import VerificationError
 from .gaschuetz import GaschuetzLayer, Tower
-from .groups import MaterializedGroup, Morphism, canonical_morphism, traversal_vector
+from .groups import (MaterializedGroup, Morphism, OrderBoundError, canonical_morphism,
+                     coset_walk, subgroup_closure, traversal_vector)
 from .words import ASCII_LETTERS, Word
 
 Vec = dict[tuple[int, int], int]
+
+# The largest layer that is enumerated: up to it dissolve decides by reachability, the key
+# lemma runs and rank reports are verified, so reports depend on its value.
+MATERIALIZE_BOUND = 100000
 
 
 @dataclass(frozen=True)
@@ -298,12 +303,11 @@ def _letter_label(letter: int, sign: int) -> str:
     return "delta:%s%s" % (ASCII_LETTERS[letter], "" if sign > 0 else "^-1")
 
 
-def dissolve_all(tower: Tower, weak: bool = False,
-                 materialize_bound: int = 100000) -> list[DissolveReport]:
+def dissolve_all(tower: Tower, weak: bool = False) -> list[DissolveReport]:
     """Dissolving reports for the tower's top group over its base, over
     the weak (delta) or the full maximal constellation family, decided
-    per pair.  Uses reachability whenever the top materializes within
-    the bound."""
+    per pair.  Uses reachability whenever the top has at most
+    MATERIALIZE_BOUND elements."""
     base = tower.levels[0]
     if weak:
         pairs = []
@@ -318,8 +322,8 @@ def dissolve_all(tower: Tower, weak: bool = False,
     if tower.top is None:
         decide = partial(dissolves_pair_materialized, tower.levels[-1],
                          tower.morphism(len(tower.levels) - 1, 0))
-    elif tower.top.order() <= materialize_bound:
-        h_group = tower.top.materialize(materialize_bound)
+    elif tower.top.order() <= MATERIALIZE_BOUND:
+        h_group = tower.top.materialize()
         phi = canonical_morphism(h_group, base)
         if phi is None:
             raise VerificationError("the materialized top does not project onto the base")
@@ -333,14 +337,12 @@ def dissolve_all(tower: Tower, weak: bool = False,
     return reports
 
 
-def is_weak_dissolver(tower: Tower, materialize_bound: int = 100000) -> bool:
-    return all(r.dissolved for r in dissolve_all(tower, weak=True,
-                                                 materialize_bound=materialize_bound))
+def is_weak_dissolver(tower: Tower) -> bool:
+    return all(r.dissolved for r in dissolve_all(tower, weak=True))
 
 
-def is_dissolver(tower: Tower, materialize_bound: int = 100000) -> bool:
-    return all(r.dissolved for r in dissolve_all(tower, weak=False,
-                                                 materialize_bound=materialize_bound))
+def is_dissolver(tower: Tower) -> bool:
+    return all(r.dissolved for r in dissolve_all(tower, weak=False))
 
 
 def _component_ids(sub: Subgraph) -> dict[int, int]:
@@ -373,12 +375,6 @@ def disconnection_equivalence(phi: Morphism, letter: int, sign: int = 1
     return (disconnected, separated_1, separated_all, dissolved)
 
 
-def _is_subgroup(group: MaterializedGroup, elems: frozenset[int]) -> bool:
-    return (0 in elems
-            and all(group.mul_idx(x, y) in elems for x in elems for y in elems)
-            and all(group.inv_idx(x) in elems for x in elems))
-
-
 @dataclass(frozen=True)
 class KeyLemmaReport:
     n_edges: int
@@ -400,8 +396,7 @@ def key_lemma_edge(h_group: MaterializedGroup, l_set: frozenset[int],
     return len(comp) < h_group.order and h_group.cayley.fwd[g][letter] not in comp
 
 
-def key_lemma_report(g_group: MaterializedGroup, p: int, k_set,
-                     bound: int = 100000) -> KeyLemmaReport:
+def key_lemma_report(g_group: MaterializedGroup, p: int, k_set) -> KeyLemmaReport:
     """Check, for every edge (g,a) of Gamma(G~), that removing the
     translates of the edge by the preimage L of K disconnects the graph
     with g and ga separated.  K must be a nontrivial subgroup of G.
@@ -411,17 +406,18 @@ def key_lemma_report(g_group: MaterializedGroup, p: int, k_set,
     k_set = frozenset(k_set)
     if k_set == {0}:
         raise ValueError("K must be nontrivial")
-    if not _is_subgroup(g_group, k_set):
+    if subgroup_closure(g_group, k_set) != k_set:
         raise ValueError("K is not a subgroup")
-    h_group = GaschuetzLayer(g_group, p, tilde=True).materialize(bound)
+    layer = GaschuetzLayer(g_group, p, tilde=True)
+    if layer.order() > MATERIALIZE_BOUND:
+        raise OrderBoundError("layer order %d exceeds the bound %d"
+                              % (layer.order(), MATERIALIZE_BOUND))
+    h_group = layer.materialize()
     phi = canonical_morphism(h_group, g_group)
     if phi is None:
         raise VerificationError("the layer does not project onto its base")
     l_set = frozenset(h for h in range(h_group.order) if phi(h) in k_set)
-    coset: dict[int, int] = {}  # element of G -> least element of its coset K.g
-    for g in range(g_group.order):
-        if g not in coset:
-            coset.update(dict.fromkeys((g_group.mul_idx(k, g) for k in k_set), g))
+    coset, _, _, _ = coset_walk(g_group, k_set)  # element of G -> index of its coset K.g
     verdicts: dict[tuple[int, int], bool] = {}
     failures = []
     for h, letter, _ in h_group.cayley.pos_edges():
@@ -480,7 +476,7 @@ class RankReport:
     verified: bool | None  # enumeration check, None when out of bound
 
 
-def schreier_rank_check(layer: GaschuetzLayer, verify_bound: int = 100000) -> RankReport:
+def schreier_rank_check(layer: GaschuetzLayer) -> RankReport:
     """The kernel rank of a plain layer equals the cycle-space dimension
     |G||A| - |G| + 1 of the base graph; tilde layers sit |A| lower."""
     base = layer.base
@@ -488,8 +484,8 @@ def schreier_rank_check(layer: GaschuetzLayer, verify_bound: int = 100000) -> Ra
     cycle_dim = base.order * base.n_letters - base.order + 1
     deficit = base.n_letters if layer.tilde else 0
     verified: bool | None = None
-    if layer.order() <= verify_bound:
-        mat = layer.materialize(verify_bound)
+    if layer.order() <= MATERIALIZE_BOUND:
+        mat = layer.materialize()
         phi = canonical_morphism(mat, base)
         if phi is None:
             raise VerificationError("the layer does not project onto its base")

@@ -21,19 +21,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import isqrt
 
 from .automata import bfs_tree, tree_word
 from .errors import VerificationError
 from .groups import (
-    DEFAULT_BOUND,
     GroupSpec,
     MaterializedGroup,
     Morphism,
-    OrderBoundError,
     _generate,
     _smith_diagonal,
     abelian_relations,
     canonical_morphism,
+    check_size,
     identity_morphism,
     materialize,
     traversal_vector,
@@ -52,6 +52,15 @@ class GaschuetzElement:
     tilde: bool = False
 
 
+def check_modulus(p: int) -> None:
+    """Refuse a non-prime modulus; one past DEFAULT_BOUND^2 is refused before
+    trial division, so trial division takes at most DEFAULT_BOUND steps."""
+    if p > 1:
+        check_size(isqrt(p - 1) + 1, "modulus %d: trial division to" % p)  # ceil(sqrt(p))
+    if not is_prime(p):
+        raise ValueError("modulus %d is not prime" % p)
+
+
 def order_formula(base_order: int, n_letters: int, p: int, tilde: bool) -> int:
     """Layer order: |G| * p^(|G|(|A|-1)+1) plain, |G| * p^((|G|-1)(|A|-1)) tilde."""
     if tilde:
@@ -63,8 +72,7 @@ class GaschuetzLayer:
     """Lazy arithmetic for the mod-p layer over a materialized base group."""
 
     def __init__(self, base: MaterializedGroup, p: int, tilde: bool = False):
-        if not is_prime(p):
-            raise ValueError("modulus %d is not prime" % p)
+        check_modulus(p)
         self.base = base
         self.p = p
         self.tilde = tilde
@@ -125,10 +133,9 @@ class GaschuetzLayer:
             return (self.base.order - 1) * (self.n_letters - 1)
         return self.base.order * (self.n_letters - 1) + 1
 
-    def materialize(self, bound: int = DEFAULT_BOUND) -> MaterializedGroup:
-        if self.order() > bound:
-            raise OrderBoundError("layer order %d exceeds bound %d" % (self.order(), bound))
-        return _generate(self.n_letters, self.identity, self.images, self.mul, bound)
+    def materialize(self) -> MaterializedGroup:
+        check_size(self.order(), "layer order")
+        return _generate(self.n_letters, self.identity, self.images, self.mul)
 
     def __repr__(self):
         return "GaschuetzLayer(base_order=%d, p=%d, tilde=%r)" % (
@@ -207,18 +214,13 @@ class StructureReport:
                 and self.kernel_abelian_ok and self.center_order_ok)
 
 
-def coprime_structure_checks(base: MaterializedGroup, p: int,
-                             bound: int = DEFAULT_BOUND) -> StructureReport:
-    """Verify the split structure of the plain layer when p does not
-    divide |G|: order |G|*p^(1+(|A|-1)|G|), kernel elementary abelian of
-    exponent p, center of order p^|A|."""
-    if not is_prime(p):
-        raise ValueError("modulus %d is not prime" % p)
+def coprime_structure_checks(base: MaterializedGroup, p: int) -> StructureReport:
+    """Verify the split structure of the plain layer when p does not divide
+    |G|: the order formula, an elementary abelian kernel, a center of order p^|A|."""
+    layer = GaschuetzLayer(base, p, tilde=False)
     if base.order % p == 0:
         raise ValueError("hypothesis violated: %d divides the base order %d" % (p, base.order))
-    layer = GaschuetzLayer(base, p, tilde=False)
-    mat = layer.materialize(bound)
-    expected = base.order * p ** (1 + (base.n_letters - 1) * base.order)
+    mat = layer.materialize()
     phi = canonical_morphism(mat, base)
     if phi is None:
         raise VerificationError("the layer does not project onto its base")
@@ -231,7 +233,7 @@ def coprime_structure_checks(base: MaterializedGroup, p: int,
                       if all(mat.cayley.fwd[x][a] == row[x] for a, row in enumerate(image_rows)))
     return StructureReport(
         order=mat.order,
-        order_ok=mat.order == expected,
+        order_ok=mat.order == layer.order(),
         kernel_size=len(kernel),
         kernel_exponent_ok=exponent_ok,
         kernel_abelian_ok=abelian_ok,
@@ -286,13 +288,12 @@ class Tower:
         return self.levels[-1].evaluate(w)
 
 
-def build_tower(spec: TowerSpec, bound: int = DEFAULT_BOUND) -> Tower:
+def build_tower(spec: TowerSpec) -> Tower:
     for p, _ in spec.layers:
-        if not is_prime(p):
-            raise ValueError("modulus %d is not prime" % p)
-    levels = [materialize(spec.base, bound)]
+        check_modulus(p)
+    levels = [materialize(spec.base)]
     for p, tilde in spec.layers[:-1]:
-        levels.append(GaschuetzLayer(levels[-1], p, tilde).materialize(bound))
+        levels.append(GaschuetzLayer(levels[-1], p, tilde).materialize())
     top = None
     if spec.layers:
         p, tilde = spec.layers[-1]
@@ -317,8 +318,7 @@ def layer_abelianization(base: MaterializedGroup, p: int, tilde: bool) -> list[i
     kills the center witnesses, whose count vectors are |G| * e_a.  So
     the abelianization is Z^A / (p*Lambda) resp. Z^A / (p*Lambda + |G|Z^A).
     """
-    if not is_prime(p):
-        raise ValueError("modulus %d is not prime" % p)
+    check_modulus(p)
     n = base.n_letters
     rows = [[p * x for x in row] for row in abelian_relations(base)]
     if tilde:

@@ -81,11 +81,18 @@ class ProductSpec:
 
 GroupSpec = CyclicSpec | KleinSpec | PermSpec | ExtensionSpec | ProductSpec
 
-DEFAULT_BOUND = 10 ** 6
+DEFAULT_BOUND = 10 ** 6  # the one size limit; only check_size compares against it
 
 
 class OrderBoundError(ValueError):
     pass
+
+
+def check_size(n: int, what: str) -> None:
+    """Refuse to build something of size n past DEFAULT_BOUND, read at
+    call time.  Callers check before they allocate."""
+    if n > DEFAULT_BOUND:
+        raise OrderBoundError("%s %d exceeds the bound %d" % (what, n, DEFAULT_BOUND))
 
 
 class MaterializedGroup:
@@ -165,7 +172,7 @@ def table_automaton(table: list[list[int]], n_letters: int) -> InverseAutomaton:
         ((i, a, j) for i, row in enumerate(table) for a, j in enumerate(row)), base=0)
 
 
-def _generate(n_letters, identity, images, mul, bound) -> MaterializedGroup:
+def _generate(n_letters, identity, images, mul) -> MaterializedGroup:
     """Breadth-first closure of the identity under right multiplication
     by the letter images, recording the Cayley table and the generation
     tree as it goes.  The element objects are dropped once the letter
@@ -180,8 +187,7 @@ def _generate(n_letters, identity, images, mul, bound) -> MaterializedGroup:
             y = mul(x, img)
             j = index.get(y)
             if j is None:
-                if len(elems) >= bound:
-                    raise OrderBoundError("materialization exceeds bound %d" % bound)
+                check_size(len(elems) + 1, "element count")
                 j = index[y] = len(elems)
                 elems.append(y)
                 parent.append(i)
@@ -199,20 +205,21 @@ def _warn_identity_letters(images, identity):
             warnings.warn("letter %d maps to the identity" % a, stacklevel=3)
 
 
-def materialize(spec: GroupSpec, bound: int = DEFAULT_BOUND) -> MaterializedGroup:
+def materialize(spec: GroupSpec) -> MaterializedGroup:
     if isinstance(spec, CyclicSpec):
         if spec.n < 1:
             raise ValueError("cyclic group order must be positive")
+        check_size(spec.n, "cyclic group order")
         images = [r % spec.n for r in spec.images]
         if gcd(spec.n, *images) != 1 and spec.n > 1:
             raise ValueError("images do not generate the cyclic group of order %d" % spec.n)
         _warn_identity_letters(images, 0)
-        return _generate(spec.n_letters, 0, images, lambda x, y: (x + y) % spec.n, bound)
+        return _generate(spec.n_letters, 0, images, lambda x, y: (x + y) % spec.n)
     if isinstance(spec, KleinSpec):
         images = [tuple(b % 2 for b in img) for img in spec.images]
         _warn_identity_letters(images, (0, 0))
         g = _generate(spec.n_letters, (0, 0), images,
-                      lambda x, y: (x[0] ^ y[0], x[1] ^ y[1]), bound)
+                      lambda x, y: (x[0] ^ y[0], x[1] ^ y[1]))
         if g.order != 4:
             raise ValueError("images do not generate the Klein four-group")
         return g
@@ -223,26 +230,24 @@ def materialize(spec: GroupSpec, bound: int = DEFAULT_BOUND) -> MaterializedGrou
         from .perms import identity as perm_identity
         _warn_identity_letters(list(spec.images), perm_identity(spec.degree))
         return _generate(spec.n_letters, perm_identity(spec.degree), list(spec.images),
-                         lambda x, y: x * y, bound)
+                         lambda x, y: x * y)
     if isinstance(spec, ExtensionSpec):
         from .gaschuetz import GaschuetzLayer
-        return GaschuetzLayer(materialize(spec.inner, bound), spec.p,
-                              spec.tilde).materialize(bound)
+        return GaschuetzLayer(materialize(spec.inner), spec.p, spec.tilde).materialize()
     if isinstance(spec, ProductSpec):
         if spec.left.n_letters != spec.right.n_letters:
             raise ValueError("product components must share the alphabet")
-        left, right = materialize(spec.left, bound), materialize(spec.right, bound)
-        return product_A(left, right, bound)
+        return product_A(materialize(spec.left), materialize(spec.right))
     raise TypeError("unknown group spec %r" % (spec,))
 
 
-def product_A(g: MaterializedGroup, h: MaterializedGroup, bound: int = DEFAULT_BOUND) -> MaterializedGroup:
+def product_A(g: MaterializedGroup, h: MaterializedGroup) -> MaterializedGroup:
     """Subgroup of g x h generated by the paired letter images."""
     if g.n_letters != h.n_letters:
         raise ValueError("alphabet size mismatch")
     images = [(g.images[a], h.images[a]) for a in range(g.n_letters)]
     return _generate(g.n_letters, (0, 0), images,
-                     lambda x, y: (g.mul_idx(x[0], y[0]), h.mul_idx(x[1], y[1])), bound)
+                     lambda x, y: (g.mul_idx(x[0], y[0]), h.mul_idx(x[1], y[1])))
 
 
 @dataclass(frozen=True, eq=False)

@@ -138,12 +138,11 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     return Word(tuple(pairs))
 
 
-def format_word(w: Word, alphabet: Alphabet | None = None) -> str:
+def format_word(w: Word) -> str:
     """Compact text form; inverse letters are uppercased."""
-    names = alphabet.names if alphabet is not None else ASCII_LETTERS
     out = []
     for idx, sign in w.letters:
-        if idx >= len(names):
+        if idx >= len(ASCII_LETTERS):
             raise ValueError("letter index %d has no name" % idx)
-        out.append(names[idx] if sign > 0 else names[idx].upper())
+        out.append(ASCII_LETTERS[idx] if sign > 0 else ASCII_LETTERS[idx].upper())
     return "".join(out)

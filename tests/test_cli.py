@@ -1,12 +1,19 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
 
+import constel
 from constel.automata import as_inverse_automaton, read_aut
 from constel.cli import main, parse_group_spec, parse_layers
-from constel.groups import (CyclicSpec, ExtensionSpec, KleinSpec, PermSpec,
+from constel.groups import (DEFAULT_BOUND, CyclicSpec, ExtensionSpec, KleinSpec, PermSpec,
                             ProductSpec)
 from constel.perms import from_cycles
 
@@ -317,3 +324,72 @@ def test_huge_completion_size_exits_2_before_allocating(tmp_path):
     code, out, err = run(["complete-alternating", "--automaton", str(f),
                           "--k", "1000000000000"])
     assert code == 2 and not out and "exceeds the bound" in err
+
+
+Z2 = "cyclic(2;a=1,b=1)"
+
+
+def oversize_argv(kind: str, excess: int, tmp: str) -> list[str]:
+    """A command whose one size-bearing argument lies `excess` past the
+    bound: DEFAULT_BOUND for orders, degrees and sizes, its square for
+    moduli."""
+    n, p = DEFAULT_BOUND + excess, DEFAULT_BOUND ** 2 + excess
+    return {
+        "cyclic": ["cayley", "--group", "cyclic(%d;a=1)" % n],
+        "perm": ["evaluate", "--group", "perm(%d;a=(0 1))" % n, "--word", "a"],
+        "gaschutz": ["gaschutz-info", "--group", "gaschutz(%s,%d)" % (Z2, p)],
+        "tilde": ["evaluate", "--group", "tilde(%s,%d)" % (Z2, p), "--word", "a"],
+        "abelianization": ["abelianization", "--group", "tilde(%s,%d)" % (Z2, p)],
+        "key-lemma": ["key-lemma", "--group", Z2, "--p", str(p), "--subgroup", "a"],
+        "rank-check": ["rank-check", "--group", Z2, "--p", str(p)],
+        "layers": ["dissolve", "--group", Z2, "--layers", "~2,~%d" % p],
+        "corpus": ["corpus", "--count", "1", "--m-max", str(n),
+                   "--dir", os.path.join(tmp, "corpus")],
+    }[kind]
+
+
+def test_oversize_arguments_exit_2_before_allocating():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    kinds = ("cyclic", "perm", "gaschutz", "tilde", "abelianization", "key-lemma",
+             "rank-check", "layers", "corpus")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.sampled_from(kinds), st.integers(1, 1000))
+    def check(kind, excess):
+        with tempfile.TemporaryDirectory() as tmp:
+            start = time.perf_counter()
+            code, out, err = run(oversize_argv(kind, excess, tmp))
+            elapsed = time.perf_counter() - start
+            assert code == 2 and not out and "exceeds the bound" in err, (kind, err)
+            assert elapsed < 0.5, (kind, elapsed)
+            assert os.listdir(tmp) == []  # corpus made no directory
+
+    check()
+
+
+def test_huge_literals_exit_2_under_a_memory_cap():
+    # inputs that would allocate gigabytes if they were built, or trial-divide
+    # for minutes, each run once in a child process capped at 1 GiB
+    argvs = [["cayley", "--group", "cyclic(2000000;a=1)"],
+             ["evaluate", "--group", "perm(10000000000;a=(0 1))", "--word", "a"],
+             ["corpus", "--m-max", "1000000000000", "--dir", "corpus-never-made"],
+             ["gaschutz-info", "--group", "gaschutz(%s,%d)" % (Z2, 2 ** 61 - 1)]]
+    child = (
+        "import contextlib, io, json, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from constel.cli import main\n"
+        "results = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        results.append([main(argv), out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(results))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(constel.__file__).parent.parent))
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run([sys.executable, "-c", child, json.dumps(argvs)], cwd=tmp,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert os.listdir(tmp) == []
+    for argv, (code, out, err) in zip(argvs, json.loads(proc.stdout)):
+        assert code == 2 and not out and "exceeds the bound" in err, (argv, err)

@@ -170,11 +170,11 @@ def test_witness_words_match_a_search_per_endpoint():
             assert word(h) == search_word(lifted, h)
 
 
-def per_triple_reports(tower, materialize_bound=100000):
+def per_triple_reports(tower):
     """Reports from one decision per constellation through the one-g
     wrappers, as (label, dissolved, method, witness, endpoint, vector)."""
     base = tower.levels[0]
-    if tower.top.order() <= materialize_bound:
+    if tower.top.order() <= constel.dissolve.MATERIALIZE_BOUND:
         mat = tower.top.materialize()
         phi = canonical_morphism(mat, base)
         decide = lambda c, label: dissolves_materialized(mat, phi, c, label)
@@ -195,14 +195,16 @@ def astuple(r: DissolveReport):
     (KleinSpec(((1, 0), (0, 1))), ((3, True),), 100000, "reachability"),
     (S3, ((2, True),), 1, "linear"),
 ])
-def test_pair_deciders_match_per_constellation_decisions(spec, layers, bound, method):
+def test_pair_deciders_match_per_constellation_decisions(monkeypatch, spec, layers, bound,
+                                                         method):
     tower = build_tower(TowerSpec(spec, layers))
-    reports = [astuple(r) for r in dissolve_all(tower, materialize_bound=bound)]
-    assert reports == per_triple_reports(tower, bound)
+    verdicts = [(r.label, r.dissolved) for r in dissolve_all(tower)]
+    monkeypatch.setattr(constel.dissolve, "MATERIALIZE_BOUND", bound)
+    reports = [astuple(r) for r in dissolve_all(tower)]
+    assert reports == per_triple_reports(tower)
     assert {r[2] for r in reports} == {method}
     assert not all(r[1] for r in reports) and any(r[1] for r in reports)
-    if method == "linear":  # the same verdicts as the other method
-        assert [r[:2] for r in reports] == [(r.label, r.dissolved) for r in dissolve_all(tower)]
+    assert [r[:2] for r in reports] == verdicts  # the same verdicts by either method
 
 
 def elimination_reports(layer, phi, xi, theta, g_choices, labels):

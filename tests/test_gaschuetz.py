@@ -130,6 +130,11 @@ def test_layers_over_the_trivial_group():
 def test_layer_requires_prime():
     with pytest.raises(ValueError):
         GaschuetzLayer(z2(), 4)
+    # the largest prime up to DEFAULT_BOUND^2 passes; past it, no trial division runs
+    assert GaschuetzLayer(z2(), 999999999989).p == 999999999989
+    for p in (1000000000039, 2 ** 61 - 1):
+        with pytest.raises(OrderBoundError, match="exceeds the bound"):
+            GaschuetzLayer(z2(), p)
 
 
 def test_order_formula_matches_enumeration():
@@ -149,10 +154,13 @@ def test_order_formula_matches_enumeration():
                 assert layer.materialize().order == want
 
 
-def test_materialize_respects_bound():
-    layer = GaschuetzLayer(klein(), 3, tilde=False)
-    with pytest.raises(OrderBoundError):
-        layer.materialize(bound=100)
+def test_materialize_respects_bound(monkeypatch):
+    layer = GaschuetzLayer(materialize(CyclicSpec(16, (1, 1))), 2, tilde=False)
+    assert layer.order() == 2097152
+    # refused on the order formula, before any element is generated
+    monkeypatch.setattr(constel.gaschuetz, "_generate", None)
+    with pytest.raises(OrderBoundError, match="layer order 2097152 exceeds the bound"):
+        layer.materialize()
 
 
 def test_lazy_arithmetic_is_consistent():

@@ -5,10 +5,11 @@ import warnings
 
 import pytest
 
+import constel.groups
 from constel.automata import bfs_tree, tree_word
 from constel.errors import VerificationError
 from constel.gaschuetz import GaschuetzLayer
-from constel.groups import (CyclicSpec, ExtensionSpec, KleinSpec, Morphism,
+from constel.groups import (DEFAULT_BOUND, CyclicSpec, ExtensionSpec, KleinSpec, Morphism,
                             OrderBoundError, PermSpec, ProductSpec,
                             _smith_diagonal, abelian_relations, abelianization,
                             canonical_morphism, commutator_subgroup, coset_walk,
@@ -71,11 +72,20 @@ def test_identity_letter_warns():
         materialize(CyclicSpec(2, (1, 0)))
 
 
-def test_order_bound():
+def test_order_bound(monkeypatch):
+    # orders known up front are refused before any element is generated
+    with pytest.raises(OrderBoundError, match="exceeds the bound"):
+        materialize(CyclicSpec(DEFAULT_BOUND + 1, (1,)))
+    with pytest.raises(OrderBoundError, match="exceeds the bound"):
+        materialize(ExtensionSpec(CyclicSpec(16, (1, 1)), 2, False))  # order 2,097,152
+    # other orders are refused by the generation, at the bound read when it runs
+    monkeypatch.setattr(constel.groups, "DEFAULT_BOUND", 6)
+    assert materialize(PermSpec(3, S3_GENS)).order == 6
+    monkeypatch.setattr(constel.groups, "DEFAULT_BOUND", 5)
+    with pytest.raises(OrderBoundError, match="element count 6 exceeds the bound 5"):
+        materialize(PermSpec(3, S3_GENS))
     with pytest.raises(OrderBoundError):
-        materialize(CyclicSpec(100, (1, 1)), bound=10)
-    with pytest.raises(OrderBoundError):
-        materialize(ExtensionSpec(CyclicSpec(2, (1, 1)), 2, False), bound=10)
+        materialize(ProductSpec(CyclicSpec(2, (1, 1)), CyclicSpec(3, (1, 1))))
 
 
 def test_cayley_is_complete_and_based_at_identity():

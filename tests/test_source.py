@@ -6,11 +6,24 @@ from pathlib import Path
 import constel
 
 
-def test_no_assert_statements_in_the_package():
-    # `python -O` strips asserts, so a self-check must raise instead
-    found = []
+def package_nodes():
     for path in sorted(Path(constel.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Assert):
-                found.append("%s:%d" % (path.name, node.lineno))
+            yield path.name, node
+
+
+def test_no_assert_statements_in_the_package():
+    # `python -O` strips asserts, so a self-check must raise instead
+    found = ["%s:%d" % (name, node.lineno)
+             for name, node in package_nodes() if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
+def test_no_size_limit_parameters_in_the_package():
+    # sizes are refused by constel.groups.check_size alone, never by a knob
+    found = ["%s:%d %s" % (name, arg.lineno, arg.arg)
+             for name, node in package_nodes() if isinstance(node, ast.arguments)
+             for arg in (*node.posonlyargs, *node.args, *node.kwonlyargs,
+                         node.vararg, node.kwarg)
+             if arg is not None and (arg.arg == "bound" or arg.arg.endswith("_bound"))]
     assert not found, found
