@@ -188,8 +188,24 @@ def _edge_json(edge: tuple[int, int]) -> list:
     return [edge[0], _letter_name(edge[1])]
 
 
+def _check_printable(value) -> None:
+    """Raise the ValueError that `json.dump` would raise halfway through
+    the stream on an integer past Python's int-to-str digit limit."""
+    if isinstance(value, int):
+        str(value)
+    elif isinstance(value, (list, tuple, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            _check_printable(item)
+
+
 def _emit(args, payload: dict) -> None:
     payload = {"schema": 1, **payload}
+    for key, value in payload.items():
+        try:
+            _check_printable(value)
+        except ValueError:
+            raise InputError("%s has more than %d digits, too many to print"
+                             % (key, sys.get_int_max_str_digits())) from None
     out = getattr(args, "out", None)
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -6,7 +6,9 @@ the action of reading edge labels left to right.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import lcm
 
 
 @dataclass(frozen=True)
@@ -150,46 +152,130 @@ def is_transitive(g: PermGroupGens) -> bool:
     return len(orbit(g, 0)) == g.degree
 
 
-def _minimal_block_size(g: PermGroupGens, beta: int) -> int:
-    """Size of the smallest block containing {0, beta} (Atkinson's algorithm)."""
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _minimal_block_size(g: PermGroupGens, beta: int) -> tuple[int, int]:
+    """Size of the smallest block containing {0, beta} (Atkinson's
+    algorithm), and the number of point images the pass read.
+
+    Classes only grow into blocks, and the blocks of a transitive group
+    all have one size dividing n, so a class of more than n/2 points
+    already means the whole set."""
     n = g.degree
+    moves = [p.images for p in g.perms]
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return None
-        parent[ry] = rx
-        return rx
-
+    size = [1] * n
+    parent[beta] = 0
+    size[0] = 2
     queue = [(0, beta)]
-    union(0, beta)
+    reads = 0
     while queue:
         u, v = queue.pop()
-        for p in g.perms:
-            x, y = find(p.images[u]), find(p.images[v])
+        reads += 2 * len(moves)
+        for images in moves:
+            x, y = _find(parent, images[u]), _find(parent, images[v])
             if x != y:
-                union(x, y)
+                if size[x] < size[y]:
+                    x, y = y, x
+                parent[y] = x
+                size[x] += size[y]
+                if 2 * size[x] > n:
+                    return n, reads
                 queue.append((x, y))
-    root = find(0)
-    return sum(1 for v in range(n) if find(v) == root)
+    return size[_find(parent, 0)], reads
 
 
 def is_primitive(g: PermGroupGens) -> bool:
-    """Primitivity of a transitive group; degree 1 and 2 are primitive."""
+    """Primitivity of a transitive group; degree 1 and 2 are primitive.
+
+    A transitive group of prime degree is primitive, since block sizes
+    divide n.  Otherwise (Atkinson) G is primitive iff the smallest block
+    B(0, beta) containing {0, beta} is the whole set for every beta != 0.
+    For h in the stabilizer G_0 of 0, B(0, beta^h) = B(0, beta)^h, so one
+    beta per G_0-orbit suffices.
+
+    The orbits are approached from below by a union-find over the points,
+    merged along Schreier generators u_v s u_w^-1 of G_0, where u_v is the
+    BFS-tree word from 0 to v, s a generator and w = v^s.  They are taken
+    over the non-tree edges in BFS order and applied from the tree words,
+    so no transversal is stored.  Every class lies inside one G_0-orbit,
+    so one block pass on any of its points settles it, and the answer is
+    True once every class is settled.  Exactness does not depend on how
+    far the classes have merged, only the number of block passes does.
+    So the next generator is drawn only while the point images read for
+    generators are at most those read by block passes: on a regular group
+    G_0 is trivial and every generator is wasted, and this balance keeps
+    such inputs within twice the cost of the block passes alone.
+    """
     if not is_transitive(g):
         raise ValueError("primitivity is only defined for transitive groups here")
-    if g.degree <= 2:
+    n = g.degree
+    if n <= 2 or is_prime(n):
         return True
-    for beta in range(1, g.degree):
-        if _minimal_block_size(g, beta) < g.degree:
-            return False
+    moves = [p.images for p in g.perms]
+    inverses = [p.inverse().images for p in g.perms]
+    tree = [-1] * n  # tree[v]: the generator on the BFS-tree edge into v
+    order = [0]
+    for v in order:
+        for s, images in enumerate(moves):
+            w = images[v]
+            if w and tree[w] < 0:
+                tree[w] = s
+                order.append(w)
+
+    def tree_word(v):  # generators along the tree path from 0 to v
+        word = []
+        while v:
+            word.append(tree[v])
+            v = inverses[tree[v]][v]
+        word.reverse()
+        return word
+
+    def schreier_generators():
+        for v in order:
+            for s, images in enumerate(moves):
+                w = images[v]
+                if tree[w] != s:
+                    yield ([moves[a] for a in tree_word(v)] + [images]
+                           + [inverses[a] for a in reversed(tree_word(w))])
+
+    parent = list(range(n))  # union-find of the classes, each inside a G_0-orbit
+    tested = [False] * n
+
+    generators = schreier_generators()
+    generator_reads = block_reads = 0
+    beta = 1
+    while beta < n:
+        if generators is not None and generator_reads <= block_reads:
+            word = next(generators, None)
+            if word is None:
+                generators = None  # the classes are the G_0-orbits now
+                continue
+            image = range(n)
+            for images in word:
+                image = [images[x] for x in image]
+            generator_reads += n * (len(word) + 1)
+            for x, y in enumerate(image):
+                if x != y:
+                    x, y = _find(parent, x), _find(parent, y)
+                    if x != y:
+                        parent[y] = x
+                        tested[x] = tested[x] or tested[y]
+            continue
+        root = _find(parent, beta)
+        if not tested[root]:
+            size, reads = _minimal_block_size(g, beta)
+            block_reads += reads
+            if size < n:
+                return False
+            tested[root] = True
+        beta += 1
     return True
 
 
@@ -199,16 +285,12 @@ def prime_power_cycle(p: Permutation) -> tuple[int, int] | None:
     Succeeds when the cycle type has exactly one cycle of prime length q
     and q divides no other cycle length; r is the lcm of the others.
     """
-    from math import lcm
-
-    lengths = sorted({len(c) for c in p.cycles(include_fixed=True)})
-    counts = {}
-    for c in p.cycles(include_fixed=True):
-        counts[len(c)] = counts.get(len(c), 0) + 1
-    for q in lengths:
+    lengths = [len(c) for c in p.cycles(include_fixed=True)]
+    counts = Counter(lengths)
+    for q in sorted(counts):
         if not is_prime(q) or counts[q] != 1:
             continue
-        others = [len(c) for c in p.cycles(include_fixed=True) if len(c) != q]
+        others = [length for length in lengths if length != q]
         if any(length % q == 0 for length in others):
             continue
         r = lcm(*others) if others else 1

@@ -187,6 +187,17 @@ def test_gaschutz_info_rejects_plain_group():
     assert code == 2 and "gaschutz" in err
 
 
+def test_unprintable_order_exits_2_with_nothing_on_stdout(tmp_path):
+    # |G| * p^1001 has about 12,000 digits, past Python's int-to-str limit
+    group = "gaschutz(cyclic(1000;a=1,b=1),999999999989)"
+    code, out, err = run(["gaschutz-info", "--group", group])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "order has more than" in err
+    report = tmp_path / "report.json"
+    assert run(["gaschutz-info", "--group", group, "--out", str(report)])[0] == 2
+    assert not report.exists()
+
+
 def test_center_command():
     payload = run_json(["center", "--group", "gaschutz(cyclic(2; a=1,b=1),3)"])
     assert payload["order"] == 9

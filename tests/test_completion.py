@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,9 +9,9 @@ from constel.automata import (InverseAutomaton, core_of_words, embed_check,
 from constel.completion import (complete_to_alternating,
                                 predissolver_certificate,
                                 smallest_prime_greater)
-from constel.constellations import amalgams_of
+from constel.constellations import amalgams_of, assemble_AG
 from constel.errors import VerificationError
-from constel.groups import DEFAULT_BOUND, CyclicSpec, materialize
+from constel.groups import DEFAULT_BOUND, CyclicSpec, PermSpec, materialize
 from constel.perms import PermGroupGens, from_cycles
 from constel.words import Alphabet, Word, parse_word, reduce
 
@@ -165,3 +166,13 @@ def test_predissolver_certificate():
     missing = InverseAutomaton(1, 2, [(0, 0, 0), (0, 1, 0)], 0)
     report = predissolver_certificate(host, amalgams + [missing])
     assert report.all_found == all(x is not None for x in report.witnesses)
+
+
+def test_s3_ag_completion_certifies_within_budget():
+    s3 = materialize(PermSpec(3, (from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)]))))
+    ag = assemble_AG(s3)
+    n = ag.n + smallest_prime_greater(ag.n) + 2
+    start = time.monotonic()
+    _, cert, _ = complete_to_alternating(ag, n)
+    assert time.monotonic() - start < 1.5
+    assert n == 1755 and cert.valid()

@@ -10,7 +10,7 @@ from constel.gaschuetz import (GaschuetzElement, GaschuetzLayer, Tower, TowerSpe
                                layer_abelianization, order_formula)
 from constel.groups import (CyclicSpec, KleinSpec, OrderBoundError, PermSpec,
                             abelianization, canonical_morphism, materialize,
-                            traversal_vector)
+                            subgroup_closure, traversal_vector)
 from constel.perms import from_cycles
 from constel.words import Alphabet, Word, parse_word
 from group_elements import element_list, sample_groups
@@ -240,6 +240,22 @@ def test_tilde_is_plain_modulo_center():
     info = center(plain_layer)
     _, index = element_list(plain, plain_layer.identity, plain_layer.images, plain_layer.mul)
     assert {index[el] for el in info.elements()} == set(phi.kernel())
+
+
+def test_pairwise_commute_against_products():
+    rng = random.Random(23)
+    seen = set()
+    for name, g in sample_groups():
+        if g.order > 1000:
+            continue
+        subgroups = [frozenset(range(g.order))]
+        subgroups += [subgroup_closure(g, rng.sample(range(g.order), min(2, g.order)))
+                      for _ in range(3)]
+        for k in subgroups:
+            expected = all(g.mul_idx(x, y) == g.mul_idx(y, x) for x in k for y in k)
+            assert constel.gaschuetz._pairwise_commute(g, k) == expected, name
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_coprime_structure_checks():

@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
+import constel.perms
 from constel.perms import (AlternatingCertificate, PermGroupGens, Permutation,
                            alternating_certificate, format_cycles, from_cycles,
                            generated_order, identity, is_primitive, is_prime,
@@ -123,6 +125,171 @@ def test_primitivity_against_oracle():
             if not is_transitive(gens):
                 continue
             assert is_primitive(gens) == brute_primitive(gens), gens
+
+
+def atkinson_per_point(gens: PermGroupGens) -> bool:
+    """Second oracle: one full Atkinson union-find pass for every point;
+    primitive iff each finest invariant partition joining 0 and beta is
+    the single class."""
+    n = gens.degree
+    for beta in range(1, n):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        parent[beta] = 0
+        queue = [(0, beta)]
+        while queue:
+            u, v = queue.pop()
+            for p in gens.perms:
+                x, y = find(p(u)), find(p(v))
+                if x != y:
+                    parent[y] = x
+                    queue.append((x, y))
+        if any(find(v) != find(0) for v in range(n)):
+            return False
+    return True
+
+
+def random_generators(rng, n: int, k: int, block: int) -> PermGroupGens:
+    """k random generators of degree n.  When 1 < block < n divides n they
+    preserve a partition into blocks of that size (elements of
+    Sym(block) wr Sym(n/block), relabeled at random); otherwise they are
+    uniform permutations or single cycles on random subsets."""
+    perms = []
+    if 1 < block < n and n % block == 0:
+        relabel = list(range(n))
+        rng.shuffle(relabel)
+        for _ in range(k):
+            outer = rng.sample(range(n // block), n // block)
+            images = [0] * n
+            for i in range(n // block):
+                inner = rng.sample(range(block), block)
+                for j in range(block):
+                    images[relabel[i * block + j]] = relabel[outer[i] * block + inner[j]]
+            perms.append(Permutation(tuple(images)))
+    else:
+        for _ in range(k):
+            if rng.random() < 0.5:
+                perms.append(rand_perm(rng, n))
+            else:
+                perms.append(from_cycles(n, [tuple(rng.sample(range(n), rng.randrange(1, n + 1)))]))
+    return PermGroupGens(n, tuple(perms))
+
+
+def test_primitivity_against_per_point_atkinson():
+    rng = random.Random(15)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randrange(3, 40)
+        gens = random_generators(rng, n, rng.randrange(1, 4), rng.randrange(1, n))
+        if not is_transitive(gens):
+            continue
+        primitive = is_primitive(gens)
+        assert primitive == atkinson_per_point(gens), gens
+        outcomes.add(primitive)
+    assert outcomes == {True, False}
+
+
+def two_subsets_of_sym10() -> PermGroupGens:
+    """Sym(10) acting on its 45 two-element subsets: primitive, and the
+    stabilizer of a subset has three orbits (itself, the 16 subsets that
+    meet it once, the 28 disjoint from it)."""
+    pairs = list(itertools.combinations(range(10), 2))
+    index = {pair: i for i, pair in enumerate(pairs)}
+    gens = []
+    for p in (from_cycles(10, [(0, 1)]), from_cycles(10, [tuple(range(10))])):
+        gens.append(Permutation(tuple(index[tuple(sorted((p(x), p(y))))] for x, y in pairs)))
+    return PermGroupGens(45, tuple(gens))
+
+
+def test_primitivity_fixed_cases(monkeypatch):
+    cycle = from_cycles(1009, [tuple(range(1009))])
+    assert is_primitive(PermGroupGens(1009, (cycle, cycle)))  # prime degree
+    sym10 = two_subsets_of_sym10()
+    assert is_transitive(sym10)
+    assert is_primitive(sym10) and atkinson_per_point(sym10)
+    # a regular group without the prime-degree answer: every Schreier
+    # generator is trivial, and each point needs its own block pass
+    monkeypatch.setattr(constel.perms, "is_prime", lambda n: False)
+    cycle = from_cycles(211, [tuple(range(211))])
+    assert is_primitive(PermGroupGens(211, (cycle, cycle)))
+    assert is_primitive(sym10)
+    # Sym(6) on ordered pairs keeps the blocks {(i, j), (j, i)}
+    ordered = list(itertools.permutations(range(6), 2))
+    index = {pair: i for i, pair in enumerate(ordered)}
+    gens = tuple(Permutation(tuple(index[p(x), p(y)] for x, y in ordered))
+                 for p in (from_cycles(6, [(0, 1)]), from_cycles(6, [tuple(range(6))])))
+    assert not is_primitive(PermGroupGens(30, gens))
+
+
+def sympy_group(gens: PermGroupGens):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    return combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(p.images)) for p in gens.perms])
+
+
+def test_transitivity_and_primitivity_against_sympy():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    outcomes = set()
+
+    @hypothesis.settings(max_examples=100, deadline=10000, derandomize=True, database=None)
+    @hypothesis.given(st.integers(2, 12), st.integers(1, 3), st.integers(1, 6),
+                      st.integers(0, 2 ** 32))
+    def check(n, k, block, seed):
+        gens = random_generators(random.Random(seed), n, k, block)
+        group = sympy_group(gens)
+        transitive = is_transitive(gens)
+        assert transitive == group.is_transitive()
+        if transitive:
+            primitive = is_primitive(gens)
+            assert primitive == group.is_primitive(randomized=False)
+            outcomes.add(primitive)
+
+    check()
+    assert outcomes == {True, False}
+
+
+def test_generated_order_against_sympy():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=40, deadline=10000, derandomize=True, database=None)
+    @hypothesis.given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 3),
+                      st.integers(0, 2 ** 32))
+    def check(n, k, block, seed):
+        gens = random_generators(random.Random(seed), n, k, block)
+        assert generated_order(gens) == sympy_group(gens).order()
+
+    check()
+
+
+def test_valid_certificates_generate_the_alternating_group():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    valid = []
+
+    @hypothesis.settings(max_examples=100, deadline=10000, derandomize=True, database=None)
+    @hypothesis.given(st.integers(5, 12), st.integers(1, 3), st.integers(0, 2 ** 32))
+    @hypothesis.example(7, 2, 0)
+    def check(n, k, seed):
+        rng = random.Random(seed)
+        swap = from_cycles(n, [(0, 1)])
+        perms = []
+        for _ in range(k):
+            p = rand_perm(rng, n)
+            perms.append(p if p.is_even() else p * swap)
+        gens = PermGroupGens(n, tuple(perms))
+        if alternating_certificate(gens).valid():
+            assert sympy_group(gens).order() == math.factorial(n) // 2
+            valid.append(n)
+
+    check()
+    assert len(set(valid)) > 3
 
 
 def test_prime_power_cycle_fixtures():
