@@ -561,6 +561,8 @@ def read_aut(text: str) -> LabeledGraph:
         try:
             if kind == "alphabet":
                 names = parts[1:]
+                if len(set(names)) != len(names):
+                    raise ValueError("repeated letter name in %s" % " ".join(names))
             elif kind == "vertex":
                 (v,) = parts[1:]
                 raw_vertices.append(int(v))

@@ -543,6 +543,7 @@ def _cmd_corpus(args) -> int:
     if args.m_max < args.m_min:
         raise InputError("empty m range")
     check_size(args.m_max, "corpus automaton size m")
+    check_size(args.count, "corpus count")
     rng = random.Random(args.seed)
     os.makedirs(args.dir, exist_ok=True)
     files = []

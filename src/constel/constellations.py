@@ -16,16 +16,14 @@ from .automata import (
     InverseAutomaton,
     Subgraph,
     amalgam,
+    bfs_tree,
     canonical,
     embed_check,
     full_subgraph,
-    induced_subgraph,
     write_aut,
 )
 from .errors import VerificationError
-from .groups import MaterializedGroup
-
-CUT_BOUND = 20
+from .groups import MaterializedGroup, check_size
 
 
 def _check_constellations(xi: Subgraph, theta: Subgraph, g_choices) -> None:
@@ -75,22 +73,23 @@ class MinimalCut:
 
 def minimal_cut_sets(aut: InverseAutomaton) -> list[MinimalCut]:
     """All minimal cut sets of a connected graph: the crossing edge sets
-    of vertex bipartitions whose two sides are induced-connected."""
-    if aut.n > CUT_BOUND:
-        raise ValueError("vertex count %d exceeds bound %d" % (aut.n, CUT_BOUND))
+    of vertex bipartitions whose two sides are induced-connected.  A
+    search over the non-crossing edges stays on the side it starts from,
+    so the sides are connected iff the searches from the anchor and from
+    the least far vertex reach all n vertices together."""
+    check_size(2 ** (aut.n - 1), "vertex bipartitions")
     anchor = aut.base if aut.base is not None else 0
     others = [v for v in range(aut.n) if v != anchor]
+    edges = aut.pos_edges()
     out = []
     for mask in range(1, 1 << len(others)):
         far = frozenset(others[i] for i in range(len(others)) if mask >> i & 1)
-        near = frozenset(range(aut.n)) - far
-        if not induced_subgraph(aut, near).is_connected():
-            continue
-        if not induced_subgraph(aut, far).is_connected():
-            continue
-        cut = frozenset((u, letter) for u, letter, v in aut.pos_edges()
-                        if (u in far) != (v in far))
-        out.append(MinimalCut(cut, near, far))
+        cut, kept = set(), set()
+        for u, letter, v in edges:
+            (cut if (u in far) != (v in far) else kept).add((u, letter))
+        if (len(bfs_tree(aut, anchor, kept)) == aut.n - len(far)
+                and len(bfs_tree(aut, min(far), kept)) == len(far)):
+            out.append(MinimalCut(frozenset(cut), frozenset(range(aut.n)) - far, far))
     return out
 
 
@@ -116,11 +115,13 @@ class MaxConstellationPair:
 def maximal_constellations(group: MaterializedGroup) -> list[MaxConstellationPair]:
     """All ordered pairs (C_Xi, C_Theta) over all minimal cuts, with the
     far-side vertices as g choices.  Every pair is validated once for
-    all its g choices."""
+    all its g choices.  The pair count is refused before any is built."""
     gamma = group.cayley
     full = full_subgraph(gamma)
+    cuts = minimal_cut_sets(gamma)
+    check_size(sum(2 ** len(mc.cut) - 2 for mc in cuts), "maximal constellation pairs")
     out = []
-    for mc in minimal_cut_sets(gamma):
+    for mc in cuts:
         edges = sorted(mc.cut)
         for mask in range(1, (1 << len(edges)) - 1):
             c_xi = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)

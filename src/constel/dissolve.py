@@ -44,7 +44,7 @@ from .constellations import Constellation, delta_a, maximal_constellations
 from .errors import VerificationError
 from .gaschuetz import GaschuetzLayer, Tower
 from .groups import (MaterializedGroup, Morphism, OrderBoundError, canonical_morphism,
-                     coset_walk, subgroup_closure, traversal_vector)
+                     check_size, coset_walk, subgroup_closure, traversal_vector)
 from .words import ASCII_LETTERS, Word
 
 Vec = dict[tuple[int, int], int]
@@ -307,7 +307,8 @@ def dissolve_all(tower: Tower, weak: bool = False) -> list[DissolveReport]:
     """Dissolving reports for the tower's top group over its base, over
     the weak (delta) or the full maximal constellation family, decided
     per pair.  Uses reachability whenever the top has at most
-    MATERIALIZE_BOUND elements."""
+    MATERIALIZE_BOUND elements.  The report count is refused before any
+    report is decided."""
     base = tower.levels[0]
     if weak:
         pairs = []
@@ -316,9 +317,11 @@ def dissolve_all(tower: Tower, weak: bool = False) -> list[DissolveReport]:
                 c = delta_a(base, letter, sign)
                 pairs.append((c.xi, c.theta, (c.g,), (_letter_label(letter, sign),)))
     else:
+        pairs = maximal_constellations(base)
+        check_size(sum(len(pair.g_choices) for pair in pairs), "dissolve reports")
         pairs = [(pair.xi, pair.theta, pair.g_choices,
                   ["max%d:g%d" % (i, g) for g in pair.g_choices])
-                 for i, pair in enumerate(maximal_constellations(base))]
+                 for i, pair in enumerate(pairs)]
     if tower.top is None:
         decide = partial(dissolves_pair_materialized, tower.levels[-1],
                          tower.morphism(len(tower.levels) - 1, 0))

@@ -164,31 +164,32 @@ def center(layer: GaschuetzLayer) -> CenterInfo:
     right multiplication by phi(a), of w_i a^ord(phi(a)) w_i^-1 where w_i
     labels a path from the identity to the smallest cycle element; it
     traverses every a-edge exactly once and evaluates to the generator
-    that is constant 1 on letter a.
+    that is constant 1 on letter a.  The cycles are walked along Cayley
+    a-steps, and each has length ord(phi(a)).
     """
     if layer.tilde:
         raise ValueError("the center description applies to the plain layer")
     base, p = layer.base, layer.p
-    tree = bfs_tree(base.cayley, 0)
+    tree, step = bfs_tree(base.cayley, 0), base.cayley.fwd
     generators = []
     witnesses = []
     for a in range(base.n_letters):
         vec = tuple(1 if b == a else 0 for b in range(base.n_letters)) * base.order
         gen = GaschuetzElement(vec, 0, False)
-        ord_a = base.element_order(base.images[a])
         seen = set()
         pieces = []
         for start in range(base.order):
             if start in seen:
                 continue
-            h = start
+            h, length = start, 0
             while h not in seen:
                 seen.add(h)
-                h = base.mul_idx(h, base.images[a])
+                h = step[h][a]
+                length += 1
             w_i = tree_word(tree, start)
             if w_i is None:
                 raise VerificationError("element %d is unreachable in the Cayley graph" % start)
-            pieces.append(concat(w_i, power(Word(((a, 1),)), ord_a), invert(w_i)))
+            pieces.append(concat(w_i, power(Word(((a, 1),)), length), invert(w_i)))
         w_a = concat(*pieces)
         if layer.evaluate(w_a) != gen:
             raise VerificationError("the center witness for letter %d misses its generator" % a)

@@ -92,7 +92,11 @@ def check_size(n: int, what: str) -> None:
     """Refuse to build something of size n past DEFAULT_BOUND, read at
     call time.  Callers check before they allocate."""
     if n > DEFAULT_BOUND:
-        raise OrderBoundError("%s %d exceeds the bound %d" % (what, n, DEFAULT_BOUND))
+        try:
+            size = str(n)
+        except ValueError:  # past Python's int-to-str digit limit
+            size = ">= 2^%d" % (n.bit_length() - 1)
+        raise OrderBoundError("%s %s exceeds the bound %d" % (what, size, DEFAULT_BOUND))
 
 
 class MaterializedGroup:

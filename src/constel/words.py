@@ -112,20 +112,24 @@ def power(w: Word, k: int) -> Word:
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse compact ("abA") or verbose ("a b^-1 a") word syntax."""
+    from .groups import check_size  # groups imports this module
+
     text = text.strip()
     if text in ("", "1"):
         return EMPTY
     if any(ch.isspace() for ch in text) or "^" in text:
-        pairs: list[tuple[int, int]] = []
+        powers = []
         for tok in text.split():
             if "^" in tok:
                 name, _, exp = tok.partition("^")
                 k = int(exp)
             else:
                 name, k = tok, 1
-            idx = alphabet.index(name)
-            sign = 1 if k > 0 else -1
-            pairs.extend([(idx, sign)] * abs(k))
+            powers.append((alphabet.index(name), k))
+        check_size(sum(abs(k) for _, k in powers), "word length")
+        pairs: list[tuple[int, int]] = []
+        for idx, k in powers:
+            pairs.extend([(idx, 1 if k > 0 else -1)] * abs(k))
         return Word(tuple(pairs))
     pairs = []
     for ch in text:

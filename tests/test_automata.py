@@ -340,6 +340,8 @@ def test_read_aut_errors():
         read_aut("alphabet a\nedge 0 a\n")
     with pytest.raises(ValueError):
         read_aut("frobnicate 3\n")
+    with pytest.raises(ValueError, match="bad .aut line 1: repeated letter name"):
+        read_aut("alphabet a a\nedge 0 a 1\n")
 
 
 def test_as_inverse_automaton_rejects_unfolded():

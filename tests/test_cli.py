@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import constel
+import constel.groups
 from constel.automata import as_inverse_automaton, read_aut
 from constel.cli import main, parse_group_spec, parse_layers
 from constel.groups import (DEFAULT_BOUND, CyclicSpec, ExtensionSpec, KleinSpec, PermSpec,
@@ -356,6 +357,7 @@ def oversize_argv(kind: str, excess: int, tmp: str) -> list[str]:
         "layers": ["dissolve", "--group", Z2, "--layers", "~2,~%d" % p],
         "corpus": ["corpus", "--count", "1", "--m-max", str(n),
                    "--dir", os.path.join(tmp, "corpus")],
+        "count": ["corpus", "--count", str(n), "--dir", os.path.join(tmp, "corpus")],
     }[kind]
 
 
@@ -363,7 +365,7 @@ def test_oversize_arguments_exit_2_before_allocating():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     kinds = ("cyclic", "perm", "gaschutz", "tilde", "abelianization", "key-lemma",
-             "rank-check", "layers", "corpus")
+             "rank-check", "layers", "corpus", "count")
 
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @hypothesis.given(st.sampled_from(kinds), st.integers(1, 1000))
@@ -381,20 +383,33 @@ def test_oversize_arguments_exit_2_before_allocating():
 
 def test_huge_literals_exit_2_under_a_memory_cap():
     # inputs that would allocate gigabytes if they were built, or trial-divide
-    # for minutes, each run once in a child process capped at 1 GiB
+    # for minutes, each run once in a child process capped at 1 GiB; A4's 12
+    # vertices give 1,105,856 maximal pairs, refused before any is built
+    a4 = "perm(4;a=(0 1 2),b=(1 2 3))"
     argvs = [["cayley", "--group", "cyclic(2000000;a=1)"],
              ["evaluate", "--group", "perm(10000000000;a=(0 1))", "--word", "a"],
              ["corpus", "--m-max", "1000000000000", "--dir", "corpus-never-made"],
-             ["gaschutz-info", "--group", "gaschutz(%s,%d)" % (Z2, 2 ** 61 - 1)]]
+             ["corpus", "--count", "1000000000", "--dir", "corpus-never-made"],
+             ["gaschutz-info", "--group", "gaschutz(%s,%d)" % (Z2, 2 ** 61 - 1)],
+             ["evaluate", "--group", "cyclic(3;a=1)", "--word", "a^99999999999999999999"],
+             ["evaluate", "--group", "cyclic(3;a=1)", "--word", "a^2000000000"],
+             ["constellations", "--group", a4],
+             ["amalgam", "--group", a4],
+             ["ag", "--group", a4],
+             ["dissolve", "--group", a4, "--layers", "~2"],
+             ["constellations", "--group", "cyclic(20000;a=1)"]]  # 2^19999 bipartitions
     child = (
-        "import contextlib, io, json, resource, sys\n"
+        "import contextlib, io, json, resource, sys, time\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from constel.cli import main\n"
         "results = []\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    out, err = io.StringIO(), io.StringIO()\n"
+        "    start = time.perf_counter()\n"
         "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
-        "        results.append([main(argv), out.getvalue(), err.getvalue()])\n"
+        "        code = main(argv)\n"
+        "    results.append([code, out.getvalue(), err.getvalue(),\n"
+        "                    time.perf_counter() - start])\n"
         "print(json.dumps(results))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(constel.__file__).parent.parent))
     with tempfile.TemporaryDirectory() as tmp:
@@ -402,5 +417,84 @@ def test_huge_literals_exit_2_under_a_memory_cap():
                               env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert os.listdir(tmp) == []
-    for argv, (code, out, err) in zip(argvs, json.loads(proc.stdout)):
+    for argv, (code, out, err, elapsed) in zip(argvs, json.loads(proc.stdout)):
         assert code == 2 and not out and "exceeds the bound" in err, (argv, err)
+        assert elapsed < 2, (argv, elapsed)
+
+
+@pytest.mark.filterwarnings("ignore:letter .* maps to the identity")
+def test_cli_fuzz_exits_0_1_or_2(monkeypatch):
+    # small specs from the grammar, their malformed variants and words with
+    # exponents up to 10^25: every run ends in 0, 1 or 2, and 2 prints nothing.
+    # The bound is lowered so that small inputs reach every size refusal and
+    # no run builds tens of thousands of pairs; check_size is the same code at
+    # any bound.
+    bound = 5000
+    monkeypatch.setattr(constel.groups, "DEFAULT_BOUND", bound)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    letters = st.integers(1, 2)
+
+    @st.composite
+    def cyclic(draw, n_max=6):
+        images = draw(st.lists(st.integers(0, 6), min_size=1, max_size=2))
+        return "cyclic(%d;%s)" % (draw(st.integers(1, n_max)),
+                                  ",".join("%s=%d" % ("ab"[i], k) for i, k in enumerate(images)))
+
+    @st.composite
+    def klein(draw):
+        bits = draw(st.lists(st.sampled_from(("00", "01", "10", "11")), min_size=1, max_size=2))
+        return "klein(%s)" % ",".join("%s=%s" % ("ab"[i], b) for i, b in enumerate(bits))
+
+    @st.composite
+    def perm(draw):
+        degree = draw(st.integers(1, 4))
+        cycles = [draw(st.permutations(range(degree)))[:draw(st.integers(1, degree))]
+                  for _ in range(draw(letters))]
+        return "perm(%d;%s)" % (degree, ",".join(
+            "%s=(%s)" % ("ab"[i], " ".join(map(str, c))) for i, c in enumerate(cycles)))
+
+    @st.composite
+    def extension(draw):  # inner groups of order at most 4, so layers stay below 1000
+        inner = draw(st.one_of(cyclic(n_max=4), klein()))
+        return "%s(%s,%d)" % (draw(st.sampled_from(("gaschutz", "tilde"))), inner,
+                              draw(st.sampled_from((2, 3, 4))))
+
+    base = st.one_of(cyclic(), klein(), perm())
+    well_formed = st.one_of(base, extension(),
+                            st.tuples(base, base).map(lambda ab: "prodA(%s,%s)" % ab))
+    mutations = (lambda s: s[:-1], lambda s: "(" + s, lambda s: s.replace("b=", "a="),
+                 lambda s: s.replace("a=", "b="), lambda s: s.replace("1", "x", 1))
+    specs = st.one_of(well_formed, st.tuples(well_formed, st.sampled_from(mutations))
+                      .map(lambda sm: sm[1](sm[0])))
+    exponent = st.one_of(st.integers(-12, 12), st.tuples(
+        st.sampled_from((1, -1)), st.integers(bound + 1, 10 ** 25)).map(
+            lambda sk: sk[0] * sk[1]))
+    verbose = st.lists(st.tuples(st.sampled_from("abc"), exponent), min_size=1, max_size=4)
+    words = st.one_of(st.text(alphabet="abcAB1", max_size=8),
+                      verbose.map(lambda toks: " ".join("%s^%d" % t for t in toks)))
+    layers = st.sampled_from(("", "~2", "3", "~2,~2", "~x"))
+
+    @st.composite
+    def argvs(draw):
+        spec = draw(specs)
+        command = draw(st.sampled_from(("evaluate", "abelianization", "cayley",
+                                        "constellations", "dissolve")))
+        argv = [command, "--group", spec]
+        if command == "evaluate":
+            argv += ["--word", draw(words)]
+        if command == "dissolve":
+            argv += ["--layers", draw(layers), "--weak"]
+        return argv
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(argvs())
+    def check(argv):
+        code, out, _ = run(argv)
+        assert code in (0, 1, 2), (argv, code)
+        assert code != 2 or not out, argv
+
+    start = time.perf_counter()
+    check()
+    assert time.perf_counter() - start < 10

@@ -10,7 +10,8 @@ from constel.constellations import (Constellation, MinimalCut, amalgams_of,
                                     assemble_AG, chain_letter, delta_a,
                                     maximal_constellations, minimal_cut_sets)
 from constel.errors import VerificationError
-from constel.groups import CyclicSpec, KleinSpec, materialize
+from constel.groups import CyclicSpec, KleinSpec, OrderBoundError, PermSpec, materialize
+from constel.perms import from_cycles
 
 
 def z2():
@@ -61,7 +62,8 @@ def brute_minimal_cuts(aut: InverseAutomaton) -> set[frozenset]:
 
 
 def test_minimal_cuts_against_oracle():
-    for group in (z2(), klein(), z3()):
+    s3 = materialize(PermSpec(3, (from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)]))))
+    for group in (z2(), klein(), z3(), s3, materialize(CyclicSpec(6, (1, 2)))):
         got = {mc.cut for mc in minimal_cut_sets(group.cayley)}
         assert got == brute_minimal_cuts(group.cayley)
 
@@ -85,8 +87,8 @@ def test_minimal_cut_structure():
 
 
 def test_minimal_cut_bound():
-    big = materialize(CyclicSpec(21, (1,))).cayley  # one vertex over CUT_BOUND
-    with pytest.raises(ValueError, match="exceeds bound 20"):
+    big = materialize(CyclicSpec(21, (1,))).cayley  # 2^20 bipartitions, one vertex past 20
+    with pytest.raises(OrderBoundError, match="exceeds the bound"):
         minimal_cut_sets(big)
 
 

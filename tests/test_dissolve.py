@@ -4,6 +4,7 @@ from collections import deque
 import pytest
 
 import constel.dissolve
+import constel.groups
 from constel.automata import Subgraph, bfs_tree, full_subgraph, tree_word
 from constel.constellations import delta_a, maximal_constellations
 from constel.dissolve import (DissolveReport, GFpSpan, counting_lifts_check,
@@ -16,9 +17,9 @@ from constel.dissolve import (DissolveReport, GFpSpan, counting_lifts_check,
                               schreier_rank_check)
 from constel.errors import VerificationError
 from constel.gaschuetz import GaschuetzLayer, TowerSpec, build_tower
-from constel.groups import (CyclicSpec, KleinSpec, PermSpec, canonical_morphism,
-                            identity_morphism, materialize, subgroup_closure,
-                            traversal_vector)
+from constel.groups import (CyclicSpec, KleinSpec, OrderBoundError, PermSpec,
+                            canonical_morphism, identity_morphism, materialize,
+                            subgroup_closure, traversal_vector)
 from constel.perms import from_cycles
 from constel.words import Alphabet, Word, parse_word
 
@@ -567,3 +568,22 @@ def test_schreier_rank_report_past_the_bound():
     r = schreier_rank_check(GaschuetzLayer(g108, 5, True))
     assert r.rank == 107 and r.cycle_dim == 109 and r.tilde_deficit == 2
     assert r.formula_ok and r.verified is None
+
+
+def test_size_refusals_fire_one_past_the_bound(monkeypatch):
+    # Klein has 8 vertex bipartitions, 84 maximal pairs and 140 reports;
+    # at each count that stage passes and the next one refuses
+    tower = build_tower(TowerSpec(KleinSpec(((1, 0), (0, 1))), ()))
+    stages = ((8, "vertex bipartitions"), (84, "maximal constellation pairs"),
+              (140, "dissolve reports"))
+    for count, what in stages:
+        monkeypatch.setattr(constel.groups, "DEFAULT_BOUND", count - 1)
+        with pytest.raises(OrderBoundError, match="^%s %d exceeds the bound %d$"
+                           % (what, count, count - 1)):
+            dissolve_all(tower)
+        monkeypatch.setattr(constel.groups, "DEFAULT_BOUND", count)
+        if count < 140:
+            with pytest.raises(OrderBoundError) as info:
+                dissolve_all(tower)
+            assert not str(info.value).startswith(what)
+    assert len(dissolve_all(tower)) == 140
