@@ -13,8 +13,8 @@ from .automata import (InverseAutomaton, LabeledGraph, Subgraph, amalgam,
                        to_dot, transition_group, trim, write_aut)
 from .perms import (AlternatingCertificate, PermGroupGens, Permutation,
                     alternating_certificate, format_cycles, from_cycles,
-                    generated_order, is_primitive, is_prime, is_transitive,
-                    parse_cycles, prime_power_cycle)
+                    is_primitive, is_prime, is_transitive, parse_cycles,
+                    prime_power_cycle)
 from .groups import (CyclicSpec, ExtensionSpec, KleinSpec, MaterializedGroup,
                      Morphism, OrderBoundError, PermSpec, ProductSpec,
                      abelian_relations, abelianization, canonical_morphism,

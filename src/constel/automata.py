@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .perms import Permutation, PermGroupGens
+from .perms import Permutation, PermGroupGens, _find
 from .words import ASCII_LETTERS, Word, reduce as reduce_word
 
 
@@ -122,26 +122,14 @@ class InverseAutomaton:
 
 
 def canonical(aut: InverseAutomaton) -> InverseAutomaton:
-    """Renumber vertices in BFS order from the base (letters ascending,
-    forward before backward); extra components follow by least old id."""
-    order: list[int] = []
-    seen = [False] * aut.n
-    seeds = [aut.base] if aut.base is not None else []
-    seeds += [v for v in range(aut.n)]
-    for seed in seeds:
-        if seed is None or seen[seed]:
-            continue
-        seen[seed] = True
-        queue = deque([seed])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for letter in range(aut.n_letters):
-                for nxt in (aut.fwd[v].get(letter), aut.bwd[v].get(letter)):
-                    if nxt is not None and not seen[nxt]:
-                        seen[nxt] = True
-                        queue.append(nxt)
-    newid = {v: i for i, v in enumerate(order)}
+    """Renumber vertices in `bfs_tree` order from the base (letters
+    ascending, forward before backward); extra components follow, each
+    from its least old id."""
+    newid: dict[int, int] = {}
+    for seed in ([aut.base] if aut.base is not None else []) + list(range(aut.n)):
+        if seed not in newid:
+            for v in bfs_tree(aut, seed):
+                newid[v] = len(newid)
     edges = [(newid[u], letter, newid[v]) for u, letter, v in aut.pos_edges()]
     base = newid[aut.base] if aut.base is not None else None
     return InverseAutomaton(aut.n, aut.n_letters, edges, base)
@@ -160,17 +148,10 @@ def fold(graph: LabeledGraph) -> InverseAutomaton:
     parent = list(range(n))
     fwd: list[dict[int, int]] = [dict() for _ in range(n)]
     bwd: list[dict[int, int]] = [dict() for _ in range(n)]
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     queue = deque((pos[u], letter, pos[v]) for u, letter, v in graph.edges)
 
     def merge(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra == rb:
             return
         if len(fwd[ra]) + len(bwd[ra]) < len(fwd[rb]) + len(bwd[rb]):
@@ -185,31 +166,31 @@ def fold(graph: LabeledGraph) -> InverseAutomaton:
 
     while queue:
         u, letter, v = queue.popleft()
-        u, v = find(u), find(v)
+        u, v = _find(parent, u), _find(parent, v)
         w = fwd[u].get(letter)
         if w is not None:
-            w = find(w)
+            w = _find(parent, w)
             fwd[u][letter] = w
             if w != v:
                 merge(v, w)
-                queue.append((u, letter, find(w)))
+                queue.append((u, letter, _find(parent, w)))
                 continue
         x = bwd[v].get(letter)
         if x is not None:
-            x = find(x)
+            x = _find(parent, x)
             bwd[v][letter] = x
             if x != u:
                 merge(u, x)
-                queue.append((find(u), letter, v))
+                queue.append((_find(parent, u), letter, v))
                 continue
         fwd[u][letter] = v
         bwd[v][letter] = u
 
-    roots = sorted({find(i) for i in range(n)})
+    roots = sorted({_find(parent, i) for i in range(n)})
     dense = {r: i for i, r in enumerate(roots)}
-    edges = [(dense[r], letter, dense[find(t)])
+    edges = [(dense[r], letter, dense[_find(parent, t)])
              for r in roots for letter, t in sorted(fwd[r].items())]
-    base = dense[find(pos[graph.base])] if graph.base is not None else None
+    base = dense[_find(parent, pos[graph.base])] if graph.base is not None else None
     return canonical(InverseAutomaton(len(roots), graph.n_letters, edges, base))
 
 

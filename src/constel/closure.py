@@ -14,8 +14,9 @@ from .automata import (InverseAutomaton, Subgraph, _product_walk, member, pointe
                        subgraph_automaton)
 from .errors import VerificationError
 from .gaschuetz import GaschuetzLayer, TowerSpec
-from .groups import (MaterializedGroup, _orbit, coset_walk, materialize, subgroup_closure,
+from .groups import (MaterializedGroup, coset_walk, materialize, subgroup_closure,
                      table_automaton)
+from .perms import _orbit
 from .words import Word
 
 

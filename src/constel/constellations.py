@@ -103,7 +103,22 @@ class MaxConstellationPair:
     g_choices: tuple[int, ...]
 
     def __post_init__(self):
-        _check_constellations(self.xi, self.theta, self.g_choices)
+        """Check the split against its bond instead of re-proving it.
+
+        `maximal_constellations` builds Xi = Gamma - C_Theta and Theta =
+        Gamma - C_Xi from a bond C whose near side N (with the base) and
+        far side F are each connected in Gamma - C, as `minimal_cut_sets`
+        verified.  If C_Xi and C_Theta are nonempty and split C, then Xi
+        holds every vertex and joins N to F through C_Xi, so it is
+        connected, and so is Theta; Xi intersect Theta = Gamma - C has
+        exactly N and F as its components.  So (Xi, g, Theta) is a
+        constellation for every g in F, and checking the split and the g
+        choices costs O(|C| + |F|)."""
+        c_xi, c_theta = self.c_xi, self.c_theta
+        if not (c_xi and c_theta) or c_xi & c_theta or c_xi | c_theta != self.cut.cut:
+            raise ValueError("C_Xi and C_Theta must split the cut into two nonempty parts")
+        if not all(g in self.cut.far for g in self.g_choices):
+            raise ValueError("every g must lie on the far side of the cut")
 
     def constellation(self, g: int) -> Constellation:
         return Constellation(self.xi, g, self.theta)
@@ -114,8 +129,8 @@ class MaxConstellationPair:
 
 def maximal_constellations(group: MaterializedGroup) -> list[MaxConstellationPair]:
     """All ordered pairs (C_Xi, C_Theta) over all minimal cuts, with the
-    far-side vertices as g choices.  Every pair is validated once for
-    all its g choices.  The pair count is refused before any is built."""
+    far-side vertices as g choices.  Every pair is checked against its
+    bond.  The pair count is refused before any is built."""
     gamma = group.cayley
     full = full_subgraph(gamma)
     cuts = minimal_cut_sets(gamma)

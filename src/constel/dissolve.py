@@ -43,8 +43,8 @@ from .automata import Subgraph, bfs_tree, full_subgraph, tree_word
 from .constellations import Constellation, delta_a, maximal_constellations
 from .errors import VerificationError
 from .gaschuetz import GaschuetzLayer, Tower
-from .groups import (MaterializedGroup, Morphism, OrderBoundError, canonical_morphism,
-                     check_size, coset_walk, subgroup_closure, traversal_vector)
+from .groups import (MaterializedGroup, Morphism, OrderBoundError, check_size, coset_walk,
+                     subgroup_closure, traversal_vector)
 from .words import ASCII_LETTERS, Word
 
 Vec = dict[tuple[int, int], int]
@@ -322,18 +322,14 @@ def dissolve_all(tower: Tower, weak: bool = False) -> list[DissolveReport]:
         pairs = [(pair.xi, pair.theta, pair.g_choices,
                   ["max%d:g%d" % (i, g) for g in pair.g_choices])
                  for i, pair in enumerate(pairs)]
+    down = tower.morphism(len(tower.levels) - 1, 0)
     if tower.top is None:
-        decide = partial(dissolves_pair_materialized, tower.levels[-1],
-                         tower.morphism(len(tower.levels) - 1, 0))
+        decide = partial(dissolves_pair_materialized, tower.levels[-1], down)
     elif tower.top.order() <= MATERIALIZE_BOUND:
-        h_group = tower.top.materialize()
-        phi = canonical_morphism(h_group, base)
-        if phi is None:
-            raise VerificationError("the materialized top does not project onto the base")
-        decide = partial(dissolves_pair_materialized, h_group, phi)
+        h_group, phi = tower.top.cover()
+        decide = partial(dissolves_pair_materialized, h_group, phi.compose(down))
     else:
-        decide = partial(dissolves_pair_linear, tower.top,
-                         tower.morphism(len(tower.levels) - 1, 0))
+        decide = partial(dissolves_pair_linear, tower.top, down)
     reports = []
     for xi, theta, g_choices, labels in pairs:
         reports += decide(xi, theta, g_choices, labels)
@@ -415,10 +411,7 @@ def key_lemma_report(g_group: MaterializedGroup, p: int, k_set) -> KeyLemmaRepor
     if layer.order() > MATERIALIZE_BOUND:
         raise OrderBoundError("layer order %d exceeds the bound %d"
                               % (layer.order(), MATERIALIZE_BOUND))
-    h_group = layer.materialize()
-    phi = canonical_morphism(h_group, g_group)
-    if phi is None:
-        raise VerificationError("the layer does not project onto its base")
+    h_group, phi = layer.cover()
     l_set = frozenset(h for h in range(h_group.order) if phi(h) in k_set)
     coset, _, _, _ = coset_walk(g_group, k_set)  # element of G -> index of its coset K.g
     verdicts: dict[tuple[int, int], bool] = {}
@@ -488,10 +481,7 @@ def schreier_rank_check(layer: GaschuetzLayer) -> RankReport:
     deficit = base.n_letters if layer.tilde else 0
     verified: bool | None = None
     if layer.order() <= MATERIALIZE_BOUND:
-        mat = layer.materialize()
-        phi = canonical_morphism(mat, base)
-        if phi is None:
-            raise VerificationError("the layer does not project onto its base")
+        mat, phi = layer.cover()
         kernel = phi.kernel()
         verified = (len(kernel) == layer.p ** rank
                     and all(k == 0 or mat.element_order(k) == layer.p for k in kernel))

@@ -137,6 +137,15 @@ class GaschuetzLayer:
         check_size(self.order(), "layer order")
         return _generate(self.n_letters, self.identity, self.images, self.mul)
 
+    def cover(self) -> tuple[MaterializedGroup, Morphism]:
+        """The materialized layer with its projection onto the base,
+        found as the canonical morphism; a layer without one raises."""
+        mat = self.materialize()
+        phi = canonical_morphism(mat, self.base)
+        if phi is None:
+            raise VerificationError("the layer does not project onto its base")
+        return mat, phi
+
     def __repr__(self):
         return "GaschuetzLayer(base_order=%d, p=%d, tilde=%r)" % (
             self.base.order, self.p, self.tilde)
@@ -239,10 +248,7 @@ def coprime_structure_checks(base: MaterializedGroup, p: int) -> StructureReport
     layer = GaschuetzLayer(base, p, tilde=False)
     if base.order % p == 0:
         raise ValueError("hypothesis violated: %d divides the base order %d" % (p, base.order))
-    mat = layer.materialize()
-    phi = canonical_morphism(mat, base)
-    if phi is None:
-        raise VerificationError("the layer does not project onto its base")
+    mat, phi = layer.cover()
     kernel = phi.kernel()
     exponent_ok = all(k == 0 or mat.element_order(k) == p for k in kernel)
     abelian_ok = _pairwise_commute(mat, kernel)
@@ -309,19 +315,15 @@ class Tower:
 def build_tower(spec: TowerSpec) -> Tower:
     for p, _ in spec.layers:
         check_modulus(p)
-    levels = [materialize(spec.base)]
+    levels, projections = [materialize(spec.base)], []
     for p, tilde in spec.layers[:-1]:
-        levels.append(GaschuetzLayer(levels[-1], p, tilde).materialize())
+        mat, phi = GaschuetzLayer(levels[-1], p, tilde).cover()
+        levels.append(mat)
+        projections.append(phi)
     top = None
     if spec.layers:
         p, tilde = spec.layers[-1]
         top = GaschuetzLayer(levels[-1], p, tilde)
-    projections = []
-    for i in range(len(levels) - 1):
-        phi = canonical_morphism(levels[i + 1], levels[i])
-        if phi is None:
-            raise VerificationError("level %d does not project onto level %d" % (i + 1, i))
-        projections.append(phi)
     return Tower(spec, tuple(levels), top, tuple(projections))
 
 

@@ -23,7 +23,7 @@ from math import gcd
 
 from .automata import InverseAutomaton
 from .errors import VerificationError
-from .perms import Permutation
+from .perms import Permutation, _orbit
 from .words import Word
 
 
@@ -324,19 +324,6 @@ def traversal_vector(g: MaterializedGroup, w: Word) -> dict[tuple[int, int], int
             e = (v, letter)
             counts[e] = counts.get(e, 0) - 1
     return {e: c for e, c in counts.items() if c != 0}
-
-
-def _orbit(start, maps) -> set[int]:
-    """Closure of start under each map, every map an index list."""
-    seen = set(start)
-    queue = list(seen)
-    while queue:
-        x = queue.pop()
-        for m in maps:
-            if m[x] not in seen:
-                seen.add(m[x])
-                queue.append(m[x])
-    return seen
 
 
 def subgroup_closure(g: MaterializedGroup, gens) -> frozenset[int]:

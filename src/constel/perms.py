@@ -132,18 +132,22 @@ class PermGroupGens:
                 raise ValueError("generator degree mismatch")
 
 
-def orbit(g: PermGroupGens, point: int) -> set[int]:
-    moves = [p.images for p in g.perms] + [p.inverse().images for p in g.perms]
-    seen = {point}
-    stack = [point]
-    while stack:
-        v = stack.pop()
-        for images in moves:
-            w = images[v]
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+def _orbit(start, maps) -> set[int]:
+    """Closure of start under each map, every map an index list."""
+    seen = set(start)
+    queue = list(seen)
+    while queue:
+        x = queue.pop()
+        for m in maps:
+            y = m[x]
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
     return seen
+
+
+def orbit(g: PermGroupGens, point: int) -> set[int]:
+    return _orbit([point], [p.images for p in g.perms] + [p.inverse().images for p in g.perms])
 
 
 def is_transitive(g: PermGroupGens) -> bool:
@@ -347,20 +351,3 @@ def alternating_certificate(g: PermGroupGens) -> AlternatingCertificate:
             break
     return AlternatingCertificate(g.degree, transitive, primitive, all_even, prime_cycle)
 
-
-def generated_order(g: PermGroupGens, max_degree: int = 7) -> int:
-    """Order of the generated group by closure; guarded to small degrees."""
-    if g.degree > max_degree:
-        raise ValueError("brute-force order is limited to degree <= %d" % max_degree)
-    seen = {identity(g.degree)}
-    frontier = [identity(g.degree)]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for p in g.perms:
-                y = x * p
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(seen)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -196,6 +197,55 @@ def test_canonical_idempotent_and_invariant():
     assert canonical(moved) == canonical(core)
     assert pointed_isomorphic(moved, core)
     assert not pointed_isomorphic(core, z2_cayley())
+
+
+def random_folded(rng) -> InverseAutomaton:
+    """Folded automaton on 1-12 vertices over 1-3 letters: each letter a
+    random partial injection, sparse enough to leave several components;
+    the base is missing in about a quarter of them."""
+    n, n_letters = rng.randint(1, 12), rng.randint(1, 3)
+    edges = []
+    for letter in range(n_letters):
+        sources = rng.sample(range(n), rng.randint(0, n))
+        targets = rng.sample(range(n), len(sources))
+        edges += [(u, letter, v) for u, v in zip(sources, targets) if rng.random() < 0.6]
+    base = rng.randrange(n) if rng.random() < 0.75 else None
+    return InverseAutomaton(n, n_letters, edges, base)
+
+
+def queue_numbering(aut: InverseAutomaton) -> dict[int, int]:
+    """Old id -> new id by a breadth-first queue from the base, then from
+    each unseen vertex in ascending order; at each vertex the letters
+    ascend, and the a-successor comes before the a-predecessor."""
+    order, seen = [], set()
+    for seed in ([aut.base] if aut.base is not None else []) + list(range(aut.n)):
+        if seed in seen:
+            continue
+        seen.add(seed)
+        queue = deque([seed])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for letter in range(aut.n_letters):
+                for nxt in (aut.fwd[v].get(letter), aut.bwd[v].get(letter)):
+                    if nxt is not None and nxt not in seen:
+                        seen.add(nxt)
+                        queue.append(nxt)
+    return {v: i for i, v in enumerate(order)}
+
+
+def test_canonical_numbering_is_breadth_first():
+    rng = random.Random(31)
+    kinds = set()
+    for _ in range(400):
+        aut = random_folded(rng)
+        new = queue_numbering(aut)
+        got = canonical(aut)
+        assert (got.n, got.n_letters) == (aut.n, aut.n_letters)
+        assert got.base == (None if aut.base is None else new[aut.base])
+        assert got.pos_edges() == sorted((new[u], a, new[v]) for u, a, v in aut.pos_edges())
+        kinds.add((aut.base is None, aut.is_connected()))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_embed_check_examples():

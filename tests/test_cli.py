@@ -423,12 +423,12 @@ def test_huge_literals_exit_2_under_a_memory_cap():
 
 
 @pytest.mark.filterwarnings("ignore:letter .* maps to the identity")
-def test_cli_fuzz_exits_0_1_or_2(monkeypatch):
-    # small specs from the grammar, their malformed variants and words with
-    # exponents up to 10^25: every run ends in 0, 1 or 2, and 2 prints nothing.
-    # The bound is lowered so that small inputs reach every size refusal and
-    # no run builds tens of thousands of pairs; check_size is the same code at
-    # any bound.
+def test_cli_fuzz_exits_0_1_or_2(monkeypatch, tmp_path):
+    # small specs from the grammar, their malformed variants, words with
+    # exponents up to 10^25 and .aut texts, well-formed or not: every run
+    # ends in 0, 1 or 2, and 2 prints nothing.  The bound is lowered so that
+    # small inputs reach every size refusal and no run builds tens of
+    # thousands of pairs; check_size is the same code at any bound.
     bound = 5000
     monkeypatch.setattr(constel.groups, "DEFAULT_BOUND", bound)
     hypothesis = pytest.importorskip("hypothesis")
@@ -474,23 +474,77 @@ def test_cli_fuzz_exits_0_1_or_2(monkeypatch):
     words = st.one_of(st.text(alphabet="abcAB1", max_size=8),
                       verbose.map(lambda toks: " ".join("%s^%d" % t for t in toks)))
     layers = st.sampled_from(("", "~2", "3", "~2,~2", "~x"))
+    junk = ("alphabet a a", "alphabet a b c", "alphabet b a", "vertex 9", "edge 0 a",
+            "edge 0 z 1", "edge -1 a 0", "edge 0 b 10000000000", "base x", "base 1 2",
+            "frobnicate", "# comment")
 
     @st.composite
-    def argvs(draw):
-        spec = draw(specs)
+    def aut_texts(draw):
+        # per letter a permutation, a path, a partial injection or any edges, then
+        # a base and junk lines; a path on a and an injection on b is folded,
+        # connected and incomplete, and two permutations of degree 5-8 can be certified
+        n = draw(st.sampled_from((5, 7, 3, 8, 6, 1, 2, 4)))
+        lines = []
+        kinds = draw(st.one_of(
+            st.sampled_from((("path", "injection"), ("permutation", "permutation"))),
+            st.lists(st.sampled_from(("permutation", "path", "injection", "any")),
+                     min_size=1, max_size=3)))
+        for name, kind in zip("abc", kinds):
+            if kind == "permutation":
+                pairs = list(enumerate(draw(st.permutations(range(n)))))
+            elif kind == "path":
+                pairs = [(v, v + 1) for v in range(n - 1)]
+            elif kind == "injection":
+                sources = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+                pairs = list(zip(sources, draw(st.permutations(range(n)))))
+            else:
+                pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                      max_size=n))
+            lines += ["edge %d %s %d" % (u, name, v) for u, v in pairs]
+        if draw(st.booleans()):
+            lines.append("base %d" % draw(st.integers(0, n - 1)))
+        lines += draw(st.lists(st.sampled_from(junk), max_size=1))
+        return "\n".join(draw(st.permutations(lines))) + "\n"
+
+    completion_sizes = st.sampled_from(([], ["--k", "0"], ["--k", "3"], ["--k", "11"],
+                                        ["--k", "-4"], ["--n", "9"], ["--n", "20"],
+                                        ["--n", "0"], ["--n", str(10 ** 30)]))
+    valid_groups = st.sampled_from((Z2, "klein(a=10,b=01)", "perm(3;a=(0 1),b=(1 2))"))
+    aut_file = str(tmp_path / "fuzz.aut")
+
+    @st.composite
+    def argvs(draw):  # (argv, text of the .aut file it reads or None)
         command = draw(st.sampled_from(("evaluate", "abelianization", "cayley",
-                                        "constellations", "dissolve")))
-        argv = [command, "--group", spec]
+                                        "constellations", "dissolve", "key-lemma",
+                                        "fold", "complete-alternating", "certify-an")))
+        if command in ("fold", "complete-alternating", "certify-an"):
+            argv = [command, "--automaton", aut_file]
+            if command == "fold":
+                argv += draw(st.sampled_from(([], ["--dot"])))
+            if command == "complete-alternating":
+                argv += draw(completion_sizes) + ["--seed", str(draw(st.integers(0, 3)))]
+            return argv, draw(aut_texts())
+        argv = [command, "--group", draw(st.one_of(valid_groups, specs)
+                                         if command == "key-lemma" else specs)]
         if command == "evaluate":
             argv += ["--word", draw(words)]
         if command == "dissolve":
-            argv += ["--layers", draw(layers), "--weak"]
-        return argv
+            argv += ["--layers", draw(layers)] + draw(st.sampled_from(([], ["--weak"])))
+        if command == "key-lemma":
+            argv += ["--p", str(draw(st.sampled_from((2, 2, 3, 5, 4, 0)))),
+                     "--subgroup", ",".join(draw(st.lists(st.one_of(
+                         st.text(alphabet="abAB", min_size=1, max_size=4), words),
+                         min_size=1, max_size=3)))]
+        return argv, None
 
-    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None,
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None,
                          suppress_health_check=list(hypothesis.HealthCheck))
     @hypothesis.given(argvs())
-    def check(argv):
+    def check(argv_text):
+        argv, text = argv_text
+        if text is not None:
+            with open(aut_file, "w") as fh:
+                fh.write(text)
         code, out, _ = run(argv)
         assert code in (0, 1, 2), (argv, code)
         assert code != 2 or not out, argv

@@ -4,6 +4,7 @@ import time
 import pytest
 
 import constel.gaschuetz
+from constel.dissolve import dissolve_all, key_lemma_report, schreier_rank_check
 from constel.errors import VerificationError
 from constel.gaschuetz import (GaschuetzElement, GaschuetzLayer, Tower, TowerSpec,
                                build_tower, center, coprime_structure_checks,
@@ -347,11 +348,20 @@ def test_layer_abelianization_scales_past_materialization():
 
 
 def test_build_tower_checks_its_projections(monkeypatch):
+    # every caller of GaschuetzLayer.cover refuses a layer without a projection
+    top_materialized = build_tower(TowerSpec(CyclicSpec(2, (1, 1)), ((2, True),)))
     monkeypatch.setattr(constel.gaschuetz, "canonical_morphism", lambda src, dst: None)
-    with pytest.raises(VerificationError):
-        build_tower(TowerSpec(CyclicSpec(2, (1, 1)), ((2, True), (2, True))))
-    with pytest.raises(VerificationError):
-        coprime_structure_checks(z2(), 3)
+    calls = [
+        lambda: build_tower(TowerSpec(CyclicSpec(2, (1, 1)), ((2, True), (2, True)))),
+        lambda: coprime_structure_checks(z2(), 3),
+        lambda: key_lemma_report(z2(), 2, {0, 1}),
+        lambda: schreier_rank_check(GaschuetzLayer(z2(), 3)),
+        lambda: dissolve_all(top_materialized),
+        lambda: dissolve_all(top_materialized, weak=True),
+    ]
+    for call in calls:
+        with pytest.raises(VerificationError, match="does not project onto its base"):
+            call()
 
 
 def test_center_checks_its_witnesses(monkeypatch):
