@@ -3,8 +3,8 @@ constellations, Gaschütz mod-p extension layers, alternating-group
 completions, and exact dissolver / disconnection / closure decisions
 for finite A-generated groups."""
 
-from .words import (ASCII_LETTERS, EMPTY, Alphabet, Word, concat, format_word,
-                    invert, parse_word, power, reduce, word)
+from .words import (ASCII_LETTERS, EMPTY, Word, concat, format_word, invert,
+                    parse_word, power, reduce)
 from .automata import (InverseAutomaton, LabeledGraph, Subgraph, amalgam,
                        as_inverse_automaton, bouquet, canonical, core_of_words,
                        embed_check, fold, full_subgraph, induced_subgraph, member,

@@ -499,31 +499,30 @@ def amalgam(xi: Subgraph, theta: Subgraph) -> InverseAutomaton:
     return fold(g)
 
 
-def write_aut(g) -> str:
-    """Serialize to the .aut line format (deterministic ordering)."""
-    base = g.base
-    n_letters = g.n_letters
-    if isinstance(g, InverseAutomaton):
-        vertices = list(range(g.n))
-        edges = g.pos_edges()
-        names = tuple(ASCII_LETTERS[:n_letters])
-    else:
-        vertices = list(g.vertices)
-        edges = list(g.edges)
-        names = g.letter_names
+def _letter_names(n_letters: int, names) -> tuple[str, ...]:
+    """`names`, or a, b, ... when it is None; one per letter."""
+    names = tuple(ASCII_LETTERS[:n_letters]) if names is None else tuple(names)
     if len(names) != n_letters:
         raise ValueError("need %d letter names" % n_letters)
+    return names
+
+
+def write_aut(aut: InverseAutomaton, names: tuple[str, ...] | None = None) -> str:
+    """Serialize to the .aut line format (deterministic ordering), naming
+    the letters by `names` (a, b, ... by default)."""
+    names = _letter_names(aut.n_letters, names)
+    edges = aut.pos_edges()
     used = {letter for _, letter, _ in edges}
     lines = []
-    if used != set(range(n_letters)) or names != tuple(ASCII_LETTERS[:n_letters]):
+    if used != set(range(aut.n_letters)) or names != tuple(ASCII_LETTERS[:aut.n_letters]):
         lines.append("alphabet " + " ".join(names))
     touched = {u for u, _, _ in edges} | {v for _, _, v in edges}
-    for v in sorted(set(vertices) - touched):
+    for v in sorted(set(range(aut.n)) - touched):
         lines.append("vertex %d" % v)
-    for u, letter, v in sorted(edges):
+    for u, letter, v in edges:  # pos_edges is sorted
         lines.append("edge %d %s %d" % (u, names[letter], v))
-    if base is not None:
-        lines.append("base %d" % base)
+    if aut.base is not None:
+        lines.append("base %d" % aut.base)
     return "\n".join(lines) + "\n"
 
 
@@ -582,21 +581,16 @@ def as_inverse_automaton(g: LabeledGraph) -> InverseAutomaton:
     return InverseAutomaton(len(ids), g.n_letters, edges, base)
 
 
-def to_dot(aut) -> str:
-    base = aut.base
-    if isinstance(aut, LabeledGraph):
-        aut_edges = aut.edges
-        vertices = aut.vertices
-        names = aut.letter_names
-    else:
-        aut_edges = aut.pos_edges()
-        vertices = range(aut.n)
-        names = tuple(ASCII_LETTERS[:aut.n_letters])
+def to_dot(aut: InverseAutomaton, names: tuple[str, ...] | None = None) -> str:
+    """Graphviz text, naming the letters as `write_aut` does; a .aut name
+    may hold quotes and backslashes, so labels escape them."""
+    labels = [name.replace("\\", "\\\\").replace('"', '\\"')
+              for name in _letter_names(aut.n_letters, names)]
     lines = ["digraph aut {", "  rankdir=LR;"]
-    for v in vertices:
-        shape = "doublecircle" if v == base else "circle"
+    for v in range(aut.n):
+        shape = "doublecircle" if v == aut.base else "circle"
         lines.append('  %d [shape=%s];' % (v, shape))
-    for u, letter, v in sorted(aut_edges):
-        lines.append('  %d -> %d [label="%s"];' % (u, v, names[letter]))
+    for u, letter, v in aut.pos_edges():
+        lines.append('  %d -> %d [label="%s"];' % (u, v, labels[letter]))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -17,9 +17,9 @@ import os
 import random
 import sys
 
-from .automata import (InverseAutomaton, as_inverse_automaton, core_of_words, fold,
-                       member, rank_from_core, read_aut, to_dot, transition_group,
-                       write_aut)
+from .automata import (InverseAutomaton, LabeledGraph, as_inverse_automaton,
+                       core_of_words, fold, member, rank_from_core, read_aut, to_dot,
+                       transition_group, write_aut)
 from .closure import closure_at_level, product_membership_at_level, subgroup_image
 from .completion import complete_to_alternating, smallest_prime_greater
 from .constellations import amalgams_of, assemble_AG, maximal_constellations
@@ -31,11 +31,7 @@ from .gaschuetz import (GaschuetzLayer, TowerSpec, build_tower, center,
 from .groups import (CyclicSpec, ExtensionSpec, KleinSpec, PermSpec, ProductSpec,
                      abelianization, canonical_morphism, check_size, materialize)
 from .perms import alternating_certificate, parse_cycles
-from .words import ASCII_LETTERS, Alphabet, Word, format_word, parse_word
-
-
-class InputError(ValueError):
-    pass
+from .words import ASCII_LETTERS, Word, format_word, parse_word
 
 
 SPEC_DEPTH = 64  # deepest nesting of gaschutz / tilde / prodA in a group spec
@@ -52,14 +48,14 @@ def _split_top(text: str, sep: str) -> list[str]:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise InputError("unbalanced parentheses in %r" % text)
+                raise ValueError("unbalanced parentheses in %r" % text)
         if ch == sep and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
             cur.append(ch)
     if depth:
-        raise InputError("unbalanced parentheses in %r" % text)
+        raise ValueError("unbalanced parentheses in %r" % text)
     parts.append("".join(cur))
     return parts
 
@@ -69,17 +65,17 @@ def _letter_args(parts: list[str]) -> list[str]:
     values: dict[int, str] = {}
     for part in parts:
         if "=" not in part:
-            raise InputError("expected letter=value, got %r" % part)
+            raise ValueError("expected letter=value, got %r" % part)
         name, value = part.split("=", 1)
         name = name.strip()
         if len(name) != 1 or name not in ASCII_LETTERS:
-            raise InputError("letter names must be single characters a-z, got %r" % name)
+            raise ValueError("letter names must be single characters a-z, got %r" % name)
         idx = ASCII_LETTERS.index(name)
         if idx in values:
-            raise InputError("letter %s assigned twice" % name)
+            raise ValueError("letter %s assigned twice" % name)
         values[idx] = value.strip()
     if sorted(values) != list(range(len(values))) or not values:
-        raise InputError("letters must be contiguous starting at a")
+        raise ValueError("letters must be contiguous starting at a")
     return [values[i] for i in range(len(values))]
 
 
@@ -88,53 +84,44 @@ def parse_group_spec(text: str, depth: int = 0):
     perm(n; a=(0 1 2)), gaschutz(<spec>, p), tilde(<spec>, p),
     prodA(<spec>, <spec>); nested at most SPEC_DEPTH deep."""
     if depth > SPEC_DEPTH:
-        raise InputError("group spec nested deeper than %d" % SPEC_DEPTH)
+        raise ValueError("group spec nested deeper than %d" % SPEC_DEPTH)
     text = text.strip()
     if "(" not in text or not text.endswith(")"):
-        raise InputError("malformed group spec %r" % text)
+        raise ValueError("malformed group spec %r" % text)
     name, inner = text.split("(", 1)
     name = name.strip()
     inner = inner[:-1]
     if name == "cyclic":
         head, _, rest = inner.partition(";")
         images = _letter_args([p for p in _split_top(rest, ",") if p.strip()])
-        try:
-            return CyclicSpec(int(head), tuple(int(v) for v in images))
-        except ValueError as exc:
-            raise InputError(str(exc))
+        return CyclicSpec(int(head), tuple(int(v) for v in images))
     if name == "klein":
         images = _letter_args([p for p in _split_top(inner, ",") if p.strip()])
         for v in images:
             if len(v) != 2 or any(ch not in "01" for ch in v):
-                raise InputError("klein images are two bits, got %r" % v)
+                raise ValueError("klein images are two bits, got %r" % v)
         return KleinSpec(tuple((int(v[0]), int(v[1])) for v in images))
     if name == "perm":
         head, _, rest = inner.partition(";")
-        try:
-            degree = int(head)
-        except ValueError as exc:
-            raise InputError(str(exc))
+        degree = int(head)
         if degree < 0:
-            raise InputError("permutation degree must be nonnegative, got %d" % degree)
+            raise ValueError("permutation degree must be nonnegative, got %d" % degree)
         check_size(degree, "permutation degree")
         images = _letter_args([p for p in _split_top(rest, ",") if p.strip()])
         return PermSpec(degree, tuple(parse_cycles(v, degree) for v in images))
     if name in ("gaschutz", "tilde"):
         parts = _split_top(inner, ",")
         if len(parts) != 2:
-            raise InputError("%s(<spec>, p) takes two arguments" % name)
-        try:
-            p = int(parts[1])
-        except ValueError as exc:
-            raise InputError(str(exc))
-        return ExtensionSpec(parse_group_spec(parts[0], depth + 1), p, tilde=name == "tilde")
+            raise ValueError("%s(<spec>, p) takes two arguments" % name)
+        return ExtensionSpec(parse_group_spec(parts[0], depth + 1), int(parts[1]),
+                             tilde=name == "tilde")
     if name == "prodA":
         parts = _split_top(inner, ",")
         if len(parts) != 2:
-            raise InputError("prodA(<spec>, <spec>) takes two arguments")
+            raise ValueError("prodA(<spec>, <spec>) takes two arguments")
         return ProductSpec(parse_group_spec(parts[0], depth + 1),
                            parse_group_spec(parts[1], depth + 1))
-    raise InputError("unknown group constructor %r" % name)
+    raise ValueError("unknown group constructor %r" % name)
 
 
 def parse_layers(text: str) -> tuple[tuple[int, bool], ...]:
@@ -148,44 +135,31 @@ def parse_layers(text: str) -> tuple[tuple[int, bool], ...]:
         try:
             p = int(token[1:] if tilde else token)
         except ValueError:
-            raise InputError("malformed layer %r" % token)
+            raise ValueError("malformed layer %r" % token)
         layers.append((p, tilde))
     return tuple(layers)
-
-
-def _parse_word(text: str, n_letters: int) -> Word:
-    try:
-        return parse_word(text, Alphabet.of_size(n_letters))
-    except ValueError as exc:
-        raise InputError(str(exc))
 
 
 def _parse_wordlist(text: str, n_letters: int | None = None) -> tuple[list[Word], int]:
     """Comma-separated words; alphabet size inferred when not given."""
     texts = [t.strip() for t in text.split(",") if t.strip()]
-    words = [_parse_word(t, n_letters if n_letters is not None else 26) for t in texts]
+    words = [parse_word(t, n_letters if n_letters is not None else 26) for t in texts]
     if n_letters is None:
         n_letters = max(max((w.max_letter() + 1 for w in words), default=1), 1)
     return words, n_letters
 
 
-def _read_automaton(path: str) -> InverseAutomaton:
-    try:
-        with open(path) as fh:
-            graph = read_aut(fh.read())
-        return as_inverse_automaton(graph)
-    except OSError as exc:
-        raise InputError(str(exc))
+def _read_graph(path: str) -> LabeledGraph:
+    """The .aut file at path; its letter_names name the letters in every
+    output made from it."""
+    with open(path) as fh:
+        return read_aut(fh.read())
 
 
 # ---------------------------------------------------------------- reports
 
-def _letter_name(letter: int) -> str:
-    return ASCII_LETTERS[letter]
-
-
 def _edge_json(edge: tuple[int, int]) -> list:
-    return [edge[0], _letter_name(edge[1])]
+    return [edge[0], ASCII_LETTERS[edge[1]]]
 
 
 def _check_printable(value) -> None:
@@ -204,7 +178,7 @@ def _emit(args, payload: dict) -> None:
         try:
             _check_printable(value)
         except ValueError:
-            raise InputError("%s has more than %d digits, too many to print"
+            raise ValueError("%s has more than %d digits, too many to print"
                              % (key, sys.get_int_max_str_digits())) from None
     out = getattr(args, "out", None)
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
@@ -212,22 +186,21 @@ def _emit(args, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_aut_file(args, aut) -> None:
+def _write_aut_file(args, aut, names=None) -> None:
     if getattr(args, "aut_out", None):
         with open(args.aut_out, "w") as fh:
-            fh.write(write_aut(aut))
+            fh.write(write_aut(aut, names))
 
 
 # ------------------------------------------------------------ subcommands
 
 def _cmd_fold(args) -> int:
-    with open(args.automaton) as fh:
-        graph = read_aut(fh.read())
-    aut = fold(graph)
-    _write_aut_file(args, aut)
-    payload = {"command": "fold", "automaton": write_aut(aut), "n": aut.n}
+    graph = _read_graph(args.automaton)
+    aut, names = fold(graph), graph.letter_names
+    _write_aut_file(args, aut, names)
+    payload = {"command": "fold", "automaton": write_aut(aut, names), "n": aut.n}
     if args.dot:
-        payload["dot"] = to_dot(aut)
+        payload["dot"] = to_dot(aut, names)
     _emit(args, payload)
     return 0
 
@@ -245,7 +218,7 @@ def _cmd_core(args) -> int:
 
 def _cmd_member(args) -> int:
     gens, n_letters = _parse_wordlist(args.gens, args.letters)
-    w = _parse_word(args.word, n_letters if args.letters is not None else 26)
+    w = parse_word(args.word, n_letters if args.letters is not None else 26)
     n_letters = max(n_letters, w.max_letter() + 1)
     aut = core_of_words(gens, n_letters)
     ok = member(aut, w)
@@ -283,7 +256,7 @@ def _cmd_amalgam(args) -> int:
     group = materialize(parse_group_spec(args.group))
     auts = amalgams_of(group)
     if not 0 <= args.index < len(auts):
-        raise InputError("index %d out of range (%d amalgams)" % (args.index, len(auts)))
+        raise ValueError("index %d out of range (%d amalgams)" % (args.index, len(auts)))
     aut = auts[args.index]
     _write_aut_file(args, aut)
     _emit(args, {"command": "amalgam", "index": args.index, "count": len(auts),
@@ -299,48 +272,49 @@ def _cmd_ag(args) -> int:
     return 0
 
 
-def _certificate_json(cert) -> dict:
+def _certificate_json(cert, names: tuple[str, ...]) -> dict:
     return {
         "degree": cert.degree,
         "transitive": cert.transitive,
         "primitive": cert.primitive,
         "all_even": cert.all_even,
         "prime_cycle": None if cert.prime_cycle is None else
-            [cert.prime_cycle[0], cert.prime_cycle[1], _letter_name(cert.prime_cycle[2])],
+            [cert.prime_cycle[0], cert.prime_cycle[1], names[cert.prime_cycle[2]]],
         "valid": cert.valid(),
     }
 
 
 def _cmd_complete_alternating(args) -> int:
-    aut = _read_automaton(args.automaton)
+    graph = _read_graph(args.automaton)
+    aut, names = as_inverse_automaton(graph), graph.letter_names
     if args.n is None and args.k is None:
-        raise InputError("one of --n or --k is required")
+        raise ValueError("one of --n or --k is required")
     if args.n is not None:
         n = args.n
     else:
         n = aut.n + smallest_prime_greater(aut.n) + args.k + 2
     completed, cert, plan = complete_to_alternating(aut, n, seed=args.seed)
-    _write_aut_file(args, completed)
+    _write_aut_file(args, completed, names)
     _emit(args, {
         "command": "complete-alternating",
-        "automaton": write_aut(completed),
+        "automaton": write_aut(completed, names),
         "m": plan.m, "q": plan.q, "k": plan.k, "n": plan.n,
-        "certificate": _certificate_json(cert),
+        "certificate": _certificate_json(cert, names),
     })
     return 0 if cert.valid() else 1
 
 
 def _cmd_certify_an(args) -> int:
-    aut = _read_automaton(args.automaton)
-    cert = alternating_certificate(transition_group(aut))
-    _emit(args, {"command": "certify-an", **_certificate_json(cert)})
+    graph = _read_graph(args.automaton)
+    cert = alternating_certificate(transition_group(as_inverse_automaton(graph)))
+    _emit(args, {"command": "certify-an", **_certificate_json(cert, graph.letter_names)})
     return 0 if cert.valid() else 1
 
 
 def _layer_from_spec(args) -> GaschuetzLayer:
     spec = parse_group_spec(args.group)
     if not isinstance(spec, ExtensionSpec):
-        raise InputError("expected a gaschutz(...) or tilde(...) group spec")
+        raise ValueError("expected a gaschutz(...) or tilde(...) group spec")
     return GaschuetzLayer(materialize(spec.inner), spec.p, tilde=spec.tilde)
 
 
@@ -378,11 +352,11 @@ def _cmd_evaluate(args) -> int:
     spec = parse_group_spec(args.group)
     if isinstance(spec, ExtensionSpec):
         layer = GaschuetzLayer(materialize(spec.inner), spec.p, tilde=spec.tilde)
-        w = _parse_word(args.word, layer.base.n_letters)
+        w = parse_word(args.word, layer.base.n_letters)
         trivial = layer.is_identity(w)
     else:
         group = materialize(spec)
-        w = _parse_word(args.word, group.n_letters)
+        w = parse_word(args.word, group.n_letters)
         trivial = group.evaluate(w) == 0
     _emit(args, {"command": "evaluate", "word": format_word(w),
                  "result": "identity" if trivial else "non-identity"})
@@ -398,7 +372,7 @@ def _report_json(report) -> dict:
     if report.endpoint is not None:
         item["endpoint"] = report.endpoint
     if report.vector is not None:
-        item["vector"] = [[h, _letter_name(a), c]
+        item["vector"] = [[h, ASCII_LETTERS[a], c]
                           for (h, a), c in sorted(report.vector.items())]
     return item
 
@@ -423,9 +397,9 @@ def _cmd_disconnect(args) -> int:
     g_group = materialize(parse_group_spec(args.base))
     phi = canonical_morphism(h_group, g_group)
     if phi is None:
-        raise InputError("no letter-respecting morphism between the given groups")
+        raise ValueError("no letter-respecting morphism between the given groups")
     if len(args.letter) != 1 or args.letter not in ASCII_LETTERS[:g_group.n_letters]:
-        raise InputError("unknown letter %r" % args.letter)
+        raise ValueError("unknown letter %r" % args.letter)
     letter = ASCII_LETTERS.index(args.letter)
     four = disconnection_equivalence(phi, letter, args.sign)
     agree = len(set(four)) == 1
@@ -503,7 +477,7 @@ def _cmd_rz_member(args) -> int:
     for chunk in args.subgroups.split("|"):
         gens, _ = _parse_wordlist(chunk, group.n_letters)
         subgroups.append(gens)
-    w = _parse_word(args.word, group.n_letters)
+    w = parse_word(args.word, group.n_letters)
     ok = product_membership_at_level(w, subgroups, group)
     _emit(args, {"command": "rz-member", "word": format_word(w), "member": ok})
     return 0 if ok else 1
@@ -539,9 +513,9 @@ def _random_corpus_automaton(rng: random.Random, m: int, n_letters: int = 2
 
 def _cmd_corpus(args) -> int:
     if args.m_min < 3:
-        raise InputError("m must be at least 3 (completion precondition)")
+        raise ValueError("m must be at least 3 (completion precondition)")
     if args.m_max < args.m_min:
-        raise InputError("empty m range")
+        raise ValueError("empty m range")
     check_size(args.m_max, "corpus automaton size m")
     check_size(args.count, "corpus count")
     rng = random.Random(args.seed)

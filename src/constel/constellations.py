@@ -17,7 +17,6 @@ from .automata import (
     Subgraph,
     amalgam,
     bfs_tree,
-    canonical,
     embed_check,
     full_subgraph,
     write_aut,
@@ -182,7 +181,7 @@ def amalgams_of(group: MaterializedGroup) -> list[InverseAutomaton]:
         if key in seen:
             continue
         seen.add(key)
-        out.append(canonical(amalgam(pair.xi, pair.theta)))
+        out.append(amalgam(pair.xi, pair.theta))  # fold returns it canonical
     out.sort(key=write_aut)
     return out
 

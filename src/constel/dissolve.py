@@ -44,7 +44,7 @@ from .constellations import Constellation, delta_a, maximal_constellations
 from .errors import VerificationError
 from .gaschuetz import GaschuetzLayer, Tower
 from .groups import (MaterializedGroup, Morphism, OrderBoundError, check_size, coset_walk,
-                     subgroup_closure, traversal_vector)
+                     format_size, subgroup_closure, traversal_vector)
 from .words import ASCII_LETTERS, Word
 
 Vec = dict[tuple[int, int], int]
@@ -409,8 +409,8 @@ def key_lemma_report(g_group: MaterializedGroup, p: int, k_set) -> KeyLemmaRepor
         raise ValueError("K is not a subgroup")
     layer = GaschuetzLayer(g_group, p, tilde=True)
     if layer.order() > MATERIALIZE_BOUND:
-        raise OrderBoundError("layer order %d exceeds the bound %d"
-                              % (layer.order(), MATERIALIZE_BOUND))
+        raise OrderBoundError("layer order %s exceeds the bound %d"
+                              % (format_size(layer.order()), MATERIALIZE_BOUND))
     h_group, phi = layer.cover()
     l_set = frozenset(h for h in range(h_group.order) if phi(h) in k_set)
     coset, _, _, _ = coset_walk(g_group, k_set)  # element of G -> index of its coset K.g

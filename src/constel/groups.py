@@ -88,15 +88,19 @@ class OrderBoundError(ValueError):
     pass
 
 
+def format_size(n: int) -> str:
+    """n in decimal, or as ">= 2^k" past Python's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return ">= 2^%d" % (n.bit_length() - 1)
+
+
 def check_size(n: int, what: str) -> None:
     """Refuse to build something of size n past DEFAULT_BOUND, read at
     call time.  Callers check before they allocate."""
     if n > DEFAULT_BOUND:
-        try:
-            size = str(n)
-        except ValueError:  # past Python's int-to-str digit limit
-            size = ">= 2^%d" % (n.bit_length() - 1)
-        raise OrderBoundError("%s %s exceeds the bound %d" % (what, size, DEFAULT_BOUND))
+        raise OrderBoundError("%s %s exceeds the bound %d" % (what, format_size(n), DEFAULT_BOUND))
 
 
 class MaterializedGroup:

@@ -13,38 +13,6 @@ ASCII_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 @dataclass(frozen=True)
-class Alphabet:
-    """Ordered alphabet of distinct single lowercase ASCII letters."""
-
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.names) == 0:
-            raise ValueError("alphabet must have at least one letter")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("alphabet letters must be distinct")
-        for c in self.names:
-            if len(c) != 1 or c not in ASCII_LETTERS:
-                raise ValueError("alphabet letter must be a single lowercase ascii letter, got %r" % (c,))
-
-    @classmethod
-    def of_size(cls, k: int) -> "Alphabet":
-        if not 1 <= k <= 26:
-            raise ValueError("alphabet size must be between 1 and 26")
-        return cls(tuple(ASCII_LETTERS[:k]))
-
-    @property
-    def size(self) -> int:
-        return len(self.names)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ValueError("letter %r not in alphabet %s" % (name, "".join(self.names))) from None
-
-
-@dataclass(frozen=True)
 class Word:
     """Sequence of signed letters; `reduced` caches free reduction and
     does not take part in equality."""
@@ -69,18 +37,11 @@ class Word:
     def __invert__(self) -> "Word":
         return invert(self)
 
-    def reduce(self) -> "Word":
-        return reduce(self)
-
     def max_letter(self) -> int:
         return max((idx for idx, _ in self.letters), default=-1)
 
 
 EMPTY = Word((), reduced=True)
-
-
-def word(pairs) -> Word:
-    return Word(tuple(pairs))
 
 
 def reduce(w: Word) -> Word:
@@ -110,9 +71,20 @@ def power(w: Word, k: int) -> Word:
     return Word(w.letters * k)
 
 
-def parse_word(text: str, alphabet: Alphabet) -> Word:
-    """Parse compact ("abA") or verbose ("a b^-1 a") word syntax."""
+def parse_word(text: str, n_letters: int) -> Word:
+    """Parse compact ("abA") or verbose ("a b^-1 a") word syntax over
+    the letters a, b, ... of an n_letters-letter alphabet."""
     from .groups import check_size  # groups imports this module
+
+    if not 1 <= n_letters <= len(ASCII_LETTERS):
+        raise ValueError("alphabet size must be between 1 and 26")
+    names = tuple(ASCII_LETTERS[:n_letters])  # a tuple: str.index would find "ab" and ""
+
+    def index(name: str) -> int:
+        try:
+            return names.index(name)
+        except ValueError:
+            raise ValueError("letter %r not in alphabet %s" % (name, "".join(names))) from None
 
     text = text.strip()
     if text in ("", "1"):
@@ -125,7 +97,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
                 k = int(exp)
             else:
                 name, k = tok, 1
-            powers.append((alphabet.index(name), k))
+            powers.append((index(name), k))
         check_size(sum(abs(k) for _, k in powers), "word length")
         pairs: list[tuple[int, int]] = []
         for idx, k in powers:
@@ -134,9 +106,9 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     pairs = []
     for ch in text:
         if ch.islower():
-            pairs.append((alphabet.index(ch), 1))
+            pairs.append((index(ch), 1))
         elif ch.isupper():
-            pairs.append((alphabet.index(ch.lower()), -1))
+            pairs.append((index(ch.lower()), -1))
         else:
             raise ValueError("bad character %r in word %r" % (ch, text))
     return Word(tuple(pairs))

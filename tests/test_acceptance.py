@@ -26,10 +26,10 @@ from constel.groups import (CyclicSpec, ExtensionSpec, KleinSpec, PermSpec,
                             abelianization, canonical_morphism,
                             identity_morphism, materialize, subgroup_closure)
 from constel.perms import from_cycles
-from constel.words import Alphabet, Word, parse_word, reduce
+from constel.words import Word, parse_word, reduce
 from group_elements import element_list
 
-A2 = Alphabet.of_size(2)
+A2 = 2
 Z2 = CyclicSpec(2, (1, 1))
 KLEIN = KleinSpec(((1, 0), (0, 1)))
 

@@ -12,9 +12,9 @@ from constel.automata import (InverseAutomaton, LabeledGraph, Subgraph,
                               product_automaton, rank_from_core, read_aut,
                               span_from_base, subgraph_automaton, to_dot,
                               transition_group, tree_word, trim, write_aut)
-from constel.words import Alphabet, Word, parse_word, reduce, word
+from constel.words import Word, parse_word, reduce
 
-A2 = Alphabet.of_size(2)
+A2 = 2
 
 
 def w(text: str) -> Word:
@@ -109,9 +109,9 @@ def test_member_accepts_generator_products():
     rng = random.Random(24)
     for _ in range(100):
         parts = [rng.choice(gens) for _ in range(rng.randrange(1, 6))]
-        prod = word(pair for part in parts
-                    for pair in (part.letters if rng.random() < 0.5
-                                 else (~part).letters))
+        prod = Word(tuple(pair for part in parts
+                          for pair in (part.letters if rng.random() < 0.5
+                                       else (~part).letters)))
         assert member(core, prod)
 
 
@@ -380,7 +380,7 @@ def test_aut_round_trip_sparse_ids_and_comments():
     aut = as_inverse_automaton(g)
     assert aut.n == 3  # ids 3, 5, 7 packed
     assert aut.base == 0
-    assert write_aut(g) == "alphabet x y\nvertex 7\nedge 3 y 5\nbase 3\n"
+    assert write_aut(aut, g.letter_names) == "alphabet x y\nvertex 2\nedge 0 y 1\nbase 0\n"
 
 
 def test_read_aut_errors():
@@ -407,3 +407,5 @@ def test_to_dot_shape():
     assert lines[-1] == "}"
     assert sum(1 for line in lines if "->" in line) == 3
     assert sum(1 for line in lines if "doublecircle" in line) == 1
+    quoted = to_dot(InverseAutomaton(2, 1, [(0, 0, 1)], 0), ('x"\\y',))
+    assert '0 -> 1 [label="x\\"\\\\y"];' in quoted

@@ -12,8 +12,9 @@ import pytest
 
 import constel
 import constel.groups
-from constel.automata import as_inverse_automaton, read_aut
+from constel.automata import as_inverse_automaton, fold, read_aut
 from constel.cli import main, parse_group_spec, parse_layers
+from constel.completion import complete_to_alternating
 from constel.groups import (DEFAULT_BOUND, CyclicSpec, ExtensionSpec, KleinSpec, PermSpec,
                             ProductSpec)
 from constel.perms import from_cycles
@@ -123,6 +124,66 @@ def test_fold_and_aut_out(tmp_path):
     assert side.read_text() == payload["automaton"]
 
 
+RENAMED_AUTS = {  # one file with an alphabet line, one whose edges skip b
+    "xy.aut": ("alphabet x y\nedge 0 x 1\nedge 1 x 2\nedge 0 y 0\nbase 0\n", ("x", "y")),
+    "ac.aut": ("edge 0 a 1\nedge 1 a 2\nedge 0 c 0\nbase 0\n", ("a", "c")),
+}
+
+
+def reread(text, names):
+    """The automaton of an .aut text, after checking it names its letters by names."""
+    graph = read_aut(text)
+    assert graph.letter_names == names
+    return as_inverse_automaton(graph)
+
+
+@pytest.mark.parametrize("name", sorted(RENAMED_AUTS))
+def test_aut_letter_names_survive_fold(tmp_path, name):
+    text, names = RENAMED_AUTS[name]
+    f = tmp_path / name
+    f.write_text(text + "edge 2 %s 3\nedge 2 %s 4\n" % (names[0], names[0]))  # folds 3 and 4
+    side = tmp_path / "out.aut"
+    payload = run_json(["fold", "--automaton", str(f), "--dot", "--aut-out", str(side)])
+    assert payload["automaton"].startswith("alphabet %s\n" % " ".join(names))
+    assert side.read_text() == payload["automaton"]
+    assert reread(payload["automaton"], names) == fold(read_aut(f.read_text()))
+    labels = {line.split('"')[1] for line in payload["dot"].splitlines() if "->" in line}
+    assert labels == set(names)
+
+
+@pytest.mark.parametrize("name", sorted(RENAMED_AUTS))
+def test_aut_letter_names_survive_completion_and_certificate(tmp_path, name):
+    text, names = RENAMED_AUTS[name]
+    f = tmp_path / name
+    f.write_text(text)
+    side = tmp_path / "out.aut"
+    for k in ("0", "3"):
+        payload = run_json(["complete-alternating", "--automaton", str(f), "--k", k,
+                            "--aut-out", str(side)])
+        assert side.read_text() == payload["automaton"]
+        completed, cert, _ = complete_to_alternating(reread(text, names), payload["n"])
+        assert reread(payload["automaton"], names) == completed
+        assert payload["certificate"]["prime_cycle"] == [
+            cert.prime_cycle[0], cert.prime_cycle[1], names[cert.prime_cycle[2]]]
+        certified = run_json(["certify-an", "--automaton", str(side)])
+        assert certified["valid"]
+        assert certified["prime_cycle"] == payload["certificate"]["prime_cycle"]
+
+
+def test_prime_cycle_letter_past_z_is_named(tmp_path):
+    # 27 letters: 25 act trivially, l25 is a 7-cycle and l26 a 3-cycle,
+    # the one prime cycle the certificate can name
+    lines = ["alphabet " + " ".join("l%d" % i for i in range(27)), "base 0"]
+    for v in range(7):
+        lines += ["edge %d l%d %d" % (v, k, v) for k in range(25)]
+        lines += ["edge %d l25 %d" % (v, (v + 1) % 7),
+                  "edge %d l26 %d" % (v, {0: 1, 1: 2, 2: 0}.get(v, v))]
+    f = tmp_path / "wide.aut"
+    f.write_text("\n".join(lines) + "\n")
+    payload = run_json(["certify-an", "--automaton", str(f)])
+    assert payload["valid"] and payload["prime_cycle"] == [3, 1, "l26"]
+
+
 def test_core_golden():
     payload = run_json(["core", "--gens", "aa,b"])
     assert payload["automaton"] == "edge 0 a 1\nedge 0 b 0\nedge 1 a 0\nbase 0\n"
@@ -197,6 +258,14 @@ def test_unprintable_order_exits_2_with_nothing_on_stdout(tmp_path):
     report = tmp_path / "report.json"
     assert run(["gaschutz-info", "--group", group, "--out", str(report)])[0] == 2
     assert not report.exists()
+
+
+def test_key_lemma_refuses_an_unprintable_layer_order():
+    # the tilde layer over a 20000-element group has order past 2^20000
+    code, out, err = run(["key-lemma", "--group", "cyclic(20000;a=1,b=1)", "--p", "2",
+                          "--subgroup", "ab"])
+    assert (code, out) == (2, "")
+    assert "layer order >= 2^" in err and "exceeds the bound 100000" in err
 
 
 def test_center_command():
@@ -482,14 +551,18 @@ def test_cli_fuzz_exits_0_1_or_2(monkeypatch, tmp_path):
     def aut_texts(draw):
         # per letter a permutation, a path, a partial injection or any edges, then
         # a base and junk lines; a path on a and an injection on b is folded,
-        # connected and incomplete, and two permutations of degree 5-8 can be certified
+        # connected and incomplete, and two permutations of degree 5-8 can be certified.
+        # Letters are a, b, c or drawn names, with or without an alphabet line
         n = draw(st.sampled_from((5, 7, 3, 8, 6, 1, 2, 4)))
-        lines = []
+        names = draw(st.one_of(st.just("abc"), st.lists(
+            st.sampled_from(("a", "b", "c", "x", "y", "z", "ab", "l26")),
+            min_size=3, max_size=3, unique=True)))
+        lines = draw(st.sampled_from(([], ["alphabet " + " ".join(names)])))
         kinds = draw(st.one_of(
             st.sampled_from((("path", "injection"), ("permutation", "permutation"))),
             st.lists(st.sampled_from(("permutation", "path", "injection", "any")),
                      min_size=1, max_size=3)))
-        for name, kind in zip("abc", kinds):
+        for name, kind in zip(names, kinds):
             if kind == "permutation":
                 pairs = list(enumerate(draw(st.permutations(range(n)))))
             elif kind == "path":
@@ -512,11 +585,20 @@ def test_cli_fuzz_exits_0_1_or_2(monkeypatch, tmp_path):
     valid_groups = st.sampled_from((Z2, "klein(a=10,b=01)", "perm(3;a=(0 1),b=(1 2))"))
     aut_file = str(tmp_path / "fuzz.aut")
 
+    gen_words = st.one_of(st.text(alphabet="abAB", min_size=1, max_size=4), words)
+    word_lists = st.lists(gen_words, min_size=1, max_size=3).map(",".join)
+    letter_counts = st.sampled_from(([], ["--letters", "1"], ["--letters", "2"],
+                                     ["--letters", "0"], ["--letters", "27"]))
+    primes = st.sampled_from((2, 2, 3, 5, 4, 0)).map(str)
+    corpus_dir = str(tmp_path / "corpus")
+
     @st.composite
     def argvs(draw):  # (argv, text of the .aut file it reads or None)
-        command = draw(st.sampled_from(("evaluate", "abelianization", "cayley",
-                                        "constellations", "dissolve", "key-lemma",
-                                        "fold", "complete-alternating", "certify-an")))
+        command = draw(st.sampled_from((
+            "evaluate", "abelianization", "cayley", "constellations", "dissolve",
+            "key-lemma", "fold", "complete-alternating", "certify-an", "core", "member",
+            "closure", "rz-member", "disconnect", "center", "gaschutz-info", "rank-check",
+            "corpus")))
         if command in ("fold", "complete-alternating", "certify-an"):
             argv = [command, "--automaton", aut_file]
             if command == "fold":
@@ -524,22 +606,60 @@ def test_cli_fuzz_exits_0_1_or_2(monkeypatch, tmp_path):
             if command == "complete-alternating":
                 argv += draw(completion_sizes) + ["--seed", str(draw(st.integers(0, 3)))]
             return argv, draw(aut_texts())
-        argv = [command, "--group", draw(st.one_of(valid_groups, specs)
-                                         if command == "key-lemma" else specs)]
+        if command in ("core", "member"):
+            argv = [command, "--gens", draw(word_lists)] + draw(letter_counts)
+            return argv + (["--word", draw(words)] if command == "member" else []), None
+        if command == "corpus":
+            sizes = draw(st.sampled_from(((3, 8), (2, 5), (5, 4), (3, 3), (4, 12))))
+            return [command, "--seed", str(draw(st.integers(0, 3))),
+                    "--count", str(draw(st.sampled_from((0, 1, 3, bound + 1)))),
+                    "--m-min", str(sizes[0]), "--m-max", str(sizes[1]),
+                    "--dir", corpus_dir], None
+        if command in ("closure", "rz-member"):
+            argv = [command, "--level", draw(st.one_of(valid_groups, specs))]
+            if command == "closure":
+                return argv + ["--gens", draw(word_lists)], None
+            return argv + ["--word", draw(words), "--subgroups", "|".join(
+                draw(st.lists(word_lists, min_size=1, max_size=2)))], None
+        if command == "disconnect":  # a layer over its base, or any two specs
+            if draw(st.booleans()):
+                base = draw(valid_groups)
+                group = "%s(%s,%d)" % (draw(st.sampled_from(("gaschutz", "tilde"))), base,
+                                       draw(st.sampled_from((2, 3))))
+            else:
+                base, group = draw(specs), draw(specs)
+            return [command, "--group", group, "--base", base,
+                    "--letter", draw(st.sampled_from(("a", "b", "c", "ab", ""))),
+                    "--sign", draw(st.sampled_from(("1", "-1")))], None
+        argv = [command, "--group", draw(
+            st.one_of(valid_groups, specs) if command == "key-lemma" else
+            st.one_of(extension(), specs) if command in ("center", "gaschutz-info") else specs)]
         if command == "evaluate":
             argv += ["--word", draw(words)]
         if command == "dissolve":
             argv += ["--layers", draw(layers)] + draw(st.sampled_from(([], ["--weak"])))
         if command == "key-lemma":
-            argv += ["--p", str(draw(st.sampled_from((2, 2, 3, 5, 4, 0)))),
-                     "--subgroup", ",".join(draw(st.lists(st.one_of(
-                         st.text(alphabet="abAB", min_size=1, max_size=4), words),
-                         min_size=1, max_size=3)))]
+            argv += ["--p", draw(primes), "--subgroup", draw(word_lists)]
+        if command == "rank-check":
+            argv += ["--p", draw(primes)] + draw(st.sampled_from(([], ["--tilde"])))
         return argv, None
 
-    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None,
+    # one success path per command whose random draws seldom reach it;
+    # x is a 7-cycle and y a 3-cycle, so the certificate names y
+    renamed_a7 = "alphabet x y\n" + "".join(
+        "edge %d x %d\nedge %d y %d\n" % (v, (v + 1) % 7, v, {0: 1, 1: 2, 2: 0}.get(v, v))
+        for v in range(7))
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None,
                          suppress_health_check=list(hypothesis.HealthCheck))
     @hypothesis.given(argvs())
+    @hypothesis.example((["key-lemma", "--group", Z2, "--p", "2", "--subgroup", "a"], None))
+    @hypothesis.example((["evaluate", "--group", Z2, "--word", "a"], None))
+    @hypothesis.example((["disconnect", "--group", "tilde(%s,2)" % Z2, "--base", Z2,
+                          "--letter", "b"], None))
+    @hypothesis.example((["certify-an", "--automaton", aut_file], renamed_a7))
+    @hypothesis.example((["fold", "--automaton", aut_file, "--dot"], renamed_a7 + "edge 0 y 7\n"))
+    @hypothesis.example((["corpus", "--count", "2", "--dir", corpus_dir], None))
     def check(argv_text):
         argv, text = argv_text
         if text is not None:

@@ -13,9 +13,9 @@ from constel.errors import VerificationError
 from constel.gaschuetz import TowerSpec
 from constel.groups import CyclicSpec, KleinSpec, PermSpec, materialize
 from constel.perms import from_cycles
-from constel.words import Alphabet, Word, parse_word
+from constel.words import Word, parse_word
 
-A2 = Alphabet.of_size(2)
+A2 = 2
 
 
 def w(text: str) -> Word:

@@ -13,9 +13,9 @@ from constel.constellations import amalgams_of, assemble_AG
 from constel.errors import VerificationError
 from constel.groups import DEFAULT_BOUND, CyclicSpec, PermSpec, materialize
 from constel.perms import PermGroupGens, from_cycles
-from constel.words import Alphabet, Word, parse_word, reduce
+from constel.words import Word, parse_word, reduce
 
-A2 = Alphabet.of_size(2)
+A2 = 2
 
 
 def w(text: str) -> Word:

@@ -13,10 +13,10 @@ from constel.groups import (CyclicSpec, KleinSpec, OrderBoundError, PermSpec,
                             abelianization, canonical_morphism, materialize,
                             subgroup_closure, traversal_vector)
 from constel.perms import from_cycles
-from constel.words import Alphabet, Word, parse_word
+from constel.words import Word, parse_word
 from group_elements import element_list, sample_groups
 
-A2 = Alphabet.of_size(2)
+A2 = 2
 
 
 def w(text: str) -> Word:

@@ -17,10 +17,10 @@ from constel.groups import (DEFAULT_BOUND, CyclicSpec, ExtensionSpec, KleinSpec,
                             product_A, subgroup_closure, table_automaton,
                             traversal_vector)
 from constel.perms import from_cycles
-from constel.words import Alphabet, Word, parse_word
+from constel.words import Word, parse_word
 from group_elements import element_list, sample_groups
 
-A2 = Alphabet.of_size(2)
+A2 = 2
 
 
 def w(text: str) -> Word:

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from constel.words import (EMPTY, Alphabet, Word, concat, format_word, invert,
-                           parse_word, power, reduce, word)
+from constel.words import (EMPTY, Word, concat, format_word, invert, parse_word,
+                           power, reduce)
 
-A2 = Alphabet.of_size(2)
-A3 = Alphabet.of_size(3)
+A2 = 2
+A3 = 3
 
 
 def rand_word(rng, n_letters, length):
@@ -74,20 +74,26 @@ def test_power():
 
 
 def test_word_constructor_validates():
-    assert word([(0, 1), (1, -1)]) == parse_word("aB", A2)
+    assert Word(((0, 1), (1, -1))) == parse_word("aB", A2)
     with pytest.raises(ValueError):
-        word([(0, 2)])
+        Word(((0, 2),))
     with pytest.raises(ValueError):
-        word([(-1, 1)])
+        Word(((-1, 1),))
 
 
 def test_alphabet():
-    assert A2.size == 2
-    assert A2.index("b") == 1
-    with pytest.raises(ValueError):
-        Alphabet.of_size(27)
-    with pytest.raises(ValueError):
-        A2.index("c")
+    assert parse_word("b", A2) == Word(((1, 1),))
+    assert parse_word("z", 26) == Word(((25, 1),))
+    for size in (0, 27):
+        with pytest.raises(ValueError, match="alphabet size must be between 1 and 26"):
+            parse_word("a", size)
+    with pytest.raises(ValueError, match="letter 'c' not in alphabet ab"):
+        parse_word("c", A2)
+    # letters are looked up whole: neither a two-letter name nor an empty
+    # one is a letter, though "ab".index finds both
+    for text, name in (("ab^2", "ab"), ("^2", ""), ("a ab^2", "ab")):
+        with pytest.raises(ValueError, match="letter %r not in alphabet ab" % name):
+            parse_word(text, A2)
 
 
 def test_max_letter():
