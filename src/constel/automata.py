@@ -411,9 +411,6 @@ class Subgraph:
             return True
         return len(self.component_of(min(self.vertices))) == len(self.vertices)
 
-    def intersection(self, other: "Subgraph") -> "Subgraph":
-        return Subgraph(self.parent, self.edges & other.edges, self.vertices & other.vertices)
-
     def minus_edges(self, removed) -> "Subgraph":
         return Subgraph(self.parent, self.edges - frozenset(removed), self.vertices)
 

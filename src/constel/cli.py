@@ -29,7 +29,8 @@ from .errors import VerificationError
 from .gaschuetz import (GaschuetzLayer, TowerSpec, build_tower, center,
                         layer_abelianization)
 from .groups import (CyclicSpec, ExtensionSpec, KleinSpec, PermSpec, ProductSpec,
-                     abelianization, canonical_morphism, check_size, materialize)
+                     OrderBoundError, abelianization, canonical_morphism, check_size,
+                     materialize, parse_int)
 from .perms import alternating_certificate, parse_cycles
 from .words import ASCII_LETTERS, Word, format_word, parse_word
 
@@ -94,7 +95,8 @@ def parse_group_spec(text: str, depth: int = 0):
     if name == "cyclic":
         head, _, rest = inner.partition(";")
         images = _letter_args([p for p in _split_top(rest, ",") if p.strip()])
-        return CyclicSpec(int(head), tuple(int(v) for v in images))
+        return CyclicSpec(parse_int(head, "cyclic group order"),
+                          tuple(parse_int(v, "cyclic letter image") for v in images))
     if name == "klein":
         images = _letter_args([p for p in _split_top(inner, ",") if p.strip()])
         for v in images:
@@ -103,7 +105,7 @@ def parse_group_spec(text: str, depth: int = 0):
         return KleinSpec(tuple((int(v[0]), int(v[1])) for v in images))
     if name == "perm":
         head, _, rest = inner.partition(";")
-        degree = int(head)
+        degree = parse_int(head, "permutation degree")
         if degree < 0:
             raise ValueError("permutation degree must be nonnegative, got %d" % degree)
         check_size(degree, "permutation degree")
@@ -113,8 +115,8 @@ def parse_group_spec(text: str, depth: int = 0):
         parts = _split_top(inner, ",")
         if len(parts) != 2:
             raise ValueError("%s(<spec>, p) takes two arguments" % name)
-        return ExtensionSpec(parse_group_spec(parts[0], depth + 1), int(parts[1]),
-                             tilde=name == "tilde")
+        return ExtensionSpec(parse_group_spec(parts[0], depth + 1),
+                             parse_int(parts[1], "modulus"), tilde=name == "tilde")
     if name == "prodA":
         parts = _split_top(inner, ",")
         if len(parts) != 2:
@@ -133,7 +135,9 @@ def parse_layers(text: str) -> tuple[tuple[int, bool], ...]:
             continue
         tilde = token.startswith("~")
         try:
-            p = int(token[1:] if tilde else token)
+            p = parse_int(token[1:] if tilde else token, "modulus")
+        except OrderBoundError:
+            raise
         except ValueError:
             raise ValueError("malformed layer %r" % token)
         layers.append((p, tilde))

@@ -40,7 +40,7 @@ def _check_constellations(xi: Subgraph, theta: Subgraph, g_choices) -> None:
             raise ValueError("%s must contain the base vertex and g" % name)
         if not sub.is_connected():
             raise ValueError("%s is not connected" % name)
-    upsilon = xi.intersection(theta).component_of(base)
+    upsilon = bfs_tree(xi.parent, base, xi.edges & theta.edges)  # base component of xi & theta
     if any(g in upsilon for g in g_choices):
         raise ValueError("base and g lie in one component of the intersection")
 
@@ -65,6 +65,7 @@ class Constellation:
 
 @dataclass(frozen=True, eq=False)
 class MinimalCut:
+    full: Subgraph  # the whole graph, shared by all its cuts
     cut: frozenset[tuple[int, int]]
     near: frozenset[int]  # side containing the base vertex
     far: frozenset[int]
@@ -77,6 +78,7 @@ def minimal_cut_sets(aut: InverseAutomaton) -> list[MinimalCut]:
     so the sides are connected iff the searches from the anchor and from
     the least far vertex reach all n vertices together."""
     check_size(2 ** (aut.n - 1), "vertex bipartitions")
+    full = full_subgraph(aut)
     anchor = aut.base if aut.base is not None else 0
     others = [v for v in range(aut.n) if v != anchor]
     edges = aut.pos_edges()
@@ -88,14 +90,15 @@ def minimal_cut_sets(aut: InverseAutomaton) -> list[MinimalCut]:
             (cut if (u in far) != (v in far) else kept).add((u, letter))
         if (len(bfs_tree(aut, anchor, kept)) == aut.n - len(far)
                 and len(bfs_tree(aut, min(far), kept)) == len(far)):
-            out.append(MinimalCut(frozenset(cut), frozenset(range(aut.n)) - far, far))
+            out.append(MinimalCut(full, frozenset(cut), frozenset(range(aut.n)) - far, far))
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class MaxConstellationPair:
-    xi: Subgraph
-    theta: Subgraph
+    """A maximal pair is its bond and its split: Xi = Gamma - C_Theta and
+    Theta = Gamma - C_Xi are built on each access, not stored."""
+
     cut: MinimalCut
     c_xi: frozenset[tuple[int, int]]
     c_theta: frozenset[tuple[int, int]]
@@ -119,36 +122,34 @@ class MaxConstellationPair:
         if not all(g in self.cut.far for g in self.g_choices):
             raise ValueError("every g must lie on the far side of the cut")
 
+    @property
+    def xi(self) -> Subgraph:
+        return self.cut.full.minus_edges(self.c_theta)
+
+    @property
+    def theta(self) -> Subgraph:
+        return self.cut.full.minus_edges(self.c_xi)
+
     def constellation(self, g: int) -> Constellation:
         return Constellation(self.xi, g, self.theta)
 
     def constellations(self) -> list[Constellation]:
-        return [Constellation(self.xi, g, self.theta) for g in self.g_choices]
+        xi, theta = self.xi, self.theta
+        return [Constellation(xi, g, theta) for g in self.g_choices]
 
 
 def maximal_constellations(group: MaterializedGroup) -> list[MaxConstellationPair]:
     """All ordered pairs (C_Xi, C_Theta) over all minimal cuts, with the
     far-side vertices as g choices.  Every pair is checked against its
     bond.  The pair count is refused before any is built."""
-    gamma = group.cayley
-    full = full_subgraph(gamma)
-    cuts = minimal_cut_sets(gamma)
+    cuts = minimal_cut_sets(group.cayley)
     check_size(sum(2 ** len(mc.cut) - 2 for mc in cuts), "maximal constellation pairs")
     out = []
     for mc in cuts:
-        edges = sorted(mc.cut)
+        edges, far = sorted(mc.cut), tuple(sorted(mc.far))
         for mask in range(1, (1 << len(edges)) - 1):
             c_xi = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
-            c_theta = mc.cut - c_xi
-            pair = MaxConstellationPair(
-                xi=full.minus_edges(c_theta),
-                theta=full.minus_edges(c_xi),
-                cut=mc,
-                c_xi=c_xi,
-                c_theta=c_theta,
-                g_choices=tuple(sorted(mc.far)),
-            )
-            out.append(pair)
+            out.append(MaxConstellationPair(mc, c_xi, mc.cut - c_xi, far))
     return out
 
 
@@ -177,7 +178,7 @@ def amalgams_of(group: MaterializedGroup) -> list[InverseAutomaton]:
     seen = set()
     out = []
     for pair in maximal_constellations(group):
-        key = frozenset((pair.xi.edges, pair.theta.edges))
+        key = frozenset((pair.c_xi, pair.c_theta))  # in bijection with {Xi, Theta}
         if key in seen:
             continue
         seen.add(key)

@@ -3,16 +3,17 @@
 A group H over G (via the canonical letter-respecting morphism)
 dissolves a constellation (Xi, g, Theta) when no pair of words u, v
 whose paths from 1 run inside Xi resp. Theta and end at g satisfies
-[u]_H = [v]_H.  Every decision is made per maximal pair: the g choices
-of one pair (Xi, Theta) share the lifts of Xi and Theta, so each pair
-is lifted once and each g is decided from the fibers of those lifts.
-A lift is found by BFS from the identity over preimage edges, so only
-its own component of the cover is visited.  Two exact deciders are
+[u]_H = [v]_H.  Decisions read the lifts Xi^ and Theta^, the components
+of 1 of the edge preimages of Xi and Theta in Gamma(H), off one
+contraction (`_contract`, `_Lifts`) of the preimage of an edge set S
+inside Xi intersect Theta.  Every split of a bond C has Xi intersect
+Theta = Gamma - C, so each bond is contracted once, and a split only
+joins the preimages of its |C| cut edges.  Other pairs contract S = Xi
+intersect Theta in flat passes over Gamma(H).  Two exact deciders are
 provided:
 
-- reachability: materialize H, lift Xi and Theta to the components of 1
-  of their edge preimages in Gamma(H), and intersect the endpoint fibers
-  over g.  Complete because the fiber of g in the lift is exactly the
+- reachability: materialize H and intersect the fibers over g of the
+  lifts.  Complete because the fiber of g in a lift is exactly the
   set of H-endpoints of qualifying words.  Witness words come from one
   BFS tree per lift, built on first use.
 - linear: for a lazy mod-p top layer over a materialized M, the fibers
@@ -25,8 +26,7 @@ provided:
   Xi^ part: the test is whether [m] - [1] lies in the span of those at
   most |A| vectors.  For plain layers the component of 1 lies over the
   base component of Xi intersect Theta, which misses g, so plain layers
-  dissolve every constellation.  Components are labelled once per
-  pair, only when some g has shared endpoints.
+  dissolve every constellation.
 
 `dissolves_materialized` and `dissolves_linear` decide one
 constellation through the same pair deciders.
@@ -34,17 +34,18 @@ constellation through the same pair deciders.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
-from .automata import Subgraph, bfs_tree, full_subgraph, tree_word
-from .constellations import Constellation, delta_a, maximal_constellations
+from .automata import InverseAutomaton, Subgraph, bfs_tree, tree_word
+from .constellations import Constellation, MinimalCut, delta_a, maximal_constellations
 from .errors import VerificationError
 from .gaschuetz import GaschuetzLayer, Tower
 from .groups import (MaterializedGroup, Morphism, OrderBoundError, check_size, coset_walk,
                      format_size, subgroup_closure, traversal_vector)
+from .perms import _find
 from .words import ASCII_LETTERS, Word
 
 Vec = dict[tuple[int, int], int]
@@ -64,53 +65,119 @@ class DissolveReport:
     vector: Vec | None = None                 # offending difference vector
 
 
+def _contract(aut: InverseAutomaton, image: Sequence[int], edges,
+              start: list[int] | None = None) -> list[int]:
+    """comp[h]: the least vertex of the component of h in the preimage,
+    under h -> image[h], of the edge set `edges`, by union-find; joined
+    onto the labelling `start` of another preimage when one is given."""
+    parent = list(range(aut.n)) if start is None else list(start)
+    for h, g in enumerate(image):
+        for a, nxt in aut.fwd[h].items():
+            if (g, a) in edges:
+                x, y = _find(parent, h), _find(parent, nxt)
+                parent[max(x, y)] = min(x, y)  # so parent[v] <= v throughout
+    for h in range(aut.n):
+        parent[h] = parent[parent[h]]  # parent[h] < h already points at its root
+    return parent
+
+
 def reachable_lift(xi: Subgraph, h_group: MaterializedGroup, phi: Morphism
                    ) -> tuple[Subgraph, dict[int, frozenset[int]]]:
     """Component of the identity of the edge preimage of xi in Gamma(H),
     with its fibers: fibers[g] is exactly the set of H-endpoints of
-    words whose G-path from 1 stays inside xi and ends at g.  Found by
-    search from the identity over preimage edges."""
-    base = xi.parent.base
-    if base is None or not xi.has_vertex(base):
+    words whose G-path from 1 stays inside xi and ends at g.  Read off
+    the contraction of that preimage."""
+    if not xi.has_vertex(xi.parent.base):
         raise ValueError("the base vertex must lie in the subgraph")
-    gamma_h = h_group.cayley
-    fwd, bwd, image, xi_edges = gamma_h.fwd, gamma_h.bwd, phi.mapping, xi.edges
-    letters = range(gamma_h.n_letters)
-    seen = {0}
-    stack = [0]
-    edges = []
-    while stack:
-        h = stack.pop()
-        g = image[h]
-        for a in letters:
-            if (g, a) in xi_edges:
-                edges.append((h, a))
-                nxt = fwd[h][a]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-            prv = bwd[h][a]
-            if prv not in seen and (image[prv], a) in xi_edges:
-                seen.add(prv)
-                stack.append(prv)
-    fibers: dict[int, set[int]] = {}
-    for h in seen:
-        fibers.setdefault(image[h], set()).add(h)
-    lifted = Subgraph(gamma_h, frozenset(edges), frozenset(seen))
-    return lifted, {g: frozenset(s) for g, s in fibers.items()}
+    comp = frozenset(h for h, c in enumerate(_contract(h_group.cayley, phi.mapping, xi.edges))
+                     if not c)
+    edges = frozenset((h, a) for h in comp for a in range(h_group.n_letters)
+                      if (phi(h), a) in xi.edges)
+    fibers = {g: frozenset(hs).intersection(comp) for g, hs in phi.fibers().items()}
+    return Subgraph(h_group.cayley, edges, comp), {g: hs for g, hs in fibers.items() if hs}
 
 
-def _witness_words(sub: Subgraph):
-    """word(dst): label of a path from the base to dst inside the
-    subgraph, purely positive when one exists.  The positive BFS tree
-    and the signed one are each built once, on first use."""
+class _LiftView:
+    """The edges (h, a) of Gamma(H) over the edges of a subgraph of
+    Gamma(G).  From the base, bfs_tree over this view discovers the lift
+    in the order it would over the lift's own edges."""
+
+    def __init__(self, edges, image: Sequence[int]):
+        self.edges, self.image = edges, image
+
+    def __contains__(self, edge: tuple[int, int]) -> bool:
+        return (self.image[edge[0]], edge[1]) in self.edges
+
+
+class _Lifts:
+    """Xi^ and Theta^ read off `comp`, the contraction of Gamma(H) along
+    the preimage of an edge set S inside Xi intersect Theta.
+
+    Each lift is a union of contracted components, and `halves` holds
+    their labels.  A preimage of an edge of Xi - S is no edge of Theta^,
+    and vice versa, so every edge of Xi^ intersect Theta^ is a preimage
+    of S: the components of the intersection are exactly the contracted
+    components in both lifts (`both`), labelled by their least vertex."""
+
+    def __init__(self, phi: Morphism, fibers: dict[int, list[int]], comp: list[int],
+                 halves: tuple[set[int], set[int]], xi: Subgraph, theta: Subgraph):
+        self.image, self.fibers, self.comp = phi.mapping, fibers, comp
+        self.xi, self.theta, self.halves, self.both = xi, theta, halves, halves[0] & halves[1]
+
+    def shared(self, g: int) -> list[int]:
+        return [h for h in self.fibers[g] if self.comp[h] in self.both]  # ascending
+
+
+def _pair_lifts(phi: Morphism, xi: Subgraph, theta: Subgraph) -> _Lifts:
+    """Lifts of any two subgraphs containing the base, over S = Xi
+    intersect Theta: Xi - S and Theta - S are each joined onto the
+    contraction of S in one flat pass over Gamma(H)."""
+    if not (xi.has_vertex(xi.parent.base) and theta.has_vertex(xi.parent.base)):
+        raise ValueError("the base vertex must lie in the subgraph")
+    aut, image, common = phi.src.cayley, phi.mapping, xi.edges & theta.edges
+    comp = _contract(aut, image, common)
+    halves = tuple({comp[h] for h, c in enumerate(_contract(aut, image, sub.edges - common, comp))
+                    if not c} for sub in (xi, theta))
+    return _Lifts(phi, phi.fibers(), comp, halves, xi, theta)
+
+
+def _bond_lifts(phi: Morphism, cut: MinimalCut):
+    """lifts(pair) for the splits of a bond C: Gamma(H) is contracted
+    once along the preimage of Gamma(G) - C, and a split's lift is found
+    by a search over the components that preimages of its cut edges join."""
+    aut, fibers = phi.src.cayley, phi.fibers()
+    comp = _contract(aut, phi.mapping, cut.full.edges - cut.cut)
+    joins = {e: defaultdict(list) for e in cut.cut}
+    for (g, a), join in joins.items():
+        for h in fibers[g]:
+            join[comp[h]].append(comp[aut.fwd[h][a]])
+            join[comp[aut.fwd[h][a]]].append(comp[h])
+
+    def reach(half: frozenset[tuple[int, int]]) -> set[int]:
+        seen, order = {0}, [0]
+        for c in order:
+            for e in half:
+                for d in joins[e].get(c, ()):
+                    if d not in seen:
+                        seen.add(d)
+                        order.append(d)
+        return seen
+
+    # Xi = (Gamma - C) + C_Xi and Theta = (Gamma - C) + C_Theta
+    return lambda pair: _Lifts(phi, fibers, comp, (reach(pair.c_xi), reach(pair.c_theta)),
+                               pair.xi, pair.theta)
+
+
+def _witness_words(aut: InverseAutomaton, edges):
+    """word(dst): label of a path from the base to dst over `edges`,
+    purely positive when one exists.  The positive BFS tree and the
+    signed one are each built once, on first use."""
     trees: dict[bool, dict[int, tuple[int, int, int]]] = {}
 
     def word(dst: int) -> Word | None:
         for forward_only in (True, False):
             if forward_only not in trees:
-                trees[forward_only] = bfs_tree(sub.parent, sub.parent.base, sub.edges,
-                                               forward_only)
+                trees[forward_only] = bfs_tree(aut, aut.base, edges, forward_only)
             u = tree_word(trees[forward_only], dst)
             if u is not None:
                 return u
@@ -134,28 +201,33 @@ def _path_stays(sub: Subgraph, w: Word) -> bool:
     return True
 
 
+def _reach_reports(h_group: MaterializedGroup, lifts: _Lifts, g_choices: Sequence[int],
+                   labels: Sequence[str]) -> list[DissolveReport]:
+    words = None
+    out = []
+    for g, label in zip(g_choices, labels, strict=True):
+        shared = lifts.shared(g)
+        if not shared:
+            out.append(DissolveReport(label, True, "reachability"))
+            continue
+        words = words or [_witness_words(h_group.cayley, _LiftView(sub.edges, lifts.image))
+                          for sub in (lifts.xi, lifts.theta)]
+        h = shared[0]
+        u, v = words[0](h), words[1](h)
+        if (u is None or v is None
+                or not h_group.evaluate(u) == h == h_group.evaluate(v)
+                or not (_path_stays(lifts.xi, u) and _path_stays(lifts.theta, v))):
+            raise VerificationError("witness for g=%d does not re-verify" % g)
+        out.append(DissolveReport(label, False, "reachability", witness=(u, v)))
+    return out
+
+
 def dissolves_pair_materialized(h_group: MaterializedGroup, phi: Morphism,
                                 xi: Subgraph, theta: Subgraph, g_choices: Sequence[int],
                                 labels: Sequence[str]) -> list[DissolveReport]:
     """Exact reachability decisions for (xi, g, theta), one report per g
     choice, labelled by `labels`; failures carry a re-verified word pair."""
-    xi_hat, fib_xi = reachable_lift(xi, h_group, phi)
-    th_hat, fib_th = reachable_lift(theta, h_group, phi)
-    word_xi, word_th = _witness_words(xi_hat), _witness_words(th_hat)
-    out = []
-    for g, label in zip(g_choices, labels, strict=True):
-        shared = fib_xi.get(g, frozenset()) & fib_th.get(g, frozenset())
-        if not shared:
-            out.append(DissolveReport(label, True, "reachability"))
-            continue
-        h = min(shared)
-        u, v = word_xi(h), word_th(h)
-        if (u is None or v is None
-                or not h_group.evaluate(u) == h == h_group.evaluate(v)
-                or not (_path_stays(xi, u) and _path_stays(theta, v))):
-            raise VerificationError("witness for g=%d does not re-verify" % g)
-        out.append(DissolveReport(label, False, "reachability", witness=(u, v)))
-    return out
+    return _reach_reports(h_group, _pair_lifts(phi, xi, theta), g_choices, labels)
 
 
 def dissolves_materialized(h_group: MaterializedGroup, phi: Morphism,
@@ -205,11 +277,11 @@ class GFpSpan:
         return len(self.rows)
 
 
-def _tree_vectors(sub: Subgraph, p: int) -> dict[int, Vec]:
-    """Traversal vectors (mod p) of BFS-tree paths from the parent base
-    to every vertex of the connected subgraph."""
+def _tree_vectors(aut: InverseAutomaton, edges, p: int) -> dict[int, Vec]:
+    """Traversal vectors (mod p) of BFS-tree paths from the base to every
+    vertex it reaches over `edges`."""
     vecs: dict[int, Vec] = {}
-    for w, (v, letter, sign) in bfs_tree(sub.parent, sub.parent.base, sub.edges).items():
+    for w, (v, letter, sign) in bfs_tree(aut, aut.base, edges).items():
         if v < 0:
             vecs[w] = {}
             continue
@@ -224,7 +296,7 @@ def _tree_vectors(sub: Subgraph, p: int) -> dict[int, Vec]:
 
 def cycle_space_rows(sub: Subgraph, p: int) -> list[Vec]:
     """Fundamental-cycle basis of the subgraph's mod-p cycle space."""
-    vecs = _tree_vectors(sub, p)
+    vecs = _tree_vectors(sub.parent, sub.edges, p)
     rows = []
     for edge in sorted(sub.edges):
         u, _ = edge
@@ -238,51 +310,37 @@ def cycle_space_rows(sub: Subgraph, p: int) -> list[Vec]:
     return rows
 
 
-def _constant_boundary(sub: Subgraph, letter: int, p: int) -> dict[int, int]:
-    """Boundary mod p of the part inside sub of the constant vector
-    c_letter (every letter-edge once): vertex -> coefficient, zeros
-    dropped."""
-    edges = [e for e in sub.edges if e[1] == letter]
-    bnd = Counter(sub.dst(e) for e in edges)
-    bnd.subtract(h for h, _ in edges)
-    return {v: c % p for v, c in bnd.items() if c % p}
-
-
-def dissolves_pair_linear(layer: GaschuetzLayer, phi: Morphism,
-                          xi: Subgraph, theta: Subgraph, g_choices: Sequence[int],
-                          labels: Sequence[str]) -> list[DissolveReport]:
-    """Exact decisions for (xi, g, theta), one report per g choice,
-    labelled by `labels`, for a lazy top layer over the materialized
-    base of phi, without enumerating the layer.  Decided on the
-    components of the intersection of the lifts; failures carry the
-    endpoint and the difference of its signed BFS-tree vectors."""
-    m_group = layer.base
-    if phi.src is not m_group:
-        raise ValueError("morphism must start at the layer's base group")
-    xi_hat, fib_xi = reachable_lift(xi, m_group, phi)
-    th_hat, fib_th = reachable_lift(theta, m_group, phi)
-    p = layer.p
-    ids = vecs = None
+def _linear_reports(layer: GaschuetzLayer, lifts: _Lifts, g_choices: Sequence[int],
+                    labels: Sequence[str]) -> list[DissolveReport]:
+    m_group, p, comp, image = layer.base, layer.p, lifts.comp, lifts.image
+    in_xi, in_th = lifts.halves
+    span = vecs = None
     out = []
     for g, label in zip(g_choices, labels, strict=True):
         report = DissolveReport(label, True, "linear")
-        shared = sorted(fib_xi.get(g, frozenset()) & fib_th.get(g, frozenset()))
-        if shared and ids is None:
-            ids = _component_ids(xi_hat.intersection(th_hat))
+        shared = lifts.shared(g)
+        if shared and span is None:
             span = GFpSpan(p)  # per-component boundaries of the tilde constants
-            for a in range(m_group.n_letters):
-                if layer.tilde and all((h, a) in xi_hat.edges or (h, a) in th_hat.edges
-                                       for h in range(m_group.order)):
-                    row: Counter[int] = Counter()
-                    for v, c in _constant_boundary(xi_hat, a, p).items():
-                        if v not in ids:
-                            raise VerificationError("the boundary of constant %d leaves "
-                                                    "the intersection of the lifts" % a)
-                        row[ids[v]] += c
-                    span.add(row)
+            for a in range(m_group.n_letters if layer.tilde else 0):
+                if not all(comp[h] in in_xi and (image[h], a) in lifts.xi.edges
+                           or comp[h] in in_th and (image[h], a) in lifts.theta.edges
+                           for h in range(m_group.order)):
+                    continue
+                part = [h for h in range(m_group.order)
+                        if comp[h] in in_xi and (image[h], a) in lifts.xi.edges]
+                bnd = Counter(m_group.cayley.fwd[h][a] for h in part)
+                bnd.subtract(part)
+                row: Counter[int] = Counter()
+                for v, c in bnd.items():
+                    if c % p and comp[v] not in lifts.both:
+                        raise VerificationError("the boundary of constant %d leaves "
+                                                "the intersection of the lifts" % a)
+                    row[comp[v]] += c
+                span.add(row)
         for m in shared:
-            if span.contains({} if ids[m] == ids[0] else {ids[m]: 1, ids[0]: -1}):
-                vecs = vecs or (_tree_vectors(xi_hat, p), _tree_vectors(th_hat, p))
+            if span.contains({comp[m]: 1, 0: -1} if comp[m] else {}):  # 1 is in component 0
+                vecs = vecs or [_tree_vectors(m_group.cayley, _LiftView(sub.edges, image), p)
+                                for sub in (lifts.xi, lifts.theta)]
                 diff = Counter(vecs[0][m])
                 diff.subtract(vecs[1][m])
                 diff = {e: cnt % p for e, cnt in diff.items() if cnt % p}
@@ -290,6 +348,17 @@ def dissolves_pair_linear(layer: GaschuetzLayer, phi: Morphism,
                 break
         out.append(report)
     return out
+
+
+def dissolves_pair_linear(layer: GaschuetzLayer, phi: Morphism,
+                          xi: Subgraph, theta: Subgraph, g_choices: Sequence[int],
+                          labels: Sequence[str]) -> list[DissolveReport]:
+    """Exact decisions for (xi, g, theta), one report per g choice,
+    labelled by `labels`, for a lazy top layer over the materialized
+    base of phi, without enumerating the layer."""
+    if phi.src is not layer.base:
+        raise ValueError("morphism must start at the layer's base group")
+    return _linear_reports(layer, _pair_lifts(phi, xi, theta), g_choices, labels)
 
 
 def dissolves_linear(layer: GaschuetzLayer, phi: Morphism, c: Constellation,
@@ -306,33 +375,33 @@ def _letter_label(letter: int, sign: int) -> str:
 def dissolve_all(tower: Tower, weak: bool = False) -> list[DissolveReport]:
     """Dissolving reports for the tower's top group over its base, over
     the weak (delta) or the full maximal constellation family, decided
-    per pair.  Uses reachability whenever the top has at most
-    MATERIALIZE_BOUND elements.  The report count is refused before any
-    report is decided."""
+    per pair, with one contraction per bond.  Uses reachability whenever
+    the top has at most MATERIALIZE_BOUND elements.  The report count is
+    refused before any report is decided."""
     base = tower.levels[0]
     if weak:
-        pairs = []
-        for letter in range(base.n_letters):
-            for sign in (1, -1):
-                c = delta_a(base, letter, sign)
-                pairs.append((c.xi, c.theta, (c.g,), (_letter_label(letter, sign),)))
+        deltas = [(delta_a(base, letter, sign), _letter_label(letter, sign))
+                  for letter in range(base.n_letters) for sign in (1, -1)]
     else:
         pairs = maximal_constellations(base)
         check_size(sum(len(pair.g_choices) for pair in pairs), "dissolve reports")
-        pairs = [(pair.xi, pair.theta, pair.g_choices,
-                  ["max%d:g%d" % (i, g) for g in pair.g_choices])
-                 for i, pair in enumerate(pairs)]
     down = tower.morphism(len(tower.levels) - 1, 0)
     if tower.top is None:
-        decide = partial(dissolves_pair_materialized, tower.levels[-1], down)
+        phi, decide = down, partial(_reach_reports, tower.levels[-1])
     elif tower.top.order() <= MATERIALIZE_BOUND:
-        h_group, phi = tower.top.cover()
-        decide = partial(dissolves_pair_materialized, h_group, phi.compose(down))
+        h_group, cover = tower.top.cover()
+        phi, decide = cover.compose(down), partial(_reach_reports, h_group)
     else:
-        decide = partial(dissolves_pair_linear, tower.top, down)
-    reports = []
-    for xi, theta, g_choices, labels in pairs:
-        reports += decide(xi, theta, g_choices, labels)
+        phi, decide = down, partial(_linear_reports, tower.top)
+    if weak:
+        return [report for c, label in deltas
+                for report in decide(_pair_lifts(phi, c.xi, c.theta), (c.g,), (label,))]
+    reports: list[DissolveReport] = []
+    for i, pair in enumerate(pairs):
+        if not i or pair.cut is not pairs[i - 1].cut:
+            lifts = _bond_lifts(phi, pair.cut)
+        reports += decide(lifts(pair), pair.g_choices,
+                          ["max%d:g%d" % (i, g) for g in pair.g_choices])
     return reports
 
 
@@ -342,15 +411,6 @@ def is_weak_dissolver(tower: Tower) -> bool:
 
 def is_dissolver(tower: Tower) -> bool:
     return all(r.dissolved for r in dissolve_all(tower, weak=False))
-
-
-def _component_ids(sub: Subgraph) -> dict[int, int]:
-    """Vertex -> least vertex of its component."""
-    ids: dict[int, int] = {}
-    for v in sorted(sub.vertices):
-        if v not in ids:
-            ids.update(dict.fromkeys(sub.component_of(v), v))
-    return ids
 
 
 def disconnection_equivalence(phi: Morphism, letter: int, sign: int = 1
@@ -365,11 +425,10 @@ def disconnection_equivalence(phi: Morphism, letter: int, sign: int = 1
     kernel = phi.kernel()
     # n * img is one Cayley step; the geometric edge of (n, a^-1) is (n * img, a)
     removed = {(cayley.step(n, letter, sign) if sign < 0 else n, letter) for n in kernel}
-    sub = full_subgraph(cayley).minus_edges(removed)
-    ids = _component_ids(sub)
-    disconnected = len(set(ids.values())) > 1
-    separated_1 = ids[0] != ids[cayley.step(0, letter, sign)]
-    separated_all = all(ids[n] != ids[cayley.step(n, letter, sign)] for n in kernel)
+    comp = _contract(cayley, range(cayley.n), {(h, a) for h, a, _ in cayley.pos_edges()} - removed)
+    disconnected = len(set(comp)) > 1
+    separated_1 = comp[0] != comp[cayley.step(0, letter, sign)]
+    separated_all = all(comp[n] != comp[cayley.step(n, letter, sign)] for n in kernel)
     dissolved = dissolves_materialized(h_group, phi, delta_a(g_group, letter, sign)).dissolved
     return (disconnected, separated_1, separated_all, dissolved)
 
@@ -447,7 +506,8 @@ def detecting_edges_check(phi: Morphism, c: Constellation, w: Word) -> bool:
     pi_g = traversal_vector(g_group, w)
     if not set(pi_g) <= c.xi.edges:
         raise ValueError("word traversal leaves xi")
-    upsilon = c.xi.intersection(c.theta).component_of(c.base)
+    comp = _contract(c.parent, range(c.parent.n), c.xi.edges & c.theta.edges)
+    upsilon = {v for v, x in enumerate(comp) if x == comp[c.base]}
     border_out = {e for e in c.xi.edges
                   if e[0] in upsilon and c.xi.dst(e) not in upsilon}
     border_in = {e for e in c.xi.edges

@@ -16,6 +16,8 @@ coset graph of [G,G].
 
 from __future__ import annotations
 
+import re
+import sys
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -101,6 +103,16 @@ def check_size(n: int, what: str) -> None:
     call time.  Callers check before they allocate."""
     if n > DEFAULT_BOUND:
         raise OrderBoundError("%s %s exceeds the bound %d" % (what, format_size(n), DEFAULT_BOUND))
+
+
+def parse_int(text: str, what: str) -> int:
+    """int(text) of an input, read without leading zeros; a decimal
+    string still past Python's int-to-str digit limit is at least
+    10^(digits - 1) in size, and check_size refuses it as a `what`."""
+    match = re.fullmatch(r"\s*([+-]?)0*([0-9]+)\s*", text)
+    if match and len(match[2]) > sys.get_int_max_str_digits() > 0:
+        check_size(10 ** (len(match[2]) - 1), what)
+    return int(match[1] + match[2]) if match else int(text)
 
 
 class MaterializedGroup:

@@ -93,6 +93,7 @@ def from_cycles(n: int, cycles) -> Permutation:
 
 def parse_cycles(text: str, n: int) -> Permutation:
     """Parse cycle notation like "(0 1 2)(3 4)"; "()" is the identity."""
+    from .groups import parse_int  # groups imports this module
     text = text.strip()
     cycles = []
     pos = 0
@@ -107,7 +108,7 @@ def parse_cycles(text: str, n: int) -> Permutation:
             raise ValueError("unbalanced cycle notation %r" % text)
         inner = text[pos + 1:end].replace(",", " ").split()
         if inner:
-            cycles.append(tuple(int(t) for t in inner))
+            cycles.append(tuple(parse_int(t, "permutation point") for t in inner))
         pos = end + 1
     return from_cycles(n, cycles)
 

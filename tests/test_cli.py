@@ -260,6 +260,24 @@ def test_unprintable_order_exits_2_with_nothing_on_stdout(tmp_path):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("args, what", [
+    (["cayley", "--group", "cyclic(1%s;a=1)"], "cyclic group order"),
+    (["gaschutz-info", "--group", "gaschutz(cyclic(2;a=1,b=1),1%s)"], "modulus"),
+    (["dissolve", "--group", "cyclic(2;a=1,b=1)", "--layers", "~1%s"], "modulus"),
+])
+def test_spec_integers_past_the_digit_limit_are_refused_by_size(args, what):
+    # 5001 digits, past Python's int-to-str limit of 4300
+    code, out, err = run([arg.replace("%s", "0" * 5000) for arg in args])
+    assert (code, out) == (2, "")
+    assert err == "error: %s >= 2^16609 exceeds the bound 1000000\n" % what
+    assert "set_int_max_str_digits" not in err
+
+
+def test_spec_integers_with_leading_zeros_past_the_digit_limit():
+    assert parse_group_spec("cyclic(%s3;a=1)" % ("0" * 5000)) == CyclicSpec(3, (1,))
+    assert parse_layers("~%s2" % ("0" * 5000)) == ((2, True),)
+
+
 def test_key_lemma_refuses_an_unprintable_layer_order():
     # the tilde layer over a 20000-element group has order past 2^20000
     code, out, err = run(["key-lemma", "--group", "cyclic(20000;a=1,b=1)", "--p", "2",

@@ -6,7 +6,7 @@ import pytest
 import constel.dissolve
 import constel.groups
 from constel.automata import Subgraph, bfs_tree, full_subgraph, tree_word
-from constel.constellations import delta_a, maximal_constellations
+from constel.constellations import delta_a, maximal_constellations, minimal_cut_sets
 from constel.dissolve import (DissolveReport, GFpSpan, counting_lifts_check,
                               cycle_space_rows, detecting_edges_check,
                               disconnection_equivalence, dissolve_all,
@@ -160,13 +160,85 @@ def test_reachable_lift_matches_filtered_lift():
         assert (lifted.edges, lifted.vertices, fibers) == filtered_lift(sub, mat, phi)
 
 
+CONTRACTED_TOWERS = [(S3, ((2, True),)), (CyclicSpec(6, (1, 2)), ((2, True),)),
+                     (KleinSpec(((1, 0), (0, 1))), ((3, True),)),
+                     (S3, ((2, True), (2, True)))]
+
+
+def cover_of(tower):
+    """The materialized top over the base, or M under a lazy top."""
+    down = tower.morphism(len(tower.levels) - 1, 0)
+    if tower.top.order() > constel.dissolve.MATERIALIZE_BOUND:
+        return tower.levels[-1], down
+    h_group, cover = tower.top.cover()
+    return h_group, cover.compose(down)
+
+
+@pytest.mark.parametrize("spec, layers", CONTRACTED_TOWERS)
+def test_bond_contractions_lift_every_split_as_the_filter_does(spec, layers):
+    tower = build_tower(TowerSpec(spec, layers))
+    base = tower.levels[0]
+    h_group, phi = cover_of(tower)
+    bond = lifts_of = None
+    splits = []
+    for pair in maximal_constellations(base):
+        if pair.cut is not bond:
+            bond, lifts_of = pair.cut, constel.dissolve._bond_lifts(phi, pair.cut)
+        splits.append((lifts_of(pair), pair))
+    # the letter constellations are no splits; they contract S = Xi & Theta
+    splits += [(constel.dissolve._pair_lifts(phi, c.xi, c.theta), c)
+               for c in (delta_a(base, a, sign) for a in range(2) for sign in (1, -1))]
+    for lifts, pair in splits:
+        for half, sub in zip(lifts.halves, (pair.xi, pair.theta)):
+            _, vertices, _ = filtered_lift(sub, h_group, phi)
+            assert {h for h, c in enumerate(lifts.comp) if c in half} == vertices
+
+
+@pytest.mark.parametrize("spec, layers", CONTRACTED_TOWERS)
+def test_bond_contractions_match_networkx_components(spec, layers):
+    nx = pytest.importorskip("networkx")
+    tower = build_tower(TowerSpec(spec, layers))
+    h_group, phi = cover_of(tower)
+    first = {id(pair.cut): pair for pair in reversed(maximal_constellations(tower.levels[0]))}
+    for pair in first.values():
+        cut, comp = pair.cut, constel.dissolve._bond_lifts(phi, pair.cut)(pair).comp
+        graph = nx.Graph()
+        graph.add_nodes_from(range(h_group.order))
+        graph.add_edges_from((h, v) for h, a, v in h_group.cayley.pos_edges()
+                             if (phi(h), a) not in cut.cut)
+        for component in nx.connected_components(graph):
+            assert {comp[h] for h in component} == {min(component)}
+
+
+def test_dissolve_all_contracts_once_per_bond(monkeypatch):
+    tower = build_tower(TowerSpec(CyclicSpec(6, (1, 2)), ((2, True),)))
+    calls = {"contract": 0, "lift": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(constel.dissolve, "_contract",
+                        counted("contract", constel.dissolve._contract))
+    monkeypatch.setattr(constel.dissolve, "reachable_lift",
+                        counted("lift", constel.dissolve.reachable_lift))
+    assert len(dissolve_all(tower)) == 7440
+    assert len(minimal_cut_sets(tower.levels[0].cayley)) == 28
+    assert calls == {"contract": 28, "lift": 0}  # the parent lifted 5200 times
+
+
 def test_witness_words_match_a_search_per_endpoint():
+    # the trees run over a membership view of all of Gamma(H); the oracle
+    # searches the lift's own edges
     base = s3()
     mat = GaschuetzLayer(base, 2, tilde=True).materialize()
     phi = canonical_morphism(mat, base)
     for pair in maximal_constellations(base)[::42]:
         lifted, _ = reachable_lift(pair.theta, mat, phi)
-        word = constel.dissolve._witness_words(lifted)
+        view = constel.dissolve._LiftView(pair.theta.edges, phi.mapping)
+        word = constel.dissolve._witness_words(mat.cayley, view)
         for h in sorted(lifted.vertices):
             assert word(h) == search_word(lifted, h)
 
@@ -279,16 +351,16 @@ def test_component_test_matches_elimination(spec, layers):
         assert all(r[1] for r in constellations)
 
 
-def test_constant_boundary_outside_the_intersection_raises(monkeypatch):
+def test_constant_boundary_outside_the_intersection_raises():
     base = s3()
     layer = GaschuetzLayer(base, 2, tilde=True)
     c = delta_a(base, 0)  # every a-edge lies in Xi or Theta
     assert not dissolves_linear(layer, identity_morphism(base), c).dissolved
-    outside = min(set(range(base.order)) - c.theta.vertices)
-    monkeypatch.setattr(constel.dissolve, "_constant_boundary",
-                        lambda sub, letter, p: {outside: 1})
+    lifts = constel.dissolve._pair_lifts(identity_morphism(base), c.xi, c.theta)
+    assert lifts.both == {0, c.g}  # the boundary of Xi^'s a-part is [1] - [g]
+    lifts.both = {c.g}  # an intersection that misses 1 but still meets the fiber of g
     with pytest.raises(VerificationError, match="leaves the intersection"):
-        dissolves_linear(layer, identity_morphism(base), c)
+        constel.dissolve._linear_reports(layer, lifts, (c.g,), ("",))
 
 
 def test_failed_witness_check_raises(monkeypatch):

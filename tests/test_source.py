@@ -1,6 +1,8 @@
 """Guards on the package source itself."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import constel
@@ -28,3 +30,22 @@ def test_no_size_limit_parameters_in_the_package():
              if arg is not None and (arg.arg == "bound" or arg.arg.endswith("_bound")
                                      or arg.arg.startswith("max_"))]
     assert not found, found
+
+
+def test_bench_tracing_targets_resolve_on_the_package():
+    # perfbench/tracing.py patches these names; load it without install()
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module_name, attr, *_ in tracing.TARGETS:
+        module = importlib.import_module("constel." + module_name)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            found = meth in vars(getattr(module, cls_name, object))
+        else:
+            found = callable(getattr(module, attr, None))
+        if not found:
+            missing.append("%s.%s" % (module_name, attr))
+    assert not missing, missing
