@@ -35,7 +35,6 @@ from .dissolve import (DissolveReport, KeyLemmaReport, RankReport,
                        counting_lifts_check, cycle_space_rows,
                        detecting_edges_check, disconnection_equivalence,
                        dissolve_all, dissolves_linear, dissolves_materialized,
-                       dissolves_pair_linear, dissolves_pair_materialized,
                        is_dissolver, is_weak_dissolver, key_lemma_report,
                        reachable_lift, schreier_rank_check)
 from .errors import VerificationError

@@ -156,7 +156,8 @@ def maximal_constellations(group: MaterializedGroup) -> list[MaxConstellationPai
 def delta_a(group: MaterializedGroup, letter: int, sign: int = 1) -> Constellation:
     """The one-edge constellation of a signed letter: Xi is the Cayley
     graph minus the letter's base edge, g its far endpoint, Theta the
-    edge alone."""
+    edge alone.  Xi is connected: the edge lies on the letter's cycle
+    through the base, of length at least 2 since g is not the base."""
     gamma = group.cayley
     if sign > 0:
         g = group.images[letter]
@@ -167,8 +168,6 @@ def delta_a(group: MaterializedGroup, letter: int, sign: int = 1) -> Constellati
     if g == 0:
         raise ValueError("letter image is the identity; the edge endpoints coincide")
     xi = full_subgraph(gamma).minus_edges([edge])
-    if not xi.is_connected():
-        raise ValueError("removing the edge disconnects the Cayley graph")
     theta = Subgraph(gamma, frozenset([edge]), frozenset([0, g]))
     return Constellation(xi, g, theta)
 

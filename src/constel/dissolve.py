@@ -9,8 +9,8 @@ contraction (`_contract`, `_Lifts`) of the preimage of an edge set S
 inside Xi intersect Theta.  Every split of a bond C has Xi intersect
 Theta = Gamma - C, so each bond is contracted once, and a split only
 joins the preimages of its |C| cut edges.  Other pairs contract S = Xi
-intersect Theta in flat passes over Gamma(H).  Two exact deciders are
-provided:
+intersect Theta, Xi and Theta in flat passes over Gamma(H).  Two exact
+deciders are provided:
 
 - reachability: materialize H and intersect the fibers over g of the
   lifts.  Complete because the fiber of g in a lift is exactly the
@@ -26,10 +26,12 @@ provided:
   Xi^ part: the test is whether [m] - [1] lies in the span of those at
   most |A| vectors.  For plain layers the component of 1 lies over the
   base component of Xi intersect Theta, which misses g, so plain layers
-  dissolve every constellation.
+  dissolve every constellation.  A failure carries the mod-p
+  difference of the traversal vectors of the BFS-tree words to m in
+  Xi^ and in Theta^.
 
 `dissolves_materialized` and `dissolves_linear` decide one
-constellation through the same pair deciders.
+constellation (Xi, g, Theta) from the flat contractions of its pair.
 """
 
 from __future__ import annotations
@@ -65,12 +67,10 @@ class DissolveReport:
     vector: Vec | None = None                 # offending difference vector
 
 
-def _contract(aut: InverseAutomaton, image: Sequence[int], edges,
-              start: list[int] | None = None) -> list[int]:
+def _contract(aut: InverseAutomaton, image: Sequence[int], edges) -> list[int]:
     """comp[h]: the least vertex of the component of h in the preimage,
-    under h -> image[h], of the edge set `edges`, by union-find; joined
-    onto the labelling `start` of another preimage when one is given."""
-    parent = list(range(aut.n)) if start is None else list(start)
+    under h -> image[h], of the edge set `edges`, by union-find."""
+    parent = list(range(aut.n))
     for h, g in enumerate(image):
         for a, nxt in aut.fwd[h].items():
             if (g, a) in edges:
@@ -81,12 +81,24 @@ def _contract(aut: InverseAutomaton, image: Sequence[int], edges,
     return parent
 
 
+def _check_target(phi: Morphism, *subs: Subgraph) -> None:
+    if any(sub.parent is not phi.dst.cayley for sub in subs):
+        raise ValueError("subgraph must lie in the Cayley graph of the morphism's target")
+
+
+def _check_source(h_group: MaterializedGroup, phi: Morphism) -> None:
+    if h_group is not phi.src:
+        raise ValueError("morphism must start at the given group")
+
+
 def reachable_lift(xi: Subgraph, h_group: MaterializedGroup, phi: Morphism
                    ) -> tuple[Subgraph, dict[int, frozenset[int]]]:
     """Component of the identity of the edge preimage of xi in Gamma(H),
     with its fibers: fibers[g] is exactly the set of H-endpoints of
     words whose G-path from 1 stays inside xi and ends at g.  Read off
     the contraction of that preimage."""
+    _check_source(h_group, phi)
+    _check_target(phi, xi)
     if not xi.has_vertex(xi.parent.base):
         raise ValueError("the base vertex must lie in the subgraph")
     comp = frozenset(h for h, c in enumerate(_contract(h_group.cayley, phi.mapping, xi.edges))
@@ -121,7 +133,7 @@ class _Lifts:
 
     def __init__(self, phi: Morphism, fibers: dict[int, list[int]], comp: list[int],
                  halves: tuple[set[int], set[int]], xi: Subgraph, theta: Subgraph):
-        self.image, self.fibers, self.comp = phi.mapping, fibers, comp
+        self.phi, self.fibers, self.comp = phi, fibers, comp
         self.xi, self.theta, self.halves, self.both = xi, theta, halves, halves[0] & halves[1]
 
     def shared(self, g: int) -> list[int]:
@@ -130,14 +142,16 @@ class _Lifts:
 
 def _pair_lifts(phi: Morphism, xi: Subgraph, theta: Subgraph) -> _Lifts:
     """Lifts of any two subgraphs containing the base, over S = Xi
-    intersect Theta: Xi - S and Theta - S are each joined onto the
-    contraction of S in one flat pass over Gamma(H)."""
+    intersect Theta: S, Xi and Theta are each contracted in one flat
+    pass over Gamma(H).  S lies in Xi, so the component of 1 in Xi's
+    contraction is a union of components of S's; likewise for Theta."""
+    _check_target(phi, xi, theta)
     if not (xi.has_vertex(xi.parent.base) and theta.has_vertex(xi.parent.base)):
         raise ValueError("the base vertex must lie in the subgraph")
-    aut, image, common = phi.src.cayley, phi.mapping, xi.edges & theta.edges
-    comp = _contract(aut, image, common)
-    halves = tuple({comp[h] for h, c in enumerate(_contract(aut, image, sub.edges - common, comp))
-                    if not c} for sub in (xi, theta))
+    aut, image = phi.src.cayley, phi.mapping
+    comp = _contract(aut, image, xi.edges & theta.edges)
+    halves = tuple({comp[h] for h, c in enumerate(_contract(aut, image, sub.edges)) if not c}
+                   for sub in (xi, theta))
     return _Lifts(phi, phi.fibers(), comp, halves, xi, theta)
 
 
@@ -201,16 +215,16 @@ def _path_stays(sub: Subgraph, w: Word) -> bool:
     return True
 
 
-def _reach_reports(h_group: MaterializedGroup, lifts: _Lifts, g_choices: Sequence[int],
+def _reach_reports(lifts: _Lifts, g_choices: Sequence[int],
                    labels: Sequence[str]) -> list[DissolveReport]:
-    words = None
+    h_group, image, words = lifts.phi.src, lifts.phi.mapping, None
     out = []
     for g, label in zip(g_choices, labels, strict=True):
         shared = lifts.shared(g)
         if not shared:
             out.append(DissolveReport(label, True, "reachability"))
             continue
-        words = words or [_witness_words(h_group.cayley, _LiftView(sub.edges, lifts.image))
+        words = words or [_witness_words(h_group.cayley, _LiftView(sub.edges, image))
                           for sub in (lifts.xi, lifts.theta)]
         h = shared[0]
         u, v = words[0](h), words[1](h)
@@ -222,18 +236,11 @@ def _reach_reports(h_group: MaterializedGroup, lifts: _Lifts, g_choices: Sequenc
     return out
 
 
-def dissolves_pair_materialized(h_group: MaterializedGroup, phi: Morphism,
-                                xi: Subgraph, theta: Subgraph, g_choices: Sequence[int],
-                                labels: Sequence[str]) -> list[DissolveReport]:
-    """Exact reachability decisions for (xi, g, theta), one report per g
-    choice, labelled by `labels`; failures carry a re-verified word pair."""
-    return _reach_reports(h_group, _pair_lifts(phi, xi, theta), g_choices, labels)
-
-
 def dissolves_materialized(h_group: MaterializedGroup, phi: Morphism,
                            c: Constellation, label: str = "") -> DissolveReport:
     """Exact reachability decision; failures carry a re-verified word pair."""
-    return dissolves_pair_materialized(h_group, phi, c.xi, c.theta, (c.g,), (label,))[0]
+    _check_source(h_group, phi)
+    return _reach_reports(_pair_lifts(phi, c.xi, c.theta), (c.g,), (label,))[0]
 
 
 class GFpSpan:
@@ -277,34 +284,23 @@ class GFpSpan:
         return len(self.rows)
 
 
-def _tree_vectors(aut: InverseAutomaton, edges, p: int) -> dict[int, Vec]:
-    """Traversal vectors (mod p) of BFS-tree paths from the base to every
-    vertex it reaches over `edges`."""
-    vecs: dict[int, Vec] = {}
-    for w, (v, letter, sign) in bfs_tree(aut, aut.base, edges).items():
-        if v < 0:
-            vecs[w] = {}
-            continue
-        edge = (v, letter) if sign > 0 else (w, letter)
-        nxt = dict(vecs[v])
-        nxt[edge] = (nxt.get(edge, 0) + sign) % p
-        if not nxt[edge]:
-            del nxt[edge]
-        vecs[w] = nxt
-    return vecs
+def _difference(aut: InverseAutomaton, u: Word, v: Word, p: int) -> Vec:
+    """Traversal vector of u minus that of v, mod p, without zeros."""
+    diff = Counter(traversal_vector(aut, u))
+    diff.subtract(traversal_vector(aut, v))
+    return {e: c % p for e, c in diff.items() if c % p}
 
 
 def cycle_space_rows(sub: Subgraph, p: int) -> list[Vec]:
-    """Fundamental-cycle basis of the subgraph's mod-p cycle space."""
-    vecs = _tree_vectors(sub.parent, sub.edges, p)
+    """Fundamental-cycle basis of the subgraph's mod-p cycle space: the
+    row of an edge (u, a) is the tree word to u followed by a, less the
+    tree word to its end; zero rows, those of tree edges, are dropped."""
+    aut = sub.parent
+    tree = bfs_tree(aut, aut.base, sub.edges)
     rows = []
-    for edge in sorted(sub.edges):
-        u, _ = edge
-        row = dict(vecs[u])
-        row[edge] = (row.get(edge, 0) + 1) % p
-        for e, c in vecs[sub.dst(edge)].items():
-            row[e] = (row.get(e, 0) - c) % p
-        row = {e: c for e, c in row.items() if c % p}
+    for u, a in sorted(sub.edges):
+        row = _difference(aut, Word(tree_word(tree, u).letters + ((a, 1),)),
+                          tree_word(tree, aut.fwd[u][a]), p)
         if row:
             rows.append(row)
     return rows
@@ -312,9 +308,9 @@ def cycle_space_rows(sub: Subgraph, p: int) -> list[Vec]:
 
 def _linear_reports(layer: GaschuetzLayer, lifts: _Lifts, g_choices: Sequence[int],
                     labels: Sequence[str]) -> list[DissolveReport]:
-    m_group, p, comp, image = layer.base, layer.p, lifts.comp, lifts.image
+    m_group, p, comp, image = layer.base, layer.p, lifts.comp, lifts.phi.mapping
     in_xi, in_th = lifts.halves
-    span = vecs = None
+    span = trees = None
     out = []
     for g, label in zip(g_choices, labels, strict=True):
         report = DissolveReport(label, True, "linear")
@@ -339,33 +335,23 @@ def _linear_reports(layer: GaschuetzLayer, lifts: _Lifts, g_choices: Sequence[in
                 span.add(row)
         for m in shared:
             if span.contains({comp[m]: 1, 0: -1} if comp[m] else {}):  # 1 is in component 0
-                vecs = vecs or [_tree_vectors(m_group.cayley, _LiftView(sub.edges, image), p)
-                                for sub in (lifts.xi, lifts.theta)]
-                diff = Counter(vecs[0][m])
-                diff.subtract(vecs[1][m])
-                diff = {e: cnt % p for e, cnt in diff.items() if cnt % p}
+                gamma = m_group.cayley
+                trees = trees or [bfs_tree(gamma, gamma.base, _LiftView(sub.edges, image))
+                                  for sub in (lifts.xi, lifts.theta)]
+                diff = _difference(gamma, tree_word(trees[0], m), tree_word(trees[1], m), p)
                 report = DissolveReport(label, False, "linear", endpoint=m, vector=diff)
                 break
         out.append(report)
     return out
 
 
-def dissolves_pair_linear(layer: GaschuetzLayer, phi: Morphism,
-                          xi: Subgraph, theta: Subgraph, g_choices: Sequence[int],
-                          labels: Sequence[str]) -> list[DissolveReport]:
-    """Exact decisions for (xi, g, theta), one report per g choice,
-    labelled by `labels`, for a lazy top layer over the materialized
-    base of phi, without enumerating the layer."""
-    if phi.src is not layer.base:
-        raise ValueError("morphism must start at the layer's base group")
-    return _linear_reports(layer, _pair_lifts(phi, xi, theta), g_choices, labels)
-
-
 def dissolves_linear(layer: GaschuetzLayer, phi: Morphism, c: Constellation,
                      label: str = "") -> DissolveReport:
     """Exact decision for a lazy top layer over the materialized base of
     phi, without enumerating the layer."""
-    return dissolves_pair_linear(layer, phi, c.xi, c.theta, (c.g,), (label,))[0]
+    if phi.src is not layer.base:
+        raise ValueError("morphism must start at the layer's base group")
+    return _linear_reports(layer, _pair_lifts(phi, c.xi, c.theta), (c.g,), (label,))[0]
 
 
 def _letter_label(letter: int, sign: int) -> str:
@@ -387,10 +373,9 @@ def dissolve_all(tower: Tower, weak: bool = False) -> list[DissolveReport]:
         check_size(sum(len(pair.g_choices) for pair in pairs), "dissolve reports")
     down = tower.morphism(len(tower.levels) - 1, 0)
     if tower.top is None:
-        phi, decide = down, partial(_reach_reports, tower.levels[-1])
+        phi, decide = down, _reach_reports
     elif tower.top.order() <= MATERIALIZE_BOUND:
-        h_group, cover = tower.top.cover()
-        phi, decide = cover.compose(down), partial(_reach_reports, h_group)
+        phi, decide = tower.top.cover()[1].compose(down), _reach_reports
     else:
         phi, decide = down, partial(_linear_reports, tower.top)
     if weak:
@@ -488,11 +473,11 @@ def counting_lifts_check(phi: Morphism, w: Word) -> bool:
     """Pushing the H-traversal vector down along phi gives the
     G-traversal vector, as exact integers."""
     down: dict[tuple[int, int], int] = {}
-    for (h, a), cnt in traversal_vector(phi.src, w).items():
+    for (h, a), cnt in traversal_vector(phi.src.cayley, w).items():
         key = (phi(h), a)
         down[key] = down.get(key, 0) + cnt
     down = {e: c for e, c in down.items() if c}
-    return down == traversal_vector(phi.dst, w)
+    return down == traversal_vector(phi.dst.cayley, w)
 
 
 def detecting_edges_check(phi: Morphism, c: Constellation, w: Word) -> bool:
@@ -500,10 +485,10 @@ def detecting_edges_check(phi: Morphism, c: Constellation, w: Word) -> bool:
     w in Gamma(H), summed over the preimages of the edges of Xi leaving
     the component of 1 of Xi intersect Theta minus those entering it,
     must equal exactly 1."""
-    g_group = phi.dst
-    if g_group.evaluate(w) != c.g:
+    _check_target(phi, c.xi)
+    if phi.dst.evaluate(w) != c.g:
         raise ValueError("word does not evaluate to the constellation's g")
-    pi_g = traversal_vector(g_group, w)
+    pi_g = traversal_vector(c.parent, w)
     if not set(pi_g) <= c.xi.edges:
         raise ValueError("word traversal leaves xi")
     comp = _contract(c.parent, range(c.parent.n), c.xi.edges & c.theta.edges)
@@ -513,7 +498,7 @@ def detecting_edges_check(phi: Morphism, c: Constellation, w: Word) -> bool:
     border_in = {e for e in c.xi.edges
                  if e[0] not in upsilon and c.xi.dst(e) in upsilon}
     total = 0
-    for (h, a), cnt in traversal_vector(phi.src, w).items():
+    for (h, a), cnt in traversal_vector(phi.src.cayley, w).items():
         if (phi(h), a) in border_out:
             total += cnt
         elif (phi(h), a) in border_in:

@@ -116,7 +116,7 @@ class GaschuetzLayer:
 
     def evaluate(self, w: Word) -> GaschuetzElement:
         alpha = [0] * (self.base.order * self.n_letters)
-        for (h, a), c in traversal_vector(self.base, w).items():
+        for (h, a), c in traversal_vector(self.base.cayley, w).items():
             alpha[h * self.n_letters + a] = c
         return self._make(alpha, self.base.evaluate(w))
 

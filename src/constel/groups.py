@@ -25,7 +25,7 @@ from math import gcd
 
 from .automata import InverseAutomaton
 from .errors import VerificationError
-from .perms import Permutation, _orbit
+from .perms import Permutation, _orbit, identity as perm_identity
 from .words import Word
 
 
@@ -247,7 +247,6 @@ def materialize(spec: GroupSpec) -> MaterializedGroup:
         for img in spec.images:
             if img.degree != spec.degree:
                 raise ValueError("permutation degree mismatch")
-        from .perms import identity as perm_identity
         _warn_identity_letters(list(spec.images), perm_identity(spec.degree))
         return _generate(spec.n_letters, perm_identity(spec.degree), list(spec.images),
                          lambda x, y: x * y)
@@ -324,19 +323,19 @@ def canonical_morphism(src: MaterializedGroup, dst: MaterializedGroup) -> Morphi
     return Morphism(src, dst, tuple(mapping))
 
 
-def traversal_vector(g: MaterializedGroup, w: Word) -> dict[tuple[int, int], int]:
-    """Signed traversal counts of w's path from the identity, per positive
-    Cayley edge (element index, letter).  The word is read as given,
-    without free reduction."""
+def traversal_vector(aut: InverseAutomaton, w: Word) -> dict[tuple[int, int], int]:
+    """Signed traversal counts of w's path from the base of a based
+    automaton that reads all of w (any Cayley graph), per positive edge
+    (vertex, letter).  The word is read as given, without free reduction."""
     counts: dict[tuple[int, int], int] = {}
-    v = 0
+    v = aut.base
     for letter, sign in w:
         if sign > 0:
             e = (v, letter)
-            v = g.cayley.fwd[v][letter]
+            v = aut.fwd[v][letter]
             counts[e] = counts.get(e, 0) + 1
         else:
-            v = g.cayley.bwd[v][letter]
+            v = aut.bwd[v][letter]
             e = (v, letter)
             counts[e] = counts.get(e, 0) - 1
     return {e: c for e, c in counts.items() if c != 0}

@@ -11,7 +11,6 @@ from constel.dissolve import (DissolveReport, GFpSpan, counting_lifts_check,
                               cycle_space_rows, detecting_edges_check,
                               disconnection_equivalence, dissolve_all,
                               dissolves_linear, dissolves_materialized,
-                              dissolves_pair_linear,
                               is_dissolver, is_weak_dissolver, key_lemma_edge,
                               key_lemma_report, reachable_lift,
                               schreier_rank_check)
@@ -85,6 +84,39 @@ def test_gfp_span():
     assert span.contains({(0, 0): 1})
     assert not span.contains({(2, 1): 1})
     assert span.contains({})
+
+
+def tree_vectors(aut, edges, p):
+    """Reference for the tree words' vectors: signed traversal counts
+    (mod p) carried vertex by vertex down the BFS tree from the base."""
+    vecs = {}
+    for w, (v, letter, sign) in bfs_tree(aut, aut.base, edges).items():
+        if v < 0:
+            vecs[w] = {}
+            continue
+        edge = (v, letter) if sign > 0 else (w, letter)
+        nxt = dict(vecs[v])
+        nxt[edge] = (nxt.get(edge, 0) + sign) % p
+        if not nxt[edge]:
+            del nxt[edge]
+        vecs[w] = nxt
+    return vecs
+
+
+def tree_vector_rows(sub, p):
+    """Reference fundamental-cycle rows from `tree_vectors`: the vector
+    to u, plus the edge (u, a), minus the vector to its end."""
+    vecs = tree_vectors(sub.parent, sub.edges, p)
+    rows = []
+    for edge in sorted(sub.edges):
+        row = dict(vecs[edge[0]])
+        row[edge] = (row.get(edge, 0) + 1) % p
+        for e, c in vecs[sub.dst(edge)].items():
+            row[e] = (row.get(e, 0) - c) % p
+        row = {e: c for e, c in row.items() if c}
+        if row:
+            rows.append(row)
+    return rows
 
 
 def test_cycle_space_rank_is_e_minus_v_plus_1():
@@ -195,6 +227,45 @@ def test_bond_contractions_lift_every_split_as_the_filter_does(spec, layers):
 
 
 @pytest.mark.parametrize("spec, layers", CONTRACTED_TOWERS)
+def test_cycle_space_rows_match_the_tree_vector_rows(spec, layers):
+    tower = build_tower(TowerSpec(spec, layers))
+    base = tower.levels[0]
+    h_group, phi = cover_of(tower)
+    first = {id(pair.cut): pair for pair in reversed(maximal_constellations(base))}
+    subs = [sub for pair in first.values() for sub in (pair.xi, pair.theta)]
+    subs += [delta_a(base, 0).xi, delta_a(base, 1, -1).theta]
+    for sub in subs:
+        lifted, _ = reachable_lift(sub, h_group, phi)
+        for p in (2, 3, 5):
+            assert cycle_space_rows(lifted, p) == tree_vector_rows(lifted, p)
+
+
+@pytest.mark.parametrize("weak", [True, False])
+def test_failure_vectors_are_tree_vector_differences(weak):
+    # p = 3 tells a vector from its negative, which p = 2 cannot
+    tower = build_tower(TowerSpec(CyclicSpec(12, (1, 1)), ((3, True),)))
+    base, p = tower.levels[0], tower.top.p
+    phi = tower.morphism(len(tower.levels) - 1, 0)
+    if weak:
+        subs = {constel.dissolve._letter_label(a, sign): delta_a(base, a, sign)
+                for a in range(2) for sign in (1, -1)}
+    else:
+        subs = {"max%d:g%d" % (i, g): pair
+                for i, pair in enumerate(maximal_constellations(base)) for g in pair.g_choices}
+    failures = [r for r in dissolve_all(tower, weak) if not r.dissolved]
+    assert failures and {r.method for r in failures} == {"linear"}
+    vecs = {}
+    for r in failures:
+        pair = subs[r.label]
+        if id(pair) not in vecs:
+            lifts = [reachable_lift(sub, phi.src, phi)[0] for sub in (pair.xi, pair.theta)]
+            vecs[id(pair)] = [tree_vectors(lift.parent, lift.edges, p) for lift in lifts]
+        vx, vt = (v[r.endpoint] for v in vecs[id(pair)])
+        want = {e: (vx.get(e, 0) - vt.get(e, 0)) % p for e in set(vx) | set(vt)}
+        assert r.vector == {e: c for e, c in want.items() if c}, r.label
+
+
+@pytest.mark.parametrize("spec, layers", CONTRACTED_TOWERS)
 def test_bond_contractions_match_networkx_components(spec, layers):
     nx = pytest.importorskip("networkx")
     tower = build_tower(TowerSpec(spec, layers))
@@ -297,7 +368,7 @@ def elimination_reports(layer, phi, xi, theta, g_choices, labels):
     trees = [bfs_tree(m_group.cayley, 0, lift.edges) for lift in (xi_hat, th_hat)]
 
     def vector(m):
-        ux, ut = (traversal_vector(m_group, tree_word(tree, m)) for tree in trees)
+        ux, ut = (traversal_vector(m_group.cayley, tree_word(tree, m)) for tree in trees)
         diff = {e: (ux.get(e, 0) - ut.get(e, 0)) % p for e in set(ux) | set(ut)}
         return {e: c for e, c in diff.items() if c}
 
@@ -339,8 +410,9 @@ def test_component_test_matches_elimination(spec, layers):
                   ["full:g%d" % g for g in range(1, base.order)]))
     reports = []
     for xi, theta, g_choices, labels in pairs:
-        got = [astuple(r) for r in dissolves_pair_linear(tower.top, phi, xi, theta,
-                                                         g_choices, labels)]
+        lifts = constel.dissolve._pair_lifts(phi, xi, theta)
+        got = [astuple(r) for r in constel.dissolve._linear_reports(tower.top, lifts,
+                                                                    g_choices, labels)]
         assert got == elimination_reports(tower.top, phi, xi, theta, g_choices, labels)
         reports += got
     assert not any(r[1] for r in reports if r[0].startswith("full:"))
@@ -441,6 +513,43 @@ def test_linear_method_agrees_with_reachability():
                     assert slow.dissolved == fast.dissolved, (name, p, tilde, i)
                     dissolved += slow.dissolved
                 assert (dissolved, len(targets)) == AGREEMENT_COUNTS[(name, p, tilde)]
+
+
+def test_inputs_off_the_target_graph_are_refused():
+    base = z2()
+    h_group, phi = GaschuetzLayer(base, 2, tilde=True).cover()
+    off = "must lie in the Cayley graph of the morphism's target"
+    with pytest.raises(ValueError, match=off):
+        dissolves_materialized(h_group, phi, delta_a(klein(), 0))
+    with pytest.raises(ValueError, match=off):
+        dissolves_linear(GaschuetzLayer(base, 2, True), identity_morphism(base),
+                         delta_a(klein(), 0))
+    # an equal copy of the base is still another graph
+    copy = delta_a(z2(), 0)
+    with pytest.raises(ValueError, match=off):
+        reachable_lift(copy.xi, h_group, phi)
+    with pytest.raises(ValueError, match=off):
+        detecting_edges_check(phi, copy, w("b"))
+    assert detecting_edges_check(phi, delta_a(base, 0), w("b"))
+
+
+def test_inputs_off_the_morphism_source_are_refused():
+    base = z2()
+    layer = GaschuetzLayer(base, 2, tilde=True)
+    h_group, phi = layer.cover()
+    other, _ = layer.cover()
+    assert other is not h_group  # equal to phi's source, but another object
+    c = delta_a(base, 0)
+    with pytest.raises(ValueError, match="must start at the given group"):
+        dissolves_materialized(base, phi, c)
+    with pytest.raises(ValueError, match="must start at the given group"):
+        dissolves_materialized(other, phi, c)
+    with pytest.raises(ValueError, match="must start at the given group"):
+        reachable_lift(c.xi, other, phi)
+    with pytest.raises(ValueError, match="must start at the layer's base group"):
+        dissolves_linear(layer, phi, c)
+    assert not dissolves_materialized(h_group, phi, c).dissolved
+    assert reachable_lift(c.xi, h_group, phi)[0].has_vertex(0)
 
 
 def test_linear_method_requires_matching_base():

@@ -53,7 +53,7 @@ def test_dense_alpha_matches_traversal_vector():
             layer = GaschuetzLayer(base, p, tilde)
             for _ in range(30):
                 u = random_word(rng)
-                counts = traversal_vector(base, u)
+                counts = traversal_vector(base.cayley, u)
                 want = []
                 for h in range(base.order):
                     for a in range(n_letters):

@@ -322,10 +322,10 @@ def test_morphism_compose_and_identity():
 
 def test_traversal_vector_examples():
     g = z2()
-    assert traversal_vector(g, w("ab")) == {(0, 0): 1, (1, 1): 1}
-    assert traversal_vector(g, w("aA")) == {}
-    assert traversal_vector(g, w("Ab")) == {(1, 0): -1, (1, 1): 1}
-    assert traversal_vector(g, w("aa")) == {(0, 0): 1, (1, 0): 1}
+    assert traversal_vector(g.cayley, w("ab")) == {(0, 0): 1, (1, 1): 1}
+    assert traversal_vector(g.cayley, w("aA")) == {}
+    assert traversal_vector(g.cayley, w("Ab")) == {(1, 0): -1, (1, 1): 1}
+    assert traversal_vector(g.cayley, w("aa")) == {(0, 0): 1, (1, 0): 1}
 
 
 def test_traversal_vector_is_flow():
@@ -335,7 +335,7 @@ def test_traversal_vector_is_flow():
     for _ in range(200):
         u = Word(tuple((rng.randrange(2), rng.choice((1, -1)))
                        for _ in range(rng.randrange(10))))
-        vec = traversal_vector(g, u)
+        vec = traversal_vector(g.cayley, u)
         end = g.evaluate(u)
         net = [0] * g.order
         for (src, letter), c in vec.items():
@@ -353,7 +353,7 @@ def test_traversal_vector_letter_sums_are_exponent_sums():
     for _ in range(100):
         u = Word(tuple((rng.randrange(2), rng.choice((1, -1)))
                        for _ in range(rng.randrange(12))))
-        vec = traversal_vector(g, u)
+        vec = traversal_vector(g.cayley, u)
         for a in range(2):
             total = sum(c for (_, letter), c in vec.items() if letter == a)
             assert total == sum(sign for letter, sign in u if letter == a)

@@ -6,6 +6,9 @@ import importlib.util
 from pathlib import Path
 
 import constel
+from constel.constellations import delta_a
+from constel.gaschuetz import GaschuetzLayer
+from constel.groups import CyclicSpec, identity_morphism, materialize
 
 
 def package_nodes():
@@ -32,12 +35,18 @@ def test_no_size_limit_parameters_in_the_package():
     assert not found, found
 
 
-def test_bench_tracing_targets_resolve_on_the_package():
-    # perfbench/tracing.py patches these names; load it without install()
+def bench_tracing():
+    """perfbench/tracing.py, loaded without install(): nothing is patched."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_bench_tracing_targets_resolve_on_the_package():
+    # perfbench/tracing.py patches these names
+    tracing = bench_tracing()
     missing = []
     for module_name, attr, *_ in tracing.TARGETS:
         module = importlib.import_module("constel." + module_name)
@@ -49,3 +58,34 @@ def test_bench_tracing_targets_resolve_on_the_package():
         if not found:
             missing.append("%s.%s" % (module_name, attr))
     assert not missing, missing
+
+
+def hook_inputs():
+    """(module, function) -> the positional arguments of one small call,
+    for every tracing target with a result hook."""
+    z2 = materialize(CyclicSpec(2, (1, 1)))
+    layer = GaschuetzLayer(z2, 2, tilde=True)
+    h_group, cover = layer.cover()
+    return {
+        ("automata", "embed_check"): (z2.cayley, z2.cayley, 0),
+        ("groups", "_generate"): (2, 0, [1, 1], lambda x, y: (x + y) % 2),
+        ("constellations", "minimal_cut_sets"): (z2.cayley,),
+        ("dissolve", "reachable_lift"): (delta_a(z2, 0).xi, h_group, cover),
+        ("dissolve", "dissolves_linear"): (layer, identity_morphism(z2), delta_a(z2, 0)),
+    }
+
+
+def test_bench_tracing_hooks_read_real_calls():
+    # a hook sees (args, result) of the function it wraps, so a changed
+    # signature or result would break a traced benchmark run
+    tracing = bench_tracing()
+    inputs = hook_inputs()
+    hooked = [(module_name, attr, hook) for module_name, attr, _, _, hook in tracing.TARGETS
+              if hook is not None]
+    assert {(module_name, attr) for module_name, attr, _ in hooked} == set(inputs)
+    for module_name, attr, hook in hooked:
+        args = inputs[module_name, attr]
+        result = getattr(importlib.import_module("constel." + module_name), attr)(*args)
+        tracer = tracing.Tracer()  # a fresh tracer that wraps nothing
+        hook(tracer, args, result)
+        assert tracer.counts, (module_name, attr)
