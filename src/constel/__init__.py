@@ -18,9 +18,8 @@ from .perms import (AlternatingCertificate, PermGroupGens, Permutation,
 from .groups import (CyclicSpec, ExtensionSpec, KleinSpec, MaterializedGroup,
                      Morphism, OrderBoundError, PermSpec, ProductSpec,
                      abelian_relations, abelianization, canonical_morphism,
-                     commutator_subgroup, identity_morphism, materialize,
-                     normal_closure, product_A, subgroup_closure,
-                     traversal_vector)
+                     identity_morphism, materialize, product_A,
+                     subgroup_closure, traversal_vector)
 from .gaschuetz import (CenterInfo, GaschuetzElement, GaschuetzLayer,
                         StructureReport, Tower, TowerSpec, build_tower, center,
                         coprime_structure_checks, layer_abelianization,

@@ -520,6 +520,8 @@ def _cmd_corpus(args) -> int:
         raise ValueError("m must be at least 3 (completion precondition)")
     if args.m_max < args.m_min:
         raise ValueError("empty m range")
+    if args.count < 0:
+        raise ValueError("corpus count must not be negative")
     check_size(args.m_max, "corpus automaton size m")
     check_size(args.count, "corpus count")
     rng = random.Random(args.seed)

@@ -32,7 +32,7 @@ def schreier_graph(g_group: MaterializedGroup, t_elems
     t_set = frozenset(t_elems)
     if 0 not in t_set:
         raise ValueError("subgroup must contain the identity")
-    coset_of, table, _, _ = coset_walk(g_group, t_set)
+    coset_of, table = coset_walk(g_group, t_set)
     return table_automaton(table, g_group.n_letters), tuple(coset_of)
 
 

@@ -457,7 +457,7 @@ def key_lemma_report(g_group: MaterializedGroup, p: int, k_set) -> KeyLemmaRepor
                               % (format_size(layer.order()), MATERIALIZE_BOUND))
     h_group, phi = layer.cover()
     l_set = frozenset(h for h in range(h_group.order) if phi(h) in k_set)
-    coset, _, _, _ = coset_walk(g_group, k_set)  # element of G -> index of its coset K.g
+    coset, _ = coset_walk(g_group, k_set)  # element of G -> index of its coset K.g
     verdicts: dict[tuple[int, int], bool] = {}
     failures = []
     for h, letter, _ in h_group.cayley.pos_edges():

@@ -38,7 +38,7 @@ from .groups import (
     materialize,
     traversal_vector,
 )
-from .perms import is_prime
+from .perms import Permutation, is_prime
 from .words import Word, concat, invert, power
 
 
@@ -173,8 +173,8 @@ def center(layer: GaschuetzLayer) -> CenterInfo:
     right multiplication by phi(a), of w_i a^ord(phi(a)) w_i^-1 where w_i
     labels a path from the identity to the smallest cycle element; it
     traverses every a-edge exactly once and evaluates to the generator
-    that is constant 1 on letter a.  The cycles are walked along Cayley
-    a-steps, and each has length ord(phi(a)).
+    that is constant 1 on letter a.  The cycles are those of the Cayley
+    a-step as a permutation, and each has length ord(phi(a)).
     """
     if layer.tilde:
         raise ValueError("the center description applies to the plain layer")
@@ -185,20 +185,13 @@ def center(layer: GaschuetzLayer) -> CenterInfo:
     for a in range(base.n_letters):
         vec = tuple(1 if b == a else 0 for b in range(base.n_letters)) * base.order
         gen = GaschuetzElement(vec, 0, False)
-        seen = set()
         pieces = []
-        for start in range(base.order):
-            if start in seen:
-                continue
-            h, length = start, 0
-            while h not in seen:
-                seen.add(h)
-                h = step[h][a]
-                length += 1
-            w_i = tree_word(tree, start)
+        a_step = Permutation(tuple(step[h][a] for h in range(base.order)))
+        for cycle in a_step.cycles(include_fixed=True):
+            w_i = tree_word(tree, cycle[0])
             if w_i is None:
-                raise VerificationError("element %d is unreachable in the Cayley graph" % start)
-            pieces.append(concat(w_i, power(Word(((a, 1),)), length), invert(w_i)))
+                raise VerificationError("element %d is unreachable in the Cayley graph" % cycle[0])
+            pieces.append(concat(w_i, power(Word(((a, 1),)), len(cycle)), invert(w_i)))
         w_a = concat(*pieces)
         if layer.evaluate(w_a) != gen:
             raise VerificationError("the center witness for letter %d misses its generator" % a)
@@ -333,10 +326,11 @@ def layer_abelianization(base: MaterializedGroup, p: int, tilde: bool) -> list[i
 
     Words trivial in the plain layer are the w with trivial base image
     and traversal vector zero mod p; their letter-count vectors form
-    p * Lambda, Lambda = ker(Z^A -> ab(G)), which the coset-graph
-    relations of `abelian_relations` generate.  The tilde quotient further
-    kills the center witnesses, whose count vectors are |G| * e_a.  So
-    the abelianization is Z^A / (p*Lambda) resp. Z^A / (p*Lambda + |G|Z^A).
+    p * Lambda, Lambda = ker(Z^A -> ab(G)), which the letter counts of
+    the base's Cayley-graph cycles from `abelian_relations` generate.
+    The tilde quotient further kills the center witnesses, whose count
+    vectors are |G| * e_a.  So the abelianization is Z^A / (p*Lambda)
+    resp. Z^A / (p*Lambda + |G|Z^A).
     """
     check_modulus(p)
     n = base.n_letters

@@ -10,8 +10,8 @@ done by table: a product follows the right factor's generation-tree word
 through the Cayley graph.  A product costs one Cayley step per letter of
 that word, up to n - 1 in cyclic(n; a=1, b=1), so closures use whole
 left-multiplication rows, each one pass along the tree, and the
-abelianization is the Smith normal form of the relations read off the
-coset graph of [G,G].
+abelianization is the Smith normal form of the letter counts of the
+cycles that close that tree.
 """
 
 from __future__ import annotations
@@ -352,34 +352,17 @@ def subgroup_closure(g: MaterializedGroup, gens) -> frozenset[int]:
     return frozenset(members)
 
 
-def normal_closure(g: MaterializedGroup, gens) -> frozenset[int]:
-    """Subgroup generated by the orbit of gens under conjugation by the
-    letter images: image * x * image^-1 is a left row, then a bwd step."""
-    bwd = g.cayley.bwd
-    conj = [[bwd[y][a] for y in g.left_row(img)] for a, img in enumerate(g.images)]
-    return subgroup_closure(g, sorted(_orbit(gens, conj)))
-
-
-def commutator_subgroup(g: MaterializedGroup) -> frozenset[int]:
-    comms = []
-    for a in range(g.n_letters):
-        for b in range(g.n_letters):
-            x, y = g.images[a], g.images[b]
-            comms.append(g.mul_idx(g.mul_idx(g.mul_idx(x, y), g.inv_idx(x)), g.inv_idx(y)))
-    return normal_closure(g, comms)
-
-
 def coset_walk(g: MaterializedGroup, t_elems):
     """Right cosets T x numbered breadth-first from T over the letters (a
-    letter maps each coset onto a coset): the coset of every element, the
-    coset table, and the tree (parent coset, letter) of the walk."""
+    letter maps each coset onto a coset): the coset of every element and
+    the coset table."""
     fwd = g.cayley.fwd
     coset_of = [-1] * g.order
     cosets = [list(t_elems)]
     for x in cosets[0]:
         coset_of[x] = 0
-    table, parent, letter = [], [0], [-1]
-    for c, members in enumerate(cosets):  # grows while it is walked
+    table = []
+    for members in cosets:  # grows while it is walked
         row = []
         for a in range(g.n_letters):
             d = coset_of[fwd[members[0]][a]]
@@ -388,36 +371,38 @@ def coset_walk(g: MaterializedGroup, t_elems):
                 cosets.append([fwd[x][a] for x in members])
                 for x in cosets[d]:
                     coset_of[x] = d
-                parent.append(c)
-                letter.append(a)
             row.append(d)
         table.append(row)
-    return coset_of, table, parent, letter
+    return coset_of, table
 
 
 def abelian_relations(g: MaterializedGroup) -> list[tuple[int, ...]]:
-    """Generators of Lambda = ker(Z^A -> g/[g,g]), one per edge (c, a) of
-    the coset graph of [g,g]: the letter counts of the walk's tree path to
-    c, then a, then the tree path back from c.a.  Tree edges give zero;
-    zero and repeated rows are dropped."""
-    _, table, parent, letter = coset_walk(g, commutator_subgroup(g))
-    counts = [(0,) * g.n_letters]  # letter counts of the tree path to each coset
-    for c in range(1, len(table)):
-        v = list(counts[parent[c]])
-        v[letter[c]] += 1
+    """Generators of Lambda = ker(Z^A -> g/[g,g]), one per edge (h, a) of
+    the Cayley graph: the letter counts of the generation-tree word to h,
+    plus a, minus the counts of the tree word to h.a.  These are the
+    fundamental cycles of the Cayley graph for that tree; by
+    Reidemeister-Schreier they generate ker(F -> g), whose letter-count
+    image is Lambda.  Tree edges give zero; zero and repeated rows are
+    dropped."""
+    counts = [(0,) * g.n_letters]  # letter counts of the tree word to each element
+    for j in range(1, g.order):
+        v = list(counts[g._parent[j]])
+        v[g._letter[j]] += 1
         counts.append(tuple(v))
     rows = {}
-    for c, row in enumerate(table):
-        for a, d in enumerate(row):
-            r = tuple(x - y + (i == a) for i, (x, y) in enumerate(zip(counts[c], counts[d])))
+    for h, out in enumerate(g.cayley.fwd):
+        for a, d in out.items():
+            r = [x - y for x, y in zip(counts[h], counts[d])]
+            r[a] += 1
             if any(r):
-                rows[r] = None
+                rows[tuple(r)] = None
     return list(rows)
 
 
 def abelianization(g: MaterializedGroup) -> list[int]:
     """Invariant factors (ascending, each dividing the next) of g/[g,g] =
-    Z^A / Lambda, from the Smith normal form of the coset-graph relations."""
+    Z^A / Lambda, from the Smith normal form of the Cayley-graph cycle
+    relations."""
     return [d for d in _smith_diagonal(abelian_relations(g), g.n_letters) if d > 1]
 
 

@@ -12,6 +12,8 @@ from constel.automata import (InverseAutomaton, LabeledGraph, Subgraph,
                               product_automaton, rank_from_core, read_aut,
                               span_from_base, subgraph_automaton, to_dot,
                               transition_group, tree_word, trim, write_aut)
+from constel.groups import CyclicSpec, KleinSpec, PermSpec, materialize
+from constel.perms import from_cycles
 from constel.words import Word, parse_word, reduce
 
 A2 = 2
@@ -308,6 +310,33 @@ def test_bfs_tree_against_relaxed_distances():
                         sub = Subgraph(aut, sub_edges, frozenset(range(aut.n)))
                         assert set(tree) == sub.component_of(root)
     assert tree_word({0: (-1, -1, 0)}, 1) is None
+
+
+def oracle_cayley_graphs():
+    """Cayley graphs of Z6, S3, Klein and Z16 for the networkx oracles."""
+    s3 = (from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)]))
+    return [materialize(spec).cayley for spec in (
+        CyclicSpec(6, (1, 2)), PermSpec(3, s3), KleinSpec(((1, 0), (0, 1))),
+        CyclicSpec(16, (1, 1)))]
+
+
+def test_bfs_tree_depths_match_networkx_path_lengths():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(13)
+    for aut in oracle_cayley_graphs():
+        all_edges = [(u, letter) for u, letter, _ in aut.pos_edges()]
+        subsets = [None] + [frozenset(e for e in all_edges if rng.random() < 0.6)
+                            for _ in range(4)]
+        for edges in subsets:
+            for forward_only in (False, True):
+                graph = nx.MultiDiGraph() if forward_only else nx.MultiGraph()
+                graph.add_nodes_from(range(aut.n))
+                graph.add_edges_from((u, v) for u, letter, v in aut.pos_edges()
+                                     if edges is None or (u, letter) in edges)
+                for root in range(aut.n):
+                    tree = bfs_tree(aut, root, edges, forward_only)
+                    depths = {v: len(tree_word(tree, v)) for v in tree}
+                    assert depths == nx.single_source_shortest_path_length(graph, root)
 
 
 def traversed_edges(aut, v, u):

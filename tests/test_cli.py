@@ -372,6 +372,13 @@ def test_corpus_rejects_tiny_m(tmp_path):
     assert code == 2 and "at least 3" in err
 
 
+def test_corpus_rejects_a_negative_count(tmp_path):
+    d = tmp_path / "c"
+    code, out, err = run(["corpus", "--count", "-3", "--dir", str(d)])
+    assert code == 2 and out == "" and "must not be negative" in err
+    assert not d.exists()
+
+
 def test_unknown_command_and_bad_spec():
     assert run(["nonsense"])[0] == 2
     code, _, err = run(["cayley", "--group", "wat(3)"])

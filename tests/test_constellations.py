@@ -87,6 +87,21 @@ def test_minimal_cut_structure():
             assert mc.cut == crossing
 
 
+def test_both_sides_of_every_bond_are_connected_in_networkx():
+    nx = pytest.importorskip("networkx")
+    s3 = materialize(PermSpec(3, (from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)]))))
+    for group in (materialize(CyclicSpec(6, (1, 2))), s3, klein(),
+                  materialize(CyclicSpec(16, (1, 1)))):
+        aut = group.cayley
+        graph = nx.MultiGraph()
+        graph.add_edges_from((u, v) for u, _, v in aut.pos_edges())
+        cuts = minimal_cut_sets(aut)
+        assert cuts
+        for mc in cuts:
+            assert nx.is_connected(graph.subgraph(mc.near))
+            assert nx.is_connected(graph.subgraph(mc.far))
+
+
 def test_minimal_cut_bound():
     big = materialize(CyclicSpec(21, (1,))).cayley  # 2^20 bipartitions, one vertex past 20
     with pytest.raises(OrderBoundError, match="exceeds the bound"):

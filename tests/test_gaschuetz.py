@@ -217,6 +217,15 @@ def test_center_witnesses_for_z2_p2():
     assert [str_word(u) for u in info.witness_words] == ["aa", "bb"]
 
 
+def test_center_witnesses_cover_fixed_points():
+    # b maps to the identity: each element is a fixed point of the b-step,
+    # and each contributes its own b-edge to b's witness
+    with pytest.warns(UserWarning):
+        base = materialize(CyclicSpec(2, (1, 0)))
+    info = center(GaschuetzLayer(base, 3, tilde=False))
+    assert [str_word(u) for u in info.witness_words] == ["aa", "babA"]
+
+
 def str_word(u: Word) -> str:
     out = []
     for letter, sign in u:

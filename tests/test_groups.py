@@ -2,6 +2,7 @@ import random
 import time
 import tracemalloc
 import warnings
+from math import prod
 
 import pytest
 
@@ -12,10 +13,9 @@ from constel.gaschuetz import GaschuetzLayer
 from constel.groups import (DEFAULT_BOUND, CyclicSpec, ExtensionSpec, KleinSpec, Morphism,
                             OrderBoundError, PermSpec, ProductSpec,
                             _smith_diagonal, abelian_relations, abelianization,
-                            canonical_morphism, commutator_subgroup, coset_walk,
-                            identity_morphism, materialize, normal_closure,
-                            product_A, subgroup_closure, table_automaton,
-                            traversal_vector)
+                            canonical_morphism, coset_walk, identity_morphism,
+                            materialize, product_A, subgroup_closure,
+                            table_automaton, traversal_vector)
 from constel.perms import from_cycles
 from constel.words import Word, parse_word
 from group_elements import element_list, sample_groups
@@ -223,12 +223,66 @@ def permutation_span(index, gens):
         span = bigger
 
 
+# --- reference for `abelian_relations`: the derived subgroup and its
+# normal closure by element products alone, and the relations read off
+# the coset graph of [g,g]
+
+def normal_closure(g, gens) -> frozenset[int]:
+    """Subgroup generated by the conjugates of gens under the letter
+    images (which generate g), closed under products."""
+    conjugates, todo = set(gens), list(gens)
+    while todo:
+        x = todo.pop()
+        for img in g.images:
+            y = g.mul_idx(g.mul_idx(img, x), g.inv_idx(img))
+            if y not in conjugates:
+                conjugates.add(y)
+                todo.append(y)
+    members, todo = {0}, [0]
+    while todo:
+        x = todo.pop()
+        for c in conjugates:
+            y = g.mul_idx(x, c)
+            if y not in members:
+                members.add(y)
+                todo.append(y)
+    return frozenset(members)
+
+
+def derived_subgroup(g) -> frozenset[int]:
+    """[g,g]: the normal closure of the commutators of letter images."""
+    comms = [g.mul_idx(g.mul_idx(g.mul_idx(x, y), g.inv_idx(x)), g.inv_idx(y))
+             for x in g.images for y in g.images]
+    return normal_closure(g, comms)
+
+
+def coset_relations(g, derived) -> list[tuple[int, ...]]:
+    """One row per edge (c, a) of the coset graph of [g,g]: the letter
+    counts of the BFS tree path to c, then a, then the tree path back
+    from c.a; zero and repeated rows dropped."""
+    _, table = coset_walk(g, derived)
+    tree = bfs_tree(table_automaton(table, g.n_letters), 0, forward_only=True)
+    counts = []
+    for c in range(len(table)):
+        v = [0] * g.n_letters
+        for letter, _ in tree_word(tree, c):
+            v[letter] += 1
+        counts.append(v)
+    rows = {}
+    for c, row in enumerate(table):
+        for a, d in enumerate(row):
+            r = tuple(x - y + (i == a) for i, (x, y) in enumerate(zip(counts[c], counts[d])))
+            if any(r):
+                rows[r] = None
+    return list(rows)
+
+
 def test_closures_and_quotient_against_permutation_products():
     for gens in (S3_GENS, dihedral_gens(12), dihedral_gens(15)):
         g, elems, index = perm_group(gens)
         brute_derived = permutation_span(
             index, {x * y * x.inverse() * y.inverse() for x in elems for y in elems})
-        assert commutator_subgroup(g) == brute_derived
+        assert derived_subgroup(g) == brute_derived
         ref = g.images[1]
         assert normal_closure(g, [ref]) == permutation_span(
             index, {x * elems[ref] * x.inverse() for x in elems})
@@ -236,7 +290,7 @@ def test_closures_and_quotient_against_permutation_products():
         assert subgroup_closure(g, [ref, rot, 0]) == frozenset(range(g.order))
         assert subgroup_closure(g, [g.mul_idx(rot, rot), ref]) == permutation_span(
             index, {elems[rot] * elems[rot], elems[ref]})
-        coset_of, table, _, _ = coset_walk(g, brute_derived)
+        coset_of, table = coset_walk(g, brute_derived)
         assert len(table) * len(brute_derived) == g.order
         assert len(set(coset_of)) == len(table)
         quotient = table_automaton(table, g.n_letters)
@@ -262,7 +316,7 @@ def test_abelianization_of_a_long_cycle():
     assert abelianization(z) == [1000]
     assert time.perf_counter() - start < 10
     _, index = element_list(z, 0, (1, 1), lambda x, y: (x + y) % 1000)
-    coset_of, table, _, _ = coset_walk(z, commutator_subgroup(z))
+    coset_of, table = coset_walk(z, derived_subgroup(z))
     quotient = table_automaton(table, 2)
     assert quotient.trace(0, w("AAAb")) == coset_of[index[998]]
     assert quotient.trace(0, Word(((1, -1),) * 1000)) == 0
@@ -376,10 +430,10 @@ def test_normal_closure_of_transposition_is_whole_s3():
 
 def test_commutator_subgroup():
     g = s3()
-    derived = commutator_subgroup(g)
+    derived = derived_subgroup(g)
     assert len(derived) == 3
     assert all(g.element_order(i) in (1, 3) for i in derived)
-    assert commutator_subgroup(klein()) == frozenset({0})
+    assert derived_subgroup(klein()) == frozenset({0})
 
 
 def test_abelianization_fixtures():
@@ -404,14 +458,30 @@ def test_invariant_factors_divide():
 
 def test_abelian_quotient_arithmetic():
     g = s3()
-    coset_of, table, parent, letter = coset_walk(g, commutator_subgroup(g))
-    assert len(table) == 2 and (parent, letter) == ([0, 0], [-1, 0])
+    coset_of, table = coset_walk(g, derived_subgroup(g))
+    assert table == [[1, 1], [0, 0]]
     assert coset_of[g.images[0]] == coset_of[g.images[1]] != 0
     quotient = table_automaton(table, g.n_letters)
     assert quotient.trace(0, w("aa")) == quotient.trace(0, w("ab")) == 0
     assert quotient.trace(0, w("a")) == quotient.trace(0, w("AAA")) == 1
     # the non-tree edges (0, b), (1, a) and (1, b) of the coset graph
-    assert abelian_relations(g) == [(-1, 1), (2, 0), (1, 1)]
+    assert coset_relations(g, derived_subgroup(g)) == [(-1, 1), (2, 0), (1, 1)]
+    # the cycles of Gamma(S3) that close its generation tree 1, a, b, ab,
+    # ba, aba: a.a = 1, b.b = 1, ba.b = aba and aba.b = ba
+    assert abelian_relations(g) == [(2, 0), (0, 2), (-1, 1), (1, 1)]
+
+
+def test_cycle_rows_span_the_coset_graph_lattice():
+    # lattice equality, not just equal quotients: stacking either row set
+    # onto the other keeps the index of the lattice it spans
+    for name, g in sample_groups():
+        cycle_rows = abelian_relations(g)
+        coset_rows = coset_relations(g, derived_subgroup(g))
+        both = _smith_diagonal(cycle_rows + coset_rows, g.n_letters)
+        for rows in (cycle_rows, coset_rows):
+            diag = _smith_diagonal(rows, g.n_letters)
+            assert len(diag) == len(both) == g.n_letters, name
+            assert prod(diag) == prod(both), name
 
 
 def factors_from_order_counts(order: int, elem_orders: list[int]) -> list[int]:
@@ -456,7 +526,7 @@ def factors_from_order_counts(order: int, elem_orders: list[int]) -> list[int]:
 def order_count_abelianization(g) -> list[int]:
     """Invariant factors of g/[g,g] from the order of each coset of
     [g,g], with cosets and powers taken by element products."""
-    derived = commutator_subgroup(g)
+    derived = derived_subgroup(g)
     orders, seen = [], set()
     for x in range(g.order):
         if x in seen:
