@@ -72,25 +72,72 @@ class MinimalCut:
 
 
 def minimal_cut_sets(aut: InverseAutomaton) -> list[MinimalCut]:
-    """All minimal cut sets of a connected graph: the crossing edge sets
-    of vertex bipartitions whose two sides are induced-connected.  A
-    search over the non-crossing edges stays on the side it starts from,
-    so the sides are connected iff the searches from the anchor and from
-    the least far vertex reach all n vertices together."""
+    """All minimal cut sets (bonds) of a connected graph, grown from their
+    near sides, after Tsukiyama et al. (JACM 1980) and Provan-Shier
+    (Algorithmica 1996).
+
+    A bond is the crossing edge set of a bipartition (S, V - S) whose two
+    sides are both connected; S holds the anchor (the base, else vertex
+    0).  The search keeps a connected S containing the anchor and a set X
+    of excluded neighbors of S.  While the frontier N(S) - X is nonempty
+    it branches on its least vertex v: take v into S, or exclude it into
+    X.  A branch is pruned when X does not lie in one component of
+    G[V - S].  At a leaf the frontier is empty, so X = N(S), and S is
+    emitted when X is nonempty.
+
+    - Each connected S' containing the anchor reaches exactly one leaf.
+      Follow the branch that takes v iff v is in S'.  Along it S stays
+      inside S' and X outside it, and each step adds a vertex, so the
+      walk ends at a leaf.  There every neighbor of S lies in X, outside
+      S', and S' is connected, so S = S'.  Any other branch disagrees
+      with S' on some vertex and never reaches it.
+    - The prune is sound.  Below a node, S only grows and X only grows,
+      so G[V - S] only loses vertices and its components only split.  If
+      X meets two of them, V - S' is disconnected at every leaf S' below,
+      and no bond is lost.
+    - An emitted V - S is connected.  G is connected, so every component
+      of G[V - S] has a vertex adjacent to S, that is, a vertex of
+      N(S) = X.  The unpruned leaf has X in one component, so there is
+      only one.  X is nonempty, so V - S is too.
+
+    An unpruned node whose nonempty X lies in the component K of G[V - S]
+    has the leaf V - K below it: V - K contains S, misses X, and is
+    connected, since every other component is adjacent to S.  Nodes with
+    X empty only ever took, so they form one path.  So every unpruned
+    node lies on one of at most (bonds + 1) root paths of length at most
+    n, and each node costs one search, O(n + m).  No bipartition is
+    tried; the 2^(n-1) bipartitions are refused up front as a bound on
+    the bond count.  The bonds are sorted by the far-side bitmask whose
+    bit i is the i-th vertex other than the anchor."""
     check_size(2 ** (aut.n - 1), "vertex bipartitions")
+    if not aut.is_connected():
+        raise ValueError("graph is not connected")
     full = full_subgraph(aut)
     anchor = aut.base if aut.base is not None else 0
-    others = [v for v in range(aut.n) if v != anchor]
+    bit = {v: 1 << i for i, v in enumerate(v for v in range(aut.n) if v != anchor)}
     edges = aut.pos_edges()
+    nears = []
+
+    def grow(near: frozenset[int], excluded: frozenset[int]) -> None:
+        if excluded:
+            outside = {(u, letter) for u, letter, v in edges if u not in near and v not in near}
+            if not excluded <= bfs_tree(aut, min(excluded), outside).keys():
+                return
+        frontier = {w for v in near for w, *_ in full.neighbors(v)} - near - excluded
+        if frontier:
+            v = min(frontier)
+            grow(near | {v}, excluded)
+            grow(near, excluded | {v})
+        elif excluded:
+            nears.append(near)
+
+    grow(frozenset([anchor]), frozenset())
     out = []
-    for mask in range(1, 1 << len(others)):
-        far = frozenset(others[i] for i in range(len(others)) if mask >> i & 1)
-        cut, kept = set(), set()
-        for u, letter, v in edges:
-            (cut if (u in far) != (v in far) else kept).add((u, letter))
-        if (len(bfs_tree(aut, anchor, kept)) == aut.n - len(far)
-                and len(bfs_tree(aut, min(far), kept)) == len(far)):
-            out.append(MinimalCut(full, frozenset(cut), frozenset(range(aut.n)) - far, far))
+    for near in nears:
+        far = full.vertices - near
+        cut = frozenset((u, letter) for u, letter, v in edges if (u in far) != (v in far))
+        out.append(MinimalCut(full, cut, near, far))
+    out.sort(key=lambda mc: sum(bit[v] for v in mc.far))
     return out
 
 
@@ -110,10 +157,10 @@ class MaxConstellationPair:
         `maximal_constellations` builds Xi = Gamma - C_Theta and Theta =
         Gamma - C_Xi from a bond C whose near side N (with the base) and
         far side F are each connected in Gamma - C, as `minimal_cut_sets`
-        verified.  If C_Xi and C_Theta are nonempty and split C, then Xi
-        holds every vertex and joins N to F through C_Xi, so it is
-        connected, and so is Theta; Xi intersect Theta = Gamma - C has
-        exactly N and F as its components.  So (Xi, g, Theta) is a
+        proves of every bond it grows.  If C_Xi and C_Theta are nonempty
+        and split C, then Xi holds every vertex and joins N to F through
+        C_Xi, so it is connected, and so is Theta; Xi intersect Theta =
+        Gamma - C has exactly N and F as its components.  So (Xi, g, Theta) is a
         constellation for every g in F, and checking the split and the g
         choices costs O(|C| + |F|)."""
         c_xi, c_theta = self.c_xi, self.c_theta

@@ -1,15 +1,18 @@
 import dataclasses
 import itertools
+import math
+import warnings
 
 import pytest
 
 import constel.constellations
-from constel.automata import (InverseAutomaton, Subgraph, amalgam, canonical,
+from constel.automata import (InverseAutomaton, Subgraph, amalgam, bfs_tree, canonical,
                               embed_check, full_subgraph, write_aut)
 from constel.constellations import (Constellation, MinimalCut, _check_constellations,
                                     amalgams_of, assemble_AG, chain_letter, delta_a,
                                     maximal_constellations, minimal_cut_sets)
 from constel.errors import VerificationError
+from constel.gaschuetz import GaschuetzLayer
 from constel.groups import CyclicSpec, KleinSpec, OrderBoundError, PermSpec, materialize
 from constel.perms import from_cycles
 from group_elements import sample_groups
@@ -69,6 +72,103 @@ def test_minimal_cuts_against_oracle():
         assert got == brute_minimal_cuts(group.cayley)
 
 
+def mask_minimal_cuts(aut: InverseAutomaton) -> list[tuple]:
+    """(cut, near, far) of every vertex bipartition whose two sides are
+    connected, by far-side bitmask (bit i is the i-th vertex other than
+    the anchor).  A search over the non-crossing edges stays on the side
+    it starts from, so both sides are connected iff the searches from the
+    anchor and from the least far vertex reach all n vertices together."""
+    anchor = aut.base if aut.base is not None else 0
+    others = [v for v in range(aut.n) if v != anchor]
+    edges = aut.pos_edges()
+    out = []
+    for mask in range(1, 1 << len(others)):
+        far = frozenset(others[i] for i in range(len(others)) if mask >> i & 1)
+        cut, kept = set(), set()
+        for u, letter, v in edges:
+            (cut if (u in far) != (v in far) else kept).add((u, letter))
+        if (len(bfs_tree(aut, anchor, kept)) == aut.n - len(far)
+                and len(bfs_tree(aut, min(far), kept)) == len(far)):
+            out.append((frozenset(cut), frozenset(range(aut.n)) - far, far))
+    return out
+
+
+def cut_triples(aut: InverseAutomaton) -> list[tuple]:
+    return [(mc.cut, mc.near, mc.far) for mc in minimal_cut_sets(aut)]
+
+
+def z3xz3():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # both letters map to the identity of Z1
+        return GaschuetzLayer(materialize(CyclicSpec(1, (0, 0))), 3, False).materialize()
+
+
+def test_minimal_cuts_match_the_mask_oracle_on_every_sample_group():
+    groups = sample_groups() + [("z3 x z3", z3xz3())]
+    checked = set()
+    for name, group in groups:
+        if group.order > 14:
+            continue
+        assert cut_triples(group.cayley) == mask_minimal_cuts(group.cayley), name
+        checked.add(name)
+    assert {"d4", "a4", "cyclic(12;(1, 1))", "z3 x z3"} <= checked
+
+
+def test_minimal_cuts_match_the_mask_oracle_on_random_automata():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def connected_automata(draw):
+        # a random spanning tree, then extra edges that fit: loops, and
+        # parallel edges under other letters or in the other direction
+        n, k = draw(st.integers(1, 10)), draw(st.integers(1, 3))
+        out, into, edges = set(), set(), []
+
+        def add(u, letter, v):
+            if (u, letter) not in out and (v, letter) not in into:
+                out.add((u, letter))
+                into.add((v, letter))
+                edges.append((u, letter, v))
+
+        for v in range(1, n):
+            # a tree on v vertices has v - 1 edges, so one of its 2kv
+            # (vertex, letter, direction) slots is free
+            slots = [(u, letter, sign) for u in range(v) for letter in range(k)
+                     for sign in (1, -1) if (u, letter) not in (out if sign > 0 else into)]
+            u, letter, sign = draw(st.sampled_from(slots))
+            if sign > 0:
+                add(u, letter, v)
+            else:
+                add(v, letter, u)
+        vertex, letter = st.integers(0, n - 1), st.integers(0, k - 1)
+        for u, a, v in draw(st.lists(st.tuples(vertex, letter, vertex), max_size=2 * n)):
+            add(u, a, v)
+        return InverseAutomaton(n, k, edges, base=draw(st.none() | vertex))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(connected_automata())
+    def check(aut):
+        assert aut.is_connected()
+        assert cut_triples(aut) == mask_minimal_cuts(aut)
+
+    check()
+
+
+def test_minimal_cuts_refuse_a_disconnected_graph():
+    two_cycles = InverseAutomaton(4, 1, [(0, 0, 1), (1, 0, 0), (2, 0, 3), (3, 0, 2)], base=0)
+    with pytest.raises(ValueError, match="graph is not connected"):
+        minimal_cut_sets(two_cycles)
+
+
+@pytest.mark.parametrize("n", [18, 20])
+def test_cyclic_bond_count_past_the_mask_range(n):
+    # a bond of the doubled n-cycle cuts it in two places
+    cuts = minimal_cut_sets(materialize(CyclicSpec(n, (1, 1))).cayley)
+    assert len(cuts) == len({mc.cut for mc in cuts}) == math.comb(n, 2)
+    assert all(len(mc.cut) == 4 for mc in cuts)
+
+
 def test_minimal_cut_counts():
     assert len(minimal_cut_sets(z2().cayley)) == 1
     assert len(minimal_cut_sets(klein().cayley)) == 6
@@ -91,7 +191,7 @@ def test_both_sides_of_every_bond_are_connected_in_networkx():
     nx = pytest.importorskip("networkx")
     s3 = materialize(PermSpec(3, (from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)]))))
     for group in (materialize(CyclicSpec(6, (1, 2))), s3, klein(),
-                  materialize(CyclicSpec(16, (1, 1)))):
+                  materialize(CyclicSpec(16, (1, 1))), materialize(CyclicSpec(18, (1, 1)))):
         aut = group.cayley
         graph = nx.MultiGraph()
         graph.add_edges_from((u, v) for u, _, v in aut.pos_edges())
