@@ -9,7 +9,8 @@ contraction (`_contract`, `_Lifts`) of the preimage of an edge set S
 inside Xi intersect Theta.  Every split of a bond C has Xi intersect
 Theta = Gamma - C, so each bond is contracted once, and a split only
 joins the preimages of its |C| cut edges.  Other pairs contract S = Xi
-intersect Theta, Xi and Theta in flat passes over Gamma(H).  Two exact
+intersect Theta, Xi and Theta, each over the preimages of its own edges
+only, read off the fibers of phi.  Two exact
 deciders are provided:
 
 - reachability: materialize H and intersect the fibers over g of the
@@ -31,7 +32,7 @@ deciders are provided:
   Xi^ and in Theta^.
 
 `dissolves_materialized` and `dissolves_linear` decide one
-constellation (Xi, g, Theta) from the flat contractions of its pair.
+constellation (Xi, g, Theta) from the three contractions of its pair.
 """
 
 from __future__ import annotations
@@ -67,15 +68,16 @@ class DissolveReport:
     vector: Vec | None = None                 # offending difference vector
 
 
-def _contract(aut: InverseAutomaton, image: Sequence[int], edges) -> list[int]:
-    """comp[h]: the least vertex of the component of h in the preimage,
-    under h -> image[h], of the edge set `edges`, by union-find."""
+def _contract(aut: InverseAutomaton, fibers, edges) -> list[int]:
+    """comp[h]: the least vertex of the component of h in the preimage
+    of the edge set `edges`, by union-find.  fibers[g] lists the
+    vertices over g, so only the preimages of `edges` are walked."""
     parent = list(range(aut.n))
-    for h, g in enumerate(image):
-        for a, nxt in aut.fwd[h].items():
-            if (g, a) in edges:
-                x, y = _find(parent, h), _find(parent, nxt)
-                parent[max(x, y)] = min(x, y)  # so parent[v] <= v throughout
+    fwd = aut.fwd
+    for g, a in edges:
+        for h in fibers[g]:
+            x, y = _find(parent, h), _find(parent, fwd[h][a])
+            parent[max(x, y)] = min(x, y)  # so parent[v] <= v throughout
     for h in range(aut.n):
         parent[h] = parent[parent[h]]  # parent[h] < h already points at its root
     return parent
@@ -101,11 +103,12 @@ def reachable_lift(xi: Subgraph, h_group: MaterializedGroup, phi: Morphism
     _check_target(phi, xi)
     if not xi.has_vertex(xi.parent.base):
         raise ValueError("the base vertex must lie in the subgraph")
-    comp = frozenset(h for h, c in enumerate(_contract(h_group.cayley, phi.mapping, xi.edges))
+    all_fibers = phi.fibers()
+    comp = frozenset(h for h, c in enumerate(_contract(h_group.cayley, all_fibers, xi.edges))
                      if not c)
     edges = frozenset((h, a) for h in comp for a in range(h_group.n_letters)
                       if (phi(h), a) in xi.edges)
-    fibers = {g: frozenset(hs).intersection(comp) for g, hs in phi.fibers().items()}
+    fibers = {g: frozenset(hs).intersection(comp) for g, hs in all_fibers.items()}
     return Subgraph(h_group.cayley, edges, comp), {g: hs for g, hs in fibers.items() if hs}
 
 
@@ -142,17 +145,18 @@ class _Lifts:
 
 def _pair_lifts(phi: Morphism, xi: Subgraph, theta: Subgraph) -> _Lifts:
     """Lifts of any two subgraphs containing the base, over S = Xi
-    intersect Theta: S, Xi and Theta are each contracted in one flat
-    pass over Gamma(H).  S lies in Xi, so the component of 1 in Xi's
-    contraction is a union of components of S's; likewise for Theta."""
+    intersect Theta: S, Xi and Theta are each contracted over the
+    preimages of their edges, read off one set of fibers.  S lies in
+    Xi, so the component of 1 in Xi's contraction is a union of
+    components of S's; likewise for Theta."""
     _check_target(phi, xi, theta)
     if not (xi.has_vertex(xi.parent.base) and theta.has_vertex(xi.parent.base)):
         raise ValueError("the base vertex must lie in the subgraph")
-    aut, image = phi.src.cayley, phi.mapping
-    comp = _contract(aut, image, xi.edges & theta.edges)
-    halves = tuple({comp[h] for h, c in enumerate(_contract(aut, image, sub.edges)) if not c}
+    aut, fibers = phi.src.cayley, phi.fibers()
+    comp = _contract(aut, fibers, xi.edges & theta.edges)
+    halves = tuple({comp[h] for h, c in enumerate(_contract(aut, fibers, sub.edges)) if not c}
                    for sub in (xi, theta))
-    return _Lifts(phi, phi.fibers(), comp, halves, xi, theta)
+    return _Lifts(phi, fibers, comp, halves, xi, theta)
 
 
 def _bond_lifts(phi: Morphism, cut: MinimalCut):
@@ -160,7 +164,7 @@ def _bond_lifts(phi: Morphism, cut: MinimalCut):
     once along the preimage of Gamma(G) - C, and a split's lift is found
     by a search over the components that preimages of its cut edges join."""
     aut, fibers = phi.src.cayley, phi.fibers()
-    comp = _contract(aut, phi.mapping, cut.full.edges - cut.cut)
+    comp = _contract(aut, fibers, cut.full.edges - cut.cut)
     joins = {e: defaultdict(list) for e in cut.cut}
     for (g, a), join in joins.items():
         for h in fibers[g]:
@@ -410,7 +414,8 @@ def disconnection_equivalence(phi: Morphism, letter: int, sign: int = 1
     kernel = phi.kernel()
     # n * img is one Cayley step; the geometric edge of (n, a^-1) is (n * img, a)
     removed = {(cayley.step(n, letter, sign) if sign < 0 else n, letter) for n in kernel}
-    comp = _contract(cayley, range(cayley.n), {(h, a) for h, a, _ in cayley.pos_edges()} - removed)
+    comp = _contract(cayley, [(h,) for h in range(cayley.n)],
+                     {(h, a) for h, a, _ in cayley.pos_edges()} - removed)
     disconnected = len(set(comp)) > 1
     separated_1 = comp[0] != comp[cayley.step(0, letter, sign)]
     separated_all = all(comp[n] != comp[cayley.step(n, letter, sign)] for n in kernel)
@@ -491,7 +496,7 @@ def detecting_edges_check(phi: Morphism, c: Constellation, w: Word) -> bool:
     pi_g = traversal_vector(c.parent, w)
     if not set(pi_g) <= c.xi.edges:
         raise ValueError("word traversal leaves xi")
-    comp = _contract(c.parent, range(c.parent.n), c.xi.edges & c.theta.edges)
+    comp = _contract(c.parent, [(v,) for v in range(c.parent.n)], c.xi.edges & c.theta.edges)
     upsilon = {v for v, x in enumerate(comp) if x == comp[c.base]}
     border_out = {e for e in c.xi.edges
                   if e[0] in upsilon and c.xi.dst(e) not in upsilon}

@@ -13,8 +13,11 @@ shift by g is a gather through an index map built from the base's
 left-multiplication row on first use, so products never rebuild or
 rehash vectors beyond the result.  Elements are kept lazy: a word
 evaluates to (traversal vector mod p, base image) without enumerating
-the layer.  Materialization goes through the generic BFS in `groups`
-when the order fits the bound.
+the layer.  Materialization, when the order fits the bound, runs the
+BFS of `groups` over flat keys alpha + (g,) by one-entry generator
+steps: right multiplication by a letter image changes one entry of
+alpha, and on tilde layers also one letter class at g = 1.  `mul`,
+`inv` and `_make` serve the lazy arithmetic.
 """
 
 from __future__ import annotations
@@ -134,8 +137,30 @@ class GaschuetzLayer:
         return self.base.order * (self.n_letters - 1) + 1
 
     def materialize(self) -> MaterializedGroup:
+        """The layer enumerated by generator steps on flat keys alpha + (g,).
+
+        Right multiplication by the image (e_a, phi(a)) of letter a adds
+        the shift g.e_a = e_(g,a), so a step adds 1 to the one entry
+        (g, a) and moves g along its Cayley a-edge.  The step keeps the
+        tilde normal form, zero on the edges (1, b), except at g = 1:
+        there the entry (1, a) becomes 1, and subtracting 1 from every
+        letter-a entry takes off that label-constant vector again.  No
+        element object is built."""
         check_size(self.order(), "layer order")
-        return _generate(self.n_letters, self.identity, self.images, self.mul)
+        p, n_letters, tilde, fwd = self.p, self.n_letters, self.tilde, self.base.cayley.fwd
+        size = self.base.order * n_letters
+
+        def step(x: tuple[int, ...], a: int) -> tuple[int, ...]:
+            g = x[-1]
+            y = list(x)
+            i = g * n_letters + a
+            y[i] = (y[i] + 1) % p
+            if tilde and g == 0:
+                y[a:size:n_letters] = [(u - 1) % p for u in y[a:size:n_letters]]
+            y[-1] = fwd[g][a]
+            return tuple(y)
+
+        return _generate(n_letters, (0,) * (size + 1), step)
 
     def cover(self) -> tuple[MaterializedGroup, Morphism]:
         """The materialized layer with its projection onto the base,

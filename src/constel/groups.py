@@ -186,25 +186,38 @@ class MaterializedGroup:
 
 def table_automaton(table: list[list[int]], n_letters: int) -> InverseAutomaton:
     """The complete inverse automaton of a table of letter successors,
-    based at vertex 0."""
-    return InverseAutomaton(
-        len(table), n_letters,
-        ((i, a, j) for i, row in enumerate(table) for a, j in enumerate(row)), base=0)
+    based at vertex 0.  It is folded exactly when each letter's column
+    is a permutation of the rows; fwd and bwd are filled column by
+    column once that is checked."""
+    n = len(table)
+    aut = InverseAutomaton(n, n_letters, base=0)
+    fwd, bwd = aut.fwd, aut.bwd
+    for a in range(n_letters):
+        column = [row[a] for row in table]
+        rows = sorted(column)  # the table's own int objects, shared by bwd
+        if any(u != v for u, v in enumerate(rows)):
+            raise ValueError("graph is not folded: letter %d does not permute the vertices" % a)
+        for u, v in zip(rows, column):
+            fwd[u][a] = v
+            bwd[v][a] = u
+    return aut
 
 
-def _generate(n_letters, identity, images, mul) -> MaterializedGroup:
-    """Breadth-first closure of the identity under right multiplication
-    by the letter images, recording the Cayley table and the generation
-    tree as it goes.  The element objects are dropped once the letter
-    images are resolved to indices."""
+def _generate(n_letters, identity, step) -> MaterializedGroup:
+    """Breadth-first closure of the identity under generator steps:
+    step(x, a) is x times the image of letter a.  The Cayley table and
+    the generation tree are recorded as it goes, and the letter images
+    are row 0 of the table.  The numbering depends only on which keys
+    are equal, so any key that identifies the element numbers it the
+    same way.  The keys are dropped once the table is complete."""
     index = {identity: 0}
     elems = [identity]
     table = []
     parent, letter = [0], [-1]
     for i, x in enumerate(elems):  # grows while it is walked
         row = []
-        for a, img in enumerate(images):
-            y = mul(x, img)
+        for a in range(n_letters):
+            y = step(x, a)
             j = index.get(y)
             if j is None:
                 check_size(len(elems) + 1, "element count")
@@ -214,32 +227,32 @@ def _generate(n_letters, identity, images, mul) -> MaterializedGroup:
                 letter.append(a)
             row.append(j)
         table.append(row)
-    image_ids = [index[img] for img in images]
     del elems, index
-    return MaterializedGroup(n_letters, image_ids, table, parent, letter)
-
-
-def _warn_identity_letters(images, identity):
-    for a, img in enumerate(images):
-        if img == identity:
-            warnings.warn("letter %d maps to the identity" % a, stacklevel=3)
+    return MaterializedGroup(n_letters, list(table[0]), table, parent, letter)
 
 
 def materialize(spec: GroupSpec) -> MaterializedGroup:
+    """The group a spec names.  A letter that maps to its identity warns;
+    the inner groups of extension and product specs do not."""
+    g = _materialize(spec)
+    for a, img in enumerate(g.images):
+        if img == 0:
+            warnings.warn("letter %d maps to the identity" % a, stacklevel=2)
+    return g
+
+
+def _materialize(spec: GroupSpec) -> MaterializedGroup:
     if isinstance(spec, CyclicSpec):
         if spec.n < 1:
             raise ValueError("cyclic group order must be positive")
         check_size(spec.n, "cyclic group order")
-        images = [r % spec.n for r in spec.images]
-        if gcd(spec.n, *images) != 1 and spec.n > 1:
-            raise ValueError("images do not generate the cyclic group of order %d" % spec.n)
-        _warn_identity_letters(images, 0)
-        return _generate(spec.n_letters, 0, images, lambda x, y: (x + y) % spec.n)
+        n, images = spec.n, [r % spec.n for r in spec.images]
+        if gcd(n, *images) != 1 and n > 1:
+            raise ValueError("images do not generate the cyclic group of order %d" % n)
+        return _generate(spec.n_letters, 0, lambda x, a: (x + images[a]) % n)
     if isinstance(spec, KleinSpec):
-        images = [tuple(b % 2 for b in img) for img in spec.images]
-        _warn_identity_letters(images, (0, 0))
-        g = _generate(spec.n_letters, (0, 0), images,
-                      lambda x, y: (x[0] ^ y[0], x[1] ^ y[1]))
+        images = [(b0 % 2) << 1 | b1 % 2 for b0, b1 in spec.images]  # the bit pair as an int
+        g = _generate(spec.n_letters, 0, lambda x, a: x ^ images[a])
         if g.order != 4:
             raise ValueError("images do not generate the Klein four-group")
         return g
@@ -247,26 +260,25 @@ def materialize(spec: GroupSpec) -> MaterializedGroup:
         for img in spec.images:
             if img.degree != spec.degree:
                 raise ValueError("permutation degree mismatch")
-        _warn_identity_letters(list(spec.images), perm_identity(spec.degree))
-        return _generate(spec.n_letters, perm_identity(spec.degree), list(spec.images),
-                         lambda x, y: x * y)
+        images = spec.images
+        return _generate(spec.n_letters, perm_identity(spec.degree), lambda x, a: x * images[a])
     if isinstance(spec, ExtensionSpec):
         from .gaschuetz import GaschuetzLayer
-        return GaschuetzLayer(materialize(spec.inner), spec.p, spec.tilde).materialize()
+        return GaschuetzLayer(_materialize(spec.inner), spec.p, spec.tilde).materialize()
     if isinstance(spec, ProductSpec):
         if spec.left.n_letters != spec.right.n_letters:
             raise ValueError("product components must share the alphabet")
-        return product_A(materialize(spec.left), materialize(spec.right))
+        return product_A(_materialize(spec.left), _materialize(spec.right))
     raise TypeError("unknown group spec %r" % (spec,))
 
 
 def product_A(g: MaterializedGroup, h: MaterializedGroup) -> MaterializedGroup:
-    """Subgroup of g x h generated by the paired letter images."""
+    """Subgroup of g x h generated by the paired letter images: one
+    Cayley step in each factor per letter."""
     if g.n_letters != h.n_letters:
         raise ValueError("alphabet size mismatch")
-    images = [(g.images[a], h.images[a]) for a in range(g.n_letters)]
-    return _generate(g.n_letters, (0, 0), images,
-                     lambda x, y: (g.mul_idx(x[0], y[0]), h.mul_idx(x[1], y[1])))
+    g_fwd, h_fwd = g.cayley.fwd, h.cayley.fwd
+    return _generate(g.n_letters, (0, 0), lambda x, a: (g_fwd[x[0]][a], h_fwd[x[1]][a]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,8 @@ A materialized group keeps only its Cayley table.  Its numbering is
 documented: breadth-first discovery from the identity under right
 multiplication by the letter images, letters ascending.  `element_list`
 rebuilds that numbering with the group's own element product and checks
-it against the Cayley table before a test relies on it.
+it against the Cayley table and the generation tree before a test relies
+on it.
 """
 
 import warnings
@@ -19,13 +20,17 @@ from constel.perms import from_cycles
 def element_list(g, identity, images, mul):
     """(elems, index) of g: elems[i] is the element numbered i."""
     elems, index = [identity], {identity: 0}
-    for x in elems:  # grows while it is walked
-        for img in images:
+    parent, letter = [0], [-1]  # the generation tree
+    for i, x in enumerate(elems):  # grows while it is walked
+        for a, img in enumerate(images):
             y = mul(x, img)
             if y not in index:
                 index[y] = len(elems)
                 elems.append(y)
+                parent.append(i)
+                letter.append(a)
     assert len(elems) == g.order
+    assert (parent, letter) == (g._parent, g._letter)
     assert [index[img] for img in images] == list(g.images)
     assert all(index[mul(x, img)] == g.cayley.fwd[i][a]
                for i, x in enumerate(elems) for a, img in enumerate(images))

@@ -516,6 +516,22 @@ def test_huge_literals_exit_2_under_a_memory_cap():
         assert elapsed < 2, (argv, elapsed)
 
 
+def test_identity_letters_warn_only_for_the_named_group():
+    # gaschutz(Z1, 3) is Z3 x Z3, whose letters are not the identity; the
+    # letters of the inner Z1 are, and inner levels do not warn
+    env = dict(os.environ, PYTHONPATH=str(Path(constel.__file__).parent.parent))
+    env.pop("PYTHONWARNINGS", None)
+
+    def stderr(spec):
+        proc = subprocess.run([sys.executable, "-m", "constel.cli", "cayley", "--group", spec],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr
+
+    assert "maps to the identity" not in stderr("gaschutz(cyclic(1;a=0,b=0),3)")
+    assert stderr("cyclic(1;a=0,b=0)").count("maps to the identity") == 2
+
+
 @pytest.mark.filterwarnings("ignore:letter .* maps to the identity")
 def test_cli_fuzz_exits_0_1_or_2(monkeypatch, tmp_path):
     # small specs from the grammar, their malformed variants, words with

@@ -128,6 +128,38 @@ def test_layers_over_the_trivial_group():
     assert GaschuetzLayer(plain, 2).materialize().order == 4
 
 
+def test_materialize_takes_generator_steps_only(monkeypatch):
+    # the element product, inverse and normal form serve lazy arithmetic;
+    # materializing builds no element object
+    layers = [GaschuetzLayer(s3(), 2, True), GaschuetzLayer(klein(), 3, False)]
+
+    def refuse(*args):
+        raise AssertionError("materialize used the element arithmetic")
+
+    for name in ("mul", "inv", "_make"):
+        monkeypatch.setattr(GaschuetzLayer, name, refuse)
+    monkeypatch.setattr(constel.gaschuetz, "GaschuetzElement", refuse)
+    assert [layer.materialize().order for layer in layers] == [192, 972]
+
+
+def test_step_materialization_matches_the_product_closure():
+    # element_list closes the identity under the product layer.mul and
+    # checks the images, the Cayley table and the generation tree of the
+    # step BFS against that closure
+    with pytest.warns(UserWarning):
+        trivial = materialize(CyclicSpec(1, (0, 0)))
+    with pytest.warns(UserWarning):
+        z2_id = materialize(CyclicSpec(2, (1, 0)))
+    cases = [(materialize(CyclicSpec(12, (1, 1))), 2, True), (klein(), 3, False),
+             (materialize(CyclicSpec(6, (1, 2))), 2, True), (trivial, 3, False),
+             (trivial, 3, True), (z2_id, 3, False), (z2_id, 2, True)]
+    for base, p, tilde in cases:
+        layer = GaschuetzLayer(base, p, tilde)
+        mat = layer.materialize()
+        assert mat.order == layer.order()
+        element_list(mat, layer.identity, layer.images, layer.mul)
+
+
 def test_layer_requires_prime():
     with pytest.raises(ValueError):
         GaschuetzLayer(z2(), 4)

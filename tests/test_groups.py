@@ -67,6 +67,15 @@ def test_materialize_validation():
         materialize(CyclicSpec(0, (1,)))
 
 
+def test_table_automaton_needs_permuting_columns():
+    aut = table_automaton([[1, 0], [0, 1]], 2)
+    assert aut.pos_edges() == [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)]
+    assert aut.bwd == [{0: 1, 1: 0}, {0: 0, 1: 1}]
+    for table in ([[1, 0], [1, 1]], [[2, 0], [0, 1]]):  # a repeated or missing row
+        with pytest.raises(ValueError, match="not folded"):
+            table_automaton(table, 2)
+
+
 def test_identity_letter_warns():
     with pytest.warns(UserWarning):
         materialize(CyclicSpec(2, (1, 0)))

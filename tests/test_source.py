@@ -68,7 +68,7 @@ def hook_inputs():
     h_group, cover = layer.cover()
     return {
         ("automata", "embed_check"): (z2.cayley, z2.cayley, 0),
-        ("groups", "_generate"): (2, 0, [1, 1], lambda x, y: (x + y) % 2),
+        ("groups", "_generate"): (2, 0, lambda x, a: (x + 1) % 2),
         ("constellations", "minimal_cut_sets"): (z2.cayley,),
         ("dissolve", "reachable_lift"): (delta_a(z2, 0).xi, h_group, cover),
         ("dissolve", "dissolves_linear"): (layer, identity_morphism(z2), delta_a(z2, 0)),
