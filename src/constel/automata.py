@@ -4,6 +4,9 @@ Positive edges are triples (src, letter, dst); every edge is implicitly
 traversable backwards.  An inverse automaton is a folded graph: at every
 vertex each letter has at most one outgoing and at most one incoming
 positive edge, so letters act as partial injections on the vertex set.
+It stores that action as one column per letter: fwd[a][v] is the end of
+the a-edge leaving v and bwd[a][v] the start of the one entering it,
+None where there is no such edge.
 """
 
 from __future__ import annotations
@@ -47,14 +50,15 @@ class LabeledGraph:
 
 
 class InverseAutomaton:
-    """Folded A-labeled graph on dense vertices 0..n-1."""
+    """Folded A-labeled graph on dense vertices 0..n-1, as letter columns
+    fwd[a] and bwd[a] of length n holding None for a missing edge."""
 
     def __init__(self, n: int, n_letters: int, edges=(), base: int | None = None):
         self.n = n
         self.n_letters = n_letters
         self.base = base
-        self.fwd: list[dict[int, int]] = [dict() for _ in range(n)]
-        self.bwd: list[dict[int, int]] = [dict() for _ in range(n)]
+        self.fwd: list[list[int | None]] = [[None] * n for _ in range(n_letters)]
+        self.bwd: list[list[int | None]] = [[None] * n for _ in range(n_letters)]
         for u, letter, v in edges:
             self._add_edge(u, letter, v)
         if base is not None and not 0 <= base < n:
@@ -65,21 +69,23 @@ class InverseAutomaton:
             raise ValueError("edge endpoint out of range")
         if not 0 <= letter < self.n_letters:
             raise ValueError("letter %d out of range" % letter)
-        if self.fwd[u].get(letter, v) != v or self.bwd[v].get(letter, u) != u:
+        out, into = self.fwd[letter], self.bwd[letter]
+        if out[u] not in (None, v) or into[v] not in (None, u):
             raise ValueError("graph is not folded at edge (%d, %d, %d)" % (u, letter, v))
-        self.fwd[u][letter] = v
-        self.bwd[v][letter] = u
+        out[u] = v
+        into[v] = u
 
     def pos_edges(self) -> list[tuple[int, int, int]]:
-        return [(u, letter, self.fwd[u][letter])
-                for u in range(self.n) for letter in sorted(self.fwd[u])]
+        """(src, letter, dst) by source, letters ascending."""
+        return [(u, letter, col[u]) for u in range(self.n)
+                for letter, col in enumerate(self.fwd) if col[u] is not None]
 
     @property
     def n_pos_edges(self) -> int:
-        return sum(len(d) for d in self.fwd)
+        return sum(self.n - col.count(None) for col in self.fwd)
 
     def step(self, v: int, letter: int, sign: int) -> int | None:
-        return (self.fwd if sign > 0 else self.bwd)[v].get(letter)
+        return (self.fwd if sign > 0 else self.bwd)[letter][v]
 
     def trace(self, v: int, w: Word) -> int | None:
         for letter, sign in w:
@@ -92,15 +98,15 @@ class InverseAutomaton:
 
     def degree(self, v: int) -> int:
         """Number of distinct positive edges incident to v (a loop counts once)."""
-        edges = {(v, letter) for letter in self.fwd[v]}
-        edges |= {(self.bwd[v][letter], letter) for letter in self.bwd[v]}
+        edges = {(v, letter) for letter, col in enumerate(self.fwd) if col[v] is not None}
+        edges |= {(col[v], letter) for letter, col in enumerate(self.bwd) if col[v] is not None}
         return len(edges)
 
     def is_complete(self) -> bool:
-        return all(len(self.fwd[v]) == self.n_letters for v in range(self.n))
+        return all(None not in col for col in self.fwd)
 
     def missing_outgoing(self, letter: int) -> list[int]:
-        return [v for v in range(self.n) if letter not in self.fwd[v]]
+        return [v for v, w in enumerate(self.fwd[letter]) if w is None]
 
     def component_of(self, v: int) -> set[int]:
         return set(bfs_tree(self, v))
@@ -212,7 +218,7 @@ def trim(aut: InverseAutomaton) -> InverseAutomaton:
         alive[v] = False
         for e in list(incident[v]):
             u, letter = e
-            w = aut.fwd[u][letter]
+            w = aut.fwd[letter][u]
             alive_edges.discard(e)
             for endpoint in (u, w):
                 incident[endpoint].discard(e)
@@ -220,7 +226,7 @@ def trim(aut: InverseAutomaton) -> InverseAutomaton:
                     worklist.append(endpoint)
     keep = [v for v in range(aut.n) if alive[v]]
     newid = {v: i for i, v in enumerate(keep)}
-    edges = [(newid[u], letter, newid[aut.fwd[u][letter]]) for (u, letter) in sorted(alive_edges)]
+    edges = [(newid[u], letter, newid[aut.fwd[letter][u]]) for (u, letter) in sorted(alive_edges)]
     base = newid[aut.base] if aut.base is not None else None
     return canonical(InverseAutomaton(len(keep), aut.n_letters, edges, base))
 
@@ -308,17 +314,16 @@ def bfs_tree(aut: InverseAutomaton, root: int, edges=None, forward_only: bool = 
     it is given, and only forward when `forward_only` is set."""
     tree = {root: (-1, -1, 0)}
     order = [root]
-    letters = range(aut.n_letters)
+    columns = list(enumerate(zip(aut.fwd, aut.bwd)))
     for v in order:
-        out, into = aut.fwd[v], aut.bwd[v]
-        for letter in letters:
-            w = out.get(letter)
+        for letter, (out, into) in columns:
+            w = out[v]
             if w is not None and w not in tree and (edges is None or (v, letter) in edges):
                 tree[w] = (v, letter, 1)
                 order.append(w)
             if forward_only:
                 continue
-            u = into.get(letter)
+            u = into[v]
             if u is not None and u not in tree and (edges is None or (u, letter) in edges):
                 tree[u] = (v, letter, -1)
                 order.append(u)
@@ -350,9 +355,10 @@ def product_automaton(a: InverseAutomaton, b: InverseAutomaton) -> InverseAutoma
         raise ValueError("alphabet size mismatch")
     pairs, _ = _product_walk(a, b)
     index = {pair: i for i, pair in enumerate(sorted(pairs))}
-    edges = [(i, letter, index[(a.fwd[u][letter], b.fwd[v][letter])])
-             for (u, v), i in index.items() for letter in range(a.n_letters)
-             if letter in a.fwd[u] and letter in b.fwd[v]]
+    edges = [(i, letter, index[(a_col[u], b_col[v])])
+             for (u, v), i in index.items()
+             for letter, (a_col, b_col) in enumerate(zip(a.fwd, b.fwd))
+             if a_col[u] is not None and b_col[v] is not None]
     return trim(InverseAutomaton(len(index), a.n_letters, edges, index[(a.base, b.base)]))
 
 
@@ -360,9 +366,7 @@ def transition_group(aut: InverseAutomaton) -> PermGroupGens:
     """Letter actions of a complete automaton as permutations."""
     if not aut.is_complete():
         raise ValueError("transition group requires a complete automaton")
-    perms = tuple(Permutation(tuple(aut.fwd[v][letter] for v in range(aut.n)))
-                  for letter in range(aut.n_letters))
-    return PermGroupGens(aut.n, perms)
+    return PermGroupGens(aut.n, tuple(Permutation(tuple(col)) for col in aut.fwd))
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,26 +382,27 @@ class Subgraph:
     vertices: frozenset[int]
 
     def __post_init__(self):
+        n, n_letters = self.parent.n, self.parent.n_letters
         for u, letter in self.edges:
-            v = self.parent.fwd[u].get(letter)
+            v = self.parent.fwd[letter][u] if 0 <= u < n and 0 <= letter < n_letters else None
             if v is None:
                 raise ValueError("edge (%d, %d) not in parent" % (u, letter))
             if u not in self.vertices or v not in self.vertices:
                 raise ValueError("edge (%d, %d) endpoint outside vertex set" % (u, letter))
 
     def dst(self, edge: tuple[int, int]) -> int:
-        return self.parent.fwd[edge[0]][edge[1]]
+        return self.parent.fwd[edge[1]][edge[0]]
 
     def has_vertex(self, v: int) -> bool:
         return v in self.vertices
 
     def neighbors(self, v: int):
         """Yield (next vertex, letter, sign, positive edge id)."""
-        for letter in range(self.parent.n_letters):
-            w = self.parent.fwd[v].get(letter)
+        for letter, (out, into) in enumerate(zip(self.parent.fwd, self.parent.bwd)):
+            w = out[v]
             if w is not None and (v, letter) in self.edges:
                 yield (w, letter, 1, (v, letter))
-            u = self.parent.bwd[v].get(letter)
+            u = into[v]
             if u is not None and (u, letter) in self.edges:
                 yield (u, letter, -1, (u, letter))
 

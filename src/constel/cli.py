@@ -16,6 +16,7 @@ import json
 import os
 import random
 import sys
+import warnings
 
 from .automata import (InverseAutomaton, LabeledGraph, as_inverse_automaton,
                        core_of_words, fold, member, rank_from_core, read_aut, to_dot,
@@ -659,14 +660,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
-    except VerificationError as exc:
-        sys.stderr.write("error: self-check failed: %s\n" % exc)
-        return 2
+    with warnings.catch_warnings():  # each warning as one line, wherever it was raised
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: sys.stderr.write("warning: %s\n" % message)
+        try:
+            return args.func(args)
+        except (ValueError, OSError) as exc:
+            sys.stderr.write("error: %s\n" % exc)
+            return 2
+        except VerificationError as exc:
+            sys.stderr.write("error: self-check failed: %s\n" % exc)
+            return 2
 
 
 if __name__ == "__main__":

@@ -32,8 +32,8 @@ def schreier_graph(g_group: MaterializedGroup, t_elems
     t_set = frozenset(t_elems)
     if 0 not in t_set:
         raise ValueError("subgroup must contain the identity")
-    coset_of, table = coset_walk(g_group, t_set)
-    return table_automaton(table, g_group.n_letters), tuple(coset_of)
+    coset_of, columns = coset_walk(g_group, t_set)
+    return table_automaton(columns, max(coset_of) + 1), tuple(coset_of)
 
 
 def closure_at_level(gens: list[Word], g_group: MaterializedGroup) -> InverseAutomaton:

@@ -75,9 +75,7 @@ def complete_to_alternating(aut: InverseAutomaton, n: int, seed: int = 0
     y, z = m + q, m + q + 1
     t = tuple(range(m + q + 2, n))
 
-    fwd_by_letter: list[dict[int, int]] = [dict() for _ in range(aut.n_letters)]
-    for u, letter, w in aut.pos_edges():
-        fwd_by_letter[letter][u] = w
+    fwd_by_letter = [{u: w for u, w in enumerate(col) if w is not None} for col in aut.fwd]
 
     fwd_by_letter[a][v] = x[0]
     a_cycle = [y, x[1], x[2], *t, z]
@@ -119,7 +117,7 @@ def complete_to_alternating(aut: InverseAutomaton, n: int, seed: int = 0
              for u in sorted(action)]
     result = InverseAutomaton(n, aut.n_letters, edges, base=aut.base)
 
-    if any(result.fwd[u][letter] != w for u, letter, w in aut.pos_edges()):
+    if any(result.fwd[letter][u] != w for u, letter, w in aut.pos_edges()):
         raise VerificationError("the completion does not extend the input verbatim")
     group = transition_group(result)
     if not all(p.is_even() for p in group.perms):

@@ -73,10 +73,10 @@ def _contract(aut: InverseAutomaton, fibers, edges) -> list[int]:
     of the edge set `edges`, by union-find.  fibers[g] lists the
     vertices over g, so only the preimages of `edges` are walked."""
     parent = list(range(aut.n))
-    fwd = aut.fwd
     for g, a in edges:
+        step = aut.fwd[a]
         for h in fibers[g]:
-            x, y = _find(parent, h), _find(parent, fwd[h][a])
+            x, y = _find(parent, h), _find(parent, step[h])
             parent[max(x, y)] = min(x, y)  # so parent[v] <= v throughout
     for h in range(aut.n):
         parent[h] = parent[parent[h]]  # parent[h] < h already points at its root
@@ -167,9 +167,10 @@ def _bond_lifts(phi: Morphism, cut: MinimalCut):
     comp = _contract(aut, fibers, cut.full.edges - cut.cut)
     joins = {e: defaultdict(list) for e in cut.cut}
     for (g, a), join in joins.items():
+        step = aut.fwd[a]
         for h in fibers[g]:
-            join[comp[h]].append(comp[aut.fwd[h][a]])
-            join[comp[aut.fwd[h][a]]].append(comp[h])
+            join[comp[h]].append(comp[step[h]])
+            join[comp[step[h]]].append(comp[h])
 
     def reach(half: frozenset[tuple[int, int]]) -> set[int]:
         seen, order = {0}, [0]
@@ -304,7 +305,7 @@ def cycle_space_rows(sub: Subgraph, p: int) -> list[Vec]:
     rows = []
     for u, a in sorted(sub.edges):
         row = _difference(aut, Word(tree_word(tree, u).letters + ((a, 1),)),
-                          tree_word(tree, aut.fwd[u][a]), p)
+                          tree_word(tree, aut.fwd[a][u]), p)
         if row:
             rows.append(row)
     return rows
@@ -328,7 +329,7 @@ def _linear_reports(layer: GaschuetzLayer, lifts: _Lifts, g_choices: Sequence[in
                     continue
                 part = [h for h in range(m_group.order)
                         if comp[h] in in_xi and (image[h], a) in lifts.xi.edges]
-                bnd = Counter(m_group.cayley.fwd[h][a] for h in part)
+                bnd = Counter(m_group.cayley.fwd[a][h] for h in part)
                 bnd.subtract(part)
                 row: Counter[int] = Counter()
                 for v, c in bnd.items():
@@ -441,7 +442,7 @@ def key_lemma_edge(h_group: MaterializedGroup, l_set: frozenset[int],
     removed = {(h_group.mul_idx(x, g), letter) for x in l_set}
     kept = {(h, a) for h in range(h_group.order) for a in range(h_group.n_letters)} - removed
     comp = bfs_tree(h_group.cayley, g, kept)
-    return len(comp) < h_group.order and h_group.cayley.fwd[g][letter] not in comp
+    return len(comp) < h_group.order and h_group.cayley.fwd[letter][g] not in comp
 
 
 def key_lemma_report(g_group: MaterializedGroup, p: int, k_set) -> KeyLemmaReport:

@@ -157,7 +157,7 @@ class GaschuetzLayer:
             y[i] = (y[i] + 1) % p
             if tilde and g == 0:
                 y[a:size:n_letters] = [(u - 1) % p for u in y[a:size:n_letters]]
-            y[-1] = fwd[g][a]
+            y[-1] = fwd[a][g]
             return tuple(y)
 
         return _generate(n_letters, (0,) * (size + 1), step)
@@ -204,14 +204,14 @@ def center(layer: GaschuetzLayer) -> CenterInfo:
     if layer.tilde:
         raise ValueError("the center description applies to the plain layer")
     base, p = layer.base, layer.p
-    tree, step = bfs_tree(base.cayley, 0), base.cayley.fwd
+    tree = bfs_tree(base.cayley, 0)
     generators = []
     witnesses = []
     for a in range(base.n_letters):
         vec = tuple(1 if b == a else 0 for b in range(base.n_letters)) * base.order
         gen = GaschuetzElement(vec, 0, False)
         pieces = []
-        a_step = Permutation(tuple(step[h][a] for h in range(base.order)))
+        a_step = Permutation(tuple(base.cayley.fwd[a]))
         for cycle in a_step.cycles(include_fixed=True):
             w_i = tree_word(tree, cycle[0])
             if w_i is None:
@@ -272,7 +272,7 @@ def coprime_structure_checks(base: MaterializedGroup, p: int) -> StructureReport
     abelian_ok = _pairwise_commute(mat, kernel)
     image_rows = [mat.left_row(img) for img in mat.images]
     center_size = sum(1 for x in range(mat.order)
-                      if all(mat.cayley.fwd[x][a] == row[x] for a, row in enumerate(image_rows)))
+                      if all(col[x] == row[x] for col, row in zip(mat.cayley.fwd, image_rows)))
     return StructureReport(
         order=mat.order,
         order_ok=mat.order == layer.order(),

@@ -4,8 +4,10 @@ keyed by letter indices.
 
 A materialized group is its Cayley table: elements are the indices of
 their discovery by BFS from the identity, letters ascending, so element 0
-is the identity.  The table is recorded while the elements are discovered
-and the element objects are dropped afterwards; all later arithmetic is
+is the identity.  The table is one column per letter, column a holding
+x * image(a) for every element x; it is recorded while the elements are
+discovered, becomes the `fwd` of the Cayley automaton as it stands, and
+the element objects are dropped afterwards; all later arithmetic is
 done by table: a product follows the right factor's generation-tree word
 through the Cayley graph.  A product costs one Cayley step per letter of
 that word, up to n - 1 in cyclic(n; a=1, b=1), so closures use whole
@@ -125,10 +127,10 @@ class MaterializedGroup:
     tree is stored; a word is read off it when a product needs it.
     """
 
-    def __init__(self, n_letters, images, table, parent, letter):
-        self.n_letters = n_letters
-        self.images = images  # element index per letter
-        self.cayley = table_automaton(table, n_letters)
+    def __init__(self, columns, parent, letter):
+        self.n_letters = len(columns)
+        self.images = [column[0] for column in columns]  # element index per letter
+        self.cayley = table_automaton(columns, len(parent))
         self._parent = parent  # generation tree: element j > 0 is
         self._letter = letter  # parent[j] * image(letter[j])
 
@@ -143,7 +145,7 @@ class MaterializedGroup:
             j = self._parent[j]
         fwd = self.cayley.fwd
         for a in reversed(word):
-            i = fwd[i][a]
+            i = fwd[a][i]
         return i
 
     def inv_idx(self, i: int) -> int:
@@ -151,7 +153,7 @@ class MaterializedGroup:
         parent, letter = self._parent, self._letter
         x = 0
         while i:  # i's tree letters, last letter first
-            x = bwd[x][letter[i]]
+            x = bwd[letter[i]][x]
             i = parent[i]
         return x
 
@@ -161,7 +163,7 @@ class MaterializedGroup:
         fwd = self.cayley.fwd
         row = [i]
         for j in range(1, len(self._parent)):
-            row.append(fwd[row[self._parent[j]]][self._letter[j]])
+            row.append(fwd[self._letter[j]][row[self._parent[j]]])
         return row
 
     def evaluate(self, w: Word) -> int:
@@ -184,39 +186,35 @@ class MaterializedGroup:
         return "MaterializedGroup(order=%d, letters=%d)" % (self.order, self.n_letters)
 
 
-def table_automaton(table: list[list[int]], n_letters: int) -> InverseAutomaton:
-    """The complete inverse automaton of a table of letter successors,
-    based at vertex 0.  It is folded exactly when each letter's column
-    is a permutation of the rows; fwd and bwd are filled column by
-    column once that is checked."""
-    n = len(table)
-    aut = InverseAutomaton(n, n_letters, base=0)
-    fwd, bwd = aut.fwd, aut.bwd
-    for a in range(n_letters):
-        column = [row[a] for row in table]
-        rows = sorted(column)  # the table's own int objects, shared by bwd
-        if any(u != v for u, v in enumerate(rows)):
+def table_automaton(columns: list[list[int]], n: int) -> InverseAutomaton:
+    """The complete inverse automaton on n vertices, based at vertex 0,
+    whose fwd is the given letter columns.  It is folded exactly when
+    each column is a permutation of the vertices; each bwd column is its
+    inverse, filled once that is checked."""
+    aut = InverseAutomaton(n, len(columns), base=0)
+    aut.fwd = columns
+    for a, (column, into) in enumerate(zip(columns, aut.bwd)):
+        rows = sorted(column)  # the column's own int objects, shared by bwd
+        if len(rows) != n or any(u != v for u, v in enumerate(rows)):
             raise ValueError("graph is not folded: letter %d does not permute the vertices" % a)
         for u, v in zip(rows, column):
-            fwd[u][a] = v
-            bwd[v][a] = u
+            into[v] = u
     return aut
 
 
 def _generate(n_letters, identity, step) -> MaterializedGroup:
     """Breadth-first closure of the identity under generator steps:
-    step(x, a) is x times the image of letter a.  The Cayley table and
-    the generation tree are recorded as it goes, and the letter images
-    are row 0 of the table.  The numbering depends only on which keys
-    are equal, so any key that identifies the element numbers it the
-    same way.  The keys are dropped once the table is complete."""
+    step(x, a) is x times the image of letter a.  The letter columns of
+    the Cayley table and the generation tree are recorded as it goes.
+    The numbering depends only on which keys are equal, so any key that
+    identifies the element numbers it the same way.  The keys are
+    dropped once the table is complete."""
     index = {identity: 0}
     elems = [identity]
-    table = []
+    columns = [[] for _ in range(n_letters)]
     parent, letter = [0], [-1]
     for i, x in enumerate(elems):  # grows while it is walked
-        row = []
-        for a in range(n_letters):
+        for a, column in enumerate(columns):
             y = step(x, a)
             j = index.get(y)
             if j is None:
@@ -225,10 +223,9 @@ def _generate(n_letters, identity, step) -> MaterializedGroup:
                 elems.append(y)
                 parent.append(i)
                 letter.append(a)
-            row.append(j)
-        table.append(row)
+            column.append(j)
     del elems, index
-    return MaterializedGroup(n_letters, list(table[0]), table, parent, letter)
+    return MaterializedGroup(columns, parent, letter)
 
 
 def materialize(spec: GroupSpec) -> MaterializedGroup:
@@ -278,7 +275,7 @@ def product_A(g: MaterializedGroup, h: MaterializedGroup) -> MaterializedGroup:
     if g.n_letters != h.n_letters:
         raise ValueError("alphabet size mismatch")
     g_fwd, h_fwd = g.cayley.fwd, h.cayley.fwd
-    return _generate(g.n_letters, (0, 0), lambda x, a: (g_fwd[x[0]][a], h_fwd[x[1]][a]))
+    return _generate(g.n_letters, (0, 0), lambda x, a: (g_fwd[a][x[0]], h_fwd[a][x[1]]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,11 +319,12 @@ def canonical_morphism(src: MaterializedGroup, dst: MaterializedGroup) -> Morphi
     mapping = [-1] * src.order
     mapping[0] = 0
     queue = deque([0])
+    columns = list(zip(src.cayley.fwd, dst.cayley.fwd))
     while queue:
         h = queue.popleft()
-        for a in range(src.n_letters):
-            h2 = src.cayley.fwd[h][a]
-            g2 = dst.cayley.fwd[mapping[h]][a]
+        for src_col, dst_col in columns:
+            h2 = src_col[h]
+            g2 = dst_col[mapping[h]]
             if mapping[h2] == -1:
                 mapping[h2] = g2
                 queue.append(h2)
@@ -344,10 +342,10 @@ def traversal_vector(aut: InverseAutomaton, w: Word) -> dict[tuple[int, int], in
     for letter, sign in w:
         if sign > 0:
             e = (v, letter)
-            v = aut.fwd[v][letter]
+            v = aut.fwd[letter][v]
             counts[e] = counts.get(e, 0) + 1
         else:
-            v = aut.bwd[v][letter]
+            v = aut.bwd[letter][v]
             e = (v, letter)
             counts[e] = counts.get(e, 0) - 1
     return {e: c for e, c in counts.items() if c != 0}
@@ -367,25 +365,22 @@ def subgroup_closure(g: MaterializedGroup, gens) -> frozenset[int]:
 def coset_walk(g: MaterializedGroup, t_elems):
     """Right cosets T x numbered breadth-first from T over the letters (a
     letter maps each coset onto a coset): the coset of every element and
-    the coset table."""
-    fwd = g.cayley.fwd
+    the letter columns of the coset table."""
     coset_of = [-1] * g.order
     cosets = [list(t_elems)]
     for x in cosets[0]:
         coset_of[x] = 0
-    table = []
+    columns = [[] for _ in range(g.n_letters)]
     for members in cosets:  # grows while it is walked
-        row = []
-        for a in range(g.n_letters):
-            d = coset_of[fwd[members[0]][a]]
+        for step, column in zip(g.cayley.fwd, columns):
+            d = coset_of[step[members[0]]]
             if d == -1:
                 d = len(cosets)
-                cosets.append([fwd[x][a] for x in members])
+                cosets.append([step[x] for x in members])
                 for x in cosets[d]:
                     coset_of[x] = d
-            row.append(d)
-        table.append(row)
-    return coset_of, table
+            column.append(d)
+    return coset_of, columns
 
 
 def abelian_relations(g: MaterializedGroup) -> list[tuple[int, ...]]:
@@ -402,8 +397,8 @@ def abelian_relations(g: MaterializedGroup) -> list[tuple[int, ...]]:
         v[g._letter[j]] += 1
         counts.append(tuple(v))
     rows = {}
-    for h, out in enumerate(g.cayley.fwd):
-        for a, d in out.items():
+    for h, out in enumerate(zip(*g.cayley.fwd)):  # h's targets, letters ascending
+        for a, d in enumerate(out):
             r = [x - y for x, y in zip(counts[h], counts[d])]
             r[a] += 1
             if any(r):

@@ -32,7 +32,7 @@ def element_list(g, identity, images, mul):
     assert len(elems) == g.order
     assert (parent, letter) == (g._parent, g._letter)
     assert [index[img] for img in images] == list(g.images)
-    assert all(index[mul(x, img)] == g.cayley.fwd[i][a]
+    assert all(index[mul(x, img)] == g.cayley.fwd[a][i]
                for i, x in enumerate(elems) for a, img in enumerate(images))
     return elems, index
 

@@ -99,7 +99,7 @@ def test_criterion_01_completion_corpus():
             n = m + q + extra
             completed, cert, plan = complete_to_alternating(core, n, seed=i)
             for u, letter, v in core.pos_edges():
-                assert completed.fwd[u][letter] == v
+                assert completed.fwd[letter][u] == v
             assert completed.base == core.base
             group = transition_group(completed)
             assert all(p.is_even() for p in group.perms)

@@ -229,7 +229,7 @@ def queue_numbering(aut: InverseAutomaton) -> dict[int, int]:
             v = queue.popleft()
             order.append(v)
             for letter in range(aut.n_letters):
-                for nxt in (aut.fwd[v].get(letter), aut.bwd[v].get(letter)):
+                for nxt in (aut.fwd[letter][v], aut.bwd[letter][v]):
                     if nxt is not None and nxt not in seen:
                         seen.add(nxt)
                         queue.append(nxt)
@@ -364,6 +364,13 @@ def test_subgraph_validation():
         Subgraph(core, frozenset({(0, 0)}), frozenset({0}))  # endpoint missing
     with pytest.raises(ValueError):
         Subgraph(core, frozenset({(1, 1)}), frozenset({1}))  # no such edge
+    # edge ids outside the parent, which an index would wrap or overrun:
+    # in Z4, 3 --a--> 0 and 0 --b--> 1
+    z4 = materialize(CyclicSpec(4, (1, 1))).cayley
+    for edge, vertices in (((-1, 0), {-1, 0, 3}), ((0, -1), {0, 1}), ((0, 2), {0, 1}),
+                           ((4, 0), {0, 4})):
+        with pytest.raises(ValueError, match="not in parent"):
+            Subgraph(z4, frozenset({edge}), frozenset(vertices))
 
 
 def test_span_from_base():

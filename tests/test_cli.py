@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -528,8 +529,63 @@ def test_identity_letters_warn_only_for_the_named_group():
         assert proc.returncode == 0, proc.stderr
         return proc.stderr
 
-    assert "maps to the identity" not in stderr("gaschutz(cyclic(1;a=0,b=0),3)")
-    assert stderr("cyclic(1;a=0,b=0)").count("maps to the identity") == 2
+    assert stderr("gaschutz(cyclic(1;a=0,b=0),3)") == ""
+    assert stderr("cyclic(1;a=0,b=0)") == ("warning: letter 0 maps to the identity\n"
+                                           "warning: letter 1 maps to the identity\n")
+    # a tower's base warns the same way, before an error that follows
+    code, _, err = run(["dissolve", "--group", "cyclic(2;a=1,b=0)", "--layers", "~2", "--weak"])
+    assert (code, err) == (2, "warning: letter 1 maps to the identity\n"
+                              "error: letter image is the identity; the edge endpoints coincide\n")
+
+
+S3 = "perm(3;a=(0 1),b=(1 2))"
+KLEIN = "klein(a=10,b=01)"
+REPORT_DIGESTS = [  # argv, exit code, sha256 of stdout
+    (["dissolve", "--group", "cyclic(6;a=1,b=2)", "--layers", "~2"],
+     1, "fd6a69d1f488b0e02d75480a86b3bc17b7ab20041140e77399bf11fc04a9d48f"),
+    (["dissolve", "--group", "cyclic(12;a=1,b=1)", "--layers", "~2", "--weak"],
+     1, "aa6c667ad4ab347dbf8a1eed53cc364687a774c0d5be7dfe2f0824d16b48b47b"),
+    (["dissolve", "--group", S3, "--layers", "~2,~2"],
+     0, "e6d28a0c1965f430d919c0297500b9eb0fbddd95df764d8427ca56cf5eda1be8"),
+    (["dissolve", "--group", "cyclic(2;a=1,b=1)", "--layers", "~2,~2,~2"],
+     0, "72a98d7550f3f90742b35f28d53bcfbe920855cd56b593b624aaf88f614abd10"),
+    (["dissolve", "--group", KLEIN, "--layers", "~3"],
+     1, "deab4efdb685c193fe5a9dbaa7dce476ec90f12a1c11e1771c2567b45881b5af"),
+    (["constellations", "--group", "cyclic(16;a=1,b=1)"],
+     0, "9fbf352e1585dd9aa311326049cc10c6c94d0ccce545433719bddcf6409a51f5"),
+    (["cayley", "--group", "tilde(cyclic(6;a=1,b=2),2)", "--dot"],
+     0, "84e1ef8f247b7b6c4c11f300cbe93a304f3267f4f4b4f40d43fd1e162fe072b2"),
+    (["cayley", "--group", "prodA(cyclic(4;a=1,b=3),%s)" % S3],
+     0, "85cf58c4c990ea68549d1e77e2d64c3bb05a57bf748320789ed37232f41a6c4a"),
+    (["abelianization", "--group", "gaschutz(%s,3)" % KLEIN],
+     0, "18020de807cfd9ae4bdec98daa2933b96610dc0f2542b2843159131317719634"),
+    (["key-lemma", "--group", "cyclic(6;a=1,b=2)", "--p", "5", "--subgroup", "aa"],
+     0, "93a4626b2cf4c696325287561761f89b511e51b7fd6521720e52781f4ee1ba09"),
+    (["closure", "--gens", "ab,ba", "--level", "tilde(%s,2)" % S3],
+     0, "9bff1ff19b517fe6b0cbf5e930e5b9859cde2f67b4540236fe5f36c68575d3e3"),
+    (["rank-check", "--group", KLEIN, "--p", "3", "--tilde"],
+     0, "a6ad27e11e8afadbf557fdd592628fdf43738ac014a6ef61aac1d2f816e8c9e8"),
+    (["center", "--group", "gaschutz(cyclic(6;a=1,b=2),3)"],
+     0, "fd405fc23b975a22bd40b1d1c1ac01c4a5d43a0ce6d31c9f21cf4c0414e5a721"),
+    (["disconnect", "--group", "tilde(%s,2)" % S3, "--base", S3, "--letter", "b",
+      "--sign", "-1"],
+     0, "ee0c0ff35602a79a6cb233a7199b4522e886e53e6334e42b8f79be992aab6829"),
+    (["core", "--gens", "aab,bAb,abab"],
+     0, "5451bd4128f175be4c3b249b07f0b7a256c055828c7dcb5be78ccc1f8d24addb"),
+    (["ag", "--group", "cyclic(4;a=1,b=3)"],
+     0, "4d535108d84bb059aa48ed5b24204c60399a2c66112a87e12fbb7f9ec237c66d"),
+    (["amalgam", "--group", S3, "--index", "3"],
+     0, "29b8c30bf3120321c27bed51f43911829ad4be770f76fdfc9f009ca7c85b8cea"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", REPORT_DIGESTS,
+                         ids=["%s-%d" % (c[0][0], i) for i, c in enumerate(REPORT_DIGESTS)])
+def test_reports_are_byte_identical(argv, code, digest):
+    # a change that alters a report declares it and updates the digest
+    # in the same commit
+    got, out, _ = run(argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), argv
 
 
 @pytest.mark.filterwarnings("ignore:letter .* maps to the identity")

@@ -93,7 +93,7 @@ def test_completion_extends_input_verbatim():
     aut = chain3()
     completed, _, _ = complete_to_alternating(aut, 11)
     for u, letter, v in aut.pos_edges():
-        assert completed.fwd[u][letter] == v
+        assert completed.fwd[letter][u] == v
     assert completed.base == aut.base
 
 
