@@ -60,11 +60,13 @@ class InverseAutomaton:
         self.fwd: list[list[int | None]] = [[None] * n for _ in range(n_letters)]
         self.bwd: list[list[int | None]] = [[None] * n for _ in range(n_letters)]
         for u, letter, v in edges:
-            self._add_edge(u, letter, v)
+            self.add_edge(u, letter, v)
         if base is not None and not 0 <= base < n:
             raise ValueError("base vertex %r out of range" % (base,))
 
-    def _add_edge(self, u: int, letter: int, v: int) -> None:
+    def add_edge(self, u: int, letter: int, v: int) -> None:
+        """Add the positive edge (u, letter, v); every builder writes its
+        columns here, the one place that refuses an unfolded edge."""
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError("edge endpoint out of range")
         if not 0 <= letter < self.n_letters:
@@ -105,9 +107,6 @@ class InverseAutomaton:
     def is_complete(self) -> bool:
         return all(None not in col for col in self.fwd)
 
-    def missing_outgoing(self, letter: int) -> list[int]:
-        return [v for v, w in enumerate(self.fwd[letter]) if w is None]
-
     def component_of(self, v: int) -> set[int]:
         return set(bfs_tree(self, v))
 
@@ -146,58 +145,68 @@ def fold(graph: LabeledGraph) -> InverseAutomaton:
 
     Merges vertices whenever two equally-labeled edges share a source or
     share a target; the result is independent of edge order up to the
-    canonical renumbering applied at the end.
+    canonical renumbering applied at the end.  The merge state is letter
+    columns over the input vertices, read through union-find.  Of two
+    roots the one storing more edges absorbs the other (the first on a
+    tie), and the loser's edges are queued again, forward ones first,
+    each side in the order it stored them.  Both choices decide which
+    vertices stay roots, and so the numbering of components off the base.
     """
     ids = list(graph.vertices)
     pos = {vid: i for i, vid in enumerate(ids)}
-    n = len(ids)
+    n, k = len(ids), graph.n_letters
     parent = list(range(n))
-    fwd: list[dict[int, int]] = [dict() for _ in range(n)]
-    bwd: list[dict[int, int]] = [dict() for _ in range(n)]
+    fwd, bwd = [[None] * n for _ in range(k)], [[None] * n for _ in range(k)]
+    fwd_rank, bwd_rank = [[0] * n for _ in range(k)], [[0] * n for _ in range(k)]
+    stored = [0] * n  # entries at each vertex; an entry's rank is the count before it
     queue = deque((pos[u], letter, pos[v]) for u, letter, v in graph.edges)
 
     def merge(a: int, b: int) -> None:
         ra, rb = _find(parent, a), _find(parent, b)
         if ra == rb:
             return
-        if len(fwd[ra]) + len(bwd[ra]) < len(fwd[rb]) + len(bwd[rb]):
+        if stored[ra] < stored[rb]:
             ra, rb = rb, ra
         parent[rb] = ra
-        for letter, t in fwd[rb].items():
-            queue.append((rb, letter, t))
-        for letter, s in bwd[rb].items():
-            queue.append((s, letter, rb))
-        fwd[rb] = {}
-        bwd[rb] = {}
+        stored[rb] = 0
+        for cols, ranks, forward in ((fwd, fwd_rank, True), (bwd, bwd_rank, False)):
+            held = sorted((ranks[letter][rb], letter) for letter, col in enumerate(cols)
+                          if col[rb] is not None)
+            for _, letter in held:
+                t, cols[letter][rb] = cols[letter][rb], None
+                queue.append((rb, letter, t) if forward else (t, letter, rb))
 
     while queue:
         u, letter, v = queue.popleft()
         u, v = _find(parent, u), _find(parent, v)
-        w = fwd[u].get(letter)
+        out, into = fwd[letter], bwd[letter]
+        w = out[u]
         if w is not None:
-            w = _find(parent, w)
-            fwd[u][letter] = w
+            w = out[u] = _find(parent, w)
             if w != v:
                 merge(v, w)
                 queue.append((u, letter, _find(parent, w)))
                 continue
-        x = bwd[v].get(letter)
+        x = into[v]
         if x is not None:
-            x = _find(parent, x)
-            bwd[v][letter] = x
+            x = into[v] = _find(parent, x)
             if x != u:
                 merge(u, x)
                 queue.append((_find(parent, u), letter, v))
                 continue
-        fwd[u][letter] = v
-        bwd[v][letter] = u
+        if w is None:
+            out[u], fwd_rank[letter][u] = v, stored[u]
+            stored[u] += 1
+        if x is None:
+            into[v], bwd_rank[letter][v] = u, stored[v]
+            stored[v] += 1
 
     roots = sorted({_find(parent, i) for i in range(n)})
     dense = {r: i for i, r in enumerate(roots)}
-    edges = [(dense[r], letter, dense[_find(parent, t)])
-             for r in roots for letter, t in sorted(fwd[r].items())]
+    edges = [(dense[r], letter, dense[_find(parent, out[r])])
+             for r in roots for letter, out in enumerate(fwd) if out[r] is not None]
     base = dense[_find(parent, pos[graph.base])] if graph.base is not None else None
-    return canonical(InverseAutomaton(len(roots), graph.n_letters, edges, base))
+    return canonical(InverseAutomaton(len(roots), k, edges, base))
 
 
 def trim(aut: InverseAutomaton) -> InverseAutomaton:
@@ -482,22 +491,13 @@ def amalgam(xi: Subgraph, theta: Subgraph) -> InverseAutomaton:
     if base not in xi.vertices or base not in theta.vertices:
         raise ValueError("both subgraphs must contain the base vertex")
     g = LabeledGraph(parent.n_letters)
-
-    def xid(v: int) -> int:
-        return 2 * v
-
-    def tid(v: int) -> int:
-        return 2 * base if v == base else 2 * v + 1
-
-    for v in sorted(xi.vertices):
-        g.add_vertex(xid(v))
-    for v in sorted(theta.vertices):
-        g.add_vertex(tid(v))
-    for (u, letter) in sorted(xi.edges):
-        g.add_edge(xid(u), letter, xid(xi.dst((u, letter))))
-    for (u, letter) in sorted(theta.edges):
-        g.add_edge(tid(u), letter, tid(theta.dst((u, letter))))
-    g.set_base(xid(base))
+    for sub, odd in ((xi, 0), (theta, 1)):  # theta's vertices other than the base go odd
+        gid = {v: 2 * v + 1 if odd and v != base else 2 * v for v in sorted(sub.vertices)}
+        for v in gid.values():
+            g.add_vertex(v)
+        for u, letter in sorted(sub.edges):
+            g.add_edge(gid[u], letter, gid[sub.dst((u, letter))])
+    g.set_base(2 * base)
     return fold(g)
 
 

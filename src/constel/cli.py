@@ -492,16 +492,12 @@ def _random_corpus_automaton(rng: random.Random, m: int, n_letters: int = 2
                              ) -> InverseAutomaton:
     """Connected folded incomplete automaton on m vertices; at most
     m - 1 + m // 2 edges keeps it strictly below completeness."""
-    has_out = [set() for _ in range(m)]
-    has_in = [set() for _ in range(m)]
-    edges = []
+    aut = InverseAutomaton(m, n_letters, base=0)
 
     def try_add(u: int, letter: int, v: int) -> bool:
-        if letter in has_out[u] or letter in has_in[v]:
+        if aut.fwd[letter][u] is not None or aut.bwd[letter][v] is not None:
             return False
-        has_out[u].add(letter)
-        has_in[v].add(letter)
-        edges.append((u, letter, v))
+        aut.add_edge(u, letter, v)
         return True
 
     for v in range(1, m):
@@ -513,7 +509,7 @@ def _random_corpus_automaton(rng: random.Random, m: int, n_letters: int = 2
                 break
     for _ in range(m // 2):
         try_add(rng.randrange(m), rng.randrange(n_letters), rng.randrange(m))
-    return InverseAutomaton(m, n_letters, edges, base=0)
+    return aut
 
 
 def _cmd_corpus(args) -> int:
@@ -611,8 +607,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--layers", default="")
     p.add_argument("--weak", action="store_true")
-    p.add_argument("--json", action="store_true",
-                   help="accepted for compatibility; output is always JSON")
 
     p = cmd("disconnect", _cmd_disconnect, help="disconnection equivalence")
     p.add_argument("--group", required=True, help="the covering group H")

@@ -67,55 +67,43 @@ def complete_to_alternating(aut: InverseAutomaton, n: int, seed: int = 0
         raise ValueError("n < m+q+2 = %d" % (m + q + 2))
     k = n - m - q - 2
 
-    a = min(letter for letter in range(aut.n_letters) if aut.missing_outgoing(letter))
-    v = min(aut.missing_outgoing(a))
+    a = next(letter for letter, col in enumerate(aut.fwd) if None in col)
+    v = aut.fwd[a].index(None)
     b = 0 if a != 0 else 1
 
     x = tuple(range(m, m + q))
     y, z = m + q, m + q + 1
     t = tuple(range(m + q + 2, n))
 
-    fwd_by_letter = [{u: w for u, w in enumerate(col) if w is not None} for col in aut.fwd]
-
-    fwd_by_letter[a][v] = x[0]
+    result = InverseAutomaton(n, aut.n_letters, aut.pos_edges(), base=aut.base)
+    result.add_edge(v, a, x[0])
     a_cycle = [y, x[1], x[2], *t, z]
     for i, u in enumerate(a_cycle):
-        fwd_by_letter[a][u] = a_cycle[(i + 1) % len(a_cycle)]
+        result.add_edge(u, a, a_cycle[(i + 1) % len(a_cycle)])
     for i in range(q):
-        fwd_by_letter[b][x[i]] = x[(i + 1) % q]
+        result.add_edge(x[i], b, x[(i + 1) % q])
 
     rng = random.Random(seed)
-    for letter in range(aut.n_letters):
-        action = fwd_by_letter[letter]
-        targets = set(action.values())
-        singles = []
-        for u in range(n):
-            if u in action or u in targets:
-                continue
-            action[u] = u  # free singleton, closed as a fixed point
-            targets.add(u)
-            singles.append(u)
+    for letter, (out, into) in enumerate(zip(result.fwd, result.bwd)):
+        singles = [u for u in range(n) if out[u] is None and into[u] is None]
         # close every maximal partial chain into its own cycle
         for start in range(n):
-            if start in targets or start not in action:
-                continue  # not a chain head
-            end = start
-            while end in action:
-                end = action[end]
-            action[end] = start
-        perm = Permutation(tuple(action[u] for u in range(n)))
-        if not perm.is_even():
-            # merging two singleton fixed points into a 2-cycle flips parity
+            if into[start] is None and out[start] is not None:  # a chain head
+                end = start
+                while out[end] is not None:
+                    end = out[end]
+                result.add_edge(end, letter, start)
+        # each free singleton closes as a fixed point; merging two of
+        # them into a 2-cycle instead flips the parity
+        if not Permutation(tuple(u if w is None else w for u, w in enumerate(out))).is_even():
             if len(singles) < 2:
                 raise VerificationError("no singletons left for parity repair")
-            u, w = rng.sample(sorted(singles), 2)
-            action[u], action[w] = w, u
-        fwd_by_letter[letter] = action
-
-    edges = [(u, letter, action[u])
-             for letter, action in enumerate(fwd_by_letter)
-             for u in sorted(action)]
-    result = InverseAutomaton(n, aut.n_letters, edges, base=aut.base)
+            u, w = rng.sample(singles, 2)
+            result.add_edge(u, letter, w)
+            result.add_edge(w, letter, u)
+        for u in singles:
+            if out[u] is None:
+                result.add_edge(u, letter, u)
 
     if any(result.fwd[letter][u] != w for u, letter, w in aut.pos_edges()):
         raise VerificationError("the completion does not extend the input verbatim")

@@ -235,8 +235,8 @@ def amalgams_of(group: MaterializedGroup) -> list[InverseAutomaton]:
 
 def chain_letter(aut: InverseAutomaton) -> int:
     """Smallest letter whose action is not a total permutation."""
-    for letter in range(aut.n_letters):
-        if aut.missing_outgoing(letter):
+    for letter, col in enumerate(aut.fwd):
+        if None in col:
             return letter
     raise ValueError("every letter acts totally; nothing to chain on")
 
@@ -253,30 +253,26 @@ def assemble_AG(group: MaterializedGroup) -> InverseAutomaton:
     classes: dict[int, list[int]] = {}
     offsets = []
     total = 0
-    edges: list[tuple[int, int, int]] = []
     for i, a in enumerate(amalgams):
         classes.setdefault(chain_letter(a), []).append(i)
         offsets.append(total)
-        edges.extend((u + total, letter, v + total) for u, letter, v in a.pos_edges())
         total += a.n
-    sink = total
-    has_out = {(u, letter) for u, letter, _ in edges}
-    has_in = {(v, letter) for _, letter, v in edges}
+    result = InverseAutomaton(total + 1, group.n_letters, base=0)  # vertex total is the sink
+    for a, offset in zip(amalgams, offsets):
+        for u, letter, v in a.pos_edges():
+            result.add_edge(u + offset, letter, v + offset)
     for letter in sorted(classes):
+        out, into = result.fwd[letter], result.bwd[letter]
         idxs = classes[letter]
         for j, i in enumerate(idxs):
-            u = min(v for v in range(offsets[i], offsets[i] + amalgams[i].n)
-                    if (v, letter) not in has_out)
+            # a partial injection misses as many ends as starts, so each
+            # search stops inside amalgam i or idxs[j + 1]
+            u = out.index(None, offsets[i])
             if j + 1 < len(idxs):
-                k = idxs[j + 1]
-                v = min(x for x in range(offsets[k], offsets[k] + amalgams[k].n)
-                        if (x, letter) not in has_in)
+                v = into.index(None, offsets[idxs[j + 1]])
             else:
-                v = sink
-            edges.append((u, letter, v))
-            has_out.add((u, letter))
-            has_in.add((v, letter))
-    result = InverseAutomaton(total + 1, group.n_letters, edges, base=0)
+                v = total
+            result.add_edge(u, letter, v)
     for i, a in enumerate(amalgams):
         if embed_check(a, result, offsets[i] + a.base) is None:
             raise VerificationError("amalgam %d does not embed in the assembly" % i)

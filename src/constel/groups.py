@@ -391,15 +391,16 @@ def abelian_relations(g: MaterializedGroup) -> list[tuple[int, ...]]:
     Reidemeister-Schreier they generate ker(F -> g), whose letter-count
     image is Lambda.  Tree edges give zero; zero and repeated rows are
     dropped."""
-    counts = [(0,) * g.n_letters]  # letter counts of the tree word to each element
-    for j in range(1, g.order):
-        v = list(counts[g._parent[j]])
-        v[g._letter[j]] += 1
-        counts.append(tuple(v))
+    counts = []  # counts[b][j]: how often b occurs in the tree word to j
+    for b in range(g.n_letters):
+        col = [0] * g.order
+        for j, (p, a) in enumerate(zip(g._parent, g._letter)):  # the root has letter -1
+            col[j] = col[p] + (a == b)
+        counts.append(col)
     rows = {}
     for h, out in enumerate(zip(*g.cayley.fwd)):  # h's targets, letters ascending
         for a, d in enumerate(out):
-            r = [x - y for x, y in zip(counts[h], counts[d])]
+            r = [col[h] - col[d] for col in counts]
             r[a] += 1
             if any(r):
                 rows[tuple(r)] = None
