@@ -594,9 +594,9 @@ REPORT_DIGESTS = [  # argv, exit code, sha256 of stdout
     (["fold", "--automaton", "baseless.aut"],
      0, "181eb919f09c5877a18464759f735e47ac405d8b57a7addf3a5a834efa10301b"),
 ]
-# .aut inputs named in REPORT_DIGESTS.  Folding the last two merges
-# vertices whose stored edge counts differ and also ties, and their extra
-# components are numbered from their least old id, so their bytes pin
+# .aut inputs named in REPORT_DIGESTS.  Folding either of the last two
+# merges roots with unequal and with equal stored-edge counts, and numbers
+# its components off the base from their least old id, so its bytes pin
 # which root `fold` keeps: the one storing more edges, the first on a tie.
 AUT_FIXTURES = {
     "path.aut": "edge 0 a 1\nedge 1 a 2\nedge 0 b 0\nbase 0\n",
