@@ -33,12 +33,30 @@ deciders are provided:
 
 `dissolves_materialized` and `dissolves_linear` decide one
 constellation (Xi, g, Theta) from the three contractions of its pair.
+
+Mirrors.  (Xi, g, Theta) is dissolved exactly when (Theta, g, Xi) is,
+and `dissolve_all` decides each unordered split of a bond once.  The
+mirror split (C_Theta, C_Xi) has the same bond and g choices, and its
+reports are the kept ones with the witness (u, v) read as (v, u), the
+same endpoint and the vector negated mod p: the reports its own
+decision would give.  Reachability: `shared(g)` reads `both`, which is
+symmetric, and a witness tree depends only on its subgraph; Gamma - C_Xi
+is the Theta of one order and the Xi of the other, so the words swap
+and the mirror's re-check would test the same four facts.  Linear:
+`comp`, `both` and the rule for when a constant c_a counts are the same
+for both orders.  When it counts, the Xi^ part and the Theta^ part
+cover every a-edge of Gamma(M), whose boundary is zero because h -> ha
+permutes M; an edge in both parts joins two vertices of one contracted
+component of `both`.  So the Theta^ part's boundary is minus the Xi^
+part's at every vertex outside `both` and on every component, the check
+on it raises for both or neither, the span and the first m are the same,
+and the difference vector changes sign.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
 
@@ -363,12 +381,23 @@ def _letter_label(letter: int, sign: int) -> str:
     return "delta:%s%s" % (ASCII_LETTERS[letter], "" if sign > 0 else "^-1")
 
 
+def _mirror(report: DissolveReport, label: str, p: int | None) -> DissolveReport:
+    """The report on (Theta, g, Xi) from the one on (Xi, g, Theta)."""
+    return replace(report, label=label,
+                   witness=None if report.witness is None else report.witness[::-1],
+                   vector=None if report.vector is None
+                   else {e: -c % p for e, c in report.vector.items()})
+
+
 def dissolve_all(tower: Tower, weak: bool = False) -> list[DissolveReport]:
     """Dissolving reports for the tower's top group over its base, over
-    the weak (delta) or the full maximal constellation family, decided
-    per pair, with one contraction per bond.  Uses reachability whenever
-    the top has at most MATERIALIZE_BOUND elements.  The report count is
-    refused before any report is decided."""
+    the weak (delta) or the full maximal constellation family, with one
+    contraction per bond.  Each unordered split of a bond is decided
+    once; its reports are kept until the bond yields the mirror split,
+    whose reports are derived from them (see Mirrors above).  Uses
+    reachability whenever the top has at most MATERIALIZE_BOUND
+    elements.  The report count is refused before any report is
+    decided."""
     base = tower.levels[0]
     if weak:
         deltas = [(delta_a(base, letter, sign), _letter_label(letter, sign))
@@ -386,12 +415,18 @@ def dissolve_all(tower: Tower, weak: bool = False) -> list[DissolveReport]:
     if weak:
         return [report for c, label in deltas
                 for report in decide(_pair_lifts(phi, c.xi, c.theta), (c.g,), (label,))]
+    p = None if tower.top is None else tower.top.p
     reports: list[DissolveReport] = []
     for i, pair in enumerate(pairs):
         if not i or pair.cut is not pairs[i - 1].cut:
-            lifts = _bond_lifts(phi, pair.cut)
-        reports += decide(lifts(pair), pair.g_choices,
-                          ["max%d:g%d" % (i, g) for g in pair.g_choices])
+            lifts, kept = _bond_lifts(phi, pair.cut), {}
+        labels = ["max%d:g%d" % (i, g) for g in pair.g_choices]
+        mirrored = kept.pop((pair.c_theta, pair.c_xi), None)
+        if mirrored is None:
+            kept[pair.c_xi, pair.c_theta] = decide(lifts(pair), pair.g_choices, labels)
+            reports += kept[pair.c_xi, pair.c_theta]
+        else:
+            reports += [_mirror(r, label, p) for r, label in zip(mirrored, labels, strict=True)]
     return reports
 
 

@@ -283,7 +283,7 @@ def test_bond_contractions_match_networkx_components(spec, layers):
 
 def test_dissolve_all_contracts_once_per_bond(monkeypatch):
     tower = build_tower(TowerSpec(CyclicSpec(6, (1, 2)), ((2, True),)))
-    calls = {"contract": 0, "lift": 0}
+    calls = {"contract": 0, "lift": 0, "decide": 0}
 
     def counted(name, real):
         def wrapper(*args):
@@ -295,9 +295,13 @@ def test_dissolve_all_contracts_once_per_bond(monkeypatch):
                         counted("contract", constel.dissolve._contract))
     monkeypatch.setattr(constel.dissolve, "reachable_lift",
                         counted("lift", constel.dissolve.reachable_lift))
+    monkeypatch.setattr(constel.dissolve, "_reach_reports",
+                        counted("decide", constel.dissolve._reach_reports))
     assert len(dissolve_all(tower)) == 7440
     assert len(minimal_cut_sets(tower.levels[0].cayley)) == 28
-    assert calls == {"contract": 28, "lift": 0}  # the parent lifted 5200 times
+    assert len(maximal_constellations(tower.levels[0])) == 2600
+    # one decision per unordered split: the mirror split's reports are derived
+    assert calls == {"contract": 28, "lift": 0, "decide": 1300}
 
 
 def test_witness_words_match_a_search_per_endpoint():
@@ -338,6 +342,7 @@ def astuple(r: DissolveReport):
     (S3, ((2, True),), 100000, "reachability"),
     (KleinSpec(((1, 0), (0, 1))), ((3, True),), 100000, "reachability"),
     (S3, ((2, True),), 1, "linear"),
+    (KleinSpec(((1, 0), (0, 1))), ((3, True),), 1, "linear"),  # odd p: mirrors negate
 ])
 def test_pair_deciders_match_per_constellation_decisions(monkeypatch, spec, layers, bound,
                                                          method):

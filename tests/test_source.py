@@ -17,6 +17,13 @@ def package_nodes():
             yield path.name, node
 
 
+def test_package_parses_at_the_requires_python_floor():
+    # pyproject.toml declares requires-python = ">=3.10.7": no module may use
+    # syntax newer than Python 3.10
+    for path in sorted(Path(constel.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 def test_no_assert_statements_in_the_package():
     # `python -O` strips asserts, so a self-check must raise instead
     found = ["%s:%d" % (name, node.lineno)
