@@ -26,16 +26,12 @@ class LabeledGraph:
             raise ValueError("letter_names length mismatch")
         self.n_letters = n_letters
         self.letter_names = letter_names or tuple(ASCII_LETTERS[:n_letters])
-        self.vertices: list[int] = []
-        self._vset: set[int] = set()
+        self.vertices: set[int] = set()
         self.edges: list[tuple[int, int, int]] = []
         self.base: int | None = None
 
-    def add_vertex(self, v: int) -> int:
-        if v not in self._vset:
-            self._vset.add(v)
-            self.vertices.append(v)
-        return v
+    def add_vertex(self, v: int) -> None:
+        self.vertices.add(v)
 
     def add_edge(self, u: int, letter: int, v: int) -> None:
         if not 0 <= letter < self.n_letters:
@@ -144,64 +140,51 @@ def fold(graph: LabeledGraph) -> InverseAutomaton:
     """Stallings folding: the largest quotient that is an inverse automaton.
 
     Merges vertices whenever two equally-labeled edges share a source or
-    share a target; the result is independent of edge order up to the
-    canonical renumbering applied at the end.  The merge state is letter
-    columns over the input vertices, read through union-find.  Of two
-    roots the one storing more edges absorbs the other (the first on a
-    tie), and the loser's edges are queued again, forward ones first,
-    each side in the order it stored them.  Both choices decide which
-    vertices stay roots, and so the numbering of components off the base.
+    share a target.  The merge state is letter columns over the input
+    vertices sorted by id, read through union-find; a class is rooted at
+    its least vertex, and a root merged away has its entries queued again.
+
+    The result depends only on the set of edges and the vertex ids.
+    Call a partition folded when its quotient is.  Each queued triple
+    (u, a, v), an input edge or a requeued entry, is an a-edge from the
+    class of u to that of v in every folded quotient, so each merge,
+    forced by two such triples with a shared source or target, joins
+    vertices that every folded partition joins.  When the queue empties,
+    each root holds at most one entry per letter and direction, and
+    every input edge joins its ends' roots through such a pair of
+    entries, so the final partition is folded.  It is therefore the
+    finest folded partition, whatever the queue order.  Roots are least
+    vertices, so the dense ids sort the classes by their least vertex,
+    and `canonical` seeds from the base, then from the least dense id
+    left, the class of its component's least vertex: both read only the
+    partition and the ids.
     """
-    ids = list(graph.vertices)
+    ids = sorted(graph.vertices)
     pos = {vid: i for i, vid in enumerate(ids)}
     n, k = len(ids), graph.n_letters
     parent = list(range(n))
     fwd, bwd = [[None] * n for _ in range(k)], [[None] * n for _ in range(k)]
-    fwd_rank, bwd_rank = [[0] * n for _ in range(k)], [[0] * n for _ in range(k)]
-    stored = [0] * n  # entries at each vertex; an entry's rank is the count before it
     queue = deque((pos[u], letter, pos[v]) for u, letter, v in graph.edges)
-
-    def merge(a: int, b: int) -> None:
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra == rb:
-            return
-        if stored[ra] < stored[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        stored[rb] = 0
-        for cols, ranks, forward in ((fwd, fwd_rank, True), (bwd, bwd_rank, False)):
-            held = sorted((ranks[letter][rb], letter) for letter, col in enumerate(cols)
-                          if col[rb] is not None)
-            for _, letter in held:
-                t, cols[letter][rb] = cols[letter][rb], None
-                queue.append((rb, letter, t) if forward else (t, letter, rb))
-
     while queue:
         u, letter, v = queue.popleft()
         u, v = _find(parent, u), _find(parent, v)
         out, into = fwd[letter], bwd[letter]
-        w = out[u]
-        if w is not None:
-            w = out[u] = _find(parent, w)
-            if w != v:
-                merge(v, w)
-                queue.append((u, letter, _find(parent, w)))
-                continue
-        x = into[v]
-        if x is not None:
-            x = into[v] = _find(parent, x)
-            if x != u:
-                merge(u, x)
-                queue.append((_find(parent, u), letter, v))
-                continue
-        if w is None:
-            out[u], fwd_rank[letter][u] = v, stored[u]
-            stored[u] += 1
-        if x is None:
-            into[v], bwd_rank[letter][v] = u, stored[v]
-            stored[v] += 1
+        w = v if out[u] is None else _find(parent, out[u])
+        x = u if into[v] is None else _find(parent, into[v])
+        if (w, x) == (v, u):
+            out[u], into[v] = v, u
+            continue
+        keep, gone = sorted((v, w) if w != v else (u, x))
+        parent[gone] = keep
+        queue.append((u, letter, v))  # read again: its other end may still clash
+        for b, (out, into) in enumerate(zip(fwd, bwd)):
+            if out[gone] is not None:
+                queue.append((gone, b, out[gone]))
+            if into[gone] is not None:
+                queue.append((into[gone], b, gone))
+            out[gone] = into[gone] = None
 
-    roots = sorted({_find(parent, i) for i in range(n)})
+    roots = [i for i in range(n) if parent[i] == i]
     dense = {r: i for i, r in enumerate(roots)}
     edges = [(dense[r], letter, dense[_find(parent, out[r])])
              for r in roots for letter, out in enumerate(fwd) if out[r] is not None]
@@ -492,10 +475,10 @@ def amalgam(xi: Subgraph, theta: Subgraph) -> InverseAutomaton:
         raise ValueError("both subgraphs must contain the base vertex")
     g = LabeledGraph(parent.n_letters)
     for sub, odd in ((xi, 0), (theta, 1)):  # theta's vertices other than the base go odd
-        gid = {v: 2 * v + 1 if odd and v != base else 2 * v for v in sorted(sub.vertices)}
+        gid = {v: 2 * v + 1 if odd and v != base else 2 * v for v in sub.vertices}
         for v in gid.values():
             g.add_vertex(v)
-        for u, letter in sorted(sub.edges):
+        for u, letter in sub.edges:
             g.add_edge(gid[u], letter, gid[sub.dst((u, letter))])
     g.set_base(2 * base)
     return fold(g)
@@ -576,7 +559,7 @@ def read_aut(text: str) -> LabeledGraph:
 def as_inverse_automaton(g: LabeledGraph) -> InverseAutomaton:
     """Interpret a labeled graph verbatim (no folding); vertex ids are
     renumbered densely in ascending order.  Raises if not folded."""
-    ids = sorted(g._vset)
+    ids = sorted(g.vertices)
     newid = {v: i for i, v in enumerate(ids)}
     edges = [(newid[u], letter, newid[v]) for u, letter, v in g.edges]
     base = newid[g.base] if g.base is not None else None

@@ -33,7 +33,7 @@ from .groups import (CyclicSpec, ExtensionSpec, KleinSpec, PermSpec, ProductSpec
                      OrderBoundError, abelianization, canonical_morphism, check_size,
                      materialize, parse_int)
 from .perms import alternating_certificate, parse_cycles
-from .words import ASCII_LETTERS, Word, format_word, parse_word
+from .words import ASCII_LETTERS, Word, check_alphabet, format_word, parse_word
 
 
 SPEC_DEPTH = 64  # deepest nesting of gaschutz / tilde / prodA in a group spec
@@ -147,6 +147,8 @@ def parse_layers(text: str) -> tuple[tuple[int, bool], ...]:
 
 def _parse_wordlist(text: str, n_letters: int | None = None) -> tuple[list[Word], int]:
     """Comma-separated words; alphabet size inferred when not given."""
+    if n_letters is not None:
+        check_alphabet(n_letters)  # also when the list holds no word to parse it
     texts = [t.strip() for t in text.split(",") if t.strip()]
     words = [parse_word(t, n_letters if n_letters is not None else 26) for t in texts]
     if n_letters is None:

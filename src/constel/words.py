@@ -71,13 +71,18 @@ def power(w: Word, k: int) -> Word:
     return Word(w.letters * k)
 
 
+def check_alphabet(n_letters: int) -> None:
+    """Refuse an alphabet size the letters a..z cannot name."""
+    if not 1 <= n_letters <= len(ASCII_LETTERS):
+        raise ValueError("alphabet size must be between 1 and 26")
+
+
 def parse_word(text: str, n_letters: int) -> Word:
     """Parse compact ("abA") or verbose ("a b^-1 a") word syntax over
     the letters a, b, ... of an n_letters-letter alphabet."""
     from .groups import check_size  # groups imports this module
 
-    if not 1 <= n_letters <= len(ASCII_LETTERS):
-        raise ValueError("alphabet size must be between 1 and 26")
+    check_alphabet(n_letters)
     names = tuple(ASCII_LETTERS[:n_letters])  # a tuple: str.index would find "ab" and ""
 
     def index(name: str) -> int:

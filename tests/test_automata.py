@@ -53,6 +53,23 @@ def test_fold_wedge_of_aa_and_b():
     assert rank_from_core(core) == 2
 
 
+def random_aut_lines(rng) -> tuple[str, list[str], list[str], str]:
+    """Alphabet, vertex, edge and base lines of an unfolded .aut graph on
+    1-12 vertices with ids below 40, over 1-3 letters: sparse enough to
+    leave components off the base, and without a base in about a third."""
+    n, n_letters = rng.randint(1, 12), rng.randint(1, 3)
+    ids = rng.sample(range(40), n)
+    vertices = ["vertex %d" % v for v in ids]
+    edges = ["edge %d %s %d" % (rng.choice(ids), "abc"[rng.randrange(n_letters)], rng.choice(ids))
+             for _ in range(rng.randint(0, n + 2))]
+    base = "base %d" % rng.choice(ids) if rng.random() < 0.65 else ""
+    return "alphabet " + " ".join("abc"[:n_letters]), vertices, edges, base
+
+
+def aut_text(alphabet: str, vertices: list[str], edges: list[str], base: str) -> str:
+    return "\n".join([alphabet] + vertices + edges + [base]) + "\n"
+
+
 def test_fold_confluent_under_edge_order():
     rng = random.Random(21)
     edges = [(0, 0, 1), (1, 0, 2), (2, 1, 0), (0, 1, 3), (3, 0, 1),
@@ -63,6 +80,57 @@ def test_fold_confluent_under_edge_order():
         rng.shuffle(shuffled)
         got = canonical(fold(graph_from_edges(6, 2, shuffled)))
         assert got == reference
+    # the bytes, components off the base and baseless graphs included, do
+    # not depend on the order of the edge lines or of the vertex lines
+    kinds = set()
+    for _ in range(300):
+        lines = random_aut_lines(rng)
+        _, vertices, edges, _ = lines
+        aut = fold(read_aut(aut_text(*lines)))
+        reference = write_aut(aut)
+        for _ in range(3):
+            rng.shuffle(edges)
+            assert write_aut(fold(read_aut(aut_text(*lines)))) == reference
+            rng.shuffle(vertices)
+            assert write_aut(fold(read_aut(aut_text(*lines)))) == reference
+        kinds.add((aut.base is None, aut.is_connected()))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def fixpoint_fold(vertices, edges) -> dict[int, int]:
+    """Class label of each vertex: while two equally labeled quotient
+    edges share a source or a target, merge their other ends."""
+    cls = {v: v for v in vertices}
+    merged = True
+    while merged:
+        merged = False
+        quotient = {(cls[u], a, cls[v]) for u, a, v in edges}
+        for (u, a, v), (u2, a2, v2) in itertools.combinations(quotient, 2):
+            if a == a2 and (u == u2 or v == v2):
+                old, new = (v, v2) if u == u2 else (u, u2)
+                cls = {x: new if c == old else c for x, c in cls.items()}
+                merged = True
+                break
+    return cls
+
+
+def test_fold_against_fixpoint_oracle():
+    # the oracle's classes, numbered by their least vertices as `fold`
+    # numbers its roots, give the same automaton; a fold that loses the
+    # entries of a merged root has too few edges
+    rng = random.Random(27)
+    for _ in range(300):
+        g = read_aut(aut_text(*random_aut_lines(rng)))
+        cls = fixpoint_fold(g.vertices, g.edges)
+        least = {}
+        for v in sorted(cls):
+            least.setdefault(cls[v], len(least))
+        edges = {(least[cls[u]], a, least[cls[v]]) for u, a, v in g.edges}
+        base = None if g.base is None else least[cls[g.base]]
+        oracle = InverseAutomaton(len(least), g.n_letters, edges, base)
+        got = fold(g)
+        assert (got.n, got.n_pos_edges) == (oracle.n, oracle.n_pos_edges)
+        assert got == canonical(oracle)
 
 
 def test_fold_result_is_deterministic_automaton():

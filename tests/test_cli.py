@@ -499,7 +499,8 @@ def test_huge_literals_exit_2_under_a_memory_cap():
              ["amalgam", "--group", a4],
              ["ag", "--group", a4],
              ["dissolve", "--group", a4, "--layers", "~2"],
-             ["constellations", "--group", "cyclic(20000;a=1)"]]  # 2^19999 bipartitions
+             ["constellations", "--group", "cyclic(20000;a=1)"],  # 2^19999 bipartitions
+             ["core", "--gens", "", "--letters", "30000000"]]  # refused before any column
     child = (
         "import contextlib, io, json, resource, sys, time\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -520,8 +521,19 @@ def test_huge_literals_exit_2_under_a_memory_cap():
         assert proc.returncode == 0, proc.stderr
         assert os.listdir(tmp) == []
     for argv, (code, out, err, elapsed) in zip(argvs, json.loads(proc.stdout)):
-        assert code == 2 and not out and "exceeds the bound" in err, (argv, err)
+        refusal = "alphabet size must be" if "--letters" in argv else "exceeds the bound"
+        assert code == 2 and not out and refusal in err, (argv, err)
         assert elapsed < 2, (argv, elapsed)
+
+
+def test_letters_outside_1_to_26_exit_2():
+    # checked before the words, so an empty --gens is refused too
+    for n in ("0", "-1", "27"):
+        for argv in (["core", "--gens", ""], ["core", "--gens", "ab"],
+                     ["member", "--gens", "", "--word", "a"]):
+            code, out, err = run(argv + ["--letters", n])
+            assert (code, out, err) == (
+                2, "", "error: alphabet size must be between 1 and 26\n"), argv + [n]
 
 
 def test_identity_letters_warn_only_for_the_named_group():
@@ -592,21 +604,26 @@ REPORT_DIGESTS = [  # argv, exit code, sha256 of stdout
     (["fold", "--automaton", "three-parts.aut"],
      0, "85a0d97259ac21f698165e8d7f1395e12851fd46615ae580d3e55bfc0084874a"),
     (["fold", "--automaton", "baseless.aut"],
-     0, "181eb919f09c5877a18464759f735e47ac405d8b57a7addf3a5a834efa10301b"),
+     0, "21ccda26d6da3d191d0f834a3765a4425c4480a8367f767ab869a9ed37680873"),
     # a 196,830-element top, decided by the linear method: 1,980 failures with p = 3 vectors
     (["dissolve", "--group", "cyclic(10;a=1,b=1)", "--layers", "~3"],
      1, "e2a44293d9ffbd145b874ee1a29a6e8fa196349e6a23080bbf8c700e6c9f22f4"),
+    (["fold", "--automaton", "three-parts-reversed.aut"],  # same bytes as three-parts.aut
+     0, "85a0d97259ac21f698165e8d7f1395e12851fd46615ae580d3e55bfc0084874a"),
 ]
-# .aut inputs named in REPORT_DIGESTS.  Folding either of the last two
-# merges roots with unequal and with equal stored-edge counts, and numbers
-# its components off the base from their least old id, so its bytes pin
-# which root `fold` keeps: the one storing more edges, the first on a tie.
+# .aut inputs named in REPORT_DIGESTS.  The last three have components
+# off the base or no base, which `canonical` numbers from their least
+# input vertex; three-parts.aut with its edge lines reversed folds to the
+# same bytes, since `fold` does not depend on edge order.
 AUT_FIXTURES = {
     "path.aut": "edge 0 a 1\nedge 1 a 2\nedge 0 b 0\nbase 0\n",
     "square.aut": "edge 0 a 1\nedge 1 b 2\nedge 2 a 3\nedge 3 b 0\nedge 1 a 4\nbase 0\n",
     "three-parts.aut": "alphabet a b\nedge 15 b 4\nedge 16 b 6\nedge 0 b 8\nedge 16 b 6\n"
                        "edge 9 a 0\nedge 8 b 9\nedge 6 a 3\nedge 3 b 6\nedge 4 a 4\n"
                        "edge 16 b 16\nbase 15\n",
+    "three-parts-reversed.aut": "alphabet a b\nedge 16 b 16\nedge 4 a 4\nedge 3 b 6\n"
+                                "edge 6 a 3\nedge 8 b 9\nedge 9 a 0\nedge 16 b 6\n"
+                                "edge 0 b 8\nedge 16 b 6\nedge 15 b 4\nbase 15\n",
     "baseless.aut": "alphabet a b\nedge 15 b 3\nedge 18 b 9\nedge 4 a 1\nedge 11 b 9\n"
                     "edge 18 b 15\n",
 }
