@@ -11,6 +11,7 @@ C_Xi, with g on the far side of the cut.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .automata import (
     InverseAutomaton,
@@ -25,22 +26,34 @@ from .errors import VerificationError
 from .groups import MaterializedGroup, check_size
 
 
-def _check_constellations(xi: Subgraph, theta: Subgraph, g_choices) -> None:
-    """Raise ValueError unless (xi, g, theta) is a constellation for
-    every g in g_choices; the intersection component is found once."""
+@lru_cache(maxsize=1)
+def _base_component(xi: Subgraph, theta: Subgraph) -> dict:
+    """Check what a constellation asks of (xi, theta) alone and return
+    the base component of xi & theta.  One entry is kept, so the
+    constellations of one pair check and search their subgraphs once."""
     if xi.parent is not theta.parent:
         raise ValueError("subgraphs live over different parent graphs")
     base = xi.parent.base
     if base is None:
         raise ValueError("constellations need a based parent graph")
-    if base in g_choices:
-        raise ValueError("g coincides with the base vertex")
     for name, sub in (("xi", xi), ("theta", theta)):
-        if not (sub.has_vertex(base) and all(sub.has_vertex(g) for g in g_choices)):
+        if not sub.has_vertex(base):
             raise ValueError("%s must contain the base vertex and g" % name)
         if not sub.is_connected():
             raise ValueError("%s is not connected" % name)
-    upsilon = bfs_tree(xi.parent, base, xi.edges & theta.edges)  # base component of xi & theta
+    return bfs_tree(xi.parent, base, xi.edges & theta.edges)
+
+
+def _check_constellations(xi: Subgraph, theta: Subgraph, g_choices) -> None:
+    """Raise ValueError unless (xi, g, theta) is a constellation for
+    every g in g_choices; faults of (xi, theta) alone are reported
+    before those of g."""
+    upsilon = _base_component(xi, theta)
+    if xi.parent.base in g_choices:
+        raise ValueError("g coincides with the base vertex")
+    for name, sub in (("xi", xi), ("theta", theta)):
+        if not all(sub.has_vertex(g) for g in g_choices):
+            raise ValueError("%s must contain the base vertex and g" % name)
     if any(g in upsilon for g in g_choices):
         raise ValueError("base and g lie in one component of the intersection")
 
@@ -144,7 +157,10 @@ def minimal_cut_sets(aut: InverseAutomaton) -> list[MinimalCut]:
 @dataclass(frozen=True, eq=False)
 class MaxConstellationPair:
     """A maximal pair is its bond and its split: Xi = Gamma - C_Theta and
-    Theta = Gamma - C_Xi are built on each access, not stored."""
+    Theta = Gamma - C_Xi are not stored with it.  They are built on first
+    access and kept for the last pair accessed only, so the g choices of
+    one pair share one Xi and one Theta, and a list of pairs holds no
+    subgraphs."""
 
     cut: MinimalCut
     c_xi: frozenset[tuple[int, int]]
@@ -171,18 +187,23 @@ class MaxConstellationPair:
 
     @property
     def xi(self) -> Subgraph:
-        return self.cut.full.minus_edges(self.c_theta)
+        return _split_subgraphs(self)[0]
 
     @property
     def theta(self) -> Subgraph:
-        return self.cut.full.minus_edges(self.c_xi)
+        return _split_subgraphs(self)[1]
 
     def constellation(self, g: int) -> Constellation:
         return Constellation(self.xi, g, self.theta)
 
     def constellations(self) -> list[Constellation]:
-        xi, theta = self.xi, self.theta
-        return [Constellation(xi, g, theta) for g in self.g_choices]
+        return [self.constellation(g) for g in self.g_choices]
+
+
+@lru_cache(maxsize=1)
+def _split_subgraphs(pair: MaxConstellationPair) -> tuple[Subgraph, Subgraph]:
+    """(Xi, Theta) of the pair, keyed by its identity (pairs are eq=False)."""
+    return pair.cut.full.minus_edges(pair.c_theta), pair.cut.full.minus_edges(pair.c_xi)
 
 
 def maximal_constellations(group: MaterializedGroup) -> list[MaxConstellationPair]:

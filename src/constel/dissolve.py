@@ -33,6 +33,9 @@ deciders are provided:
 
 `dissolves_materialized` and `dissolves_linear` decide one
 constellation (Xi, g, Theta) from the three contractions of its pair.
+They keep the lifts of the last (phi, Xi, Theta) they were asked about,
+with the tilde-constant span and the BFS trees built on them, so the g
+choices of one pair reuse all three; `dissolve_all` never holds them.
 
 Mirrors.  (Xi, g, Theta) is dissolved exactly when (Theta, g, Xi) is,
 and `dissolve_all` decides each unordered split of a bond once.  The
@@ -57,7 +60,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 from .automata import InverseAutomaton, Subgraph, bfs_tree, tree_word
@@ -156,6 +159,8 @@ class _Lifts:
                  halves: tuple[set[int], set[int]], xi: Subgraph, theta: Subgraph):
         self.phi, self.fibers, self.comp = phi, fibers, comp
         self.xi, self.theta, self.halves, self.both = xi, theta, halves, halves[0] & halves[1]
+        self.spans: dict[tuple[int, bool], GFpSpan] = {}  # complete spans by (p, tilde)
+        self.trees = self.words = None  # BFS trees and witness words, built on first use
 
     def shared(self, g: int) -> list[int]:
         return [h for h in self.fibers[g] if self.comp[h] in self.both]  # ascending
@@ -175,6 +180,10 @@ def _pair_lifts(phi: Morphism, xi: Subgraph, theta: Subgraph) -> _Lifts:
     halves = tuple({comp[h] for h, c in enumerate(_contract(aut, fibers, sub.edges)) if not c}
                    for sub in (xi, theta))
     return _Lifts(phi, fibers, comp, halves, xi, theta)
+
+
+# The one-g deciders' lifts of the last (phi, xi, theta), all keyed by identity.
+_last_pair_lifts = lru_cache(maxsize=1)(_pair_lifts)
 
 
 def _bond_lifts(phi: Morphism, cut: MinimalCut):
@@ -240,15 +249,16 @@ def _path_stays(sub: Subgraph, w: Word) -> bool:
 
 def _reach_reports(lifts: _Lifts, g_choices: Sequence[int],
                    labels: Sequence[str]) -> list[DissolveReport]:
-    h_group, image, words = lifts.phi.src, lifts.phi.mapping, None
+    h_group, image = lifts.phi.src, lifts.phi.mapping
     out = []
     for g, label in zip(g_choices, labels, strict=True):
         shared = lifts.shared(g)
         if not shared:
             out.append(DissolveReport(label, True, "reachability"))
             continue
-        words = words or [_witness_words(h_group.cayley, _LiftView(sub.edges, image))
-                          for sub in (lifts.xi, lifts.theta)]
+        words = lifts.words = lifts.words or [
+            _witness_words(h_group.cayley, _LiftView(sub.edges, image))
+            for sub in (lifts.xi, lifts.theta)]
         h = shared[0]
         u, v = words[0](h), words[1](h)
         if (u is None or v is None
@@ -263,7 +273,7 @@ def dissolves_materialized(h_group: MaterializedGroup, phi: Morphism,
                            c: Constellation, label: str = "") -> DissolveReport:
     """Exact reachability decision; failures carry a re-verified word pair."""
     _check_source(h_group, phi)
-    return _reach_reports(_pair_lifts(phi, c.xi, c.theta), (c.g,), (label,))[0]
+    return _reach_reports(_last_pair_lifts(phi, c.xi, c.theta), (c.g,), (label,))[0]
 
 
 class GFpSpan:
@@ -333,7 +343,7 @@ def _linear_reports(layer: GaschuetzLayer, lifts: _Lifts, g_choices: Sequence[in
                     labels: Sequence[str]) -> list[DissolveReport]:
     m_group, p, comp, image = layer.base, layer.p, lifts.comp, lifts.phi.mapping
     in_xi, in_th = lifts.halves
-    span = trees = None
+    span = lifts.spans.get((p, layer.tilde))
     out = []
     for g, label in zip(g_choices, labels, strict=True):
         report = DissolveReport(label, True, "linear")
@@ -356,11 +366,13 @@ def _linear_reports(layer: GaschuetzLayer, lifts: _Lifts, g_choices: Sequence[in
                                                 "the intersection of the lifts" % a)
                     row[comp[v]] += c
                 span.add(row)
+            lifts.spans[p, layer.tilde] = span
         for m in shared:
             if span.contains({comp[m]: 1, 0: -1} if comp[m] else {}):  # 1 is in component 0
                 gamma = m_group.cayley
-                trees = trees or [bfs_tree(gamma, gamma.base, _LiftView(sub.edges, image))
-                                  for sub in (lifts.xi, lifts.theta)]
+                trees = lifts.trees = lifts.trees or [
+                    bfs_tree(gamma, gamma.base, _LiftView(sub.edges, image))
+                    for sub in (lifts.xi, lifts.theta)]
                 diff = _difference(gamma, tree_word(trees[0], m), tree_word(trees[1], m), p)
                 report = DissolveReport(label, False, "linear", endpoint=m, vector=diff)
                 break
@@ -374,7 +386,7 @@ def dissolves_linear(layer: GaschuetzLayer, phi: Morphism, c: Constellation,
     phi, without enumerating the layer."""
     if phi.src is not layer.base:
         raise ValueError("morphism must start at the layer's base group")
-    return _linear_reports(layer, _pair_lifts(phi, c.xi, c.theta), (c.g,), (label,))[0]
+    return _linear_reports(layer, _last_pair_lifts(phi, c.xi, c.theta), (c.g,), (label,))[0]
 
 
 def _letter_label(letter: int, sign: int) -> str:

@@ -271,6 +271,19 @@ def test_constellation_validation():
         Constellation(split, 1, full)  # xi not connected
 
 
+def test_per_g_checks_fire_after_the_pair_checks_are_kept():
+    pair = next(pair for pair in maximal_constellations(materialize(CyclicSpec(6, (1, 2))))
+                if len(pair.cut.near) > 1)
+    near = min(pair.cut.near - {0})
+    for _ in range(2):  # the second round runs with every memo warm
+        assert pair.constellation(pair.g_choices[0]).xi is pair.xi
+        with pytest.raises(ValueError, match="^g coincides with the base vertex$"):
+            Constellation(pair.xi, 0, pair.theta)
+        with pytest.raises(ValueError,
+                           match="^base and g lie in one component of the intersection$"):
+            Constellation(pair.xi, near, pair.theta)
+
+
 def test_delta_basic():
     da = delta_a(z2(), 0)
     assert da.g == 1

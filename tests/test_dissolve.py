@@ -1,8 +1,11 @@
 import random
-from collections import deque
+from collections import Counter, deque
+from functools import partial
+from itertools import zip_longest
 
 import pytest
 
+import constel.constellations
 import constel.dissolve
 import constel.groups
 from constel.automata import Subgraph, bfs_tree, full_subgraph, tree_word
@@ -281,27 +284,72 @@ def test_bond_contractions_match_networkx_components(spec, layers):
             assert {comp[h] for h in component} == {min(component)}
 
 
+def counted(calls, name, real):
+    def wrapper(*args):
+        calls[name] += 1
+        return real(*args)
+    return wrapper
+
+
 def test_dissolve_all_contracts_once_per_bond(monkeypatch):
     tower = build_tower(TowerSpec(CyclicSpec(6, (1, 2)), ((2, True),)))
     calls = {"contract": 0, "lift": 0, "decide": 0}
-
-    def counted(name, real):
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
-
     monkeypatch.setattr(constel.dissolve, "_contract",
-                        counted("contract", constel.dissolve._contract))
+                        counted(calls, "contract", constel.dissolve._contract))
     monkeypatch.setattr(constel.dissolve, "reachable_lift",
-                        counted("lift", constel.dissolve.reachable_lift))
+                        counted(calls, "lift", constel.dissolve.reachable_lift))
     monkeypatch.setattr(constel.dissolve, "_reach_reports",
-                        counted("decide", constel.dissolve._reach_reports))
+                        counted(calls, "decide", constel.dissolve._reach_reports))
     assert len(dissolve_all(tower)) == 7440
     assert len(minimal_cut_sets(tower.levels[0].cayley)) == 28
     assert len(maximal_constellations(tower.levels[0])) == 2600
     # one decision per unordered split: the mirror split's reports are derived
     assert calls == {"contract": 28, "lift": 0, "decide": 1300}
+
+
+def one_g_decider(tower, method: str):
+    """decide(c, label) by the one-g wrapper of `method` for the top over
+    the base, with the top lazy for the linear method."""
+    down = tower.morphism(len(tower.levels) - 1, 0)
+    if method == "linear":
+        return partial(dissolves_linear, tower.top, down)
+    mat, cover = tower.top.cover()
+    return partial(dissolves_materialized, mat, cover.compose(down))
+
+
+def clear_memos():
+    constel.constellations._split_subgraphs.cache_clear()
+    constel.constellations._base_component.cache_clear()
+    constel.dissolve._last_pair_lifts.cache_clear()
+
+
+def one_g_reports(decide, pairs, cold: bool = False):
+    """astuple of every one-g report of the pairs, each pair's g choices
+    in turn; `cold` clears every memo before each constellation."""
+    out = []
+    for i, pair in enumerate(pairs):
+        for g in pair.g_choices:
+            if cold:
+                clear_memos()
+            out.append(astuple(decide(pair.constellation(g), "max%d:g%d" % (i, g))))
+    return out
+
+
+def test_one_g_deciders_contract_and_build_subgraphs_once_per_pair(monkeypatch):
+    tower = build_tower(TowerSpec(CyclicSpec(6, (1, 2)), ((2, True),)))
+    deciders = [one_g_decider(tower, method) for method in ("linear", "reachability")]
+    pairs = maximal_constellations(tower.levels[0])
+    assert (len(pairs), sum(len(pair.g_choices) for pair in pairs)) == (2600, 7440)
+    calls = Counter()
+    monkeypatch.setattr(constel.dissolve, "_contract",
+                        counted(calls, "contract", constel.dissolve._contract))
+    monkeypatch.setattr(Subgraph, "__post_init__",
+                        counted(calls, "subgraph", Subgraph.__post_init__))
+    for decide in deciders:
+        calls.clear()
+        one_g_reports(decide, pairs)
+        # Xi & Theta, Xi and Theta are contracted once per pair, not per g
+        assert calls == {"contract": 3 * 2600, "subgraph": 2 * 2600}
 
 
 def test_witness_words_match_a_search_per_endpoint():
@@ -321,21 +369,84 @@ def test_witness_words_match_a_search_per_endpoint():
 def per_triple_reports(tower):
     """Reports from one decision per constellation through the one-g
     wrappers, as (label, dissolved, method, witness, endpoint, vector)."""
-    base = tower.levels[0]
-    if tower.top.order() <= constel.dissolve.MATERIALIZE_BOUND:
-        mat = tower.top.materialize()
-        phi = canonical_morphism(mat, base)
-        decide = lambda c, label: dissolves_materialized(mat, phi, c, label)
-    else:
-        phi = tower.morphism(len(tower.levels) - 1, 0)
-        decide = lambda c, label: dissolves_linear(tower.top, phi, c, label)
-    return [astuple(decide(pair.constellation(g), "max%d:g%d" % (i, g)))
-            for i, pair in enumerate(maximal_constellations(base))
-            for g in pair.g_choices]
+    small = tower.top.order() <= constel.dissolve.MATERIALIZE_BOUND
+    decide = one_g_decider(tower, "reachability" if small else "linear")
+    return one_g_reports(decide, maximal_constellations(tower.levels[0]))
 
 
 def astuple(r: DissolveReport):
     return (r.label, r.dissolved, r.method, r.witness, r.endpoint, r.vector)
+
+
+@pytest.mark.parametrize("spec, layers, method", [
+    (CyclicSpec(6, (1, 2)), ((2, True),), "linear"),
+    (CyclicSpec(6, (1, 2)), ((2, True),), "reachability"),
+    (KleinSpec(((1, 0), (0, 1))), ((3, True),), "linear"),
+    (S3, ((2, False),), "linear"),
+])
+def test_memos_never_change_a_one_g_report(spec, layers, method):
+    tower = build_tower(TowerSpec(spec, layers))
+    decide = one_g_decider(tower, method)
+    pairs = maximal_constellations(tower.levels[0])
+    reports = one_g_reports(decide, pairs)
+    assert reports == one_g_reports(decide, pairs, cold=True)
+    assert {r[2] for r in reports} == {method}
+    assert all(r[1] for r in reports) == (not layers[0][1])  # plain layers dissolve all
+
+
+def test_interleaved_pairs_give_the_same_reports():
+    tower = build_tower(TowerSpec(CyclicSpec(6, (1, 2)), ((2, True),)))
+    pairs = [pair for pair in maximal_constellations(tower.levels[0])
+             if len(pair.g_choices) > 2]
+    a, b = pairs[0], pairs[-1]
+    assert a.cut is not b.cut
+    for method in ("linear", "reachability"):
+        decide = one_g_decider(tower, method)
+        alone = one_g_reports(decide, [a, b])
+        mixed = []
+        for ga, gb in zip_longest(a.g_choices, b.g_choices):
+            for i, (pair, g) in enumerate(((a, ga), (b, gb))):
+                if g is not None:
+                    mixed.append(astuple(decide(pair.constellation(g), "max%d:g%d" % (i, g))))
+        assert sorted(mixed, key=repr) == sorted(alone, key=repr)
+        assert not all(r[1] for r in alone)
+
+
+def test_one_pair_decided_against_layers_at_two_primes():
+    # one phi, so the layers share the last pair's lifts and are told
+    # apart by the span key (p, tilde)
+    base = klein()
+    phi = identity_morphism(base)
+    layers = [GaschuetzLayer(base, 2, True), GaschuetzLayer(base, 3, True),
+              GaschuetzLayer(base, 2, False)]
+    pairs = maximal_constellations(base)
+
+    def reports(cold):
+        out = []
+        for pair in pairs:
+            for g in pair.g_choices:
+                for layer in layers:
+                    if cold:
+                        clear_memos()
+                    out.append(astuple(dissolves_linear(layer, phi, pair.constellation(g))))
+        return out
+
+    clear_memos()
+    warm = reports(cold=False)
+    assert constel.dissolve._last_pair_lifts.cache_info().misses == len(pairs)
+    assert warm == reports(cold=True)
+    verdicts = [[r[1] for r in warm[i::3]] for i in range(3)]
+    assert verdicts[0] != verdicts[1] and all(verdicts[2])
+
+
+def test_dissolve_all_holds_no_lifts():
+    # the weak path's 24576-element lifts would otherwise outlive the call
+    memo = constel.dissolve._last_pair_lifts
+    memo.cache_clear()
+    dissolve_all(build_tower(TowerSpec(CyclicSpec(12, (1, 1)), ((2, True),))), weak=True)
+    assert memo.cache_info().currsize == 0
+    dissolve_all(build_tower(TowerSpec(CyclicSpec(6, (1, 2)), ((2, True),))))
+    assert memo.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("spec, layers, bound, method", [
@@ -436,8 +547,9 @@ def test_constant_boundary_outside_the_intersection_raises():
     lifts = constel.dissolve._pair_lifts(identity_morphism(base), c.xi, c.theta)
     assert lifts.both == {0, c.g}  # the boundary of Xi^'s a-part is [1] - [g]
     lifts.both = {c.g}  # an intersection that misses 1 but still meets the fiber of g
-    with pytest.raises(VerificationError, match="leaves the intersection"):
-        constel.dissolve._linear_reports(layer, lifts, (c.g,), ("",))
+    for _ in range(2):  # a span that raised is not kept
+        with pytest.raises(VerificationError, match="leaves the intersection"):
+            constel.dissolve._linear_reports(layer, lifts, (c.g,), ("",))
 
 
 def test_failed_witness_check_raises(monkeypatch):
