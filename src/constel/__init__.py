@@ -7,14 +7,12 @@ from .words import (ASCII_LETTERS, EMPTY, Word, concat, format_word, invert,
                     parse_word, power, reduce)
 from .automata import (InverseAutomaton, LabeledGraph, Subgraph, amalgam,
                        as_inverse_automaton, bouquet, canonical, core_of_words,
-                       embed_check, fold, full_subgraph, induced_subgraph, member,
-                       path_word, pointed_isomorphic, product_automaton,
-                       rank_from_core, read_aut, span_from_base, subgraph_automaton,
-                       to_dot, transition_group, trim, write_aut)
+                       embed_check, fold, full_subgraph, member, pointed_isomorphic,
+                       rank_from_core, read_aut, subgraph_automaton, to_dot,
+                       transition_group, trim, write_aut)
 from .perms import (AlternatingCertificate, PermGroupGens, Permutation,
-                    alternating_certificate, format_cycles, from_cycles,
-                    is_primitive, is_prime, is_transitive, parse_cycles,
-                    prime_power_cycle)
+                    alternating_certificate, from_cycles, is_primitive,
+                    is_prime, is_transitive, parse_cycles, prime_power_cycle)
 from .groups import (CyclicSpec, ExtensionSpec, KleinSpec, MaterializedGroup,
                      Morphism, OrderBoundError, PermSpec, ProductSpec,
                      abelian_relations, abelianization, canonical_morphism,
@@ -31,11 +29,10 @@ from .completion import (CompletionPlan, PredissolverReport,
                          complete_to_alternating, predissolver_certificate,
                          smallest_prime_greater)
 from .dissolve import (DissolveReport, KeyLemmaReport, RankReport,
-                       counting_lifts_check, cycle_space_rows,
-                       detecting_edges_check, disconnection_equivalence,
-                       dissolve_all, dissolves_linear, dissolves_materialized,
-                       is_dissolver, is_weak_dissolver, key_lemma_report,
-                       reachable_lift, schreier_rank_check)
+                       counting_lifts_check, detecting_edges_check,
+                       disconnection_equivalence, dissolve_all, dissolves_linear,
+                       dissolves_materialized, is_dissolver, key_lemma_report,
+                       schreier_rank_check)
 from .errors import VerificationError
 from .closure import (closure_at_level, closure_chain, extendible_at_level,
                       product_membership_at_level, schreier_graph, subgroup_image)

@@ -333,27 +333,6 @@ def tree_word(tree: dict[int, tuple[int, int, int]], v: int) -> Word | None:
     return Word(tuple(reversed(pairs)))
 
 
-def path_word(aut: InverseAutomaton, src: int, dst: int) -> Word | None:
-    """Label of a BFS-shortest path src -> dst (letters ascending,
-    forward steps preferred at equal depth)."""
-    return tree_word(bfs_tree(aut, src), dst)
-
-
-def product_automaton(a: InverseAutomaton, b: InverseAutomaton) -> InverseAutomaton:
-    """Core of the component of (base, base) in the labeled direct product."""
-    if a.base is None or b.base is None:
-        raise ValueError("product needs based automata")
-    if a.n_letters != b.n_letters:
-        raise ValueError("alphabet size mismatch")
-    pairs, _ = _product_walk(a, b)
-    index = {pair: i for i, pair in enumerate(sorted(pairs))}
-    edges = [(i, letter, index[(a_col[u], b_col[v])])
-             for (u, v), i in index.items()
-             for letter, (a_col, b_col) in enumerate(zip(a.fwd, b.fwd))
-             if a_col[u] is not None and b_col[v] is not None]
-    return trim(InverseAutomaton(len(index), a.n_letters, edges, index[(a.base, b.base)]))
-
-
 def transition_group(aut: InverseAutomaton) -> PermGroupGens:
     """Letter actions of a complete automaton as permutations."""
     if not aut.is_complete():
@@ -443,14 +422,6 @@ def _product_walk(a: InverseAutomaton, c: InverseAutomaton
                     seen.add((np_, ng))
                     queue.append((np_, ng))
     return seen, edges
-
-
-def span_from_base(a: InverseAutomaton, c: InverseAutomaton) -> Subgraph:
-    """Image in c of all paths of a from its base, read from c's base."""
-    if a.base is None or c.base is None:
-        raise ValueError("span needs based automata")
-    seen, edges = _product_walk(a, c)
-    return Subgraph(c, frozenset(edges), frozenset(g for _, g in seen))
 
 
 def subgraph_automaton(sub: Subgraph, base: int) -> InverseAutomaton:

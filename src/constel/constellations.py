@@ -196,9 +196,6 @@ class MaxConstellationPair:
     def constellation(self, g: int) -> Constellation:
         return Constellation(self.xi, g, self.theta)
 
-    def constellations(self) -> list[Constellation]:
-        return [self.constellation(g) for g in self.g_choices]
-
 
 @lru_cache(maxsize=1)
 def _split_subgraphs(pair: MaxConstellationPair) -> tuple[Subgraph, Subgraph]:

@@ -442,10 +442,6 @@ def dissolve_all(tower: Tower, weak: bool = False) -> list[DissolveReport]:
     return reports
 
 
-def is_weak_dissolver(tower: Tower) -> bool:
-    return all(r.dissolved for r in dissolve_all(tower, weak=True))
-
-
 def is_dissolver(tower: Tower) -> bool:
     return all(r.dissolved for r in dissolve_all(tower, weak=False))
 

@@ -299,16 +299,6 @@ class Tower:
     top: GaschuetzLayer | None
     projections: tuple[Morphism, ...]  # projections[i]: levels[i+1] -> levels[i]
 
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels) + (1 if self.top is not None else 0)
-
-    def orders(self) -> list[int]:
-        out = [g.order for g in self.levels]
-        if self.top is not None:
-            out.append(self.top.order())
-        return out
-
     def morphism(self, i: int, j: int) -> Morphism:
         """Composite projection levels[i] -> levels[j], i >= j."""
         if not 0 <= j <= i < len(self.levels):
@@ -317,17 +307,6 @@ class Tower:
         for k in range(i, j, -1):
             phi = phi.compose(self.projections[k - 1])
         return phi
-
-    def is_identity(self, w: Word) -> bool:
-        """Word problem at the top level."""
-        if self.top is not None:
-            return self.top.is_identity(w)
-        return self.levels[-1].is_identity(w)
-
-    def evaluate(self, w: Word):
-        if self.top is not None:
-            return self.top.evaluate(w)
-        return self.levels[-1].evaluate(w)
 
 
 def build_tower(spec: TowerSpec) -> Tower:

@@ -68,9 +68,6 @@ class Permutation:
     def is_even(self) -> bool:
         return (self.degree - len(self.cycles(include_fixed=True))) % 2 == 0
 
-    def sign(self) -> int:
-        return 1 if self.is_even() else -1
-
 
 def identity(n: int) -> Permutation:
     return Permutation(tuple(range(n)))
@@ -111,13 +108,6 @@ def parse_cycles(text: str, n: int) -> Permutation:
             cycles.append(tuple(parse_int(t, "permutation point") for t in inner))
         pos = end + 1
     return from_cycles(n, cycles)
-
-
-def format_cycles(p: Permutation) -> str:
-    cycles = p.cycles()
-    if not cycles:
-        return "()"
-    return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles)
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,6 @@ class Word:
     def __iter__(self):
         return iter(self.letters)
 
-    def __mul__(self, other: "Word") -> "Word":
-        return concat(self, other)
-
-    def __invert__(self) -> "Word":
-        return invert(self)
-
     def max_letter(self) -> int:
         return max((idx for idx, _ in self.letters), default=-1)
 

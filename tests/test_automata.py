@@ -7,14 +7,12 @@ import pytest
 from constel.automata import (InverseAutomaton, LabeledGraph, Subgraph,
                               amalgam, as_inverse_automaton, bfs_tree, bouquet,
                               canonical, core_of_words, embed_check, fold,
-                              full_subgraph, induced_subgraph, member,
-                              path_word, pointed_isomorphic,
-                              product_automaton, rank_from_core, read_aut,
-                              span_from_base, subgraph_automaton, to_dot,
+                              full_subgraph, member, pointed_isomorphic,
+                              rank_from_core, read_aut, subgraph_automaton, to_dot,
                               transition_group, tree_word, trim, write_aut)
 from constel.groups import CyclicSpec, KleinSpec, PermSpec, materialize
 from constel.perms import from_cycles
-from constel.words import Word, parse_word, reduce
+from constel.words import Word, invert, parse_word, reduce
 
 A2 = 2
 
@@ -181,7 +179,7 @@ def test_member_accepts_generator_products():
         parts = [rng.choice(gens) for _ in range(rng.randrange(1, 6))]
         prod = Word(tuple(pair for part in parts
                           for pair in (part.letters if rng.random() < 0.5
-                                       else (~part).letters)))
+                                       else invert(part).letters)))
         assert member(core, prod)
 
 
@@ -202,36 +200,6 @@ def test_cores_have_no_hair():
         for v in range(core.n):
             if v != core.base:
                 assert core.degree(v) >= 2
-
-
-def enumerate_reduced(max_len):
-    out = [Word(())]
-    frontier = [Word(())]
-    for _ in range(max_len):
-        nxt = []
-        for u in frontier:
-            for letter in range(2):
-                for sign in (1, -1):
-                    if u.letters and u.letters[-1] == (letter, -sign):
-                        continue
-                    nxt.append(Word(u.letters + ((letter, sign),)))
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
-def test_product_automaton_language_is_intersection():
-    a = core_of_words([w("aa"), w("b")], 2)
-    b = core_of_words([w("a"), w("bab")], 2)
-    prod = product_automaton(a, b)
-    for u in enumerate_reduced(6):
-        assert member(prod, u) == (member(a, u) and member(b, u)), u
-    # the same product from relabelled factors whose bases are not 0
-    moved = [InverseAutomaton(x.n, 2, [((u + 1) % x.n, l, (v + 1) % x.n)
-                                       for u, l, v in x.pos_edges()], (x.base + 1) % x.n)
-             for x in (a, b)]
-    assert all(x.base != 0 for x in moved)
-    assert product_automaton(*moved) == prod
 
 
 def test_transition_group_matches_tracing():
@@ -327,13 +295,13 @@ def test_embed_check_examples():
     assert embed_check(loop, cay, loop.base) is None
 
 
-def test_path_word_prefers_positive():
+def test_bfs_tree_word_prefers_positive():
     core = core_of_words([w("aa"), w("b")], 2)
-    assert path_word(core, 0, 1) == w("a")
-    assert path_word(core, 0, 0) == Word(())
+    assert tree_word(bfs_tree(core, 0), 1) == w("a")
+    assert tree_word(bfs_tree(core, 0), 0) == Word(())
     two = InverseAutomaton(2, 1, [(1, 0, 0)], 0)
-    assert path_word(two, 0, 1) == w("A")
-    assert path_word(InverseAutomaton(2, 1, [], 0), 0, 1) is None
+    assert tree_word(bfs_tree(two, 0), 1) == w("A")
+    assert tree_word(bfs_tree(InverseAutomaton(2, 1, [], 0), 0), 1) is None
 
 
 def distances(aut, root, edges, forward_only):
@@ -439,17 +407,6 @@ def test_subgraph_validation():
                            ((4, 0), {0, 4})):
         with pytest.raises(ValueError, match="not in parent"):
             Subgraph(z4, frozenset({edge}), frozenset(vertices))
-
-
-def test_span_from_base():
-    cay = z2_cayley()
-    core = core_of_words([w("aa")], 2)
-    sub = span_from_base(core, cay)
-    assert sub.edges == frozenset({(0, 0), (1, 0)})
-    assert sub.vertices == frozenset({0, 1})
-    single = span_from_base(core_of_words([w("b")], 2), cay)
-    assert single.edges == frozenset({(0, 1)})
-    assert single.vertices == frozenset({0})
 
 
 def test_subgraph_automaton_renumbers():

@@ -13,7 +13,7 @@ from constel.errors import VerificationError
 from constel.gaschuetz import TowerSpec
 from constel.groups import CyclicSpec, KleinSpec, PermSpec, materialize
 from constel.perms import from_cycles
-from constel.words import Word, parse_word
+from constel.words import Word, concat, parse_word, power
 
 A2 = 2
 
@@ -132,17 +132,8 @@ def test_product_membership_accepts_literal_products():
     rng = random.Random(71)
     factors = [[w("ab")], [w("b")]]
     for _ in range(50):
-        u = (random_power(rng, w("ab"))) * (random_power(rng, w("b")))
+        u = concat(power(w("ab"), rng.randrange(-3, 4)), power(w("b"), rng.randrange(-3, 4)))
         assert product_membership_at_level(u, factors, g)
-
-
-def random_power(rng, base: Word) -> Word:
-    k = rng.randrange(-3, 4)
-    out = Word(())
-    step = base if k >= 0 else ~base
-    for _ in range(abs(k)):
-        out = out * step
-    return out
 
 
 def test_closure_chain_fixtures():

@@ -222,7 +222,7 @@ def test_maximal_pair_structure():
         assert pair.xi.edges == full_subgraph(pair.xi.parent).edges - pair.c_theta
         assert pair.theta.edges == full_subgraph(pair.xi.parent).edges - pair.c_xi
         assert pair.g_choices == tuple(sorted(pair.cut.far))
-        for c in pair.constellations():
+        for c in map(pair.constellation, pair.g_choices):
             assert c.g in pair.cut.far
 
 

@@ -14,7 +14,7 @@ from constel.dissolve import (DissolveReport, GFpSpan, counting_lifts_check,
                               cycle_space_rows, detecting_edges_check,
                               disconnection_equivalence, dissolve_all,
                               dissolves_linear, dissolves_materialized,
-                              is_dissolver, is_weak_dissolver, key_lemma_edge,
+                              is_dissolver, key_lemma_edge,
                               key_lemma_report, reachable_lift,
                               schreier_rank_check)
 from constel.errors import VerificationError
@@ -697,7 +697,7 @@ def test_dissolve_all_selects_method_by_order():
                                           "delta:b", "delta:b^-1"]
     assert all(r.method == "reachability" for r in reports)
     assert not any(r.dissolved for r in reports)
-    assert not is_weak_dissolver(small)
+    assert not all(r.dissolved for r in dissolve_all(small, weak=True))
 
     tall = build_tower(TowerSpec(CyclicSpec(2, (1, 1)),
                                  ((2, True), (2, True), (2, True))))
@@ -705,7 +705,7 @@ def test_dissolve_all_selects_method_by_order():
     reports = dissolve_all(tall, weak=True)
     assert all(r.method == "linear" for r in reports)
     assert all(r.dissolved for r in reports)
-    assert is_weak_dissolver(tall)
+    assert all(r.dissolved for r in dissolve_all(tall, weak=True))
 
     flat = build_tower(TowerSpec(CyclicSpec(2, (1, 1)), ()))
     assert all(r.method == "reachability" for r in dissolve_all(flat, weak=True))
@@ -714,7 +714,7 @@ def test_dissolve_all_selects_method_by_order():
 def test_plain_one_layer_tower_is_a_dissolver():
     tower = build_tower(TowerSpec(CyclicSpec(2, (1, 1)), ((2, False),)))
     assert is_dissolver(tower)
-    assert is_weak_dissolver(tower)
+    assert all(r.dissolved for r in dissolve_all(tower, weak=True))
 
 
 def test_disconnection_equivalence_agrees_and_varies():

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import constel
@@ -96,3 +97,28 @@ def test_bench_tracing_hooks_read_real_calls():
         tracer = tracing.Tracer()  # a fresh tracer that wraps nothing
         hook(tracer, args, result)
         assert tracer.counts, (module_name, attr)
+
+
+# called by no module yet; ROADMAP item 9 makes them decide level
+# membership past the materialization bound
+AWAITING_CALLERS = {"closure_chain", "extendible_at_level"}
+
+
+def test_every_package_export_has_a_caller():
+    # the package exports what a caller uses: each name constel/__init__.py
+    # imports must appear, off its own def/class line, in another module,
+    # the README, the acceptance tests or the benchmark's scenarios
+    package = Path(constel.__file__).parent
+    root = Path(__file__).resolve().parent.parent
+    callers = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    callers += [root / "README.md", root / "tests" / "test_acceptance.py",
+                root / "perfbench" / "scenarios.py", root / "perfbench" / "workload.py"]
+    lines = [line for path in callers for line in path.read_text().splitlines()]
+    exports = {alias.name
+               for node in ast.parse((package / "__init__.py").read_text()).body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    orphans = sorted(
+        name for name in exports - AWAITING_CALLERS
+        if not any(re.search(r"\b%s\b" % name, line)
+                   and not re.match(r"\s*(def|class)\s+%s\b" % name, line) for line in lines))
+    assert not orphans, orphans

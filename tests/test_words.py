@@ -62,8 +62,8 @@ def test_concat_variadic_and_operators():
     u, v, w = parse_word("a", A2), parse_word("b", A2), parse_word("A", A2)
     assert concat(u, v, w) == parse_word("abA", A2)
     assert concat() == EMPTY
-    assert u * v == parse_word("ab", A2)
-    assert ~u == parse_word("A", A2)
+    assert concat(u, v) == parse_word("ab", A2)
+    assert invert(u) == parse_word("A", A2)
 
 
 def test_power():
