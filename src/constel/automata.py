@@ -262,35 +262,59 @@ def rank_from_core(aut: InverseAutomaton) -> int:
     return aut.n_pos_edges - aut.n + 1
 
 
-def embed_check(a: InverseAutomaton, c: InverseAutomaton, start: int) -> dict[int, int] | None:
-    """The unique base-respecting monomorphism a -> c with base -> start, or None."""
+def _embedding_steps(a: InverseAutomaton, c: InverseAutomaton
+                     ) -> tuple[list[int], list[tuple[int, list, int, bool]]]:
+    """Validate a based, connected source once and compile the search for
+    its embeddings into c: the BFS order of a's vertices from its base,
+    and each edge of a as one step (source index, column of c, target
+    index, new?) over that order.  A new step discovers its target; the
+    others, taken from the end processed first, check it."""
     if a.base is None:
-        raise ValueError("embed_check needs a based source automaton")
-    if not a.is_connected():
-        raise ValueError("embed_check needs a connected source automaton")
-    if not 0 <= start < c.n:
-        raise ValueError("start vertex out of range")
-    mapping = {a.base: start}
-    queue = deque([a.base])
-    while queue:
-        v = queue.popleft()
+        raise ValueError("an embedding needs a based source automaton")
+    index = {a.base: 0}
+    order = [a.base]
+    steps = []
+    for i, v in enumerate(order):
         for letter in range(a.n_letters):
-            for sign in (1, -1):
-                w = a.step(v, letter, sign)
+            for out, col in ((a.fwd, c.fwd), (a.bwd, c.bwd)):
+                w = out[letter][v]
                 if w is None:
                     continue
-                img = c.step(mapping[v], letter, sign)
-                if img is None:
-                    return None
-                if w in mapping:
-                    if mapping[w] != img:
-                        return None
-                else:
-                    mapping[w] = img
-                    queue.append(w)
-    if len(set(mapping.values())) != a.n:
-        return None
-    return mapping
+                j = index.get(w)
+                if j is None:
+                    index[w] = j = len(order)
+                    order.append(w)
+                    steps.append((i, col[letter], j, True))
+                elif j >= i:  # with j < i, the edge was stepped from w
+                    steps.append((i, col[letter], j, False))
+    if len(order) != a.n:
+        raise ValueError("an embedding needs a connected source automaton")
+    return order, steps
+
+
+def _embed_at(steps: list[tuple[int, list, int, bool]], size: int, start: int
+              ) -> list[int] | None:
+    """Images, in BFS order, of the base-respecting monomorphism with
+    base -> start that `steps` describe, or None."""
+    images = [start] * size
+    for i, col, j, new in steps:
+        img = col[images[i]]
+        if img is None:
+            return None
+        if new:
+            images[j] = img
+        elif images[j] != img:
+            return None
+    return images if len(set(images)) == size else None
+
+
+def embed_check(a: InverseAutomaton, c: InverseAutomaton, start: int) -> dict[int, int] | None:
+    """The unique base-respecting monomorphism a -> c with base -> start, or None."""
+    order, steps = _embedding_steps(a, c)
+    if not 0 <= start < c.n:
+        raise ValueError("start vertex out of range")
+    images = _embed_at(steps, a.n, start)
+    return None if images is None else dict(zip(order, images))
 
 
 def pointed_isomorphic(a: InverseAutomaton, b: InverseAutomaton) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import random
@@ -542,7 +543,11 @@ def _cmd_corpus(args) -> int:
 
 # ---------------------------------------------------------------- driver
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  Its
+    `set_defaults(func=...)` binds each subcommand to the `_cmd_*`
+    function defined at that first build."""
     parser = argparse.ArgumentParser(prog="constel")
     sub = parser.add_subparsers(dest="command", required=True)
 

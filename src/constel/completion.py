@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .automata import InverseAutomaton, embed_check, transition_group
+from .automata import InverseAutomaton, _embed_at, _embedding_steps, transition_group
 from .errors import VerificationError
 from .groups import check_size
 from .perms import AlternatingCertificate, Permutation, alternating_certificate, is_prime
@@ -121,17 +121,14 @@ def complete_to_alternating(aut: InverseAutomaton, n: int, seed: int = 0
 
 def predissolver_certificate(completion: InverseAutomaton,
                              amalgams: list[InverseAutomaton]) -> PredissolverReport:
-    """Find, for each amalgam, a vertex of the completion at which it
-    embeds; all found means the completion's transition group separates
-    the word pair of every constellation behind the amalgams."""
+    """Find, for each amalgam, the least vertex of the completion at which
+    it embeds; all found means the completion's transition group separates
+    the word pair of every constellation behind the amalgams.  Each
+    amalgam is validated and walked once, and its steps run at each start
+    in turn, exactly as `embed_check` runs them at one."""
     witnesses: list[int | None] = []
     for a in amalgams:
-        if a.base is None:
-            raise ValueError("amalgam must be based")
-        found = None
-        for start in range(completion.n):
-            if embed_check(a, completion, start) is not None:
-                found = start
-                break
-        witnesses.append(found)
+        _, steps = _embedding_steps(a, completion)
+        witnesses.append(next((start for start in range(completion.n)
+                               if _embed_at(steps, a.n, start) is not None), None))
     return PredissolverReport(tuple(witnesses), all(w is not None for w in witnesses))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import lcm
+from math import isqrt, lcm
 
 
 @dataclass(frozen=True)
@@ -274,23 +274,23 @@ def is_primitive(g: PermGroupGens) -> bool:
     return True
 
 
-def prime_power_cycle(p: Permutation) -> tuple[int, int] | None:
-    """Find (q, r) with q prime so that p**r is a single q-cycle.
-
-    Succeeds when the cycle type has exactly one cycle of prime length q
-    and q divides no other cycle length; r is the lcm of the others.
-    """
+def _prime_cycles(p: Permutation):
+    """Yield every (q, r), q ascending, with q prime and p**r a single
+    q-cycle: q occurs once among the cycle lengths and divides no other
+    length, and r is the lcm of the others."""
     lengths = [len(c) for c in p.cycles(include_fixed=True)]
     counts = Counter(lengths)
     for q in sorted(counts):
-        if not is_prime(q) or counts[q] != 1:
-            continue
-        others = [length for length in lengths if length != q]
-        if any(length % q == 0 for length in others):
-            continue
-        r = lcm(*others) if others else 1
-        return (q, r)
-    return None
+        if counts[q] == 1 and is_prime(q):
+            others = [length for length in lengths if length != q]
+            if all(length % q for length in others):
+                yield q, lcm(*others)
+
+
+def prime_power_cycle(p: Permutation) -> tuple[int, int] | None:
+    """Find (q, r) with q prime and least so that p**r is a single
+    q-cycle, or None if there is none."""
+    return next(_prime_cycles(p), None)
 
 
 def is_prime(n: int) -> bool:
@@ -329,16 +329,36 @@ class AlternatingCertificate:
 
 
 def alternating_certificate(g: PermGroupGens) -> AlternatingCertificate:
-    if g.degree < 5:
+    """Certificate of a generating tuple; `prime_cycle` is the
+    `prime_power_cycle` of the first letter whose q is at most n-3.
+
+    Primitivity is read off a large prime cycle when it can be.  Lemma:
+    let G be transitive of degree n, s the least prime factor of n, and
+    c in G a q-cycle with q prime and q*s > n; then G is primitive.
+    Proof: blocks of size b with 1 < b < n have b dividing n, so
+    b <= n/s < q.  If c maps every block to itself, the one nontrivial
+    <c>-orbit lies in a single block, and q <= b.  Otherwise c moves some
+    block B; c fixes no point of B, since a fixed point would make B^c
+    meet B.  The blocks c moves lie in <c>-orbits of length q, so the q
+    points c moves cover at least q whole blocks: q*b <= q, and b = 1.
+    Either way 1 < b < q fails.
+
+    Every letter is scanned for such a cycle, at every prime of
+    `_prime_cycles`, not only at the one reported; Atkinson block passes
+    (`is_primitive`) run only when none qualifies.
+    """
+    n = g.degree
+    if n < 5:
         raise ValueError("alternating certificate requires degree >= 5")
     transitive = is_transitive(g)
-    primitive = is_primitive(g) if transitive else False
     all_even = all(p.is_even() for p in g.perms)
+    s = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+    primitive = transitive and (
+        any(q * s > n for p in g.perms for q, _ in _prime_cycles(p)) or is_primitive(g))
     prime_cycle = None
     for letter, p in enumerate(g.perms):
         found = prime_power_cycle(p)
-        if found is not None and found[0] <= g.degree - 3:
+        if found is not None and found[0] <= n - 3:
             prime_cycle = (found[0], found[1], letter)
             break
-    return AlternatingCertificate(g.degree, transitive, primitive, all_even, prime_cycle)
-
+    return AlternatingCertificate(n, transitive, primitive, all_even, prime_cycle)

@@ -14,7 +14,7 @@ import pytest
 import constel
 import constel.groups
 from constel.automata import as_inverse_automaton, fold, read_aut
-from constel.cli import main, parse_group_spec, parse_layers
+from constel.cli import _build_parser, main, parse_group_spec, parse_layers
 from constel.completion import complete_to_alternating
 from constel.groups import (DEFAULT_BOUND, CyclicSpec, ExtensionSpec, KleinSpec, PermSpec,
                             ProductSpec)
@@ -638,6 +638,24 @@ def test_reports_are_byte_identical(argv, code, digest, tmp_path):
         (tmp_path / name).write_text(text)
     got, out, _ = run([str(tmp_path / a) if a in AUT_FIXTURES else a for a in argv])
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), argv
+
+
+def test_one_parser_serves_every_call_of_a_process():
+    # a refused parse and --help exit through the cached parser without
+    # leaving state behind: the next command prints what a fresh process
+    # prints
+    assert _build_parser() is _build_parser()
+    code, out, err = run(["amalgam", "--index", "x"])
+    assert code == 2 and not out and err.startswith("usage: constel amalgam")
+    code, out, _ = run(["--help"])
+    assert code == 0 and out.startswith("usage: constel")
+    argv, want_code, digest = next(entry for entry in REPORT_DIGESTS if entry[0][0] == "amalgam")
+    code, out, _ = run(argv)
+    env = dict(os.environ, PYTHONPATH=str(Path(constel.__file__).parent.parent))
+    fresh = subprocess.run([sys.executable, "-m", "constel.cli", *argv], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert (code, out) == (fresh.returncode, fresh.stdout)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want_code, digest)
 
 
 @pytest.mark.filterwarnings("ignore:letter .* maps to the identity")

@@ -11,7 +11,7 @@ from constel.completion import (complete_to_alternating,
                                 smallest_prime_greater)
 from constel.constellations import amalgams_of, assemble_AG
 from constel.errors import VerificationError
-from constel.groups import DEFAULT_BOUND, CyclicSpec, PermSpec, materialize
+from constel.groups import DEFAULT_BOUND, CyclicSpec, KleinSpec, PermSpec, materialize
 from constel.perms import PermGroupGens, from_cycles
 from constel.words import Word, parse_word, reduce
 
@@ -161,11 +161,75 @@ def test_predissolver_certificate():
     amalgams = amalgams_of(z2)
     host, _, _ = complete_to_alternating(amalgams[0], 10)
     partial = predissolver_certificate(host, amalgams)
-    assert partial.witnesses[0] is not None
-    assert embed_check(amalgams[0], host, partial.witnesses[0]) is not None
+    assert partial.witnesses == (0, None, None, 1, None, None, None)
+    assert not partial.all_found
+    assert embed_check(amalgams[0], host, 0) is not None
+    assert embed_check(amalgams[3], host, 0) is None
+    # no vertex of an alternating completion is fixed by both letters
     missing = InverseAutomaton(1, 2, [(0, 0, 0), (0, 1, 0)], 0)
     report = predissolver_certificate(host, amalgams + [missing])
-    assert report.all_found == all(x is not None for x in report.witnesses)
+    assert report.witnesses == partial.witnesses + (None,)
+    assert predissolver_certificate(host, amalgams[:1]).all_found
+
+
+def least_embedding_start(a: InverseAutomaton, host: InverseAutomaton) -> int | None:
+    return next((s for s in range(host.n) if embed_check(a, host, s) is not None), None)
+
+
+EMBEDDING_GROUPS = {
+    "z2": CyclicSpec(2, (1, 1)),
+    "s3": PermSpec(3, (from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)]))),
+    "klein": KleinSpec(((1, 0), (0, 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMBEDDING_GROUPS))
+def test_predissolver_witnesses_are_the_least_embedding_starts(name):
+    # the AG output is incomplete, so some steps read a missing edge; the
+    # Cayley graph admits a morphism of an amalgam at every start but
+    # never an injective one
+    group = materialize(EMBEDDING_GROUPS[name])
+    amalgams = amalgams_of(group)
+    ag = assemble_AG(group)
+    completion, _, _ = complete_to_alternating(
+        ag, ag.n + smallest_prime_greater(ag.n) + 2, seed=1)
+    for host in (ag, completion, group.cayley):
+        report = predissolver_certificate(host, amalgams)
+        assert list(report.witnesses) == [least_embedding_start(a, host) for a in amalgams]
+    assert predissolver_certificate(ag, amalgams).all_found
+    assert predissolver_certificate(completion, amalgams).all_found
+    assert set(predissolver_certificate(group.cayley, amalgams).witnesses) == {None}
+
+
+def test_embedding_search_over_loops_and_non_injective_morphisms():
+    host = chain3()  # incomplete: only vertex 0 has a b-edge, a loop
+    loop = InverseAutomaton(1, 2, [(0, 1, 0)], 0)
+    assert [embed_check(loop, host, s) for s in range(3)] == [{0: 0}, None, None]
+    assert predissolver_certificate(host, [loop]).witnesses == (0,)
+    assert embed_check(host, host, 0) == {0: 0, 1: 1, 2: 2}
+    # the a-path of length 2 maps onto the a-2-cycle {0, 1} from 0 and
+    # from 1, folding its ends together, and embeds in the a-3-cycle
+    path = InverseAutomaton(3, 2, [(0, 0, 1), (1, 0, 2)], 0)
+    cycles = InverseAutomaton(5, 2, [(0, 0, 1), (1, 0, 0), (2, 0, 3), (3, 0, 4),
+                                     (4, 0, 2)], 0)
+    assert cycles.trace(0, w("aa")) == 0 and cycles.trace(1, w("aa")) == 1
+    assert [embed_check(path, cycles, s) for s in range(3)] == [None, None,
+                                                                {0: 2, 1: 3, 2: 4}]
+    assert predissolver_certificate(cycles, [path, loop]).witnesses == (2, None)
+
+
+def test_embedding_searches_refuse_the_same_sources():
+    host = chain3()
+    baseless = InverseAutomaton(1, 2, [(0, 0, 0)])
+    split = InverseAutomaton(2, 2, [(0, 0, 0)], 0)
+    for source, message in ((baseless, "based"), (split, "connected")):
+        with pytest.raises(ValueError, match=message):
+            embed_check(source, host, 0)
+        with pytest.raises(ValueError, match=message):
+            predissolver_certificate(host, [source])
+    for start in (-1, host.n):
+        with pytest.raises(ValueError, match="out of range"):
+            embed_check(chain3(), host, start)
 
 
 def test_s3_ag_completion_certifies_within_budget():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import math
 import random
@@ -356,3 +358,111 @@ def test_valid_certificate_gives_full_alternating_order():
     cert = alternating_certificate(gens)
     assert cert.valid()
     assert materialized_order(gens) == 2520  # 7!/2
+
+
+def spy_on_is_primitive(monkeypatch):
+    """Record the degree of every call that reaches `is_primitive`, so a
+    test can see which certificates the prime-cycle lemma settled."""
+    calls = []
+
+    def counted(g):
+        calls.append(g.degree)
+        return is_primitive(g)
+
+    monkeypatch.setattr(constel.perms, "is_primitive", counted)
+    return calls
+
+
+def test_prime_cycle_lemma_agrees_with_block_passes_on_completions(monkeypatch, tmp_path):
+    # seeded `constel corpus` automata at k = 0, 3 and 11, then cores of
+    # random words completed at a random k and parity-repair seed
+    from constel.automata import as_inverse_automaton, core_of_words, read_aut, transition_group
+    from constel.cli import main
+    from constel.completion import complete_to_alternating, smallest_prime_greater
+    from constel.words import Word, reduce
+
+    jobs = []
+    for seed in (1, 2):
+        corpus = tmp_path / str(seed)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["corpus", "--seed", str(seed), "--count", "8",
+                         "--dir", str(corpus)]) == 0
+        jobs += [(as_inverse_automaton(read_aut(path.read_text())), k, seed)
+                 for path in sorted(corpus.iterdir()) for k in (0, 3, 11)]
+    rng = random.Random(23)
+    while len(jobs) < 60:
+        core = core_of_words([reduce(Word(tuple((rng.randrange(2), rng.choice((1, -1)))
+                                                for _ in range(rng.randrange(3, 12)))))], 2)
+        if core.n >= 3 and not core.is_complete():
+            jobs.append((core, rng.randrange(12), rng.randrange(100)))
+    calls = spy_on_is_primitive(monkeypatch)
+    for core, k, seed in jobs:
+        n = core.n + smallest_prime_greater(core.n) + 2 + k
+        completed, cert, _ = complete_to_alternating(core, n, seed=seed)
+        group = transition_group(completed)
+        assert is_transitive(group)
+        assert cert.primitive == is_primitive(group), (core, k, seed)
+    # both ways of deciding primitivity are reached
+    assert 0 < len(calls) < len(jobs)
+
+
+def test_prime_cycle_lemma_agrees_on_random_groups(monkeypatch):
+    # random even generators are mostly primitive; random elements of
+    # the wreath product Sym(b) wr Sym(n/b) keep the b-blocks, so their
+    # groups are imprimitive and the lemma must leave them to block passes
+    calls = spy_on_is_primitive(monkeypatch)
+    rng = random.Random(22)
+    outcomes = set()
+    for _ in range(150):
+        n = rng.randrange(5, 41)
+        blocks = [d for d in range(2, n) if n % d == 0]
+        if blocks and rng.random() < 0.5:
+            b = rng.choice(blocks)
+            perms = []
+            for _ in range(2):
+                order, inner = rand_perm(rng, n // b), [rand_perm(rng, b) for _ in range(n // b)]
+                perms.append(Permutation(tuple(order(v // b) * b + inner[v // b](v % b)
+                                               for v in range(n))))
+        else:
+            swap = from_cycles(n, [(0, 1)])
+            perms = [p if p.is_even() else p * swap
+                     for p in (rand_perm(rng, n) for _ in range(2))]
+        gens = PermGroupGens(n, tuple(perms))
+        if not is_transitive(gens):
+            continue
+        before = len(calls)
+        primitive = alternating_certificate(gens).primitive
+        assert primitive == is_primitive(gens), gens
+        if not primitive:
+            assert len(calls) == before + 1, gens  # never settled by the lemma
+        outcomes.add((primitive, len(calls) > before))
+    assert outcomes == {(True, False), (True, True), (False, True)}
+
+
+def test_prime_cycle_at_most_n_over_s_leaves_primitivity_to_block_passes(monkeypatch):
+    # q = 3 = n/s: the 3-cycle lies in the block {0, 1, 2}
+    calls = spy_on_is_primitive(monkeypatch)
+    gens = PermGroupGens(6, (from_cycles(6, [(0, 1, 2)]),
+                             from_cycles(6, [(0, 3), (1, 4), (2, 5)])))
+    assert prime_power_cycle(gens.perms[0]) == (3, 1)
+    cert = alternating_certificate(gens)
+    assert cert.transitive and not cert.primitive and not is_primitive(gens)
+    assert calls == [6]
+
+
+def test_s3_completion_is_certified_without_block_passes(monkeypatch):
+    # the reported prime cycle, 193 on letter a, is at most n/3 = 585;
+    # the lemma settles primitivity from the gadget's 877-cycle on b
+    from constel.completion import complete_to_alternating, smallest_prime_greater
+    from constel.constellations import assemble_AG
+
+    def refuse(g):
+        raise AssertionError("is_primitive ran")
+
+    ag = assemble_AG(materialize(PermSpec(3, (from_cycles(3, [(0, 1)]),
+                                              from_cycles(3, [(1, 2)])))))
+    monkeypatch.setattr(constel.perms, "is_primitive", refuse)
+    n = ag.n + smallest_prime_greater(ag.n) + 2
+    _, cert, plan = complete_to_alternating(ag, n)
+    assert (n, plan.q, plan.b) == (1755, 877, 1)
+    assert cert.valid() and cert.prime_cycle == (193, 12, 0)
