@@ -3,9 +3,11 @@
 Subcommands cover folding and cores, Cayley graphs, constellations and
 amalgams, alternating completions, extension-layer reports, dissolving
 and disconnection checks, finite-level closures, and a seeded corpus
-generator.  Every report is JSON with a top-level `schema: 1`, written
-to standard output or `--out`.  Exit codes: 0 success / property holds,
-1 property fails (witness in the report), 2 input error.
+generator.  Each subcommand returns its payload and verdict; `main`
+adds `schema: 1` and `command`, writes the report's `automaton` to
+`--aut-out` and the JSON report to standard output or `--out`, and maps
+the verdict to the exit code: 0 success / property holds, 1 property
+fails (witness in the report), 2 input error.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .errors import VerificationError
 from .gaschuetz import (GaschuetzLayer, TowerSpec, build_tower, center,
                         layer_abelianization)
 from .groups import (CyclicSpec, ExtensionSpec, KleinSpec, PermSpec, ProductSpec,
-                     OrderBoundError, abelianization, canonical_morphism, check_size,
-                     materialize, parse_int)
+                     OrderBoundError, _materialize, abelianization, canonical_morphism,
+                     check_size, materialize, parse_int, warn_identity_letters)
 from .perms import alternating_certificate, parse_cycles
 from .words import ASCII_LETTERS, Word, check_alphabet, format_word, parse_word
 
@@ -188,64 +190,50 @@ def _emit(args, payload: dict) -> None:
         except ValueError:
             raise ValueError("%s has more than %d digits, too many to print"
                              % (key, sys.get_int_max_str_digits())) from None
-    out = getattr(args, "out", None)
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _write_aut_file(args, aut, names=None) -> None:
-    if getattr(args, "aut_out", None):
-        with open(args.aut_out, "w") as fh:
-            fh.write(write_aut(aut, names))
-
-
 # ------------------------------------------------------------ subcommands
+# Each returns (payload, ok): the report without `schema` and `command`,
+# and the verdict that `main` maps to exit 0 or 1.
 
-def _cmd_fold(args) -> int:
+def _cmd_fold(args) -> tuple[dict, bool]:
     graph = _read_graph(args.automaton)
     aut, names = fold(graph), graph.letter_names
-    _write_aut_file(args, aut, names)
-    payload = {"command": "fold", "automaton": write_aut(aut, names), "n": aut.n}
+    payload = {"automaton": write_aut(aut, names), "n": aut.n}
     if args.dot:
         payload["dot"] = to_dot(aut, names)
-    _emit(args, payload)
-    return 0
+    return payload, True
 
 
-def _cmd_core(args) -> int:
+def _cmd_core(args) -> tuple[dict, bool]:
     gens, n_letters = _parse_wordlist(args.gens, args.letters)
     aut = core_of_words(gens, n_letters)
-    _write_aut_file(args, aut)
-    payload = {"command": "core", "automaton": write_aut(aut), "n": aut.n}
+    payload = {"automaton": write_aut(aut), "n": aut.n}
     if aut.is_connected():
         payload["rank"] = rank_from_core(aut)
-    _emit(args, payload)
-    return 0
+    return payload, True
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args) -> tuple[dict, bool]:
     gens, n_letters = _parse_wordlist(args.gens, args.letters)
     w = parse_word(args.word, n_letters if args.letters is not None else 26)
     n_letters = max(n_letters, w.max_letter() + 1)
-    aut = core_of_words(gens, n_letters)
-    ok = member(aut, w)
-    _emit(args, {"command": "member", "word": format_word(w), "member": ok})
-    return 0 if ok else 1
+    ok = member(core_of_words(gens, n_letters), w)
+    return {"word": format_word(w), "member": ok}, ok
 
 
-def _cmd_cayley(args) -> int:
+def _cmd_cayley(args) -> tuple[dict, bool]:
     group = materialize(parse_group_spec(args.group))
-    aut = group.cayley
-    _write_aut_file(args, aut)
-    payload = {"command": "cayley", "automaton": write_aut(aut), "order": group.order}
+    payload = {"automaton": write_aut(group.cayley), "order": group.order}
     if args.dot:
-        payload["dot"] = to_dot(aut)
-    _emit(args, payload)
-    return 0
+        payload["dot"] = to_dot(group.cayley)
+    return payload, True
 
 
-def _cmd_constellations(args) -> int:
+def _cmd_constellations(args) -> tuple[dict, bool]:
     group = materialize(parse_group_spec(args.group))
     items = []
     for pair in maximal_constellations(group):
@@ -255,29 +243,22 @@ def _cmd_constellations(args) -> int:
                           [_edge_json(e) for e in sorted(pair.c_theta)]],
             "far_component": sorted(pair.g_choices),
         })
-    _emit(args, {"command": "constellations", "count": len(items),
-                 "constellations": items})
-    return 0
+    return {"count": len(items), "constellations": items}, True
 
 
-def _cmd_amalgam(args) -> int:
+def _cmd_amalgam(args) -> tuple[dict, bool]:
     group = materialize(parse_group_spec(args.group))
     auts = amalgams_of(group)
     if not 0 <= args.index < len(auts):
         raise ValueError("index %d out of range (%d amalgams)" % (args.index, len(auts)))
     aut = auts[args.index]
-    _write_aut_file(args, aut)
-    _emit(args, {"command": "amalgam", "index": args.index, "count": len(auts),
-                 "automaton": write_aut(aut), "n": aut.n})
-    return 0
+    return {"index": args.index, "count": len(auts), "automaton": write_aut(aut),
+            "n": aut.n}, True
 
 
-def _cmd_ag(args) -> int:
-    group = materialize(parse_group_spec(args.group))
-    aut = assemble_AG(group)
-    _write_aut_file(args, aut)
-    _emit(args, {"command": "ag", "automaton": write_aut(aut), "n": aut.n})
-    return 0
+def _cmd_ag(args) -> tuple[dict, bool]:
+    aut = assemble_AG(materialize(parse_group_spec(args.group)))
+    return {"automaton": write_aut(aut), "n": aut.n}, True
 
 
 def _certificate_json(cert, names: tuple[str, ...]) -> dict:
@@ -292,7 +273,7 @@ def _certificate_json(cert, names: tuple[str, ...]) -> dict:
     }
 
 
-def _cmd_complete_alternating(args) -> int:
+def _cmd_complete_alternating(args) -> tuple[dict, bool]:
     graph = _read_graph(args.automaton)
     aut, names = as_inverse_automaton(graph), graph.letter_names
     if args.n is None and args.k is None:
@@ -302,35 +283,38 @@ def _cmd_complete_alternating(args) -> int:
     else:
         n = aut.n + smallest_prime_greater(aut.n) + args.k + 2
     completed, cert, plan = complete_to_alternating(aut, n, seed=args.seed)
-    _write_aut_file(args, completed, names)
-    _emit(args, {
-        "command": "complete-alternating",
+    return {
         "automaton": write_aut(completed, names),
         "m": plan.m, "q": plan.q, "k": plan.k, "n": plan.n,
         "certificate": _certificate_json(cert, names),
-    })
-    return 0 if cert.valid() else 1
+    }, cert.valid()
 
 
-def _cmd_certify_an(args) -> int:
+def _cmd_certify_an(args) -> tuple[dict, bool]:
     graph = _read_graph(args.automaton)
     cert = alternating_certificate(transition_group(as_inverse_automaton(graph)))
-    _emit(args, {"command": "certify-an", **_certificate_json(cert, graph.letter_names)})
-    return 0 if cert.valid() else 1
+    return _certificate_json(cert, graph.letter_names), cert.valid()
+
+
+def _layer(spec: ExtensionSpec) -> GaschuetzLayer:
+    """The layer an extension spec names; like `materialize`, it warns for
+    letters that map to its identity, not to its inner group's."""
+    layer = GaschuetzLayer(_materialize(spec.inner), spec.p, tilde=spec.tilde)
+    warn_identity_letters(layer.images, layer.identity)
+    return layer
 
 
 def _layer_from_spec(args) -> GaschuetzLayer:
     spec = parse_group_spec(args.group)
     if not isinstance(spec, ExtensionSpec):
         raise ValueError("expected a gaschutz(...) or tilde(...) group spec")
-    return GaschuetzLayer(materialize(spec.inner), spec.p, tilde=spec.tilde)
+    return _layer(spec)
 
 
-def _cmd_gaschutz_info(args) -> int:
+def _cmd_gaschutz_info(args) -> tuple[dict, bool]:
     layer = _layer_from_spec(args)
     base = layer.base
     payload = {
-        "command": "gaschutz-info",
         "base_order": base.order,
         "n_letters": base.n_letters,
         "p": layer.p,
@@ -340,35 +324,30 @@ def _cmd_gaschutz_info(args) -> int:
     }
     if not layer.tilde:
         payload["center_order"] = layer.p ** base.n_letters
-    _emit(args, payload)
-    return 0
+    return payload, True
 
 
-def _cmd_center(args) -> int:
-    layer = _layer_from_spec(args)
-    info = center(layer)
-    _emit(args, {
-        "command": "center",
+def _cmd_center(args) -> tuple[dict, bool]:
+    info = center(_layer_from_spec(args))
+    return {
         "p": info.p,
         "order": info.order,
         "witness_words": [format_word(w) for w in info.witness_words],
-    })
-    return 0
+    }, True
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> tuple[dict, bool]:
     spec = parse_group_spec(args.group)
     if isinstance(spec, ExtensionSpec):
-        layer = GaschuetzLayer(materialize(spec.inner), spec.p, tilde=spec.tilde)
+        layer = _layer(spec)
         w = parse_word(args.word, layer.base.n_letters)
         trivial = layer.is_identity(w)
     else:
         group = materialize(spec)
         w = parse_word(args.word, group.n_letters)
         trivial = group.evaluate(w) == 0
-    _emit(args, {"command": "evaluate", "word": format_word(w),
-                 "result": "identity" if trivial else "non-identity"})
-    return 0 if trivial else 1
+    return {"word": format_word(w),
+            "result": "identity" if trivial else "non-identity"}, trivial
 
 
 def _report_json(report) -> dict:
@@ -385,22 +364,20 @@ def _report_json(report) -> dict:
     return item
 
 
-def _cmd_dissolve(args) -> int:
+def _cmd_dissolve(args) -> tuple[dict, bool]:
     spec = parse_group_spec(args.group)
     tower = build_tower(TowerSpec(spec, parse_layers(args.layers)))
     reports = dissolve_all(tower, weak=args.weak)
     ok = all(r.dissolved for r in reports)
-    _emit(args, {
-        "command": "dissolve",
+    return {
         "weak": args.weak,
         "layers": [("~%d" if tilde else "%d") % p for p, tilde in tower.spec.layers],
         "dissolver": ok,
         "reports": [_report_json(r) for r in reports],
-    })
-    return 0 if ok else 1
+    }, ok
 
 
-def _cmd_disconnect(args) -> int:
+def _cmd_disconnect(args) -> tuple[dict, bool]:
     h_group = materialize(parse_group_spec(args.group))
     g_group = materialize(parse_group_spec(args.base))
     phi = canonical_morphism(h_group, g_group)
@@ -411,8 +388,7 @@ def _cmd_disconnect(args) -> int:
     letter = ASCII_LETTERS.index(args.letter)
     four = disconnection_equivalence(phi, letter, args.sign)
     agree = len(set(four)) == 1
-    _emit(args, {
-        "command": "disconnect",
+    return {
         "letter": args.letter,
         "sign": args.sign,
         "disconnected": four[0],
@@ -420,32 +396,27 @@ def _cmd_disconnect(args) -> int:
         "separated_kernel": four[2],
         "dissolves_delta": four[3],
         "equivalent": agree,
-    })
-    return 0 if agree else 1
+    }, agree
 
 
-def _cmd_key_lemma(args) -> int:
+def _cmd_key_lemma(args) -> tuple[dict, bool]:
     group = materialize(parse_group_spec(args.group))
     gens, _ = _parse_wordlist(args.subgroup, group.n_letters)
     k_set = subgroup_image(gens, group)
     report = key_lemma_report(group, args.p, k_set)
-    _emit(args, {
-        "command": "key-lemma",
+    return {
         "p": args.p,
         "subgroup_order": len(k_set),
         "n_edges": report.n_edges,
         "failures": [_edge_json(e) for e in report.failures],
         "ok": report.all_ok,
-    })
-    return 0 if report.all_ok else 1
+    }, report.all_ok
 
 
-def _cmd_rank_check(args) -> int:
+def _cmd_rank_check(args) -> tuple[dict, bool]:
     group = materialize(parse_group_spec(args.group))
     report = schreier_rank_check(GaschuetzLayer(group, args.p, tilde=args.tilde))
-    ok = report.formula_ok and report.verified is not False
-    _emit(args, {
-        "command": "rank-check",
+    return {
         "p": report.p,
         "tilde": report.tilde,
         "rank": report.rank,
@@ -453,33 +424,28 @@ def _cmd_rank_check(args) -> int:
         "tilde_deficit": report.tilde_deficit,
         "formula_ok": report.formula_ok,
         "verified": report.verified,
-    })
-    return 0 if ok else 1
+    }, report.formula_ok and report.verified is not False
 
 
-def _cmd_abelianization(args) -> int:
+def _cmd_abelianization(args) -> tuple[dict, bool]:
     spec = parse_group_spec(args.group)
     if isinstance(spec, ExtensionSpec):
-        factors = layer_abelianization(materialize(spec.inner), spec.p,
-                                       tilde=spec.tilde)
+        layer = _layer(spec)
+        factors = layer_abelianization(layer.base, layer.p, tilde=layer.tilde)
     else:
         factors = abelianization(materialize(spec))
-    _emit(args, {"command": "abelianization", "factors": factors})
-    return 0
+    return {"factors": factors}, True
 
 
-def _cmd_closure(args) -> int:
+def _cmd_closure(args) -> tuple[dict, bool]:
     group = materialize(parse_group_spec(args.level))
     gens, _ = _parse_wordlist(args.gens, group.n_letters)
     aut = closure_at_level(gens, group)
-    _write_aut_file(args, aut)
-    _emit(args, {"command": "closure", "automaton": write_aut(aut),
-                 "n": aut.n, "rank": rank_from_core(aut),
-                 "image_order": len(subgroup_image(gens, group))})
-    return 0
+    return {"automaton": write_aut(aut), "n": aut.n, "rank": rank_from_core(aut),
+            "image_order": len(subgroup_image(gens, group))}, True
 
 
-def _cmd_rz_member(args) -> int:
+def _cmd_rz_member(args) -> tuple[dict, bool]:
     group = materialize(parse_group_spec(args.level))
     subgroups = []
     for chunk in args.subgroups.split("|"):
@@ -487,8 +453,7 @@ def _cmd_rz_member(args) -> int:
         subgroups.append(gens)
     w = parse_word(args.word, group.n_letters)
     ok = product_membership_at_level(w, subgroups, group)
-    _emit(args, {"command": "rz-member", "word": format_word(w), "member": ok})
-    return 0 if ok else 1
+    return {"word": format_word(w), "member": ok}, ok
 
 
 def _random_corpus_automaton(rng: random.Random, m: int, n_letters: int = 2
@@ -515,7 +480,7 @@ def _random_corpus_automaton(rng: random.Random, m: int, n_letters: int = 2
     return aut
 
 
-def _cmd_corpus(args) -> int:
+def _cmd_corpus(args) -> tuple[dict, bool]:
     if args.m_min < 3:
         raise ValueError("m must be at least 3 (completion precondition)")
     if args.m_max < args.m_min:
@@ -536,9 +501,7 @@ def _cmd_corpus(args) -> int:
         with open(name, "w") as fh:
             fh.write(write_aut(aut))
         files.append(name)
-    _emit(args, {"command": "corpus", "seed": args.seed, "count": args.count,
-                 "files": files})
-    return 0
+    return {"seed": args.seed, "count": args.count, "files": files}, True
 
 
 # ---------------------------------------------------------------- driver
@@ -665,7 +628,12 @@ def main(argv=None) -> int:
         warnings.simplefilter("always")
         warnings.showwarning = lambda message, *_: sys.stderr.write("warning: %s\n" % message)
         try:
-            return args.func(args)
+            payload, ok = args.func(args)
+            if getattr(args, "aut_out", None):
+                with open(args.aut_out, "w") as fh:
+                    fh.write(payload["automaton"])
+            _emit(args, {"command": args.command, **payload})
+            return 0 if ok else 1
         except (ValueError, OSError) as exc:
             sys.stderr.write("error: %s\n" % exc)
             return 2

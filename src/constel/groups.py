@@ -232,10 +232,16 @@ def materialize(spec: GroupSpec) -> MaterializedGroup:
     """The group a spec names.  A letter that maps to its identity warns;
     the inner groups of extension and product specs do not."""
     g = _materialize(spec)
-    for a, img in enumerate(g.images):
-        if img == 0:
-            warnings.warn("letter %d maps to the identity" % a, stacklevel=2)
+    warn_identity_letters(g.images, 0)
     return g
+
+
+def warn_identity_letters(images, identity) -> None:
+    """Warn once per letter whose image is the identity, naming the line
+    that called our caller."""
+    for a, img in enumerate(images):
+        if img == identity:
+            warnings.warn("letter %d maps to the identity" % a, stacklevel=3)
 
 
 def _materialize(spec: GroupSpec) -> MaterializedGroup:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -557,6 +558,26 @@ def test_identity_letters_warn_only_for_the_named_group():
                               "error: letter image is the identity; the edge endpoints coincide\n")
 
 
+@pytest.mark.parametrize("spec", ["gaschutz(cyclic(1;a=0,b=0),3)", "tilde(cyclic(1;a=0,b=0),3)",
+                                  "gaschutz(cyclic(2;a=1,b=0),3)"])
+def test_layer_commands_warn_as_cayley_does(spec):
+    # a layer warns for its letters that map to its own identity, which
+    # only a tilde layer over the trivial group has; its inner group does
+    # not warn
+    code, _, warned = run(["cayley", "--group", spec])
+    tilde = spec.startswith("tilde")
+    assert (code, warned) == (0, "warning: letter 0 maps to the identity\n"
+                                 "warning: letter 1 maps to the identity\n" if tilde else "")
+    for command, *rest in (["gaschutz-info"], ["center"], ["evaluate", "--word", "a"],
+                           ["abelianization"]):
+        code, _, err = run([command, "--group", spec, *rest])
+        if command == "center" and tilde:
+            assert (code, err) == (2, warned + "error: the center description applies to "
+                                               "the plain layer\n")
+        else:
+            assert code in (0, 1) and err == warned, command
+
+
 S3 = "perm(3;a=(0 1),b=(1 2))"
 KLEIN = "klein(a=10,b=01)"
 REPORT_DIGESTS = [  # argv, exit code, sha256 of stdout
@@ -610,11 +631,33 @@ REPORT_DIGESTS = [  # argv, exit code, sha256 of stdout
      1, "e2a44293d9ffbd145b874ee1a29a6e8fa196349e6a23080bbf8c700e6c9f22f4"),
     (["fold", "--automaton", "three-parts-reversed.aut"],  # same bytes as three-parts.aut
      0, "85a0d97259ac21f698165e8d7f1395e12851fd46615ae580d3e55bfc0084874a"),
+    (["member", "--gens", "aab,bAb,abab", "--word", "ababaab"],
+     0, "ac6dc1fc496dc0514cbc3cf31a27f8ab2b0f6de07f6db5bcbea48f5692bdfe3d"),
+    (["member", "--gens", "aa,b", "--word", "ab"],
+     1, "fb03f108e0cf7e3de145f8359ce2b3b3edadfbd04864853eae3f88838da3524f"),
+    (["certify-an", "--automaton", "a7.aut"],
+     0, "05d08fa9332a34f6cef365f826f7e1cc328b629a37ad80d042db43e3fcbd31c9"),
+    (["certify-an", "--automaton", "odd.aut"],  # S5: transitive, primitive, not all even
+     1, "ec5f71607a7f706b28eb10aa3601393b6295149a5d963e8b91c692b8adf5e4d7"),
+    (["gaschutz-info", "--group", "gaschutz(%s,5)" % S3],
+     0, "3775b7e761b775fe6f55cc900d5c09c0611fa1309e00005d24b0007f26e1035c"),
+    (["gaschutz-info", "--group", "tilde(%s,2)" % S3],
+     0, "78aa7a7c1d4a3277a22e036e3ceb01d5e4e77e59fa5e0606dd07d3bd230cf0fa"),
+    (["evaluate", "--group", "tilde(%s,2)" % S3, "--word", "abab"],
+     1, "0cbc81c7ecbad7ff78068fe6b39b663c27503c120b877bfa1fd89dd83aa1492d"),
+    (["evaluate", "--group", "cyclic(6;a=1,b=2)", "--word", "a^4 b"],
+     0, "bbb86260e5abfbdf1f6ff8134ce28656f3b01de11dd3ed17fa660e45bf4e63f2"),
+    (["rz-member", "--word", "ba", "--subgroups", "a|b", "--level", S3],
+     1, "dfc205b6b4c4c2d11cde208ba9c6054c7b042d62a24c96462d0f526e9e08cbd4"),
+    (["corpus", "--seed", "3", "--count", "4", "--dir", "corpus"],  # lists relative paths
+     0, "9870538559ce8a2af36d3cb33b8fdc6b6c358457a9072ecf9fc4af50f447f4f1"),
 ]
-# .aut inputs named in REPORT_DIGESTS.  The last three have components
-# off the base or no base, which `canonical` numbers from their least
-# input vertex; three-parts.aut with its edge lines reversed folds to the
-# same bytes, since `fold` does not depend on edge order.
+# .aut inputs named in REPORT_DIGESTS, read from the test's working
+# directory.  three-parts.aut, its reversal and baseless.aut have
+# components off the base or no base, which `canonical` numbers from their
+# least input vertex; three-parts.aut with its edge lines reversed folds
+# to the same bytes, since `fold` does not depend on edge order.  a7.aut
+# is a 7-cycle and a 3-cycle; odd.aut a 4-cycle and a transposition.
 AUT_FIXTURES = {
     "path.aut": "edge 0 a 1\nedge 1 a 2\nedge 0 b 0\nbase 0\n",
     "square.aut": "edge 0 a 1\nedge 1 b 2\nedge 2 a 3\nedge 3 b 0\nedge 1 a 4\nbase 0\n",
@@ -626,18 +669,54 @@ AUT_FIXTURES = {
                                 "edge 0 b 8\nedge 16 b 6\nedge 15 b 4\nbase 15\n",
     "baseless.aut": "alphabet a b\nedge 15 b 3\nedge 18 b 9\nedge 4 a 1\nedge 11 b 9\n"
                     "edge 18 b 15\n",
+    "a7.aut": "".join("edge %d a %d\nedge %d b %d\n"
+                      % (v, (v + 1) % 7, v, {0: 1, 1: 2, 2: 0}.get(v, v))
+                      for v in range(7)) + "base 0\n",
+    "odd.aut": "edge 0 a 1\nedge 1 a 2\nedge 2 a 3\nedge 3 a 0\nedge 4 a 4\nedge 0 b 0\n"
+               "edge 1 b 1\nedge 2 b 2\nedge 3 b 4\nedge 4 b 3\nbase 0\n",
 }
 
 
-@pytest.mark.parametrize("argv, code, digest", REPORT_DIGESTS,
-                         ids=["%s-%d" % (c[0][0], i) for i, c in enumerate(REPORT_DIGESTS)])
-def test_reports_are_byte_identical(argv, code, digest, tmp_path):
+def subcommands() -> dict:
+    """Subcommand name -> its parser."""
+    return next(action.choices for action in _build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def report_cases():
+    """Each REPORT_DIGESTS entry as printed, then written with --out and,
+    where the subcommand takes it, --aut-out."""
+    for i, (argv, code, digest) in enumerate(REPORT_DIGESTS):
+        name = "%s-%d" % (argv[0], i)
+        yield pytest.param(argv, code, digest, False, id=name)
+        yield pytest.param(argv, code, digest, True, id=name + "-files")
+
+
+@pytest.mark.parametrize("argv, code, digest, to_files", report_cases())
+def test_reports_are_byte_identical(argv, code, digest, to_files, tmp_path, monkeypatch):
     # a change that alters a report declares it and updates the digest
-    # in the same commit
+    # in the same commit.  With --out, stdout stays empty and the file
+    # holds the same bytes; --aut-out holds the report's automaton
+    monkeypatch.chdir(tmp_path)
     for name, text in AUT_FIXTURES.items():
         (tmp_path / name).write_text(text)
-    got, out, _ = run([str(tmp_path / a) if a in AUT_FIXTURES else a for a in argv])
-    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest), argv
+    if not to_files:
+        got, out, _ = run(argv)
+        report = out.encode()
+    else:
+        takes_aut = any(a.dest == "aut_out" for a in subcommands()[argv[0]]._actions)
+        side = ["--aut-out", "side.aut"] if takes_aut else []
+        got, out, _ = run(argv + ["--out", "report.json"] + side)
+        assert out == ""
+        report = (tmp_path / "report.json").read_bytes()
+        if takes_aut:
+            assert (tmp_path / "side.aut").read_text() == json.loads(report)["automaton"]
+    assert (got, hashlib.sha256(report).hexdigest()) == (code, digest), argv
+
+
+def test_every_subcommand_has_a_report_digest():
+    # the report envelope is checked on every subcommand, one added later too
+    assert set(subcommands()) == {argv[0] for argv, _, _ in REPORT_DIGESTS}
 
 
 def test_one_parser_serves_every_call_of_a_process():
