@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import os
@@ -338,14 +339,9 @@ def _cmd_center(args) -> tuple[dict, bool]:
 
 def _cmd_evaluate(args) -> tuple[dict, bool]:
     spec = parse_group_spec(args.group)
-    if isinstance(spec, ExtensionSpec):
-        layer = _layer(spec)
-        w = parse_word(args.word, layer.base.n_letters)
-        trivial = layer.is_identity(w)
-    else:
-        group = materialize(spec)
-        w = parse_word(args.word, group.n_letters)
-        trivial = group.evaluate(w) == 0
+    group = _layer(spec) if isinstance(spec, ExtensionSpec) else materialize(spec)
+    w = parse_word(args.word, group.n_letters)
+    trivial = group.is_identity(w)
     return {"word": format_word(w),
             "result": "identity" if trivial else "non-identity"}, trivial
 
@@ -416,15 +412,7 @@ def _cmd_key_lemma(args) -> tuple[dict, bool]:
 def _cmd_rank_check(args) -> tuple[dict, bool]:
     group = materialize(parse_group_spec(args.group))
     report = schreier_rank_check(GaschuetzLayer(group, args.p, tilde=args.tilde))
-    return {
-        "p": report.p,
-        "tilde": report.tilde,
-        "rank": report.rank,
-        "cycle_dim": report.cycle_dim,
-        "tilde_deficit": report.tilde_deficit,
-        "formula_ok": report.formula_ok,
-        "verified": report.verified,
-    }, report.formula_ok and report.verified is not False
+    return dataclasses.asdict(report), report.formula_ok and report.verified is not False
 
 
 def _cmd_abelianization(args) -> tuple[dict, bool]:

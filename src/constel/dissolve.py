@@ -16,7 +16,7 @@ deciders are provided:
 - reachability: materialize H and intersect the fibers over g of the
   lifts.  Complete because the fiber of g in a lift is exactly the
   set of H-endpoints of qualifying words.  Witness words come from one
-  BFS tree per lift, built on first use.
+  positive, else one signed, BFS tree per lift, built on first use.
 - linear: for a lazy mod-p top layer over a materialized M, the fibers
   of the lifts meet at an M-endpoint m iff the difference of reference
   paths to m lies in Z(Xi^) + Z(Theta^), the mod-p cycle spaces of the
@@ -28,8 +28,8 @@ deciders are provided:
   most |A| vectors.  For plain layers the component of 1 lies over the
   base component of Xi intersect Theta, which misses g, so plain layers
   dissolve every constellation.  A failure carries the mod-p
-  difference of the traversal vectors of the BFS-tree words to m in
-  Xi^ and in Theta^.
+  difference of the traversal vectors of the signed-tree words to m in
+  Xi^ and in Theta^, read off the trees reachability builds.
 
 `dissolves_materialized` and `dissolves_linear` decide one
 constellation (Xi, g, Theta) from the three contractions of its pair.
@@ -64,7 +64,8 @@ from functools import lru_cache, partial
 from typing import Sequence
 
 from .automata import InverseAutomaton, Subgraph, bfs_tree, tree_word
-from .constellations import Constellation, MinimalCut, delta_a, maximal_constellations
+from .constellations import (Constellation, MinimalCut, _base_component, delta_a,
+                             maximal_constellations)
 from .errors import VerificationError
 from .gaschuetz import GaschuetzLayer, Tower
 from .groups import (MaterializedGroup, Morphism, OrderBoundError, check_size, coset_walk,
@@ -160,10 +161,25 @@ class _Lifts:
         self.phi, self.fibers, self.comp = phi, fibers, comp
         self.xi, self.theta, self.halves, self.both = xi, theta, halves, halves[0] & halves[1]
         self.spans: dict[tuple[int, bool], GFpSpan] = {}  # complete spans by (p, tilde)
-        self.trees = self.words = None  # BFS trees and witness words, built on first use
+        self.trees: dict[tuple[int, bool], dict] = {}  # BFS trees by (side, forward_only)
 
     def shared(self, g: int) -> list[int]:
         return [h for h in self.fibers[g] if self.comp[h] in self.both]  # ascending
+
+    def word(self, side: int, dst: int, positive_first: bool = False) -> Word | None:
+        """Label of a path from 1 to dst in Xi^ (side 0) or Theta^ (side
+        1), purely positive when `positive_first` and one exists.  Each
+        tree is built once, on first use."""
+        for forward_only in (True, False) if positive_first else (False,):
+            tree = self.trees.get((side, forward_only))
+            if tree is None:
+                gamma, sub = self.phi.src.cayley, (self.xi, self.theta)[side]
+                tree = self.trees[side, forward_only] = bfs_tree(
+                    gamma, gamma.base, _LiftView(sub.edges, self.phi.mapping), forward_only)
+            u = tree_word(tree, dst)
+            if u is not None:
+                return u
+        return None
 
 
 def _pair_lifts(phi: Morphism, xi: Subgraph, theta: Subgraph) -> _Lifts:
@@ -214,24 +230,6 @@ def _bond_lifts(phi: Morphism, cut: MinimalCut):
                                pair.xi, pair.theta)
 
 
-def _witness_words(aut: InverseAutomaton, edges):
-    """word(dst): label of a path from the base to dst over `edges`,
-    purely positive when one exists.  The positive BFS tree and the
-    signed one are each built once, on first use."""
-    trees: dict[bool, dict[int, tuple[int, int, int]]] = {}
-
-    def word(dst: int) -> Word | None:
-        for forward_only in (True, False):
-            if forward_only not in trees:
-                trees[forward_only] = bfs_tree(aut, aut.base, edges, forward_only)
-            u = tree_word(trees[forward_only], dst)
-            if u is not None:
-                return u
-        return None
-
-    return word
-
-
 def _path_stays(sub: Subgraph, w: Word) -> bool:
     v = sub.parent.base
     if not sub.has_vertex(v):
@@ -249,18 +247,15 @@ def _path_stays(sub: Subgraph, w: Word) -> bool:
 
 def _reach_reports(lifts: _Lifts, g_choices: Sequence[int],
                    labels: Sequence[str]) -> list[DissolveReport]:
-    h_group, image = lifts.phi.src, lifts.phi.mapping
+    h_group = lifts.phi.src
     out = []
     for g, label in zip(g_choices, labels, strict=True):
         shared = lifts.shared(g)
         if not shared:
             out.append(DissolveReport(label, True, "reachability"))
             continue
-        words = lifts.words = lifts.words or [
-            _witness_words(h_group.cayley, _LiftView(sub.edges, image))
-            for sub in (lifts.xi, lifts.theta)]
         h = shared[0]
-        u, v = words[0](h), words[1](h)
+        u, v = lifts.word(0, h, positive_first=True), lifts.word(1, h, positive_first=True)
         if (u is None or v is None
                 or not h_group.evaluate(u) == h == h_group.evaluate(v)
                 or not (_path_stays(lifts.xi, u) and _path_stays(lifts.theta, v))):
@@ -369,11 +364,7 @@ def _linear_reports(layer: GaschuetzLayer, lifts: _Lifts, g_choices: Sequence[in
             lifts.spans[p, layer.tilde] = span
         for m in shared:
             if span.contains({comp[m]: 1, 0: -1} if comp[m] else {}):  # 1 is in component 0
-                gamma = m_group.cayley
-                trees = lifts.trees = lifts.trees or [
-                    bfs_tree(gamma, gamma.base, _LiftView(sub.edges, image))
-                    for sub in (lifts.xi, lifts.theta)]
-                diff = _difference(gamma, tree_word(trees[0], m), tree_word(trees[1], m), p)
+                diff = _difference(m_group.cayley, lifts.word(0, m), lifts.word(1, m), p)
                 report = DissolveReport(label, False, "linear", endpoint=m, vector=diff)
                 break
         out.append(report)
@@ -540,8 +531,7 @@ def detecting_edges_check(phi: Morphism, c: Constellation, w: Word) -> bool:
     pi_g = traversal_vector(c.parent, w)
     if not set(pi_g) <= c.xi.edges:
         raise ValueError("word traversal leaves xi")
-    comp = _contract(c.parent, [(v,) for v in range(c.parent.n)], c.xi.edges & c.theta.edges)
-    upsilon = {v for v, x in enumerate(comp) if x == comp[c.base]}
+    upsilon = _base_component(c.xi, c.theta)  # computed when c was checked
     border_out = {e for e in c.xi.edges
                   if e[0] in upsilon and c.xi.dst(e) not in upsilon}
     border_in = {e for e in c.xi.edges

@@ -138,7 +138,8 @@ def _orbit(start, maps) -> set[int]:
 
 
 def orbit(g: PermGroupGens, point: int) -> set[int]:
-    return _orbit([point], [p.images for p in g.perms] + [p.inverse().images for p in g.perms])
+    # a permutation of finite order has its inverse among its powers
+    return _orbit([point], [p.images for p in g.perms])
 
 
 def is_transitive(g: PermGroupGens) -> bool:

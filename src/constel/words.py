@@ -7,18 +7,16 @@ a b a^-1.  The verbose form "a b^-1" is accepted on input as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 ASCII_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 @dataclass(frozen=True)
 class Word:
-    """Sequence of signed letters; `reduced` caches free reduction and
-    does not take part in equality."""
+    """Sequence of signed letters."""
 
     letters: tuple[tuple[int, int], ...] = ()
-    reduced: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         for idx, sign in self.letters:
@@ -35,24 +33,22 @@ class Word:
         return max((idx for idx, _ in self.letters), default=-1)
 
 
-EMPTY = Word((), reduced=True)
+EMPTY = Word()
 
 
 def reduce(w: Word) -> Word:
     """Free reduction: cancel adjacent x x^-1 pairs until none remain."""
-    if w.reduced:
-        return w
     stack: list[tuple[int, int]] = []
     for idx, sign in w.letters:
         if stack and stack[-1] == (idx, -sign):
             stack.pop()
         else:
             stack.append((idx, sign))
-    return Word(tuple(stack), reduced=True)
+    return Word(tuple(stack))
 
 
 def invert(w: Word) -> Word:
-    return Word(tuple((idx, -sign) for idx, sign in reversed(w.letters)), reduced=w.reduced)
+    return Word(tuple((idx, -sign) for idx, sign in reversed(w.letters)))
 
 
 def concat(*ws: Word) -> Word:

@@ -335,6 +335,20 @@ def one_g_reports(decide, pairs, cold: bool = False):
     return out
 
 
+def log_trees(monkeypatch):
+    """(lifted edge set, forward_only) of each BFS tree that dissolve
+    builds from now on.  The list holds the edge sets, so no id is reused."""
+    trees = []
+    real = constel.dissolve.bfs_tree
+
+    def logged(aut, root, edges=None, forward_only=False):
+        trees.append((edges.edges, forward_only))
+        return real(aut, root, edges, forward_only)
+
+    monkeypatch.setattr(constel.dissolve, "bfs_tree", logged)
+    return trees
+
+
 def test_one_g_deciders_contract_and_build_subgraphs_once_per_pair(monkeypatch):
     tower = build_tower(TowerSpec(CyclicSpec(6, (1, 2)), ((2, True),)))
     deciders = [one_g_decider(tower, method) for method in ("linear", "reachability")]
@@ -345,11 +359,37 @@ def test_one_g_deciders_contract_and_build_subgraphs_once_per_pair(monkeypatch):
                         counted(calls, "contract", constel.dissolve._contract))
     monkeypatch.setattr(Subgraph, "__post_init__",
                         counted(calls, "subgraph", Subgraph.__post_init__))
-    for decide in deciders:
+    trees = log_trees(monkeypatch)
+    for decide, kinds in zip(deciders, ({False}, {True, False})):
         calls.clear()
+        trees.clear()
         one_g_reports(decide, pairs)
         # Xi & Theta, Xi and Theta are contracted once per pair, not per g
         assert calls == {"contract": 3 * 2600, "subgraph": 2 * 2600}
+        # each pair builds at most one positive and one signed tree per side
+        # (each side's edge set is its own object); linear reads signed trees only
+        per_side = Counter((id(edges), forward_only) for edges, forward_only in trees)
+        assert trees and max(per_side.values()) == 1
+        assert {forward_only for _, forward_only in trees} <= kinds
+
+
+def test_reachability_and_linear_share_the_signed_trees_of_a_pair(monkeypatch):
+    # H = Z8 over G = Z4, and a ~3 layer over H: both deciders fail on this
+    # constellation, and the reachability witness needs Xi^'s signed tree
+    base, mid = materialize(CyclicSpec(4, (1, 3))), materialize(CyclicSpec(8, (1, 3)))
+    phi = canonical_morphism(mid, base)
+    layer = GaschuetzLayer(mid, 3, tilde=True)
+    c = maximal_constellations(base)[43].constellation(1)
+    clear_memos()
+    trees = log_trees(monkeypatch)
+    reach = dissolves_materialized(mid, phi, c)
+    linear = dissolves_linear(layer, phi, c)
+    assert not reach.dissolved and not linear.dissolved
+    side = {id(c.xi.edges): "xi", id(c.theta.edges): "theta"}
+    assert [(side[id(edges)], forward_only) for edges, forward_only in trees] == [
+        ("xi", True), ("xi", False), ("theta", True), ("theta", False)]
+    clear_memos()  # cold, the linear report reads the same signed trees
+    assert dissolves_linear(layer, phi, c) == linear
 
 
 def test_witness_words_match_a_search_per_endpoint():
@@ -360,10 +400,9 @@ def test_witness_words_match_a_search_per_endpoint():
     phi = canonical_morphism(mat, base)
     for pair in maximal_constellations(base)[::42]:
         lifted, _ = reachable_lift(pair.theta, mat, phi)
-        view = constel.dissolve._LiftView(pair.theta.edges, phi.mapping)
-        word = constel.dissolve._witness_words(mat.cayley, view)
+        lifts = constel.dissolve._pair_lifts(phi, pair.xi, pair.theta)
         for h in sorted(lifted.vertices):
-            assert word(h) == search_word(lifted, h)
+            assert lifts.word(1, h, positive_first=True) == search_word(lifted, h)
 
 
 def per_triple_reports(tower):

@@ -43,6 +43,53 @@ def test_no_size_limit_parameters_in_the_package():
     assert not found, found
 
 
+# the package's process-global memos, as module.name; each keeps one entry
+# or, for the parser, one object
+MEMOS = {"cli._build_parser", "constellations._split_subgraphs",
+         "constellations._base_component", "dissolve._last_pair_lifts"}
+MEMO_NAMES = ("cache", "lru_cache")
+
+
+def memo_uses(stmt) -> list[int]:
+    """Lines where stmt decorates with or calls functools.cache or
+    lru_cache, or imports either under another name."""
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return [stmt.lineno for alias in stmt.names
+                if alias.asname and alias.name.split(".")[-1] in MEMO_NAMES]
+    heads = [head for node in ast.walk(stmt) for head in getattr(node, "decorator_list", ())]
+    heads += [node.func for node in ast.walk(stmt) if isinstance(node, ast.Call)]
+    lines = []
+    for head in heads:
+        while isinstance(head, ast.Call):  # lru_cache(maxsize=1)(f)
+            head = head.func
+        if getattr(head, "id", getattr(head, "attr", None)) in MEMO_NAMES:
+            lines.append(head.lineno)
+    return lines
+
+
+def memo_sites():
+    """One entry per line that makes a memo: module.name when it is the
+    first such line of a top-level def, class or assignment, else
+    module:line."""
+    for path in sorted(Path(constel.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            lines = sorted(set(memo_uses(stmt)))
+            if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name):
+                name = stmt.targets[0].id
+            elif isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                name = stmt.name
+            else:
+                name = None
+            for i, line in enumerate(lines):
+                yield "%s.%s" % (path.stem, name) if name and not i else "%s:%d" % (path.stem, line)
+
+
+def test_process_global_memos_are_the_named_ones():
+    # a memo outlives the call that filled it, so each one is named here;
+    # a memo inside a class or under another name fails as well
+    assert sorted(memo_sites()) == sorted(MEMOS)
+
+
 def bench_tracing():
     """perfbench/tracing.py, loaded without install(): nothing is patched."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
