@@ -508,6 +508,7 @@ def write_aut(aut: InverseAutomaton, names: tuple[str, ...] | None = None) -> st
 
 def read_aut(text: str) -> LabeledGraph:
     """Parse the .aut line format; '#' starts a comment."""
+    from .groups import parse_int  # groups imports this module
     names: list[str] | None = None
     raw_edges: list[tuple[int, str, int]] = []
     raw_vertices: list[int] = []
@@ -525,13 +526,13 @@ def read_aut(text: str) -> LabeledGraph:
                     raise ValueError("repeated letter name in %s" % " ".join(names))
             elif kind == "vertex":
                 (v,) = parts[1:]
-                raw_vertices.append(int(v))
+                raw_vertices.append(parse_int(v, "vertex id"))
             elif kind == "edge":
                 u, letter, v = parts[1:]
-                raw_edges.append((int(u), letter, int(v)))
+                raw_edges.append((parse_int(u, "vertex id"), letter, parse_int(v, "vertex id")))
             elif kind == "base":
                 (b,) = parts[1:]
-                base = int(b)
+                base = parse_int(b, "vertex id")
             else:
                 raise ValueError("unknown directive %r" % kind)
         except ValueError as exc:

@@ -10,8 +10,8 @@ with alpha constant on each letter class.
 An element is a pair (alpha, g): alpha is a dense tuple mod p over the
 edge index h * |A| + a of the base, g a base element index.  The left
 shift by g is a gather through an index map built from the base's
-left-multiplication row on first use, so products never rebuild or
-rehash vectors beyond the result.  Elements are kept lazy: a word
+left-multiplication row, so products never rebuild or rehash vectors
+beyond the result.  Elements are kept lazy: a word
 evaluates to (traversal vector mod p, base image) without enumerating
 the layer.  Materialization, when the order fits the bound, runs the
 BFS of `groups` over flat keys alpha + (g,) by one-entry generator
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 
 from .automata import bfs_tree, tree_word
 from .errors import VerificationError
@@ -84,7 +84,6 @@ class GaschuetzLayer:
         self.identity = GaschuetzElement((0,) * size, 0, tilde)
         self.images = [self._make([1 if i == a else 0 for i in range(size)], base.images[a])
                        for a in range(base.n_letters)]
-        self._shifts: dict[int, list[int]] = {}
 
     def _make(self, alpha, g: int) -> GaschuetzElement:
         """Element from an unreduced dense vector; the tilde layer takes
@@ -99,13 +98,9 @@ class GaschuetzLayer:
     def _shift(self, g: int) -> list[int]:
         """Gather indices of the left shift (h, a) -> (g h, a): entry
         (k, a) of the shifted vector is entry (g^-1 k, a) of the input."""
-        m = self._shifts.get(g)
-        if m is None:
-            n_letters = self.n_letters
-            m = [h * n_letters + a for h in self.base.left_row(self.base.inv_idx(g))
-                 for a in range(n_letters)]
-            self._shifts[g] = m
-        return m
+        n_letters = self.n_letters
+        return [h * n_letters + a for h in self.base.left_row(self.base.inv_idx(g))
+                for a in range(n_letters)]
 
     def mul(self, x: GaschuetzElement, y: GaschuetzElement) -> GaschuetzElement:
         beta = y.alpha
@@ -334,15 +329,15 @@ def layer_abelianization(base: MaterializedGroup, p: int, tilde: bool) -> list[i
     the base's Cayley-graph cycles from `abelian_relations` generate.
     The tilde quotient further kills the center witnesses, whose count
     vectors are |G| * e_a.  So the abelianization is Z^A / (p*Lambda)
-    resp. Z^A / (p*Lambda + |G|Z^A).
+    resp. Z^A / (p*Lambda + |G|Z^A).  Take a basis f_i of Z^A with Lambda
+    = sum d_i Z f_i, d_1 | ... | d_|A| its Smith diagonal; then p*Lambda =
+    sum p*d_i Z f_i and |G|Z^A = sum |G| Z f_i, so the factors are p*d_i
+    resp. gcd(p*d_i, |G|), and gcd(p*d_i, |G|) keeps the divisibility chain.
     """
     check_modulus(p)
-    n = base.n_letters
-    rows = [[p * x for x in row] for row in abelian_relations(base)]
-    if tilde:
-        rows.extend([base.order if i == a else 0 for i in range(n)] for a in range(n))
-    diag = _smith_diagonal(rows, n)
-    if len(diag) != n:
+    diag = _smith_diagonal(abelian_relations(base), base.n_letters)
+    if len(diag) != base.n_letters:
         raise VerificationError("the relation lattice has infinite index")
-    return [d for d in diag if d > 1]
+    factors = [gcd(p * d, base.order) if tilde else p * d for d in diag]
+    return [d for d in factors if d > 1]
 

@@ -31,33 +31,29 @@ from .perms import Permutation, _orbit, identity as perm_identity
 from .words import Word
 
 
+class _ImageSpec:
+    """A spec with one image per letter in `images`."""
+
+    @property
+    def n_letters(self) -> int:
+        return len(self.images)
+
+
 @dataclass(frozen=True)
-class CyclicSpec:
+class CyclicSpec(_ImageSpec):
     n: int
     images: tuple[int, ...]  # residue per letter
 
-    @property
-    def n_letters(self) -> int:
-        return len(self.images)
-
 
 @dataclass(frozen=True)
-class KleinSpec:
+class KleinSpec(_ImageSpec):
     images: tuple[tuple[int, int], ...]  # bit pair per letter
 
-    @property
-    def n_letters(self) -> int:
-        return len(self.images)
-
 
 @dataclass(frozen=True)
-class PermSpec:
+class PermSpec(_ImageSpec):
     degree: int
     images: tuple[Permutation, ...]
-
-    @property
-    def n_letters(self) -> int:
-        return len(self.images)
 
 
 @dataclass(frozen=True)
@@ -111,6 +107,10 @@ def parse_int(text: str, what: str) -> int:
     """int(text) of an input, read without leading zeros; a decimal
     string still past Python's int-to-str digit limit is at least
     10^(digits - 1) in size, and check_size refuses it as a `what`."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
     match = re.fullmatch(r"\s*([+-]?)0*([0-9]+)\s*", text)
     if match and len(match[2]) > sys.get_int_max_str_digits() > 0:
         check_size(10 ** (len(match[2]) - 1), what)

@@ -275,11 +275,10 @@ def is_primitive(g: PermGroupGens) -> bool:
     return True
 
 
-def _prime_cycles(p: Permutation):
+def _prime_cycles(lengths: list[int]):
     """Yield every (q, r), q ascending, with q prime and p**r a single
-    q-cycle: q occurs once among the cycle lengths and divides no other
-    length, and r is the lcm of the others."""
-    lengths = [len(c) for c in p.cycles(include_fixed=True)]
+    q-cycle, for p of these cycle lengths (fixed points included): q
+    occurs once and divides no other length, r is the lcm of the others."""
     counts = Counter(lengths)
     for q in sorted(counts):
         if counts[q] == 1 and is_prime(q):
@@ -291,7 +290,7 @@ def _prime_cycles(p: Permutation):
 def prime_power_cycle(p: Permutation) -> tuple[int, int] | None:
     """Find (q, r) with q prime and least so that p**r is a single
     q-cycle, or None if there is none."""
-    return next(_prime_cycles(p), None)
+    return next(_prime_cycles([len(c) for c in p.cycles(include_fixed=True)]), None)
 
 
 def is_prime(n: int) -> bool:
@@ -352,14 +351,12 @@ def alternating_certificate(g: PermGroupGens) -> AlternatingCertificate:
     if n < 5:
         raise ValueError("alternating certificate requires degree >= 5")
     transitive = is_transitive(g)
-    all_even = all(p.is_even() for p in g.perms)
+    lengths = [[len(c) for c in p.cycles(include_fixed=True)] for p in g.perms]
+    all_even = all((n - len(ls)) % 2 == 0 for ls in lengths)
     s = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
     primitive = transitive and (
-        any(q * s > n for p in g.perms for q, _ in _prime_cycles(p)) or is_primitive(g))
-    prime_cycle = None
-    for letter, p in enumerate(g.perms):
-        found = prime_power_cycle(p)
-        if found is not None and found[0] <= n - 3:
-            prime_cycle = (found[0], found[1], letter)
-            break
+        any(q * s > n for ls in lengths for q, _ in _prime_cycles(ls)) or is_primitive(g))
+    least = [next(_prime_cycles(ls), None) for ls in lengths]  # prime_power_cycle per letter
+    prime_cycle = next(((*found, letter) for letter, found in enumerate(least)
+                        if found is not None and found[0] <= n - 3), None)
     return AlternatingCertificate(n, transitive, primitive, all_even, prime_cycle)

@@ -70,7 +70,7 @@ def check_alphabet(n_letters: int) -> None:
 def parse_word(text: str, n_letters: int) -> Word:
     """Parse compact ("abA") or verbose ("a b^-1 a") word syntax over
     the letters a, b, ... of an n_letters-letter alphabet."""
-    from .groups import check_size  # groups imports this module
+    from .groups import check_size, parse_int  # groups imports this module
 
     check_alphabet(n_letters)
     names = tuple(ASCII_LETTERS[:n_letters])  # a tuple: str.index would find "ab" and ""
@@ -89,7 +89,7 @@ def parse_word(text: str, n_letters: int) -> Word:
         for tok in text.split():
             if "^" in tok:
                 name, _, exp = tok.partition("^")
-                k = int(exp)
+                k = parse_int(exp, "word exponent")
             else:
                 name, k = tok, 1
             powers.append((index(name), k))

@@ -266,10 +266,14 @@ def test_unprintable_order_exits_2_with_nothing_on_stdout(tmp_path):
     (["cayley", "--group", "cyclic(1%s;a=1)"], "cyclic group order"),
     (["gaschutz-info", "--group", "gaschutz(cyclic(2;a=1,b=1),1%s)"], "modulus"),
     (["dissolve", "--group", "cyclic(2;a=1,b=1)", "--layers", "~1%s"], "modulus"),
+    (["evaluate", "--group", "cyclic(2;a=1,b=1)", "--word", "a^1%s"], "word exponent"),
+    (["fold", "--automaton", "big.aut"], "bad .aut line 1: vertex id"),
 ])
-def test_spec_integers_past_the_digit_limit_are_refused_by_size(args, what):
+def test_spec_integers_past_the_digit_limit_are_refused_by_size(args, what, tmp_path):
     # 5001 digits, past Python's int-to-str limit of 4300
-    code, out, err = run([arg.replace("%s", "0" * 5000) for arg in args])
+    (tmp_path / "big.aut").write_text("edge 0 a 1%s\nbase 0\n" % ("0" * 5000))
+    code, out, err = run([str(tmp_path / arg) if arg.endswith(".aut")
+                          else arg.replace("%s", "0" * 5000) for arg in args])
     assert (code, out) == (2, "")
     assert err == "error: %s >= 2^16609 exceeds the bound 1000000\n" % what
     assert "set_int_max_str_digits" not in err

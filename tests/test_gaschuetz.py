@@ -10,8 +10,8 @@ from constel.gaschuetz import (GaschuetzElement, GaschuetzLayer, Tower, TowerSpe
                                build_tower, center, coprime_structure_checks,
                                layer_abelianization, order_formula)
 from constel.groups import (CyclicSpec, KleinSpec, OrderBoundError, PermSpec,
-                            abelianization, canonical_morphism, materialize,
-                            subgroup_closure, traversal_vector)
+                            abelian_relations, abelianization, canonical_morphism,
+                            materialize, subgroup_closure, traversal_vector)
 from constel.perms import from_cycles
 from constel.words import Word, concat, invert, parse_word
 from group_elements import element_list, sample_groups
@@ -370,6 +370,32 @@ def test_layer_abelianization_matches_materialized():
                     assert layer_abelianization(base, p, tilde) == want, (name, p, tilde)
                     checked += 1
     assert checked >= 100
+
+
+def test_layer_abelianization_matches_the_scaled_lattice():
+    # the construction the closed form replaces, as an independent oracle:
+    # sympy's invariant factors of p * Lambda, plus |G| e_a per letter on
+    # tilde layers, over the sample bases
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    checked = set()
+    for name, base in sample_groups():
+        n = base.n_letters
+        relations = abelian_relations(base)
+        for p in (2, 3, 5, 7):
+            for tilde in (False, True):
+                rows = [[p * x for x in row] for row in relations]
+                if tilde:
+                    rows += [[base.order if i == a else 0 for i in range(n)] for a in range(n)]
+                factors = [abs(int(d)) for d in invariant_factors(Matrix(rows), domain=ZZ)]
+                assert 0 not in factors, (name, p, tilde)  # finite index
+                want = [d for d in factors if d > 1]
+                assert layer_abelianization(base, p, tilde) == want, (name, p, tilde)
+                checked.add((tilde, base.order % p == 0))
+    # plain and tilde, with p dividing |G| and coprime to it
+    assert checked == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_layer_abelianization_of_a_wide_base():

@@ -466,3 +466,64 @@ def test_s3_completion_is_certified_without_block_passes(monkeypatch):
     _, cert, plan = complete_to_alternating(ag, n)
     assert (n, plan.q, plan.b) == (1755, 877, 1)
     assert cert.valid() and cert.prime_cycle == (193, 12, 0)
+
+
+def count_cycle_splits(monkeypatch):
+    """The permutations that Permutation.cycles is called on, in order."""
+    calls = []
+    cycles = Permutation.cycles
+
+    def counted(self, include_fixed=False):
+        calls.append(self)
+        return cycles(self, include_fixed)
+
+    monkeypatch.setattr(Permutation, "cycles", counted)
+    return calls
+
+
+def test_certificate_splits_each_letter_into_cycles_once(monkeypatch):
+    # all_even and the reported prime cycle against the per-permutation
+    # is_even and prime_power_cycle, on transitive and intransitive groups
+    # with one to three letters, prime cycles and block passes alike
+    rng = random.Random(25)
+    cases = [PermGroupGens(6, (from_cycles(6, [(0, 1, 2)]),
+                               from_cycles(6, [(0, 3), (1, 4), (2, 5)])))]
+    for _ in range(60):
+        n = rng.randrange(5, 16)
+        cases.append(PermGroupGens(n, tuple(rand_perm(rng, n)
+                                            for _ in range(rng.randrange(1, 4)))))
+    outcomes = set()
+    for gens in cases:
+        n = gens.degree
+        all_even = all(p.is_even() for p in gens.perms)
+        prime_cycle = next(((*found, letter) for letter, found in
+                            enumerate(map(prime_power_cycle, gens.perms))
+                            if found is not None and found[0] <= n - 3), None)
+        calls = count_cycle_splits(monkeypatch)
+        cert = alternating_certificate(gens)
+        monkeypatch.undo()
+        assert calls == list(gens.perms), gens
+        assert (cert.all_even, cert.prime_cycle) == (all_even, prime_cycle), gens
+        assert cert.primitive == (cert.transitive and is_primitive(gens)), gens
+        outcomes.add((all_even, prime_cycle is not None, cert.transitive))
+    assert len(outcomes) == 8
+
+
+def test_completion_splits_at_most_seven_letters_into_cycles(monkeypatch, tmp_path):
+    # a seeded `constel corpus` automaton on two letters: one parity check
+    # per letter while closing it, the evenness self-check per letter, the
+    # b-cycle self-check, and one split per letter in the certificate
+    from constel.automata import as_inverse_automaton, read_aut
+    from constel.cli import main
+    from constel.completion import complete_to_alternating, smallest_prime_greater
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["corpus", "--seed", "1", "--count", "1", "--dir", str(tmp_path)]) == 0
+    (path,) = tmp_path.iterdir()
+    core = as_inverse_automaton(read_aut(path.read_text()))
+    assert core.n_letters == 2
+    n = core.n + smallest_prime_greater(core.n) + 2
+    calls = count_cycle_splits(monkeypatch)
+    _, cert, _ = complete_to_alternating(core, n)
+    assert cert.valid()
+    assert len(calls) <= 7

@@ -43,6 +43,32 @@ def test_no_size_limit_parameters_in_the_package():
     assert not found, found
 
 
+# the functions allowed to call int(text): parse_int reads every integer
+# that comes from outside the program, and the Klein bits are each
+# checked against "01" first
+INT_READERS = {"groups.parse_int", "cli.parse_group_spec"}
+
+
+def int_calls():
+    """module.function, or module:line off any function, of every
+    one-argument call of the builtin int in the package."""
+    for path in sorted(Path(constel.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "int"
+                        and len(node.args) + len(node.keywords) == 1):
+                    yield ("%s.%s" % (path.stem, stmt.name)
+                           if isinstance(stmt, ast.FunctionDef) else
+                           "%s:%d" % (path.stem, node.lineno))
+
+
+def test_outside_integers_are_read_by_parse_int():
+    # int() of a 5000-digit string raises Python's digit-limit error;
+    # parse_int refuses it by size instead
+    found = set(int_calls())
+    assert found <= INT_READERS, sorted(found - INT_READERS)
+
+
 # the package's process-global memos, as module.name; each keeps one entry
 # or, for the parser, one object
 MEMOS = {"cli._build_parser", "constellations._split_subgraphs",
