@@ -70,7 +70,6 @@ from .errors import VerificationError
 from .gaschuetz import GaschuetzLayer, Tower
 from .groups import (MaterializedGroup, Morphism, OrderBoundError, check_size, coset_walk,
                      format_size, subgroup_closure, traversal_vector)
-from .perms import _find
 from .words import ASCII_LETTERS, Word
 
 Vec = dict[tuple[int, int], int]
@@ -92,14 +91,24 @@ class DissolveReport:
 
 def _contract(aut: InverseAutomaton, fibers, edges) -> list[int]:
     """comp[h]: the least vertex of the component of h in the preimage
-    of the edge set `edges`, by union-find.  fibers[g] lists the
-    vertices over g, so only the preimages of `edges` are walked."""
+    of the edge set `edges`, by union-find with path halving, written
+    out in the loop.  A union hangs the larger root below the smaller,
+    so parent[v] <= v throughout and each root is the least vertex of
+    its component.  fibers[g] lists the vertices over g, so only the
+    preimages of `edges` are walked."""
     parent = list(range(aut.n))
     for g, a in edges:
         step = aut.fwd[a]
-        for h in fibers[g]:
-            x, y = _find(parent, h), _find(parent, step[h])
-            parent[max(x, y)] = min(x, y)  # so parent[v] <= v throughout
+        for x in fibers[g]:
+            y = step[x]
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]  # x's parent is set before x moves up
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x < y:
+                parent[y] = x
+            elif y < x:
+                parent[x] = y
     for h in range(aut.n):
         parent[h] = parent[parent[h]]  # parent[h] < h already points at its root
     return parent

@@ -14,10 +14,10 @@ left-multiplication row, so products never rebuild or rehash vectors
 beyond the result.  Elements are kept lazy: a word
 evaluates to (traversal vector mod p, base image) without enumerating
 the layer.  Materialization, when the order fits the bound, runs the
-BFS of `groups` over flat keys alpha + (g,) by one-entry generator
-steps: right multiplication by a letter image changes one entry of
-alpha, and on tilde layers also one letter class at g = 1.  `mul`,
-`inv` and `_make` serve the lazy arithmetic.
+BFS of `groups` over packed int keys, alpha's entries as digits above
+g, by one-digit generator steps: right multiplication by a letter image
+changes one digit, and on tilde layers also one letter class at g = 1.
+`mul`, `inv` and `_make` serve the lazy arithmetic.
 """
 
 from __future__ import annotations
@@ -132,30 +132,42 @@ class GaschuetzLayer:
         return self.base.order * (self.n_letters - 1) + 1
 
     def materialize(self) -> MaterializedGroup:
-        """The layer enumerated by generator steps on flat keys alpha + (g,).
+        """The layer enumerated by generator steps on packed int keys.
 
-        Right multiplication by the image (e_a, phi(a)) of letter a adds
-        the shift g.e_a = e_(g,a), so a step adds 1 to the one entry
-        (g, a) and moves g along its Cayley a-edge.  The step keeps the
-        tilde normal form, zero on the edges (1, b), except at g = 1:
-        there the entry (1, a) becomes 1, and subtracting 1 from every
-        letter-a entry takes off that label-constant vector again.  No
-        element object is built."""
+        The key of (alpha, g) holds g in its low |G|.bit_length() bits and
+        entry i = h * |A| + a of alpha as a p.bit_length()-bit digit above
+        them, at bit |G|.bit_length() + i * p.bit_length().  A digit holds
+        0..p-1 and the g field 0..|G|-1, so each fits its field and the
+        key is injective.  Right multiplication by the image (e_a, phi(a))
+        of letter a adds the shift g.e_a = e_(g,a), so a step adds 1 mod p
+        to the one digit (g, a) and moves g along its Cayley a-edge.  The
+        step keeps the tilde normal form, zero on the edges (1, b), except
+        at g = 1: there the digit (1, a) becomes 1, and subtracting 1 mod p
+        from every letter-a digit takes off that label-constant vector
+        again.  That subtraction is a few int operations on the whole key:
+        a digit that is zero gains p first, found by the carry-free test
+        ((x & low) + low) | x on its top bit, where low masks the other
+        bits of each digit.  No element object is built."""
         check_size(self.order(), "layer order")
         p, n_letters, tilde, fwd = self.p, self.n_letters, self.tilde, self.base.cayley.fwd
-        size = self.base.order * n_letters
+        g_bits, width = self.base.order.bit_length(), p.bit_length()
+        g_mask, digit = (1 << g_bits) - 1, (1 << width) - 1
+        shifts = [g_bits + i * width for i in range(self.base.order * n_letters)]
+        # per letter a: the ones digit, the top bit and the lower bits of every letter-a digit
+        ones = [sum(1 << s for s in shifts[a::n_letters]) for a in range(n_letters)]
+        tops = [u << (width - 1) for u in ones]
+        lows = [u * (digit >> 1) for u in ones]
 
-        def step(x: tuple[int, ...], a: int) -> tuple[int, ...]:
-            g = x[-1]
-            y = list(x)
-            i = g * n_letters + a
-            y[i] = (y[i] + 1) % p
+        def step(x: int, a: int) -> int:
+            g = x & g_mask
+            s = shifts[g * n_letters + a]
+            x += (1 if x >> s & digit != p - 1 else 1 - p) << s
             if tilde and g == 0:
-                y[a:size:n_letters] = [(u - 1) % p for u in y[a:size:n_letters]]
-            y[-1] = fwd[a][g]
-            return tuple(y)
+                zero = ~((x & lows[a]) + lows[a] | x) & tops[a]
+                x += p * (zero >> (width - 1)) - ones[a]
+            return x + fwd[a][g] - g
 
-        return _generate(n_letters, (0,) * (size + 1), step)
+        return _generate(n_letters, 0, step)
 
     def cover(self) -> tuple[MaterializedGroup, Morphism]:
         """The materialized layer with its projection onto the base,

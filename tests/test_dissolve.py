@@ -284,6 +284,51 @@ def test_bond_contractions_match_networkx_components(spec, layers):
             assert {comp[h] for h in component} == {min(component)}
 
 
+def least_vertex_labels(n, pairs):
+    """label[v]: the least vertex of v's component in the graph on 0..n-1
+    with the undirected edges `pairs`; a BFS from each vertex left
+    unlabelled, in increasing order, labels its component by it."""
+    adj = [[] for _ in range(n)]
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    label = [None] * n
+    for root in range(n):
+        if label[root] is None:
+            label[root] = root
+            queue = deque([root])
+            while queue:
+                for v in adj[queue.popleft()]:
+                    if label[v] is None:
+                        label[v] = root
+                        queue.append(v)
+    return label
+
+
+def test_contract_labels_each_component_by_its_least_vertex():
+    # seeded random edge subsets of Gamma(G), contracted in Gamma(H) over
+    # three layers and in the Cayley graph of a base with an identity letter
+    with pytest.warns(UserWarning):
+        z6_id = materialize(CyclicSpec(6, (1, 0)))
+    cases = []
+    for base, p, tilde in ((klein(), 3, False), (s3(), 2, True), (z6_id, 2, True)):
+        h_group, phi = GaschuetzLayer(base, p, tilde).cover()
+        cases.append((h_group.cayley, phi.fibers(), base))
+    cases.append((z6_id.cayley, [(h,) for h in range(z6_id.order)], z6_id))  # b-edges are loops
+    rng = random.Random(11)
+    loops = 0
+    for aut, fibers, base in cases:
+        all_edges = [(g, a) for g in range(base.order) for a in range(base.n_letters)]
+        for density in (0.05, 0.2, 0.4, 0.7, 1.0):
+            for _ in range(4):
+                edges = {e for e in all_edges if rng.random() < density}
+                pairs = [(h, aut.fwd[a][h]) for g, a in edges for h in fibers[g]]
+                loops += sum(u == v for u, v in pairs)
+                assert constel.dissolve._contract(aut, fibers, edges) == \
+                    least_vertex_labels(aut.n, pairs)
+    assert loops  # step[h] == h was contracted
+
+
 def counted(calls, name, real):
     def wrapper(*args):
         calls[name] += 1
