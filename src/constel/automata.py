@@ -194,31 +194,24 @@ def fold(graph: LabeledGraph) -> InverseAutomaton:
 
 def trim(aut: InverseAutomaton) -> InverseAutomaton:
     """Remove non-base vertices of degree <= 1 until none remain (the core)."""
-    alive_edges = set()
-    incident: list[set] = [set() for _ in range(aut.n)]
-    for u, letter, v in aut.pos_edges():
-        e = (u, letter)
-        alive_edges.add(e)
-        incident[u].add(e)
-        incident[v].add(e)
+    degree = [aut.degree(v) for v in range(aut.n)]
     alive = [True] * aut.n
-    worklist = [v for v in range(aut.n) if v != aut.base and len(incident[v]) <= 1]
+    worklist = [v for v in range(aut.n) if v != aut.base and degree[v] <= 1]
     while worklist:
         v = worklist.pop()
-        if not alive[v] or v == aut.base or len(incident[v]) > 1:
+        if not alive[v]:
             continue
-        alive[v] = False
-        for e in list(incident[v]):
-            u, letter = e
-            w = aut.fwd[letter][u]
-            alive_edges.discard(e)
-            for endpoint in (u, w):
-                incident[endpoint].discard(e)
-                if alive[endpoint] and endpoint != aut.base and len(incident[endpoint]) <= 1:
-                    worklist.append(endpoint)
+        alive[v] = False  # a loop at v dies with it
+        for col in aut.fwd + aut.bwd:
+            w = col[v]
+            if w is not None and alive[w]:
+                degree[w] -= 1
+                if degree[w] == 1 and w != aut.base:
+                    worklist.append(w)
     keep = [v for v in range(aut.n) if alive[v]]
     newid = {v: i for i, v in enumerate(keep)}
-    edges = [(newid[u], letter, newid[aut.fwd[letter][u]]) for (u, letter) in sorted(alive_edges)]
+    edges = [(newid[u], letter, newid[w]) for u, letter, w in aut.pos_edges()
+             if alive[u] and alive[w]]
     base = newid[aut.base] if aut.base is not None else None
     return canonical(InverseAutomaton(len(keep), aut.n_letters, edges, base))
 

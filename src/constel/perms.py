@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import isqrt, lcm
+from math import lcm
 
 
 @dataclass(frozen=True)
@@ -156,9 +156,9 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _minimal_block_size(g: PermGroupGens, beta: int) -> tuple[int, int]:
-    """Size of the smallest block containing {0, beta} (Atkinson's
-    algorithm), and the number of point images the pass read.
+def _minimal_block_size(g: PermGroupGens, alpha: int, beta: int) -> tuple[int, int]:
+    """Size of the smallest block containing {alpha, beta}, alpha != beta
+    (Atkinson's algorithm), and the number of point images the pass read.
 
     Classes only grow into blocks, and the blocks of a transitive group
     all have one size dividing n, so a class of more than n/2 points
@@ -167,9 +167,9 @@ def _minimal_block_size(g: PermGroupGens, beta: int) -> tuple[int, int]:
     moves = [p.images for p in g.perms]
     parent = list(range(n))
     size = [1] * n
-    parent[beta] = 0
-    size[0] = 2
-    queue = [(0, beta)]
+    parent[beta] = alpha
+    size[alpha] = 2
+    queue = [(alpha, beta)]
     reads = 0
     while queue:
         u, v = queue.pop()
@@ -184,7 +184,7 @@ def _minimal_block_size(g: PermGroupGens, beta: int) -> tuple[int, int]:
                 if 2 * size[x] > n:
                     return n, reads
                 queue.append((x, y))
-    return size[_find(parent, 0)], reads
+    return size[_find(parent, alpha)], reads
 
 
 def is_primitive(g: PermGroupGens) -> bool:
@@ -266,7 +266,7 @@ def is_primitive(g: PermGroupGens) -> bool:
             continue
         root = _find(parent, beta)
         if not tested[root]:
-            size, reads = _minimal_block_size(g, beta)
+            size, reads = _minimal_block_size(g, 0, beta)
             block_reads += reads
             if size < n:
                 return False
@@ -332,31 +332,28 @@ def alternating_certificate(g: PermGroupGens) -> AlternatingCertificate:
     """Certificate of a generating tuple; `prime_cycle` is the
     `prime_power_cycle` of the first letter whose q is at most n-3.
 
-    Primitivity is read off a large prime cycle when it can be.  Lemma:
-    let G be transitive of degree n, s the least prime factor of n, and
-    c in G a q-cycle with q prime and q*s > n; then G is primitive.
-    Proof: blocks of size b with 1 < b < n have b dividing n, so
-    b <= n/s < q.  If c maps every block to itself, the one nontrivial
-    <c>-orbit lies in a single block, and q <= b.  Otherwise c moves some
-    block B; c fixes no point of B, since a fixed point would make B^c
-    meet B.  The blocks c moves lie in <c>-orbits of length q, so the q
-    points c moves cover at least q whole blocks: q*b <= q, and b = 1.
-    Either way 1 < b < q fails.
-
-    Every letter is scanned for such a cycle, at every prime of
-    `_prime_cycles`, not only at the one reported; Atkinson block passes
-    (`is_primitive`) run only when none qualifies.
+    Primitivity is read off a prime cycle when a letter has one.  Lemma:
+    let G be transitive and c in G a q-cycle, q prime; then c maps every
+    block B with |B| > 1 to itself.  If c moved B, c would fix no point
+    of B (it would lie in B and B^c), and as q is prime B, B^c, ...,
+    B^(c^(q-1)) would be q disjoint blocks inside the q points c moves,
+    so |B| = 1.  Hence supp(c), one <c>-orbit, lies in one block of
+    every block system, and G is primitive iff the smallest block
+    containing two points of supp(c) is all n points: one block pass.
+    `is_primitive` runs only when no letter has such a cycle.
     """
     n = g.degree
     if n < 5:
         raise ValueError("alternating certificate requires degree >= 5")
     transitive = is_transitive(g)
-    lengths = [[len(c) for c in p.cycles(include_fixed=True)] for p in g.perms]
+    cycles = [p.cycles(include_fixed=True) for p in g.perms]
+    lengths = [[len(c) for c in cs] for cs in cycles]
     all_even = all((n - len(ls)) % 2 == 0 for ls in lengths)
-    s = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
-    primitive = transitive and (
-        any(q * s > n for ls in lengths for q, _ in _prime_cycles(ls)) or is_primitive(g))
     least = [next(_prime_cycles(ls), None) for ls in lengths]  # prime_power_cycle per letter
     prime_cycle = next(((*found, letter) for letter, found in enumerate(least)
                         if found is not None and found[0] <= n - 3), None)
+    support = next((cs[ls.index(found[0])] for cs, ls, found in zip(cycles, lengths, least)
+                    if found is not None), None)
+    primitive = transitive and (is_primitive(g) if support is None
+                                else _minimal_block_size(g, *support[:2])[0] == n)
     return AlternatingCertificate(n, transitive, primitive, all_even, prime_cycle)

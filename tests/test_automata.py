@@ -251,6 +251,34 @@ def random_folded(rng) -> InverseAutomaton:
     return InverseAutomaton(n, n_letters, edges, base)
 
 
+def trim_one_vertex_at_a_time(aut: InverseAutomaton) -> InverseAutomaton:
+    """Oracle for trim: delete the least non-base vertex of degree <= 1,
+    renumbering the rest in order, until there is none."""
+    while True:
+        v = next((v for v in range(aut.n) if v != aut.base and aut.degree(v) <= 1), None)
+        if v is None:
+            return canonical(aut)
+        newid = [u - (u > v) for u in range(aut.n)]
+        aut = InverseAutomaton(aut.n - 1, aut.n_letters,
+                               [(newid[u], letter, newid[w]) for u, letter, w in aut.pos_edges()
+                                if v not in (u, w)],
+                               None if aut.base is None else newid[aut.base])
+
+
+def test_trim_matches_deleting_one_vertex_at_a_time():
+    rng = random.Random(27)
+    shapes = set()
+    for _ in range(300):
+        aut = random_folded(rng)
+        assert write_aut(trim(aut)) == write_aut(trim_one_vertex_at_a_time(aut)), write_aut(aut)
+        pairs = {(u, w) for u, _, w in aut.pos_edges()}
+        shapes.update({"loop" for u, w in pairs if u == w}
+                      | {"2-cycle" for u, w in pairs if u != w and (w, u) in pairs}
+                      | {"isolated" for v in range(aut.n) if aut.degree(v) == 0}
+                      | ({"no base"} if aut.base is None else set()))
+    assert shapes == {"loop", "2-cycle", "isolated", "no base"}
+
+
 def queue_numbering(aut: InverseAutomaton) -> dict[int, int]:
     """Old id -> new id by a breadth-first queue from the base, then from
     each unseen vertex in ascending order; at each vertex the letters

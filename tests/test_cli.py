@@ -284,6 +284,25 @@ def test_spec_integers_with_leading_zeros_past_the_digit_limit():
     assert parse_layers("~%s2" % ("0" * 5000)) == ((2, True),)
 
 
+@pytest.mark.parametrize("args, what", [
+    (["cayley", "--group", "cyclic(x;a=1)"], "cyclic group order 'x'"),
+    (["cayley", "--group", "perm(3;a=(0 x))"], "permutation point 'x'"),
+    (["gaschutz-info", "--group", "gaschutz(cyclic(2;a=1,b=1),q)"], "modulus 'q'"),
+    (["evaluate", "--group", "cyclic(2;a=1,b=1)", "--word", "a^"], "word exponent ''"),
+    (["fold", "--automaton", "bad.aut"], "bad .aut line 1: vertex id 'x'"),
+])
+def test_non_integers_are_named_by_what_was_read(args, what, tmp_path):
+    (tmp_path / "bad.aut").write_text("edge 0 a x\nbase 0\n")
+    code, out, err = run([str(tmp_path / arg) if arg.endswith(".aut") else arg for arg in args])
+    assert (code, out) == (2, "")
+    assert err == "error: %s is not an integer\n" % what
+
+
+def test_parse_int_reads_what_int_reads():
+    for text in ("-3", " +7 ", "1_000", "\u0661\u0662", "007"):
+        assert constel.groups.parse_int(text, "n") == int(text)
+
+
 def test_key_lemma_refuses_an_unprintable_layer_order():
     # the tilde layer over a 20000-element group has order past 2^20000
     code, out, err = run(["key-lemma", "--group", "cyclic(20000;a=1,b=1)", "--p", "2",

@@ -10,7 +10,7 @@ import pytest
 import constel.perms
 from constel.groups import PermSpec, materialize
 from constel.perms import (AlternatingCertificate, PermGroupGens, Permutation,
-                           alternating_certificate, from_cycles,
+                           _minimal_block_size, alternating_certificate, from_cycles,
                            identity, is_primitive, is_prime, is_transitive, orbit,
                            parse_cycles, prime_power_cycle)
 
@@ -362,7 +362,7 @@ def test_valid_certificate_gives_full_alternating_order():
 
 def spy_on_is_primitive(monkeypatch):
     """Record the degree of every call that reaches `is_primitive`, so a
-    test can see which certificates the prime-cycle lemma settled."""
+    test can see which certificates a prime cycle settled."""
     calls = []
 
     def counted(g):
@@ -396,63 +396,127 @@ def test_prime_cycle_lemma_agrees_with_block_passes_on_completions(monkeypatch, 
         if core.n >= 3 and not core.is_complete():
             jobs.append((core, rng.randrange(12), rng.randrange(100)))
     calls = spy_on_is_primitive(monkeypatch)
+    degrees = set()
     for core, k, seed in jobs:
         n = core.n + smallest_prime_greater(core.n) + 2 + k
         completed, cert, _ = complete_to_alternating(core, n, seed=seed)
         group = transition_group(completed)
         assert is_transitive(group)
         assert cert.primitive == is_primitive(group), (core, k, seed)
-    # both ways of deciding primitivity are reached
-    assert 0 < len(calls) < len(jobs)
+        degrees.add(n % 2)
+    # the gadget's b-cycle is prime, so no completion reaches is_primitive,
+    # of odd degree or even
+    assert calls == [] and degrees == {0, 1}
 
 
 def test_prime_cycle_lemma_agrees_on_random_groups(monkeypatch):
     # random even generators are mostly primitive; random elements of
     # the wreath product Sym(b) wr Sym(n/b) keep the b-blocks, so their
-    # groups are imprimitive and the lemma must leave them to block passes
+    # groups are imprimitive.  Either kind is drawn, half the time, with
+    # no letter holding a prime cycle, and only then is is_primitive called
     calls = spy_on_is_primitive(monkeypatch)
     rng = random.Random(22)
     outcomes = set()
-    for _ in range(150):
+    for _ in range(200):
         n = rng.randrange(5, 41)
         blocks = [d for d in range(2, n) if n % d == 0]
-        if blocks and rng.random() < 0.5:
-            b = rng.choice(blocks)
-            perms = []
-            for _ in range(2):
+        wreath = bool(blocks) and rng.random() < 0.5
+        b = rng.choice(blocks) if wreath else 1
+        without_prime_cycle = rng.random() < 0.5
+
+        def draw():
+            if wreath:
                 order, inner = rand_perm(rng, n // b), [rand_perm(rng, b) for _ in range(n // b)]
-                perms.append(Permutation(tuple(order(v // b) * b + inner[v // b](v % b)
-                                               for v in range(n))))
-        else:
-            swap = from_cycles(n, [(0, 1)])
-            perms = [p if p.is_even() else p * swap
-                     for p in (rand_perm(rng, n) for _ in range(2))]
+                return Permutation(tuple(order(v // b) * b + inner[v // b](v % b)
+                                         for v in range(n)))
+            p = rand_perm(rng, n)
+            return p if p.is_even() else p * from_cycles(n, [(0, 1)])
+
+        perms = []
+        while len(perms) < 2:
+            p = draw()
+            if not without_prime_cycle or prime_power_cycle(p) is None:
+                perms.append(p)
         gens = PermGroupGens(n, tuple(perms))
         if not is_transitive(gens):
             continue
+        has_prime_cycle = any(prime_power_cycle(p) is not None for p in perms)
         before = len(calls)
         primitive = alternating_certificate(gens).primitive
         assert primitive == is_primitive(gens), gens
-        if not primitive:
-            assert len(calls) == before + 1, gens  # never settled by the lemma
-        outcomes.add((primitive, len(calls) > before))
-    assert outcomes == {(True, False), (True, True), (False, True)}
+        assert len(calls) == before + (not has_prime_cycle), gens
+        outcomes.add((primitive, has_prime_cycle))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
-def test_prime_cycle_at_most_n_over_s_leaves_primitivity_to_block_passes(monkeypatch):
-    # q = 3 = n/s: the 3-cycle lies in the block {0, 1, 2}
+def test_prime_cycle_inside_a_block_is_settled_by_one_block_pass(monkeypatch):
+    # the 3-cycle lies in the block {0, 1, 2}; Z6 has no prime cycle
     calls = spy_on_is_primitive(monkeypatch)
     gens = PermGroupGens(6, (from_cycles(6, [(0, 1, 2)]),
                              from_cycles(6, [(0, 3), (1, 4), (2, 5)])))
     assert prime_power_cycle(gens.perms[0]) == (3, 1)
+    assert _minimal_block_size(gens, 0, 1)[0] == 3
     cert = alternating_certificate(gens)
     assert cert.transitive and not cert.primitive and not is_primitive(gens)
-    assert calls == [6]
+    assert calls == []
+    z6 = PermGroupGens(6, (from_cycles(6, [tuple(range(6))]),) * 2)
+    assert not alternating_certificate(z6).primitive and calls == [6]
+
+
+def brute_blocks(gens: PermGroupGens) -> list[frozenset]:
+    """Oracle: every subset B with 1 < |B| < n whose images under the
+    group are pairwise equal or disjoint, found by trying them all."""
+    n = gens.degree
+    blocks = []
+    for size in range(2, n):
+        for subset in itertools.combinations(range(n), size):
+            images = {frozenset(subset)}
+            queue = list(images)
+            while queue:
+                block = queue.pop()
+                for p in gens.perms:
+                    image = frozenset(p(v) for v in block)
+                    if image not in images:
+                        images.add(image)
+                        queue.append(image)
+            if sum(map(len, images)) == len(set().union(*images)):
+                blocks.append(frozenset(subset))
+    return blocks
+
+
+def wreath_product(b: int, m: int) -> PermGroupGens:
+    """Sym(b) wr Sym(m) on the blocks {ib, ..., ib + b - 1}: a transposition
+    and a b-cycle inside the first block, a swap and an m-cycle of blocks."""
+    n = b * m
+    blocks = [[i * b + j for j in range(b)] for i in range(m)]
+    return PermGroupGens(n, (
+        from_cycles(n, [(0, 1)]), from_cycles(n, [tuple(blocks[0])]),
+        from_cycles(n, list(zip(blocks[0], blocks[1]))),
+        from_cycles(n, [tuple(blocks[i][j] for i in range(m)) for j in range(b)])))
+
+
+def test_minimal_block_size_against_brute_force():
+    rng = random.Random(27)
+    cases = [wreath_product(b, m) for b, m in ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3))]
+    while len(cases) < 40:
+        n = rng.randrange(4, 10)
+        gens = random_generators(rng, n, rng.randrange(1, 4), rng.randrange(1, n))
+        if is_transitive(gens):
+            cases.append(gens)
+    sizes = set()
+    for gens in cases:
+        blocks = brute_blocks(gens)
+        for x, y in itertools.permutations(range(gens.degree), 2):
+            size = _minimal_block_size(gens, x, y)[0]
+            assert size == min((len(b) for b in blocks if x in b and y in b),
+                               default=gens.degree), (gens, x, y)
+            sizes.add(size < gens.degree)
+    assert sizes == {True, False}
 
 
 def test_s3_completion_is_certified_without_block_passes(monkeypatch):
-    # the reported prime cycle, 193 on letter a, is at most n/3 = 585;
-    # the lemma settles primitivity from the gadget's 877-cycle on b
+    # is_primitive is refused: the reported prime cycle on letter a, of
+    # 193 points at n = 1755 and 7 at the even n = 1758, settles primitivity
     from constel.completion import complete_to_alternating, smallest_prime_greater
     from constel.constellations import assemble_AG
 
@@ -462,10 +526,11 @@ def test_s3_completion_is_certified_without_block_passes(monkeypatch):
     ag = assemble_AG(materialize(PermSpec(3, (from_cycles(3, [(0, 1)]),
                                               from_cycles(3, [(1, 2)])))))
     monkeypatch.setattr(constel.perms, "is_primitive", refuse)
-    n = ag.n + smallest_prime_greater(ag.n) + 2
-    _, cert, plan = complete_to_alternating(ag, n)
-    assert (n, plan.q, plan.b) == (1755, 877, 1)
-    assert cert.valid() and cert.prime_cycle == (193, 12, 0)
+    for k, prime_cycle in ((0, (193, 12, 0)), (3, (7, 1158, 0))):
+        n = ag.n + smallest_prime_greater(ag.n) + 2 + k
+        _, cert, plan = complete_to_alternating(ag, n)
+        assert (n, plan.q, plan.b) == (1755 + k, 877, 1)
+        assert cert.valid() and cert.prime_cycle == prime_cycle
 
 
 def count_cycle_splits(monkeypatch):
