@@ -314,17 +314,54 @@ def pointed_isomorphic(a: InverseAutomaton, b: InverseAutomaton) -> bool:
     return canonical(a) == canonical(b)
 
 
-def bfs_tree(aut: InverseAutomaton, root: int, edges=None, forward_only: bool = False
-             ) -> dict[int, tuple[int, int, int]]:
-    """BFS tree from root: vertex -> (previous vertex, letter, sign), in
-    discovery order, with the root mapping to (-1, -1, 0).  Letters are
-    taken in ascending order, the forward step before the backward one.
-    Steps run only over the positive edges (src, letter) in `edges` when
-    it is given, and only forward when `forward_only` is set."""
-    tree = {root: (-1, -1, 0)}
-    order = [root]
-    columns = list(enumerate(zip(aut.fwd, aut.bwd)))
-    for v in order:
+class BfsTree:
+    """Breadth-first search from root, run only as far as it is asked.
+
+    `tree` maps each discovered vertex to (previous vertex, letter,
+    sign), in discovery order, with the root mapping to (-1, -1, 0).
+    Letters are taken in ascending order, the forward step before the
+    backward one.  Steps run only over the positive edges (src, letter)
+    in `edges` when it is given, and only forward when `forward_only` is
+    set.  The search state is the tree, the discovery order and the next
+    vertex to process.  The order of the search is fixed, so a partly
+    grown tree holds the first entries of the whole search, each as the
+    whole search has it."""
+
+    __slots__ = ("tree", "_order", "_pending", "_columns", "_edges", "_forward_only")
+
+    def __init__(self, aut: InverseAutomaton, root: int, edges=None, forward_only: bool = False):
+        self.tree = {root: (-1, -1, 0)}
+        self._order = [root]
+        self._pending = iter(self._order)  # next vertex to process; sees later appends
+        self._columns = list(enumerate(zip(aut.fwd, aut.bwd)))
+        self._edges, self._forward_only = edges, forward_only
+
+    def grow(self, stop: int | None = None) -> dict[int, tuple[int, int, int]]:
+        """Process vertices until `stop` has been discovered, or to the
+        end when it is None or never discovered; return the tree."""
+        tree = self.tree
+        if stop is None:
+            pending = self._pending
+        elif stop in tree:
+            return tree
+        else:
+            pending = _until(self._pending, tree, stop)
+        return _search(tree, self._order, pending, self._columns, self._edges, self._forward_only)
+
+
+def _until(pending, tree: dict, stop: int):
+    """The vertices of `pending` up to the one whose processing puts
+    stop in tree."""
+    for v in pending:
+        yield v
+        if stop in tree:
+            return
+
+
+def _search(tree: dict, order: list, pending, columns, edges, forward_only: bool) -> dict:
+    """The BFS loop: process each vertex `pending` yields, adding the
+    vertices it discovers to tree and order."""
+    for v in pending:
         for letter, (out, into) in columns:
             w = out[v]
             if w is not None and w not in tree and (edges is None or (v, letter) in edges):
@@ -337,6 +374,19 @@ def bfs_tree(aut: InverseAutomaton, root: int, edges=None, forward_only: bool = 
                 tree[u] = (v, letter, -1)
                 order.append(u)
     return tree
+
+
+def bfs_tree(aut: InverseAutomaton, root: int, edges=None, forward_only: bool = False
+             ) -> dict[int, tuple[int, int, int]]:
+    """`BfsTree(aut, root, edges, forward_only).grow()`: vertex ->
+    (previous vertex, letter, sign) for root's whole component, in
+    discovery order.  It runs the same loop from the same start without
+    the object, so a whole search pays nothing for resumability.  A
+    caller that reads only the paths to a few vertices grows a BfsTree
+    to each of them instead."""
+    order = [root]
+    return _search({root: (-1, -1, 0)}, order, iter(order),
+                   list(enumerate(zip(aut.fwd, aut.bwd))), edges, forward_only)
 
 
 def tree_word(tree: dict[int, tuple[int, int, int]], v: int) -> Word | None:

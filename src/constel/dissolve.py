@@ -16,7 +16,8 @@ deciders are provided:
 - reachability: materialize H and intersect the fibers over g of the
   lifts.  Complete because the fiber of g in a lift is exactly the
   set of H-endpoints of qualifying words.  Witness words come from one
-  positive, else one signed, BFS tree per lift, built on first use.
+  positive, else one signed, BFS tree per lift, each grown only until it
+  holds the endpoint asked for; a later endpoint resumes the search.
 - linear: for a lazy mod-p top layer over a materialized M, the fibers
   of the lifts meet at an M-endpoint m iff the difference of reference
   paths to m lies in Z(Xi^) + Z(Theta^), the mod-p cycle spaces of the
@@ -29,12 +30,12 @@ deciders are provided:
   base component of Xi intersect Theta, which misses g, so plain layers
   dissolve every constellation.  A failure carries the mod-p
   difference of the traversal vectors of the signed-tree words to m in
-  Xi^ and in Theta^, read off the trees reachability builds.
+  Xi^ and in Theta^, read off the trees reachability grows.
 
 `dissolves_materialized` and `dissolves_linear` decide one
 constellation (Xi, g, Theta) from the three contractions of its pair.
 They keep the lifts of the last (phi, Xi, Theta) they were asked about,
-with the tilde-constant span and the BFS trees built on them, so the g
+with the tilde-constant span and the BFS trees grown on them, so the g
 choices of one pair reuse all three; `dissolve_all` never holds them.
 
 Mirrors.  (Xi, g, Theta) is dissolved exactly when (Theta, g, Xi) is,
@@ -63,7 +64,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Sequence
 
-from .automata import InverseAutomaton, Subgraph, bfs_tree, tree_word
+from .automata import BfsTree, InverseAutomaton, Subgraph, bfs_tree, tree_word
 from .constellations import (Constellation, MinimalCut, _base_component, delta_a,
                              maximal_constellations)
 from .errors import VerificationError
@@ -145,7 +146,7 @@ def reachable_lift(xi: Subgraph, h_group: MaterializedGroup, phi: Morphism
 
 class _LiftView:
     """The edges (h, a) of Gamma(H) over the edges of a subgraph of
-    Gamma(G).  From the base, bfs_tree over this view discovers the lift
+    Gamma(G).  From the base, a BfsTree over this view discovers the lift
     in the order it would over the lift's own edges."""
 
     def __init__(self, edges, image: Sequence[int]):
@@ -170,7 +171,7 @@ class _Lifts:
         self.phi, self.fibers, self.comp = phi, fibers, comp
         self.xi, self.theta, self.halves, self.both = xi, theta, halves, halves[0] & halves[1]
         self.spans: dict[tuple[int, bool], GFpSpan] = {}  # complete spans by (p, tilde)
-        self.trees: dict[tuple[int, bool], dict] = {}  # BFS trees by (side, forward_only)
+        self.trees: dict[tuple[int, bool], BfsTree] = {}  # by (side, forward_only)
 
     def shared(self, g: int) -> list[int]:
         return [h for h in self.fibers[g] if self.comp[h] in self.both]  # ascending
@@ -178,14 +179,15 @@ class _Lifts:
     def word(self, side: int, dst: int, positive_first: bool = False) -> Word | None:
         """Label of a path from 1 to dst in Xi^ (side 0) or Theta^ (side
         1), purely positive when `positive_first` and one exists.  Each
-        tree is built once, on first use."""
+        tree is started once and grown only until it holds dst; a
+        positive tree that never reaches dst is grown to the end."""
         for forward_only in (True, False) if positive_first else (False,):
             tree = self.trees.get((side, forward_only))
             if tree is None:
                 gamma, sub = self.phi.src.cayley, (self.xi, self.theta)[side]
-                tree = self.trees[side, forward_only] = bfs_tree(
+                tree = self.trees[side, forward_only] = BfsTree(
                     gamma, gamma.base, _LiftView(sub.edges, self.phi.mapping), forward_only)
-            u = tree_word(tree, dst)
+            u = tree_word(tree.grow(dst), dst)
             if u is not None:
                 return u
         return None

@@ -104,19 +104,21 @@ def check_size(n: int, what: str) -> None:
 
 
 def parse_int(text: str, what: str) -> int:
-    """int(text) of an input, read without leading zeros; a decimal
-    string still past Python's int-to-str digit limit is at least
+    """int(text) of an input.  A decimal string past Python's int-to-str
+    digit limit is read in ASCII digits, without underscores and leading
+    zeros of any script; one still past the limit is at least
     10^(digits - 1) in size, and check_size refuses it as a `what`.
     Text that int() cannot read at any length is named as not an integer."""
     try:
         return int(text)
     except ValueError:
-        if not re.fullmatch(r"\s*[+-]?\d(_?\d)*\s*", text):
+        match = re.fullmatch(r"\s*([+-]?)(\d(?:_?\d)*)\s*", text)
+        if not match:
             raise ValueError("%s %.200r is not an integer" % (what, text.strip())) from None
-    match = re.fullmatch(r"\s*([+-]?)0*([0-9]+)\s*", text)
-    if match and len(match[2]) > sys.get_int_max_str_digits() > 0:
-        check_size(10 ** (len(match[2]) - 1), what)
-    return int(match[1] + match[2]) if match else int(text)
+    digits = "".join(str(int(c)) for c in match[2] if c != "_").lstrip("0")  # ASCII digits
+    if len(digits) > sys.get_int_max_str_digits() > 0:
+        check_size(10 ** (len(digits) - 1), what)
+    return int(match[1] + (digits or "0"))
 
 
 class MaterializedGroup:

@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from constel.automata import (InverseAutomaton, LabeledGraph, Subgraph,
+from constel.automata import (BfsTree, InverseAutomaton, LabeledGraph, Subgraph,
                               amalgam, as_inverse_automaton, bfs_tree, bouquet,
                               canonical, core_of_words, embed_check, fold,
                               full_subgraph, member, pointed_isomorphic,
@@ -401,6 +401,55 @@ def test_bfs_tree_depths_match_networkx_path_lengths():
                     tree = bfs_tree(aut, root, edges, forward_only)
                     depths = {v: len(tree_word(tree, v)) for v in tree}
                     assert depths == nx.single_source_shortest_path_length(graph, root)
+
+
+def reference_tree(aut, root, edges, forward_only):
+    """The whole search, written as a queue over signed steps, letters
+    ascending and the forward step first: the oracle for the order and
+    the entries of every tree, grown in pieces or at once."""
+    tree, queue = {root: (-1, -1, 0)}, deque([root])
+    while queue:
+        v = queue.popleft()
+        for letter in range(aut.n_letters):
+            for sign in (1,) if forward_only else (1, -1):
+                w = aut.step(v, letter, sign)
+                if w is None or w in tree:
+                    continue
+                if edges is None or ((v, letter) if sign > 0 else (w, letter)) in edges:
+                    tree[w] = (v, letter, sign)
+                    queue.append(w)
+    return tree
+
+
+def test_tree_grown_in_pieces_is_a_prefix_of_the_whole_search():
+    rng = random.Random(29)
+    auts = [core_of_words([random_reduced_word(rng, 8) for _ in range(3)], 2)
+            for _ in range(25)] + oracle_cayley_graphs()
+    for aut in auts:
+        all_edges = [(u, letter) for u, letter, _ in aut.pos_edges()]
+        for edges in (None, frozenset(e for e in all_edges if rng.random() < 0.6)):
+            for forward_only in (False, True):
+                root = rng.randrange(aut.n)
+                full = list(reference_tree(aut, root, edges, forward_only).items())
+                assert list(bfs_tree(aut, root, edges, forward_only).items()) == full
+                index = {v: i for i, (v, _) in enumerate(full)}
+                stops = rng.choices(range(aut.n), k=6)
+                off = [v for v in range(aut.n) if v not in index]
+                if off:
+                    stops.insert(rng.randrange(len(stops) + 1), rng.choice(off))
+                tree, grown = BfsTree(aut, root, edges, forward_only), 1
+                for stop in stops:
+                    assert tree.grow(stop) is tree.tree
+                    if stop not in index:
+                        grown = len(full)
+                    elif stop != root:
+                        # processed up to stop's previous vertex, and no further
+                        last = index[full[index[stop]][1][0]]
+                        grown = max(grown, sum(1 for _, (u, *_) in full
+                                               if index.get(u, -1) <= last))
+                    assert list(tree.tree.items()) == full[:grown]
+                    assert (stop in tree.tree) == (stop in index)
+                assert list(tree.grow().items()) == full
 
 
 def traversed_edges(aut, v, u):

@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import constel
+import constel.dissolve
 import constel.groups
-from constel.automata import as_inverse_automaton, fold, read_aut
+from constel.automata import BfsTree, as_inverse_automaton, fold, read_aut
 from constel.cli import _build_parser, main, parse_group_spec, parse_layers
 from constel.completion import complete_to_alternating
 from constel.groups import (DEFAULT_BOUND, CyclicSpec, ExtensionSpec, KleinSpec, PermSpec,
@@ -263,25 +264,27 @@ def test_unprintable_order_exits_2_with_nothing_on_stdout(tmp_path):
 
 
 @pytest.mark.parametrize("args, what", [
-    (["cayley", "--group", "cyclic(1%s;a=1)"], "cyclic group order"),
-    (["gaschutz-info", "--group", "gaschutz(cyclic(2;a=1,b=1),1%s)"], "modulus"),
-    (["dissolve", "--group", "cyclic(2;a=1,b=1)", "--layers", "~1%s"], "modulus"),
-    (["evaluate", "--group", "cyclic(2;a=1,b=1)", "--word", "a^1%s"], "word exponent"),
+    (["cayley", "--group", "cyclic(%s;a=1)"], "cyclic group order"),
+    (["gaschutz-info", "--group", "gaschutz(cyclic(2;a=1,b=1),%s)"], "modulus"),
+    (["dissolve", "--group", "cyclic(2;a=1,b=1)", "--layers", "~%s"], "modulus"),
+    (["evaluate", "--group", "cyclic(2;a=1,b=1)", "--word", "a^%s"], "word exponent"),
     (["fold", "--automaton", "big.aut"], "bad .aut line 1: vertex id"),
 ])
 def test_spec_integers_past_the_digit_limit_are_refused_by_size(args, what, tmp_path):
-    # 5001 digits, past Python's int-to-str limit of 4300
-    (tmp_path / "big.aut").write_text("edge 0 a 1%s\nbase 0\n" % ("0" * 5000))
-    code, out, err = run([str(tmp_path / arg) if arg.endswith(".aut")
-                          else arg.replace("%s", "0" * 5000) for arg in args])
-    assert (code, out) == (2, "")
-    assert err == "error: %s >= 2^16609 exceeds the bound 1000000\n" % what
-    assert "set_int_max_str_digits" not in err
+    # 5001 digits, past Python's int-to-str limit of 4300, in each form int() reads
+    for number in ("1" + "0" * 5000, "1_" + "0" * 5000, "\u0661" * 5001):
+        (tmp_path / "big.aut").write_text("edge 0 a %s\nbase 0\n" % number)
+        code, out, err = run([str(tmp_path / arg) if arg.endswith(".aut")
+                              else arg.replace("%s", number) for arg in args])
+        assert (code, out) == (2, "")
+        assert err == "error: %s >= 2^16609 exceeds the bound 1000000\n" % what
+        assert "set_int_max_str_digits" not in err
 
 
 def test_spec_integers_with_leading_zeros_past_the_digit_limit():
     assert parse_group_spec("cyclic(%s3;a=1)" % ("0" * 5000)) == CyclicSpec(3, (1,))
     assert parse_layers("~%s2" % ("0" * 5000)) == ((2, True),)
+    assert parse_layers("~%s\u0662" % ("\u0660" * 5000)) == ((2, True),)
 
 
 @pytest.mark.parametrize("args, what", [
@@ -740,6 +743,39 @@ def test_reports_are_byte_identical(argv, code, digest, to_files, tmp_path, monk
 def test_every_subcommand_has_a_report_digest():
     # the report envelope is checked on every subcommand, one added later too
     assert set(subcommands()) == {argv[0] for argv, _, _ in REPORT_DIGESTS}
+
+
+def test_weak_dissolve_grows_witness_trees_only_to_their_witnesses(monkeypatch):
+    # the ten witness trees on the 24,576-element top would discover
+    # 98,314 vertices grown whole; grown to each witness, far fewer
+    grown = []
+
+    class Kept(BfsTree):
+        def __init__(self, *args):
+            super().__init__(*args)
+            grown.append(self)
+
+    monkeypatch.setattr(constel.dissolve, "BfsTree", Kept)
+    argv = ["dissolve", "--group", "cyclic(12;a=1,b=1)", "--layers", "~2", "--weak"]
+    want = next((code, digest) for args, code, digest in REPORT_DIGESTS if args == argv)
+    code, out, _ = run(argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == want
+    assert len(grown) == 10 and sum(len(tree.tree) for tree in grown) < 25000
+
+
+def test_python_m_constel_runs_the_command_line():
+    # without the installed `constel` script, `python -m constel` prints
+    # the same report and exits with the same code
+    argv = ["dissolve", "--group", KLEIN, "--layers", "~3"]
+    want = next((code, digest) for args, code, digest in REPORT_DIGESTS if args == argv)
+    env = dict(os.environ, PYTHONPATH=str(Path(constel.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-m", "constel", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, hashlib.sha256(done.stdout.encode()).hexdigest()) == want
+    refused = subprocess.run([sys.executable, "-m", "constel", "nosuch"], env=env,
+                             capture_output=True, text=True, timeout=60)
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert refused.stderr.startswith("usage: constel")
 
 
 def test_one_parser_serves_every_call_of_a_process():

@@ -8,7 +8,7 @@ import pytest
 import constel.constellations
 import constel.dissolve
 import constel.groups
-from constel.automata import Subgraph, bfs_tree, full_subgraph, tree_word
+from constel.automata import BfsTree, Subgraph, bfs_tree, full_subgraph, tree_word
 from constel.constellations import delta_a, maximal_constellations, minimal_cut_sets
 from constel.dissolve import (DissolveReport, GFpSpan, counting_lifts_check,
                               cycle_space_rows, detecting_edges_check,
@@ -381,16 +381,16 @@ def one_g_reports(decide, pairs, cold: bool = False):
 
 
 def log_trees(monkeypatch):
-    """(lifted edge set, forward_only) of each BFS tree that dissolve
-    builds from now on.  The list holds the edge sets, so no id is reused."""
+    """(lifted edge set, forward_only) of each witness tree that dissolve
+    starts from now on.  The list holds the edge sets, so no id is reused."""
     trees = []
-    real = constel.dissolve.bfs_tree
 
-    def logged(aut, root, edges=None, forward_only=False):
-        trees.append((edges.edges, forward_only))
-        return real(aut, root, edges, forward_only)
+    class Logged(BfsTree):
+        def __init__(self, aut, root, edges=None, forward_only=False):
+            trees.append((edges.edges, forward_only))
+            super().__init__(aut, root, edges, forward_only)
 
-    monkeypatch.setattr(constel.dissolve, "bfs_tree", logged)
+    monkeypatch.setattr(constel.dissolve, "BfsTree", Logged)
     return trees
 
 

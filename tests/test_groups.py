@@ -14,7 +14,7 @@ from constel.groups import (DEFAULT_BOUND, CyclicSpec, ExtensionSpec, KleinSpec,
                             OrderBoundError, PermSpec, ProductSpec,
                             _smith_diagonal, abelian_relations, abelianization,
                             canonical_morphism, coset_walk, identity_morphism,
-                            materialize, product_A, subgroup_closure,
+                            materialize, parse_int, product_A, subgroup_closure,
                             table_automaton, traversal_vector)
 from constel.perms import from_cycles
 from constel.words import Word, parse_word
@@ -96,6 +96,24 @@ def test_order_bound(monkeypatch):
         materialize(PermSpec(3, S3_GENS))
     with pytest.raises(OrderBoundError):
         materialize(ProductSpec(CyclicSpec(2, (1, 1)), CyclicSpec(3, (1, 1))))
+
+
+@pytest.mark.parametrize("text", ["1" + "0" * 5000, "1_" + "0" * 5000, "\u0661" * 5001,
+                                  " -" + "0_" * 3000 + "7" * 5001 + " "])
+def test_parse_int_refuses_every_form_past_the_digit_limit_by_size(text):
+    # 5001 significant digits, past Python's int-to-str limit of 4300,
+    # whatever the script, underscores and leading zeros
+    with pytest.raises(OrderBoundError) as caught:
+        parse_int(text, "n")
+    assert str(caught.value) == "n >= 2^16609 exceeds the bound %d" % DEFAULT_BOUND
+
+
+def test_parse_int_reads_leading_zeros_of_any_script_past_the_digit_limit():
+    assert parse_int("\u0660" * 5000 + "\u0663", "n") == 3
+    assert parse_int("0_" * 5000 + "42", "n") == 42
+    assert parse_int("-" + "0" * 5000, "n") == 0
+    with pytest.raises(ValueError, match="is not an integer"):
+        parse_int("0" * 5000 + "x", "n")
 
 
 def test_cayley_is_complete_and_based_at_identity():
