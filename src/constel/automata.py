@@ -30,18 +30,14 @@ class LabeledGraph:
         self.edges: list[tuple[int, int, int]] = []
         self.base: int | None = None
 
-    def add_vertex(self, v: int) -> None:
-        self.vertices.add(v)
-
     def add_edge(self, u: int, letter: int, v: int) -> None:
         if not 0 <= letter < self.n_letters:
             raise ValueError("letter %d out of range" % letter)
-        self.add_vertex(u)
-        self.add_vertex(v)
+        self.vertices.update((u, v))
         self.edges.append((u, letter, v))
 
     def set_base(self, v: int) -> None:
-        self.add_vertex(v)
+        self.vertices.add(v)
         self.base = v
 
 
@@ -197,10 +193,10 @@ def trim(aut: InverseAutomaton) -> InverseAutomaton:
     degree = [aut.degree(v) for v in range(aut.n)]
     alive = [True] * aut.n
     worklist = [v for v in range(aut.n) if v != aut.base and degree[v] <= 1]
+    # A vertex is queued when its degree starts at <= 1 or first falls to 1,
+    # and degrees only fall, so no vertex is popped twice.
     while worklist:
         v = worklist.pop()
-        if not alive[v]:
-            continue
         alive[v] = False  # a loop at v dies with it
         for col in aut.fwd + aut.bwd:
             w = col[v]
@@ -431,9 +427,6 @@ class Subgraph:
     def dst(self, edge: tuple[int, int]) -> int:
         return self.parent.fwd[edge[1]][edge[0]]
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self.vertices
-
     def neighbors(self, v: int):
         """Yield (next vertex, letter, sign, positive edge id)."""
         for letter, (out, into) in enumerate(zip(self.parent.fwd, self.parent.bwd)):
@@ -514,8 +507,7 @@ def amalgam(xi: Subgraph, theta: Subgraph) -> InverseAutomaton:
     g = LabeledGraph(parent.n_letters)
     for sub, odd in ((xi, 0), (theta, 1)):  # theta's vertices other than the base go odd
         gid = {v: 2 * v + 1 if odd and v != base else 2 * v for v in sub.vertices}
-        for v in gid.values():
-            g.add_vertex(v)
+        g.vertices.update(gid.values())
         for u, letter in sub.edges:
             g.add_edge(gid[u], letter, gid[sub.dst((u, letter))])
     g.set_base(2 * base)
@@ -584,8 +576,7 @@ def read_aut(text: str) -> LabeledGraph:
         names = sorted({letter for _, letter, _ in raw_edges})
     index = {c: i for i, c in enumerate(names)}
     g = LabeledGraph(len(names), tuple(names))
-    for v in raw_vertices:
-        g.add_vertex(v)
+    g.vertices.update(raw_vertices)
     for u, letter, v in raw_edges:
         if letter not in index:
             raise ValueError("edge letter %r not in alphabet" % letter)

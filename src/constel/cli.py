@@ -418,8 +418,7 @@ def _cmd_rank_check(args) -> tuple[dict, bool]:
 def _cmd_abelianization(args) -> tuple[dict, bool]:
     spec = parse_group_spec(args.group)
     if isinstance(spec, ExtensionSpec):
-        layer = _layer(spec)
-        factors = layer_abelianization(layer.base, layer.p, tilde=layer.tilde)
+        factors = layer_abelianization(_layer(spec))
     else:
         factors = abelianization(materialize(spec))
     return {"factors": factors}, True
@@ -494,6 +493,15 @@ def _cmd_corpus(args) -> tuple[dict, bool]:
 
 # ---------------------------------------------------------------- driver
 
+def _int_option(text: str) -> int:
+    """argparse type for integer options: `parse_int`, with its message
+    kept (argparse would replace a plain ValueError's with its own)."""
+    try:
+        return parse_int(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use.  Its
@@ -515,13 +523,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("core", _cmd_core, help="Stallings automaton of <gens>")
     p.add_argument("--gens", required=True)
-    p.add_argument("--letters", type=int)
+    p.add_argument("--letters", type=_int_option)
     p.add_argument("--aut-out")
 
     p = cmd("member", _cmd_member, help="subgroup membership")
     p.add_argument("--gens", required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--letters", type=int)
+    p.add_argument("--letters", type=_int_option)
 
     p = cmd("cayley", _cmd_cayley, help="Cayley graph of a group spec")
     p.add_argument("--group", required=True)
@@ -533,7 +541,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = cmd("amalgam", _cmd_amalgam, help="one amalgam of a maximal pair")
     p.add_argument("--group", required=True)
-    p.add_argument("--index", type=int, default=0)
+    p.add_argument("--index", type=_int_option, default=0)
     p.add_argument("--aut-out")
 
     p = cmd("ag", _cmd_ag, help="chained amalgam assembly")
@@ -543,9 +551,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = cmd("complete-alternating", _cmd_complete_alternating,
             help="complete to an alternating-certified automaton")
     p.add_argument("--automaton", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_int_option)
+    p.add_argument("--k", type=_int_option)
+    p.add_argument("--seed", type=_int_option, default=0)
     p.add_argument("--aut-out")
 
     p = cmd("certify-an", _cmd_certify_an, help="alternating certificate")
@@ -570,17 +578,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, help="the covering group H")
     p.add_argument("--base", required=True, help="the base group G")
     p.add_argument("--letter", required=True)
-    p.add_argument("--sign", type=int, default=1, choices=(1, -1))
+    p.add_argument("--sign", type=_int_option, default=1, choices=(1, -1))
 
     p = cmd("key-lemma", _cmd_key_lemma, help="edge-translate disconnection")
     p.add_argument("--group", required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_int_option, required=True)
     p.add_argument("--subgroup", required=True,
                    help="comma-separated generator words for K")
 
     p = cmd("rank-check", _cmd_rank_check, help="kernel rank vs cycle dimension")
     p.add_argument("--group", required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_int_option, required=True)
     p.add_argument("--tilde", action="store_true")
 
     p = cmd("abelianization", _cmd_abelianization, help="invariant factors")
@@ -597,10 +605,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", required=True)
 
     p = cmd("corpus", _cmd_corpus, help="seeded incomplete-automaton corpus")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--m-min", type=int, default=3)
-    p.add_argument("--m-max", type=int, default=8)
+    p.add_argument("--seed", type=_int_option, default=0)
+    p.add_argument("--count", type=_int_option, default=10)
+    p.add_argument("--m-min", type=_int_option, default=3)
+    p.add_argument("--m-max", type=_int_option, default=8)
     p.add_argument("--dir", default="corpus")
 
     return parser
@@ -628,7 +636,3 @@ def main(argv=None) -> int:
         except VerificationError as exc:
             sys.stderr.write("error: self-check failed: %s\n" % exc)
             return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

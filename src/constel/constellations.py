@@ -37,7 +37,7 @@ def _base_component(xi: Subgraph, theta: Subgraph) -> dict:
     if base is None:
         raise ValueError("constellations need a based parent graph")
     for name, sub in (("xi", xi), ("theta", theta)):
-        if not sub.has_vertex(base):
+        if base not in sub.vertices:
             raise ValueError("%s must contain the base vertex and g" % name)
         if not sub.is_connected():
             raise ValueError("%s is not connected" % name)
@@ -52,7 +52,7 @@ def _check_constellations(xi: Subgraph, theta: Subgraph, g_choices) -> None:
     if xi.parent.base in g_choices:
         raise ValueError("g coincides with the base vertex")
     for name, sub in (("xi", xi), ("theta", theta)):
-        if not all(sub.has_vertex(g) for g in g_choices):
+        if not all(g in sub.vertices for g in g_choices):
             raise ValueError("%s must contain the base vertex and g" % name)
     if any(g in upsilon for g in g_choices):
         raise ValueError("base and g lie in one component of the intersection")

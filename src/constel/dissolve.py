@@ -133,7 +133,7 @@ def reachable_lift(xi: Subgraph, h_group: MaterializedGroup, phi: Morphism
     the contraction of that preimage."""
     _check_source(h_group, phi)
     _check_target(phi, xi)
-    if not xi.has_vertex(xi.parent.base):
+    if xi.parent.base not in xi.vertices:
         raise ValueError("the base vertex must lie in the subgraph")
     all_fibers = phi.fibers()
     comp = frozenset(h for h, c in enumerate(_contract(h_group.cayley, all_fibers, xi.edges))
@@ -200,7 +200,7 @@ def _pair_lifts(phi: Morphism, xi: Subgraph, theta: Subgraph) -> _Lifts:
     Xi, so the component of 1 in Xi's contraction is a union of
     components of S's; likewise for Theta."""
     _check_target(phi, xi, theta)
-    if not (xi.has_vertex(xi.parent.base) and theta.has_vertex(xi.parent.base)):
+    if not (xi.parent.base in xi.vertices and xi.parent.base in theta.vertices):
         raise ValueError("the base vertex must lie in the subgraph")
     aut, fibers = phi.src.cayley, phi.fibers()
     comp = _contract(aut, fibers, xi.edges & theta.edges)
@@ -243,14 +243,14 @@ def _bond_lifts(phi: Morphism, cut: MinimalCut):
 
 def _path_stays(sub: Subgraph, w: Word) -> bool:
     v = sub.parent.base
-    if not sub.has_vertex(v):
+    if v not in sub.vertices:
         return False
     for letter, sign in w:
         nxt = sub.parent.step(v, letter, sign)
         if nxt is None:
             return False
         edge = (v, letter) if sign > 0 else (nxt, letter)
-        if edge not in sub.edges or not sub.has_vertex(nxt):
+        if edge not in sub.edges or nxt not in sub.vertices:
             return False
         v = nxt
     return True

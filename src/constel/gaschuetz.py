@@ -219,7 +219,7 @@ def center(layer: GaschuetzLayer) -> CenterInfo:
         gen = GaschuetzElement(vec, 0, False)
         pieces = []
         a_step = Permutation(tuple(base.cayley.fwd[a]))
-        for cycle in a_step.cycles(include_fixed=True):
+        for cycle in a_step.cycles():
             w_i = tree_word(tree, cycle[0])
             if w_i is None:
                 raise VerificationError("element %d is unreachable in the Cayley graph" % cycle[0])
@@ -331,9 +331,9 @@ def build_tower(spec: TowerSpec) -> Tower:
     return Tower(spec, tuple(levels), top, tuple(projections))
 
 
-def layer_abelianization(base: MaterializedGroup, p: int, tilde: bool) -> list[int]:
+def layer_abelianization(layer: GaschuetzLayer) -> list[int]:
     """Invariant factors of the layer's abelianization, without
-    materializing the layer.
+    materializing the layer; its modulus was checked when it was built.
 
     Words trivial in the plain layer are the w with trivial base image
     and traversal vector zero mod p; their letter-count vectors form
@@ -346,10 +346,10 @@ def layer_abelianization(base: MaterializedGroup, p: int, tilde: bool) -> list[i
     sum p*d_i Z f_i and |G|Z^A = sum |G| Z f_i, so the factors are p*d_i
     resp. gcd(p*d_i, |G|), and gcd(p*d_i, |G|) keeps the divisibility chain.
     """
-    check_modulus(p)
+    base, p = layer.base, layer.p
     diag = _smith_diagonal(abelian_relations(base), base.n_letters)
     if len(diag) != base.n_letters:
         raise VerificationError("the relation lattice has infinite index")
-    factors = [gcd(p * d, base.order) if tilde else p * d for d in diag]
+    factors = [gcd(p * d, base.order) if layer.tilde else p * d for d in diag]
     return [d for d in factors if d > 1]
 

@@ -47,8 +47,8 @@ class Permutation:
             k >>= 1
         return result
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycles, each starting at its least point, sorted."""
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Disjoint cycles, fixed points as 1-cycles, each from its least point, sorted."""
         seen = [False] * self.degree
         out = []
         for start in range(self.degree):
@@ -61,12 +61,11 @@ class Permutation:
                 seen[v] = True
                 cyc.append(v)
                 v = self.images[v]
-            if len(cyc) > 1 or include_fixed:
-                out.append(tuple(cyc))
+            out.append(tuple(cyc))
         return out
 
     def is_even(self) -> bool:
-        return (self.degree - len(self.cycles(include_fixed=True))) % 2 == 0
+        return (self.degree - len(self.cycles())) % 2 == 0
 
 
 def identity(n: int) -> Permutation:
@@ -290,7 +289,7 @@ def _prime_cycles(lengths: list[int]):
 def prime_power_cycle(p: Permutation) -> tuple[int, int] | None:
     """Find (q, r) with q prime and least so that p**r is a single
     q-cycle, or None if there is none."""
-    return next(_prime_cycles([len(c) for c in p.cycles(include_fixed=True)]), None)
+    return next(_prime_cycles([len(c) for c in p.cycles()]), None)
 
 
 def is_prime(n: int) -> bool:
@@ -346,7 +345,7 @@ def alternating_certificate(g: PermGroupGens) -> AlternatingCertificate:
     if n < 5:
         raise ValueError("alternating certificate requires degree >= 5")
     transitive = is_transitive(g)
-    cycles = [p.cycles(include_fixed=True) for p in g.perms]
+    cycles = [p.cycles() for p in g.perms]
     lengths = [[len(c) for c in cs] for cs in cycles]
     all_even = all((n - len(ls)) % 2 == 0 for ls in lengths)
     least = [next(_prime_cycles(ls), None) for ls in lengths]  # prime_power_cycle per letter

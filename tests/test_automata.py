@@ -28,8 +28,7 @@ def z2_cayley() -> InverseAutomaton:
 
 def graph_from_edges(n, n_letters, edges, base=0) -> LabeledGraph:
     g = LabeledGraph(n_letters)
-    for v in range(n):
-        g.add_vertex(v)
+    g.vertices.update(range(n))
     for u, letter, v in edges:
         g.add_edge(u, letter, v)
     g.set_base(base)

@@ -14,6 +14,7 @@ import pytest
 
 import constel
 import constel.dissolve
+import constel.gaschuetz
 import constel.groups
 from constel.automata import BfsTree, as_inverse_automaton, fold, read_aut
 from constel.cli import _build_parser, main, parse_group_spec, parse_layers
@@ -49,6 +50,8 @@ def test_group_spec_language():
         ExtensionSpec(CyclicSpec(2, (1, 1)), 2, True), 5, False)
     assert parse_group_spec("prodA(cyclic(2; a=1,b=1), cyclic(3; a=1,b=1))") == ProductSpec(
         CyclicSpec(2, (1, 1)), CyclicSpec(3, (1, 1)))
+    assert parse_group_spec("perm(4;a=(0 1) (2 3),b=(0 2))") == PermSpec(
+        4, (from_cycles(4, [(0, 1), (2, 3)]), from_cycles(4, [(0, 2)])))
     for bad in ("cyclic", "cyclic(2)", "wat(3)", "klein(a=3, b=01)"):
         with pytest.raises(ValueError):
             parse_group_spec(bad)
@@ -301,6 +304,35 @@ def test_non_integers_are_named_by_what_was_read(args, what, tmp_path):
     assert err == "error: %s is not an integer\n" % what
 
 
+@pytest.mark.parametrize("value, message", [
+    ("x", "value 'x' is not an integer"),
+    ("1" + "0" * 5000, "value >= 2^16609 exceeds the bound 1000000"),
+])
+def test_integer_options_are_read_by_parse_int(value, message):
+    # argparse prints its usage line, then parse_int's message for the option
+    code, out, err = run(["rank-check", "--group", "cyclic(2;a=1,b=1)", "--p", value])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: constel rank-check")
+    assert err.endswith("\nconstel rank-check: error: argument --p: %s\n" % message)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("cyclic(3;a=1))", "unbalanced parentheses in 'a=1)'"),
+    ("cyclic(3;a=1),b=(1)", "unbalanced parentheses in 'a=1),b=(1'"),
+    ("cyclic(3;1)", "expected letter=value, got '1'"),
+    ("cyclic(3;ab=1)", "letter names must be single characters a-z, got 'ab'"),
+    ("gaschutz(cyclic(2;a=1,b=1))", "gaschutz(<spec>, p) takes two arguments"),
+    ("prodA(cyclic(2;a=1,b=1))", "prodA(<spec>, <spec>) takes two arguments"),
+    ("perm(4;a=0 1)", "expected '(' in cycle notation '0 1'"),
+    ("prodA(tilde(cyclic(2;a=1),3),cyclic(2;a=1,b=1))",
+     "product components must share the alphabet"),
+    ("prodA(prodA(cyclic(2;a=1),cyclic(3;a=1)),cyclic(2;a=1,b=1))",
+     "product components must share the alphabet"),
+])
+def test_malformed_specs_are_refused_with_their_message(spec, message):
+    assert run(["cayley", "--group", spec]) == (2, "", "error: %s\n" % message)
+
+
 def test_parse_int_reads_what_int_reads():
     for text in ("-3", " +7 ", "1_000", "\u0661\u0662", "007"):
         assert constel.groups.parse_int(text, "n") == int(text)
@@ -353,6 +385,16 @@ def test_abelianization_command():
                      "tilde(klein(a=10, b=01),3)"])["factors"] == [2, 2]
     assert run_json(["abelianization", "--group",
                      "tilde(cyclic(2; a=1,b=1),3)"])["factors"] == [2]
+
+
+def test_abelianization_checks_a_layer_modulus_once(monkeypatch):
+    # trial division to sqrt(p) is the command's main cost at a 12-digit prime
+    calls = []
+    check = constel.gaschuetz.check_modulus
+    monkeypatch.setattr(constel.gaschuetz, "check_modulus", lambda p: calls.append(p) or check(p))
+    spec = "tilde(cyclic(2;a=1,b=1),999999999989)"
+    assert run_json(["abelianization", "--group", spec])["factors"] == [2]
+    assert calls == [999999999989]
 
 
 def test_closure_command():
@@ -570,7 +612,7 @@ def test_identity_letters_warn_only_for_the_named_group():
     env.pop("PYTHONWARNINGS", None)
 
     def stderr(spec):
-        proc = subprocess.run([sys.executable, "-m", "constel.cli", "cayley", "--group", spec],
+        proc = subprocess.run([sys.executable, "-m", "constel", "cayley", "--group", spec],
                               env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         return proc.stderr
@@ -790,7 +832,7 @@ def test_one_parser_serves_every_call_of_a_process():
     argv, want_code, digest = next(entry for entry in REPORT_DIGESTS if entry[0][0] == "amalgam")
     code, out, _ = run(argv)
     env = dict(os.environ, PYTHONPATH=str(Path(constel.__file__).parent.parent))
-    fresh = subprocess.run([sys.executable, "-m", "constel.cli", *argv], env=env,
+    fresh = subprocess.run([sys.executable, "-m", "constel", *argv], env=env,
                            capture_output=True, text=True, timeout=60)
     assert (code, out) == (fresh.returncode, fresh.stdout)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want_code, digest)

@@ -128,7 +128,7 @@ def test_completion_invariants_over_random_cores():
         assert all(p.is_even() for p in group.perms)
         assert completed.is_complete()
         assert cert.valid(), (m, n)
-        lengths = sorted(len(c) for c in group.perms[plan.b].cycles(include_fixed=True))
+        lengths = sorted(len(c) for c in group.perms[plan.b].cycles())
         assert lengths.count(plan.q) == 1
         assert all(l < plan.q for l in lengths if l != plan.q)
         done += 1

@@ -8,7 +8,8 @@ import pytest
 import constel.constellations
 import constel.dissolve
 import constel.groups
-from constel.automata import BfsTree, Subgraph, bfs_tree, full_subgraph, tree_word
+from constel.automata import (BfsTree, InverseAutomaton, Subgraph, bfs_tree, full_subgraph,
+                              tree_word)
 from constel.constellations import delta_a, maximal_constellations, minimal_cut_sets
 from constel.dissolve import (DissolveReport, GFpSpan, counting_lifts_check,
                               cycle_space_rows, detecting_edges_check,
@@ -645,6 +646,18 @@ def test_failed_witness_check_raises(monkeypatch):
         dissolves_materialized(mat, phi, delta_a(base, 0))
 
 
+def test_path_stays_rejects_each_way_out():
+    # the parent is partial: its one edge is 0 -a-> 1, and 0 is its base
+    parent = InverseAutomaton(2, 2, [(0, 0, 1)], 0)
+    a, a_inv, b = Word(((0, 1),)), Word(((0, -1),)), Word(((1, 1),))
+    stays = constel.dissolve._path_stays
+    edge = Subgraph(parent, frozenset({(0, 0)}), frozenset({0, 1}))
+    assert stays(edge, a) and stays(edge, Word(((0, 1), (0, -1))))
+    assert not stays(Subgraph(parent, frozenset(), frozenset({1})), Word(()))  # base outside
+    assert not stays(edge, b) and not stays(edge, a_inv)  # no such step in the parent
+    assert not stays(Subgraph(parent, frozenset(), frozenset({0, 1})), a)  # edge outside
+
+
 def test_reachable_lift_fibers_match_brute_force():
     base = z2()
     layer = GaschuetzLayer(base, 2, tilde=True)
@@ -750,7 +763,7 @@ def test_inputs_off_the_morphism_source_are_refused():
     with pytest.raises(ValueError, match="must start at the layer's base group"):
         dissolves_linear(layer, phi, c)
     assert not dissolves_materialized(h_group, phi, c).dissolved
-    assert reachable_lift(c.xi, h_group, phi)[0].has_vertex(0)
+    assert 0 in reachable_lift(c.xi, h_group, phi)[0].vertices
 
 
 def test_linear_method_requires_matching_base():

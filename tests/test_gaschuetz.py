@@ -397,10 +397,10 @@ def test_tower_rejects_composite_modulus():
 
 
 def test_layer_abelianization_fixtures():
-    assert layer_abelianization(z2(), 2, False) == [2, 4]
-    assert layer_abelianization(z2(), 2, True) == [2, 2]
-    assert layer_abelianization(z2(), 3, True) == [2]
-    assert layer_abelianization(klein(), 3, True) == [2, 2]
+    assert layer_abelianization(GaschuetzLayer(z2(), 2, False)) == [2, 4]
+    assert layer_abelianization(GaschuetzLayer(z2(), 2, True)) == [2, 2]
+    assert layer_abelianization(GaschuetzLayer(z2(), 3, True)) == [2]
+    assert layer_abelianization(GaschuetzLayer(klein(), 3, True)) == [2, 2]
 
 
 def test_layer_abelianization_matches_materialized():
@@ -411,7 +411,7 @@ def test_layer_abelianization_matches_materialized():
                 layer = GaschuetzLayer(base, p, tilde)
                 if layer.order() <= 1000:
                     want = abelianization(layer.materialize())
-                    assert layer_abelianization(base, p, tilde) == want, (name, p, tilde)
+                    assert layer_abelianization(layer) == want, (name, p, tilde)
                     checked += 1
     assert checked >= 100
 
@@ -436,7 +436,8 @@ def test_layer_abelianization_matches_the_scaled_lattice():
                 factors = [abs(int(d)) for d in invariant_factors(Matrix(rows), domain=ZZ)]
                 assert 0 not in factors, (name, p, tilde)  # finite index
                 want = [d for d in factors if d > 1]
-                assert layer_abelianization(base, p, tilde) == want, (name, p, tilde)
+                layer = GaschuetzLayer(base, p, tilde)
+                assert layer_abelianization(layer) == want, (name, p, tilde)
                 checked.add((tilde, base.order % p == 0))
     # plain and tilde, with p dividing |G| and coprime to it
     assert checked == {(False, False), (False, True), (True, False), (True, True)}
@@ -445,7 +446,7 @@ def test_layer_abelianization_matches_the_scaled_lattice():
 def test_layer_abelianization_of_a_wide_base():
     base = materialize(CyclicSpec(60, (1, 1, 1)))
     start = time.perf_counter()
-    assert layer_abelianization(base, 2, False) == [2, 2, 120]
+    assert layer_abelianization(GaschuetzLayer(base, 2, False)) == [2, 2, 120]
     assert time.perf_counter() - start < 2
 
 
@@ -455,7 +456,7 @@ def test_layer_abelianization_scales_past_materialization():
     # 108 * 5^107 and cannot be enumerated
     g108 = GaschuetzLayer(klein(), 3, tilde=True).materialize()
     assert g108.order == 108
-    assert layer_abelianization(g108, 5, True) == [2, 2]
+    assert layer_abelianization(GaschuetzLayer(g108, 5, True)) == [2, 2]
 
 
 def test_build_tower_checks_its_projections(monkeypatch):
@@ -488,4 +489,4 @@ def test_center_checks_its_witnesses(monkeypatch):
 def test_layer_abelianization_checks_the_lattice_index(monkeypatch):
     monkeypatch.setattr(constel.gaschuetz, "_smith_diagonal", lambda rows, ncols: [2])
     with pytest.raises(VerificationError):
-        layer_abelianization(klein(), 2, tilde=False)
+        layer_abelianization(GaschuetzLayer(klein(), 2, False))

@@ -44,10 +44,12 @@ def test_sign_inverse():
 
 def test_cycle_notation_round_trip():
     p = parse_cycles("(0 1 2)(3 4)", 6)
-    assert p.cycles() == [(0, 1, 2), (3, 4)]
+    assert p.cycles() == [(0, 1, 2), (3, 4), (5,)]
     assert parse_cycles("()", 4) == identity(4)
     with pytest.raises(ValueError):
         parse_cycles("(0 1)(1 2)", 4)  # point repeated
+    with pytest.raises(ValueError, match="unbalanced cycle notation"):
+        parse_cycles("(0 1", 4)  # the CLI's spec parser refuses this before parse_cycles
     with pytest.raises(ValueError):
         parse_cycles("(0 9)", 4)
     for bad in ("(0 1 1)", "(0 0)", "(1)(1 2)"):
@@ -321,7 +323,7 @@ def test_prime_power_cycle_verified_literally():
         q, r = got
         power = p ** r
         lengths = sorted(len(c) for c in power.cycles())
-        assert lengths == [q], (p, got)
+        assert lengths == [1] * (9 - q) + [q], (p, got)
 
 
 def test_is_prime():
@@ -538,9 +540,9 @@ def count_cycle_splits(monkeypatch):
     calls = []
     cycles = Permutation.cycles
 
-    def counted(self, include_fixed=False):
+    def counted(self):
         calls.append(self)
-        return cycles(self, include_fixed)
+        return cycles(self)
 
     monkeypatch.setattr(Permutation, "cycles", counted)
     return calls

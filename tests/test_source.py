@@ -51,12 +51,15 @@ INT_READERS = {"groups.parse_int", "cli.parse_group_spec"}
 
 def int_calls():
     """module.function, or module:line off any function, of every
-    one-argument call of the builtin int in the package."""
+    one-argument call of the builtin int in the package, and of every
+    `type=int` keyword, which hands argparse's text to int."""
     for path in sorted(Path(constel.__file__).parent.glob("*.py")):
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
             for node in ast.walk(stmt):
-                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "int"
-                        and len(node.args) + len(node.keywords) == 1):
+                if ((isinstance(node, ast.Call) and getattr(node.func, "id", None) == "int"
+                     and len(node.args) + len(node.keywords) == 1)
+                        or (isinstance(node, ast.keyword) and node.arg == "type"
+                            and getattr(node.value, "id", None) == "int")):
                     yield ("%s.%s" % (path.stem, stmt.name)
                            if isinstance(stmt, ast.FunctionDef) else
                            "%s:%d" % (path.stem, node.lineno))
