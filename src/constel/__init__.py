@@ -12,7 +12,7 @@ from .automata import (InverseAutomaton, LabeledGraph, Subgraph, amalgam,
                        transition_group, trim, write_aut)
 from .perms import (AlternatingCertificate, PermGroupGens, Permutation,
                     alternating_certificate, from_cycles, is_primitive,
-                    is_prime, is_transitive, parse_cycles, prime_power_cycle)
+                    is_prime, is_transitive, parse_cycles)
 from .groups import (CyclicSpec, ExtensionSpec, KleinSpec, MaterializedGroup,
                      Morphism, OrderBoundError, PermSpec, ProductSpec,
                      abelian_relations, abelianization, canonical_morphism,

@@ -372,9 +372,8 @@ def _search(tree: dict, order: list, pending, columns, edges, forward_only: bool
     return tree
 
 
-def bfs_tree(aut: InverseAutomaton, root: int, edges=None, forward_only: bool = False
-             ) -> dict[int, tuple[int, int, int]]:
-    """`BfsTree(aut, root, edges, forward_only).grow()`: vertex ->
+def bfs_tree(aut: InverseAutomaton, root: int, edges=None) -> dict[int, tuple[int, int, int]]:
+    """`BfsTree(aut, root, edges).grow()`: vertex ->
     (previous vertex, letter, sign) for root's whole component, in
     discovery order.  It runs the same loop from the same start without
     the object, so a whole search pays nothing for resumability.  A
@@ -382,7 +381,7 @@ def bfs_tree(aut: InverseAutomaton, root: int, edges=None, forward_only: bool = 
     to each of them instead."""
     order = [root]
     return _search({root: (-1, -1, 0)}, order, iter(order),
-                   list(enumerate(zip(aut.fwd, aut.bwd))), edges, forward_only)
+                   list(enumerate(zip(aut.fwd, aut.bwd))), edges, False)
 
 
 def tree_word(tree: dict[int, tuple[int, int, int]], v: int) -> Word | None:

@@ -443,11 +443,10 @@ def _cmd_rz_member(args) -> tuple[dict, bool]:
     return {"word": format_word(w), "member": ok}, ok
 
 
-def _random_corpus_automaton(rng: random.Random, m: int, n_letters: int = 2
-                             ) -> InverseAutomaton:
-    """Connected folded incomplete automaton on m vertices; at most
+def _random_corpus_automaton(rng: random.Random, m: int) -> InverseAutomaton:
+    """Connected folded incomplete two-letter automaton on m vertices; at most
     m - 1 + m // 2 edges keeps it strictly below completeness."""
-    aut = InverseAutomaton(m, n_letters, base=0)
+    aut = InverseAutomaton(m, 2, base=0)
 
     def try_add(u: int, letter: int, v: int) -> bool:
         if aut.fwd[letter][u] is not None or aut.bwd[letter][v] is not None:
@@ -458,12 +457,12 @@ def _random_corpus_automaton(rng: random.Random, m: int, n_letters: int = 2
     for v in range(1, m):
         while True:
             u = rng.randrange(v)
-            letter = rng.randrange(n_letters)
+            letter = rng.randrange(2)
             src, dst = (u, v) if rng.random() < 0.5 else (v, u)
             if try_add(src, letter, dst):
                 break
     for _ in range(m // 2):
-        try_add(rng.randrange(m), rng.randrange(n_letters), rng.randrange(m))
+        try_add(rng.randrange(m), rng.randrange(2), rng.randrange(m))
     return aut
 
 
@@ -636,3 +635,8 @@ def main(argv=None) -> int:
         except VerificationError as exc:
             sys.stderr.write("error: self-check failed: %s\n" % exc)
             return 2
+
+
+if __name__ == "__main__":  # not an entry point: refuse rather than exit 0 silently
+    sys.stderr.write("error: run the command line as python -m constel\n")
+    sys.exit(2)

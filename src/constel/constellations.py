@@ -44,20 +44,6 @@ def _base_component(xi: Subgraph, theta: Subgraph) -> dict:
     return bfs_tree(xi.parent, base, xi.edges & theta.edges)
 
 
-def _check_constellations(xi: Subgraph, theta: Subgraph, g_choices) -> None:
-    """Raise ValueError unless (xi, g, theta) is a constellation for
-    every g in g_choices; faults of (xi, theta) alone are reported
-    before those of g."""
-    upsilon = _base_component(xi, theta)
-    if xi.parent.base in g_choices:
-        raise ValueError("g coincides with the base vertex")
-    for name, sub in (("xi", xi), ("theta", theta)):
-        if not all(g in sub.vertices for g in g_choices):
-            raise ValueError("%s must contain the base vertex and g" % name)
-    if any(g in upsilon for g in g_choices):
-        raise ValueError("base and g lie in one component of the intersection")
-
-
 @dataclass(frozen=True, eq=False)
 class Constellation:
     xi: Subgraph
@@ -65,7 +51,14 @@ class Constellation:
     theta: Subgraph
 
     def __post_init__(self):
-        _check_constellations(self.xi, self.theta, (self.g,))
+        upsilon = _base_component(self.xi, self.theta)  # faults of (xi, theta) before g's
+        if self.g == self.base:
+            raise ValueError("g coincides with the base vertex")
+        for name, sub in (("xi", self.xi), ("theta", self.theta)):
+            if self.g not in sub.vertices:
+                raise ValueError("%s must contain the base vertex and g" % name)
+        if self.g in upsilon:
+            raise ValueError("base and g lie in one component of the intersection")
 
     @property
     def parent(self) -> InverseAutomaton:

@@ -52,7 +52,6 @@ class GaschuetzElement:
 
     alpha: tuple[int, ...]
     g: int
-    tilde: bool = False
 
 
 def check_modulus(p: int) -> None:
@@ -81,7 +80,7 @@ class GaschuetzLayer:
         self.tilde = tilde
         self.n_letters = base.n_letters
         size = base.order * base.n_letters
-        self.identity = GaschuetzElement((0,) * size, 0, tilde)
+        self.identity = GaschuetzElement((0,) * size, 0)
         self.images = [self._make([1 if i == a else 0 for i in range(size)], base.images[a])
                        for a in range(base.n_letters)]
 
@@ -92,8 +91,8 @@ class GaschuetzLayer:
         p = self.p
         if self.tilde:
             consts = alpha[:self.n_letters] * self.base.order
-            return GaschuetzElement(tuple([(u - c) % p for u, c in zip(alpha, consts)]), g, True)
-        return GaschuetzElement(tuple([u % p for u in alpha]), g, False)
+            return GaschuetzElement(tuple([(u - c) % p for u, c in zip(alpha, consts)]), g)
+        return GaschuetzElement(tuple([u % p for u in alpha]), g)
 
     def _shift(self, g: int) -> list[int]:
         """Gather indices of the left shift (h, a) -> (g h, a): entry
@@ -195,7 +194,7 @@ class CenterInfo:
     def elements(self):
         """All center elements: label-constant vectors paired with 1."""
         for coeffs in itertools.product(range(self.p), repeat=self.n_letters):
-            yield GaschuetzElement(coeffs * self.base_order, 0, False)
+            yield GaschuetzElement(coeffs * self.base_order, 0)
 
 
 def center(layer: GaschuetzLayer) -> CenterInfo:
@@ -216,7 +215,7 @@ def center(layer: GaschuetzLayer) -> CenterInfo:
     witnesses = []
     for a in range(base.n_letters):
         vec = tuple(1 if b == a else 0 for b in range(base.n_letters)) * base.order
-        gen = GaschuetzElement(vec, 0, False)
+        gen = GaschuetzElement(vec, 0)
         pieces = []
         a_step = Permutation(tuple(base.cayley.fwd[a]))
         for cycle in a_step.cycles():

@@ -426,50 +426,38 @@ def abelianization(g: MaterializedGroup) -> list[int]:
 
 def _smith_diagonal(rows: list[list[int]], ncols: int) -> list[int]:
     """Diagonal of the Smith normal form of an integer matrix, ascending
-    with each entry dividing the next (zeros dropped)."""
+    with each entry dividing the next (zeros dropped), by one elimination
+    loop with least-entry pivots (Cohen 1993, 2.4).  A pass moves the first
+    least nonzero |entry| of the unfinished block to (k, k) and reduces its
+    column and row by floor quotients.  A remainder there, or the one left
+    in row k once a row the pivot does not divide is added to it, is
+    smaller than the pivot, so |pivot| falls within two passes and the
+    loop ends.  A pivot is recorded once it divides the rest, and every
+    later pivot is an integer combination of entries of the rest."""
     mat = [list(r) for r in rows if any(r)]
-    k = 0
     diag = []
-    while k < len(mat) and k < ncols:
-        piv = next(((i, j) for i in range(k, len(mat))
-                    for j in range(k, ncols) if mat[i][j]), None)
-        if piv is None:
+    while len(diag) < min(len(mat), ncols):
+        k = len(diag)
+        block = [(i, j) for i in range(k, len(mat)) for j in range(k, ncols) if mat[i][j]]
+        if not block:
             break
-        i, j = piv
+        i, j = min(block, key=lambda ij: abs(mat[ij[0]][ij[1]]))
         mat[k], mat[i] = mat[i], mat[k]
-        if j != k:
+        for row in mat:
+            row[k], row[j] = row[j], row[k]
+        piv = mat[k][k]
+        for row in mat[k + 1:]:
+            q = row[k] // piv
+            row[:] = [a - q * b for a, b in zip(row, mat[k])]
+        for j in range(k + 1, ncols):
+            q = mat[k][j] // piv
             for row in mat:
-                row[k], row[j] = row[j], row[k]
-        while True:
-            dirty = False
-            for i in range(k + 1, len(mat)):
-                while mat[i][k]:
-                    q = mat[i][k] // mat[k][k]
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[k])]
-                    if mat[i][k]:
-                        mat[i], mat[k] = mat[k], mat[i]
-                        dirty = True
-            for j in range(k + 1, ncols):
-                while mat[k][j]:
-                    q = mat[k][j] // mat[k][k]
-                    for row in mat:
-                        row[j] -= q * row[k]
-                    if mat[k][j]:
-                        for row in mat:
-                            row[j], row[k] = row[k], row[j]
-                        dirty = True
-            if not dirty:
-                break
-        diag.append(abs(mat[k][k]))
-        k += 1
-    # enforce the divisibility chain; per prime this sorts exponents
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                if diag[j] % diag[i]:
-                    g = gcd(diag[i], diag[j])
-                    diag[i], diag[j] = g, diag[i] * diag[j] // g
-                    changed = True
-    return [d for d in diag if d]
+                row[j] -= q * row[k]
+        if any(row[k] for row in mat[k + 1:]) or any(mat[k][k + 1:]):
+            continue  # a remainder is the least entry now
+        bad = next((row for row in mat[k + 1:] if any(a % piv for a in row)), None)
+        if bad is None:
+            diag.append(abs(piv))
+        else:
+            mat[k] = [a + b for a, b in zip(mat[k], bad)]
+    return diag

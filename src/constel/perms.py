@@ -286,12 +286,6 @@ def _prime_cycles(lengths: list[int]):
                 yield q, lcm(*others)
 
 
-def prime_power_cycle(p: Permutation) -> tuple[int, int] | None:
-    """Find (q, r) with q prime and least so that p**r is a single
-    q-cycle, or None if there is none."""
-    return next(_prime_cycles([len(c) for c in p.cycles()]), None)
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -328,8 +322,8 @@ class AlternatingCertificate:
 
 
 def alternating_certificate(g: PermGroupGens) -> AlternatingCertificate:
-    """Certificate of a generating tuple; `prime_cycle` is the
-    `prime_power_cycle` of the first letter whose q is at most n-3.
+    """Certificate of a generating tuple; `prime_cycle` is the least
+    (q, r) of `_prime_cycles` of the first letter whose q is at most n-3.
 
     Primitivity is read off a prime cycle when a letter has one.  Lemma:
     let G be transitive and c in G a q-cycle, q prime; then c maps every
@@ -348,7 +342,7 @@ def alternating_certificate(g: PermGroupGens) -> AlternatingCertificate:
     cycles = [p.cycles() for p in g.perms]
     lengths = [[len(c) for c in cs] for cs in cycles]
     all_even = all((n - len(ls)) % 2 == 0 for ls in lengths)
-    least = [next(_prime_cycles(ls), None) for ls in lengths]  # prime_power_cycle per letter
+    least = [next(_prime_cycles(ls), None) for ls in lengths]  # least (q, r) per letter
     prime_cycle = next(((*found, letter) for letter, found in enumerate(least)
                         if found is not None and found[0] <= n - 3), None)
     support = next((cs[ls.index(found[0])] for cs, ls, found in zip(cycles, lengths, least)

@@ -15,6 +15,36 @@ from constel.gaschuetz import GaschuetzLayer
 from constel.groups import (CyclicSpec, KleinSpec, PermSpec, ProductSpec,
                             materialize, product_A)
 from constel.perms import from_cycles
+from constel.words import Word, parse_word
+
+A2 = 2  # the two-letter alphabet a, b
+
+
+def w(text: str) -> Word:
+    return parse_word(text, A2)
+
+
+def str_word(u: Word) -> str:
+    return "".join(("ab"[a] if s > 0 else "AB"[a]) for a, s in u)
+
+
+def z2():
+    return materialize(CyclicSpec(2, (1, 1)))
+
+
+def z3():
+    return materialize(CyclicSpec(3, (1, 1)))
+
+
+def klein():
+    return materialize(KleinSpec(((1, 0), (0, 1))))
+
+
+S3_GENS = (from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)]))
+
+
+def s3():
+    return materialize(PermSpec(3, S3_GENS))
 
 
 def element_list(g, identity, images, mul):
@@ -56,13 +86,11 @@ def sample_groups():
             for images in ((1,), (1, 1), (1, 2), (1, 0), (0, 1, 1), (1, n // 2, 0), (2, 3)):
                 if n == 1 or gcd(n, *images) == 1:
                     out.append(("cyclic(%d;%s)" % (n, images), materialize(CyclicSpec(n, images))))
-        klein = materialize(KleinSpec(((1, 0), (0, 1))))
-        s3 = _perm(3, [(0, 1)], [(1, 2)])
-        z2 = materialize(CyclicSpec(2, (1, 1)))
+        k4, sym3, c2 = klein(), s3(), z2()
         out += [
-            ("klein", klein),
+            ("klein", k4),
             ("klein3", materialize(KleinSpec(((1, 0), (0, 1), (1, 1))))),
-            ("s3", s3),
+            ("s3", sym3),
             ("s3-rotation", _perm(3, [(0, 1, 2)], [(0, 1)])),
             ("a4", _perm(4, [(0, 1, 2)], [(1, 2, 3)])),
             ("s4", _perm(4, [(0, 1)], [(0, 1, 2, 3)])),
@@ -70,11 +98,11 @@ def sample_groups():
         ]
         out += [("dihedral(%d)" % n, _dihedral(n)) for n in (5, 6, 8, 12)]
         out += [
-            ("s3 x z4", product_A(s3, materialize(CyclicSpec(4, (1, 3))))),
-            ("klein x z2", product_A(klein, z2)),
+            ("s3 x z4", product_A(sym3, materialize(CyclicSpec(4, (1, 3))))),
+            ("klein x z2", product_A(k4, c2)),
             ("z4 x z6", materialize(ProductSpec(CyclicSpec(4, (1, 1)), CyclicSpec(6, (1, 5))))),
-            ("s3 ~2", GaschuetzLayer(s3, 2, True).materialize()),
-            ("klein ~3", GaschuetzLayer(klein, 3, True).materialize()),
-            ("z2 3", GaschuetzLayer(z2, 3, False).materialize()),
+            ("s3 ~2", GaschuetzLayer(sym3, 2, True).materialize()),
+            ("klein ~3", GaschuetzLayer(k4, 3, True).materialize()),
+            ("z2 3", GaschuetzLayer(c2, 3, False).materialize()),
         ]
     return out

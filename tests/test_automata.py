@@ -1,24 +1,19 @@
 import itertools
 import random
+import re
 from collections import deque
 
 import pytest
 
 from constel.automata import (BfsTree, InverseAutomaton, LabeledGraph, Subgraph,
-                              amalgam, as_inverse_automaton, bfs_tree, bouquet,
-                              canonical, core_of_words, embed_check, fold,
-                              full_subgraph, member, pointed_isomorphic,
-                              rank_from_core, read_aut, subgraph_automaton, to_dot,
-                              transition_group, tree_word, trim, write_aut)
+                              amalgam, as_inverse_automaton, bfs_tree, canonical,
+                              core_of_words, embed_check, fold, full_subgraph, member,
+                              pointed_isomorphic, rank_from_core, read_aut,
+                              subgraph_automaton, to_dot, transition_group, tree_word,
+                              trim, write_aut)
 from constel.groups import CyclicSpec, KleinSpec, PermSpec, materialize
-from constel.perms import from_cycles
-from constel.words import Word, invert, parse_word, reduce
-
-A2 = 2
-
-
-def w(text: str) -> Word:
-    return parse_word(text, A2)
+from constel.words import Word, invert, reduce
+from group_elements import S3_GENS, w
 
 
 def z2_cayley() -> InverseAutomaton:
@@ -40,6 +35,32 @@ def test_inverse_automaton_rejects_nondeterminism():
         InverseAutomaton(3, 1, [(0, 0, 1), (0, 0, 2)])
     with pytest.raises(ValueError):
         InverseAutomaton(3, 1, [(0, 0, 2), (1, 0, 2)])
+
+
+LOOP = [(0, 0, 0)]  # one vertex, an a-loop, no base
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LabeledGraph(2, ("a",)), "letter_names length mismatch"),
+    (lambda: LabeledGraph(1).add_edge(0, 1, 0), "letter 1 out of range"),
+    (lambda: InverseAutomaton(2, 1, [], 2), "base vertex 2 out of range"),
+    (lambda: InverseAutomaton(2, 1, [(0, 0, 2)]), "edge endpoint out of range"),
+    (lambda: InverseAutomaton(2, 1, [(0, 1, 1)]), "letter 1 out of range"),
+    (lambda: InverseAutomaton(1, 1, LOOP).trace(0, Word(((1, 1),))),
+     "word letter 1 outside automaton alphabet"),
+    (lambda: member(InverseAutomaton(1, 1, LOOP), w("a")), "membership needs a based automaton"),
+    (lambda: rank_from_core(InverseAutomaton(2, 1, [], 0)),
+     "rank is defined for connected graphs only"),
+    (lambda: Subgraph(z2_cayley(), frozenset(), frozenset({0})).component_of(1),
+     "vertex 1 not in subgraph"),
+    (lambda: amalgam(*[full_subgraph(InverseAutomaton(1, 1, LOOP))] * 2),
+     "amalgam needs a based parent graph"),
+    (lambda: write_aut(z2_cayley(), ("x",)), "need 2 letter names"),
+    (lambda: to_dot(z2_cayley(), ("x", "y", "z")), "need 2 letter names"),
+])
+def test_out_of_range_inputs_are_refused_with_their_message(call, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()
 
 
 def test_fold_wedge_of_aa_and_b():
@@ -349,6 +370,13 @@ def distances(aut, root, edges, forward_only):
     return dist
 
 
+def whole_tree(aut, root, edges, forward_only):
+    """The whole search: `bfs_tree`, or a grown `BfsTree` when forward only."""
+    if forward_only:
+        return BfsTree(aut, root, edges, True).grow()
+    return bfs_tree(aut, root, edges)
+
+
 def test_bfs_tree_against_relaxed_distances():
     rng = random.Random(7)
     for _ in range(30):
@@ -358,7 +386,7 @@ def test_bfs_tree_against_relaxed_distances():
         for root in range(aut.n):
             for sub_edges in (None, edges):
                 for forward_only in (False, True):
-                    tree = bfs_tree(aut, root, sub_edges, forward_only)
+                    tree = whole_tree(aut, root, sub_edges, forward_only)
                     dist = distances(aut, root, sub_edges, forward_only)
                     assert set(tree) == set(dist)
                     for v in tree:
@@ -377,9 +405,8 @@ def test_bfs_tree_against_relaxed_distances():
 
 def oracle_cayley_graphs():
     """Cayley graphs of Z6, S3, Klein and Z16 for the networkx oracles."""
-    s3 = (from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)]))
     return [materialize(spec).cayley for spec in (
-        CyclicSpec(6, (1, 2)), PermSpec(3, s3), KleinSpec(((1, 0), (0, 1))),
+        CyclicSpec(6, (1, 2)), PermSpec(3, S3_GENS), KleinSpec(((1, 0), (0, 1))),
         CyclicSpec(16, (1, 1)))]
 
 
@@ -397,7 +424,7 @@ def test_bfs_tree_depths_match_networkx_path_lengths():
                 graph.add_edges_from((u, v) for u, letter, v in aut.pos_edges()
                                      if edges is None or (u, letter) in edges)
                 for root in range(aut.n):
-                    tree = bfs_tree(aut, root, edges, forward_only)
+                    tree = whole_tree(aut, root, edges, forward_only)
                     depths = {v: len(tree_word(tree, v)) for v in tree}
                     assert depths == nx.single_source_shortest_path_length(graph, root)
 
@@ -430,7 +457,7 @@ def test_tree_grown_in_pieces_is_a_prefix_of_the_whole_search():
             for forward_only in (False, True):
                 root = rng.randrange(aut.n)
                 full = list(reference_tree(aut, root, edges, forward_only).items())
-                assert list(bfs_tree(aut, root, edges, forward_only).items()) == full
+                assert list(whole_tree(aut, root, edges, forward_only).items()) == full
                 index = {v: i for i, (v, _) in enumerate(full)}
                 stops = rng.choices(range(aut.n), k=6)
                 off = [v for v in range(aut.n) if v not in index]

@@ -444,6 +444,12 @@ def test_dissolve_refuses_the_removed_json_flag():
     assert (code, out) == (2, "") and "unrecognized arguments: --json" in err
 
 
+def test_ag_without_maximal_constellations_exits_2():
+    code, out, err = run(["ag", "--group", "cyclic(1;a=0,b=0)"])
+    assert (code, out) == (2, "")
+    assert err.endswith("\nerror: no maximal constellations to assemble\n")
+
+
 def test_corpus_rejects_tiny_m(tmp_path):
     code, _, err = run(["corpus", "--m-min", "2", "--dir", str(tmp_path / "c")])
     assert code == 2 and "at least 3" in err
@@ -818,6 +824,15 @@ def test_python_m_constel_runs_the_command_line():
                              capture_output=True, text=True, timeout=60)
     assert (refused.returncode, refused.stdout) == (2, "")
     assert refused.stderr.startswith("usage: constel")
+
+
+def test_python_m_constel_cli_refuses_with_a_pointer():
+    # the module is not an entry point: it runs no command and says so
+    env = dict(os.environ, PYTHONPATH=str(Path(constel.__file__).parent.parent))
+    done = subprocess.run([sys.executable, "-m", "constel.cli", "cayley", "--group", KLEIN],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: run the command line as python -m constel\n"
 
 
 def test_one_parser_serves_every_call_of_a_process():

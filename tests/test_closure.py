@@ -11,24 +11,13 @@ from constel.closure import (closure_at_level, closure_chain,
                              schreier_graph, subgroup_image)
 from constel.errors import VerificationError
 from constel.gaschuetz import TowerSpec
-from constel.groups import CyclicSpec, KleinSpec, PermSpec, materialize
-from constel.perms import from_cycles
-from constel.words import Word, concat, parse_word, power
-
-A2 = 2
-
-
-def w(text: str) -> Word:
-    return parse_word(text, A2)
+from constel.groups import CyclicSpec, KleinSpec, materialize
+from constel.words import Word, concat, power
+from group_elements import s3, w
 
 
 def z4():
     return materialize(CyclicSpec(4, (1, 1)))
-
-
-def s3():
-    return materialize(PermSpec(3, (from_cycles(3, [(0, 1)]),
-                                    from_cycles(3, [(1, 2)]))))
 
 
 def enumerate_reduced(max_len):

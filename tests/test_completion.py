@@ -13,13 +13,8 @@ from constel.constellations import amalgams_of, assemble_AG
 from constel.errors import VerificationError
 from constel.groups import DEFAULT_BOUND, CyclicSpec, KleinSpec, PermSpec, materialize
 from constel.perms import PermGroupGens, from_cycles
-from constel.words import Word, parse_word, reduce
-
-A2 = 2
-
-
-def w(text: str) -> Word:
-    return parse_word(text, A2)
+from constel.words import Word, reduce
+from group_elements import S3_GENS, s3, w, z2
 
 
 def chain3() -> InverseAutomaton:
@@ -71,10 +66,9 @@ def test_completion_checks_its_certificate(monkeypatch):
 def test_input_validation():
     with pytest.raises(ValueError):
         complete_to_alternating(InverseAutomaton(2, 2, [(0, 0, 1)], 0), 12)
-    z2 = materialize(CyclicSpec(2, (1, 1)))
     with pytest.raises(ValueError):
         complete_to_alternating(
-            InverseAutomaton(3, 2, z2.cayley.pos_edges() + [(2, 0, 2), (2, 1, 2)], 0), 12)
+            InverseAutomaton(3, 2, z2().cayley.pos_edges() + [(2, 0, 2), (2, 1, 2)], 0), 12)
     complete4 = materialize(CyclicSpec(4, (1, 2)))
     with pytest.raises(ValueError):
         complete_to_alternating(complete4.cayley, 12)
@@ -157,8 +151,7 @@ def test_certified_group_acts_like_the_alternating_group():
 
 
 def test_predissolver_certificate():
-    z2 = materialize(CyclicSpec(2, (1, 1)))
-    amalgams = amalgams_of(z2)
+    amalgams = amalgams_of(z2())
     host, _, _ = complete_to_alternating(amalgams[0], 10)
     partial = predissolver_certificate(host, amalgams)
     assert partial.witnesses == (0, None, None, 1, None, None, None)
@@ -178,7 +171,7 @@ def least_embedding_start(a: InverseAutomaton, host: InverseAutomaton) -> int | 
 
 EMBEDDING_GROUPS = {
     "z2": CyclicSpec(2, (1, 1)),
-    "s3": PermSpec(3, (from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)]))),
+    "s3": PermSpec(3, S3_GENS),
     "klein": KleinSpec(((1, 0), (0, 1))),
 }
 
@@ -233,8 +226,7 @@ def test_embedding_searches_refuse_the_same_sources():
 
 
 def test_s3_ag_completion_certifies_within_budget():
-    s3 = materialize(PermSpec(3, (from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)]))))
-    ag = assemble_AG(s3)
+    ag = assemble_AG(s3())
     n = ag.n + smallest_prime_greater(ag.n) + 2
     start = time.monotonic()
     _, cert, _ = complete_to_alternating(ag, n)

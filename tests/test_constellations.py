@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 
 import pytest
@@ -8,26 +9,12 @@ import pytest
 import constel.constellations
 from constel.automata import (InverseAutomaton, Subgraph, amalgam, bfs_tree, canonical,
                               embed_check, full_subgraph, write_aut)
-from constel.constellations import (Constellation, MinimalCut, _check_constellations,
-                                    amalgams_of, assemble_AG, chain_letter, delta_a,
-                                    maximal_constellations, minimal_cut_sets)
+from constel.constellations import (Constellation, amalgams_of, assemble_AG, chain_letter,
+                                    delta_a, maximal_constellations, minimal_cut_sets)
 from constel.errors import VerificationError
 from constel.gaschuetz import GaschuetzLayer
-from constel.groups import CyclicSpec, KleinSpec, OrderBoundError, PermSpec, materialize
-from constel.perms import from_cycles
-from group_elements import sample_groups
-
-
-def z2():
-    return materialize(CyclicSpec(2, (1, 1)))
-
-
-def klein():
-    return materialize(KleinSpec(((1, 0), (0, 1))))
-
-
-def z3():
-    return materialize(CyclicSpec(3, (1, 1)))
+from constel.groups import CyclicSpec, OrderBoundError, materialize
+from group_elements import klein, s3, sample_groups, z2, z3
 
 
 # --- independent oracle: inclusion-minimal disconnecting edge sets ---
@@ -66,8 +53,7 @@ def brute_minimal_cuts(aut: InverseAutomaton) -> set[frozenset]:
 
 
 def test_minimal_cuts_against_oracle():
-    s3 = materialize(PermSpec(3, (from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)]))))
-    for group in (z2(), klein(), z3(), s3, materialize(CyclicSpec(6, (1, 2)))):
+    for group in (z2(), klein(), z3(), s3(), materialize(CyclicSpec(6, (1, 2)))):
         got = {mc.cut for mc in minimal_cut_sets(group.cayley)}
         assert got == brute_minimal_cuts(group.cayley)
 
@@ -189,8 +175,7 @@ def test_minimal_cut_structure():
 
 def test_both_sides_of_every_bond_are_connected_in_networkx():
     nx = pytest.importorskip("networkx")
-    s3 = materialize(PermSpec(3, (from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)]))))
-    for group in (materialize(CyclicSpec(6, (1, 2))), s3, klein(),
+    for group in (materialize(CyclicSpec(6, (1, 2))), s3(), klein(),
                   materialize(CyclicSpec(16, (1, 1))), materialize(CyclicSpec(18, (1, 1)))):
         aut = group.cayley
         graph = nx.MultiGraph()
@@ -251,7 +236,8 @@ def test_every_maximal_pair_is_a_constellation():
         for pair in maximal_constellations(group):
             assert pair.xi.edges == full - pair.c_theta, name
             assert pair.theta.edges == full - pair.c_xi, name
-            _check_constellations(pair.xi, pair.theta, pair.g_choices)
+            for g in pair.g_choices:
+                Constellation(pair.xi, g, pair.theta)
             checked += 1
     assert checked > 50000
 
@@ -269,6 +255,26 @@ def test_constellation_validation():
     split = Subgraph(group.cayley, frozenset(), frozenset({0, 1}))
     with pytest.raises(ValueError):
         Constellation(split, 1, full)  # xi not connected
+
+
+def constellation_of(aut, xi_vertices):
+    """(xi, 1, Gamma) with xi the edgeless subgraph on xi_vertices."""
+    return Constellation(Subgraph(aut, frozenset(), frozenset(xi_vertices)), 1,
+                         full_subgraph(aut))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Constellation(full_subgraph(klein().cayley), 1, full_subgraph(klein().cayley)),
+     "subgraphs live over different parent graphs"),
+    (lambda: constellation_of(InverseAutomaton(2, 1, [(0, 0, 1), (1, 0, 0)]), {0, 1}),
+     "constellations need a based parent graph"),
+    (lambda: constellation_of(z2().cayley, {1}), "xi must contain the base vertex and g"),
+    (lambda: dataclasses.replace(maximal_constellations(z3())[0], c_xi=frozenset()),
+     "C_Xi and C_Theta must split the cut into two nonempty parts"),
+])
+def test_malformed_constellations_are_refused_with_their_message(call, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()
 
 
 def test_per_g_checks_fire_after_the_pair_checks_are_kept():

@@ -23,30 +23,8 @@ from constel.gaschuetz import GaschuetzLayer, TowerSpec, build_tower
 from constel.groups import (CyclicSpec, KleinSpec, OrderBoundError, PermSpec,
                             canonical_morphism, identity_morphism, materialize,
                             subgroup_closure, traversal_vector)
-from constel.perms import from_cycles
-from constel.words import Word, parse_word
-
-A2 = 2
-
-
-def w(text: str) -> Word:
-    return parse_word(text, A2)
-
-
-def str_word(u: Word) -> str:
-    return "".join(("ab"[l] if s > 0 else "AB"[l]) for l, s in u)
-
-
-def z2():
-    return materialize(CyclicSpec(2, (1, 1)))
-
-
-def klein():
-    return materialize(KleinSpec(((1, 0), (0, 1))))
-
-
-def z3():
-    return materialize(CyclicSpec(3, (1, 1)))
+from constel.words import Word
+from group_elements import S3_GENS, klein, s3, str_word, w, z2, z3
 
 
 def brute_endpoints(sub: Subgraph, h_group, phi, max_len: int) -> dict[int, set[int]]:
@@ -142,11 +120,7 @@ def test_reachable_lift_single_vertex():
     assert fibers == {0: frozenset({0})}
 
 
-S3 = PermSpec(3, (from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)])))
-
-
-def s3():
-    return materialize(S3)
+S3 = PermSpec(3, S3_GENS)
 
 
 def filtered_lift(xi: Subgraph, h_group, phi):
@@ -851,6 +825,15 @@ def test_key_lemma_reports():
 def test_key_lemma_rejects_trivial_subgroup():
     with pytest.raises(ValueError):
         key_lemma_report(z2(), 2, frozenset({0}))
+
+
+def test_lift_off_the_base_and_key_lemma_off_a_subgroup_are_refused():
+    base = z2()
+    h_group, phi = GaschuetzLayer(base, 2, tilde=True).cover()
+    with pytest.raises(ValueError, match="^the base vertex must lie in the subgraph$"):
+        reachable_lift(Subgraph(base.cayley, frozenset(), frozenset({1})), h_group, phi)
+    with pytest.raises(ValueError, match="^K is not a subgroup$"):
+        key_lemma_report(z3(), 2, frozenset({0, 1}))
 
 
 def edge_orbits(h_group, l_set):

@@ -7,41 +7,20 @@ import pytest
 import constel.gaschuetz
 from constel.dissolve import dissolve_all, key_lemma_report, schreier_rank_check
 from constel.errors import VerificationError
-from constel.gaschuetz import (GaschuetzElement, GaschuetzLayer, Tower, TowerSpec,
+from constel.gaschuetz import (GaschuetzElement, GaschuetzLayer, TowerSpec,
                                build_tower, center, coprime_structure_checks,
                                layer_abelianization, order_formula)
-from constel.groups import (CyclicSpec, KleinSpec, OrderBoundError, PermSpec, _generate,
+from constel.groups import (CyclicSpec, OrderBoundError, _generate,
                             abelian_relations, abelianization, canonical_morphism,
                             materialize, subgroup_closure, traversal_vector)
 from constel.perms import from_cycles
-from constel.words import Word, concat, invert, parse_word
-from group_elements import element_list, sample_groups
-
-A2 = 2
-
-
-def w(text: str) -> Word:
-    return parse_word(text, A2)
-
-
-def z2():
-    return materialize(CyclicSpec(2, (1, 1)))
-
-
-def klein():
-    return materialize(KleinSpec(((1, 0), (0, 1))))
+from constel.words import Word, concat, invert
+from group_elements import S3_GENS, element_list, klein, s3, sample_groups, str_word, w, z2
 
 
 def random_word(rng, max_len=12, n_letters=2):
     return Word(tuple((rng.randrange(n_letters), rng.choice((1, -1)))
                       for _ in range(rng.randrange(max_len + 1))))
-
-
-S3_GENS = (from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)]))
-
-
-def s3():
-    return materialize(PermSpec(3, S3_GENS))
 
 
 def test_dense_alpha_matches_traversal_vector():
@@ -82,7 +61,7 @@ class DenseOracle:
         k = self.layer.n_letters
         if self.layer.tilde:
             alpha = [c - alpha[i % k] for i, c in enumerate(alpha)]
-        return GaschuetzElement(tuple(c % self.layer.p for c in alpha), g, self.layer.tilde)
+        return GaschuetzElement(tuple(c % self.layer.p for c in alpha), g)
 
     def _shift(self, g, alpha):
         k = self.layer.n_letters
@@ -300,14 +279,6 @@ def test_center_witnesses_cover_fixed_points():
         base = materialize(CyclicSpec(2, (1, 0)))
     info = center(GaschuetzLayer(base, 3, tilde=False))
     assert [str_word(u) for u in info.witness_words] == ["aa", "babA"]
-
-
-def str_word(u: Word) -> str:
-    out = []
-    for letter, sign in u:
-        c = "ab"[letter]
-        out.append(c if sign > 0 else c.upper())
-    return "".join(out)
 
 
 def test_center_rejects_tilde():

@@ -7,39 +7,18 @@ from math import prod
 import pytest
 
 import constel.groups
-from constel.automata import bfs_tree, tree_word
+from constel.automata import BfsTree, tree_word
 from constel.errors import VerificationError
 from constel.gaschuetz import GaschuetzLayer
-from constel.groups import (DEFAULT_BOUND, CyclicSpec, ExtensionSpec, KleinSpec, Morphism,
+from constel.groups import (DEFAULT_BOUND, CyclicSpec, ExtensionSpec, KleinSpec,
                             OrderBoundError, PermSpec, ProductSpec,
                             _smith_diagonal, abelian_relations, abelianization,
                             canonical_morphism, coset_walk, identity_morphism,
                             materialize, parse_int, product_A, subgroup_closure,
                             table_automaton, traversal_vector)
 from constel.perms import from_cycles
-from constel.words import Word, parse_word
-from group_elements import element_list, sample_groups
-
-A2 = 2
-
-
-def w(text: str) -> Word:
-    return parse_word(text, A2)
-
-
-def z2():
-    return materialize(CyclicSpec(2, (1, 1)))
-
-
-def klein():
-    return materialize(KleinSpec(((1, 0), (0, 1))))
-
-
-S3_GENS = (from_cycles(3, [(0, 1)]), from_cycles(3, [(1, 2)]))
-
-
-def s3():
-    return materialize(PermSpec(3, S3_GENS))
+from constel.words import Word
+from group_elements import S3_GENS, element_list, klein, s3, sample_groups, w, z2
 
 
 def perm_group(gens):
@@ -309,7 +288,7 @@ def coset_relations(g, derived) -> list[tuple[int, ...]]:
     from c.a; zero and repeated rows dropped."""
     _, columns = coset_walk(g, derived)
     n = len(columns[0])
-    tree = bfs_tree(table_automaton(columns, n), 0, forward_only=True)
+    tree = BfsTree(table_automaton(columns, n), 0, forward_only=True).grow()
     counts = []
     for c in range(n):
         v = [0] * g.n_letters
@@ -343,7 +322,7 @@ def test_closures_and_quotient_against_permutation_products():
         assert n * len(brute_derived) == g.order
         assert len(set(coset_of)) == n
         quotient = table_automaton(columns, n)
-        tree = bfs_tree(g.cayley, 0, forward_only=True)
+        tree = BfsTree(g.cayley, 0, forward_only=True).grow()
         words = [tree_word(tree, j) for j in range(g.order)]
         for i, x in enumerate(elems):
             for j, y in enumerate(elems):
@@ -369,6 +348,11 @@ def test_abelianization_of_a_long_cycle():
     quotient = table_automaton(columns, len(columns[0]))
     assert quotient.trace(0, w("AAAb")) == coset_of[index[998]]
     assert quotient.trace(0, Word(((1, -1),) * 1000)) == 0
+
+
+def test_unknown_spec_is_a_type_error():
+    with pytest.raises(TypeError, match="^unknown group spec 'x'$"):
+        materialize("x")
 
 
 def test_evaluate_raises_off_the_cayley_graph(monkeypatch):

@@ -3,22 +3,36 @@ import io
 import itertools
 import math
 import random
+import re
 import warnings
 
 import pytest
 
 import constel.perms
 from constel.groups import PermSpec, materialize
-from constel.perms import (AlternatingCertificate, PermGroupGens, Permutation,
-                           _minimal_block_size, alternating_certificate, from_cycles,
-                           identity, is_primitive, is_prime, is_transitive, orbit,
-                           parse_cycles, prime_power_cycle)
+from constel.perms import (PermGroupGens, Permutation, _minimal_block_size, _prime_cycles,
+                           alternating_certificate, from_cycles, identity, is_primitive,
+                           is_prime, is_transitive, orbit, parse_cycles)
+
+
+def prime_power_cycle(p):
+    """(q, r) with q prime and least so that p**r is a single q-cycle, or None."""
+    return next(_prime_cycles([len(c) for c in p.cycles()]), None)
 
 
 def rand_perm(rng, n):
     images = list(range(n))
     rng.shuffle(images)
     return Permutation(tuple(images))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Permutation((0, 0)), "not a permutation of 0..n-1: (0, 0)"),
+    (lambda: PermGroupGens(3, (identity(2),)), "generator degree mismatch"),
+])
+def test_malformed_permutations_are_refused_with_their_message(call, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()
 
 
 def test_parity_examples():

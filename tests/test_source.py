@@ -182,19 +182,21 @@ AWAITING_CALLERS = {"closure_chain", "extendible_at_level"}
 
 def test_every_package_export_has_a_caller():
     # the package exports what a caller uses: each name constel/__init__.py
-    # imports must appear, off its own def/class line, in another module,
-    # the README, the acceptance tests or the benchmark's scenarios
+    # imports must be read as a name or attribute in the code of another
+    # module, the acceptance tests or the benchmark's scenarios (comments,
+    # docstrings and imports do not count), or be named in the README
     package = Path(constel.__file__).parent
     root = Path(__file__).resolve().parent.parent
     callers = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
-    callers += [root / "README.md", root / "tests" / "test_acceptance.py",
+    callers += [root / "tests" / "test_acceptance.py",
                 root / "perfbench" / "scenarios.py", root / "perfbench" / "workload.py"]
-    lines = [line for path in callers for line in path.read_text().splitlines()]
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for path in callers for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    readme = (root / "README.md").read_text()
     exports = {alias.name
                for node in ast.parse((package / "__init__.py").read_text()).body
                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    orphans = sorted(
-        name for name in exports - AWAITING_CALLERS
-        if not any(re.search(r"\b%s\b" % name, line)
-                   and not re.match(r"\s*(def|class)\s+%s\b" % name, line) for line in lines))
+    orphans = sorted(name for name in exports - AWAITING_CALLERS - used
+                     if not re.search(r"\b%s\b" % name, readme))
     assert not orphans, orphans

@@ -27,6 +27,12 @@ def test_parse_rejects_unknown_letter():
         parse_word("a!", A2)
 
 
+def test_format_refuses_a_letter_past_z():
+    assert format_word(Word(((25, 1), (25, -1)))) == "zZ"
+    with pytest.raises(ValueError, match="^letter index 26 has no name$"):
+        format_word(Word(((26, 1),)))
+
+
 def test_parse_verbose_syntax():
     assert parse_word("a b^-1 a", A2) == parse_word("aBa", A2)
     assert parse_word("a^3", A2) == parse_word("aaa", A2)
