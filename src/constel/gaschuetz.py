@@ -23,6 +23,7 @@ changes one digit, and on tilde layers also one letter class at g = 1.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -64,10 +65,16 @@ def check_modulus(p: int) -> None:
 
 
 def order_formula(base_order: int, n_letters: int, p: int, tilde: bool) -> int:
-    """Layer order: |G| * p^(|G|(|A|-1)+1) plain, |G| * p^((|G|-1)(|A|-1)) tilde."""
-    if tilde:
-        return base_order * p ** ((base_order - 1) * (n_letters - 1))
-    return base_order * p ** (base_order * (n_letters - 1) + 1)
+    """Layer order: |G| * p^(|G|(|A|-1)+1) plain, |G| * p^((|G|-1)(|A|-1)) tilde.
+
+    An order of p^k >= 2^k with 2^k already past Python's int-to-str digit
+    limit is not built: 2^k stands for it.  It exceeds every size bound
+    just as the order does, and a report refuses to print it just the same,
+    while the order itself can take seconds to build."""
+    k = (base_order - 1) * (n_letters - 1) if tilde else base_order * (n_letters - 1) + 1
+    if k > 4 * sys.get_int_max_str_digits() > 0:  # 2^k > 16^limit has more digits than the limit
+        return 1 << k
+    return base_order * p ** k
 
 
 class GaschuetzLayer:

@@ -256,14 +256,17 @@ def test_gaschutz_info_rejects_plain_group():
 
 
 def test_unprintable_order_exits_2_with_nothing_on_stdout(tmp_path):
-    # |G| * p^1001 has about 12,000 digits, past Python's int-to-str limit
-    group = "gaschutz(cyclic(1000;a=1,b=1),999999999989)"
-    code, out, err = run(["gaschutz-info", "--group", group])
-    assert (code, out) == (2, "")
-    assert err.count("\n") == 1 and "order has more than" in err
+    # |G| * p^1001 has about 12,000 digits, past Python's int-to-str limit;
+    # the order over cyclic(20000) is refused from 2^19999 without being built
     report = tmp_path / "report.json"
-    assert run(["gaschutz-info", "--group", group, "--out", str(report)])[0] == 2
-    assert not report.exists()
+    for group in ("gaschutz(cyclic(1000;a=1,b=1),999999999989)",
+                  "tilde(cyclic(20000;a=1,b=1),999999999989)"):
+        code, out, err = run(["gaschutz-info", "--group", group])
+        assert (code, out) == (2, "")
+        assert err == ("error: order has more than %d digits, too many to print\n"
+                       % sys.get_int_max_str_digits())
+        assert run(["gaschutz-info", "--group", group, "--out", str(report)])[0] == 2
+        assert not report.exists()
 
 
 @pytest.mark.parametrize("args, what", [
@@ -339,11 +342,20 @@ def test_parse_int_reads_what_int_reads():
 
 
 def test_key_lemma_refuses_an_unprintable_layer_order():
-    # the tilde layer over a 20000-element group has order past 2^20000
+    # the tilde layer over a 20000-element group has order past 2^20000,
+    # so the lemma holds but its edge count cannot be printed
     code, out, err = run(["key-lemma", "--group", "cyclic(20000;a=1,b=1)", "--p", "2",
                           "--subgroup", "ab"])
     assert (code, out) == (2, "")
-    assert "layer order >= 2^" in err and "exceeds the bound 100000" in err
+    assert err == ("error: n_edges has more than %d digits, too many to print\n"
+                   % sys.get_int_max_str_digits())
+
+
+def test_key_lemma_answers_past_the_materialization_bound():
+    # a 524,288-element layer, answered by the proof without enumerating it
+    payload = run_json(["key-lemma", "--group", "cyclic(16;a=1,b=1)", "--p", "2",
+                        "--subgroup", "aa"])
+    assert (payload["n_edges"], payload["failures"], payload["ok"]) == (1048576, [], True)
 
 
 def test_center_command():
@@ -824,6 +836,23 @@ def test_python_m_constel_runs_the_command_line():
                              capture_output=True, text=True, timeout=60)
     assert (refused.returncode, refused.stdout) == (2, "")
     assert refused.stderr.startswith("usage: constel")
+
+
+def test_reports_do_not_depend_on_the_interpreter(tmp_path):
+    # reports are re-checked elsewhere: without asserts (-O) and under
+    # another string hash seed, a dissolve, a .aut file that names its
+    # letters and the seeded corpus print the same bytes
+    for name, text in AUT_FIXTURES.items():
+        (tmp_path / name).write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(constel.__file__).parent.parent),
+               PYTHONHASHSEED="12345")
+    for argv in (["dissolve", "--group", KLEIN, "--layers", "~3"],
+                 ["fold", "--automaton", "three-parts.aut"],
+                 ["corpus", "--seed", "3", "--count", "4", "--dir", "corpus"]):
+        want = next((code, digest) for args, code, digest in REPORT_DIGESTS if args == argv)
+        done = subprocess.run([sys.executable, "-O", "-m", "constel", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, hashlib.sha256(done.stdout.encode()).hexdigest()) == want
 
 
 def test_python_m_constel_cli_refuses_with_a_pointer():

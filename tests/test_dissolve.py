@@ -11,7 +11,7 @@ import constel.groups
 from constel.automata import (BfsTree, InverseAutomaton, Subgraph, bfs_tree, full_subgraph,
                               tree_word)
 from constel.constellations import delta_a, maximal_constellations, minimal_cut_sets
-from constel.dissolve import (DissolveReport, GFpSpan, counting_lifts_check,
+from constel.dissolve import (DissolveReport, GFpSpan, KeyLemmaReport, counting_lifts_check,
                               cycle_space_rows, detecting_edges_check,
                               disconnection_equivalence, dissolve_all,
                               dissolves_linear, dissolves_materialized,
@@ -21,8 +21,9 @@ from constel.dissolve import (DissolveReport, GFpSpan, counting_lifts_check,
 from constel.errors import VerificationError
 from constel.gaschuetz import GaschuetzLayer, TowerSpec, build_tower
 from constel.groups import (CyclicSpec, KleinSpec, OrderBoundError, PermSpec,
-                            canonical_morphism, identity_morphism, materialize,
+                            canonical_morphism, coset_walk, identity_morphism, materialize,
                             subgroup_closure, traversal_vector)
+from constel.perms import from_cycles
 from constel.words import Word
 from group_elements import S3_GENS, klein, s3, str_word, w, z2, z3
 
@@ -825,6 +826,9 @@ def test_key_lemma_reports():
 def test_key_lemma_rejects_trivial_subgroup():
     with pytest.raises(ValueError):
         key_lemma_report(z2(), 2, frozenset({0}))
+    # the proof needs a prime modulus, checked as a layer checks it
+    with pytest.raises(ValueError, match="^modulus 4 is not prime$"):
+        key_lemma_report(z2(), 4, frozenset({0, 1}))
 
 
 def test_lift_off_the_base_and_key_lemma_off_a_subgroup_are_refused():
@@ -868,7 +872,26 @@ def per_edge_key_lemma(g_group, p, k_set):
     l_set = frozenset(h for h in range(mat.order) if phi(h) in k_set)
     failures = tuple((h, a) for h, a, _ in mat.cayley.pos_edges()
                      if not constel.dissolve.key_lemma_edge(mat, l_set, (h, a)))
-    return mat.cayley.n_pos_edges, failures
+    return KeyLemmaReport(mat.cayley.n_pos_edges, failures)
+
+
+def enumerated_key_lemma(g_group, p, k_set):
+    """Key-lemma oracle by enumeration: materialize the tilde layer H and
+    search one edge per orbit.  Left multiplication by L permutes Gamma(H)
+    and fixes the removed set, so the orbits are the (right coset L.h,
+    letter) pairs, and L.h is the preimage of the coset K.phi(h)."""
+    h_group, phi = GaschuetzLayer(g_group, p, tilde=True).cover()
+    l_set = frozenset(h for h in range(h_group.order) if phi(h) in k_set)
+    coset, _ = coset_walk(g_group, k_set)  # element of G -> index of its coset K.g
+    verdicts: dict[tuple[int, int], bool] = {}
+    failures = []
+    for h, letter, _ in h_group.cayley.pos_edges():
+        orbit = (coset[phi(h)], letter)
+        if orbit not in verdicts:
+            verdicts[orbit] = constel.dissolve.key_lemma_edge(h_group, l_set, (h, letter))
+        if not verdicts[orbit]:
+            failures.append((h, letter))
+    return KeyLemmaReport(h_group.cayley.n_pos_edges, tuple(failures))
 
 
 def test_key_lemma_report_matches_the_per_edge_loop(monkeypatch):
@@ -880,19 +903,40 @@ def test_key_lemma_report_matches_the_per_edge_loop(monkeypatch):
                         lambda *args: calls.append(args[2]) or real(*args))
     for group, p, k_set in cases:
         calls.clear()
-        rep = key_lemma_report(group, p, k_set)
-        # one call per (right coset L.g, letter)
+        assert key_lemma_report(group, p, k_set) == enumerated_key_lemma(group, p, k_set)
+        # the enumeration searches one edge per (right coset L.g, letter)
         assert len(calls) == group.order // len(k_set) * group.n_letters
-        assert rep.all_ok and (rep.n_edges, rep.failures) == per_edge_key_lemma(group, p, k_set)
-    # a stand-in verdict, constant on orbits: the b-edges at L fail
-    def fake(h_group, l_set, edge):
-        return edge[0] not in l_set or edge[1] == 0
+        assert key_lemma_report(group, p, k_set) == per_edge_key_lemma(group, p, k_set)
 
-    monkeypatch.setattr(constel.dissolve, "key_lemma_edge", fake)
+
+# bases of the key-lemma check: cyclic, elementary abelian and nonabelian
+KEY_LEMMA_BASES = [CyclicSpec(2, (1, 1)), CyclicSpec(3, (1, 1)), CyclicSpec(4, (1, 3)),
+                   CyclicSpec(6, (1, 2)), KleinSpec(((1, 0), (0, 1))), S3,
+                   PermSpec(4, (from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(0, 2)])))]
+
+
+def nontrivial_subgroups(group):
+    """The nontrivial subgroups generated by one or two elements."""
+    return sorted({subgroup_closure(group, [x, y]) for x in range(group.order)
+                   for y in range(x, group.order)} - {frozenset({0})}, key=sorted)
+
+
+def test_key_lemma_report_agrees_with_the_enumeration():
+    # acceptance criterion 10's cases, then every subgroup of each base at
+    # p = 2, and at p = 3 below order 8; the proof answers without a layer,
+    # the oracle searches one
+    z2_, klein_ = z2(), klein()
+    cases = [(z2_, p, frozenset(range(z2_.order))) for p in (2, 3)]
+    cases += [(klein_, 2, frozenset({0, x})) for x in range(1, klein_.order)]
+    for spec in KEY_LEMMA_BASES:
+        group = materialize(spec)
+        cases += [(group, p, k_set) for p in ((2, 3) if group.order < 8 else (2,))
+                  for k_set in nontrivial_subgroups(group)]
+    # D4 at p = 3: a 17,496-element layer
+    cases.append((group, 3, subgroup_closure(group, [group.images[1]])))
     for group, p, k_set in cases:
-        rep = key_lemma_report(group, p, k_set)
-        assert (rep.n_edges, rep.failures) == per_edge_key_lemma(group, p, k_set)
-        assert 0 < len(rep.failures) < rep.n_edges
+        report = key_lemma_report(group, p, k_set)
+        assert report.all_ok and report == enumerated_key_lemma(group, p, k_set), (group, p, k_set)
 
 
 def test_key_lemma_single_edge():

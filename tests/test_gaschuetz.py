@@ -1,11 +1,12 @@
 import random
+import sys
 import time
 import tracemalloc
 
 import pytest
 
 import constel.gaschuetz
-from constel.dissolve import dissolve_all, key_lemma_report, schreier_rank_check
+from constel.dissolve import dissolve_all, schreier_rank_check
 from constel.errors import VerificationError
 from constel.gaschuetz import (GaschuetzElement, GaschuetzLayer, TowerSpec,
                                build_tower, center, coprime_structure_checks,
@@ -208,6 +209,19 @@ def test_order_formula_matches_enumeration():
                 assert layer.order() == want
                 assert order_formula(base.order, 2, p, tilde) == want
                 assert layer.materialize().order == want
+
+
+def test_orders_past_the_digit_limit_stand_as_powers_of_two():
+    # p^k >= 2^k: once 2^k has more digits than Python prints, 2^k stands
+    # for the order instead of a p^k that takes seconds to build
+    k = 4 * sys.get_int_max_str_digits()
+    assert order_formula(k + 1, 2, 3, tilde=True) == (k + 1) * 3 ** k
+    assert order_formula(k + 2, 2, 3, tilde=True) == 1 << (k + 1)
+    layer = GaschuetzLayer(materialize(CyclicSpec(20000, (1, 1))), 999999999989, tilde=True)
+    assert layer.order() == 1 << 19999
+    assert schreier_rank_check(layer).verified is None
+    with pytest.raises(OrderBoundError, match=r"^layer order >= 2\^19999 exceeds the bound 1000000$"):
+        layer.materialize()
 
 
 def test_materialize_respects_bound(monkeypatch):
@@ -437,7 +451,6 @@ def test_build_tower_checks_its_projections(monkeypatch):
     calls = [
         lambda: build_tower(TowerSpec(CyclicSpec(2, (1, 1)), ((2, True), (2, True)))),
         lambda: coprime_structure_checks(z2(), 3),
-        lambda: key_lemma_report(z2(), 2, {0, 1}),
         lambda: schreier_rank_check(GaschuetzLayer(z2(), 3)),
         lambda: dissolve_all(top_materialized),
         lambda: dissolve_all(top_materialized, weak=True),
