@@ -335,28 +335,17 @@ class BfsTree:
     def grow(self, stop: int | None = None) -> dict[int, tuple[int, int, int]]:
         """Process vertices until `stop` has been discovered, or to the
         end when it is None or never discovered; return the tree."""
-        tree = self.tree
-        if stop is None:
-            pending = self._pending
-        elif stop in tree:
-            return tree
-        else:
-            pending = _until(self._pending, tree, stop)
-        return _search(tree, self._order, pending, self._columns, self._edges, self._forward_only)
+        if stop is None or stop not in self.tree:
+            _search(self.tree, self._order, self._pending, self._columns, self._edges,
+                    self._forward_only, stop)
+        return self.tree
 
 
-def _until(pending, tree: dict, stop: int):
-    """The vertices of `pending` up to the one whose processing puts
-    stop in tree."""
-    for v in pending:
-        yield v
-        if stop in tree:
-            return
-
-
-def _search(tree: dict, order: list, pending, columns, edges, forward_only: bool) -> dict:
+def _search(tree: dict, order: list, pending, columns, edges, forward_only: bool,
+            stop: int | None = None) -> dict:
     """The BFS loop: process each vertex `pending` yields, adding the
-    vertices it discovers to tree and order."""
+    vertices it discovers to tree and order, and end after the vertex
+    whose processing puts `stop` in tree."""
     for v in pending:
         for letter, (out, into) in columns:
             w = out[v]
@@ -369,6 +358,8 @@ def _search(tree: dict, order: list, pending, columns, edges, forward_only: bool
             if u is not None and u not in tree and (edges is None or (u, letter) in edges):
                 tree[u] = (v, letter, -1)
                 order.append(u)
+        if stop is not None and stop in tree:
+            break
     return tree
 
 
@@ -376,7 +367,7 @@ def bfs_tree(aut: InverseAutomaton, root: int, edges=None) -> dict[int, tuple[in
     """`BfsTree(aut, root, edges).grow()`: vertex ->
     (previous vertex, letter, sign) for root's whole component, in
     discovery order.  It runs the same loop from the same start without
-    the object, so a whole search pays nothing for resumability.  A
+    the object and without a stop.  A
     caller that reads only the paths to a few vertices grows a BfsTree
     to each of them instead."""
     order = [root]

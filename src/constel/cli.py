@@ -299,9 +299,15 @@ def _cmd_certify_an(args) -> tuple[dict, bool]:
 
 def _layer(spec: ExtensionSpec) -> GaschuetzLayer:
     """The layer an extension spec names; like `materialize`, it warns for
-    letters that map to its identity, not to its inner group's."""
+    letters that map to its identity, not to its inner group's.  Letter a
+    maps to (e_(1,a), phi(a)) in the plain layer, and e_(1,a) != 0; in the
+    tilde layer to the class of e_(1,a) modulo label-constant vectors,
+    trivial exactly when (1, a) is the only a-edge, that is when |G| = 1.
+    So only the tilde layer over the trivial group has identity letters,
+    and all its letters are."""
     layer = GaschuetzLayer(_materialize(spec.inner), spec.p, tilde=spec.tilde)
-    warn_identity_letters(layer.images, layer.identity)
+    trivial = layer.tilde and layer.base.order == 1
+    warn_identity_letters([trivial] * layer.n_letters, True)
     return layer
 
 
@@ -429,7 +435,7 @@ def _cmd_closure(args) -> tuple[dict, bool]:
     gens, _ = _parse_wordlist(args.gens, group.n_letters)
     aut = closure_at_level(gens, group)
     return {"automaton": write_aut(aut), "n": aut.n, "rank": rank_from_core(aut),
-            "image_order": len(subgroup_image(gens, group))}, True
+            "image_order": group.order // aut.n}, True  # the coset graph has [G : T] vertices
 
 
 def _cmd_rz_member(args) -> tuple[dict, bool]:

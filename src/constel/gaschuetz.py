@@ -78,7 +78,9 @@ def order_formula(base_order: int, n_letters: int, p: int, tilde: bool) -> int:
 
 
 class GaschuetzLayer:
-    """Lazy arithmetic for the mod-p layer over a materialized base group."""
+    """Lazy arithmetic for the mod-p layer over a materialized base group.
+    It holds the base, p and tilde; its identity and letter images are
+    `evaluate` of the empty word and of the one-letter words."""
 
     def __init__(self, base: MaterializedGroup, p: int, tilde: bool = False):
         check_modulus(p)
@@ -86,10 +88,6 @@ class GaschuetzLayer:
         self.p = p
         self.tilde = tilde
         self.n_letters = base.n_letters
-        size = base.order * base.n_letters
-        self.identity = GaschuetzElement((0,) * size, 0)
-        self.images = [self._make([1 if i == a else 0 for i in range(size)], base.images[a])
-                       for a in range(base.n_letters)]
 
     def _make(self, alpha, g: int) -> GaschuetzElement:
         """Element from an unreduced dense vector; the tilde layer takes

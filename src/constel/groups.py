@@ -7,7 +7,8 @@ their discovery by BFS from the identity, letters ascending, so element 0
 is the identity.  The table is one column per letter, column a holding
 x * image(a) for every element x; it is recorded while the elements are
 discovered, becomes the `fwd` of the Cayley automaton as it stands, and
-the element objects are dropped afterwards; all later arithmetic is
+the keys that stood for the elements (ints, pairs, tuples of permutation
+images) are dropped afterwards; all later arithmetic is
 done by table: a product follows the right factor's generation-tree word
 through the Cayley graph.  A product costs one Cayley step per letter of
 that word, up to n - 1 in cyclic(n; a=1, b=1), so closures use whole
@@ -27,7 +28,7 @@ from math import gcd
 
 from .automata import InverseAutomaton
 from .errors import VerificationError
-from .perms import Permutation, _orbit, identity as perm_identity
+from .perms import Permutation, _orbit
 from .words import Word
 
 
@@ -267,8 +268,9 @@ def _materialize(spec: GroupSpec) -> MaterializedGroup:
         for img in spec.images:
             if img.degree != spec.degree:
                 raise ValueError("permutation degree mismatch")
-        images = spec.images
-        return _generate(spec.n_letters, perm_identity(spec.degree), lambda x, a: x * images[a])
+        images = [img.images for img in spec.images]  # x * img moves v to img[x[v]]
+        return _generate(spec.n_letters, tuple(range(spec.degree)),
+                         lambda x, a: tuple([images[a][v] for v in x]))
     if isinstance(spec, ExtensionSpec):
         from .gaschuetz import GaschuetzLayer
         return GaschuetzLayer(_materialize(spec.inner), spec.p, spec.tilde).materialize()

@@ -35,18 +35,6 @@ class Permutation:
             inv[j] = i
         return Permutation(tuple(inv))
 
-    def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, fixed points as 1-cycles, each from its least point, sorted."""
         seen = [False] * self.degree
@@ -66,10 +54,6 @@ class Permutation:
 
     def is_even(self) -> bool:
         return (self.degree - len(self.cycles())) % 2 == 0
-
-
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(n)))
 
 
 def from_cycles(n: int, cycles) -> Permutation:

@@ -15,7 +15,7 @@ from constel.gaschuetz import GaschuetzLayer
 from constel.groups import (CyclicSpec, KleinSpec, PermSpec, ProductSpec,
                             materialize, product_A)
 from constel.perms import from_cycles
-from constel.words import Word, parse_word
+from constel.words import EMPTY, Word, parse_word
 
 A2 = 2  # the two-letter alphabet a, b
 
@@ -65,6 +65,13 @@ def element_list(g, identity, images, mul):
     assert all(index[mul(x, img)] == g.cayley.fwd[a][i]
                for i, x in enumerate(elems) for a, img in enumerate(images))
     return elems, index
+
+
+def layer_generators(layer):
+    """(identity, letter images) of a Gaschuetz layer, as `evaluate`
+    gives them for the empty word and the one-letter words."""
+    return layer.evaluate(EMPTY), [layer.evaluate(Word(((a, 1),)))
+                                   for a in range(layer.n_letters)]
 
 
 def _perm(degree, *gens):

@@ -27,7 +27,7 @@ from constel.groups import (CyclicSpec, ExtensionSpec, KleinSpec, PermSpec,
                             identity_morphism, materialize, subgroup_closure)
 from constel.perms import from_cycles
 from constel.words import Word, parse_word, reduce
-from group_elements import element_list
+from group_elements import element_list, layer_generators
 
 A2 = 2
 Z2 = CyclicSpec(2, (1, 1))
@@ -221,7 +221,7 @@ def test_criterion_06_center_is_the_label_constant_subgroup():
         brute = {x for x in range(mat.order)
                  if all(mat.mul_idx(x, img) == mat.mul_idx(img, x)
                         for img in mat.images)}
-        _, index = element_list(mat, layer.identity, layer.images, layer.mul)
+        _, index = element_list(mat, *layer_generators(layer), layer.mul)
         assert {index[el] for el in info.elements()} == brute
         witness_elems = [mat.evaluate(word_) for word_ in info.witness_words]
         assert subgroup_closure(mat, witness_elems) == frozenset(brute)

@@ -8,11 +8,13 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
 import constel
+import constel.cli
 import constel.dissolve
 import constel.gaschuetz
 import constel.groups
@@ -22,6 +24,7 @@ from constel.completion import complete_to_alternating
 from constel.groups import (DEFAULT_BOUND, CyclicSpec, ExtensionSpec, KleinSpec, PermSpec,
                             ProductSpec)
 from constel.perms import from_cycles
+from constel.words import Word
 
 
 def run(args):
@@ -662,6 +665,22 @@ def test_layer_commands_warn_as_cayley_does(spec):
                                                "the plain layer\n")
         else:
             assert code in (0, 1) and err == warned, command
+
+
+@pytest.mark.parametrize("inner", ["cyclic(1;a=0,b=0)", "cyclic(2;a=1,b=1)", "cyclic(2;a=1,b=0)",
+                                   "perm(3;a=(0 1),b=(1 2))", "klein(a=10,b=01)"])
+def test_identity_letter_rule_matches_the_evaluated_images(inner):
+    # `_layer` warns by a rule; the letters it names are exactly those
+    # whose evaluated image is the layer's identity
+    for p in (2, 3):
+        for kind in ("gaschutz", "tilde"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                layer = constel.cli._layer(parse_group_spec("%s(%s,%d)" % (kind, inner, p)))
+            warned = [str(c.message) for c in caught]
+            expected = [a for a in range(layer.n_letters) if layer.is_identity(Word(((a, 1),)))]
+            assert warned == ["letter %d maps to the identity" % a for a in expected], (kind, p)
+            assert bool(expected) == (kind == "tilde" and inner == "cyclic(1;a=0,b=0)")
 
 
 S3 = "perm(3;a=(0 1),b=(1 2))"

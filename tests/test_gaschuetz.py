@@ -16,7 +16,8 @@ from constel.groups import (CyclicSpec, OrderBoundError, _generate,
                             materialize, subgroup_closure, traversal_vector)
 from constel.perms import from_cycles
 from constel.words import Word, concat, invert
-from group_elements import S3_GENS, element_list, klein, s3, sample_groups, str_word, w, z2
+from group_elements import (S3_GENS, element_list, klein, layer_generators, s3, sample_groups,
+                            str_word, w, z2)
 
 
 def random_word(rng, max_len=12, n_letters=2):
@@ -89,7 +90,7 @@ def test_layer_arithmetic_matches_dense_oracle():
     cases = [(GaschuetzLayer(s3(), p, tilde), perms, 40)
              for p, tilde in ((2, False), (2, True), (3, True))]
     cases.append((GaschuetzLayer(level, 2, True),
-                  (lower.identity, lower.images, lower.mul, lower.inv), 8))
+                  (*layer_generators(lower), lower.mul, lower.inv), 8))
     for layer, base, rounds in cases:
         oracle = DenseOracle(layer, *base)
         for _ in range(rounds):
@@ -139,7 +140,7 @@ def test_step_materialization_matches_the_product_closure():
         layer = GaschuetzLayer(base, p, tilde)
         mat = layer.materialize()
         assert mat.order == layer.order()
-        element_list(mat, layer.identity, layer.images, layer.mul)
+        element_list(mat, *layer_generators(layer), layer.mul)
 
 
 def tuple_key_materialize(layer):
@@ -182,6 +183,20 @@ def test_materializing_the_z12_tilde_layer_stays_small():
         tracemalloc.stop()
     assert mat.order == 24576
     assert peak < 6 * 2 ** 20
+
+
+def test_building_a_layer_allocates_nothing_per_edge():
+    """A layer holds its base, p and tilde; over the 8-letter cyclic(100000)
+    base, dense letter images would take about 67 MiB."""
+    base = materialize(CyclicSpec(100000, (1,) * 8))
+    for tilde in (False, True):
+        tracemalloc.start()
+        try:
+            GaschuetzLayer(base, 3, tilde)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, tilde
 
 
 def test_layer_requires_prime():
@@ -236,12 +251,13 @@ def test_materialize_respects_bound(monkeypatch):
 def test_lazy_arithmetic_is_consistent():
     rng = random.Random(41)
     layer = GaschuetzLayer(klein(), 3)
+    identity, _ = layer_generators(layer)
     for _ in range(100):
         u, v = random_word(rng), random_word(rng)
         xu, xv = layer.evaluate(u), layer.evaluate(v)
         assert layer.evaluate(concat(u, v)) == layer.mul(xu, xv)
         assert layer.evaluate(invert(u)) == layer.inv(xu)
-        assert layer.mul(xu, layer.inv(xu)) == layer.identity
+        assert layer.mul(xu, layer.inv(xu)) == identity
 
 
 def test_lazy_word_problem_matches_materialized():
@@ -274,7 +290,7 @@ def test_center_matches_brute_force():
         brute = {x for x in range(mat.order)
                  if all(mat.mul_idx(x, img) == mat.mul_idx(img, x)
                         for img in mat.images)}
-        _, index = element_list(mat, layer.identity, layer.images, layer.mul)
+        _, index = element_list(mat, *layer_generators(layer), layer.mul)
         listed = {index[el] for el in info.elements()}
         assert listed == brute
         for gen, word_ in zip(info.generators, info.witness_words):
@@ -309,7 +325,7 @@ def test_tilde_is_plain_modulo_center():
     phi = canonical_morphism(plain, tilde)
     assert phi is not None
     info = center(plain_layer)
-    _, index = element_list(plain, plain_layer.identity, plain_layer.images, plain_layer.mul)
+    _, index = element_list(plain, *layer_generators(plain_layer), plain_layer.mul)
     assert {index[el] for el in info.elements()} == set(phi.kernel())
 
 
@@ -462,7 +478,8 @@ def test_build_tower_checks_its_projections(monkeypatch):
 
 def test_center_checks_its_witnesses(monkeypatch):
     layer = GaschuetzLayer(z2(), 3)
-    monkeypatch.setattr(layer, "evaluate", lambda word: layer.identity)
+    identity, _ = layer_generators(layer)
+    monkeypatch.setattr(layer, "evaluate", lambda word: identity)
     with pytest.raises(VerificationError):
         center(layer)
     monkeypatch.setattr(constel.gaschuetz, "tree_word", lambda tree, v: None)

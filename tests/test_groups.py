@@ -18,7 +18,8 @@ from constel.groups import (DEFAULT_BOUND, CyclicSpec, ExtensionSpec, KleinSpec,
                             table_automaton, traversal_vector)
 from constel.perms import from_cycles
 from constel.words import Word
-from group_elements import S3_GENS, element_list, klein, s3, sample_groups, w, z2
+from group_elements import (S3_GENS, element_list, klein, layer_generators, s3, sample_groups,
+                            w, z2)
 
 
 def perm_group(gens):
@@ -154,6 +155,22 @@ def test_table_arithmetic_of_plain_groups():
                                lambda x, y: x * y, lambda x: x.inverse())
 
 
+def test_perm_spec_materializes_as_permutation_products():
+    # the reference steps on Permutation objects; materialize on image tuples
+    cases = ((3, [[(0, 1)], [(1, 2)]], 6),  # S3
+             (4, [[(0, 1), (2, 3)], [(1, 2, 3)]], 12),  # A4
+             (4, [[(0, 1)], [(0, 1, 2, 3)]], 24),  # S4
+             (4, [[(0, 1, 2, 3)], [(0, 2)]], 8))  # D4
+    for degree, gens, order in cases:
+        images = tuple(from_cycles(degree, c) for c in gens)
+        g = materialize(PermSpec(degree, images))
+        want = constel.groups._generate(len(images), from_cycles(degree, []),
+                                        lambda x, a: x * images[a])
+        assert g.order == want.order == order
+        assert g.cayley.fwd == want.cayley.fwd
+        assert (g._parent, g._letter) == (want._parent, want._letter)
+
+
 def test_table_arithmetic_of_products():
     left, l_elems, l_index = perm_group(S3_GENS)
     right = materialize(CyclicSpec(4, (1, 3)))
@@ -180,8 +197,8 @@ def test_table_arithmetic_of_layers():
     for base, p, tilde in ((s3(), 2, True), (klein(), 2, False), (klein(), 3, True),
                            (z2, 3, False), (z2_id, 2, False), (z2_id, 3, True)):
         layer = GaschuetzLayer(base, p, tilde)
-        check_table_arithmetic(layer.materialize(), layer.identity, layer.images,
-                               layer.mul, layer.inv)
+        check_table_arithmetic(layer.materialize(), *layer_generators(layer), layer.mul,
+                               layer.inv)
 
 
 def test_long_generation_tree_stays_linear():
