@@ -7,9 +7,8 @@ from .words import (ASCII_LETTERS, EMPTY, Word, concat, format_word, invert,
                     parse_word, power, reduce)
 from .automata import (InverseAutomaton, LabeledGraph, Subgraph, amalgam,
                        as_inverse_automaton, bouquet, canonical, core_of_words,
-                       embed_check, fold, full_subgraph, member, pointed_isomorphic,
-                       rank_from_core, read_aut, subgraph_automaton, to_dot,
-                       transition_group, trim, write_aut)
+                       embed_check, fold, full_subgraph, member, rank_from_core,
+                       read_aut, to_dot, transition_group, trim, write_aut)
 from .perms import (AlternatingCertificate, PermGroupGens, Permutation,
                     alternating_certificate, from_cycles, is_primitive,
                     is_prime, is_transitive, parse_cycles)

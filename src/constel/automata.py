@@ -306,10 +306,6 @@ def embed_check(a: InverseAutomaton, c: InverseAutomaton, start: int) -> dict[in
     return None if images is None else dict(zip(order, images))
 
 
-def pointed_isomorphic(a: InverseAutomaton, b: InverseAutomaton) -> bool:
-    return canonical(a) == canonical(b)
-
-
 class BfsTree:
     """Breadth-first search from root, run only as far as it is asked.
 
@@ -452,37 +448,20 @@ def induced_subgraph(aut: InverseAutomaton, vertices) -> Subgraph:
     return Subgraph(aut, edges, vs)
 
 
-def _product_walk(a: InverseAutomaton, c: InverseAutomaton
-                  ) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
+def _product_walk(a: InverseAutomaton, c: InverseAutomaton) -> set[tuple[int, int]]:
     """Pairs (vertex of a, vertex of c) reached by reading the same path
-    in both from their bases, and the positive edges of c those paths
-    traverse."""
+    in both from their bases."""
     seen = {(a.base, c.base)}
     queue = deque(seen)
-    edges: set[tuple[int, int]] = set()
     while queue:
         p, g = queue.popleft()
         for letter in range(a.n_letters):
             for sign in (1, -1):
                 np_, ng = a.step(p, letter, sign), c.step(g, letter, sign)
-                if np_ is None or ng is None:
-                    continue
-                edges.add((g, letter) if sign > 0 else (ng, letter))
-                if (np_, ng) not in seen:
+                if np_ is not None and ng is not None and (np_, ng) not in seen:
                     seen.add((np_, ng))
                     queue.append((np_, ng))
-    return seen, edges
-
-
-def subgraph_automaton(sub: Subgraph, base: int) -> InverseAutomaton:
-    """Standalone pointed automaton for the subgraph component of `base`."""
-    comp = sub.component_of(base)
-    ids = sorted(comp)
-    newid = {v: i for i, v in enumerate(ids)}
-    edges = [(newid[u], letter, newid[sub.dst((u, letter))])
-             for (u, letter) in sorted(sub.edges)
-             if u in comp]
-    return canonical(InverseAutomaton(len(ids), sub.parent.n_letters, edges, newid[base]))
+    return seen
 
 
 def amalgam(xi: Subgraph, theta: Subgraph) -> InverseAutomaton:

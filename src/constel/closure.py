@@ -10,8 +10,7 @@ membership in a product of finitely generated subgroups.
 
 from __future__ import annotations
 
-from .automata import (InverseAutomaton, Subgraph, _product_walk, member, pointed_isomorphic,
-                       subgraph_automaton)
+from .automata import InverseAutomaton, _product_walk
 from .errors import VerificationError
 from .gaschuetz import GaschuetzLayer, TowerSpec
 from .groups import (MaterializedGroup, coset_walk, materialize, subgroup_closure,
@@ -44,19 +43,23 @@ def closure_at_level(gens: list[Word], g_group: MaterializedGroup) -> InverseAut
 
 
 def extendible_at_level(a: InverseAutomaton, g_group: MaterializedGroup
-                        ) -> tuple[bool, InverseAutomaton]:
-    """Whether the canonical morphism of a into the coset graph of its
-    base-fiber subgroup is injective; also returns its image, the
-    largest level-G quotient of a."""
+                        ) -> tuple[bool, dict[int, int]]:
+    """Whether the canonical morphism of a into the coset graph of T, the
+    image of a's closed paths at its base, is injective; also returns
+    its vertex map, vertex of a -> coset, with the base on coset 0.
+
+    The map is well defined: two elements paired with one vertex v
+    differ by the image of a closed path at the base of a, which lies
+    in T, so they share a coset.  In an inverse automaton an edge is
+    fixed by its source and letter, so a morphism that is injective on
+    vertices is injective on edges.  A disconnected a leaves some
+    vertices unmapped, and the answer is False."""
     if a.base is None:
         raise ValueError("extendibility needs a based automaton")
-    seen, g_edges = _product_walk(a, g_group.cayley)
-    t_set = frozenset(g for v, g in seen if v == a.base)
-    sigma, coset_of = schreier_graph(g_group, t_set)
-    vertices = frozenset(coset_of[g] for _, g in seen)
-    edges = frozenset((coset_of[u], letter) for u, letter in g_edges)
-    psi = subgraph_automaton(Subgraph(sigma, edges, vertices), 0)
-    return pointed_isomorphic(psi, a), psi
+    seen = _product_walk(a, g_group.cayley)
+    coset_of, _ = coset_walk(g_group, {g for v, g in seen if v == a.base})
+    image = {v: coset_of[g] for v, g in seen}
+    return len(set(image.values())) == len(image) == a.n, image
 
 
 def product_membership_at_level(w: Word, subgroups: list[list[Word]],
@@ -76,10 +79,10 @@ def closure_chain(w: Word, gens: list[Word], spec: TowerSpec) -> list[bool]:
     """Membership of w in the level closure of <gens> at every level of
     the tower; nonincreasing since the projections carry image to image."""
     level = materialize(spec.base)
-    answers = [member(closure_at_level(gens, level), w)]
+    answers = [level.evaluate(w) in subgroup_image(gens, level)]
     for p, tilde in spec.layers:
         level = GaschuetzLayer(level, p, tilde=tilde).materialize()
-        answers.append(member(closure_at_level(gens, level), w))
+        answers.append(level.evaluate(w) in subgroup_image(gens, level))
     for earlier, later in zip(answers, answers[1:]):
         if later and not earlier:
             raise VerificationError("level membership must be nonincreasing")

@@ -122,6 +122,7 @@ def minimal_cut_sets(aut: InverseAutomaton) -> list[MinimalCut]:
     anchor = aut.base if aut.base is not None else 0
     bit = {v: 1 << i for i, v in enumerate(v for v in range(aut.n) if v != anchor)}
     edges = aut.pos_edges()
+    columns = aut.fwd + aut.bwd
     nears = []
 
     def grow(near: frozenset[int], excluded: frozenset[int]) -> None:
@@ -129,7 +130,7 @@ def minimal_cut_sets(aut: InverseAutomaton) -> list[MinimalCut]:
             outside = {(u, letter) for u, letter, v in edges if u not in near and v not in near}
             if not excluded <= bfs_tree(aut, min(excluded), outside).keys():
                 return
-        frontier = {w for v in near for w, *_ in full.neighbors(v)} - near - excluded
+        frontier = {col[v] for v in near for col in columns} - {None} - near - excluded
         if frontier:
             v = min(frontier)
             grow(near | {v}, excluded)

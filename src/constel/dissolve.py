@@ -199,9 +199,7 @@ def _pair_lifts(phi: Morphism, xi: Subgraph, theta: Subgraph) -> _Lifts:
     preimages of their edges, read off one set of fibers.  S lies in
     Xi, so the component of 1 in Xi's contraction is a union of
     components of S's; likewise for Theta."""
-    _check_target(phi, xi, theta)
-    if not (xi.parent.base in xi.vertices and xi.parent.base in theta.vertices):
-        raise ValueError("the base vertex must lie in the subgraph")
+    _check_target(phi, xi, theta)  # the Constellation of xi and theta checked the base
     aut, fibers = phi.src.cayley, phi.fibers()
     comp = _contract(aut, fibers, xi.edges & theta.edges)
     halves = tuple({comp[h] for h, c in enumerate(_contract(aut, fibers, sub.edges)) if not c}

@@ -92,11 +92,15 @@ class GaschuetzLayer:
     def _make(self, alpha, g: int) -> GaschuetzElement:
         """Element from an unreduced dense vector; the tilde layer takes
         the coset form modulo label-constant vectors, with the entry of
-        every edge (1, a) forced to zero."""
+        every edge (1, a) forced to zero.  The tilde form is taken in
+        place, one letter's slice at a time, and consumes alpha."""
         p = self.p
         if self.tilde:
-            consts = alpha[:self.n_letters] * self.base.order
-            return GaschuetzElement(tuple([(u - c) % p for u, c in zip(alpha, consts)]), g)
+            n = self.n_letters
+            for a in range(n):
+                c = alpha[a]
+                alpha[a::n] = [(u - c) % p for u in alpha[a::n]]
+            return GaschuetzElement(tuple(alpha), g)
         return GaschuetzElement(tuple([u % p for u in alpha]), g)
 
     def _shift(self, g: int) -> list[int]:

@@ -8,9 +8,8 @@ import pytest
 from constel.automata import (BfsTree, InverseAutomaton, LabeledGraph, Subgraph,
                               amalgam, as_inverse_automaton, bfs_tree, canonical,
                               core_of_words, embed_check, fold, full_subgraph, member,
-                              pointed_isomorphic, rank_from_core, read_aut,
-                              subgraph_automaton, to_dot, transition_group, tree_word,
-                              trim, write_aut)
+                              rank_from_core, read_aut, to_dot, transition_group,
+                              tree_word, trim, write_aut)
 from constel.groups import CyclicSpec, KleinSpec, PermSpec, materialize
 from constel.words import Word, invert, reduce
 from group_elements import S3_GENS, w
@@ -253,8 +252,7 @@ def test_canonical_idempotent_and_invariant():
         n, 2, [(relabel[u], l, relabel[v]) for u, l, v in core.pos_edges()],
         relabel[core.base])
     assert canonical(moved) == canonical(core)
-    assert pointed_isomorphic(moved, core)
-    assert not pointed_isomorphic(core, z2_cayley())
+    assert canonical(core) != canonical(z2_cayley())
 
 
 def random_folded(rng) -> InverseAutomaton:
@@ -510,14 +508,6 @@ def test_subgraph_validation():
                            ((4, 0), {0, 4})):
         with pytest.raises(ValueError, match="not in parent"):
             Subgraph(z4, frozenset({edge}), frozenset(vertices))
-
-
-def test_subgraph_automaton_renumbers():
-    cay = z2_cayley()
-    sub = Subgraph(cay, frozenset({(1, 1)}), frozenset({1}))
-    aut = subgraph_automaton(sub, 1)
-    assert aut.n == 1 and aut.base == 0
-    assert aut.pos_edges() == [(0, 1, 0)]
 
 
 def test_amalgam_glues_at_base():

@@ -4,16 +4,17 @@ import warnings
 import pytest
 
 import constel.closure
-from constel.automata import (InverseAutomaton, core_of_words, embed_check,
-                              member, rank_from_core, write_aut)
+from constel.automata import (InverseAutomaton, bfs_tree, core_of_words, embed_check,
+                              member, rank_from_core, tree_word, write_aut)
+from constel.cli import _random_corpus_automaton
 from constel.closure import (closure_at_level, closure_chain,
                              extendible_at_level, product_membership_at_level,
                              schreier_graph, subgroup_image)
 from constel.errors import VerificationError
-from constel.gaschuetz import TowerSpec
+from constel.gaschuetz import GaschuetzLayer, TowerSpec
 from constel.groups import CyclicSpec, KleinSpec, materialize
-from constel.words import Word, concat, power
-from group_elements import s3, w
+from constel.words import Word, concat, invert, power
+from group_elements import _perm, klein, s3, w
 
 
 def z4():
@@ -73,24 +74,45 @@ def test_closure_language_is_level_membership():
 
 def test_extendible_fixtures():
     g = materialize(CyclicSpec(4, (1, 2)))
-    ok, psi = extendible_at_level(core_of_words([w("aa"), w("b")], 2), g)
-    assert ok and psi.n == 2
-    ok, psi = extendible_at_level(g.cayley, g)
-    assert ok and psi.n == 4
+    ok, image = extendible_at_level(core_of_words([w("aa"), w("b")], 2), g)
+    assert ok and len(set(image.values())) == 2
+    ok, image = extendible_at_level(g.cayley, g)
+    assert ok and len(set(image.values())) == 4
     edge = InverseAutomaton(2, 2, [(0, 0, 1)], 0)
-    ok, psi = extendible_at_level(edge, g)
-    assert ok and psi.n == 2
+    ok, image = extendible_at_level(edge, g)
+    assert ok and len(set(image.values())) == 2
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         skew = materialize(CyclicSpec(2, (0, 1)))
     # the letter folds onto the identity, so the edge collapses
-    ok, psi = extendible_at_level(edge, skew)
-    assert not ok and psi.n == 1
+    ok, image = extendible_at_level(edge, skew)
+    assert not ok and image == {0: 0, 1: 0}
 
 
 def test_extendible_needs_base():
     with pytest.raises(ValueError):
         extendible_at_level(InverseAutomaton(1, 2, [], None), z4())
+
+
+def closed_path_image(a, group):
+    """Image in the group of a's closed paths at its base, generated by
+    one tree-edge-tree word per positive edge of a connected a."""
+    tree = bfs_tree(a, a.base)
+    return subgroup_image([concat(tree_word(tree, u), Word(((letter, 1),)),
+                                  invert(tree_word(tree, v)))
+                           for u, letter, v in a.pos_edges()], group)
+
+
+def corpus_bases():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # identity letters warn
+        z2, sym3 = materialize(CyclicSpec(2, (1, 1))), s3()
+        return [z2, materialize(CyclicSpec(4, (1, 3))), klein(), sym3,
+                materialize(CyclicSpec(6, (1, 2))), _perm(4, [(0, 1, 2)], [(1, 2, 3)]),
+                GaschuetzLayer(z2, 2, True).materialize(),
+                GaschuetzLayer(sym3, 2, True).materialize(),
+                _perm(4, [(0, 1, 2, 3)], [(0, 2)]),
+                materialize(CyclicSpec(2, (0, 1)))]
 
 
 def test_extendible_agrees_with_embedding_into_the_coset_graph():
@@ -104,6 +126,22 @@ def test_extendible_agrees_with_embedding_into_the_coset_graph():
         sigma, _ = schreier_graph(g, t_set)
         via_embed = embed_check(a, sigma, 0) is not None
         assert extendible_at_level(a, g)[0] == via_embed
+    # the returned map is the canonical morphism into the coset graph of T
+    rng, oks = random.Random(11), []
+    for group in corpus_bases():
+        for _ in range(25):
+            a = _random_corpus_automaton(rng, rng.randint(3, 10))
+            ok, image = extendible_at_level(a, group)
+            sigma, _ = schreier_graph(group, closed_path_image(a, group))
+            assert image[a.base] == 0 and image.keys() == set(range(a.n))
+            assert all(image[v] == sigma.fwd[letter][image[u]] for u, letter, v in a.pos_edges())
+            oks.append(ok)
+            if ok:
+                assert image == embed_check(a, sigma, 0)
+            else:
+                assert embed_check(a, sigma, 0) is None
+                assert len(set(image.values())) < a.n
+    assert any(oks) and not all(oks)
 
 
 def test_product_membership():
@@ -152,7 +190,8 @@ def test_closure_chain_is_nonincreasing():
 
 def test_closure_chain_checks_monotonicity(monkeypatch):
     answers = iter([False, True, True])
-    monkeypatch.setattr(constel.closure, "member", lambda aut, word: next(answers))
+    monkeypatch.setattr(constel.closure, "subgroup_image",
+                        lambda gens, level: range(level.order) if next(answers) else ())
     spec = TowerSpec(CyclicSpec(2, (1, 1)), ((2, True), (2, True)))
     with pytest.raises(VerificationError):
         closure_chain(w("a"), [w("aa")], spec)

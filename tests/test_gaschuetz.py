@@ -15,7 +15,7 @@ from constel.groups import (CyclicSpec, OrderBoundError, _generate,
                             abelian_relations, abelianization, canonical_morphism,
                             materialize, subgroup_closure, traversal_vector)
 from constel.perms import from_cycles
-from constel.words import Word, concat, invert
+from constel.words import Word, concat, invert, parse_word
 from group_elements import (S3_GENS, element_list, klein, layer_generators, s3, sample_groups,
                             str_word, w, z2)
 
@@ -197,6 +197,21 @@ def test_building_a_layer_allocates_nothing_per_edge():
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20, tilde
+
+
+def test_tilde_evaluate_reduces_its_vector_in_place():
+    """A tilde word holds its dense vector and the element's tuple at
+    peak, 8 bytes an entry each; a second dense vector of letter
+    constants and a reduced copy took it to four."""
+    base = materialize(CyclicSpec(20000, (1,) * 8))
+    layer, word = GaschuetzLayer(base, 3, tilde=True), parse_word("abAB", 8)
+    tracemalloc.start()
+    try:
+        layer.evaluate(word)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * base.order * layer.n_letters
 
 
 def test_layer_requires_prime():

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import re
+from collections import Counter
 from pathlib import Path
 
 import constel
@@ -180,23 +181,48 @@ def test_bench_tracing_hooks_read_real_calls():
 AWAITING_CALLERS = {"closure_chain", "extendible_at_level"}
 
 
+def defined_functions(tree):
+    """(name, def node) of every module-level function and every public
+    method of a module-level class."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield stmt.name, stmt
+        elif isinstance(stmt, ast.ClassDef):
+            for node in stmt.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield node.name, node
+
+
+def names_read(node) -> Counter:
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
 def test_every_package_export_has_a_caller():
-    # the package exports what a caller uses: each name constel/__init__.py
-    # imports must be read as a name or attribute in the code of another
-    # module, the acceptance tests or the benchmark's scenarios (comments,
-    # docstrings and imports do not count), or be named in the README
+    # the package defines and exports what a caller uses: each name
+    # constel/__init__.py imports, and each module-level function and
+    # public method, must be read as a name or attribute outside its own
+    # definition, in the code of the other modules, the acceptance tests
+    # or the benchmark's scenarios (comments, docstrings and imports do
+    # not count), or be a benchmark tracing target, or be named in the
+    # README
     package = Path(constel.__file__).parent
     root = Path(__file__).resolve().parent.parent
-    callers = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
-    callers += [root / "tests" / "test_acceptance.py",
-                root / "perfbench" / "scenarios.py", root / "perfbench" / "workload.py"]
-    used = {node.id if isinstance(node, ast.Name) else node.attr
-            for path in callers for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, (ast.Name, ast.Attribute))}
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))
+               if path.name != "__init__.py"}
+    others = [ast.parse((root / name).read_text()) for name in
+              ("tests/test_acceptance.py", "perfbench/scenarios.py", "perfbench/workload.py")]
+    reads = sum(map(names_read, [*modules.values(), *others]), Counter())
+    traced = {attr.split(".")[-1] for _, attr, *_ in bench_tracing().TARGETS}
     readme = (root / "README.md").read_text()
     exports = {alias.name
                for node in ast.parse((package / "__init__.py").read_text()).body
                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    orphans = sorted(name for name in exports - AWAITING_CALLERS - used
-                     if not re.search(r"\b%s\b" % name, readme))
+    orphans = {name for name in exports if not reads[name]}
+    orphans |= {"%s.%s" % (stem, name)
+                for stem, tree in modules.items() for name, node in defined_functions(tree)
+                if reads[name] == names_read(node)[name] and name not in traced}
+    orphans = sorted(name for name in orphans
+                     if name.split(".")[-1] not in AWAITING_CALLERS
+                     and not re.search(r"\b%s\b" % name.split(".")[-1], readme))
     assert not orphans, orphans
