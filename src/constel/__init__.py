@@ -9,11 +9,11 @@ from .automata import (InverseAutomaton, LabeledGraph, Subgraph, amalgam,
                        as_inverse_automaton, bouquet, canonical, core_of_words,
                        embed_check, fold, full_subgraph, member, rank_from_core,
                        read_aut, to_dot, transition_group, trim, write_aut)
-from .perms import (AlternatingCertificate, PermGroupGens, Permutation,
+from .perms import (AlternatingCertificate, Permutation, PermSpec,
                     alternating_certificate, from_cycles, is_primitive,
                     is_prime, is_transitive, parse_cycles)
 from .groups import (CyclicSpec, ExtensionSpec, KleinSpec, MaterializedGroup,
-                     Morphism, OrderBoundError, PermSpec, ProductSpec,
+                     Morphism, OrderBoundError, ProductSpec,
                      abelian_relations, abelianization, canonical_morphism,
                      identity_morphism, materialize, product_A,
                      subgroup_closure, traversal_vector)
@@ -30,7 +30,7 @@ from .completion import (CompletionPlan, PredissolverReport,
 from .dissolve import (DissolveReport, KeyLemmaReport, RankReport,
                        counting_lifts_check, detecting_edges_check,
                        disconnection_equivalence, dissolve_all, dissolves_linear,
-                       dissolves_materialized, is_dissolver, key_lemma_report,
+                       dissolves_materialized, key_lemma_report,
                        schreier_rank_check)
 from .errors import VerificationError
 from .closure import (closure_at_level, closure_chain, extendible_at_level,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .perms import Permutation, PermGroupGens, _find
+from .perms import Permutation, PermSpec, _find
 from .words import ASCII_LETTERS, Word, reduce as reduce_word
 
 
@@ -382,11 +382,11 @@ def tree_word(tree: dict[int, tuple[int, int, int]], v: int) -> Word | None:
     return Word(tuple(reversed(pairs)))
 
 
-def transition_group(aut: InverseAutomaton) -> PermGroupGens:
+def transition_group(aut: InverseAutomaton) -> PermSpec:
     """Letter actions of a complete automaton as permutations."""
     if not aut.is_complete():
         raise ValueError("transition group requires a complete automaton")
-    return PermGroupGens(aut.n, tuple(Permutation(tuple(col)) for col in aut.fwd))
+    return PermSpec(aut.n, tuple(Permutation(tuple(col)) for col in aut.fwd))
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,10 +33,10 @@ from .dissolve import (disconnection_equivalence, dissolve_all, key_lemma_report
 from .errors import VerificationError
 from .gaschuetz import (GaschuetzLayer, TowerSpec, build_tower, center,
                         layer_abelianization)
-from .groups import (CyclicSpec, ExtensionSpec, KleinSpec, PermSpec, ProductSpec,
-                     OrderBoundError, _materialize, abelianization, canonical_morphism,
-                     check_size, materialize, parse_int, warn_identity_letters)
-from .perms import alternating_certificate, parse_cycles
+from .groups import (CyclicSpec, ExtensionSpec, KleinSpec, ProductSpec, OrderBoundError,
+                     _materialize, abelianization, canonical_morphism, check_size,
+                     materialize, parse_int, warn_identity_letters)
+from .perms import PermSpec, alternating_certificate, parse_cycles
 from .words import ASCII_LETTERS, Word, check_alphabet, format_word, parse_word
 
 
@@ -212,10 +212,8 @@ def _cmd_fold(args) -> tuple[dict, bool]:
 def _cmd_core(args) -> tuple[dict, bool]:
     gens, n_letters = _parse_wordlist(args.gens, args.letters)
     aut = core_of_words(gens, n_letters)
-    payload = {"automaton": write_aut(aut), "n": aut.n}
-    if aut.is_connected():
-        payload["rank"] = rank_from_core(aut)
-    return payload, True
+    # a core of words is connected: the bouquet is, so are its quotients, and trim cuts leaves
+    return {"automaton": write_aut(aut), "n": aut.n, "rank": rank_from_core(aut)}, True
 
 
 def _cmd_member(args) -> tuple[dict, bool]:

@@ -108,9 +108,9 @@ def complete_to_alternating(aut: InverseAutomaton, n: int, seed: int = 0
     if any(result.fwd[letter][u] != w for u, letter, w in aut.pos_edges()):
         raise VerificationError("the completion does not extend the input verbatim")
     group = transition_group(result)
-    if not all(p.is_even() for p in group.perms):
+    if not all(p.is_even() for p in group.images):
         raise VerificationError("a completed letter acts as an odd permutation")
-    b_lengths = sorted(len(c) for c in group.perms[b].cycles())
+    b_lengths = sorted(len(c) for c in group.images[b].cycles())
     if b_lengths.count(q) != 1 or any(l >= q for l in b_lengths if l != q):
         raise VerificationError("letter %d does not carry exactly one %d-cycle "
                                 "with all other cycles shorter" % (b, q))

@@ -245,10 +245,9 @@ def _path_stays(sub: Subgraph, w: Word) -> bool:
         return False
     for letter, sign in w:
         nxt = sub.parent.step(v, letter, sign)
-        if nxt is None:
-            return False
+        # a Subgraph holds only parent edges with both ends in its vertices
         edge = (v, letter) if sign > 0 else (nxt, letter)
-        if edge not in sub.edges or nxt not in sub.vertices:
+        if edge not in sub.edges:
             return False
         v = nxt
     return True
@@ -288,11 +287,8 @@ class GFpSpan:
         self.p = p
         self.rows: dict[tuple[int, int], Vec] = {}  # pivot column -> reduced row
 
-    def _clean(self, vec: Vec) -> Vec:
-        return {e: c % self.p for e, c in vec.items() if c % self.p}
-
     def reduce(self, vec: Vec) -> Vec:
-        vec = self._clean(vec)
+        vec = {e: c % self.p for e, c in vec.items() if c % self.p}
         while vec:
             piv = max(vec)
             row = self.rows.get(piv)
@@ -442,10 +438,6 @@ def dissolve_all(tower: Tower, weak: bool = False) -> list[DissolveReport]:
     return reports
 
 
-def is_dissolver(tower: Tower) -> bool:
-    return all(r.dissolved for r in dissolve_all(tower, weak=False))
-
-
 def disconnection_equivalence(phi: Morphism, letter: int, sign: int = 1
                               ) -> tuple[bool, bool, bool, bool]:
     """The four equivalent statements for H over G and a signed letter,
@@ -520,12 +512,10 @@ def key_lemma_report(g_group: MaterializedGroup, p: int, k_set) -> KeyLemmaRepor
 def counting_lifts_check(phi: Morphism, w: Word) -> bool:
     """Pushing the H-traversal vector down along phi gives the
     G-traversal vector, as exact integers."""
-    down: dict[tuple[int, int], int] = {}
+    down = Counter()
     for (h, a), cnt in traversal_vector(phi.src.cayley, w).items():
-        key = (phi(h), a)
-        down[key] = down.get(key, 0) + cnt
-    down = {e: c for e, c in down.items() if c}
-    return down == traversal_vector(phi.dst.cayley, w)
+        down[phi(h), a] += cnt
+    return down == Counter(traversal_vector(phi.dst.cayley, w))  # zero counts compare as absent
 
 
 def detecting_edges_check(phi: Morphism, c: Constellation, w: Word) -> bool:
@@ -540,17 +530,9 @@ def detecting_edges_check(phi: Morphism, c: Constellation, w: Word) -> bool:
     if not set(pi_g) <= c.xi.edges:
         raise ValueError("word traversal leaves xi")
     upsilon = _base_component(c.xi, c.theta)  # computed when c was checked
-    border_out = {e for e in c.xi.edges
-                  if e[0] in upsilon and c.xi.dst(e) not in upsilon}
-    border_in = {e for e in c.xi.edges
-                 if e[0] not in upsilon and c.xi.dst(e) in upsilon}
-    total = 0
-    for (h, a), cnt in traversal_vector(phi.src.cayley, w).items():
-        if (phi(h), a) in border_out:
-            total += cnt
-        elif (phi(h), a) in border_in:
-            total -= cnt
-    return total == 1
+    leaving = {e: (e[0] in upsilon) - (c.xi.dst(e) in upsilon) for e in c.xi.edges}
+    return sum(cnt * leaving.get((phi(h), a), 0)
+               for (h, a), cnt in traversal_vector(phi.src.cayley, w).items()) == 1
 
 
 @dataclass(frozen=True)

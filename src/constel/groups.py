@@ -28,7 +28,7 @@ from math import gcd
 
 from .automata import InverseAutomaton
 from .errors import VerificationError
-from .perms import Permutation, _orbit
+from .perms import PermSpec, _orbit
 from .words import Word
 
 
@@ -49,12 +49,6 @@ class CyclicSpec(_ImageSpec):
 @dataclass(frozen=True)
 class KleinSpec(_ImageSpec):
     images: tuple[tuple[int, int], ...]  # bit pair per letter
-
-
-@dataclass(frozen=True)
-class PermSpec(_ImageSpec):
-    degree: int
-    images: tuple[Permutation, ...]
 
 
 @dataclass(frozen=True)
@@ -265,9 +259,6 @@ def _materialize(spec: GroupSpec) -> MaterializedGroup:
             raise ValueError("images do not generate the Klein four-group")
         return g
     if isinstance(spec, PermSpec):
-        for img in spec.images:
-            if img.degree != spec.degree:
-                raise ValueError("permutation degree mismatch")
         images = [img.images for img in spec.images]  # x * img moves v to img[x[v]]
         return _generate(spec.n_letters, tuple(range(spec.degree)),
                          lambda x, a: tuple([images[a][v] for v in x]))

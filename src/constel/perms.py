@@ -94,16 +94,19 @@ def parse_cycles(text: str, n: int) -> Permutation:
 
 
 @dataclass(frozen=True)
-class PermGroupGens:
-    """Generating tuple of permutations, one per letter."""
+class PermSpec:
+    """A permutation of 0..degree-1 per letter: spec, transition group, certificate input."""
 
     degree: int
-    perms: tuple[Permutation, ...]
+    images: tuple[Permutation, ...]
 
     def __post_init__(self):
-        for p in self.perms:
-            if p.degree != self.degree:
-                raise ValueError("generator degree mismatch")
+        if any(p.degree != self.degree for p in self.images):
+            raise ValueError("permutation degree mismatch")
+
+    @property
+    def n_letters(self) -> int:
+        return len(self.images)
 
 
 def _orbit(start, maps) -> set[int]:
@@ -120,12 +123,12 @@ def _orbit(start, maps) -> set[int]:
     return seen
 
 
-def orbit(g: PermGroupGens, point: int) -> set[int]:
+def orbit(g: PermSpec, point: int) -> set[int]:
     # a permutation of finite order has its inverse among its powers
-    return _orbit([point], [p.images for p in g.perms])
+    return _orbit([point], [p.images for p in g.images])
 
 
-def is_transitive(g: PermGroupGens) -> bool:
+def is_transitive(g: PermSpec) -> bool:
     if g.degree == 0:
         return True
     return len(orbit(g, 0)) == g.degree
@@ -139,7 +142,7 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _minimal_block_size(g: PermGroupGens, alpha: int, beta: int) -> tuple[int, int]:
+def _minimal_block_size(g: PermSpec, alpha: int, beta: int) -> tuple[int, int]:
     """Size of the smallest block containing {alpha, beta}, alpha != beta
     (Atkinson's algorithm), and the number of point images the pass read.
 
@@ -147,7 +150,7 @@ def _minimal_block_size(g: PermGroupGens, alpha: int, beta: int) -> tuple[int, i
     all have one size dividing n, so a class of more than n/2 points
     already means the whole set."""
     n = g.degree
-    moves = [p.images for p in g.perms]
+    moves = [p.images for p in g.images]
     parent = list(range(n))
     size = [1] * n
     parent[beta] = alpha
@@ -170,7 +173,7 @@ def _minimal_block_size(g: PermGroupGens, alpha: int, beta: int) -> tuple[int, i
     return size[_find(parent, alpha)], reads
 
 
-def is_primitive(g: PermGroupGens) -> bool:
+def is_primitive(g: PermSpec) -> bool:
     """Primitivity of a transitive group; degree 1 and 2 are primitive.
 
     A transitive group of prime degree is primitive, since block sizes
@@ -197,8 +200,8 @@ def is_primitive(g: PermGroupGens) -> bool:
     n = g.degree
     if n <= 2 or is_prime(n):
         return True
-    moves = [p.images for p in g.perms]
-    inverses = [p.inverse().images for p in g.perms]
+    moves = [p.images for p in g.images]
+    inverses = [p.inverse().images for p in g.images]
     tree = [-1] * n  # tree[v]: the generator on the BFS-tree edge into v
     order = [0]
     for v in order:
@@ -305,7 +308,7 @@ class AlternatingCertificate:
         return is_prime(q) and q <= self.degree - 3
 
 
-def alternating_certificate(g: PermGroupGens) -> AlternatingCertificate:
+def alternating_certificate(g: PermSpec) -> AlternatingCertificate:
     """Certificate of a generating tuple; `prime_cycle` is the least
     (q, r) of `_prime_cycles` of the first letter whose q is at most n-3.
 
@@ -323,7 +326,7 @@ def alternating_certificate(g: PermGroupGens) -> AlternatingCertificate:
     if n < 5:
         raise ValueError("alternating certificate requires degree >= 5")
     transitive = is_transitive(g)
-    cycles = [p.cycles() for p in g.perms]
+    cycles = [p.cycles() for p in g.images]
     lengths = [[len(c) for c in cs] for cs in cycles]
     all_even = all((n - len(ls)) % 2 == 0 for ls in lengths)
     least = [next(_prime_cycles(ls), None) for ls in lengths]  # least (q, r) per letter

@@ -102,8 +102,8 @@ def test_criterion_01_completion_corpus():
                 assert completed.fwd[letter][u] == v
             assert completed.base == core.base
             group = transition_group(completed)
-            assert all(p.is_even() for p in group.perms)
-            lengths = [len(c) for c in group.perms[plan.b].cycles()]
+            assert all(p.is_even() for p in group.images)
+            lengths = [len(c) for c in group.images[plan.b].cycles()]
             assert lengths.count(plan.q) == 1
             assert all(l < plan.q for l in lengths if l != plan.q)
             assert cert.valid()

@@ -231,7 +231,7 @@ def test_transition_group_matches_tracing():
         for v in range(aut.n):
             cur = v
             for letter, sign in u.letters:
-                p = gens.perms[letter]
+                p = gens.images[letter]
                 cur = p(cur) if sign > 0 else p.inverse()(cur)
             assert cur == aut.trace(v, u)
 

@@ -11,8 +11,8 @@ from constel.completion import (complete_to_alternating,
                                 smallest_prime_greater)
 from constel.constellations import amalgams_of, assemble_AG
 from constel.errors import VerificationError
-from constel.groups import DEFAULT_BOUND, CyclicSpec, KleinSpec, PermSpec, materialize
-from constel.perms import PermGroupGens, from_cycles
+from constel.groups import DEFAULT_BOUND, CyclicSpec, KleinSpec, materialize
+from constel.perms import PermSpec, from_cycles
 from constel.words import Word, reduce
 from group_elements import S3_GENS, s3, w, z2
 
@@ -53,11 +53,11 @@ def test_size_bound_checked_before_allocating():
 
 
 def test_completion_checks_its_certificate(monkeypatch):
-    odd = PermGroupGens(10, (from_cycles(10, [(0, 1)]),) * 2)
+    odd = PermSpec(10, (from_cycles(10, [(0, 1)]),) * 2)
     monkeypatch.setattr(constel.completion, "transition_group", lambda aut: odd)
     with pytest.raises(VerificationError, match="odd"):
         complete_to_alternating(chain3(), 10)
-    trivial = PermGroupGens(10, (from_cycles(10, []),) * 2)
+    trivial = PermSpec(10, (from_cycles(10, []),) * 2)
     monkeypatch.setattr(constel.completion, "transition_group", lambda aut: trivial)
     with pytest.raises(VerificationError, match="5-cycle"):
         complete_to_alternating(chain3(), 10)
@@ -119,10 +119,10 @@ def test_completion_invariants_over_random_cores():
         n = m + q + 2 + rng.randrange(3)
         completed, cert, plan = complete_to_alternating(core, n, seed=done)
         group = transition_group(completed)
-        assert all(p.is_even() for p in group.perms)
+        assert all(p.is_even() for p in group.images)
         assert completed.is_complete()
         assert cert.valid(), (m, n)
-        lengths = sorted(len(c) for c in group.perms[plan.b].cycles())
+        lengths = sorted(len(c) for c in group.images[plan.b].cycles())
         assert lengths.count(plan.q) == 1
         assert all(l < plan.q for l in lengths if l != plan.q)
         done += 1
@@ -134,14 +134,14 @@ def test_certified_group_acts_like_the_alternating_group():
     completed, cert, _ = complete_to_alternating(chain3(), 10)
     assert cert.valid()
     group = transition_group(completed)
-    assert all(p.is_even() for p in group.perms)
+    assert all(p.is_even() for p in group.images)
     start = (0, 1, 2)
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for triple in frontier:
-            for p in group.perms:
+            for p in group.images:
                 image = tuple(p(x) for x in triple)
                 if image not in seen:
                     seen.add(image)

@@ -15,8 +15,7 @@ from constel.dissolve import (DissolveReport, GFpSpan, KeyLemmaReport, counting_
                               cycle_space_rows, detecting_edges_check,
                               disconnection_equivalence, dissolve_all,
                               dissolves_linear, dissolves_materialized,
-                              is_dissolver, key_lemma_edge,
-                              key_lemma_report, reachable_lift,
+                              key_lemma_edge, key_lemma_report, reachable_lift,
                               schreier_rank_check)
 from constel.errors import VerificationError
 from constel.gaschuetz import GaschuetzLayer, TowerSpec, build_tower
@@ -785,7 +784,7 @@ def test_dissolve_all_selects_method_by_order():
 
 def test_plain_one_layer_tower_is_a_dissolver():
     tower = build_tower(TowerSpec(CyclicSpec(2, (1, 1)), ((2, False),)))
-    assert is_dissolver(tower)
+    assert all(r.dissolved for r in dissolve_all(tower))
     assert all(r.dissolved for r in dissolve_all(tower, weak=True))
 
 

@@ -9,8 +9,9 @@ import warnings
 import pytest
 
 import constel.perms
-from constel.groups import PermSpec, materialize
-from constel.perms import (PermGroupGens, Permutation, _minimal_block_size, _prime_cycles,
+from constel.automata import InverseAutomaton, transition_group
+from constel.groups import materialize
+from constel.perms import (Permutation, PermSpec, _minimal_block_size, _prime_cycles,
                            alternating_certificate, from_cycles, is_primitive,
                            is_prime, is_transitive, orbit, parse_cycles)
 
@@ -28,7 +29,7 @@ def rand_perm(rng, n):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: Permutation((0, 0)), "not a permutation of 0..n-1: (0, 0)"),
-    (lambda: PermGroupGens(3, (from_cycles(2, []),)), "generator degree mismatch"),
+    (lambda: PermSpec(3, (from_cycles(2, []),)), "permutation degree mismatch"),
 ])
 def test_malformed_permutations_are_refused_with_their_message(call, message):
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
@@ -72,8 +73,8 @@ def test_cycle_notation_round_trip():
 
 
 def test_transitivity():
-    assert is_transitive(PermGroupGens(3, (from_cycles(3, [(0, 1, 2)]),)))
-    assert not is_transitive(PermGroupGens(3, (from_cycles(3, [(0, 1)]),)))
+    assert is_transitive(PermSpec(3, (from_cycles(3, [(0, 1, 2)]),)))
+    assert not is_transitive(PermSpec(3, (from_cycles(3, [(0, 1)]),)))
 
 
 def brute_orbit(perms, point: int) -> set[int]:
@@ -92,23 +93,23 @@ def test_orbit_against_brute_force():
         perms = tuple(from_cycles(n, [tuple(rng.sample(range(n), rng.randrange(1, n + 1)))])
                       for _ in range(rng.randrange(1, 3)))
         point = rng.randrange(n)
-        assert orbit(PermGroupGens(n, perms), point) == brute_orbit(perms, point)
+        assert orbit(PermSpec(n, perms), point) == brute_orbit(perms, point)
 
 
 def test_primitivity_fixtures():
     # regular Z/4: blocks {0,2}
-    z4 = PermGroupGens(4, (from_cycles(4, [(0, 1, 2, 3)]),))
+    z4 = PermSpec(4, (from_cycles(4, [(0, 1, 2, 3)]),))
     assert not is_primitive(z4)
-    a4 = PermGroupGens(4, (from_cycles(4, [(0, 1, 2)]), from_cycles(4, [(1, 2, 3)])))
+    a4 = PermSpec(4, (from_cycles(4, [(0, 1, 2)]), from_cycles(4, [(1, 2, 3)])))
     assert is_primitive(a4)
     # prime degree transitive is always primitive
-    z5 = PermGroupGens(5, (from_cycles(5, [(0, 1, 2, 3, 4)]),))
+    z5 = PermSpec(5, (from_cycles(5, [(0, 1, 2, 3, 4)]),))
     assert is_primitive(z5)
     with pytest.raises(ValueError):
-        is_primitive(PermGroupGens(3, (from_cycles(3, [(0, 1)]),)))
+        is_primitive(PermSpec(3, (from_cycles(3, [(0, 1)]),)))
 
 
-def brute_primitive(gens: PermGroupGens) -> bool:
+def brute_primitive(gens: PermSpec) -> bool:
     """Oracle: no invariant partition into equal blocks of size 1<s<n."""
     n = gens.degree
     if n <= 2:
@@ -119,7 +120,7 @@ def brute_primitive(gens: PermGroupGens) -> bool:
         for parts in _partitions(list(range(n)), size):
             blocks = [frozenset(b) for b in parts]
             if all(frozenset(p(x) for x in b) in blocks
-                   for p in gens.perms for b in blocks):
+                   for p in gens.images for b in blocks):
                 return False
     return True
 
@@ -140,13 +141,13 @@ def test_primitivity_against_oracle():
     rng = random.Random(13)
     for deg in (4, 5, 6):
         for _ in range(8):
-            gens = PermGroupGens(deg, tuple(rand_perm(rng, deg) for _ in range(2)))
+            gens = PermSpec(deg, tuple(rand_perm(rng, deg) for _ in range(2)))
             if not is_transitive(gens):
                 continue
             assert is_primitive(gens) == brute_primitive(gens), gens
 
 
-def atkinson_per_point(gens: PermGroupGens) -> bool:
+def atkinson_per_point(gens: PermSpec) -> bool:
     """Second oracle: one full Atkinson union-find pass for every point;
     primitive iff each finest invariant partition joining 0 and beta is
     the single class."""
@@ -163,7 +164,7 @@ def atkinson_per_point(gens: PermGroupGens) -> bool:
         queue = [(0, beta)]
         while queue:
             u, v = queue.pop()
-            for p in gens.perms:
+            for p in gens.images:
                 x, y = find(p(u)), find(p(v))
                 if x != y:
                     parent[y] = x
@@ -173,7 +174,7 @@ def atkinson_per_point(gens: PermGroupGens) -> bool:
     return True
 
 
-def random_generators(rng, n: int, k: int, block: int) -> PermGroupGens:
+def random_generators(rng, n: int, k: int, block: int) -> PermSpec:
     """k random generators of degree n.  When 1 < block < n divides n they
     preserve a partition into blocks of that size (elements of
     Sym(block) wr Sym(n/block), relabeled at random); otherwise they are
@@ -196,7 +197,7 @@ def random_generators(rng, n: int, k: int, block: int) -> PermGroupGens:
                 perms.append(rand_perm(rng, n))
             else:
                 perms.append(from_cycles(n, [tuple(rng.sample(range(n), rng.randrange(1, n + 1)))]))
-    return PermGroupGens(n, tuple(perms))
+    return PermSpec(n, tuple(perms))
 
 
 def test_primitivity_against_per_point_atkinson():
@@ -213,7 +214,7 @@ def test_primitivity_against_per_point_atkinson():
     assert outcomes == {True, False}
 
 
-def two_subsets_of_sym10() -> PermGroupGens:
+def two_subsets_of_sym10() -> PermSpec:
     """Sym(10) acting on its 45 two-element subsets: primitive, and the
     stabilizer of a subset has three orbits (itself, the 16 subsets that
     meet it once, the 28 disjoint from it)."""
@@ -222,12 +223,12 @@ def two_subsets_of_sym10() -> PermGroupGens:
     gens = []
     for p in (from_cycles(10, [(0, 1)]), from_cycles(10, [tuple(range(10))])):
         gens.append(Permutation(tuple(index[tuple(sorted((p(x), p(y))))] for x, y in pairs)))
-    return PermGroupGens(45, tuple(gens))
+    return PermSpec(45, tuple(gens))
 
 
 def test_primitivity_fixed_cases(monkeypatch):
     cycle = from_cycles(1009, [tuple(range(1009))])
-    assert is_primitive(PermGroupGens(1009, (cycle, cycle)))  # prime degree
+    assert is_primitive(PermSpec(1009, (cycle, cycle)))  # prime degree
     sym10 = two_subsets_of_sym10()
     assert is_transitive(sym10)
     assert is_primitive(sym10) and atkinson_per_point(sym10)
@@ -235,27 +236,27 @@ def test_primitivity_fixed_cases(monkeypatch):
     # generator is trivial, and each point needs its own block pass
     monkeypatch.setattr(constel.perms, "is_prime", lambda n: False)
     cycle = from_cycles(211, [tuple(range(211))])
-    assert is_primitive(PermGroupGens(211, (cycle, cycle)))
+    assert is_primitive(PermSpec(211, (cycle, cycle)))
     assert is_primitive(sym10)
     # Sym(6) on ordered pairs keeps the blocks {(i, j), (j, i)}
     ordered = list(itertools.permutations(range(6), 2))
     index = {pair: i for i, pair in enumerate(ordered)}
     gens = tuple(Permutation(tuple(index[p(x), p(y)] for x, y in ordered))
                  for p in (from_cycles(6, [(0, 1)]), from_cycles(6, [tuple(range(6))])))
-    assert not is_primitive(PermGroupGens(30, gens))
+    assert not is_primitive(PermSpec(30, gens))
 
 
-def materialized_order(gens: PermGroupGens) -> int:
-    """Order of the generated group, by materializing it as a PermSpec."""
+def materialized_order(gens: PermSpec) -> int:
+    """Order of the generated group, by materializing it."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # identity letters warn
-        return materialize(PermSpec(gens.degree, gens.perms)).order
+        return materialize(gens).order
 
 
-def sympy_group(gens: PermGroupGens):
+def sympy_group(gens: PermSpec):
     combinatorics = pytest.importorskip("sympy.combinatorics")
     return combinatorics.PermutationGroup(
-        [combinatorics.Permutation(list(p.images)) for p in gens.perms])
+        [combinatorics.Permutation(list(p.images)) for p in gens.images])
 
 
 def test_transitivity_and_primitivity_against_sympy():
@@ -309,7 +310,7 @@ def test_valid_certificates_generate_the_alternating_group():
         for _ in range(k):
             p = rand_perm(rng, n)
             perms.append(p if p.is_even() else p * swap)
-        gens = PermGroupGens(n, tuple(perms))
+        gens = PermSpec(n, tuple(perms))
         if alternating_certificate(gens).valid():
             assert sympy_group(gens).order() == math.factorial(n) // 2
             valid.append(n)
@@ -348,16 +349,16 @@ def test_is_prime():
 
 
 def test_certificate_z10_imprimitive():
-    z10 = PermGroupGens(10, (from_cycles(10, [tuple(range(10))]),
-                             from_cycles(10, [tuple(range(10))])))
+    z10 = PermSpec(10, (from_cycles(10, [tuple(range(10))]),
+                        from_cycles(10, [tuple(range(10))])))
     cert = alternating_certificate(z10)
     assert not cert.primitive and not cert.valid()
 
 
 def test_certificate_a5_gens_fail_cycle_bound():
     # the group is A_5, but q <= n-3 admits no prime cycle at degree 5
-    gens = PermGroupGens(5, (from_cycles(5, [(0, 1, 2)]),
-                             from_cycles(5, [(0, 1, 2, 3, 4)])))
+    gens = PermSpec(5, (from_cycles(5, [(0, 1, 2)]),
+                        from_cycles(5, [(0, 1, 2, 3, 4)])))
     cert = alternating_certificate(gens)
     assert cert.transitive and cert.primitive and cert.all_even
     assert not cert.valid()
@@ -365,17 +366,44 @@ def test_certificate_a5_gens_fail_cycle_bound():
 
 def test_certificate_degree_guard():
     with pytest.raises(ValueError):
-        alternating_certificate(PermGroupGens(4, (from_cycles(4, []),)))
+        alternating_certificate(PermSpec(4, (from_cycles(4, []),)))
 
 
 def test_valid_certificate_gives_full_alternating_order():
     # degree 7: 7-cycle (even, transitive, prime degree -> primitive)
     # plus a 3-cycle giving q=3 <= 4
-    gens = PermGroupGens(7, (from_cycles(7, [tuple(range(7))]),
-                             from_cycles(7, [(0, 1, 2)])))
+    gens = PermSpec(7, (from_cycles(7, [tuple(range(7))]),
+                        from_cycles(7, [(0, 1, 2)])))
     cert = alternating_certificate(gens)
     assert cert.valid()
     assert materialized_order(gens) == 2520  # 7!/2
+
+
+def test_every_certificate_agrees_with_the_materialized_order():
+    # Jordan: a primitive group with a prime cycle of length at most n-3
+    # contains Alt(n), so it is Alt(n) when every letter is even and
+    # Sym(n) otherwise.  The groups are transition groups of permutation
+    # automata: the letters of the CLI's a7.aut and odd.aut, then seeded
+    # random pairs on 5-7 points.
+    rng = random.Random(34)
+    cases = [(from_cycles(7, [tuple(range(7))]), from_cycles(7, [(0, 1, 2)])),
+             (from_cycles(5, [(0, 1, 2, 3)]), from_cycles(5, [(3, 4)]))]
+    for _ in range(300):
+        n = rng.randint(5, 7)
+        cases.append((rand_perm(rng, n), rand_perm(rng, n)))
+    orders = []
+    for perms in cases:
+        n = perms[0].degree
+        aut = InverseAutomaton(n, len(perms), [(v, a, p(v)) for a, p in enumerate(perms)
+                                               for v in range(n)], base=0)
+        gens = transition_group(aut)
+        cert = alternating_certificate(gens)
+        if cert.transitive and cert.primitive and cert.prime_cycle is not None:
+            order = materialized_order(gens)  # filters the identity-letter warning
+            assert order == math.factorial(n) // (2 if cert.valid() else 1), perms
+            orders.append((n, order))
+    assert orders[:2] == [(7, 2520), (5, 120)]
+    assert {order * 2 == math.factorial(n) for n, order in orders[2:]} == {True, False}
 
 
 def spy_on_is_primitive(monkeypatch):
@@ -455,7 +483,7 @@ def test_prime_cycle_lemma_agrees_on_random_groups(monkeypatch):
             p = draw()
             if not without_prime_cycle or prime_power_cycle(p) is None:
                 perms.append(p)
-        gens = PermGroupGens(n, tuple(perms))
+        gens = PermSpec(n, tuple(perms))
         if not is_transitive(gens):
             continue
         has_prime_cycle = any(prime_power_cycle(p) is not None for p in perms)
@@ -470,18 +498,18 @@ def test_prime_cycle_lemma_agrees_on_random_groups(monkeypatch):
 def test_prime_cycle_inside_a_block_is_settled_by_one_block_pass(monkeypatch):
     # the 3-cycle lies in the block {0, 1, 2}; Z6 has no prime cycle
     calls = spy_on_is_primitive(monkeypatch)
-    gens = PermGroupGens(6, (from_cycles(6, [(0, 1, 2)]),
-                             from_cycles(6, [(0, 3), (1, 4), (2, 5)])))
-    assert prime_power_cycle(gens.perms[0]) == (3, 1)
+    gens = PermSpec(6, (from_cycles(6, [(0, 1, 2)]),
+                        from_cycles(6, [(0, 3), (1, 4), (2, 5)])))
+    assert prime_power_cycle(gens.images[0]) == (3, 1)
     assert _minimal_block_size(gens, 0, 1)[0] == 3
     cert = alternating_certificate(gens)
     assert cert.transitive and not cert.primitive and not is_primitive(gens)
     assert calls == []
-    z6 = PermGroupGens(6, (from_cycles(6, [tuple(range(6))]),) * 2)
+    z6 = PermSpec(6, (from_cycles(6, [tuple(range(6))]),) * 2)
     assert not alternating_certificate(z6).primitive and calls == [6]
 
 
-def brute_blocks(gens: PermGroupGens) -> list[frozenset]:
+def brute_blocks(gens: PermSpec) -> list[frozenset]:
     """Oracle: every subset B with 1 < |B| < n whose images under the
     group are pairwise equal or disjoint, found by trying them all."""
     n = gens.degree
@@ -492,7 +520,7 @@ def brute_blocks(gens: PermGroupGens) -> list[frozenset]:
             queue = list(images)
             while queue:
                 block = queue.pop()
-                for p in gens.perms:
+                for p in gens.images:
                     image = frozenset(p(v) for v in block)
                     if image not in images:
                         images.add(image)
@@ -502,12 +530,12 @@ def brute_blocks(gens: PermGroupGens) -> list[frozenset]:
     return blocks
 
 
-def wreath_product(b: int, m: int) -> PermGroupGens:
+def wreath_product(b: int, m: int) -> PermSpec:
     """Sym(b) wr Sym(m) on the blocks {ib, ..., ib + b - 1}: a transposition
     and a b-cycle inside the first block, a swap and an m-cycle of blocks."""
     n = b * m
     blocks = [[i * b + j for j in range(b)] for i in range(m)]
-    return PermGroupGens(n, (
+    return PermSpec(n, (
         from_cycles(n, [(0, 1)]), from_cycles(n, [tuple(blocks[0])]),
         from_cycles(n, list(zip(blocks[0], blocks[1]))),
         from_cycles(n, [tuple(blocks[i][j] for i in range(m)) for j in range(b)])))
@@ -569,23 +597,23 @@ def test_certificate_splits_each_letter_into_cycles_once(monkeypatch):
     # is_even and prime_power_cycle, on transitive and intransitive groups
     # with one to three letters, prime cycles and block passes alike
     rng = random.Random(25)
-    cases = [PermGroupGens(6, (from_cycles(6, [(0, 1, 2)]),
-                               from_cycles(6, [(0, 3), (1, 4), (2, 5)])))]
+    cases = [PermSpec(6, (from_cycles(6, [(0, 1, 2)]),
+                          from_cycles(6, [(0, 3), (1, 4), (2, 5)])))]
     for _ in range(60):
         n = rng.randrange(5, 16)
-        cases.append(PermGroupGens(n, tuple(rand_perm(rng, n)
-                                            for _ in range(rng.randrange(1, 4)))))
+        cases.append(PermSpec(n, tuple(rand_perm(rng, n)
+                                       for _ in range(rng.randrange(1, 4)))))
     outcomes = set()
     for gens in cases:
         n = gens.degree
-        all_even = all(p.is_even() for p in gens.perms)
+        all_even = all(p.is_even() for p in gens.images)
         prime_cycle = next(((*found, letter) for letter, found in
-                            enumerate(map(prime_power_cycle, gens.perms))
+                            enumerate(map(prime_power_cycle, gens.images))
                             if found is not None and found[0] <= n - 3), None)
         calls = count_cycle_splits(monkeypatch)
         cert = alternating_certificate(gens)
         monkeypatch.undo()
-        assert calls == list(gens.perms), gens
+        assert calls == list(gens.images), gens
         assert (cert.all_even, cert.prime_cycle) == (all_even, prime_cycle), gens
         assert cert.primitive == (cert.transitive and is_primitive(gens)), gens
         outcomes.add((all_even, prime_cycle is not None, cert.transitive))

@@ -120,6 +120,36 @@ def test_process_global_memos_are_the_named_ones():
     assert sorted(memo_sites()) == sorted(MEMOS)
 
 
+# dataclasses with the same field annotations, in order, each pair with
+# the reason it stays two types
+SAME_FIELDS = {
+    ("groups.KleinSpec", "words.Word"): "bit pairs per letter, against signed letters",
+}
+
+
+def dataclass_fields():
+    """module.class -> the unparsed annotations of its fields, in order,
+    for every module-level dataclass of the package."""
+    for path in sorted(Path(constel.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            heads = [getattr(d, "func", d) for d in getattr(stmt, "decorator_list", ())]
+            if isinstance(stmt, ast.ClassDef) and any(getattr(h, "id", None) == "dataclass"
+                                                      for h in heads):
+                yield "%s.%s" % (path.stem, stmt.name), tuple(
+                    ast.unparse(node.annotation) for node in stmt.body
+                    if isinstance(node, ast.AnnAssign))
+
+
+def test_one_dataclass_per_field_signature():
+    # one concept, one type: two dataclasses whose fields read the same
+    # types are named in SAME_FIELDS with what tells them apart
+    by_fields: dict[tuple, list[str]] = {}
+    for name, fields in dataclass_fields():
+        by_fields.setdefault(fields, []).append(name)
+    same = {tuple(names) for names in by_fields.values() if len(names) > 1}
+    assert same == set(SAME_FIELDS), sorted(same ^ set(SAME_FIELDS))
+
+
 def bench_tracing():
     """perfbench/tracing.py, loaded without install(): nothing is patched."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
