@@ -16,11 +16,12 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import json
 import os
 import random
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 
 from .automata import (InverseAutomaton, LabeledGraph, as_inverse_automaton,
                        core_of_words, fold, member, rank_from_core, read_aut, to_dot,
@@ -174,7 +175,7 @@ def _edge_json(edge: tuple[int, int]) -> list:
 
 
 def _check_printable(value) -> None:
-    """Raise the ValueError that `json.dump` would raise halfway through
+    """Raise the ValueError that `_write_json` would raise halfway through
     the stream on an integer past Python's int-to-str digit limit."""
     if isinstance(value, int):
         str(value)
@@ -183,7 +184,61 @@ def _check_printable(value) -> None:
             _check_printable(item)
 
 
+def _write_json(fh, value) -> None:
+    """Write value to fh as `json.dump(value, fh, indent=2, sort_keys=True)`
+    does, byte for byte, for what reports hold: str, int, bool, None,
+    arrays (lists, tuples or generators, each item made as it is written)
+    and dicts with str keys.  The pieces go out in batches of a few
+    hundred, so no text of the whole report is held."""
+    parts: list[str] = []
+
+    def put(value, indent: str) -> None:
+        if isinstance(value, str):
+            parts.append(encode_basestring_ascii(value))
+        elif value is None:
+            parts.append("null")
+        elif value is True:
+            parts.append("true")
+        elif value is False:
+            parts.append("false")
+        elif isinstance(value, int):
+            parts.append(int.__repr__(value))
+        elif isinstance(value, (list, tuple, GeneratorType)):
+            inner = indent + "  "
+            sep = "[\n" + inner
+            for item in value:
+                parts.append(sep)
+                put(item, inner)
+                sep = ",\n" + inner
+            parts.append("[]" if sep[0] == "[" else "\n" + indent + "]")
+        elif isinstance(value, dict):
+            inner = indent + "  "
+            sep = "{\n" + inner
+            for key in sorted(value):
+                if not isinstance(key, str):
+                    raise TypeError("keys must be str, not %s" % type(key).__name__)
+                parts.append(sep + encode_basestring_ascii(key) + ": ")
+                put(value[key], inner)
+                sep = ",\n" + inner
+            parts.append("{}" if sep[0] == "{" else "\n" + indent + "}")
+        else:
+            raise TypeError("Object of type %s is not JSON serializable"
+                            % type(value).__name__)
+        if len(parts) >= 512:
+            fh.write("".join(parts))
+            parts.clear()
+
+    put(value, "")
+    fh.write("".join(parts))
+
+
 def _emit(args, payload: dict) -> None:
+    """Write the report, refused first if one of its integers is too long
+    to print, so that a refused report writes nothing.  Generator arrays
+    are not checked, since walking one would make its items twice.  The
+    two there are, the items of `constellations` and `dissolve`, hold only
+    vertex ids (below the `check_size` bound), letters, words and residues
+    mod p (below the `check_modulus` bound)."""
     payload = {"schema": 1, **payload}
     for key, value in payload.items():
         try:
@@ -192,7 +247,7 @@ def _emit(args, payload: dict) -> None:
             raise ValueError("%s has more than %d digits, too many to print"
                              % (key, sys.get_int_max_str_digits())) from None
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        _write_json(fh, payload)
         fh.write("\n")
 
 
@@ -233,16 +288,12 @@ def _cmd_cayley(args) -> tuple[dict, bool]:
 
 
 def _cmd_constellations(args) -> tuple[dict, bool]:
-    group = materialize(parse_group_spec(args.group))
-    items = []
-    for pair in maximal_constellations(group):
-        items.append({
-            "cut": [_edge_json(e) for e in sorted(pair.cut.cut)],
-            "partition": [[_edge_json(e) for e in sorted(pair.c_xi)],
-                          [_edge_json(e) for e in sorted(pair.c_theta)]],
-            "far_component": sorted(pair.g_choices),
-        })
-    return {"count": len(items), "constellations": items}, True
+    pairs = maximal_constellations(materialize(parse_group_spec(args.group)))
+    items = ({"cut": [_edge_json(e) for e in sorted(pair.cut.cut)],
+              "partition": [[_edge_json(e) for e in sorted(pair.c_xi)],
+                            [_edge_json(e) for e in sorted(pair.c_theta)]],
+              "far_component": sorted(pair.g_choices)} for pair in pairs)
+    return {"count": len(pairs), "constellations": items}, True
 
 
 def _cmd_amalgam(args) -> tuple[dict, bool]:
@@ -373,7 +424,7 @@ def _cmd_dissolve(args) -> tuple[dict, bool]:
         "weak": args.weak,
         "layers": [("~%d" if tilde else "%d") % p for p, tilde in tower.spec.layers],
         "dissolver": ok,
-        "reports": [_report_json(r) for r in reports],
+        "reports": (_report_json(r) for r in reports),
     }, ok
 
 

@@ -824,6 +824,88 @@ def test_every_subcommand_has_a_report_digest():
     assert set(subcommands()) == {argv[0] for argv, _, _ in REPORT_DIGESTS}
 
 
+class Lazy(list):
+    """An array that `live` hands to the writer as a generator."""
+
+
+def live(value):
+    """value with each Lazy array turned into a generator of its items."""
+    if isinstance(value, Lazy):
+        return (live(item) for item in value)
+    if isinstance(value, (list, tuple)):
+        return type(value)(live(item) for item in value)
+    if isinstance(value, dict):
+        return {key: live(item) for key, item in value.items()}
+    return value
+
+
+def test_report_writer_matches_json_dump():
+    # the writer against json.dumps(indent=2, sort_keys=True) on what
+    # reports hold; json.dumps reads a Lazy array as the list it is
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    limit = 10 ** sys.get_int_max_str_digits() - 1
+    text = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f \U0001f600')))
+    ints = st.one_of(st.integers(), st.sampled_from((limit, -limit, limit // 7, -1, 0)))
+    leaves = st.one_of(st.none(), st.booleans(), ints, text)
+    values = st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=4).map(Lazy), st.dictionaries(text, inner, max_size=4)),
+        max_leaves=20)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(values)
+    @hypothesis.example({"": [], "a": (), "b": Lazy(), "c": {}, "d": [Lazy(), {}, ()]})
+    def check(value):
+        out = io.StringIO()
+        constel.cli._write_json(out, live(value))
+        assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True)
+
+    check()
+    for bad in (1.5, [1, {2, 3}], {"a": {1: 2}}, {"a": 0, 1: 2}, (x for x in [0.5])):
+        with pytest.raises(TypeError):
+            constel.cli._write_json(io.StringIO(), bad)
+
+
+def test_report_is_written_in_batches():
+    # the Z6 dissolve prints 7,440 reports in far fewer writes than one
+    # a report, with its bytes unchanged
+    class Counted(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    argv = ["dissolve", "--group", "cyclic(6;a=1,b=2)", "--layers", "~2"]
+    want = next((code, digest) for args, code, digest in REPORT_DIGESTS if args == argv)
+    out = Counted()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    text = out.getvalue()
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == want
+    assert len(json.loads(text)["reports"]) == 7440
+    assert out.writes < 7440
+
+
+def test_streamed_report_items_hold_only_bounded_integers(tmp_path, monkeypatch):
+    # `_emit` does not check the streamed `reports` and `constellations`
+    # arrays for unprintable integers: their items hold vertex ids, letters,
+    # words and residues mod p, so no integer there passes DEFAULT_BOUND^2
+    def ints(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, list):
+            return [i for item in value for i in ints(item)]
+        return [value] if isinstance(value, int) and not isinstance(value, bool) else []
+
+    monkeypatch.chdir(tmp_path)
+    for argv, code, _ in REPORT_DIGESTS:
+        if argv[0] in ("dissolve", "constellations"):
+            items = run_json(argv, code)["reports" if argv[0] == "dissolve" else "constellations"]
+            assert items and all(abs(i) <= DEFAULT_BOUND ** 2 for i in ints(items)), argv
+
+
 def test_weak_dissolve_grows_witness_trees_only_to_their_witnesses(monkeypatch):
     # the ten witness trees on the 24,576-element top would discover
     # 98,314 vertices grown whole; grown to each witness, far fewer

@@ -73,6 +73,19 @@ def test_outside_integers_are_read_by_parse_int():
     assert found <= INT_READERS, sorted(found - INT_READERS)
 
 
+def test_reports_have_one_writer():
+    # cli._write_json writes every report in batches, byte for byte as
+    # json.dump(indent=2) would; no module calls json.dump or json.dumps,
+    # or imports either from json
+    found = ["%s:%d" % (name, node.lineno) for name, node in package_nodes()
+             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr in ("dump", "dumps")
+                 and getattr(node.func.value, "id", None) == "json")
+             or (isinstance(node, ast.ImportFrom) and node.module == "json"
+                 and any(alias.name in ("dump", "dumps") for alias in node.names))]
+    assert not found, found
+
+
 # the package's process-global memos, as module.name; each keeps one entry
 # or, for the parser, one object
 MEMOS = {"cli._build_parser", "constellations._split_subgraphs",
