@@ -8,10 +8,12 @@ of 1 of the edge preimages of Xi and Theta in Gamma(H), off one
 contraction (`_contract`, `_Lifts`) of the preimage of an edge set S
 inside Xi intersect Theta.  Every split of a bond C has Xi intersect
 Theta = Gamma - C, so each bond is contracted once, and a split only
-joins the preimages of its |C| cut edges.  Other pairs contract S = Xi
-intersect Theta, Xi and Theta, each over the preimages of its own edges
-only, read off the fibers of phi.  Two exact
-deciders are provided:
+joins the preimages of its |C| cut edges.  Every letter constellation
+(Gamma - e, g, {e}) has Xi containing Gamma - D, D the set of letter
+edges, so the whole weak family is contracted once along the preimage
+of Gamma - D, and a letter's Xi^ only joins the preimages of D - e.
+`dissolve_all` reads the fibers of phi once for either family.  Two
+exact deciders are provided:
 
 - reachability: materialize H and intersect the fibers over g of the
   lifts.  Complete because the fiber of g in a lift is exactly the
@@ -64,7 +66,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Sequence
 
-from .automata import BfsTree, InverseAutomaton, Subgraph, bfs_tree, tree_word
+from .automata import (BfsTree, InverseAutomaton, Subgraph, bfs_tree, full_subgraph,
+                       tree_word)
 from .constellations import (Constellation, MinimalCut, _base_component, delta_a,
                              maximal_constellations)
 from .errors import VerificationError
@@ -166,7 +169,7 @@ class _Lifts:
     of S: the components of the intersection are exactly the contracted
     components in both lifts (`both`), labelled by their least vertex."""
 
-    def __init__(self, phi: Morphism, fibers: dict[int, list[int]], comp: list[int],
+    def __init__(self, phi: Morphism, fibers: dict[int, list[int]], comp: Sequence[int],
                  halves: tuple[set[int], set[int]], xi: Subgraph, theta: Subgraph):
         self.phi, self.fibers, self.comp = phi, fibers, comp
         self.xi, self.theta, self.halves, self.both = xi, theta, halves, halves[0] & halves[1]
@@ -198,7 +201,8 @@ def _pair_lifts(phi: Morphism, xi: Subgraph, theta: Subgraph) -> _Lifts:
     intersect Theta: S, Xi and Theta are each contracted over the
     preimages of their edges, read off one set of fibers.  S lies in
     Xi, so the component of 1 in Xi's contraction is a union of
-    components of S's; likewise for Theta."""
+    components of S's; likewise for Theta.  Only the one-g API uses it;
+    `dissolve_all` contracts once per bond or letter family."""
     _check_target(phi, xi, theta)  # the Constellation of xi and theta checked the base
     aut, fibers = phi.src.cayley, phi.fibers()
     comp = _contract(aut, fibers, xi.edges & theta.edges)
@@ -211,32 +215,71 @@ def _pair_lifts(phi: Morphism, xi: Subgraph, theta: Subgraph) -> _Lifts:
 _last_pair_lifts = lru_cache(maxsize=1)(_pair_lifts)
 
 
-def _bond_lifts(phi: Morphism, cut: MinimalCut):
-    """lifts(pair) for the splits of a bond C: Gamma(H) is contracted
-    once along the preimage of Gamma(G) - C, and a split's lift is found
-    by a search over the components that preimages of its cut edges join."""
-    aut, fibers = phi.src.cayley, phi.fibers()
-    comp = _contract(aut, fibers, cut.full.edges - cut.cut)
-    joins = {e: defaultdict(list) for e in cut.cut}
+def _joins(aut: InverseAutomaton, fibers, comp: Sequence[int], edges):
+    """joins[e][c]: the contracted components that preimages of the
+    edge e join to the component c, each preimage listed at both ends."""
+    joins = {e: defaultdict(list) for e in edges}
     for (g, a), join in joins.items():
         step = aut.fwd[a]
         for h in fibers[g]:
             join[comp[h]].append(comp[step[h]])
             join[comp[step[h]]].append(comp[h])
+    return joins
 
-    def reach(half: frozenset[tuple[int, int]]) -> set[int]:
-        seen, order = {0}, [0]
-        for c in order:
-            for e in half:
-                for d in joins[e].get(c, ()):
-                    if d not in seen:
-                        seen.add(d)
-                        order.append(d)
-        return seen
 
+def _reach(joins, half) -> set[int]:
+    """The contracted components that preimages of the edges `half`
+    join to the component of 1, which is labelled 0."""
+    seen, order = {0}, [0]
+    for c in order:
+        for e in half:
+            for d in joins[e].get(c, ()):
+                if d not in seen:
+                    seen.add(d)
+                    order.append(d)
+    return seen
+
+
+def _bond_lifts(phi: Morphism, fibers, cut: MinimalCut):
+    """lifts(pair) for the splits of a bond C: Gamma(H) is contracted
+    once along the preimage of Gamma(G) - C, and a split's lift is found
+    by a search over the components that preimages of its cut edges join."""
+    aut = phi.src.cayley
+    comp = _contract(aut, fibers, cut.full.edges - cut.cut)
+    joins = _joins(aut, fibers, comp, cut.cut)
     # Xi = (Gamma - C) + C_Xi and Theta = (Gamma - C) + C_Theta
-    return lambda pair: _Lifts(phi, fibers, comp, (reach(pair.c_xi), reach(pair.c_theta)),
+    return lambda pair: _Lifts(phi, fibers, comp,
+                               (_reach(joins, pair.c_xi), _reach(joins, pair.c_theta)),
                                pair.xi, pair.theta)
+
+
+def _delta_lifts(phi: Morphism, fibers, deltas: Sequence[Constellation]):
+    """lifts(c) for the letter constellations c = (Gamma - e, g, {e}) in
+    `deltas`: Gamma(H) is contracted once along the preimage of Gamma(G)
+    - D, D the set of their letter edges e.
+
+    Each Xi = (Gamma - D) + (D - e) contains Gamma - D, so Xi^ is the
+    union of the contracted components that preimages of D - e join to
+    the component of 1.  Theta = {e} with its two ends, one of them the
+    base.  phi is a covering, so exactly one preimage edge of e meets 1,
+    and its far end is the only other vertex of Theta^: 1.a when e
+    leaves the base, 1.a^-1 when it enters it.  Xi and Theta share no
+    edge, so S is empty, its contraction is the identity and `comp` is
+    range(|H|): each half is a vertex set, built when its c is asked for,
+    so one letter's sets are held at a time."""
+    aut = phi.src.cayley
+    letter_edges = frozenset().union(*(c.theta.edges for c in deltas))
+    comp = _contract(aut, fibers, full_subgraph(phi.dst.cayley).edges - letter_edges)
+    joins = _joins(aut, fibers, comp, letter_edges)  # dropped on return; the labels stay
+    xi_labels = {e: _reach(joins, letter_edges - {e}) for e in letter_edges}
+
+    def lifts(c: Constellation) -> _Lifts:
+        (t, a), = c.theta.edges
+        labels = xi_labels[t, a]
+        halves = ({h for h, k in enumerate(comp) if k in labels},
+                  {0, aut.fwd[a][0] if t == c.base else aut.bwd[a][0]})
+        return _Lifts(phi, fibers, range(aut.n), halves, c.xi, c.theta)
+    return lifts
 
 
 def _path_stays(sub: Subgraph, w: Word) -> bool:
@@ -408,8 +451,8 @@ def dissolve_all(tower: Tower, weak: bool = False) -> list[DissolveReport]:
     decided."""
     base = tower.levels[0]
     if weak:
-        deltas = [(delta_a(base, letter, sign), _letter_label(letter, sign))
-                  for letter in range(base.n_letters) for sign in (1, -1)]
+        deltas = {_letter_label(letter, sign): delta_a(base, letter, sign)
+                  for letter in range(base.n_letters) for sign in (1, -1)}
     else:
         pairs = maximal_constellations(base)
         check_size(sum(len(pair.g_choices) for pair in pairs), "dissolve reports")
@@ -420,14 +463,16 @@ def dissolve_all(tower: Tower, weak: bool = False) -> list[DissolveReport]:
         phi, decide = tower.top.cover()[1].compose(down), _reach_reports
     else:
         phi, decide = down, partial(_linear_reports, tower.top)
+    fibers = phi.fibers()
     if weak:
-        return [report for c, label in deltas
-                for report in decide(_pair_lifts(phi, c.xi, c.theta), (c.g,), (label,))]
+        lifts = _delta_lifts(phi, fibers, list(deltas.values()))
+        return [report for label, c in deltas.items()
+                for report in decide(lifts(c), (c.g,), (label,))]
     p = None if tower.top is None else tower.top.p
     reports: list[DissolveReport] = []
     for i, pair in enumerate(pairs):
         if not i or pair.cut is not pairs[i - 1].cut:
-            lifts, kept = _bond_lifts(phi, pair.cut), {}
+            lifts, kept = _bond_lifts(phi, fibers, pair.cut), {}
         labels = ["max%d:g%d" % (i, g) for g in pair.g_choices]
         mirrored = kept.pop((pair.c_theta, pair.c_xi), None)
         if mirrored is None:

@@ -924,6 +924,28 @@ def test_weak_dissolve_grows_witness_trees_only_to_their_witnesses(monkeypatch):
     assert len(grown) == 10 and sum(len(tree.tree) for tree in grown) < 25000
 
 
+def test_weak_dissolve_contracts_and_reads_fibers_once(monkeypatch):
+    # the four letter constellations share one contraction of Gamma(H)
+    # along the preimage of Gamma(G) minus the letter edges
+    calls = {"contract": 0, "fibers": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(constel.dissolve, "_contract",
+                        counted("contract", constel.dissolve._contract))
+    monkeypatch.setattr(constel.groups.Morphism, "fibers",
+                        counted("fibers", constel.groups.Morphism.fibers))
+    argv = ["dissolve", "--group", "cyclic(12;a=1,b=1)", "--layers", "~2", "--weak"]
+    want = next((code, digest) for args, code, digest in REPORT_DIGESTS if args == argv)
+    code, out, _ = run(argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == want
+    assert calls == {"contract": 1, "fibers": 1}
+
+
 def test_python_m_constel_runs_the_command_line():
     # without the installed `constel` script, `python -m constel` prints
     # the same report and exits with the same code

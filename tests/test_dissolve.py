@@ -189,15 +189,17 @@ def test_bond_contractions_lift_every_split_as_the_filter_does(spec, layers):
     tower = build_tower(TowerSpec(spec, layers))
     base = tower.levels[0]
     h_group, phi = cover_of(tower)
+    fibers = phi.fibers()
     bond = lifts_of = None
     splits = []
     for pair in maximal_constellations(base):
         if pair.cut is not bond:
-            bond, lifts_of = pair.cut, constel.dissolve._bond_lifts(phi, pair.cut)
+            bond, lifts_of = pair.cut, constel.dissolve._bond_lifts(phi, fibers, pair.cut)
         splits.append((lifts_of(pair), pair))
-    # the letter constellations are no splits; they contract S = Xi & Theta
-    splits += [(constel.dissolve._pair_lifts(phi, c.xi, c.theta), c)
-               for c in (delta_a(base, a, sign) for a in range(2) for sign in (1, -1))]
+    # the letter constellations are no splits; one contraction serves them all
+    deltas = [delta_a(base, a, sign) for a in range(2) for sign in (1, -1)]
+    delta_lifts = constel.dissolve._delta_lifts(phi, fibers, deltas)
+    splits += [(delta_lifts(c), c) for c in deltas]
     for lifts, pair in splits:
         for half, sub in zip(lifts.halves, (pair.xi, pair.theta)):
             _, vertices, _ = filtered_lift(sub, h_group, phi)
@@ -250,7 +252,7 @@ def test_bond_contractions_match_networkx_components(spec, layers):
     h_group, phi = cover_of(tower)
     first = {id(pair.cut): pair for pair in reversed(maximal_constellations(tower.levels[0]))}
     for pair in first.values():
-        cut, comp = pair.cut, constel.dissolve._bond_lifts(phi, pair.cut)(pair).comp
+        cut, comp = pair.cut, constel.dissolve._bond_lifts(phi, phi.fibers(), pair.cut)(pair).comp
         graph = nx.Graph()
         graph.add_nodes_from(range(h_group.order))
         graph.add_edges_from((h, v) for h, a, v in h_group.cayley.pos_edges()
@@ -524,6 +526,27 @@ def test_pair_deciders_match_per_constellation_decisions(monkeypatch, spec, laye
     assert {r[2] for r in reports} == {method}
     assert not all(r[1] for r in reports) and any(r[1] for r in reports)
     assert [r[:2] for r in reports] == verdicts  # the same verdicts by either method
+
+
+@pytest.mark.parametrize("bound", [100000, 1])
+@pytest.mark.parametrize("spec, layers", [
+    (S3, ((2, True),)),  # involutions: (0, a) and (a, a) are both letter edges
+    (PermSpec(3, (from_cycles(3, [(0, 1)]),) * 2), ((2, True),)),  # two letters, one image
+    (KleinSpec(((1, 0), (0, 1))), ((3, True),)),
+    (CyclicSpec(5, (1, 2, 3)), ((2, True),)),
+    (S3, ((2, True), (2, True))),
+    (S3, ((2, False),)),  # dissolved: Xi^ misses the far end of e's lift at 1
+])
+def test_weak_dissolve_matches_per_letter_decisions(monkeypatch, spec, layers, bound):
+    tower = build_tower(TowerSpec(spec, layers))
+    base = tower.levels[0]
+    monkeypatch.setattr(constel.dissolve, "MATERIALIZE_BOUND", bound)
+    method = "reachability" if tower.top.order() <= bound else "linear"
+    decide = one_g_decider(tower, method)
+    want = [astuple(decide(delta_a(base, a, sign), constel.dissolve._letter_label(a, sign)))
+            for a in range(base.n_letters) for sign in (1, -1)]
+    assert [astuple(r) for r in dissolve_all(tower, weak=True)] == want
+    assert {r[2] for r in want} == {method}
 
 
 def elimination_reports(layer, phi, xi, theta, g_choices, labels):
