@@ -27,7 +27,7 @@ from .constellations import (Constellation, MaxConstellationPair, MinimalCut,
 from .completion import (CompletionPlan, PredissolverReport,
                          complete_to_alternating, predissolver_certificate,
                          smallest_prime_greater)
-from .dissolve import (DissolveReport, KeyLemmaReport, RankReport,
+from .dissolve import (DissolveReport, RankReport,
                        counting_lifts_check, detecting_edges_check,
                        disconnection_equivalence, dissolve_all, dissolves_linear,
                        dissolves_materialized, key_lemma_report,

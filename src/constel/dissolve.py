@@ -66,8 +66,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Sequence
 
-from .automata import (BfsTree, InverseAutomaton, Subgraph, bfs_tree, full_subgraph,
-                       tree_word)
+from .automata import BfsTree, InverseAutomaton, Subgraph, bfs_tree, tree_word
 from .constellations import (Constellation, MinimalCut, _base_component, delta_a,
                              maximal_constellations)
 from .errors import VerificationError
@@ -123,18 +122,14 @@ def _check_target(phi: Morphism, *subs: Subgraph) -> None:
         raise ValueError("subgraph must lie in the Cayley graph of the morphism's target")
 
 
-def _check_source(h_group: MaterializedGroup, phi: Morphism) -> None:
-    if h_group is not phi.src:
-        raise ValueError("morphism must start at the given group")
-
-
 def reachable_lift(xi: Subgraph, h_group: MaterializedGroup, phi: Morphism
                    ) -> tuple[Subgraph, dict[int, frozenset[int]]]:
     """Component of the identity of the edge preimage of xi in Gamma(H),
     with its fibers: fibers[g] is exactly the set of H-endpoints of
     words whose G-path from 1 stays inside xi and ends at g.  Read off
     the contraction of that preimage."""
-    _check_source(h_group, phi)
+    if h_group is not phi.src:
+        raise ValueError("morphism must start at the given group")
     _check_target(phi, xi)
     if xi.parent.base not in xi.vertices:
         raise ValueError("the base vertex must lie in the subgraph")
@@ -255,8 +250,8 @@ def _bond_lifts(phi: Morphism, fibers, cut: MinimalCut):
 
 def _delta_lifts(phi: Morphism, fibers, deltas: Sequence[Constellation]):
     """lifts(c) for the letter constellations c = (Gamma - e, g, {e}) in
-    `deltas`: Gamma(H) is contracted once along the preimage of Gamma(G)
-    - D, D the set of their letter edges e.
+    `deltas`: Gamma(H) is contracted once along the preimage of what every
+    Xi shares, Gamma(G) - D, D the set of their letter edges e.
 
     Each Xi = (Gamma - D) + (D - e) contains Gamma - D, so Xi^ is the
     union of the contracted components that preimages of D - e join to
@@ -269,7 +264,7 @@ def _delta_lifts(phi: Morphism, fibers, deltas: Sequence[Constellation]):
     so one letter's sets are held at a time."""
     aut = phi.src.cayley
     letter_edges = frozenset().union(*(c.theta.edges for c in deltas))
-    comp = _contract(aut, fibers, full_subgraph(phi.dst.cayley).edges - letter_edges)
+    comp = _contract(aut, fibers, frozenset.intersection(*(c.xi.edges for c in deltas)))
     joins = _joins(aut, fibers, comp, letter_edges)  # dropped on return; the labels stay
     xi_labels = {e: _reach(joins, letter_edges - {e}) for e in letter_edges}
 
@@ -315,10 +310,8 @@ def _reach_reports(lifts: _Lifts, g_choices: Sequence[int],
     return out
 
 
-def dissolves_materialized(h_group: MaterializedGroup, phi: Morphism,
-                           c: Constellation, label: str = "") -> DissolveReport:
-    """Exact reachability decision; failures carry a re-verified word pair."""
-    _check_source(h_group, phi)
+def dissolves_materialized(phi: Morphism, c: Constellation, label: str = "") -> DissolveReport:
+    """Exact reachability decision over phi.src; failures carry a re-verified word pair."""
     return _reach_reports(_last_pair_lifts(phi, c.xi, c.theta), (c.g,), (label,))[0]
 
 
@@ -354,10 +347,6 @@ class GFpSpan:
 
     def contains(self, vec: Vec) -> bool:
         return not self.reduce(vec)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
 
 def _difference(aut: InverseAutomaton, u: Word, v: Word, p: int) -> Vec:
@@ -500,18 +489,8 @@ def disconnection_equivalence(phi: Morphism, letter: int, sign: int = 1
     disconnected = len(set(comp)) > 1
     separated_1 = comp[0] != comp[cayley.step(0, letter, sign)]
     separated_all = all(comp[n] != comp[cayley.step(n, letter, sign)] for n in kernel)
-    dissolved = dissolves_materialized(h_group, phi, delta_a(g_group, letter, sign)).dissolved
+    dissolved = dissolves_materialized(phi, delta_a(g_group, letter, sign)).dissolved
     return (disconnected, separated_1, separated_all, dissolved)
-
-
-@dataclass(frozen=True)
-class KeyLemmaReport:
-    n_edges: int
-    failures: tuple[tuple[int, int], ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return not self.failures
 
 
 def key_lemma_edge(h_group: MaterializedGroup, l_set: frozenset[int],
@@ -526,12 +505,12 @@ def key_lemma_edge(h_group: MaterializedGroup, l_set: frozenset[int],
     return len(comp) < h_group.order and h_group.cayley.fwd[letter][g] not in comp
 
 
-def key_lemma_report(g_group: MaterializedGroup, p: int, k_set) -> KeyLemmaReport:
+def key_lemma_report(g_group: MaterializedGroup, p: int, k_set) -> int:
     """The key lemma for the tilde layer H over G with projection phi,
     a nontrivial subgroup K of G and L = phi^-1(K): removing the L
     translates of any edge of Gamma(H) disconnects the graph with the
-    edge's two ends separated.  Proved, not enumerated, so every edge
-    holds and n_edges is |H|.|A|, read off the order formula.
+    edge's two ends separated.  Every edge holds by the proof below:
+    the result is the edge count |H|.|A|, read off the order formula.
 
     Proof.  Let (h, a) be an edge over (g0, a).  L contains ker phi, so
     the L translates of (h, a) are exactly the H-edges over S = {(k.g0,
@@ -550,8 +529,7 @@ def key_lemma_report(g_group: MaterializedGroup, p: int, k_set) -> KeyLemmaRepor
     if subgroup_closure(g_group, k_set) != k_set:
         raise ValueError("K is not a subgroup")
     check_modulus(p)
-    order = order_formula(g_group.order, g_group.n_letters, p, tilde=True)
-    return KeyLemmaReport(order * g_group.n_letters, ())
+    return order_formula(g_group.order, g_group.n_letters, p, tilde=True) * g_group.n_letters
 
 
 def counting_lifts_check(phi: Morphism, w: Word) -> bool:

@@ -11,7 +11,7 @@ import constel.groups
 from constel.automata import (BfsTree, InverseAutomaton, Subgraph, bfs_tree, full_subgraph,
                               tree_word)
 from constel.constellations import delta_a, maximal_constellations, minimal_cut_sets
-from constel.dissolve import (DissolveReport, GFpSpan, KeyLemmaReport, counting_lifts_check,
+from constel.dissolve import (DissolveReport, GFpSpan, counting_lifts_check,
                               cycle_space_rows, detecting_edges_check,
                               disconnection_equivalence, dissolve_all,
                               dissolves_linear, dissolves_materialized,
@@ -62,7 +62,7 @@ def test_gfp_span():
     assert span.add({(0, 0): 1, (1, 0): 2})
     assert not span.add({(0, 0): 2, (1, 0): 4})  # scalar multiple
     assert span.add({(1, 0): 1})
-    assert span.rank == 2
+    assert len(span.rows) == 2
     assert span.contains({(0, 0): 1})
     assert not span.contains({(2, 1): 1})
     assert span.contains({})
@@ -109,7 +109,7 @@ def test_cycle_space_rank_is_e_minus_v_plus_1():
             span.add(row)
         e = len(sub.edges)
         v = len(sub.vertices)
-        assert span.rank == e - v + 1
+        assert len(span.rows) == e - v + 1
 
 
 def test_reachable_lift_single_vertex():
@@ -335,8 +335,7 @@ def one_g_decider(tower, method: str):
     down = tower.morphism(len(tower.levels) - 1, 0)
     if method == "linear":
         return partial(dissolves_linear, tower.top, down)
-    mat, cover = tower.top.cover()
-    return partial(dissolves_materialized, mat, cover.compose(down))
+    return partial(dissolves_materialized, tower.top.cover()[1].compose(down))
 
 
 def clear_memos():
@@ -404,7 +403,7 @@ def test_reachability_and_linear_share_the_signed_trees_of_a_pair(monkeypatch):
     c = maximal_constellations(base)[43].constellation(1)
     clear_memos()
     trees = log_trees(monkeypatch)
-    reach = dissolves_materialized(mid, phi, c)
+    reach = dissolves_materialized(phi, c)
     linear = dissolves_linear(layer, phi, c)
     assert not reach.dissolved and not linear.dissolved
     side = {id(c.xi.edges): "xi", id(c.theta.edges): "theta"}
@@ -640,7 +639,7 @@ def test_failed_witness_check_raises(monkeypatch):
     phi = canonical_morphism(mat, base)
     monkeypatch.setattr(constel.dissolve, "_path_stays", lambda sub, word: False)
     with pytest.raises(VerificationError):
-        dissolves_materialized(mat, phi, delta_a(base, 0))
+        dissolves_materialized(phi, delta_a(base, 0))
 
 
 def test_path_stays_rejects_each_way_out():
@@ -671,7 +670,7 @@ def test_golden_witness_for_tilde_z2():
     base = z2()
     mat = GaschuetzLayer(base, 2, tilde=True).materialize()
     phi = canonical_morphism(mat, base)
-    rep = dissolves_materialized(mat, phi, delta_a(base, 0))
+    rep = dissolves_materialized(phi, delta_a(base, 0))
     assert not rep.dissolved
     assert rep.witness is not None
     u, v = rep.witness
@@ -690,7 +689,7 @@ def test_plain_layer_dissolves_the_letter_constellations():
     phi = canonical_morphism(mat, base)
     for letter in range(2):
         for sign in (1, -1):
-            rep = dissolves_materialized(mat, phi, delta_a(base, letter, sign))
+            rep = dissolves_materialized(phi, delta_a(base, letter, sign))
             assert rep.dissolved, (letter, sign)
 
 
@@ -719,7 +718,7 @@ def test_linear_method_agrees_with_reachability():
                 ident = identity_morphism(base)
                 dissolved = 0
                 for i, c in targets:
-                    slow = dissolves_materialized(mat, phi, c)
+                    slow = dissolves_materialized(phi, c)
                     fast = dissolves_linear(layer, ident, c)
                     assert slow.dissolved == fast.dissolved, (name, p, tilde, i)
                     dissolved += slow.dissolved
@@ -731,7 +730,7 @@ def test_inputs_off_the_target_graph_are_refused():
     h_group, phi = GaschuetzLayer(base, 2, tilde=True).cover()
     off = "must lie in the Cayley graph of the morphism's target"
     with pytest.raises(ValueError, match=off):
-        dissolves_materialized(h_group, phi, delta_a(klein(), 0))
+        dissolves_materialized(phi, delta_a(klein(), 0))
     with pytest.raises(ValueError, match=off):
         dissolves_linear(GaschuetzLayer(base, 2, True), identity_morphism(base),
                          delta_a(klein(), 0))
@@ -752,14 +751,10 @@ def test_inputs_off_the_morphism_source_are_refused():
     assert other is not h_group  # equal to phi's source, but another object
     c = delta_a(base, 0)
     with pytest.raises(ValueError, match="must start at the given group"):
-        dissolves_materialized(base, phi, c)
-    with pytest.raises(ValueError, match="must start at the given group"):
-        dissolves_materialized(other, phi, c)
-    with pytest.raises(ValueError, match="must start at the given group"):
         reachable_lift(c.xi, other, phi)
     with pytest.raises(ValueError, match="must start at the layer's base group"):
         dissolves_linear(layer, phi, c)
-    assert not dissolves_materialized(h_group, phi, c).dissolved
+    assert not dissolves_materialized(phi, c).dissolved
     assert 0 in reachable_lift(c.xi, h_group, phi)[0].vertices
 
 
@@ -778,7 +773,7 @@ def test_dissolved_verdicts_are_sound():
     pairs = maximal_constellations(base)
     for pair in pairs[:3]:
         c = pair.constellation(pair.g_choices[0])
-        assert dissolves_materialized(mat, phi, c).dissolved
+        assert dissolves_materialized(phi, c).dissolved
         bx = brute_endpoints(c.xi, mat, phi, 8)
         bt = brute_endpoints(c.theta, mat, phi, 8)
         assert not (bx.get(c.g, set()) & bt.get(c.g, set()))
@@ -834,15 +829,11 @@ def test_disconnection_equivalence_tilde_z2_p3():
 
 
 def test_key_lemma_reports():
-    assert key_lemma_report(z2(), 2, frozenset({0, 1})).n_edges == 8
-    assert key_lemma_report(z2(), 2, frozenset({0, 1})).all_ok
-    rep = key_lemma_report(z2(), 3, frozenset({0, 1}))
-    assert rep.n_edges == 12 and rep.all_ok
+    assert key_lemma_report(z2(), 2, frozenset({0, 1})) == 8
+    assert key_lemma_report(z2(), 3, frozenset({0, 1})) == 12
     base = klein()
     for gen in range(1, 4):
-        sub = subgroup_closure(base, [gen])
-        rep = key_lemma_report(base, 2, sub)
-        assert rep.n_edges == 64 and rep.all_ok
+        assert key_lemma_report(base, 2, subgroup_closure(base, [gen])) == 64
 
 
 def test_key_lemma_rejects_trivial_subgroup():
@@ -888,20 +879,22 @@ def test_key_lemma_edge_gives_one_verdict_per_orbit(spec, p):
 
 
 def per_edge_key_lemma(g_group, p, k_set):
-    """Key-lemma oracle: one call of key_lemma_edge per edge."""
+    """Key-lemma oracle: one call of key_lemma_edge per edge; returns
+    (n_edges, failures)."""
     mat = GaschuetzLayer(g_group, p, tilde=True).materialize()
     phi = canonical_morphism(mat, g_group)
     l_set = frozenset(h for h in range(mat.order) if phi(h) in k_set)
     failures = tuple((h, a) for h, a, _ in mat.cayley.pos_edges()
                      if not constel.dissolve.key_lemma_edge(mat, l_set, (h, a)))
-    return KeyLemmaReport(mat.cayley.n_pos_edges, failures)
+    return mat.cayley.n_pos_edges, failures
 
 
 def enumerated_key_lemma(g_group, p, k_set):
     """Key-lemma oracle by enumeration: materialize the tilde layer H and
     search one edge per orbit.  Left multiplication by L permutes Gamma(H)
     and fixes the removed set, so the orbits are the (right coset L.h,
-    letter) pairs, and L.h is the preimage of the coset K.phi(h)."""
+    letter) pairs, and L.h is the preimage of the coset K.phi(h).
+    Returns (n_edges, failures)."""
     h_group, phi = GaschuetzLayer(g_group, p, tilde=True).cover()
     l_set = frozenset(h for h in range(h_group.order) if phi(h) in k_set)
     coset, _ = coset_walk(g_group, k_set)  # element of G -> index of its coset K.g
@@ -913,7 +906,7 @@ def enumerated_key_lemma(g_group, p, k_set):
             verdicts[orbit] = constel.dissolve.key_lemma_edge(h_group, l_set, (h, letter))
         if not verdicts[orbit]:
             failures.append((h, letter))
-    return KeyLemmaReport(h_group.cayley.n_pos_edges, tuple(failures))
+    return h_group.cayley.n_pos_edges, tuple(failures)
 
 
 def test_key_lemma_report_matches_the_per_edge_loop(monkeypatch):
@@ -925,10 +918,10 @@ def test_key_lemma_report_matches_the_per_edge_loop(monkeypatch):
                         lambda *args: calls.append(args[2]) or real(*args))
     for group, p, k_set in cases:
         calls.clear()
-        assert key_lemma_report(group, p, k_set) == enumerated_key_lemma(group, p, k_set)
+        assert (key_lemma_report(group, p, k_set), ()) == enumerated_key_lemma(group, p, k_set)
         # the enumeration searches one edge per (right coset L.g, letter)
         assert len(calls) == group.order // len(k_set) * group.n_letters
-        assert key_lemma_report(group, p, k_set) == per_edge_key_lemma(group, p, k_set)
+        assert (key_lemma_report(group, p, k_set), ()) == per_edge_key_lemma(group, p, k_set)
 
 
 # bases of the key-lemma check: cyclic, elementary abelian and nonabelian
@@ -957,8 +950,8 @@ def test_key_lemma_report_agrees_with_the_enumeration():
     # D4 at p = 3: a 17,496-element layer
     cases.append((group, 3, subgroup_closure(group, [group.images[1]])))
     for group, p, k_set in cases:
-        report = key_lemma_report(group, p, k_set)
-        assert report.all_ok and report == enumerated_key_lemma(group, p, k_set), (group, p, k_set)
+        assert ((key_lemma_report(group, p, k_set), ())
+                == enumerated_key_lemma(group, p, k_set)), (group, p, k_set)
 
 
 def test_key_lemma_single_edge():
