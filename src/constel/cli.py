@@ -289,10 +289,9 @@ def _cmd_cayley(args) -> tuple[dict, bool]:
 
 def _cmd_constellations(args) -> tuple[dict, bool]:
     pairs = maximal_constellations(materialize(parse_group_spec(args.group)))
-    items = ({"cut": [_edge_json(e) for e in sorted(pair.cut.cut)],
-              "partition": [[_edge_json(e) for e in sorted(pair.c_xi)],
-                            [_edge_json(e) for e in sorted(pair.c_theta)]],
-              "far_component": sorted(pair.g_choices)} for pair in pairs)
+    items = ({"cut": [_edge_json(e) for e in pair.cut.edges],
+              "partition": [[_edge_json(e) for e in half] for half in pair.halves()],
+              "far_component": pair.g_choices} for pair in pairs)
     return {"count": len(pairs), "constellations": items}, True
 
 

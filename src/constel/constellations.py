@@ -73,6 +73,7 @@ class Constellation:
 class MinimalCut:
     full: Subgraph  # the whole graph, shared by all its cuts
     cut: frozenset[tuple[int, int]]
+    edges: tuple[tuple[int, int], ...]  # the cut in sorted order; bit i of a split mask is edges[i]
     near: frozenset[int]  # side containing the base vertex
     far: frozenset[int]
 
@@ -143,22 +144,24 @@ def minimal_cut_sets(aut: InverseAutomaton) -> list[MinimalCut]:
     for near in nears:
         far = full.vertices - near
         cut = frozenset((u, letter) for u, letter, v in edges if (u in far) != (v in far))
-        out.append(MinimalCut(full, cut, near, far))
+        out.append(MinimalCut(full, cut, tuple(sorted(cut)), near, far))
     out.sort(key=lambda mc: sum(bit[v] for v in mc.far))
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class MaxConstellationPair:
-    """A maximal pair is its bond and its split: Xi = Gamma - C_Theta and
-    Theta = Gamma - C_Xi are not stored with it.  They are built on first
-    access and kept for the last pair accessed only, so the g choices of
-    one pair share one Xi and one Theta, and a list of pairs holds no
-    subgraphs."""
+    """A maximal pair is its bond and a split mask: bit i of `mask` is 1
+    when the bond's i-th sorted edge `cut.edges[i]` lies in C_Xi, else it
+    lies in C_Theta.  The mirror split (C_Theta, C_Xi) has the mask
+    `full ^ mask`, full = 2^|C| - 1.  Xi = Gamma - C_Theta and Theta =
+    Gamma - C_Xi are not stored with it.  They are built on first access
+    and kept for the last pair accessed only, so the g choices of one
+    pair share one Xi and one Theta, and a list of pairs holds no
+    subgraphs or edge sets."""
 
     cut: MinimalCut
-    c_xi: frozenset[tuple[int, int]]
-    c_theta: frozenset[tuple[int, int]]
+    mask: int
     g_choices: tuple[int, ...]
 
     def __post_init__(self):
@@ -171,13 +174,29 @@ class MaxConstellationPair:
         and split C, then Xi holds every vertex and joins N to F through
         C_Xi, so it is connected, and so is Theta; Xi intersect Theta =
         Gamma - C has exactly N and F as its components.  So (Xi, g, Theta) is a
-        constellation for every g in F, and checking the split and the g
-        choices costs O(|C| + |F|)."""
-        c_xi, c_theta = self.c_xi, self.c_theta
-        if not (c_xi and c_theta) or c_xi & c_theta or c_xi | c_theta != self.cut.cut:
+        constellation for every g in F.  A mask splits C into two
+        nonempty halves exactly when 0 < mask < 2^|C| - 1, so checking
+        the split costs O(1) and the g choices O(|F|)."""
+        if not 0 < self.mask < (1 << len(self.cut.edges)) - 1:
             raise ValueError("C_Xi and C_Theta must split the cut into two nonempty parts")
         if not all(g in self.cut.far for g in self.g_choices):
             raise ValueError("every g must lie on the far side of the cut")
+
+    def halves(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+        """(C_Xi, C_Theta) in sorted order, read off the mask in one pass."""
+        mask, c_xi, c_theta = self.mask, [], []
+        for e in self.cut.edges:
+            (c_xi if mask & 1 else c_theta).append(e)
+            mask >>= 1
+        return tuple(c_xi), tuple(c_theta)
+
+    @property
+    def c_xi(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.halves()[0])
+
+    @property
+    def c_theta(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.halves()[1])
 
     @property
     def xi(self) -> Subgraph:
@@ -194,21 +213,21 @@ class MaxConstellationPair:
 @lru_cache(maxsize=1)
 def _split_subgraphs(pair: MaxConstellationPair) -> tuple[Subgraph, Subgraph]:
     """(Xi, Theta) of the pair, keyed by its identity (pairs are eq=False)."""
-    return pair.cut.full.minus_edges(pair.c_theta), pair.cut.full.minus_edges(pair.c_xi)
+    c_xi, c_theta = pair.halves()
+    return pair.cut.full.minus_edges(c_theta), pair.cut.full.minus_edges(c_xi)
 
 
 def maximal_constellations(group: MaterializedGroup) -> list[MaxConstellationPair]:
     """All ordered pairs (C_Xi, C_Theta) over all minimal cuts, with the
-    far-side vertices as g choices.  Every pair is checked against its
-    bond.  The pair count is refused before any is built."""
+    far-side vertices as g choices: one pair per mask of each bond, in
+    rising order.  Every pair is checked against its bond.  The pair
+    count is refused before any is built."""
     cuts = minimal_cut_sets(group.cayley)
     check_size(sum(2 ** len(mc.cut) - 2 for mc in cuts), "maximal constellation pairs")
     out = []
     for mc in cuts:
-        edges, far = sorted(mc.cut), tuple(sorted(mc.far))
-        for mask in range(1, (1 << len(edges)) - 1):
-            c_xi = frozenset(e for i, e in enumerate(edges) if mask >> i & 1)
-            out.append(MaxConstellationPair(mc, c_xi, mc.cut - c_xi, far))
+        far = tuple(sorted(mc.far))
+        out += (MaxConstellationPair(mc, mask, far) for mask in range(1, (1 << len(mc.edges)) - 1))
     return out
 
 
@@ -232,15 +251,13 @@ def delta_a(group: MaterializedGroup, letter: int, sign: int = 1) -> Constellati
 
 
 def amalgams_of(group: MaterializedGroup) -> list[InverseAutomaton]:
-    """Amalgams of the unordered maximal pairs, in a canonical order."""
-    seen = set()
+    """Amalgams of the unordered maximal pairs, in a canonical order.
+    Within a bond the masks rise, so of a split and its mirror, at
+    `full ^ mask`, the one met first has the smaller mask."""
     out = []
     for pair in maximal_constellations(group):
-        key = frozenset((pair.c_xi, pair.c_theta))  # in bijection with {Xi, Theta}
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(amalgam(pair.xi, pair.theta))  # fold returns it canonical
+        if pair.mask < ((1 << len(pair.cut.edges)) - 1) ^ pair.mask:
+            out.append(amalgam(pair.xi, pair.theta))  # fold returns it canonical
     out.sort(key=write_aut)
     return out
 

@@ -42,7 +42,8 @@ choices of one pair reuse all three; `dissolve_all` never holds them.
 
 Mirrors.  (Xi, g, Theta) is dissolved exactly when (Theta, g, Xi) is,
 and `dissolve_all` decides each unordered split of a bond once.  The
-mirror split (C_Theta, C_Xi) has the same bond and g choices, and its
+mirror split (C_Theta, C_Xi) has the same bond and g choices and the
+complementary mask, full ^ mask with full = 2^|C| - 1, and its
 reports are the kept ones with the witness (u, v) read as (v, u), the
 same endpoint and the vector negated mod p: the reports its own
 decision would give.  Reachability: `shared(g)` reads `both`, which is
@@ -244,7 +245,7 @@ def _bond_lifts(phi: Morphism, fibers, cut: MinimalCut):
     joins = _joins(aut, fibers, comp, cut.cut)
     # Xi = (Gamma - C) + C_Xi and Theta = (Gamma - C) + C_Theta
     return lambda pair: _Lifts(phi, fibers, comp,
-                               (_reach(joins, pair.c_xi), _reach(joins, pair.c_theta)),
+                               tuple(_reach(joins, half) for half in pair.halves()),
                                pair.xi, pair.theta)
 
 
@@ -433,8 +434,9 @@ def dissolve_all(tower: Tower, weak: bool = False) -> list[DissolveReport]:
     """Dissolving reports for the tower's top group over its base, over
     the weak (delta) or the full maximal constellation family, with one
     contraction per bond.  Each unordered split of a bond is decided
-    once; its reports are kept until the bond yields the mirror split,
-    whose reports are derived from them (see Mirrors above).  Uses
+    once; its reports are kept, by mask, until the bond yields the
+    mirror split at the complementary mask, whose reports are derived
+    from them (see Mirrors above).  Uses
     reachability whenever the top has at most MATERIALIZE_BOUND
     elements.  The report count is refused before any report is
     decided."""
@@ -461,12 +463,13 @@ def dissolve_all(tower: Tower, weak: bool = False) -> list[DissolveReport]:
     reports: list[DissolveReport] = []
     for i, pair in enumerate(pairs):
         if not i or pair.cut is not pairs[i - 1].cut:
-            lifts, kept = _bond_lifts(phi, fibers, pair.cut), {}
+            lifts, kept = _bond_lifts(phi, fibers, pair.cut), {}  # reports by mask
+            full = (1 << len(pair.cut.edges)) - 1
         labels = ["max%d:g%d" % (i, g) for g in pair.g_choices]
-        mirrored = kept.pop((pair.c_theta, pair.c_xi), None)
+        mirrored = kept.pop(full ^ pair.mask, None)
         if mirrored is None:
-            kept[pair.c_xi, pair.c_theta] = decide(lifts(pair), pair.g_choices, labels)
-            reports += kept[pair.c_xi, pair.c_theta]
+            kept[pair.mask] = decide(lifts(pair), pair.g_choices, labels)
+            reports += kept[pair.mask]
         else:
             reports += [_mirror(r, label, p) for r, label in zip(mirrored, labels, strict=True)]
     return reports
