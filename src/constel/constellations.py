@@ -191,14 +191,6 @@ class MaxConstellationPair:
         return tuple(c_xi), tuple(c_theta)
 
     @property
-    def c_xi(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.halves()[0])
-
-    @property
-    def c_theta(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.halves()[1])
-
-    @property
     def xi(self) -> Subgraph:
         return _split_subgraphs(self)[0]
 

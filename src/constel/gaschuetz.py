@@ -17,7 +17,8 @@ the layer.  Materialization, when the order fits the bound, runs the
 BFS of `groups` over packed int keys, alpha's entries as digits above
 g, by one-digit generator steps: right multiplication by a letter image
 changes one digit, and on tilde layers also one letter class at g = 1.
-`mul`, `inv` and `_make` serve the lazy arithmetic.
+`evaluate` builds elements through `_make`; no production path calls
+`mul` or `inv`, which only the tests and the benchmark's tracing read.
 """
 
 from __future__ import annotations

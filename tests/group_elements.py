@@ -5,7 +5,8 @@ documented: breadth-first discovery from the identity under right
 multiplication by the letter images, letters ascending.  `element_list`
 rebuilds that numbering with the group's own element product and checks
 it against the Cayley table and the generation tree before a test relies
-on it.
+on it.  `oracle_table` builds the same table with `perfbench/oracle.py`,
+which numbers its groups the same way and imports nothing from constel.
 """
 
 import warnings
@@ -16,6 +17,7 @@ from constel.groups import (CyclicSpec, KleinSpec, PermSpec, ProductSpec,
                             materialize, product_A)
 from constel.perms import from_cycles
 from constel.words import EMPTY, Word, parse_word
+import oracle as O
 
 A2 = 2  # the two-letter alphabet a, b
 
@@ -65,6 +67,21 @@ def element_list(g, identity, images, mul):
     assert all(index[mul(x, img)] == g.cayley.fwd[a][i]
                for i, x in enumerate(elems) for a, img in enumerate(images))
     return elems, index
+
+
+def oracle_table(spec) -> O.Cayley:
+    """The oracle's Cayley table of a cyclic, Klein or permutation spec."""
+    if isinstance(spec, CyclicSpec):
+        return O.cyclic_group(spec.n, spec.images)
+    if isinstance(spec, KleinSpec):
+        return O.klein_group(spec.images)
+    return O.perm_group(spec.degree, [p.images for p in spec.images])
+
+
+def cayley_rows(group) -> list[list[int]]:
+    """The Cayley table of a materialized group in the oracle's layout:
+    row h lists h times each letter image."""
+    return [list(row) for row in zip(*group.cayley.fwd)]
 
 
 def layer_generators(layer):

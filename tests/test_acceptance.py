@@ -1,10 +1,13 @@
 """End-to-end acceptance checks, one test per criterion.
 
-Each test is self-contained: fixtures are rebuilt from scratch and, where
-a criterion carries a runtime budget, the elapsed wall time is asserted.
+Fixtures are rebuilt from scratch in each test and, where a criterion
+carries a runtime budget, the elapsed wall time is asserted.  Besides
+constel, the tests import the shared oracle `perfbench/oracle.py` (the
+bond count of criterion 2) and, from `tests/group_elements.py`, the word
+helpers `w` and `str_word`, the oracle's tables and the element
+numbering of criterion 6.
 """
 
-import itertools
 import random
 import time
 
@@ -26,24 +29,12 @@ from constel.groups import (CyclicSpec, ExtensionSpec, KleinSpec, PermSpec,
                             abelianization, canonical_morphism,
                             identity_morphism, materialize, subgroup_closure)
 from constel.perms import from_cycles
-from constel.words import Word, parse_word, reduce
-from group_elements import element_list, layer_generators
+from constel.words import Word, reduce
+import oracle as O
+from group_elements import element_list, layer_generators, oracle_table, str_word, w
 
-A2 = 2
 Z2 = CyclicSpec(2, (1, 1))
 KLEIN = KleinSpec(((1, 0), (0, 1)))
-
-
-def w(text: str) -> Word:
-    return parse_word(text, A2)
-
-
-def str_word(u: Word) -> str:
-    out = []
-    for letter, sign in u:
-        c = "ab"[letter]
-        out.append(c if sign > 0 else c.upper())
-    return "".join(out)
 
 
 def random_word(rng, max_len):
@@ -112,48 +103,16 @@ def test_criterion_01_completion_corpus():
     assert time.monotonic() - start < 60
 
 
-def brute_minimal_cuts(aut):
-    geo = sorted((u, letter) for u, letter, _ in aut.pos_edges())
-
-    def n_components(removed):
-        seen = {}
-        for s in range(aut.n):
-            if s in seen:
-                continue
-            seen[s] = s
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for u, letter, t in aut.pos_edges():
-                    if (u, letter) in removed:
-                        continue
-                    for x, y in ((u, t), (t, u)):
-                        if x == v and y not in seen:
-                            seen[y] = s
-                            stack.append(y)
-        return len(set(seen.values()))
-
-    cuts = []
-    for r in range(1, len(geo) + 1):
-        for sub in itertools.combinations(geo, r):
-            chosen = set(sub)
-            if any(set(c) < chosen for c in cuts):
-                continue
-            if n_components(chosen) == 2:
-                cuts.append(sub)
-    return cuts
-
-
 def test_criterion_02_three_tilde_tower_dissolves_z2():
     start = time.monotonic()
     tower = build_tower(TowerSpec(Z2, ((2, True), (2, True), (2, True))))
     z2 = tower.levels[0]
     assert tower.levels[2].order == 32
     assert tower.top is not None and tower.top.base is tower.levels[2]
-    cuts = brute_minimal_cuts(z2.cayley)
-    assert len(cuts) == 1
+    bonds = O.bonds(oracle_table(Z2))  # every edge subset of Gamma(Z/2)
+    assert len(bonds) == 1
     cs = all_constellations(z2)
-    assert len(cs) == 2 ** len(cuts[0]) - 2 == 14
+    assert len(cs) == 2 ** len(bonds[0][0]) - 2 == 14
     phi = tower.morphism(2, 0)
     for c in cs:
         assert dissolves_linear(tower.top, phi, c).dissolved

@@ -1,4 +1,3 @@
-import itertools
 import random
 import re
 from collections import deque
@@ -12,6 +11,7 @@ from constel.automata import (BfsTree, InverseAutomaton, LabeledGraph, Subgraph,
                               tree_word, trim, write_aut)
 from constel.groups import CyclicSpec, KleinSpec, PermSpec, materialize
 from constel.words import Word, invert, reduce
+import oracle as O
 from group_elements import S3_GENS, w
 
 
@@ -114,21 +114,17 @@ def test_fold_confluent_under_edge_order():
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
-def fixpoint_fold(vertices, edges) -> dict[int, int]:
-    """Class label of each vertex: while two equally labeled quotient
-    edges share a source or a target, merge their other ends."""
-    cls = {v: v for v in vertices}
-    merged = True
-    while merged:
-        merged = False
-        quotient = {(cls[u], a, cls[v]) for u, a, v in edges}
-        for (u, a, v), (u2, a2, v2) in itertools.combinations(quotient, 2):
-            if a == a2 and (u == u2 or v == v2):
-                old, new = (v, v2) if u == u2 else (u, u2)
-                cls = {x: new if c == old else c for x, c in cls.items()}
-                merged = True
-                break
-    return cls
+def oracle_fold_classes(g: LabeledGraph) -> dict[int, object]:
+    """Class label of each vertex in O.fold_edges, the fold that merges
+    until no two equally labeled edges share a source or a target: the
+    fold based at v has v's class as its base.  It drops edgeless
+    vertices, which stay classes of their own."""
+    ids = sorted(g.vertices)
+    pos = {v: i for i, v in enumerate(ids)}
+    raw = [(pos[u], a, pos[v]) for u, a, v in g.edges]
+    touched = {x for u, _, v in raw for x in (u, v)}
+    return {v: O.fold_edges(len(ids), raw, g.n_letters, pos[v]).base if pos[v] in touched
+            else ("edgeless", v) for v in ids}
 
 
 def test_fold_against_fixpoint_oracle():
@@ -138,7 +134,7 @@ def test_fold_against_fixpoint_oracle():
     rng = random.Random(27)
     for _ in range(300):
         g = read_aut(aut_text(*random_aut_lines(rng)))
-        cls = fixpoint_fold(g.vertices, g.edges)
+        cls = oracle_fold_classes(g)
         least = {}
         for v in sorted(cls):
             least.setdefault(cls[v], len(least))

@@ -5,7 +5,7 @@ import pytest
 
 import constel.completion
 from constel.automata import (InverseAutomaton, core_of_words, embed_check,
-                              transition_group)
+                              transition_group, write_aut)
 from constel.completion import (complete_to_alternating,
                                 predissolver_certificate,
                                 smallest_prime_greater)
@@ -14,6 +14,7 @@ from constel.errors import VerificationError
 from constel.groups import DEFAULT_BOUND, CyclicSpec, KleinSpec, materialize
 from constel.perms import PermSpec, from_cycles
 from constel.words import Word, reduce
+import oracle as O
 from group_elements import S3_GENS, s3, w, z2
 
 
@@ -165,8 +166,12 @@ def test_predissolver_certificate():
     assert predissolver_certificate(host, amalgams[:1]).all_found
 
 
-def least_embedding_start(a: InverseAutomaton, host: InverseAutomaton) -> int | None:
-    return next((s for s in range(host.n) if embed_check(a, host, s) is not None), None)
+def least_embedding_starts(amalgams, host: InverseAutomaton) -> list[int | None]:
+    """Per amalgam, the least start of O.embed_map into host, the
+    base-respecting injective morphism."""
+    host = O.read_aut(write_aut(host))
+    return [next((s for s in range(host.n) if O.embed_map(a, host, s) is not None), None)
+            for a in (O.read_aut(write_aut(a)) for a in amalgams)]
 
 
 EMBEDDING_GROUPS = {
@@ -188,7 +193,7 @@ def test_predissolver_witnesses_are_the_least_embedding_starts(name):
         ag, ag.n + smallest_prime_greater(ag.n) + 2, seed=1)
     for host in (ag, completion, group.cayley):
         report = predissolver_certificate(host, amalgams)
-        assert list(report.witnesses) == [least_embedding_start(a, host) for a in amalgams]
+        assert list(report.witnesses) == least_embedding_starts(amalgams, host)
     assert predissolver_certificate(ag, amalgams).all_found
     assert predissolver_certificate(completion, amalgams).all_found
     assert set(predissolver_certificate(group.cayley, amalgams).witnesses) == {None}

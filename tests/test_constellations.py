@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import re
 import tracemalloc
@@ -14,49 +13,17 @@ from constel.constellations import (Constellation, amalgams_of, assemble_AG, cha
                                     delta_a, maximal_constellations, minimal_cut_sets)
 from constel.errors import VerificationError
 from constel.gaschuetz import GaschuetzLayer
-from constel.groups import CyclicSpec, OrderBoundError, materialize
-from group_elements import _perm, klein, s3, sample_groups, z2, z3
-
-
-# --- independent oracle: inclusion-minimal disconnecting edge sets ---
-
-def geometric_edges(aut: InverseAutomaton):
-    return [(u, letter) for u, letter, _ in aut.pos_edges()]
-
-
-def connected_without(aut: InverseAutomaton, removed) -> bool:
-    removed = set(removed)
-    adj = {v: [] for v in range(aut.n)}
-    for u, letter, v in aut.pos_edges():
-        if (u, letter) not in removed:
-            adj[u].append(v)
-            adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == aut.n
-
-
-def brute_minimal_cuts(aut: InverseAutomaton) -> set[frozenset]:
-    edges = geometric_edges(aut)
-    out = set()
-    for r in range(1, len(edges) + 1):
-        for combo in itertools.combinations(edges, r):
-            if connected_without(aut, combo):
-                continue
-            if all(connected_without(aut, set(combo) - {e}) for e in combo):
-                out.add(frozenset(combo))
-    return out
+from constel.groups import CyclicSpec, KleinSpec, OrderBoundError, PermSpec, materialize
+import oracle as O
+from group_elements import S3_GENS, _perm, klein, oracle_table, s3, sample_groups, z2, z3
 
 
 def test_minimal_cuts_against_oracle():
-    for group in (z2(), klein(), z3(), s3(), materialize(CyclicSpec(6, (1, 2)))):
-        got = {mc.cut for mc in minimal_cut_sets(group.cayley)}
-        assert got == brute_minimal_cuts(group.cayley)
+    # O.bonds tries every edge subset and gives each bond with its far side
+    for spec in (CyclicSpec(2, (1, 1)), KleinSpec(((1, 0), (0, 1))), CyclicSpec(3, (1, 1)),
+                 PermSpec(3, S3_GENS), CyclicSpec(6, (1, 2))):
+        got = {(mc.cut, mc.far) for mc in minimal_cut_sets(materialize(spec).cayley)}
+        assert got == set(O.bonds(oracle_table(spec))), spec
 
 
 def mask_minimal_cuts(aut: InverseAutomaton) -> list[tuple]:
@@ -64,7 +31,9 @@ def mask_minimal_cuts(aut: InverseAutomaton) -> list[tuple]:
     connected, by far-side bitmask (bit i is the i-th vertex other than
     the anchor).  A search over the non-crossing edges stays on the side
     it starts from, so both sides are connected iff the searches from the
-    anchor and from the least far vertex reach all n vertices together."""
+    anchor and from the least far vertex reach all n vertices together.
+    Kept beside O.bonds, which tries edge subsets of Cayley graphs: vertex
+    masks reach 14 vertices, any automaton and the order of the bonds."""
     anchor = aut.base if aut.base is not None else 0
     others = [v for v in range(aut.n) if v != anchor]
     edges = aut.pos_edges()
@@ -202,11 +171,12 @@ def test_maximal_pair_counts():
 
 def test_maximal_pair_structure():
     for pair in maximal_constellations(klein()):
-        assert pair.c_xi and pair.c_theta
-        assert not pair.c_xi & pair.c_theta
-        assert pair.c_xi | pair.c_theta == pair.cut.cut
-        assert pair.xi.edges == full_subgraph(pair.xi.parent).edges - pair.c_theta
-        assert pair.theta.edges == full_subgraph(pair.xi.parent).edges - pair.c_xi
+        c_xi, c_theta = map(frozenset, pair.halves())
+        assert c_xi and c_theta
+        assert not c_xi & c_theta
+        assert c_xi | c_theta == pair.cut.cut
+        assert pair.xi.edges == full_subgraph(pair.xi.parent).edges - c_theta
+        assert pair.theta.edges == full_subgraph(pair.xi.parent).edges - c_xi
         assert pair.g_choices == tuple(sorted(pair.cut.far))
         for c in map(pair.constellation, pair.g_choices):
             assert c.g in pair.cut.far
@@ -285,8 +255,9 @@ def test_every_maximal_pair_is_a_constellation():
             continue
         full = full_subgraph(group.cayley).edges
         for pair in maximal_constellations(group):
-            assert pair.xi.edges == full - pair.c_theta, name
-            assert pair.theta.edges == full - pair.c_xi, name
+            c_xi, c_theta = pair.halves()
+            assert pair.xi.edges == full - set(c_theta), name
+            assert pair.theta.edges == full - set(c_xi), name
             for g in pair.g_choices:
                 Constellation(pair.xi, g, pair.theta)
             checked += 1
@@ -403,7 +374,7 @@ def test_amalgam_of_one_edge_split():
     # C_Xi = {(0,a)}, C_Theta the rest of the unique cut of Gamma(Z/2)
     group = z2()
     for pair in maximal_constellations(group):
-        if pair.c_xi == frozenset({(0, 0)}):
+        if pair.halves()[0] == ((0, 0),):
             am = canonical(amalgam(pair.xi, pair.theta))
             assert write_aut(am) == ("edge 0 a 1\nedge 0 b 2\nedge 2 a 0\n"
                                      "edge 2 b 0\nbase 0\n")

@@ -24,7 +24,8 @@ from constel.groups import (CyclicSpec, KleinSpec, OrderBoundError, PermSpec,
                             subgroup_closure, traversal_vector)
 from constel.perms import from_cycles
 from constel.words import Word
-from group_elements import S3_GENS, klein, s3, str_word, w, z2, z3
+import oracle as O
+from group_elements import S3_GENS, klein, oracle_table, s3, str_word, w, z2, z3
 
 
 def brute_endpoints(sub: Subgraph, h_group, phi, max_len: int) -> dict[int, set[int]]:
@@ -123,17 +124,15 @@ def test_reachable_lift_single_vertex():
 S3 = PermSpec(3, S3_GENS)
 
 
-def filtered_lift(xi: Subgraph, h_group, phi):
-    """Lift oracle: filter all of Gamma(H) for preimage vertices and
-    edges, then keep the component of the identity."""
-    gamma_h = h_group.cayley
-    vertices = frozenset(h for h in range(h_group.order) if phi(h) in xi.vertices)
-    edges = frozenset((h, a) for h, a, _ in gamma_h.pos_edges() if (phi(h), a) in xi.edges)
-    comp = Subgraph(gamma_h, edges, vertices).component_of(0)
+def oracle_lift(table, proj, sub: Subgraph):
+    """(edges, vertices, fibers) of O.lift: the identity component of the
+    preimage of sub in the oracle's table, grown over the edges whose
+    projection lies in sub."""
+    tvec, comp_edges = O.lift(table, proj, sub.edges, O.Vectors(2))
     fibers: dict[int, set[int]] = {}
-    for h in comp:
-        fibers.setdefault(phi(h), set()).add(h)
-    return (frozenset(e for e in edges if e[0] in comp), comp,
+    for h in tvec:
+        fibers.setdefault(proj[h], set()).add(h)
+    return (frozenset((h, a) for h, a, _ in comp_edges), frozenset(tvec),
             {g: frozenset(hs) for g, hs in fibers.items()})
 
 
@@ -162,12 +161,13 @@ def test_reachable_lift_matches_filtered_lift():
     base = s3()
     mat = GaschuetzLayer(base, 2, tilde=True).materialize()
     phi = canonical_morphism(mat, base)
+    table, proj = O.Layer(oracle_table(S3), 2, True).materialize()
     pairs = maximal_constellations(base)
     subs = [delta_a(base, 0).xi, delta_a(base, 1, -1).theta]
     subs += [sub for pair in pairs[::7] for sub in (pair.xi, pair.theta)]
     for sub in subs:
         lifted, fibers = reachable_lift(sub, mat, phi)
-        assert (lifted.edges, lifted.vertices, fibers) == filtered_lift(sub, mat, phi)
+        assert (lifted.edges, lifted.vertices, fibers) == oracle_lift(table, proj, sub)
 
 
 CONTRACTED_TOWERS = [(S3, ((2, True),)), (CyclicSpec(6, (1, 2)), ((2, True),)),
@@ -184,11 +184,23 @@ def cover_of(tower):
     return h_group, cover.compose(down)
 
 
+def oracle_cover(spec, layers):
+    """(table, projection) of the oracle's tower, as `cover_of` gives
+    (H, phi)."""
+    tower = O.Tower(oracle_table(spec), layers)
+    if tower.top.order() > constel.dissolve.MATERIALIZE_BOUND:
+        return tower.levels[-1], tower.proj[-1]
+    table, down = tower.top.materialize()
+    return table, [tower.proj[-1][h] for h in down]
+
+
 @pytest.mark.parametrize("spec, layers", CONTRACTED_TOWERS)
 def test_bond_contractions_lift_every_split_as_the_filter_does(spec, layers):
     tower = build_tower(TowerSpec(spec, layers))
     base = tower.levels[0]
     h_group, phi = cover_of(tower)
+    table, proj = oracle_cover(spec, layers)
+    assert proj == [phi(h) for h in range(h_group.order)]
     fibers = phi.fibers()
     bond = lifts_of = None
     splits = []
@@ -202,7 +214,7 @@ def test_bond_contractions_lift_every_split_as_the_filter_does(spec, layers):
     splits += [(delta_lifts(c), c) for c in deltas]
     for lifts, pair in splits:
         for half, sub in zip(lifts.halves, (pair.xi, pair.theta)):
-            _, vertices, _ = filtered_lift(sub, h_group, phi)
+            _, vertices, _ = oracle_lift(table, proj, sub)
             assert {h for h, c in enumerate(lifts.comp) if c in half} == vertices
 
 
@@ -548,11 +560,12 @@ def test_weak_dissolve_matches_per_letter_decisions(monkeypatch, spec, layers, b
     assert {r[2] for r in want} == {method}
 
 
-def elimination_reports(layer, phi, xi, theta, g_choices, labels):
-    """Linear-method oracle by Gaussian elimination: the fibers over g
-    meet at m iff the difference of the signed BFS-tree vectors to m
-    lies in the span of both cycle spaces and, for tilde layers, the
-    constants sum_h e_(h,a).  Reports as `astuple` gives them."""
+def elimination_evidence(layer, phi, xi, theta, g_choices):
+    """(endpoint, vector) of a failing report per g, by Gaussian
+    elimination: the least m over g in both lifts whose signed BFS-tree
+    vector difference lies in the span of both cycle spaces and, for
+    tilde layers, the constants sum_h e_(h,a); (None, None) when no m
+    does.  O.dissolved_by_pair gives verdicts only, not this evidence."""
     m_group, p = layer.base, layer.p
     xi_hat, fib_xi = reachable_lift(xi, m_group, phi)
     th_hat, fib_th = reachable_lift(theta, m_group, phi)
@@ -569,15 +582,9 @@ def elimination_reports(layer, phi, xi, theta, g_choices, labels):
         diff = {e: (ux.get(e, 0) - ut.get(e, 0)) % p for e in set(ux) | set(ut)}
         return {e: c for e, c in diff.items() if c}
 
-    out = []
-    for g, label in zip(g_choices, labels):
-        rep = (label, True, "linear", None, None, None)
-        for m in sorted(fib_xi.get(g, frozenset()) & fib_th.get(g, frozenset())):
-            if span.contains(vector(m)):
-                rep = (label, False, "linear", None, m, vector(m))
-                break
-        out.append(rep)
-    return out
+    shared = (sorted(fib_xi.get(g, frozenset()) & fib_th.get(g, frozenset())) for g in g_choices)
+    return [next(((m, vector(m)) for m in ms if span.contains(vector(m))), (None, None))
+            for ms in shared]
 
 
 ONE_LAYER_BASES = [CyclicSpec(2, (1, 1)), CyclicSpec(3, (1, 1)), CyclicSpec(4, (1, 1)),
@@ -595,6 +602,8 @@ def test_component_test_matches_elimination(spec, layers):
     tower = build_tower(TowerSpec(spec, layers))
     base = tower.levels[0]
     phi = tower.morphism(len(tower.levels) - 1, 0)
+    o_tower = O.Tower(oracle_table(spec), layers)
+    assert o_tower.proj[-1] == [phi(h) for h in range(tower.levels[-1].order)]
     pairs = [(pair.xi, pair.theta, pair.g_choices,
               ["max%d:g%d" % (i, g) for g in pair.g_choices])
              for i, pair in enumerate(maximal_constellations(base))]
@@ -610,7 +619,10 @@ def test_component_test_matches_elimination(spec, layers):
         lifts = constel.dissolve._pair_lifts(phi, xi, theta)
         got = [astuple(r) for r in constel.dissolve._linear_reports(tower.top, lifts,
                                                                     g_choices, labels)]
-        assert got == elimination_reports(tower.top, phi, xi, theta, g_choices, labels)
+        verdicts = O.dissolved_by_pair(o_tower, xi.edges, theta.edges, g_choices)
+        assert [r[:4] for r in got] == [(label, verdicts[g], "linear", None)
+                                        for g, label in zip(g_choices, labels)]
+        assert [r[4:] for r in got] == elimination_evidence(tower.top, phi, xi, theta, g_choices)
         reports += got
     assert not any(r[1] for r in reports if r[0].startswith("full:"))
     constellations = [r for r in reports if not r[0].startswith("full:")]

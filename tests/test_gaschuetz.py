@@ -11,13 +11,14 @@ from constel.errors import VerificationError
 from constel.gaschuetz import (GaschuetzElement, GaschuetzLayer, TowerSpec,
                                build_tower, center, coprime_structure_checks,
                                layer_abelianization, order_formula)
-from constel.groups import (CyclicSpec, OrderBoundError, _generate,
-                            abelian_relations, abelianization, canonical_morphism,
-                            materialize, subgroup_closure, traversal_vector)
+from constel.groups import (CyclicSpec, KleinSpec, OrderBoundError, PermSpec, abelian_relations,
+                            abelianization, canonical_morphism, materialize,
+                            subgroup_closure, traversal_vector)
 from constel.perms import from_cycles
 from constel.words import Word, concat, invert, parse_word
-from group_elements import (S3_GENS, element_list, klein, layer_generators, s3, sample_groups,
-                            str_word, w, z2)
+import oracle as O
+from group_elements import (S3_GENS, cayley_rows, element_list, klein, layer_generators,
+                            oracle_table, s3, sample_groups, str_word, w, z2)
 
 
 def random_word(rng, max_len=12, n_letters=2):
@@ -143,32 +144,42 @@ def test_step_materialization_matches_the_product_closure():
         element_list(mat, *layer_generators(layer), layer.mul)
 
 
-def tuple_key_materialize(layer):
-    """The layer enumerated on tuple keys alpha + (g,), one Python int per
-    entry: the key form that packed int keys replaced."""
-    p, n_letters, tilde, fwd = layer.p, layer.n_letters, layer.tilde, layer.base.cayley.fwd
-    size = layer.base.order * n_letters
+def generation_tree(rows) -> tuple[list[int], list[int]]:
+    """(parent, letter) of a table numbered in BFS order: element i is
+    first reached from the least j, by its least letter."""
+    parent, letter = [0], [-1]
+    for j, row in enumerate(rows):
+        for a, i in enumerate(row):
+            if i == len(parent):
+                parent.append(j)
+                letter.append(a)
+    return parent, letter
 
-    def step(x, a):
-        g = x[-1]
-        y = list(x)
-        i = g * n_letters + a
-        y[i] = (y[i] + 1) % p
-        if tilde and g == 0:
-            y[a:size:n_letters] = [(u - 1) % p for u in y[a:size:n_letters]]
-        y[-1] = fwd[a][g]
-        return tuple(y)
 
-    return _generate(n_letters, (0,) * (size + 1), step)
+def numbered_as_the_oracle(spec, p: int, tilde: bool) -> int:
+    """Order of the materialized layer, after checking its Cayley table,
+    generation tree and projection against O.Layer.materialize, which
+    keys each element by a (g, vector) tuple."""
+    base = materialize(spec)
+    mat = GaschuetzLayer(base, p, tilde).materialize()
+    want, proj = O.Layer(oracle_table(spec), p, tilde).materialize()
+    assert cayley_rows(mat) == want.fwd
+    assert (mat._parent, mat._letter) == generation_tree(want.fwd)
+    assert tuple(proj) == canonical_morphism(mat, base).mapping
+    return mat.order
+
+
+@pytest.mark.parametrize("spec, p, tilde", [
+    (PermSpec(3, S3_GENS), 2, True), (KleinSpec(((1, 0), (0, 1))), 3, False),
+    (CyclicSpec(6, (1, 1)), 2, True),
+], ids=["tilde-s3-2", "klein-3", "tilde-z6-2"])
+def test_packed_keys_number_layers_as_the_oracle_does(spec, p, tilde):
+    numbered_as_the_oracle(spec, p, tilde)
 
 
 def test_packed_keys_number_a_wide_digit_layer_as_tuple_keys_do():
     # tilde(cyclic(3;a=1,b=1),257): 198147 elements, 9-bit digits, p > 255
-    layer = GaschuetzLayer(materialize(CyclicSpec(3, (1, 1))), 257, tilde=True)
-    mat, want = layer.materialize(), tuple_key_materialize(layer)
-    assert mat.order == want.order == 3 * 257 ** 2
-    assert mat.cayley.fwd == want.cayley.fwd
-    assert (mat._parent, mat._letter) == (want._parent, want._letter)
+    assert numbered_as_the_oracle(CyclicSpec(3, (1, 1)), 257, True) == 3 * 257 ** 2
 
 
 def test_materializing_the_z12_tilde_layer_stays_small():

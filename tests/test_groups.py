@@ -18,8 +18,8 @@ from constel.groups import (DEFAULT_BOUND, CyclicSpec, ExtensionSpec, KleinSpec,
                             table_automaton, traversal_vector)
 from constel.perms import from_cycles
 from constel.words import Word
-from group_elements import (S3_GENS, element_list, klein, layer_generators, s3, sample_groups,
-                            w, z2)
+from group_elements import (S3_GENS, cayley_rows, element_list, klein, layer_generators,
+                            oracle_table, s3, sample_groups, w, z2)
 
 
 def perm_group(gens):
@@ -101,6 +101,16 @@ def test_cayley_is_complete_and_based_at_identity():
         assert g.cayley.is_complete()
         assert g.cayley.base == 0
         assert g.cayley.n == g.order
+
+
+@pytest.mark.parametrize("spec", [
+    CyclicSpec(6, (1, 1)), KleinSpec(((1, 0), (0, 1))), PermSpec(3, S3_GENS),
+    PermSpec(4, (from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(0, 2)]))),
+], ids=["z6", "klein", "s3", "d4"])
+def test_the_oracle_numbers_groups_as_materialize_does(spec):
+    # every test that compares element indices with perfbench/oracle.py
+    # relies on this shared BFS numbering
+    assert oracle_table(spec).fwd == cayley_rows(materialize(spec))
 
 
 def test_evaluate_and_element_order():
@@ -575,7 +585,8 @@ def factors_from_order_counts(order: int, elem_orders: list[int]) -> list[int]:
 
 def order_count_abelianization(g) -> list[int]:
     """Invariant factors of g/[g,g] from the order of each coset of
-    [g,g], with cosets and powers taken by element products."""
+    [g,g], with cosets and powers taken by element products.  Kept beside
+    O.abelianization, which reduces relation rows by gcd minors."""
     derived = derived_subgroup(g)
     orders, seen = [], set()
     for x in range(g.order):

@@ -14,6 +14,7 @@ from constel.groups import materialize
 from constel.perms import (Permutation, PermSpec, _minimal_block_size, _prime_cycles,
                            alternating_certificate, from_cycles, is_primitive,
                            is_prime, is_transitive, orbit, parse_cycles)
+import oracle as O
 
 
 def prime_power_cycle(p):
@@ -110,7 +111,8 @@ def test_primitivity_fixtures():
 
 
 def brute_primitive(gens: PermSpec) -> bool:
-    """Oracle: no invariant partition into equal blocks of size 1<s<n."""
+    """Oracle: no invariant partition into equal blocks of size 1<s<n.
+    Kept beside O.primitive: it tries block partitions, not block passes."""
     n = gens.degree
     if n <= 2:
         return True
@@ -147,31 +149,9 @@ def test_primitivity_against_oracle():
             assert is_primitive(gens) == brute_primitive(gens), gens
 
 
-def atkinson_per_point(gens: PermSpec) -> bool:
-    """Second oracle: one full Atkinson union-find pass for every point;
-    primitive iff each finest invariant partition joining 0 and beta is
-    the single class."""
-    n = gens.degree
-    for beta in range(1, n):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        parent[beta] = 0
-        queue = [(0, beta)]
-        while queue:
-            u, v = queue.pop()
-            for p in gens.images:
-                x, y = find(p(u)), find(p(v))
-                if x != y:
-                    parent[y] = x
-                    queue.append((x, y))
-        if any(find(v) != find(0) for v in range(n)):
-            return False
-    return True
+def oracle_primitive(gens: PermSpec) -> bool:
+    """O.primitive: one full Atkinson union-find pass for every point."""
+    return O.primitive([p.images for p in gens.images], gens.degree)
 
 
 def random_generators(rng, n: int, k: int, block: int) -> PermSpec:
@@ -209,7 +189,7 @@ def test_primitivity_against_per_point_atkinson():
         if not is_transitive(gens):
             continue
         primitive = is_primitive(gens)
-        assert primitive == atkinson_per_point(gens), gens
+        assert primitive == oracle_primitive(gens), gens
         outcomes.add(primitive)
     assert outcomes == {True, False}
 
@@ -231,7 +211,7 @@ def test_primitivity_fixed_cases(monkeypatch):
     assert is_primitive(PermSpec(1009, (cycle, cycle)))  # prime degree
     sym10 = two_subsets_of_sym10()
     assert is_transitive(sym10)
-    assert is_primitive(sym10) and atkinson_per_point(sym10)
+    assert is_primitive(sym10) and oracle_primitive(sym10)
     # a regular group without the prime-degree answer: every Schreier
     # generator is trivial, and each point needs its own block pass
     monkeypatch.setattr(constel.perms, "is_prime", lambda n: False)
@@ -254,6 +234,7 @@ def materialized_order(gens: PermSpec) -> int:
 
 
 def sympy_group(gens: PermSpec):
+    """sympy's group: Schreier-Sims, an algorithm neither constel nor O holds."""
     combinatorics = pytest.importorskip("sympy.combinatorics")
     return combinatorics.PermutationGroup(
         [combinatorics.Permutation(list(p.images)) for p in gens.images])

@@ -2,7 +2,6 @@
 
 import ast
 import importlib
-import importlib.util
 import re
 from collections import Counter
 from pathlib import Path
@@ -11,6 +10,8 @@ import constel
 from constel.constellations import delta_a
 from constel.gaschuetz import GaschuetzLayer
 from constel.groups import CyclicSpec, identity_morphism, materialize
+import oracle
+import tracing  # perfbench/tracing.py; nothing is patched until install()
 
 
 def package_nodes():
@@ -163,18 +164,24 @@ def test_one_dataclass_per_field_signature():
     assert same == set(SAME_FIELDS), sorted(same ^ set(SAME_FIELDS))
 
 
-def bench_tracing():
-    """perfbench/tracing.py, loaded without install(): nothing is patched."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+
+
+def test_the_shared_oracle_imports_nothing_from_the_package():
+    # perfbench/oracle.py is the expected answer of the tests and the
+    # benchmark; an import of constel could make a wrong answer its own
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    found = [name for name in imported_modules(tree) if name.split(".")[0] == "constel"]
+    assert not found, found
 
 
 def test_bench_tracing_targets_resolve_on_the_package():
     # perfbench/tracing.py patches these names
-    tracing = bench_tracing()
     missing = []
     for module_name, attr, *_ in tracing.TARGETS:
         module = importlib.import_module("constel." + module_name)
@@ -206,7 +213,6 @@ def hook_inputs():
 def test_bench_tracing_hooks_read_real_calls():
     # a hook sees (args, result) of the function it wraps, so a changed
     # signature or result would break a traced benchmark run
-    tracing = bench_tracing()
     inputs = hook_inputs()
     hooked = [(module_name, attr, hook) for module_name, attr, _, _, hook in tracing.TARGETS
               if hook is not None]
@@ -225,46 +231,53 @@ AWAITING_CALLERS = {"closure_chain", "extendible_at_level"}
 
 
 def defined_functions(tree):
-    """(name, def node) of every module-level function and every public
-    method of a module-level class."""
+    """(name, def node, is a method) of every module-level function and
+    every public method of a module-level class."""
     for stmt in tree.body:
         if isinstance(stmt, ast.FunctionDef):
-            yield stmt.name, stmt
+            yield stmt.name, stmt, False
         elif isinstance(stmt, ast.ClassDef):
             for node in stmt.body:
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                    yield node.name, node
+                    yield node.name, node, True
 
 
-def names_read(node) -> Counter:
+def names_read(node, attributes_only: bool = False) -> Counter:
+    kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
     return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
-                   for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
+                   for sub in ast.walk(node) if isinstance(sub, kinds))
 
 
 def test_every_package_export_has_a_caller():
     # the package defines and exports what a caller uses: each name
     # constel/__init__.py imports, and each module-level function and
-    # public method, must be read as a name or attribute outside its own
-    # definition, in the code of the other modules, the acceptance tests
-    # or the benchmark's scenarios (comments, docstrings and imports do
-    # not count), or be a benchmark tracing target, or be named in the
-    # README
+    # public method, must be read outside its own definition, in the code
+    # of the other modules, the acceptance tests or the benchmark's
+    # scenarios (comments, docstrings and imports do not count), or be a
+    # benchmark tracing target, or be named in the README.  A function
+    # counts as read through a name or an attribute, a method or property
+    # only through an attribute `.name`: a local of the same name is no
+    # caller
     package = Path(constel.__file__).parent
     root = Path(__file__).resolve().parent.parent
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))
                if path.name != "__init__.py"}
     others = [ast.parse((root / name).read_text()) for name in
               ("tests/test_acceptance.py", "perfbench/scenarios.py", "perfbench/workload.py")]
-    reads = sum(map(names_read, [*modules.values(), *others]), Counter())
-    traced = {attr.split(".")[-1] for _, attr, *_ in bench_tracing().TARGETS}
+    trees = [*modules.values(), *others]
+    reads = sum(map(names_read, trees), Counter())
+    attribute_reads = sum((names_read(tree, True) for tree in trees), Counter())
+    traced = {attr.split(".")[-1] for _, attr, *_ in tracing.TARGETS}
     readme = (root / "README.md").read_text()
     exports = {alias.name
                for node in ast.parse((package / "__init__.py").read_text()).body
                if isinstance(node, ast.ImportFrom) for alias in node.names}
     orphans = {name for name in exports if not reads[name]}
     orphans |= {"%s.%s" % (stem, name)
-                for stem, tree in modules.items() for name, node in defined_functions(tree)
-                if reads[name] == names_read(node)[name] and name not in traced}
+                for stem, tree in modules.items()
+                for name, node, method in defined_functions(tree)
+                if (attribute_reads if method else reads)[name] == names_read(node, method)[name]
+                and name not in traced}
     orphans = sorted(name for name in orphans
                      if name.split(".")[-1] not in AWAITING_CALLERS
                      and not re.search(r"\b%s\b" % name.split(".")[-1], readme))
