@@ -145,14 +145,24 @@ def fold(graph: LabeledGraph) -> InverseAutomaton:
     (u, a, v), an input edge or a requeued entry, is an a-edge from the
     class of u to that of v in every folded quotient, so each merge,
     forced by two such triples with a shared source or target, joins
-    vertices that every folded partition joins.  When the queue empties,
-    each root holds at most one entry per letter and direction, and
-    every input edge joins its ends' roots through such a pair of
-    entries, so the final partition is folded.  It is therefore the
-    finest folded partition, whatever the queue order.  Roots are least
-    vertices, so the dense ids sort the classes by their least vertex,
-    and `canonical` seeds from the base, then from the least dense id
-    left, the class of its component's least vertex: both read only the
+    vertices that every folded partition joins.  Call a triple recorded
+    when the roots r, s of its ends hold entries out[r] and into[s] that
+    find s and r.  Every queued triple stays queued, through a triple
+    between the same classes, or recorded: entries are written in pairs,
+    and a merge clears and requeues only the entries of the root it
+    merges away, whose partners find the kept root.  So the triple
+    (u, a, v) that forces a merge is not queued again.  If out[u] finds
+    w != v, the triple that wrote out[u] is queued, or recorded by
+    out[u] and into[w], and v and w merge: if w goes, into[w] is
+    requeued, if u goes, out[u] is, and otherwise that pair records
+    (u, a, v).  Likewise with into[v] and x when the clash is at v.
+    When the queue empties, each root holds at most one entry per
+    letter and direction, and every input edge is recorded, so the
+    final partition is folded.  It is therefore the finest folded
+    partition, whatever the queue order.  Roots are least vertices, so
+    the dense ids sort the classes by their least vertex, and
+    `canonical` seeds from the base, then from the least dense id left,
+    the class of its component's least vertex: both read only the
     partition and the ids.
     """
     ids = sorted(graph.vertices)
@@ -172,7 +182,6 @@ def fold(graph: LabeledGraph) -> InverseAutomaton:
             continue
         keep, gone = sorted((v, w) if w != v else (u, x))
         parent[gone] = keep
-        queue.append((u, letter, v))  # read again: its other end may still clash
         for b, (out, into) in enumerate(zip(fwd, bwd)):
             if out[gone] is not None:
                 queue.append((gone, b, out[gone]))
@@ -371,6 +380,11 @@ def bfs_tree(aut: InverseAutomaton, root: int, edges=None) -> dict[int, tuple[in
                    list(enumerate(zip(aut.fwd, aut.bwd))), edges, False)
 
 
+# one (letter, sign) object per signed letter, shared by every word a tree spells; it holds
+# two entries per letter index ever read, whatever the alphabet
+_SIGNED_LETTERS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
 def tree_word(tree: dict[int, tuple[int, int, int]], v: int) -> Word | None:
     """Label of the tree path from the root to v, or None off the tree."""
     if v not in tree:
@@ -378,7 +392,8 @@ def tree_word(tree: dict[int, tuple[int, int, int]], v: int) -> Word | None:
     pairs = []
     while tree[v][0] >= 0:
         v, letter, sign = tree[v]
-        pairs.append((letter, sign))
+        pair = letter, sign
+        pairs.append(_SIGNED_LETTERS.setdefault(pair, pair))
     return Word(tuple(reversed(pairs)))
 
 

@@ -11,9 +11,10 @@ Theta = Gamma - C, so each bond is contracted once, and a split only
 joins the preimages of its |C| cut edges.  Every letter constellation
 (Gamma - e, g, {e}) has Xi containing Gamma - D, D the set of letter
 edges, so the whole weak family is contracted once along the preimage
-of Gamma - D, and a letter's Xi^ only joins the preimages of D - e.
-`dissolve_all` reads the fibers of phi once for either family.  Two
-exact deciders are provided:
+of Gamma - D, and a letter's Xi^ only joins the preimages of D - e:
+it is told by the labels of the components it joins, never built as a
+vertex set.  `dissolve_all` reads the fibers of phi once for either
+family.  Two exact deciders are provided:
 
 - reachability: materialize H and intersect the fibers over g of the
   lifts.  Complete because the fiber of g in a lift is exactly the
@@ -83,7 +84,7 @@ Vec = dict[tuple[int, int], int]
 MATERIALIZE_BOUND = 100000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DissolveReport:
     label: str
     dissolved: bool
@@ -155,18 +156,35 @@ class _LiftView:
         return (self.image[edge[0]], edge[1]) in self.edges
 
 
+class _Members:
+    """The vertices h of Gamma(H) with comp[h] in `labels`: a union of
+    contracted components, told by membership without its vertex set."""
+
+    __slots__ = ("comp", "labels")
+
+    def __init__(self, comp: Sequence[int], labels: set[int]):
+        self.comp, self.labels = comp, labels
+
+    def __contains__(self, h: int) -> bool:
+        return self.comp[h] in self.labels
+
+    def __and__(self, vertices) -> set[int]:
+        return {h for h in vertices if h in self}
+
+
 class _Lifts:
     """Xi^ and Theta^ read off `comp`, the contraction of Gamma(H) along
     the preimage of an edge set S inside Xi intersect Theta.
 
     Each lift is a union of contracted components, and `halves` holds
-    their labels.  A preimage of an edge of Xi - S is no edge of Theta^,
-    and vice versa, so every edge of Xi^ intersect Theta^ is a preimage
-    of S: the components of the intersection are exactly the contracted
-    components in both lifts (`both`), labelled by their least vertex."""
+    their labels: a set, or `_Members` of a coarser contraction.  A
+    preimage of an edge of Xi - S is no edge of Theta^, and vice versa,
+    so every edge of Xi^ intersect Theta^ is a preimage of S: the
+    components of the intersection are exactly the contracted components
+    in both lifts (`both`), labelled by their least vertex."""
 
     def __init__(self, phi: Morphism, fibers: dict[int, list[int]], comp: Sequence[int],
-                 halves: tuple[set[int], set[int]], xi: Subgraph, theta: Subgraph):
+                 halves: tuple[set[int] | _Members, set[int]], xi: Subgraph, theta: Subgraph):
         self.phi, self.fibers, self.comp = phi, fibers, comp
         self.xi, self.theta, self.halves, self.both = xi, theta, halves, halves[0] & halves[1]
         self.spans: dict[tuple[int, bool], GFpSpan] = {}  # complete spans by (p, tilde)
@@ -261,8 +279,10 @@ def _delta_lifts(phi: Morphism, fibers, deltas: Sequence[Constellation]):
     and its far end is the only other vertex of Theta^: 1.a when e
     leaves the base, 1.a^-1 when it enters it.  Xi and Theta share no
     edge, so S is empty, its contraction is the identity and `comp` is
-    range(|H|): each half is a vertex set, built when its c is asked for,
-    so one letter's sets are held at a time."""
+    range(|H|).  The Theta half is its two vertices; the Xi half is
+    membership through the contraction along Gamma - D, h in Xi^ iff
+    its component's label is one of Xi^'s, so no letter builds a vertex
+    set, and `both` is the part of Theta^'s two vertices inside Xi^."""
     aut = phi.src.cayley
     letter_edges = frozenset().union(*(c.theta.edges for c in deltas))
     comp = _contract(aut, fibers, frozenset.intersection(*(c.xi.edges for c in deltas)))
@@ -271,8 +291,7 @@ def _delta_lifts(phi: Morphism, fibers, deltas: Sequence[Constellation]):
 
     def lifts(c: Constellation) -> _Lifts:
         (t, a), = c.theta.edges
-        labels = xi_labels[t, a]
-        halves = ({h for h, k in enumerate(comp) if k in labels},
+        halves = (_Members(comp, xi_labels[t, a]),
                   {0, aut.fwd[a][0] if t == c.base else aut.bwd[a][0]})
         return _Lifts(phi, fibers, range(aut.n), halves, c.xi, c.theta)
     return lifts

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 ASCII_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """Sequence of signed letters."""
 

@@ -346,6 +346,16 @@ def test_bfs_tree_word_prefers_positive():
     assert tree_word(bfs_tree(InverseAutomaton(2, 1, [], 0), 0), 1) is None
 
 
+def test_tree_words_share_signed_letters_past_z():
+    # a .aut file may name more than 26 letters; each signed letter is
+    # one object in every word a tree spells
+    aut = InverseAutomaton(3, 30, [(0, 29, 1), (1, 29, 2)], 0)
+    tree = bfs_tree(aut, 0)
+    one, two = tree_word(tree, 1), tree_word(tree, 2)
+    assert one == Word(((29, 1),)) and two == Word(((29, 1), (29, 1)))
+    assert two.letters[0] is two.letters[1] is one.letters[0]
+
+
 def distances(aut, root, edges, forward_only):
     """Step counts from root by relaxing every allowed step until
     nothing changes: the oracle for the BFS tree's depths."""

@@ -335,6 +335,17 @@ def test_delta_negative_sign():
     assert da.theta.edges == frozenset({(2, 0)})
 
 
+def test_delta_against_oracle():
+    # O.delta gives (Xi, g, Theta) of a signed letter as edge sets
+    for spec in (CyclicSpec(2, (1, 1)), KleinSpec(((1, 0), (0, 1))), CyclicSpec(3, (1, 1)),
+                 PermSpec(3, S3_GENS), CyclicSpec(6, (1, 2))):
+        group, table = materialize(spec), oracle_table(spec)
+        for letter in range(group.n_letters):
+            for sign in (1, -1):
+                da = delta_a(group, letter, sign)
+                assert (da.xi.edges, da.g, da.theta.edges) == O.delta(table, letter, sign)
+
+
 def test_delta_rejects_identity_letter():
     import warnings
     with warnings.catch_warnings():

@@ -1,5 +1,6 @@
 import random
 from collections import Counter, deque
+from collections.abc import Sized
 from functools import partial
 from itertools import zip_longest
 
@@ -194,6 +195,37 @@ def oracle_cover(spec, layers):
     return table, [tower.proj[-1][h] for h in down]
 
 
+class VerticesOnly:
+    """O.lift's vector arithmetic, skipped: only the vertex set is read,
+    and p = 2 bitsets of |H||A| bits per vertex would take about 150 MB
+    on a 24576-element top."""
+    zero = None
+
+    @staticmethod
+    def plus_unit(x, i: int, sign: int):
+        return None
+
+
+def assert_halves_match_the_oracle(splits, table, proj):
+    """Each half of each lift, read through `c in half`, holds exactly the
+    vertices of O.lift, and no half, nor `both`, is a container of |H|
+    entries."""
+    for lifts, pair in splits:
+        for held in (*lifts.halves, lifts.both):
+            assert not isinstance(held, Sized) or len(held) < table.order
+        for half, sub in zip(lifts.halves, (pair.xi, pair.theta)):
+            tvec, _ = O.lift(table, proj, sub.edges, VerticesOnly)
+            assert {h for h, c in enumerate(lifts.comp) if c in half} == tvec.keys()
+
+
+def letter_lifts(base, phi):
+    """(lifts, c) for the four letter constellations of a two-letter
+    base, from one contraction."""
+    deltas = [delta_a(base, a, sign) for a in range(2) for sign in (1, -1)]
+    lifts_of = constel.dissolve._delta_lifts(phi, phi.fibers(), deltas)
+    return [(lifts_of(c), c) for c in deltas]
+
+
 @pytest.mark.parametrize("spec, layers", CONTRACTED_TOWERS)
 def test_bond_contractions_lift_every_split_as_the_filter_does(spec, layers):
     tower = build_tower(TowerSpec(spec, layers))
@@ -209,13 +241,21 @@ def test_bond_contractions_lift_every_split_as_the_filter_does(spec, layers):
             bond, lifts_of = pair.cut, constel.dissolve._bond_lifts(phi, fibers, pair.cut)
         splits.append((lifts_of(pair), pair))
     # the letter constellations are no splits; one contraction serves them all
-    deltas = [delta_a(base, a, sign) for a in range(2) for sign in (1, -1)]
-    delta_lifts = constel.dissolve._delta_lifts(phi, fibers, deltas)
-    splits += [(delta_lifts(c), c) for c in deltas]
-    for lifts, pair in splits:
-        for half, sub in zip(lifts.halves, (pair.xi, pair.theta)):
-            _, vertices, _ = oracle_lift(table, proj, sub)
-            assert {h for h, c in enumerate(lifts.comp) if c in half} == vertices
+    assert_halves_match_the_oracle(splits + letter_lifts(base, phi), table, proj)
+
+
+def test_letter_lifts_build_no_vertex_set():
+    # on Z12 ~2 every letter's Xi^ is all 24576 vertices of Gamma(H); its
+    # half is told through the contraction along Gamma - D instead
+    spec, layers = CyclicSpec(12, (1, 1)), ((2, True),)
+    tower = build_tower(TowerSpec(spec, layers))
+    h_group, phi = cover_of(tower)
+    table, proj = oracle_cover(spec, layers)
+    assert proj == [phi(h) for h in range(h_group.order)] and h_group.order == 24576
+    splits = letter_lifts(tower.levels[0], phi)
+    for _, c in splits:
+        assert len(O.lift(table, proj, c.xi.edges, VerticesOnly)[0]) == h_group.order
+    assert_halves_match_the_oracle(splits, table, proj)
 
 
 @pytest.mark.parametrize("spec, layers", CONTRACTED_TOWERS)
@@ -521,6 +561,22 @@ def test_dissolve_all_holds_no_lifts():
     assert memo.cache_info().currsize == 0
 
 
+def test_witness_words_share_their_signed_letters():
+    # tree_word takes each (letter, sign) from one table: the words of the
+    # 7440 reports of Z6 ~2 hold no pair per letter
+    tower = build_tower(TowerSpec(CyclicSpec(6, (1, 2)), ((2, True),)))
+    reports = dissolve_all(tower)
+    words = [u for r in reports if r.witness for u in r.witness]
+    assert len(reports) == 7440 and sum(map(len, words)) > 2 * tower.levels[0].n_letters
+    assert len({id(pair) for u in words for pair in u}) <= 2 * tower.levels[0].n_letters
+
+
+def test_reports_and_words_carry_no_instance_dict():
+    # one of each is held per report; slots keep them small
+    report = DissolveReport("max0:g1", False, "reachability", witness=(w("ab"), w("bA")))
+    assert not hasattr(report, "__dict__") and not hasattr(report.witness[0], "__dict__")
+
+
 @pytest.mark.parametrize("spec, layers, bound, method", [
     (S3, ((2, True),), 100000, "reachability"),
     (KleinSpec(((1, 0), (0, 1))), ((3, True),), 100000, "reachability"),
@@ -664,6 +720,32 @@ def test_path_stays_rejects_each_way_out():
     assert not stays(Subgraph(parent, frozenset(), frozenset({1})), Word(()))  # base outside
     assert not stays(edge, b) and not stays(edge, a_inv)  # no such step in the parent
     assert not stays(Subgraph(parent, frozenset(), frozenset({0, 1})), a)  # edge outside
+
+
+def test_path_stays_and_trace_against_oracle():
+    # O.walk_inside ends a word's path from 1, or refuses it off the edges;
+    # half the words are walks inside the subgraph, half are any words
+    rng = random.Random(5)
+    for spec in (CyclicSpec(2, (1, 1)), PermSpec(3, S3_GENS), CyclicSpec(6, (1, 2))):
+        group, table = materialize(spec), oracle_table(spec)
+        subs = [sub for pair in maximal_constellations(group)[::5] for sub in (pair.xi, pair.theta)]
+        subs += [sub for a in range(2) for c in (delta_a(group, a), delta_a(group, a, -1))
+                 for sub in (c.xi, c.theta)]
+        for sub in subs:
+            for inside in (True, False) * 10:
+                pairs, v = [], 0
+                for _ in range(rng.randrange(9)):
+                    steps = ([(letter, sign) for _, letter, sign, _ in sub.neighbors(v)]
+                             if inside else [(a, sign) for a in range(2) for sign in (1, -1)])
+                    if not steps:
+                        break
+                    pairs.append(rng.choice(steps))
+                    v = group.cayley.step(v, *pairs[-1])
+                u = Word(tuple(pairs))
+                want = O.walk_inside(table, sub.edges, u.letters)
+                assert want is not None or not inside
+                assert want == (group.cayley.trace(0, u)
+                                if constel.dissolve._path_stays(sub, u) else None)
 
 
 def test_reachable_lift_fibers_match_brute_force():

@@ -141,17 +141,23 @@ SAME_FIELDS = {
 }
 
 
+def dataclasses_of_the_package():
+    """(module.class, class node, its @dataclass decorator) for every
+    module-level dataclass of the package."""
+    for path in sorted(Path(constel.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, ast.ClassDef):
+                for head in stmt.decorator_list:
+                    if getattr(getattr(head, "func", head), "id", None) == "dataclass":
+                        yield "%s.%s" % (path.stem, stmt.name), stmt, head
+
+
 def dataclass_fields():
     """module.class -> the unparsed annotations of its fields, in order,
     for every module-level dataclass of the package."""
-    for path in sorted(Path(constel.__file__).parent.glob("*.py")):
-        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            heads = [getattr(d, "func", d) for d in getattr(stmt, "decorator_list", ())]
-            if isinstance(stmt, ast.ClassDef) and any(getattr(h, "id", None) == "dataclass"
-                                                      for h in heads):
-                yield "%s.%s" % (path.stem, stmt.name), tuple(
-                    ast.unparse(node.annotation) for node in stmt.body
-                    if isinstance(node, ast.AnnAssign))
+    for name, stmt, _ in dataclasses_of_the_package():
+        yield name, tuple(ast.unparse(node.annotation) for node in stmt.body
+                          if isinstance(node, ast.AnnAssign))
 
 
 def test_one_dataclass_per_field_signature():
@@ -162,6 +168,19 @@ def test_one_dataclass_per_field_signature():
         by_fields.setdefault(fields, []).append(name)
     same = {tuple(names) for names in by_fields.values() if len(names) > 1}
     assert same == set(SAME_FIELDS), sorted(same ^ set(SAME_FIELDS))
+
+
+# dataclasses held once per maximal pair or per dissolve report, and the
+# witness words those reports hold: under CPython 3.11 an instance
+# __dict__ costs each of them 40 to 48 B more
+SLOTTED = {"constellations.MaxConstellationPair", "dissolve.DissolveReport", "words.Word"}
+
+
+def test_per_item_dataclasses_keep_their_slots():
+    slotted = {name for name, _, head in dataclasses_of_the_package()
+               if any(k.arg == "slots" and getattr(k.value, "value", None) is True
+                      for k in getattr(head, "keywords", ()))}
+    assert SLOTTED <= slotted, sorted(SLOTTED - slotted)
 
 
 def imported_modules(tree):

@@ -4,6 +4,7 @@ import pytest
 
 from constel.words import (EMPTY, Word, concat, format_word, invert, parse_word,
                            power, reduce)
+import oracle as O
 
 A2 = 2
 A3 = 3
@@ -51,6 +52,17 @@ def test_reduce_idempotent_random():
         w = rand_word(rng, 3, rng.randrange(12))
         r = reduce(w)
         assert reduce(r) == r
+
+
+def test_parse_and_reduce_against_oracle():
+    # O.parse_word and O.free_reduce read and cancel compact words, as the
+    # benchmark's checks of printed witnesses do
+    rng = random.Random(11)
+    for _ in range(300):
+        text = "".join(rng.choice("abcABC") for _ in range(rng.randrange(1, 14)))
+        u = parse_word(text, A3)
+        assert list(u.letters) == O.parse_word(text), text
+        assert list(reduce(u).letters) == O.free_reduce(O.parse_word(text)), text
 
 
 def test_invert_involutive_and_anti():
