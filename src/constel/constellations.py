@@ -72,10 +72,8 @@ class Constellation:
 @dataclass(frozen=True, eq=False)
 class MinimalCut:
     full: Subgraph  # the whole graph, shared by all its cuts
-    cut: frozenset[tuple[int, int]]
     edges: tuple[tuple[int, int], ...]  # the cut in sorted order; bit i of a split mask is edges[i]
-    near: frozenset[int]  # side containing the base vertex
-    far: frozenset[int]
+    far: tuple[int, ...]  # the side without the anchor, ascending
 
 
 def minimal_cut_sets(aut: InverseAutomaton) -> list[MinimalCut]:
@@ -142,9 +140,9 @@ def minimal_cut_sets(aut: InverseAutomaton) -> list[MinimalCut]:
     grow(frozenset([anchor]), frozenset())
     out = []
     for near in nears:
-        far = full.vertices - near
-        cut = frozenset((u, letter) for u, letter, v in edges if (u in far) != (v in far))
-        out.append(MinimalCut(full, cut, tuple(sorted(cut)), near, far))
+        far = tuple(sorted(full.vertices - near))
+        cut = sorted((u, letter) for u, letter, v in edges if (u in near) != (v in near))
+        out.append(MinimalCut(full, tuple(cut), far))
     out.sort(key=lambda mc: sum(bit[v] for v in mc.far))
     return out
 
@@ -158,11 +156,10 @@ class MaxConstellationPair:
     Gamma - C_Xi are not stored with it.  They are built on first access
     and kept for the last pair accessed only, so the g choices of one
     pair share one Xi and one Theta, and a list of pairs holds no
-    subgraphs or edge sets."""
+    subgraphs or edge sets.  The g choices are the bond's far side."""
 
     cut: MinimalCut
     mask: int
-    g_choices: tuple[int, ...]
 
     def __post_init__(self):
         """Check the split against its bond instead of re-proving it.
@@ -174,13 +171,15 @@ class MaxConstellationPair:
         and split C, then Xi holds every vertex and joins N to F through
         C_Xi, so it is connected, and so is Theta; Xi intersect Theta =
         Gamma - C has exactly N and F as its components.  So (Xi, g, Theta) is a
-        constellation for every g in F.  A mask splits C into two
-        nonempty halves exactly when 0 < mask < 2^|C| - 1, so checking
-        the split costs O(1) and the g choices O(|F|)."""
+        constellation for every g in F, and F is the pair's g choices.  A
+        mask splits C into two nonempty halves exactly when 0 < mask <
+        2^|C| - 1, so checking the pair costs O(1)."""
         if not 0 < self.mask < (1 << len(self.cut.edges)) - 1:
             raise ValueError("C_Xi and C_Theta must split the cut into two nonempty parts")
-        if not all(g in self.cut.far for g in self.g_choices):
-            raise ValueError("every g must lie on the far side of the cut")
+
+    @property
+    def g_choices(self) -> tuple[int, ...]:
+        return self.cut.far
 
     def halves(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
         """(C_Xi, C_Theta) in sorted order, read off the mask in one pass."""
@@ -215,11 +214,10 @@ def maximal_constellations(group: MaterializedGroup) -> list[MaxConstellationPai
     rising order.  Every pair is checked against its bond.  The pair
     count is refused before any is built."""
     cuts = minimal_cut_sets(group.cayley)
-    check_size(sum(2 ** len(mc.cut) - 2 for mc in cuts), "maximal constellation pairs")
+    check_size(sum(2 ** len(mc.edges) - 2 for mc in cuts), "maximal constellation pairs")
     out = []
     for mc in cuts:
-        far = tuple(sorted(mc.far))
-        out += (MaxConstellationPair(mc, mask, far) for mask in range(1, (1 << len(mc.edges)) - 1))
+        out += (MaxConstellationPair(mc, mask) for mask in range(1, (1 << len(mc.edges)) - 1))
     return out
 
 

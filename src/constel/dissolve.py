@@ -5,7 +5,7 @@ dissolves a constellation (Xi, g, Theta) when no pair of words u, v
 whose paths from 1 run inside Xi resp. Theta and end at g satisfies
 [u]_H = [v]_H.  Decisions read the lifts Xi^ and Theta^, the components
 of 1 of the edge preimages of Xi and Theta in Gamma(H), off one
-contraction (`_contract`, `_Lifts`) of the preimage of an edge set S
+contraction (`_contraction`, `_Lifts`) of the preimage of an edge set S
 inside Xi intersect Theta.  Every split of a bond C has Xi intersect
 Theta = Gamma - C, so each bond is contracted once, and a split only
 joins the preimages of its |C| cut edges.  Every letter constellation
@@ -36,10 +36,10 @@ family.  Two exact deciders are provided:
   Xi^ and in Theta^, read off the trees reachability grows.
 
 `dissolves_materialized` and `dissolves_linear` decide one
-constellation (Xi, g, Theta) from the three contractions of its pair.
-They keep the lifts of the last (phi, Xi, Theta) they were asked about,
-with the tilde-constant span and the BFS trees grown on them, so the g
-choices of one pair reuse all three; `dissolve_all` never holds them.
+constellation (Xi, g, Theta) from one contraction of its pair, and keep
+the lifts of the last (phi, Xi, Theta) they were asked about, with the
+tilde-constant span and the BFS trees grown on them, for the g choices
+of one pair; `dissolve_all` never holds them.
 
 Mirrors.  (Xi, g, Theta) is dissolved exactly when (Theta, g, Xi) is,
 and `dissolve_all` decides each unordered split of a bond once.  The
@@ -193,11 +193,12 @@ class _Lifts:
     def shared(self, g: int) -> list[int]:
         return [h for h in self.fibers[g] if self.comp[h] in self.both]  # ascending
 
-    def word(self, side: int, dst: int, positive_first: bool = False) -> Word | None:
+    def word(self, side: int, dst: int, positive_first: bool = False) -> Word:
         """Label of a path from 1 to dst in Xi^ (side 0) or Theta^ (side
         1), purely positive when `positive_first` and one exists.  Each
         tree is started once and grown only until it holds dst; a
-        positive tree that never reaches dst is grown to the end."""
+        positive tree that never reaches dst is grown to the end.  The
+        deciders ask only for vertices of `both`, which lie in each lift."""
         for forward_only in (True, False) if positive_first else (False,):
             tree = self.trees.get((side, forward_only))
             if tree is None:
@@ -207,63 +208,61 @@ class _Lifts:
             u = tree_word(tree.grow(dst), dst)
             if u is not None:
                 return u
-        return None
+        raise VerificationError("vertex %d is not reached in its lift" % dst)
+
+
+def _contraction(phi: Morphism, fibers, shared, others):
+    """(comp, reach): comp contracts Gamma(H) along the preimage of
+    `shared`, and reach(half) is the set of contracted components that
+    preimages of the edges `half`, drawn from `others`, join to the
+    component of 1, labelled 0.  joins lists each preimage at both ends."""
+    aut = phi.src.cayley
+    comp = _contract(aut, fibers, shared)
+    joins = {e: defaultdict(list) for e in others}
+    for (g, a), join in joins.items():
+        step = aut.fwd[a]
+        for h in fibers[g]:
+            join[comp[h]].append(comp[step[h]])
+            join[comp[step[h]]].append(comp[h])
+
+    def reach(half) -> set[int]:
+        seen, order = {0}, [0]
+        for c in order:
+            for e in half:
+                for d in joins[e].get(c, ()):
+                    if d not in seen:
+                        seen.add(d)
+                        order.append(d)
+        return seen
+    return comp, reach
 
 
 def _pair_lifts(phi: Morphism, xi: Subgraph, theta: Subgraph) -> _Lifts:
     """Lifts of any two subgraphs containing the base, over S = Xi
-    intersect Theta: S, Xi and Theta are each contracted over the
-    preimages of their edges, read off one set of fibers.  S lies in
-    Xi, so the component of 1 in Xi's contraction is a union of
-    components of S's; likewise for Theta.  Only the one-g API uses it;
-    `dissolve_all` contracts once per bond or letter family."""
+    intersect Theta: Gamma(H) is contracted once along the preimage of
+    S, and Xi^ and Theta^ are reached over the preimages of Xi - Theta
+    and Theta - Xi: a maximal pair's |C| cut edges, but all of Gamma - e
+    for a letter constellation, which `disconnection_equivalence` hands
+    to `_delta_lifts` instead.  Only the one-g API uses it; `dissolve_all`
+    contracts once per bond or letter family."""
     _check_target(phi, xi, theta)  # the Constellation of xi and theta checked the base
-    aut, fibers = phi.src.cayley, phi.fibers()
-    comp = _contract(aut, fibers, xi.edges & theta.edges)
-    halves = tuple({comp[h] for h, c in enumerate(_contract(aut, fibers, sub.edges)) if not c}
-                   for sub in (xi, theta))
-    return _Lifts(phi, fibers, comp, halves, xi, theta)
+    fibers, shared = phi.fibers(), xi.edges & theta.edges
+    comp, reach = _contraction(phi, fibers, shared, xi.edges ^ theta.edges)
+    return _Lifts(phi, fibers, comp, (reach(xi.edges - shared), reach(theta.edges - shared)),
+                  xi, theta)
 
 
 # The one-g deciders' lifts of the last (phi, xi, theta), all keyed by identity.
 _last_pair_lifts = lru_cache(maxsize=1)(_pair_lifts)
 
 
-def _joins(aut: InverseAutomaton, fibers, comp: Sequence[int], edges):
-    """joins[e][c]: the contracted components that preimages of the
-    edge e join to the component c, each preimage listed at both ends."""
-    joins = {e: defaultdict(list) for e in edges}
-    for (g, a), join in joins.items():
-        step = aut.fwd[a]
-        for h in fibers[g]:
-            join[comp[h]].append(comp[step[h]])
-            join[comp[step[h]]].append(comp[h])
-    return joins
-
-
-def _reach(joins, half) -> set[int]:
-    """The contracted components that preimages of the edges `half`
-    join to the component of 1, which is labelled 0."""
-    seen, order = {0}, [0]
-    for c in order:
-        for e in half:
-            for d in joins[e].get(c, ()):
-                if d not in seen:
-                    seen.add(d)
-                    order.append(d)
-    return seen
-
-
 def _bond_lifts(phi: Morphism, fibers, cut: MinimalCut):
     """lifts(pair) for the splits of a bond C: Gamma(H) is contracted
     once along the preimage of Gamma(G) - C, and a split's lift is found
     by a search over the components that preimages of its cut edges join."""
-    aut = phi.src.cayley
-    comp = _contract(aut, fibers, cut.full.edges - cut.cut)
-    joins = _joins(aut, fibers, comp, cut.cut)
+    comp, reach = _contraction(phi, fibers, cut.full.edges.difference(cut.edges), cut.edges)
     # Xi = (Gamma - C) + C_Xi and Theta = (Gamma - C) + C_Theta
-    return lambda pair: _Lifts(phi, fibers, comp,
-                               tuple(_reach(joins, half) for half in pair.halves()),
+    return lambda pair: _Lifts(phi, fibers, comp, tuple(map(reach, pair.halves())),
                                pair.xi, pair.theta)
 
 
@@ -285,9 +284,9 @@ def _delta_lifts(phi: Morphism, fibers, deltas: Sequence[Constellation]):
     set, and `both` is the part of Theta^'s two vertices inside Xi^."""
     aut = phi.src.cayley
     letter_edges = frozenset().union(*(c.theta.edges for c in deltas))
-    comp = _contract(aut, fibers, frozenset.intersection(*(c.xi.edges for c in deltas)))
-    joins = _joins(aut, fibers, comp, letter_edges)  # dropped on return; the labels stay
-    xi_labels = {e: _reach(joins, letter_edges - {e}) for e in letter_edges}
+    comp, reach = _contraction(phi, fibers, frozenset.intersection(*(c.xi.edges for c in deltas)),
+                               letter_edges)  # the joins are dropped on return; the labels stay
+    xi_labels = {e: reach(letter_edges - {e}) for e in letter_edges}
 
     def lifts(c: Constellation) -> _Lifts:
         (t, a), = c.theta.edges
@@ -322,8 +321,7 @@ def _reach_reports(lifts: _Lifts, g_choices: Sequence[int],
             continue
         h = shared[0]
         u, v = lifts.word(0, h, positive_first=True), lifts.word(1, h, positive_first=True)
-        if (u is None or v is None
-                or not h_group.evaluate(u) == h == h_group.evaluate(v)
+        if (not h_group.evaluate(u) == h == h_group.evaluate(v)
                 or not (_path_stays(lifts.xi, u) and _path_stays(lifts.theta, v))):
             raise VerificationError("witness for g=%d does not re-verify" % g)
         out.append(DissolveReport(label, False, "reachability", witness=(u, v)))
@@ -511,8 +509,9 @@ def disconnection_equivalence(phi: Morphism, letter: int, sign: int = 1
     disconnected = len(set(comp)) > 1
     separated_1 = comp[0] != comp[cayley.step(0, letter, sign)]
     separated_all = all(comp[n] != comp[cayley.step(n, letter, sign)] for n in kernel)
-    dissolved = dissolves_materialized(phi, delta_a(g_group, letter, sign)).dissolved
-    return (disconnected, separated_1, separated_all, dissolved)
+    c = delta_a(g_group, letter, sign)  # its lifts are read off one contraction along Gamma - e
+    report, = _reach_reports(_delta_lifts(phi, phi.fibers(), [c])(c), (c.g,), ("",))
+    return (disconnected, separated_1, separated_all, report.dissolved)
 
 
 def key_lemma_edge(h_group: MaterializedGroup, l_set: frozenset[int],

@@ -84,6 +84,12 @@ def cayley_rows(group) -> list[list[int]]:
     return [list(row) for row in zip(*group.cayley.fwd)]
 
 
+def oracle_automaton(aut) -> O.Automaton:
+    """An inverse automaton as the oracle's automaton, with the same
+    vertex numbering, letters and base."""
+    return O.Automaton(aut.n, aut.n_letters, aut.pos_edges(), aut.base)
+
+
 def layer_generators(layer):
     """(identity, letter images) of a Gaschuetz layer, as `evaluate`
     gives them for the empty word and the one-letter words."""

@@ -12,7 +12,7 @@ from constel.automata import (BfsTree, InverseAutomaton, LabeledGraph, Subgraph,
 from constel.groups import CyclicSpec, KleinSpec, PermSpec, materialize
 from constel.words import Word, invert, reduce
 import oracle as O
-from group_elements import S3_GENS, w
+from group_elements import S3_GENS, oracle_automaton, w
 
 
 def z2_cayley() -> InverseAutomaton:
@@ -68,6 +68,32 @@ def test_fold_wedge_of_aa_and_b():
     assert sorted(core.pos_edges()) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     assert core.base == 0
     assert rank_from_core(core) == 2
+
+
+def test_cores_and_membership_against_oracle():
+    # O.stallings_core folds the bouquet and trims the leaves off the base;
+    # O.Automaton.accepts walks the freely reduced word.  Half of the
+    # words asked about are products of the generators, which both accept
+    rng = random.Random(41)
+    letters = [(a, s) for a in range(2) for s in (1, -1)]
+
+    def random_letters(low, high):
+        return [rng.choice(letters) for _ in range(rng.randint(low, high))]
+
+    accepted = 0
+    for _ in range(200):
+        gens = [random_letters(1, 6) for _ in range(rng.randint(1, 3))]
+        core, want = core_of_words([Word(tuple(g)) for g in gens], 2), O.stallings_core(gens, 2)
+        assert O.pointed_iso(oracle_automaton(core), want), gens
+        for i in range(10):
+            if i % 2:
+                u = random_letters(0, 8)
+            else:
+                u = [x for g in rng.choices(gens, k=3)
+                     for x in (g if rng.random() < 0.5 else [(a, -s) for a, s in reversed(g)])]
+            assert member(core, Word(tuple(u))) == want.accepts(u), (gens, u)
+            accepted += want.accepts(u)
+    assert 1000 <= accepted < 2000
 
 
 def random_aut_lines(rng) -> tuple[str, list[str], list[str], str]:

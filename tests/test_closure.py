@@ -12,9 +12,10 @@ from constel.closure import (closure_at_level, closure_chain,
                              schreier_graph, subgroup_image)
 from constel.errors import VerificationError
 from constel.gaschuetz import GaschuetzLayer, TowerSpec
-from constel.groups import CyclicSpec, KleinSpec, materialize
+from constel.groups import CyclicSpec, KleinSpec, materialize, subgroup_closure
 from constel.words import Word, concat, invert, power
-from group_elements import _perm, klein, s3, w
+import oracle as O
+from group_elements import _perm, cayley_rows, klein, oracle_automaton, s3, w
 
 
 def z4():
@@ -50,6 +51,19 @@ def test_schreier_graph_of_index_two_subgroup():
     assert coset_of == (0, 1, 0, 1)
     with pytest.raises(ValueError):
         schreier_graph(z4(), {1, 3})
+
+
+def test_coset_graphs_against_oracle():
+    # O.coset_graph reads each coset off path words; compared up to a
+    # pointed isomorphism, for the subgroup of every element of each group
+    for group in (z4(), klein(), s3(), _perm(4, [(0, 1, 2, 3)], [(0, 2)]),
+                  _perm(4, [(0, 1, 2)], [(1, 2, 3)])):
+        table = O.Cayley(cayley_rows(group))
+        for x in range(group.order):
+            t_set = subgroup_closure(group, [x])
+            aut, _ = schreier_graph(group, t_set)
+            want = O.coset_graph(table, set(t_set))
+            assert O.pointed_iso(oracle_automaton(aut), want), (group.order, x)
 
 
 def test_closure_fixtures():

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from constel.constellations import (Constellation, amalgams_of, assemble_AG, cha
 from constel.errors import VerificationError
 from constel.gaschuetz import GaschuetzLayer
 from constel.groups import CyclicSpec, KleinSpec, OrderBoundError, PermSpec, materialize
+from constel.perms import from_cycles
 import oracle as O
 from group_elements import S3_GENS, _perm, klein, oracle_table, s3, sample_groups, z2, z3
 
@@ -22,7 +24,8 @@ def test_minimal_cuts_against_oracle():
     # O.bonds tries every edge subset and gives each bond with its far side
     for spec in (CyclicSpec(2, (1, 1)), KleinSpec(((1, 0), (0, 1))), CyclicSpec(3, (1, 1)),
                  PermSpec(3, S3_GENS), CyclicSpec(6, (1, 2))):
-        got = {(mc.cut, mc.far) for mc in minimal_cut_sets(materialize(spec).cayley)}
+        got = {(frozenset(mc.edges), frozenset(mc.far))
+               for mc in minimal_cut_sets(materialize(spec).cayley)}
         assert got == set(O.bonds(oracle_table(spec))), spec
 
 
@@ -50,7 +53,9 @@ def mask_minimal_cuts(aut: InverseAutomaton) -> list[tuple]:
 
 
 def cut_triples(aut: InverseAutomaton) -> list[tuple]:
-    return [(mc.cut, mc.near, mc.far) for mc in minimal_cut_sets(aut)]
+    """(cut, near, far) of every bond, the near side the complement of the far."""
+    return [(frozenset(mc.edges), frozenset(range(aut.n)).difference(mc.far), frozenset(mc.far))
+            for mc in minimal_cut_sets(aut)]
 
 
 def z3xz3():
@@ -121,8 +126,8 @@ def test_minimal_cuts_refuse_a_disconnected_graph():
 def test_cyclic_bond_count_past_the_mask_range(n):
     # a bond of the doubled n-cycle cuts it in two places
     cuts = minimal_cut_sets(materialize(CyclicSpec(n, (1, 1))).cayley)
-    assert len(cuts) == len({mc.cut for mc in cuts}) == math.comb(n, 2)
-    assert all(len(mc.cut) == 4 for mc in cuts)
+    assert len(cuts) == len({frozenset(mc.edges) for mc in cuts}) == math.comb(n, 2)
+    assert all(len(mc.edges) == 4 for mc in cuts)
 
 
 def test_minimal_cut_counts():
@@ -135,12 +140,12 @@ def test_minimal_cut_structure():
     for group in (klein(), z3()):
         aut = group.cayley
         for mc in minimal_cut_sets(aut):
-            assert mc.near | mc.far == set(range(aut.n))
-            assert not mc.near & mc.far
-            assert aut.base in mc.near
+            # the far side is an ascending tuple of vertices without the base
+            assert list(mc.far) == sorted(set(mc.far)) and set(mc.far) <= set(range(aut.n))
+            assert aut.base not in mc.far
             crossing = {(u, letter) for u, letter, v in aut.pos_edges()
                         if (u in mc.far) != (v in mc.far)}
-            assert mc.cut == crossing
+            assert mc.edges == tuple(sorted(crossing))
 
 
 def test_both_sides_of_every_bond_are_connected_in_networkx():
@@ -153,7 +158,7 @@ def test_both_sides_of_every_bond_are_connected_in_networkx():
         cuts = minimal_cut_sets(aut)
         assert cuts
         for mc in cuts:
-            assert nx.is_connected(graph.subgraph(mc.near))
+            assert nx.is_connected(graph.subgraph(set(range(aut.n)).difference(mc.far)))
             assert nx.is_connected(graph.subgraph(mc.far))
 
 
@@ -170,16 +175,34 @@ def test_maximal_pair_counts():
 
 
 def test_maximal_pair_structure():
-    for pair in maximal_constellations(klein()):
+    group = klein()
+    full = full_subgraph(group.cayley).edges
+    for pair in maximal_constellations(group):
         c_xi, c_theta = map(frozenset, pair.halves())
         assert c_xi and c_theta
         assert not c_xi & c_theta
-        assert c_xi | c_theta == pair.cut.cut
-        assert pair.xi.edges == full_subgraph(pair.xi.parent).edges - c_theta
-        assert pair.theta.edges == full_subgraph(pair.xi.parent).edges - c_xi
-        assert pair.g_choices == tuple(sorted(pair.cut.far))
+        assert c_xi | c_theta == frozenset(pair.cut.edges)
+        assert pair.xi.edges == full - c_theta
+        assert pair.theta.edges == full - c_xi
+        assert pair.g_choices is pair.cut.far
+        # the g choices are the far side: the vertices Gamma - C does not join to the base
+        near = bfs_tree(group.cayley, 0, full - c_xi - c_theta)
+        assert pair.g_choices == tuple(g for g in range(group.order) if g not in near)
         for c in map(pair.constellation, pair.g_choices):
-            assert c.g in pair.cut.far
+            assert c.g not in near
+
+
+@pytest.mark.parametrize("spec", [
+    CyclicSpec(2, (1, 1)), KleinSpec(((1, 0), (0, 1))), CyclicSpec(3, (1, 1)),
+    PermSpec(3, S3_GENS), CyclicSpec(6, (1, 2)),
+    PermSpec(4, (from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(0, 2)]))),  # D4, 16 edges
+], ids=["z2", "klein", "z3", "s3", "z6", "d4"])
+def test_maximal_pairs_against_oracle(spec):
+    # O.maximal_pairs splits the edge-subset bonds: (Xi, Theta, far side) per pair
+    want = Counter(O.maximal_pairs(oracle_table(spec)))
+    pairs = maximal_constellations(materialize(spec))
+    got = Counter((pair.xi.edges, pair.theta.edges, frozenset(pair.g_choices)) for pair in pairs)
+    assert len(pairs) == sum(want.values()) and got == want
 
 
 def test_the_pair_list_holds_a_bond_and_a_mask_per_pair():
@@ -193,8 +216,24 @@ def test_the_pair_list_holds_a_bond_and_a_mask_per_pair():
         tracemalloc.stop()
     assert len(pairs) == 2600
     assert held / len(pairs) < 200, (
-        "%.0f B per pair; a pair should hold its shared bond, an int split mask "
-        "and the bond's shared g choices, and no edge sets" % (held / len(pairs)))
+        "%.0f B per pair; a pair should hold its shared bond and an int split mask, "
+        "read its g choices off the bond, and hold no edge sets" % (held / len(pairs)))
+
+
+def test_a_bond_holds_its_sorted_cut_and_far_side_once():
+    # a bond held its cut as a frozenset and a tuple and both vertex sides
+    # as frozensets: about 2,560 B per bond on these 640 bonds of A4
+    aut = _perm(4, [(0, 1, 2)], [(1, 2, 3)]).cayley
+    tracemalloc.start()
+    try:
+        cuts = minimal_cut_sets(aut)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cuts) == 640
+    assert held / len(cuts) < 1600, (
+        "%.0f B per bond; a bond should hold its cut as one sorted tuple and its "
+        "far side as one ascending tuple" % (held / len(cuts)))
 
 
 @pytest.mark.parametrize("make", [
@@ -208,13 +247,14 @@ def test_split_masks_match_the_edge_subset_enumeration(make):
     by_bond: dict[int, dict[int, tuple]] = {}
     for pair in pairs:
         # the enumeration the masks replaced: edge i of the sorted cut is in C_Xi when bit i is
-        edges = sorted(pair.cut.cut)
+        cut = frozenset(pair.cut.edges)
+        edges = sorted(cut)
         c_xi = frozenset(e for i, e in enumerate(edges) if pair.mask >> i & 1)
-        c_theta = pair.cut.cut - c_xi
+        c_theta = cut - c_xi
         assert pair.halves() == (tuple(sorted(c_xi)), tuple(sorted(c_theta)))
         by_bond.setdefault(id(pair.cut), {})[pair.mask] = (pair, c_xi, c_theta)
     for splits in by_bond.values():
-        size = len(next(iter(splits.values()))[0].cut.cut)
+        size = len(next(iter(splits.values()))[0].cut.edges)
         top = 2 ** size - 1
         assert list(splits) == list(range(1, top))  # every split once, masks rising
         for mask, (pair, c_xi, c_theta) in splits.items():
@@ -232,18 +272,6 @@ def test_split_masks_match_the_edge_subset_enumeration(make):
     assert [write_aut(a) for a in amalgams_of(group)] == [write_aut(a) for a in want]
 
 
-def test_maximal_pair_rejects_g_in_the_base_component():
-    for pair in maximal_constellations(klein()):
-        near = sorted(pair.cut.near - {0})
-        if near:
-            break
-    with pytest.raises(ValueError):
-        dataclasses.replace(pair, g_choices=pair.g_choices + (near[0],))
-    with pytest.raises(ValueError):
-        dataclasses.replace(pair, g_choices=(0,))
-    assert dataclasses.replace(pair, g_choices=pair.g_choices[:1]).g_choices
-
-
 def test_every_maximal_pair_is_a_constellation():
     # pairs are checked against their bond only; re-prove each one in full
     # on every sample group of at most 20,000 pairs (about 59,000 in all)
@@ -251,7 +279,7 @@ def test_every_maximal_pair_is_a_constellation():
     for name, group in sample_groups():
         if group.order > 20:
             continue
-        if sum(2 ** len(mc.cut) - 2 for mc in minimal_cut_sets(group.cayley)) > 20000:
+        if sum(2 ** len(mc.edges) - 2 for mc in minimal_cut_sets(group.cayley)) > 20000:
             continue
         full = full_subgraph(group.cayley).edges
         for pair in maximal_constellations(group):
@@ -288,7 +316,7 @@ def constellation_of(aut, xi_vertices):
 def z3_pair_with_mask(mask_of):
     """The first maximal pair of Z3 with its mask replaced by mask_of(|C|)."""
     pair = maximal_constellations(z3())[0]
-    return dataclasses.replace(pair, mask=mask_of(len(pair.cut.cut)))
+    return dataclasses.replace(pair, mask=mask_of(len(pair.cut.edges)))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -309,8 +337,8 @@ def test_malformed_constellations_are_refused_with_their_message(call, message):
 
 def test_per_g_checks_fire_after_the_pair_checks_are_kept():
     pair = next(pair for pair in maximal_constellations(materialize(CyclicSpec(6, (1, 2))))
-                if len(pair.cut.near) > 1)
-    near = min(pair.cut.near - {0})
+                if len(pair.cut.far) < 5)
+    near = min(set(range(1, 6)).difference(pair.cut.far))
     for _ in range(2):  # the second round runs with every memo warm
         assert pair.constellation(pair.g_choices[0]).xi is pair.xi
         with pytest.raises(ValueError, match="^g coincides with the base vertex$"):

@@ -304,11 +304,12 @@ def test_bond_contractions_match_networkx_components(spec, layers):
     h_group, phi = cover_of(tower)
     first = {id(pair.cut): pair for pair in reversed(maximal_constellations(tower.levels[0]))}
     for pair in first.values():
-        cut, comp = pair.cut, constel.dissolve._bond_lifts(phi, phi.fibers(), pair.cut)(pair).comp
+        cut = frozenset(pair.cut.edges)
+        comp = constel.dissolve._bond_lifts(phi, phi.fibers(), pair.cut)(pair).comp
         graph = nx.Graph()
         graph.add_nodes_from(range(h_group.order))
         graph.add_edges_from((h, v) for h, a, v in h_group.cayley.pos_edges()
-                             if (phi(h), a) not in cut.cut)
+                             if (phi(h), a) not in cut)
         for component in nx.connected_components(graph):
             assert {comp[h] for h in component} == {min(component)}
 
@@ -437,8 +438,8 @@ def test_one_g_deciders_contract_and_build_subgraphs_once_per_pair(monkeypatch):
         calls.clear()
         trees.clear()
         one_g_reports(decide, pairs)
-        # Xi & Theta, Xi and Theta are contracted once per pair, not per g
-        assert calls == {"contract": 3 * 2600, "subgraph": 2 * 2600}
+        # Xi & Theta is contracted once per pair, not per g
+        assert calls == {"contract": 2600, "subgraph": 2 * 2600}
         # each pair builds at most one positive and one signed tree per side
         # (each side's edge set is its own object); linear reads signed trees only
         per_side = Counter((id(edges), forward_only) for edges, forward_only in trees)
@@ -708,6 +709,24 @@ def test_failed_witness_check_raises(monkeypatch):
     monkeypatch.setattr(constel.dissolve, "_path_stays", lambda sub, word: False)
     with pytest.raises(VerificationError):
         dissolves_materialized(phi, delta_a(base, 0))
+
+
+def test_a_witness_endpoint_missing_from_its_tree_raises():
+    # the deciders ask only for endpoints in both lifts, so a tree that
+    # never reaches one is a fault, not a dissolved report
+    base, mid = materialize(CyclicSpec(4, (1, 3))), materialize(CyclicSpec(8, (1, 3)))
+    phi = canonical_morphism(mid, base)
+    c = maximal_constellations(base)[43].constellation(1)
+    deciders = (constel.dissolve._reach_reports,
+                partial(constel.dissolve._linear_reports, GaschuetzLayer(mid, 3, tilde=True)))
+    for decide in deciders:
+        lifts = constel.dissolve._pair_lifts(phi, c.xi, c.theta)
+        assert not decide(lifts, (c.g,), ("",))[0].dissolved
+        lifts = constel.dissolve._pair_lifts(phi, c.xi, c.theta)
+        lifts.trees = {(side, forward_only): BfsTree(mid.cayley, 0, frozenset(), forward_only)
+                       for side in (0, 1) for forward_only in (True, False)}
+        with pytest.raises(VerificationError, match=r"^vertex \d+ is not reached in its lift$"):
+            decide(lifts, (c.g,), ("",))
 
 
 def test_path_stays_rejects_each_way_out():

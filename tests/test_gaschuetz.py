@@ -210,6 +210,26 @@ def test_building_a_layer_allocates_nothing_per_edge():
         assert peak < 2 ** 20, tilde
 
 
+@pytest.mark.parametrize("spec", [
+    CyclicSpec(2, (1, 1)), KleinSpec(((1, 0), (0, 1))), PermSpec(3, S3_GENS),
+    CyclicSpec(6, (1, 2)),
+], ids=["z2", "klein", "s3", "z6"])
+def test_lazy_words_against_oracle(spec):
+    # O.Layer.evaluate counts the word's edges mod p and, for tilde
+    # layers, subtracts each letter's entry at (1, a); its vectors index
+    # the oracle's numbering, which cayley_rows checks is the base's own
+    base, table = materialize(spec), oracle_table(spec)
+    assert cayley_rows(base) == table.fwd
+    rng = random.Random(43)
+    for p in (2, 3):
+        for tilde in (True, False):
+            layer, want = GaschuetzLayer(base, p, tilde), O.Layer(table, p, tilde)
+            for _ in range(100):
+                u = random_word(rng)
+                x = layer.evaluate(u)
+                assert (x.g, x.alpha) == want.evaluate(u), (p, tilde, u)
+
+
 def test_tilde_evaluate_reduces_its_vector_in_place():
     """A tilde word holds its dense vector and the element's tuple at
     peak, 8 bytes an entry each; a second dense vector of letter
