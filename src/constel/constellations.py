@@ -208,17 +208,22 @@ def _split_subgraphs(pair: MaxConstellationPair) -> tuple[Subgraph, Subgraph]:
     return pair.cut.full.minus_edges(c_theta), pair.cut.full.minus_edges(c_xi)
 
 
+def paired_bonds(group: MaterializedGroup) -> list[MinimalCut]:
+    """The bonds of the group's Cayley graph, once their maximal pairs,
+    2^|C| - 2 split masks per bond C, are counted and found within the
+    bound.  No pair is built."""
+    cuts = minimal_cut_sets(group.cayley)
+    check_size(sum(2 ** len(mc.edges) - 2 for mc in cuts), "maximal constellation pairs")
+    return cuts
+
+
 def maximal_constellations(group: MaterializedGroup) -> list[MaxConstellationPair]:
     """All ordered pairs (C_Xi, C_Theta) over all minimal cuts, with the
     far-side vertices as g choices: one pair per mask of each bond, in
     rising order.  Every pair is checked against its bond.  The pair
     count is refused before any is built."""
-    cuts = minimal_cut_sets(group.cayley)
-    check_size(sum(2 ** len(mc.edges) - 2 for mc in cuts), "maximal constellation pairs")
-    out = []
-    for mc in cuts:
-        out += (MaxConstellationPair(mc, mask) for mask in range(1, (1 << len(mc.edges)) - 1))
-    return out
+    return [MaxConstellationPair(mc, mask) for mc in paired_bonds(group)
+            for mask in range(1, (1 << len(mc.edges)) - 1)]
 
 
 def delta_a(group: MaterializedGroup, letter: int, sign: int = 1) -> Constellation:

@@ -4,17 +4,18 @@ A group H over G (via the canonical letter-respecting morphism)
 dissolves a constellation (Xi, g, Theta) when no pair of words u, v
 whose paths from 1 run inside Xi resp. Theta and end at g satisfies
 [u]_H = [v]_H.  Decisions read the lifts Xi^ and Theta^, the components
-of 1 of the edge preimages of Xi and Theta in Gamma(H), off one
-contraction (`_contraction`, `_Lifts`) of the preimage of an edge set S
-inside Xi intersect Theta.  Every split of a bond C has Xi intersect
-Theta = Gamma - C, so each bond is contracted once, and a split only
-joins the preimages of its |C| cut edges.  Every letter constellation
-(Gamma - e, g, {e}) has Xi containing Gamma - D, D the set of letter
-edges, so the whole weak family is contracted once along the preimage
-of Gamma - D, and a letter's Xi^ only joins the preimages of D - e:
-it is told by the labels of the components it joins, never built as a
-vertex set.  `dissolve_all` reads the fibers of phi once for either
-family.  Two exact deciders are provided:
+of 1 of the edge preimages of Xi and Theta in Gamma(H), off one builder
+(`_lifts_over`, `_Lifts`): it contracts Gamma(H) once along the
+preimage of a core that every Xi it serves holds, and reaches each Xi^
+over the preimages of the other edges.  Every split of a bond C has Xi
+intersect Theta = Gamma - C, so each bond is contracted once, and a
+split only joins the preimages of its |C| cut edges.  Every letter
+constellation (Gamma - e, g, {e}) has Xi containing Gamma - D, D the
+set of letter edges, so the whole weak family is contracted once along
+the preimage of Gamma - D, and a letter's Xi^ only joins the
+preimages of D - e: it is told by the labels of the components it
+joins, never built as a vertex set.  `dissolve_all` reads the fibers
+of phi once for either family.  Two exact deciders are provided:
 
 - reachability: materialize H and intersect the fibers over g of the
   lifts.  Complete because the fiber of g in a lift is exactly the
@@ -36,7 +37,8 @@ family.  Two exact deciders are provided:
   Xi^ and in Theta^, read off the trees reachability grows.
 
 `dissolves_materialized` and `dissolves_linear` decide one
-constellation (Xi, g, Theta) from one contraction of its pair, and keep
+constellation (Xi, g, Theta) from one contraction of its pair, along Xi
+intersect Theta, or along Xi when the two share no edge, and keep
 the lifts of the last (phi, Xi, Theta) they were asked about, with the
 tilde-constant span and the BFS trees grown on them, for the g choices
 of one pair; `dissolve_all` never holds them.
@@ -69,8 +71,8 @@ from functools import lru_cache, partial
 from typing import Sequence
 
 from .automata import BfsTree, InverseAutomaton, Subgraph, bfs_tree, tree_word
-from .constellations import (Constellation, MinimalCut, _base_component, delta_a,
-                             maximal_constellations)
+from .constellations import (Constellation, MaxConstellationPair, _base_component, delta_a,
+                             paired_bonds)
 from .errors import VerificationError
 from .gaschuetz import GaschuetzLayer, Tower, check_modulus, order_formula
 from .groups import (MaterializedGroup, Morphism, check_size, subgroup_closure,
@@ -174,10 +176,11 @@ class _Members:
 
 class _Lifts:
     """Xi^ and Theta^ read off `comp`, the contraction of Gamma(H) along
-    the preimage of an edge set S inside Xi intersect Theta.
+    the preimage of S = Xi intersect Theta.
 
     Each lift is a union of contracted components, and `halves` holds
-    their labels: a set, or `_Members` of a coarser contraction.  A
+    their labels: a set, or, for an Xi^ that shares no edge with its
+    Theta, `_Members` of a coarser contraction.  A
     preimage of an edge of Xi - S is no edge of Theta^, and vice versa,
     so every edge of Xi^ intersect Theta^ is a preimage of S: the
     components of the intersection are exactly the contracted components
@@ -211,13 +214,32 @@ class _Lifts:
         raise VerificationError("vertex %d is not reached in its lift" % dst)
 
 
-def _contraction(phi: Morphism, fibers, shared, others):
-    """(comp, reach): comp contracts Gamma(H) along the preimage of
-    `shared`, and reach(half) is the set of contracted components that
-    preimages of the edges `half`, drawn from `others`, join to the
-    component of 1, labelled 0.  joins lists each preimage at both ends."""
+def _lifts_over(phi: Morphism, fibers, core, others):
+    """lifts(xi, theta) for pairs whose Xi holds the edge set `core` and
+    whose other edges lie in the edge set `others`.  Gamma(H) is
+    contracted once along the preimage of `core` (labels `comp`, 1's
+    component labelled 0), each preimage of an edge of `others` joins
+    two contracted components (`joins`), and Xi^ is the union of the
+    components that the joins of Xi's edges in `others` reach from 0.
+
+    Each Theta handed to one builder either holds the whole core or
+    shares no edge with Xi, so one core edge, picked once, tells the two
+    cases apart in O(1), and a split costs O(|others|) beyond its lifts.
+
+    - Theta holds the core, which is then Xi intersect Theta: the splits
+      of a bond C (core Gamma - C, others C) and one pair sharing an
+      edge (others Xi xor Theta).  Theta^ is reached like Xi^.  An
+      empty core falls here too (a bond C = Gamma, or D = Gamma):
+      nothing is contracted, so the joins reach each lift over its own
+      preimage edges.
+    - Xi and Theta share no edge: the letter family (core Gamma - D, D
+      its letter edges, others D) and one pair sharing none (core Xi,
+      others Theta).  Theta^ is the BFS tree of 1 over Theta's preimage
+      edges.  Xi^ intersect Theta^ has no edge, so its components are
+      single vertices: `_Lifts` gets comp = range(|H|), and Xi^ as the
+      vertices whose labels it reaches (`_Members`), never a vertex set."""
     aut = phi.src.cayley
-    comp = _contract(aut, fibers, shared)
+    comp = _contract(aut, fibers, core)
     joins = {e: defaultdict(list) for e in others}
     for (g, a), join in joins.items():
         step = aut.fwd[a]
@@ -234,66 +256,31 @@ def _contraction(phi: Morphism, fibers, shared, others):
                         seen.add(d)
                         order.append(d)
         return seen
-    return comp, reach
+
+    probe = next(iter(core), None)
+
+    def lifts(xi: Subgraph, theta: Subgraph) -> _Lifts:
+        xi_labels = reach(others - theta.edges)
+        if probe is None or probe in theta.edges:
+            return _Lifts(phi, fibers, comp, (xi_labels, reach(others - xi.edges)), xi, theta)
+        theta_hat = set(bfs_tree(aut, aut.base, _LiftView(theta.edges, phi.mapping)))
+        return _Lifts(phi, fibers, range(aut.n), (_Members(comp, xi_labels), theta_hat), xi, theta)
+    return lifts
 
 
 def _pair_lifts(phi: Morphism, xi: Subgraph, theta: Subgraph) -> _Lifts:
-    """Lifts of any two subgraphs containing the base, over S = Xi
-    intersect Theta: Gamma(H) is contracted once along the preimage of
-    S, and Xi^ and Theta^ are reached over the preimages of Xi - Theta
-    and Theta - Xi: a maximal pair's |C| cut edges, but all of Gamma - e
-    for a letter constellation, which `disconnection_equivalence` hands
-    to `_delta_lifts` instead.  Only the one-g API uses it; `dissolve_all`
-    contracts once per bond or letter family."""
+    """Lifts of any two subgraphs containing the base, for the one-g
+    API: over core Xi intersect Theta, or over Xi when they share no
+    edge, as a letter constellation (Gamma - e, g, {e}) does.  So a pair
+    is contracted once, and a letter's joins cover only e."""
     _check_target(phi, xi, theta)  # the Constellation of xi and theta checked the base
-    fibers, shared = phi.fibers(), xi.edges & theta.edges
-    comp, reach = _contraction(phi, fibers, shared, xi.edges ^ theta.edges)
-    return _Lifts(phi, fibers, comp, (reach(xi.edges - shared), reach(theta.edges - shared)),
-                  xi, theta)
+    shared = xi.edges & theta.edges
+    core, others = (shared, xi.edges ^ theta.edges) if shared else (xi.edges, theta.edges)
+    return _lifts_over(phi, phi.fibers(), core, others)(xi, theta)
 
 
 # The one-g deciders' lifts of the last (phi, xi, theta), all keyed by identity.
 _last_pair_lifts = lru_cache(maxsize=1)(_pair_lifts)
-
-
-def _bond_lifts(phi: Morphism, fibers, cut: MinimalCut):
-    """lifts(pair) for the splits of a bond C: Gamma(H) is contracted
-    once along the preimage of Gamma(G) - C, and a split's lift is found
-    by a search over the components that preimages of its cut edges join."""
-    comp, reach = _contraction(phi, fibers, cut.full.edges.difference(cut.edges), cut.edges)
-    # Xi = (Gamma - C) + C_Xi and Theta = (Gamma - C) + C_Theta
-    return lambda pair: _Lifts(phi, fibers, comp, tuple(map(reach, pair.halves())),
-                               pair.xi, pair.theta)
-
-
-def _delta_lifts(phi: Morphism, fibers, deltas: Sequence[Constellation]):
-    """lifts(c) for the letter constellations c = (Gamma - e, g, {e}) in
-    `deltas`: Gamma(H) is contracted once along the preimage of what every
-    Xi shares, Gamma(G) - D, D the set of their letter edges e.
-
-    Each Xi = (Gamma - D) + (D - e) contains Gamma - D, so Xi^ is the
-    union of the contracted components that preimages of D - e join to
-    the component of 1.  Theta = {e} with its two ends, one of them the
-    base.  phi is a covering, so exactly one preimage edge of e meets 1,
-    and its far end is the only other vertex of Theta^: 1.a when e
-    leaves the base, 1.a^-1 when it enters it.  Xi and Theta share no
-    edge, so S is empty, its contraction is the identity and `comp` is
-    range(|H|).  The Theta half is its two vertices; the Xi half is
-    membership through the contraction along Gamma - D, h in Xi^ iff
-    its component's label is one of Xi^'s, so no letter builds a vertex
-    set, and `both` is the part of Theta^'s two vertices inside Xi^."""
-    aut = phi.src.cayley
-    letter_edges = frozenset().union(*(c.theta.edges for c in deltas))
-    comp, reach = _contraction(phi, fibers, frozenset.intersection(*(c.xi.edges for c in deltas)),
-                               letter_edges)  # the joins are dropped on return; the labels stay
-    xi_labels = {e: reach(letter_edges - {e}) for e in letter_edges}
-
-    def lifts(c: Constellation) -> _Lifts:
-        (t, a), = c.theta.edges
-        halves = (_Members(comp, xi_labels[t, a]),
-                  {0, aut.fwd[a][0] if t == c.base else aut.bwd[a][0]})
-        return _Lifts(phi, fibers, range(aut.n), halves, c.xi, c.theta)
-    return lifts
 
 
 def _path_stays(sub: Subgraph, w: Word) -> bool:
@@ -335,13 +322,14 @@ def dissolves_materialized(phi: Morphism, c: Constellation, label: str = "") -> 
 
 class GFpSpan:
     """Row space over F_p with streaming insertion and membership tests;
-    rows map sortable column keys (edges, component ids) to entries."""
+    rows map sortable column keys to entries.  `_linear_reports` keys
+    them by component labels; any sortable keys, such as edges, work."""
 
     def __init__(self, p: int):
         self.p = p
-        self.rows: dict[tuple[int, int], Vec] = {}  # pivot column -> reduced row
+        self.rows: dict[int, dict[int, int]] = {}  # pivot column -> reduced row
 
-    def reduce(self, vec: Vec) -> Vec:
+    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
         vec = {e: c % self.p for e, c in vec.items() if c % self.p}
         while vec:
             piv = max(vec)
@@ -354,7 +342,7 @@ class GFpSpan:
             vec = {e: x for e, x in vec.items() if x}
         return vec
 
-    def add(self, vec: Vec) -> bool:
+    def add(self, vec: dict[int, int]) -> bool:
         r = self.reduce(vec)
         if not r:
             return False
@@ -363,7 +351,7 @@ class GFpSpan:
         self.rows[piv] = {e: c * inv % self.p for e, c in r.items()}
         return True
 
-    def contains(self, vec: Vec) -> bool:
+    def contains(self, vec: dict[int, int]) -> bool:
         return not self.reduce(vec)
 
 
@@ -455,15 +443,17 @@ def dissolve_all(tower: Tower, weak: bool = False) -> list[DissolveReport]:
     mirror split at the complementary mask, whose reports are derived
     from them (see Mirrors above).  Uses
     reachability whenever the top has at most MATERIALIZE_BOUND
-    elements.  The report count is refused before any report is
-    decided."""
+    elements.  The pair and report counts are read off the bonds and
+    refused before any pair is built; the pairs of each bond are then
+    walked by mask."""
     base = tower.levels[0]
     if weak:
         deltas = {_letter_label(letter, sign): delta_a(base, letter, sign)
                   for letter in range(base.n_letters) for sign in (1, -1)}
     else:
-        pairs = maximal_constellations(base)
-        check_size(sum(len(pair.g_choices) for pair in pairs), "dissolve reports")
+        cuts = paired_bonds(base)
+        check_size(sum(((1 << len(cut.edges)) - 2) * len(cut.far) for cut in cuts),
+                   "dissolve reports")
     down = tower.morphism(len(tower.levels) - 1, 0)
     if tower.top is None:
         phi, decide = down, _reach_reports
@@ -473,22 +463,30 @@ def dissolve_all(tower: Tower, weak: bool = False) -> list[DissolveReport]:
         phi, decide = down, partial(_linear_reports, tower.top)
     fibers = phi.fibers()
     if weak:
-        lifts = _delta_lifts(phi, fibers, list(deltas.values()))
+        family = deltas.values()  # core Gamma - D, others D
+        lifts = _lifts_over(phi, fibers, frozenset.intersection(*(c.xi.edges for c in family)),
+                            frozenset().union(*(c.theta.edges for c in family)))
+        lifted = {label: lifts(c.xi, c.theta) for label, c in deltas.items()}
+        del lifts  # the joins go before any witness tree grows; each lift keeps its labels
         return [report for label, c in deltas.items()
-                for report in decide(lifts(c), (c.g,), (label,))]
+                for report in decide(lifted.pop(label), (c.g,), (label,))]
     p = None if tower.top is None else tower.top.p
     reports: list[DissolveReport] = []
-    for i, pair in enumerate(pairs):
-        if not i or pair.cut is not pairs[i - 1].cut:
-            lifts, kept = _bond_lifts(phi, fibers, pair.cut), {}  # reports by mask
-            full = (1 << len(pair.cut.edges)) - 1
-        labels = ["max%d:g%d" % (i, g) for g in pair.g_choices]
-        mirrored = kept.pop(full ^ pair.mask, None)
-        if mirrored is None:
-            kept[pair.mask] = decide(lifts(pair), pair.g_choices, labels)
-            reports += kept[pair.mask]
-        else:
-            reports += [_mirror(r, label, p) for r, label in zip(mirrored, labels, strict=True)]
+    first = 0  # the running index of the bond's first pair, for the labels
+    for cut in cuts:
+        lifts = _lifts_over(phi, fibers, cut.full.edges.difference(cut.edges),
+                            frozenset(cut.edges))
+        kept, full = {}, (1 << len(cut.edges)) - 1  # reports by mask
+        for mask in range(1, full):
+            labels = ["max%d:g%d" % (first + mask - 1, g) for g in cut.far]
+            mirrored = kept.pop(full ^ mask, None)
+            if mirrored is None:
+                pair = MaxConstellationPair(cut, mask)
+                kept[mask] = decide(lifts(pair.xi, pair.theta), cut.far, labels)
+                reports += kept[mask]
+            else:
+                reports += [_mirror(r, label, p) for r, label in zip(mirrored, labels, strict=True)]
+        first += full - 1
     return reports
 
 
@@ -509,9 +507,8 @@ def disconnection_equivalence(phi: Morphism, letter: int, sign: int = 1
     disconnected = len(set(comp)) > 1
     separated_1 = comp[0] != comp[cayley.step(0, letter, sign)]
     separated_all = all(comp[n] != comp[cayley.step(n, letter, sign)] for n in kernel)
-    c = delta_a(g_group, letter, sign)  # its lifts are read off one contraction along Gamma - e
-    report, = _reach_reports(_delta_lifts(phi, phi.fibers(), [c])(c), (c.g,), ("",))
-    return (disconnected, separated_1, separated_all, report.dissolved)
+    dissolved = dissolves_materialized(phi, delta_a(g_group, letter, sign)).dissolved
+    return (disconnected, separated_1, separated_all, dissolved)
 
 
 def key_lemma_edge(h_group: MaterializedGroup, l_set: frozenset[int],

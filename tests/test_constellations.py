@@ -17,7 +17,8 @@ from constel.gaschuetz import GaschuetzLayer
 from constel.groups import CyclicSpec, KleinSpec, OrderBoundError, PermSpec, materialize
 from constel.perms import from_cycles
 import oracle as O
-from group_elements import S3_GENS, _perm, klein, oracle_table, s3, sample_groups, z2, z3
+from group_elements import (S3_GENS, _perm, cayley_rows, klein, oracle_automaton, oracle_table,
+                            s3, sample_groups, z2, z3)
 
 
 def test_minimal_cuts_against_oracle():
@@ -429,6 +430,20 @@ def test_amalgam_of_overlapping_subgraphs_folds_back():
     xi = full.minus_edges([(0, 1)])
     theta = full.minus_edges([(0, 0)])
     assert canonical(amalgam(xi, theta)) == canonical(group.cayley)
+
+
+@pytest.mark.parametrize("spec", [CyclicSpec(2, (1, 1)), CyclicSpec(4, (1, 3)),
+                                  KleinSpec(((1, 0), (0, 1))), PermSpec(3, S3_GENS)])
+def test_amalgams_against_oracle(spec):
+    # O.amalgam folds the two subgraphs' disjoint union by repeated passes
+    group = materialize(spec)
+    table = O.Cayley(cayley_rows(group))
+    subs = [(pair.xi, pair.theta) for pair in maximal_constellations(group)[::3]]
+    subs += [(c.xi, c.theta) for c in (delta_a(group, a, sign) for a in range(2)
+                                       for sign in (1, -1))]
+    for xi, theta in subs:
+        want = O.amalgam(table, xi.edges, theta.edges)
+        assert O.pointed_iso(oracle_automaton(amalgam(xi, theta)), want)
 
 
 def test_amalgams_are_incomplete_and_connected():

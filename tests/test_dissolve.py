@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter, deque
 from collections.abc import Sized
 from functools import partial
@@ -11,7 +12,8 @@ import constel.dissolve
 import constel.groups
 from constel.automata import (BfsTree, InverseAutomaton, Subgraph, bfs_tree, full_subgraph,
                               tree_word)
-from constel.constellations import delta_a, maximal_constellations, minimal_cut_sets
+from constel.constellations import (Constellation, delta_a, maximal_constellations,
+                                    minimal_cut_sets)
 from constel.dissolve import (DissolveReport, GFpSpan, counting_lifts_check,
                               cycle_space_rows, detecting_edges_check,
                               disconnection_equivalence, dissolve_all,
@@ -218,12 +220,21 @@ def assert_halves_match_the_oracle(splits, table, proj):
             assert {h for h, c in enumerate(lifts.comp) if c in half} == tvec.keys()
 
 
+def bond_lifts(phi, fibers, cut):
+    """lifts(xi, theta) for the splits of a bond C, as dissolve_all
+    builds it: over core Gamma - C, joined by C."""
+    return constel.dissolve._lifts_over(phi, fibers, cut.full.edges.difference(cut.edges),
+                                        frozenset(cut.edges))
+
+
 def letter_lifts(base, phi):
     """(lifts, c) for the four letter constellations of a two-letter
-    base, from one contraction."""
+    base, from one contraction along Gamma - D, joined by D."""
     deltas = [delta_a(base, a, sign) for a in range(2) for sign in (1, -1)]
-    lifts_of = constel.dissolve._delta_lifts(phi, phi.fibers(), deltas)
-    return [(lifts_of(c), c) for c in deltas]
+    lifts_of = constel.dissolve._lifts_over(
+        phi, phi.fibers(), frozenset.intersection(*(c.xi.edges for c in deltas)),
+        frozenset().union(*(c.theta.edges for c in deltas)))
+    return [(lifts_of(c.xi, c.theta), c) for c in deltas]
 
 
 @pytest.mark.parametrize("spec, layers", CONTRACTED_TOWERS)
@@ -238,8 +249,8 @@ def test_bond_contractions_lift_every_split_as_the_filter_does(spec, layers):
     splits = []
     for pair in maximal_constellations(base):
         if pair.cut is not bond:
-            bond, lifts_of = pair.cut, constel.dissolve._bond_lifts(phi, fibers, pair.cut)
-        splits.append((lifts_of(pair), pair))
+            bond, lifts_of = pair.cut, bond_lifts(phi, fibers, pair.cut)
+        splits.append((lifts_of(pair.xi, pair.theta), pair))
     # the letter constellations are no splits; one contraction serves them all
     assert_halves_match_the_oracle(splits + letter_lifts(base, phi), table, proj)
 
@@ -256,6 +267,70 @@ def test_letter_lifts_build_no_vertex_set():
     for _, c in splits:
         assert len(O.lift(table, proj, c.xi.edges, VerticesOnly)[0]) == h_group.order
     assert_halves_match_the_oracle(splits, table, proj)
+
+
+def test_one_g_letter_decisions_join_only_the_letter_edge():
+    # Xi = Gamma - e and Theta = {e} share no edge, so one decision
+    # contracts along Xi and joins only the preimages of e; joining those
+    # of all of Gamma - e peaked at about 16 MiB per letter
+    tower = build_tower(TowerSpec(CyclicSpec(12, (1, 1)), ((2, True),)))
+    h_group, phi = cover_of(tower)
+    assert h_group.order == 24576
+    deltas = [delta_a(tower.levels[0], a, sign) for a in range(2) for sign in (1, -1)]
+    peaks = []
+    tracemalloc.start()
+    try:
+        for c in deltas:
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            assert not dissolves_materialized(phi, c).dissolved
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 4 * 2 ** 20, peaks
+
+
+TWO_EDGE_THETA_TOWERS = [(CyclicSpec(6, (1, 2)), ((2, True),)), (S3, ((2, True),)),
+                         (S3, ((3, True),))]
+
+
+def two_edge_theta_constellations(base):
+    """(Gamma - P, g, P) for each path P of two distinct edges from the
+    base to g != base whose removal leaves Gamma connected."""
+    gamma, full = base.cayley, full_subgraph(base.cayley)
+    out = []
+    for x, sx, y, sy in ((x, sx, y, sy) for x in range(2) for y in range(2)
+                         for sx in (1, -1) for sy in (1, -1)):
+        v = gamma.step(0, x, sx)
+        g = gamma.step(v, y, sy)
+        path = [(0, x) if sx > 0 else (v, x), (v, y) if sy > 0 else (g, y)]
+        if g != 0 and path[0] != path[1] and full.minus_edges(path).is_connected():
+            theta = Subgraph(gamma, frozenset(path), frozenset({0, v, g}))
+            out.append(Constellation(full.minus_edges(path), g, theta))
+    return out
+
+
+@pytest.mark.parametrize("spec, layers", TWO_EDGE_THETA_TOWERS)
+def test_a_two_edge_theta_sharing_no_edge_with_xi(spec, layers):
+    # the builder's no-shared-edge branch with a Theta^ of more than one
+    # edge: both one-g deciders against the oracle's elimination, and
+    # each half against O.lift
+    tower = build_tower(TowerSpec(spec, layers))
+    h_group, phi = cover_of(tower)
+    table, proj = oracle_cover(spec, layers)
+    o_tower = O.Tower(oracle_table(spec), layers)
+    deciders = [one_g_decider(tower, method) for method in ("reachability", "linear")]
+    cases = two_edge_theta_constellations(tower.levels[0])
+    splits, verdicts = [], []
+    for c in cases:
+        want = O.dissolved_by_pair(o_tower, c.xi.edges, c.theta.edges, (c.g,))[c.g]
+        assert [decide(c, "").dissolved for decide in deciders] == [want, want]
+        verdicts.append(want)
+        lifts = constel.dissolve._pair_lifts(phi, c.xi, c.theta)
+        assert isinstance(lifts.comp, range) and len(lifts.halves[1]) == 3  # a path of 3
+        splits.append((lifts, c))
+    assert_halves_match_the_oracle(splits, table, proj)
+    assert len(cases) >= 8 and not all(verdicts)
 
 
 @pytest.mark.parametrize("spec, layers", CONTRACTED_TOWERS)
@@ -305,7 +380,7 @@ def test_bond_contractions_match_networkx_components(spec, layers):
     first = {id(pair.cut): pair for pair in reversed(maximal_constellations(tower.levels[0]))}
     for pair in first.values():
         cut = frozenset(pair.cut.edges)
-        comp = constel.dissolve._bond_lifts(phi, phi.fibers(), pair.cut)(pair).comp
+        comp = bond_lifts(phi, phi.fibers(), pair.cut)(pair.xi, pair.theta).comp
         graph = nx.Graph()
         graph.add_nodes_from(range(h_group.order))
         graph.add_edges_from((h, v) for h, a, v in h_group.cayley.pos_edges()
@@ -380,6 +455,37 @@ def test_dissolve_all_contracts_once_per_bond(monkeypatch):
     assert len(maximal_constellations(tower.levels[0])) == 2600
     # one decision per unordered split: the mirror split's reports are derived
     assert calls == {"contract": 28, "lift": 0, "decide": 1300}
+
+
+def test_each_lift_builder_joins_only_the_edges_outside_its_core(monkeypatch):
+    # the core's preimages are contracted; joining them as well would
+    # change no lift but add a join per preimage edge: for a letter
+    # constellation, one per preimage of Gamma - e
+    tower = build_tower(TowerSpec(S3, ((2, True),)))
+    base = tower.levels[0]
+    h_group, phi = cover_of(tower)
+    built = []
+    real = constel.dissolve._lifts_over
+    monkeypatch.setattr(constel.dissolve, "_lifts_over", lambda phi, fibers, core, others: (
+        built.append((frozenset(core), frozenset(others))) or real(phi, fibers, core, others)))
+    deltas = [delta_a(base, a, sign) for a in range(2) for sign in (1, -1)]
+    pairs = maximal_constellations(base)[::40]
+    clear_memos()
+    for c in deltas + [pair.constellation(pair.g_choices[0]) for pair in pairs]:
+        built.clear()
+        dissolves_materialized(phi, c)
+        shared = c.xi.edges & c.theta.edges
+        assert built == [(shared, c.xi.edges ^ c.theta.edges) if shared
+                         else (c.xi.edges, c.theta.edges)]
+    full = full_subgraph(base.cayley).edges
+    letter_edges = frozenset().union(*(c.theta.edges for c in deltas))
+    built.clear()
+    dissolve_all(tower, weak=True)
+    assert built == [(full - letter_edges, letter_edges)]
+    built.clear()
+    dissolve_all(tower)
+    assert built == [(full - frozenset(cut.edges), frozenset(cut.edges))
+                     for cut in minimal_cut_sets(base.cayley)]
 
 
 def one_g_decider(tower, method: str):
@@ -613,8 +719,18 @@ def test_weak_dissolve_matches_per_letter_decisions(monkeypatch, spec, layers, b
     decide = one_g_decider(tower, method)
     want = [astuple(decide(delta_a(base, a, sign), constel.dissolve._letter_label(a, sign)))
             for a in range(base.n_letters) for sign in (1, -1)]
-    assert [astuple(r) for r in dissolve_all(tower, weak=True)] == want
+    reports = [astuple(r) for r in dissolve_all(tower, weak=True)]
+    assert reports == want
     assert {r[2] for r in want} == {method}
+    # both deciders lift a letter by the same rule, so the verdicts are
+    # also checked against the oracle's elimination over O.delta
+    o_tower = O.Tower(oracle_table(spec), layers)
+    verdicts = []
+    for a in range(base.n_letters):
+        for sign in (1, -1):
+            xi, g, theta = O.delta(o_tower.levels[0], a, sign)
+            verdicts.append(O.dissolved_by_pair(o_tower, xi, theta, (g,))[g])
+    assert [r[1] for r in reports] == verdicts
 
 
 def elimination_evidence(layer, phi, xi, theta, g_choices):
@@ -1137,3 +1253,19 @@ def test_size_refusals_fire_one_past_the_bound(monkeypatch):
                 dissolve_all(tower)
             assert not str(info.value).startswith(what)
     assert len(dissolve_all(tower)) == 140
+
+
+def test_dissolve_refuses_the_report_count_before_building_a_pair():
+    # 391 bonds with 972,338 maximal pairs and 5,729,052 g choices: the
+    # counts are read off the bonds, so the refusal holds no pair; building
+    # the pairs first peaked at about 79 MiB
+    tower = build_tower(TowerSpec(CyclicSpec(12, (1, 2)), ((2, True),)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderBoundError,
+                           match="^dissolve reports 5729052 exceeds the bound 1000000$"):
+            dissolve_all(tower)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak

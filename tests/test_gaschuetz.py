@@ -463,6 +463,23 @@ def test_layer_abelianization_matches_materialized():
     assert checked >= 100
 
 
+def test_layer_abelianization_against_oracle():
+    # O.layer_abelianization reduces p * O.relation_rows, plus |G| e_a per
+    # letter on tilde layers, by the gcds of minors, on the sample bases
+    # of at most three letters
+    checked = 0
+    for name, base in sample_groups():
+        if base.n_letters > 3:
+            continue
+        table = O.Cayley(cayley_rows(base))
+        for p in (2, 3, 5):
+            for tilde in (False, True):
+                assert (layer_abelianization(GaschuetzLayer(base, p, tilde))
+                        == O.layer_abelianization(table, p, tilde)), (name, p, tilde)
+                checked += 1
+    assert checked >= 400
+
+
 def test_layer_abelianization_matches_the_scaled_lattice():
     # the construction the closed form replaces, as an independent oracle:
     # sympy's invariant factors of p * Lambda, plus |G| e_a per letter on

@@ -18,6 +18,7 @@ from constel.groups import (DEFAULT_BOUND, CyclicSpec, ExtensionSpec, KleinSpec,
                             table_automaton, traversal_vector)
 from constel.perms import from_cycles
 from constel.words import Word
+import oracle as O
 from group_elements import (S3_GENS, cayley_rows, element_list, klein, layer_generators,
                             oracle_table, s3, sample_groups, w, z2)
 
@@ -605,6 +606,42 @@ def test_abelianization_matches_order_counts():
     assert len(groups) >= 80
     for name, g in groups:
         assert abelianization(g) == order_count_abelianization(g), name
+
+
+def test_relation_lattice_against_oracle():
+    # O.relation_rows reads the letter counts of the cycles of a BFS tree,
+    # O.echelon reduces rows by gcd steps and O.invariant_factors takes
+    # gcds of minors; the package reads abelian_relations and a Smith
+    # diagonal.  Both lattices, and each echelon basis, have one diagonal
+    for name, g in sample_groups():
+        if g.n_letters > 3:
+            continue
+        k, table = g.n_letters, O.Cayley(cayley_rows(g))
+        rows = O.relation_rows(table)
+        basis = O.echelon(rows, k)
+        assert len(basis) <= k and [next(j for j, x in enumerate(r) if x) for r in basis] \
+            == sorted({next(j for j, x in enumerate(r) if x) for r in basis})
+        diag = _smith_diagonal(abelian_relations(g), k)
+        assert _smith_diagonal(rows, k) == _smith_diagonal(basis, k) == diag, name
+        assert O.invariant_factors(rows, k) == diag, name  # finite: no zero factor
+        assert O.abelianization(table) == abelianization(g), name
+    rng = random.Random(37)  # rank-deficient and zero rows too
+    for _ in range(300):
+        k = rng.randrange(1, 4)
+        rows = [[rng.randrange(-9, 10) for _ in range(k)] for _ in range(rng.randrange(1, 5))]
+        factors = O.invariant_factors(rows, k)
+        assert [d for d in factors if d] == _smith_diagonal(rows, k) == \
+            _smith_diagonal(O.echelon(rows, k), k), rows
+
+
+def test_subgroups_against_oracle():
+    # O.subgroup closes under right multiplication along path words
+    rng = random.Random(31)
+    for name, g in sample_groups():
+        table = O.Cayley(cayley_rows(g))
+        for n_gens in (1, 1, 2):
+            gens = [rng.randrange(g.order) for _ in range(n_gens)]
+            assert O.subgroup(table, gens) == subgroup_closure(g, gens), (name, gens)
 
 
 def test_smith_diagonal_matches_sympy():

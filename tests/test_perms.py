@@ -15,6 +15,7 @@ from constel.perms import (Permutation, PermSpec, _minimal_block_size, _prime_cy
                            alternating_certificate, from_cycles, is_primitive,
                            is_prime, is_transitive, orbit, parse_cycles)
 import oracle as O
+from group_elements import oracle_automaton
 
 
 def prime_power_cycle(p):
@@ -327,6 +328,33 @@ def test_prime_power_cycle_verified_literally():
 def test_is_prime():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(1)
+
+
+def test_is_prime_against_oracle():
+    # O.is_prime divides up to isqrt(n); the package steps while d * d <= n
+    numbers = list(range(-3, 3000)) + [2 ** 31 - 1, 7919 ** 2, 65521 * 65519, 10 ** 9 + 7]
+    assert [is_prime(n) for n in numbers] == [O.is_prime(n) for n in numbers]
+
+
+def test_letter_actions_against_oracle():
+    # O.letter_perms reads a complete automaton's letters as image lists,
+    # O.transitive searches the orbit of 0 and O.cycle_lengths walks each
+    # cycle; the package reads them through transition_group
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(60):
+        n = rng.randrange(1, 10)
+        perms = [rand_perm(rng, n) for _ in range(rng.randrange(1, 3))]
+        edges = [(v, a, perm.images[v]) for a, perm in enumerate(perms) for v in range(n)]
+        aut = InverseAutomaton(n, len(perms), edges, 0)
+        spec = transition_group(aut)
+        images = O.letter_perms(oracle_automaton(aut))
+        assert images == [list(perm.images) for perm in spec.images]
+        assert O.transitive(images, n) == is_transitive(spec)
+        outcomes.add(is_transitive(spec))
+        for perm in spec.images:
+            assert O.cycle_lengths(list(perm.images)) == [len(c) for c in perm.cycles()]
+    assert outcomes == {True, False}
 
 
 def test_certificate_z10_imprimitive():
