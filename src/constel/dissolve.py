@@ -33,15 +33,18 @@ of phi once for either family.  Two exact deciders are provided:
   most |A| vectors.  For plain layers the component of 1 lies over the
   base component of Xi intersect Theta, which misses g, so plain layers
   dissolve every constellation.  A failure carries the mod-p
-  difference of the traversal vectors of the signed-tree words to m in
-  Xi^ and in Theta^, read off the trees reachability grows.
+  difference of the traversal vectors of the signed-tree paths to m in
+  Xi^ and in Theta^, read off the trees reachability grows by walking
+  each from m up to 1.
 
 `dissolves_materialized` and `dissolves_linear` decide one
-constellation (Xi, g, Theta) from one contraction of its pair, along Xi
-intersect Theta, or along Xi when the two share no edge, and keep
-the lifts of the last (phi, Xi, Theta) they were asked about, with the
-tilde-constant span and the BFS trees grown on them, for the g choices
-of one pair; `dissolve_all` never holds them.
+constellation (Xi, g, Theta) at the cost `dissolve_all` pays per bond.
+They take the builder from a one-entry memo keyed by (phi, core,
+others), the core being Xi intersect Theta, or Xi when the two share no
+edge, so the splits of a bond C asked about one after another share one
+contraction of Gamma - C.  They keep the lifts of the last (phi, Xi,
+Theta), with the tilde-constant span and the BFS trees grown on them,
+for the g choices of one pair; `dissolve_all` holds neither memo.
 
 Mirrors.  (Xi, g, Theta) is dissolved exactly when (Theta, g, Xi) is,
 and `dissolve_all` decides each unordered split of a bond once.  The
@@ -66,7 +69,7 @@ and the difference vector changes sign.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Sequence
 
@@ -80,6 +83,7 @@ from .groups import (MaterializedGroup, Morphism, check_size, subgroup_closure,
 from .words import ASCII_LETTERS, Word
 
 Vec = dict[tuple[int, int], int]
+Steps = list[tuple[tuple[int, int], int]]  # (edge, sign) per step of a path
 
 # The largest layer that is enumerated: up to it dissolve decides by reachability and rank
 # reports are verified, so reports depend on its value.
@@ -196,22 +200,28 @@ class _Lifts:
     def shared(self, g: int) -> list[int]:
         return [h for h in self.fibers[g] if self.comp[h] in self.both]  # ascending
 
+    def tree(self, side: int, forward_only: bool, dst: int) -> dict[int, tuple[int, int, int]]:
+        """The positive or signed BFS tree of Xi^ (side 0) or Theta^ (side
+        1), started once and grown only until it holds dst, or to the end
+        when it never does.  A signed tree must reach dst: the deciders
+        ask only for vertices of `both`, which lie in each lift."""
+        tree = self.trees.get((side, forward_only))
+        if tree is None:
+            gamma, sub = self.phi.src.cayley, (self.xi, self.theta)[side]
+            tree = self.trees[side, forward_only] = BfsTree(
+                gamma, gamma.base, _LiftView(sub.edges, self.phi.mapping), forward_only)
+        if dst not in tree.grow(dst) and not forward_only:
+            raise VerificationError("vertex %d is not reached in its lift" % dst)
+        return tree.tree
+
     def word(self, side: int, dst: int, positive_first: bool = False) -> Word:
-        """Label of a path from 1 to dst in Xi^ (side 0) or Theta^ (side
-        1), purely positive when `positive_first` and one exists.  Each
-        tree is started once and grown only until it holds dst; a
-        positive tree that never reaches dst is grown to the end.  The
-        deciders ask only for vertices of `both`, which lie in each lift."""
-        for forward_only in (True, False) if positive_first else (False,):
-            tree = self.trees.get((side, forward_only))
-            if tree is None:
-                gamma, sub = self.phi.src.cayley, (self.xi, self.theta)[side]
-                tree = self.trees[side, forward_only] = BfsTree(
-                    gamma, gamma.base, _LiftView(sub.edges, self.phi.mapping), forward_only)
-            u = tree_word(tree.grow(dst), dst)
-            if u is not None:
-                return u
-        raise VerificationError("vertex %d is not reached in its lift" % dst)
+        """Label of a path from 1 to dst in the lift of `side`, purely
+        positive when `positive_first` and one exists."""
+        if positive_first:
+            tree = self.tree(side, True, dst)
+            if dst in tree:
+                return tree_word(tree, dst)
+        return tree_word(self.tree(side, False, dst), dst)
 
 
 def _lifts_over(phi: Morphism, fibers, core, others):
@@ -268,15 +278,25 @@ def _lifts_over(phi: Morphism, fibers, core, others):
     return lifts
 
 
+@lru_cache(maxsize=1)
+def _last_builder(phi: Morphism, core: frozenset, others: frozenset):
+    """The builder of the last (phi, core, others) the one-g API asked
+    for, phi by identity and the edge sets by value, so that every split
+    of a bond gets the one contraction of its core Gamma - C."""
+    return _lifts_over(phi, phi.fibers(), core, others)
+
+
 def _pair_lifts(phi: Morphism, xi: Subgraph, theta: Subgraph) -> _Lifts:
     """Lifts of any two subgraphs containing the base, for the one-g
-    API: over core Xi intersect Theta, or over Xi when they share no
-    edge, as a letter constellation (Gamma - e, g, {e}) does.  So a pair
-    is contracted once, and a letter's joins cover only e."""
+    API: over core Xi intersect Theta with others Xi xor Theta, or over
+    core Xi with others Theta when they share no edge, as a letter
+    constellation (Gamma - e, g, {e}) does, so a letter's joins cover
+    only e.  Every split of a bond C has core Gamma - C and others C, so
+    `_last_builder` contracts a bond once while its splits come in turn."""
     _check_target(phi, xi, theta)  # the Constellation of xi and theta checked the base
     shared = xi.edges & theta.edges
     core, others = (shared, xi.edges ^ theta.edges) if shared else (xi.edges, theta.edges)
-    return _lifts_over(phi, phi.fibers(), core, others)(xi, theta)
+    return _last_builder(phi, core, others)(xi, theta)
 
 
 # The one-g deciders' lifts of the last (phi, xi, theta), all keyed by identity.
@@ -355,23 +375,40 @@ class GFpSpan:
         return not self.reduce(vec)
 
 
-def _difference(aut: InverseAutomaton, u: Word, v: Word, p: int) -> Vec:
-    """Traversal vector of u minus that of v, mod p, without zeros."""
-    diff = Counter(traversal_vector(aut, u))
-    diff.subtract(traversal_vector(aut, v))
+def _tree_steps(tree: dict[int, tuple[int, int, int]], v: int) -> Steps:
+    """The steps of the tree path from the root to v, from the root on.
+    A step from prev along a forward crosses (prev, a); one backward
+    crosses (v, a) against its direction."""
+    steps = []
+    prev, a, sign = tree[v]
+    while prev >= 0:
+        steps.append(((prev, a) if sign > 0 else (v, a), sign))
+        v = prev
+        prev, a, sign = tree[v]
+    steps.reverse()
+    return steps
+
+
+def _difference(plus: Steps, minus: Steps, p: int) -> Vec:
+    """Traversal vector of the steps `plus` less that of `minus`, mod p,
+    without zeros, keyed in the order the steps first cross each edge."""
+    diff: dict[tuple[int, int], int] = {}
+    for steps, scale in ((plus, 1), (minus, -1)):
+        for e, sign in steps:
+            diff[e] = diff.get(e, 0) + scale * sign
     return {e: c % p for e, c in diff.items() if c % p}
 
 
 def cycle_space_rows(sub: Subgraph, p: int) -> list[Vec]:
     """Fundamental-cycle basis of the subgraph's mod-p cycle space: the
-    row of an edge (u, a) is the tree word to u followed by a, less the
-    tree word to its end; zero rows, those of tree edges, are dropped."""
+    row of an edge (u, a) is the tree path to u followed by a, less the
+    tree path to its end; zero rows, those of tree edges, are dropped."""
     aut = sub.parent
     tree = bfs_tree(aut, aut.base, sub.edges)
     rows = []
     for u, a in sorted(sub.edges):
-        row = _difference(aut, Word(tree_word(tree, u).letters + ((a, 1),)),
-                          tree_word(tree, aut.fwd[a][u]), p)
+        row = _difference(_tree_steps(tree, u) + [((u, a), 1)],
+                          _tree_steps(tree, aut.fwd[a][u]), p)
         if row:
             rows.append(row)
     return rows
@@ -384,7 +421,6 @@ def _linear_reports(layer: GaschuetzLayer, lifts: _Lifts, g_choices: Sequence[in
     span = lifts.spans.get((p, layer.tilde))
     out = []
     for g, label in zip(g_choices, labels, strict=True):
-        report = DissolveReport(label, True, "linear")
         shared = lifts.shared(g)
         if shared and span is None:
             span = GFpSpan(p)  # per-component boundaries of the tilde constants
@@ -407,10 +443,12 @@ def _linear_reports(layer: GaschuetzLayer, lifts: _Lifts, g_choices: Sequence[in
             lifts.spans[p, layer.tilde] = span
         for m in shared:
             if span.contains({comp[m]: 1, 0: -1} if comp[m] else {}):  # 1 is in component 0
-                diff = _difference(m_group.cayley, lifts.word(0, m), lifts.word(1, m), p)
-                report = DissolveReport(label, False, "linear", endpoint=m, vector=diff)
+                u, v = (_tree_steps(lifts.tree(side, False, m), m) for side in (0, 1))
+                out.append(DissolveReport(label, False, "linear", endpoint=m,
+                                          vector=_difference(u, v, p)))
                 break
-        out.append(report)
+        else:
+            out.append(DissolveReport(label, True, "linear"))
     return out
 
 
@@ -429,10 +467,10 @@ def _letter_label(letter: int, sign: int) -> str:
 
 def _mirror(report: DissolveReport, label: str, p: int | None) -> DissolveReport:
     """The report on (Theta, g, Xi) from the one on (Xi, g, Theta)."""
-    return replace(report, label=label,
-                   witness=None if report.witness is None else report.witness[::-1],
-                   vector=None if report.vector is None
-                   else {e: -c % p for e, c in report.vector.items()})
+    return DissolveReport(
+        label, report.dissolved, report.method, endpoint=report.endpoint,
+        witness=None if report.witness is None else report.witness[::-1],
+        vector=None if report.vector is None else {e: -c % p for e, c in report.vector.items()})
 
 
 def dissolve_all(tower: Tower, weak: bool = False) -> list[DissolveReport]:

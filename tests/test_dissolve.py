@@ -500,6 +500,7 @@ def one_g_decider(tower, method: str):
 def clear_memos():
     constel.constellations._split_subgraphs.cache_clear()
     constel.constellations._base_component.cache_clear()
+    constel.dissolve._last_builder.cache_clear()
     constel.dissolve._last_pair_lifts.cache_clear()
 
 
@@ -544,13 +545,68 @@ def test_one_g_deciders_contract_and_build_subgraphs_once_per_pair(monkeypatch):
         calls.clear()
         trees.clear()
         one_g_reports(decide, pairs)
-        # Xi & Theta is contracted once per pair, not per g
-        assert calls == {"contract": 2600, "subgraph": 2 * 2600}
+        # each bond's core Gamma - C is contracted once, not per pair or g
+        assert calls == {"contract": 28, "subgraph": 2 * 2600}
         # each pair builds at most one positive and one signed tree per side
         # (each side's edge set is its own object); linear reads signed trees only
         per_side = Counter((id(edges), forward_only) for edges, forward_only in trees)
         assert trees and max(per_side.values()) == 1
         assert {forward_only for _, forward_only in trees} <= kinds
+
+
+def test_alternating_splits_of_a_bond_share_its_contraction(monkeypatch):
+    # the builder memo holds one (phi, core, others): the splits of one
+    # bond, taken in turn, reuse it under each morphism, and the other
+    # morphism of the same tower, phi keyed by identity, never reads it
+    tower = build_tower(TowerSpec(CyclicSpec(6, (1, 2)), ((2, True),)))
+    by_bond = {}
+    for i, pair in enumerate(maximal_constellations(tower.levels[0])):
+        by_bond.setdefault(id(pair.cut), []).append(
+            [(pair, g, "max%d:g%d" % (i, g)) for g in pair.g_choices])
+    # two splits of each of two bonds, their g choices taken in turn
+    asked = [x for splits in list(by_bond.values())[:2]
+             for turn in zip_longest(*splits[:2]) for x in turn if x is not None]
+    assert len({id(pair) for pair, _, _ in asked}) == 4
+    calls = Counter()
+    monkeypatch.setattr(constel.dissolve, "_contract",
+                        counted(calls, "contract", constel.dissolve._contract))
+    deciders = {method: one_g_decider(tower, method) for method in ("linear", "reachability")}
+    cold = {}
+    for method, decide in deciders.items():
+        cold[method] = []
+        for pair, g, label in asked:
+            clear_memos()
+            cold[method].append(astuple(decide(pair.constellation(g), label)))
+        assert not all(r[1] for r in cold[method])  # the witnesses are compared too
+        calls.clear()
+        assert [astuple(decide(pair.constellation(g), label))
+                for pair, g, label in asked] == cold[method]
+        assert calls == {"contract": 2}  # once per bond
+    calls.clear()
+    pair, g, label = asked[0]
+    for method in list(deciders) * 2:  # one bond, the morphisms in turn
+        assert astuple(deciders[method](pair.constellation(g), label)) == cold[method][0]
+    assert calls == {"contract": 4}
+
+
+def test_linear_reports_read_no_word_back(monkeypatch):
+    # a linear failure's vector is read off the signed trees, not retraced
+    # from the witness words
+    calls = Counter()
+    for name in ("traversal_vector", "tree_word"):
+        monkeypatch.setattr(constel.dissolve, name,
+                            counted(calls, name, getattr(constel.dissolve, name)))
+    assert {r.method for r in dissolve_all(build_tower(TowerSpec(S3, ((2, True), (2, True)))))} \
+        == {"linear"}
+    klein_3 = build_tower(TowerSpec(KleinSpec(((1, 0), (0, 1))), ((3, True),)))
+    clear_memos()
+    reports = one_g_reports(one_g_decider(klein_3, "linear"),
+                            maximal_constellations(klein_3.levels[0]))
+    assert {r[2] for r in reports} == {"linear"} and any(r[5] for r in reports)
+    assert calls == {}
+    one_g_reports(one_g_decider(klein_3, "reachability"), maximal_constellations(
+        klein_3.levels[0])[:1])
+    assert calls["tree_word"] > 0  # the counter sees dissolve's calls
 
 
 def test_reachability_and_linear_share_the_signed_trees_of_a_pair(monkeypatch):
@@ -659,13 +715,14 @@ def test_one_pair_decided_against_layers_at_two_primes():
 
 
 def test_dissolve_all_holds_no_lifts():
-    # the weak path's 24576-element lifts would otherwise outlive the call
-    memo = constel.dissolve._last_pair_lifts
-    memo.cache_clear()
+    # the weak path's 24576-element lifts and contraction would otherwise
+    # outlive the call
+    memos = (constel.dissolve._last_pair_lifts, constel.dissolve._last_builder)
+    clear_memos()
     dissolve_all(build_tower(TowerSpec(CyclicSpec(12, (1, 1)), ((2, True),))), weak=True)
-    assert memo.cache_info().currsize == 0
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0]
     dissolve_all(build_tower(TowerSpec(CyclicSpec(6, (1, 2)), ((2, True),))))
-    assert memo.cache_info().currsize == 0
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0]
 
 
 def test_witness_words_share_their_signed_letters():

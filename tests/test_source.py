@@ -90,7 +90,8 @@ def test_reports_have_one_writer():
 # the package's process-global memos, as module.name; each keeps one entry
 # or, for the parser, one object
 MEMOS = {"cli._build_parser", "constellations._split_subgraphs",
-         "constellations._base_component", "dissolve._last_pair_lifts"}
+         "constellations._base_component", "dissolve._last_builder",
+         "dissolve._last_pair_lifts"}
 MEMO_NAMES = ("cache", "lru_cache")
 
 
