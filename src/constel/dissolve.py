@@ -44,17 +44,23 @@ others), the core being Xi intersect Theta, or Xi when the two share no
 edge, so the splits of a bond C asked about one after another share one
 contraction of Gamma - C.  They keep the lifts of the last (phi, Xi,
 Theta), with the tilde-constant span and the BFS trees grown on them,
-for the g choices of one pair; `dissolve_all` holds neither memo.
+for the g choices of one pair; `dissolve_all` holds neither memo.  Like
+`dissolve_all`, they decide each unordered split once while its entry
+lasts: a split and its mirror share core and others, the entry keeps
+each report it decided, and the mirror is served from it, building no
+lifts.
 
 Mirrors.  (Xi, g, Theta) is dissolved exactly when (Theta, g, Xi) is,
-and `dissolve_all` decides each unordered split of a bond once.  The
-mirror split (C_Theta, C_Xi) has the same bond and g choices and the
-complementary mask, full ^ mask with full = 2^|C| - 1, and its
-reports are the kept ones with the witness (u, v) read as (v, u), the
-same endpoint and the vector negated mod p: the reports its own
-decision would give.  Reachability: `shared(g)` reads `both`, which is
-symmetric, and a witness tree depends only on its subgraph; Gamma - C_Xi
-is the Theta of one order and the Xi of the other, so the words swap
+and its reports are the ones of (Xi, g, Theta) with the witness (u, v)
+read as (v, u), the same endpoint and the vector negated mod p: the
+reports its own decision would give.  The argument below uses only the
+two subgraphs, so it holds for any constellation, not only the splits
+of a bond.  `dissolve_all` decides each unordered split of a bond once:
+the mirror split (C_Theta, C_Xi) has the same bond and g choices and
+the complementary mask, full ^ mask with full = 2^|C| - 1.
+Reachability: `shared(g)` reads `both`, which is symmetric, and a
+witness tree depends only on its subgraph; Theta is the second
+subgraph of one order and the first of the other, so the words swap
 and the mirror's re-check would test the same four facts.  Linear:
 `comp`, `both` and the rule for when a constant c_a counts are the same
 for both orders.  When it counts, the Xi^ part and the Theta^ part
@@ -282,25 +288,56 @@ def _lifts_over(phi: Morphism, fibers, core, others):
 def _last_builder(phi: Morphism, core: frozenset, others: frozenset):
     """The builder of the last (phi, core, others) the one-g API asked
     for, phi by identity and the edge sets by value, so that every split
-    of a bond gets the one contraction of its core Gamma - C."""
-    return _lifts_over(phi, phi.fibers(), core, others)
+    of a bond gets the one contraction of its core Gamma - C; and the
+    reports the one-g API decided on it, keyed by (decider, Xi
+    intersect others, g).  A split and its mirror share core and others,
+    so the mirror finds its report here (see Mirrors); a report goes
+    when its mirror takes it or with the entry, when another (phi, core,
+    others) is asked for."""
+    return _lifts_over(phi, phi.fibers(), core, others), {}
+
+
+def _pair_entry(phi: Morphism, xi: Subgraph, theta: Subgraph):
+    """(builder, kept reports, others) of `_last_builder` for any two
+    subgraphs containing the base: core Xi intersect Theta with others
+    Xi xor Theta, or core Xi with others Theta when they share no edge,
+    as a letter constellation (Gamma - e, g, {e}) does, so a letter's
+    joins cover only e.  Every split of a bond C has core Gamma - C and
+    others C, so a bond is contracted once while its splits come in
+    turn."""
+    _check_target(phi, xi, theta)  # the Constellation of xi and theta checked the base
+    shared = xi.edges & theta.edges
+    core, others = (shared, xi.edges ^ theta.edges) if shared else (xi.edges, theta.edges)
+    return *_last_builder(phi, core, others), others
 
 
 def _pair_lifts(phi: Morphism, xi: Subgraph, theta: Subgraph) -> _Lifts:
     """Lifts of any two subgraphs containing the base, for the one-g
-    API: over core Xi intersect Theta with others Xi xor Theta, or over
-    core Xi with others Theta when they share no edge, as a letter
-    constellation (Gamma - e, g, {e}) does, so a letter's joins cover
-    only e.  Every split of a bond C has core Gamma - C and others C, so
-    `_last_builder` contracts a bond once while its splits come in turn."""
-    _check_target(phi, xi, theta)  # the Constellation of xi and theta checked the base
-    shared = xi.edges & theta.edges
-    core, others = (shared, xi.edges ^ theta.edges) if shared else (xi.edges, theta.edges)
-    return _last_builder(phi, core, others)(xi, theta)
+    API, by the builder `_pair_entry` finds for them."""
+    return _pair_entry(phi, xi, theta)[0](xi, theta)
 
 
 # The one-g deciders' lifts of the last (phi, xi, theta), all keyed by identity.
 _last_pair_lifts = lru_cache(maxsize=1)(_pair_lifts)
+
+
+def _one_g(decider, decide, phi: Morphism, c: Constellation, label: str,
+           p: int | None) -> DissolveReport:
+    """decide's report on c: the mirror of the kept report on (Theta, g,
+    Xi) when the builder entry holds one, else decided on the pair's
+    lifts and kept for the mirror.  `decider` is part of the key, since
+    deciders that share phi give different reports.  A pair sharing no
+    edge keeps its reports under the part {} and asks for its mirror's
+    under all of others; neither is the part of a pair that shares an
+    edge, as its core Xi intersect Theta would then be all of Xi or of
+    Theta, one connected subgraph holding 1 and g."""
+    _, kept, others = _pair_entry(phi, c.xi, c.theta)
+    report = kept.pop((decider, c.theta.edges & others, c.g), None)
+    if report is not None:
+        return _mirror(report, label, p)
+    report = kept[decider, c.xi.edges & others, c.g] = decide(
+        _last_pair_lifts(phi, c.xi, c.theta), (c.g,), (label,))[0]
+    return report
 
 
 def _path_stays(sub: Subgraph, w: Word) -> bool:
@@ -337,7 +374,7 @@ def _reach_reports(lifts: _Lifts, g_choices: Sequence[int],
 
 def dissolves_materialized(phi: Morphism, c: Constellation, label: str = "") -> DissolveReport:
     """Exact reachability decision over phi.src; failures carry a re-verified word pair."""
-    return _reach_reports(_last_pair_lifts(phi, c.xi, c.theta), (c.g,), (label,))[0]
+    return _one_g("reachability", _reach_reports, phi, c, label, None)
 
 
 class GFpSpan:
@@ -458,7 +495,7 @@ def dissolves_linear(layer: GaschuetzLayer, phi: Morphism, c: Constellation,
     phi, without enumerating the layer."""
     if phi.src is not layer.base:
         raise ValueError("morphism must start at the layer's base group")
-    return _linear_reports(layer, _last_pair_lifts(phi, c.xi, c.theta), (c.g,), (label,))[0]
+    return _one_g(layer, partial(_linear_reports, layer), phi, c, label, layer.p)
 
 
 def _letter_label(letter: int, sign: int) -> str:

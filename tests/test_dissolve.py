@@ -589,6 +589,47 @@ def test_alternating_splits_of_a_bond_share_its_contraction(monkeypatch):
     assert calls == {"contract": 4}
 
 
+def test_one_g_deciders_decide_each_unordered_split_once(monkeypatch):
+    # the mirror (Theta, g, Xi) of a split is served from the kept report
+    # of (Xi, g, Theta): half of the 2600 pairs build lifts and half of
+    # the 7440 g choices are decided
+    tower = build_tower(TowerSpec(CyclicSpec(6, (1, 2)), ((2, True),)))
+    pairs = maximal_constellations(tower.levels[0])
+    calls = Counter()
+    for name in ("_contract", "_Lifts", "_reach_reports", "_linear_reports"):
+        monkeypatch.setattr(constel.dissolve, name,
+                            counted(calls, name, getattr(constel.dissolve, name)))
+    for method, decider in (("linear", "_linear_reports"), ("reachability", "_reach_reports")):
+        decide = one_g_decider(tower, method)
+        calls.clear()
+        clear_memos()
+        one_g_reports(decide, pairs)
+        assert calls == {"_contract": 28, "_Lifts": 1300, decider: 3720}
+
+
+def test_one_g_reports_are_kept_for_one_bond_only():
+    # a kept report goes when its mirror takes it, and the memo keeps one
+    # bond, so the pass holds a fraction of one bond's reports at a time
+    tower = build_tower(TowerSpec(CyclicSpec(6, (1, 2)), ((2, True),)))
+    pairs = maximal_constellations(tower.levels[0])
+    for method in ("linear", "reachability"):
+        decide = one_g_decider(tower, method)
+        clear_memos()
+        tracemalloc.start()
+        try:
+            for i, pair in enumerate(pairs):
+                for g in pair.g_choices:
+                    decide(pair.constellation(g), "max%d:g%d" % (i, g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, (method, peak)
+        hits = constel.dissolve._last_builder.cache_info().hits
+        _, kept, _ = constel.dissolve._pair_entry(decide.args[-1], pairs[-1].xi, pairs[-1].theta)
+        assert constel.dissolve._last_builder.cache_info().hits == hits + 1  # the loop's entry
+        assert kept == {}
+
+
 def test_linear_reports_read_no_word_back(monkeypatch):
     # a linear failure's vector is read off the signed trees, not retraced
     # from the witness words
@@ -708,10 +749,38 @@ def test_one_pair_decided_against_layers_at_two_primes():
 
     clear_memos()
     warm = reports(cold=False)
-    assert constel.dissolve._last_pair_lifts.cache_info().misses == len(pairs)
+    # one lift per unordered split: each mirror is served from the kept reports
+    assert constel.dissolve._last_pair_lifts.cache_info().misses == len(pairs) // 2 == 42
     assert warm == reports(cold=True)
     verdicts = [[r[1] for r in warm[i::3]] for i in range(3)]
     assert verdicts[0] != verdicts[1] and all(verdicts[2])
+
+
+def test_kept_reports_are_told_apart_by_decider():
+    # one phi serves both deciders, so they share each builder entry and
+    # its kept reports, and only the decider in the key tells them apart
+    base = s3()
+    phi = identity_morphism(base)
+    deciders = (partial(dissolves_materialized, phi),
+                partial(dissolves_linear, GaschuetzLayer(base, 2, True), phi))
+    pairs = maximal_constellations(base)
+
+    def reports(cold):
+        out = []
+        for i, pair in enumerate(pairs):
+            for g in pair.g_choices:
+                for decide in deciders:
+                    if cold:
+                        clear_memos()
+                    out.append(astuple(decide(pair.constellation(g), "max%d:g%d" % (i, g))))
+        return out
+
+    clear_memos()
+    warm = reports(cold=False)
+    assert constel.dissolve._last_pair_lifts.cache_info().misses == len(pairs) // 2
+    assert warm == reports(cold=True)
+    # H = G never dissolves; the ~2 layer dissolves some splits
+    assert not any(r[1] for r in warm[::2]) and any(r[1] for r in warm[1::2])
 
 
 def test_dissolve_all_holds_no_lifts():
