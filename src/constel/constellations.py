@@ -217,6 +217,30 @@ def paired_bonds(group: MaterializedGroup) -> list[MinimalCut]:
     return cuts
 
 
+def bond_translates(group: MaterializedGroup, cuts: list[MinimalCut]) -> dict[int, tuple[int, int]]:
+    """j -> (i, k) for each bond cuts[j] that is the translate kC of an
+    earlier bond C = cuts[i] with k^-1 on C's near side N.  Left
+    translation by k maps the edge (u, a) to (ku, a), and kC then has
+    near side kN, which holds 1 = k.k^-1.  This is an equivalence: kN
+    holds k, and translating kC by l, l^-1 on kN, gives lkC with (lk)^-1
+    on N.  So the bonds are walked in order, and each one not yet
+    mapped, the first of its class, maps its other translates, each by
+    the least k that gives it."""
+    index = {cut.edges: i for i, cut in enumerate(cuts)}
+    out: dict[int, tuple[int, int]] = {}
+    for i, cut in enumerate(cuts):
+        if i in out:
+            continue
+        far = frozenset(cut.far)
+        for k in range(1, group.order):
+            if group.inv_idx(k) not in far:
+                row = group.left_row(k)
+                j = index[tuple(sorted((row[u], a) for u, a in cut.edges))]
+                if j != i:
+                    out.setdefault(j, (i, k))
+    return out
+
+
 def maximal_constellations(group: MaterializedGroup) -> list[MaxConstellationPair]:
     """All ordered pairs (C_Xi, C_Theta) over all minimal cuts, with the
     far-side vertices as g choices: one pair per mask of each bond, in

@@ -70,6 +70,32 @@ component of `both`.  So the Theta^ part's boundary is minus the Xi^
 part's at every vertex outside `both` and on every component, the check
 on it raises for both or neither, the span and the first m are the same,
 and the difference vector changes sign.
+
+Translates.  Left translation by k in G, (u, a) -> (ku, a), is a
+label-preserving automorphism of Gamma(G), so it maps a bond C with
+near side N (holding 1) and far side F onto the bond kC.  When k^-1
+lies on N, 1 lies on kN, so kC has near side kN and far side kF, and
+the split (C_Xi, C_Theta) maps to the split (kC_Xi, kC_Theta) of kC,
+with Xi' = kXi and Theta' = kTheta.  Let t label a path from 1 to k in
+Gamma - kC; it stays in kN, inside Xi' intersect Theta'.  A witness (u,
+v) for (Xi, g, Theta) gives the witness (tu, tv) for (Xi', kg, Theta'):
+read from k, u's path is the translate of its path from 1, inside kXi =
+Xi' and ending at kg, so tu runs inside Xi' from 1 to kg, tv inside
+Theta', and [tu]_H = [t]_H [u]_H = [t]_H [v]_H = [tv]_H; free reduction
+drops backtracks only.  Conversely k^-1 maps kC back onto C, and k
+lies on kN, so k^-1 applied to the translate maps a witness of it to one
+of (Xi, g, Theta): the two are dissolved together.  For a linear
+failure, lambda = [t] in M lies over k, and left multiplication by
+lambda maps the lifts of Xi and Theta through 1 onto those of Xi' and
+Theta' through lambda, which are the lifts through 1, since t's lift
+joins them inside both.  So lambda.m is a shared endpoint over kg, and
+the difference of the traversal vectors of the two lifted paths t u and
+t v to it is the translate {(lambda.x, a): c} of the vector, t's part
+cancelling.  Taking kC for k^-1 on C's near side is an equivalence on
+the bonds (`bond_translates`), and `dissolve_all` decides the first
+bond of each class and derives every other bond's reports from it.
+Translation commutes with the swap of Mirrors, so a translated bond,
+too, translates one split of each mirror pair and mirrors the other.
 """
 
 from __future__ import annotations
@@ -80,13 +106,13 @@ from functools import lru_cache, partial
 from typing import Sequence
 
 from .automata import BfsTree, InverseAutomaton, Subgraph, bfs_tree, tree_word
-from .constellations import (Constellation, MaxConstellationPair, _base_component, delta_a,
-                             paired_bonds)
+from .constellations import (Constellation, MaxConstellationPair, MinimalCut, _base_component,
+                             bond_translates, delta_a, paired_bonds)
 from .errors import VerificationError
 from .gaschuetz import GaschuetzLayer, Tower, check_modulus, order_formula
 from .groups import (MaterializedGroup, Morphism, check_size, subgroup_closure,
                      traversal_vector)
-from .words import ASCII_LETTERS, Word
+from .words import ASCII_LETTERS, Word, reduce
 
 Vec = dict[tuple[int, int], int]
 Steps = list[tuple[tuple[int, int], int]]  # (edge, sign) per step of a path
@@ -354,6 +380,21 @@ def _path_stays(sub: Subgraph, w: Word) -> bool:
     return True
 
 
+def _lifted_end(phi: Morphism, edges, w: Word) -> int | None:
+    """The end of w read from 1 in Gamma(H), H = phi.src, or None when
+    the image of its path in Gamma(G) crosses an edge outside `edges`."""
+    fwd, bwd, image, h = phi.src.cayley.fwd, phi.src.cayley.bwd, phi.mapping, 0
+    for a, sign in w:
+        if sign > 0:
+            edge, h = (image[h], a), fwd[a][h]
+        else:
+            h = bwd[a][h]
+            edge = (image[h], a)
+        if edge not in edges:
+            return None
+    return h
+
+
 def _reach_reports(lifts: _Lifts, g_choices: Sequence[int],
                    labels: Sequence[str]) -> list[DissolveReport]:
     h_group = lifts.phi.src
@@ -510,14 +551,70 @@ def _mirror(report: DissolveReport, label: str, p: int | None) -> DissolveReport
         vector=None if report.vector is None else {e: -c % p for e, c in report.vector.items()})
 
 
+def _translate(report: DissolveReport, label: str, g: int, t: Word, sides,
+               shift: Sequence[int] | None, phi: Morphism) -> DissolveReport:
+    """The report on the translate (Xi', g, Theta') = k.(Xi, k^-1 g,
+    Theta) of `report`'s constellation (see Translates).  t labels a
+    path from 1 to k in Gamma - kC, `sides` holds the edge sets of Xi'
+    and Theta', and shift[x] = lambda.x in phi.src, lambda the value of
+    t, for a linear failure.  A witness is re-verified on the words
+    printed: equal in H, each path inside its side, ending over g."""
+    if report.dissolved:
+        return DissolveReport(label, True, report.method)
+    if report.witness is not None:
+        u, v = (reduce(Word(t.letters + x.letters)) for x in report.witness)
+        h = _lifted_end(phi, sides[0], u)
+        if h is None or h != _lifted_end(phi, sides[1], v) or phi(h) != g:
+            raise VerificationError("translated witness for g=%d does not re-verify" % g)
+        return DissolveReport(label, False, report.method, witness=(u, v))
+    m = shift[report.endpoint]
+    if phi(m) != g:
+        raise VerificationError("translated endpoint %d does not lie over g=%d" % (m, g))
+    return DissolveReport(label, False, report.method, endpoint=m,
+                          vector={(shift[x], a): c for (x, a), c in report.vector.items()})
+
+
+def _translator(phi: Morphism, cut: MinimalCut, rep: MinimalCut, k: int,
+                reports: Sequence[DissolveReport], start: int):
+    """split(mask, labels): the reports of the split at `mask` of the bond
+    cut = k.rep, from rep's reports, which `reports` holds from `start`
+    on, |far side| of them per mask: bit b of a mask of cut is the edge
+    k.e of rep's edge e, and g on cut's far side is k.g0 for g0 on
+    rep's.  t and lambda are read once a failure asks for them."""
+    base, h_group, full = phi.dst, phi.src, cut.full.edges
+    back = base.left_row(base.inv_idx(k))  # back[x] = k^-1 x
+    bit = {e: 1 << b for b, e in enumerate(rep.edges)}
+    bits = [bit[back[u], a] for u, a in cut.edges]
+    index = {g0: n for n, g0 in enumerate(rep.far)}
+    at = [index[back[g]] for g in cut.far]
+    t = shift = None
+
+    def split(mask: int, labels: Sequence[str]) -> list[DissolveReport]:
+        nonlocal t, shift
+        offset = start + (sum(b for i, b in enumerate(bits) if mask >> i & 1) - 1) * len(at)
+        c_xi, c_theta = MaxConstellationPair(cut, mask).halves()
+        sides = full.difference(c_theta), full.difference(c_xi)
+        out = []
+        for g, n, label in zip(cut.far, at, labels, strict=True):
+            report = reports[offset + n]
+            if t is None and not report.dissolved:
+                t = tree_word(BfsTree(base.cayley, 0, full.difference(cut.edges)).grow(k), k)
+            if shift is None and report.vector is not None:
+                shift = h_group.left_row(h_group.evaluate(t))
+            out.append(_translate(report, label, g, t, sides, shift, phi))
+        return out
+    return split
+
+
 def dissolve_all(tower: Tower, weak: bool = False) -> list[DissolveReport]:
     """Dissolving reports for the tower's top group over its base, over
-    the weak (delta) or the full maximal constellation family, with one
-    contraction per bond.  Each unordered split of a bond is decided
-    once; its reports are kept, by mask, until the bond yields the
-    mirror split at the complementary mask, whose reports are derived
-    from them (see Mirrors above).  Uses
-    reachability whenever the top has at most MATERIALIZE_BOUND
+    the weak (delta) or the full maximal constellation family.  Of the
+    full family, only the first bond of each class of `bond_translates`
+    is decided, with one contraction.  Every other bond kC translates
+    the reports of C (see Translates above).  Either way each unordered
+    split of a bond is decided or translated once, and the mirror split
+    at the complementary mask is derived from it (see Mirrors above).
+    Uses reachability whenever the top has at most MATERIALIZE_BOUND
     elements.  The pair and report counts are read off the bonds and
     refused before any pair is built; the pairs of each bond are then
     walked by mask."""
@@ -546,21 +643,30 @@ def dissolve_all(tower: Tower, weak: bool = False) -> list[DissolveReport]:
         return [report for label, c in deltas.items()
                 for report in decide(lifted.pop(label), (c.g,), (label,))]
     p = None if tower.top is None else tower.top.p
+    translates = bond_translates(base, cuts)
     reports: list[DissolveReport] = []
+    starts = []  # the index in reports of each bond's first report
     first = 0  # the running index of the bond's first pair, for the labels
-    for cut in cuts:
-        lifts = _lifts_over(phi, fibers, cut.full.edges.difference(cut.edges),
-                            frozenset(cut.edges))
-        kept, full = {}, (1 << len(cut.edges)) - 1  # reports by mask
+    for j, cut in enumerate(cuts):
+        starts.append(len(reports))
+        if j in translates:
+            i, k = translates[j]
+            translate = _translator(phi, cut, cuts[i], k, reports, starts[i])
+        else:
+            lifts = _lifts_over(phi, fibers, cut.full.edges.difference(cut.edges),
+                                frozenset(cut.edges))
+        full, width = (1 << len(cut.edges)) - 1, len(cut.far)
         for mask in range(1, full):
             labels = ["max%d:g%d" % (first + mask - 1, g) for g in cut.far]
-            mirrored = kept.pop(full ^ mask, None)
-            if mirrored is None:
-                pair = MaxConstellationPair(cut, mask)
-                kept[mask] = decide(lifts(pair.xi, pair.theta), cut.far, labels)
-                reports += kept[mask]
+            if full ^ mask < mask:  # the mirror split came first
+                at = starts[j] + ((full ^ mask) - 1) * width
+                reports += [_mirror(r, label, p) for r, label in zip(
+                    reports[at:at + width], labels, strict=True)]
+            elif j in translates:
+                reports += translate(mask, labels)
             else:
-                reports += [_mirror(r, label, p) for r, label in zip(mirrored, labels, strict=True)]
+                pair = MaxConstellationPair(cut, mask)
+                reports += decide(lifts(pair.xi, pair.theta), cut.far, labels)
         first += full - 1
     return reports
 

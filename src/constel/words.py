@@ -37,13 +37,14 @@ EMPTY = Word()
 
 
 def reduce(w: Word) -> Word:
-    """Free reduction: cancel adjacent x x^-1 pairs until none remain."""
+    """Free reduction: cancel adjacent x x^-1 pairs until none remain.
+    The letters kept are w's own (letter, sign) objects."""
     stack: list[tuple[int, int]] = []
-    for idx, sign in w.letters:
-        if stack and stack[-1] == (idx, -sign):
+    for pair in w.letters:
+        if stack and stack[-1] == (pair[0], -pair[1]):
             stack.pop()
         else:
-            stack.append((idx, sign))
+            stack.append(pair)
     return Word(tuple(stack))
 
 

@@ -136,3 +136,30 @@ def sample_groups():
             ("z2 3", GaschuetzLayer(c2, 3, False).materialize()),
         ]
     return out
+
+
+def left_rows(table: O.Cayley) -> list[list[int]]:
+    """rows[k][x] = k.x on the oracle's table: x's path word read from k."""
+    words = [O.path_word(table, 0, x) for x in range(table.order)]
+    return [[table.trace(w, k) for w in words] for k in range(table.order)]
+
+
+def translation_classes(table: O.Cayley, bonds) -> tuple[int, dict[int, tuple[int, int]]]:
+    """(orbits, derived) for bonds given in order as (sorted cut edges,
+    far side): the number of orbits of left translation, and j -> (i, k)
+    for each bond j that is not the first of its class, i the first and
+    k the least element with kC_i = C_j and k^-1 off C_i's far side.
+    The class of C is {kC : k^-1 off C's far side}."""
+    rows = left_rows(table)
+    inverse = [row.index(0) for row in rows]
+    index = {cut: j for j, (cut, _) in enumerate(bonds)}
+    image = [[index[tuple(sorted((row[u], a) for u, a in cut))] for row in rows]
+             for cut, _ in bonds]
+    orbits = len({frozenset(images) for images in image})
+    derived = {}
+    for j, (_, far) in enumerate(bonds):
+        i = min(image[j][k] for k in range(table.order) if inverse[k] not in far)
+        if i != j:
+            derived[j] = i, next(k for k in range(table.order)
+                                 if inverse[k] not in bonds[i][1] and image[i][k] == j)
+    return orbits, derived

@@ -10,15 +10,16 @@ import pytest
 import constel.constellations
 from constel.automata import (InverseAutomaton, Subgraph, amalgam, bfs_tree, canonical,
                               embed_check, full_subgraph, write_aut)
-from constel.constellations import (Constellation, amalgams_of, assemble_AG, chain_letter,
-                                    delta_a, maximal_constellations, minimal_cut_sets)
+from constel.constellations import (Constellation, amalgams_of, assemble_AG, bond_translates,
+                                    chain_letter, delta_a, maximal_constellations,
+                                    minimal_cut_sets)
 from constel.errors import VerificationError
 from constel.gaschuetz import GaschuetzLayer
 from constel.groups import CyclicSpec, KleinSpec, OrderBoundError, PermSpec, materialize
 from constel.perms import from_cycles
 import oracle as O
 from group_elements import (S3_GENS, _perm, cayley_rows, klein, oracle_automaton, oracle_table,
-                            s3, sample_groups, z2, z3)
+                            s3, sample_groups, translation_classes, z2, z3)
 
 
 def test_minimal_cuts_against_oracle():
@@ -135,6 +136,28 @@ def test_minimal_cut_counts():
     assert len(minimal_cut_sets(z2().cayley)) == 1
     assert len(minimal_cut_sets(klein().cayley)) == 6
     assert len(minimal_cut_sets(z3().cayley)) == 3
+
+
+@pytest.mark.parametrize("spec, counts", [
+    (CyclicSpec(6, (1, 2)), (28, 6, 10)),
+    (PermSpec(4, (from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(0, 2)]))), (63, 13, 19)),
+    (PermSpec(5, (from_cycles(5, [(0, 1, 2, 3, 4)]), from_cycles(5, [(1, 4), (2, 3)]))),
+     (151, 22, 35)),
+    (CyclicSpec(12, (1, 2)), (391, 35, 66)),
+    (PermSpec(4, (from_cycles(4, [(0, 1, 2)]), from_cycles(4, [(1, 2, 3)]))), (640, 63, 114)),
+])
+def test_bond_translates_match_the_orbit_table(spec, counts):
+    # the bonds / orbits table of ROADMAP item 17 (Z6, D4, D5, Z12, A4)
+    # and the bonds dissolve_all decides, one per class of translates kC
+    # with k^-1 on C's near side, grouped on the oracle's table
+    group, table = materialize(spec), oracle_table(spec)
+    cuts = minimal_cut_sets(group.cayley)
+    bonds = [(mc.edges, frozenset(mc.far)) for mc in cuts]
+    if table.n_edges <= 16:  # the edge-subset oracle's range: Z6 and D4
+        assert {(tuple(sorted(cut)), far) for cut, far in O.bonds(table)} == set(bonds)
+    orbits, derived = translation_classes(table, bonds)
+    assert (len(bonds), orbits, len(bonds) - len(derived)) == counts
+    assert bond_translates(group, cuts) == derived
 
 
 def test_minimal_cut_structure():

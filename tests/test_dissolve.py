@@ -28,7 +28,8 @@ from constel.groups import (CyclicSpec, KleinSpec, OrderBoundError, PermSpec,
 from constel.perms import from_cycles
 from constel.words import Word
 import oracle as O
-from group_elements import S3_GENS, klein, oracle_table, s3, str_word, w, z2, z3
+from group_elements import (S3_GENS, klein, left_rows, oracle_table, s3, str_word,
+                            translation_classes, w, z2, z3)
 
 
 def brute_endpoints(sub: Subgraph, h_group, phi, max_len: int) -> dict[int, set[int]]:
@@ -359,17 +360,26 @@ def test_failure_vectors_are_tree_vector_differences(weak):
     else:
         subs = {"max%d:g%d" % (i, g): pair
                 for i, pair in enumerate(maximal_constellations(base)) for g in pair.g_choices}
-    failures = [r for r in dissolve_all(tower, weak) if not r.dissolved]
+    reports = dissolve_all(tower, weak)
+    failures = [r for r in reports if not r.dissolved]
     assert failures and {r.method for r in failures} == {"linear"}
-    vecs = {}
-    for r in failures:
+    vecs, want = {}, []
+    for r in reports:
         pair = subs[r.label]
-        if id(pair) not in vecs:
+        if not r.dissolved and id(pair) not in vecs:
             lifts = [reachable_lift(sub, phi.src, phi)[0] for sub in (pair.xi, pair.theta)]
             vecs[id(pair)] = [tree_vectors(lift.parent, lift.edges, p) for lift in lifts]
-        vx, vt = (v[r.endpoint] for v in vecs[id(pair)])
-        want = {e: (vx.get(e, 0) - vt.get(e, 0)) % p for e in set(vx) | set(vt)}
-        assert r.vector == {e: c for e, c in want.items() if c}, r.label
+        vector = None
+        if not r.dissolved:
+            vx, vt = (v[r.endpoint] for v in vecs[id(pair)])
+            vector = {e: (vx.get(e, 0) - vt.get(e, 0)) % p for e in set(vx) | set(vt)}
+            vector = {e: c for e, c in vector.items() if c}
+        want.append((r.label, r.dissolved, r.method, None, r.endpoint, vector))
+    # a decided bond's vector is its tree vector difference; a translated
+    # bond's is the translate of its representative's
+    if not weak:
+        want = translate_reports(CyclicSpec(12, (1, 1)), tower, want)
+    assert [astuple(r) for r in reports] == want
 
 
 @pytest.mark.parametrize("spec, layers", CONTRACTED_TOWERS)
@@ -453,8 +463,9 @@ def test_dissolve_all_contracts_once_per_bond(monkeypatch):
     assert len(dissolve_all(tower)) == 7440
     assert len(minimal_cut_sets(tower.levels[0].cayley)) == 28
     assert len(maximal_constellations(tower.levels[0])) == 2600
-    # one decision per unordered split: the mirror split's reports are derived
-    assert calls == {"contract": 28, "lift": 0, "decide": 1300}
+    # one decision per unordered split of the 10 bonds decided, one per
+    # class of translates: mirror splits and translated bonds are derived
+    assert calls == {"contract": 10, "lift": 0, "decide": 454}
 
 
 def test_each_lift_builder_joins_only_the_edges_outside_its_core(monkeypatch):
@@ -484,8 +495,12 @@ def test_each_lift_builder_joins_only_the_edges_outside_its_core(monkeypatch):
     assert built == [(full - letter_edges, letter_edges)]
     built.clear()
     dissolve_all(tower)
+    cuts = minimal_cut_sets(base.cayley)
+    _, derived = translation_classes(oracle_table(S3), [(cut.edges, cut.far) for cut in cuts])
+    # one builder per decided bond; a translated bond builds none
     assert built == [(full - frozenset(cut.edges), frozenset(cut.edges))
-                     for cut in minimal_cut_sets(base.cayley)]
+                     for j, cut in enumerate(cuts) if j not in derived]
+    assert 0 < len(built) < len(cuts)
 
 
 def one_g_decider(tower, method: str):
@@ -694,6 +709,46 @@ def astuple(r: DissolveReport):
     return (r.label, r.dissolved, r.method, r.witness, r.endpoint, r.vector)
 
 
+def translate_reports(spec, tower, reports):
+    """`reports` (astuples of every maximal pair's g choices, in
+    dissolve_all's order), each report of a bond j = kC_i that
+    `translation_classes` derives replaced by the translate of the report
+    of C_i on k^-1 of its split and g: the witness (u, v) becomes (tu, tv)
+    freely reduced, t the BFS tree word from 1 to k in Gamma - C_j, and a
+    linear endpoint m and vector key (x, a) move to lambda.m and
+    (lambda.x, a), lambda the value of t in the level below the top."""
+    base, m_group = tower.levels[0], tower.levels[-1]
+    table = oracle_table(spec)
+    cuts = minimal_cut_sets(base.cayley)
+    _, derived = translation_classes(table, [(cut.edges, cut.far) for cut in cuts])
+    rows = left_rows(table)
+    firsts = [0]
+    for cut in cuts:
+        firsts.append(firsts[-1] + 2 ** len(cut.edges) - 2)
+    by_label = {r[0]: r for r in reports}
+    moved = {}
+    for j, (i, k) in derived.items():
+        back, rep = rows[[row[k] for row in rows].index(0)], cuts[i]  # back[x] = k^-1 x
+        cut = cuts[j]
+        t = tree_word(bfs_tree(base.cayley, 0, cut.full.edges - set(cut.edges)), k)
+        lam = m_group.evaluate(t)
+        for mask in range(1, 2 ** len(cut.edges) - 1):
+            rep_mask = sum(1 << rep.edges.index((back[u], a))
+                           for b, (u, a) in enumerate(cut.edges) if mask >> b & 1)
+            for g in cut.far:
+                label = "max%d:g%d" % (firsts[j] + mask - 1, g)
+                _, dissolved, method, witness, endpoint, vector = by_label[
+                    "max%d:g%d" % (firsts[i] + rep_mask - 1, back[g])]
+                if witness is not None:
+                    witness = tuple(Word(tuple(O.free_reduce(t.letters + x.letters)))
+                                    for x in witness)
+                if endpoint is not None:
+                    endpoint = m_group.mul_idx(lam, endpoint)
+                    vector = {(m_group.mul_idx(lam, x), a): c for (x, a), c in vector.items()}
+                moved[label] = (label, dissolved, method, witness, endpoint, vector)
+    return [moved.get(r[0], r) for r in reports]
+
+
 @pytest.mark.parametrize("spec, layers, method", [
     (CyclicSpec(6, (1, 2)), ((2, True),), "linear"),
     (CyclicSpec(6, (1, 2)), ((2, True),), "reachability"),
@@ -822,7 +877,9 @@ def test_pair_deciders_match_per_constellation_decisions(monkeypatch, spec, laye
     verdicts = [(r.label, r.dissolved) for r in dissolve_all(tower)]
     monkeypatch.setattr(constel.dissolve, "MATERIALIZE_BOUND", bound)
     reports = [astuple(r) for r in dissolve_all(tower)]
-    assert reports == per_triple_reports(tower)
+    # exact on the decided bonds, and the translate of the representative
+    # on every other bond
+    assert reports == translate_reports(spec, tower, per_triple_reports(tower))
     assert {r[2] for r in reports} == {method}
     assert not all(r[1] for r in reports) and any(r[1] for r in reports)
     assert [r[:2] for r in reports] == verdicts  # the same verdicts by either method
@@ -859,21 +916,31 @@ def test_weak_dissolve_matches_per_letter_decisions(monkeypatch, spec, layers, b
     assert [r[1] for r in reports] == verdicts
 
 
-def elimination_evidence(layer, phi, xi, theta, g_choices):
-    """(endpoint, vector) of a failing report per g, by Gaussian
-    elimination: the least m over g in both lifts whose signed BFS-tree
-    vector difference lies in the span of both cycle spaces and, for
-    tilde layers, the constants sum_h e_(h,a); (None, None) when no m
-    does.  O.dissolved_by_pair gives verdicts only, not this evidence."""
+def elimination_span(layer, phi, xi, theta):
+    """(span, lifts): the span mod p of the cycle spaces of both lifts
+    and, for tilde layers, the constants sum_h e_(h,a), with the
+    (lift, fibers) of Xi and of Theta.  Two paths in the lifts from 1 to
+    one m are equal at the top exactly when their vector difference lies
+    in it."""
     m_group, p = layer.base, layer.p
-    xi_hat, fib_xi = reachable_lift(xi, m_group, phi)
-    th_hat, fib_th = reachable_lift(theta, m_group, phi)
+    lifts = [reachable_lift(sub, m_group, phi) for sub in (xi, theta)]
     span = GFpSpan(p)
-    for row in cycle_space_rows(xi_hat, p) + cycle_space_rows(th_hat, p):
-        span.add(row)
+    for lifted, _ in lifts:
+        for row in cycle_space_rows(lifted, p):
+            span.add(row)
     if layer.tilde:
         for a in range(m_group.n_letters):
             span.add({(h, a): 1 for h in range(m_group.order)})
+    return span, lifts
+
+
+def elimination_evidence(layer, phi, xi, theta, g_choices):
+    """(endpoint, vector) of a failing report per g, by Gaussian
+    elimination: the least m over g in both lifts whose signed BFS-tree
+    vector difference lies in `elimination_span`; (None, None) when no m
+    does.  O.dissolved_by_pair gives verdicts only, not this evidence."""
+    m_group, p = layer.base, layer.p
+    span, ((xi_hat, fib_xi), (th_hat, fib_th)) = elimination_span(layer, phi, xi, theta)
     trees = [bfs_tree(m_group.cayley, 0, lift.edges) for lift in (xi_hat, th_hat)]
 
     def vector(m):
@@ -884,6 +951,62 @@ def elimination_evidence(layer, phi, xi, theta, g_choices):
     shared = (sorted(fib_xi.get(g, frozenset()) & fib_th.get(g, frozenset())) for g in g_choices)
     return [next(((m, vector(m)) for m in ms if span.contains(vector(m))), (None, None))
             for ms in shared]
+
+
+D4 = PermSpec(4, (from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(0, 2)])))
+
+
+@pytest.mark.parametrize("spec, layers, bound", [
+    (CyclicSpec(6, (1, 2)), ((2, True),), 100000),
+    (S3, ((2, True),), 100000),
+    (KleinSpec(((1, 0), (0, 1))), ((3, True),), 100000),
+    (D4, ((2, True),), 100000),
+    (CyclicSpec(12, (1, 1)), ((3, True),), 1),
+    (CyclicSpec(10, (1, 1)), ((3, True),), 1),
+])
+def test_translated_reports_check_against_the_oracle(monkeypatch, spec, layers, bound):
+    # every report, derived or decided, against checks that share nothing
+    # with the decider or the translation: the oracle's verdict per pair,
+    # each witness walked inside Xi and Theta to g and compared at the
+    # top on the oracle's tables, each linear endpoint over g with its
+    # vector in the elimination span; and a decided bond's reports are
+    # exactly the one-g API's
+    monkeypatch.setattr(constel.dissolve, "MATERIALIZE_BOUND", bound)
+    tower = build_tower(TowerSpec(spec, layers))
+    base = tower.levels[0]
+    method = "reachability" if tower.top.order() <= bound else "linear"
+    phi = tower.morphism(len(tower.levels) - 1, 0)
+    table = oracle_table(spec)
+    o_tower = O.Tower(table, layers)
+    cuts = minimal_cut_sets(base.cayley)
+    _, derived = translation_classes(table, [(cut.edges, cut.far) for cut in cuts])
+    reports = iter(dissolve_all(tower))
+    decide = one_g_decider(tower, method)
+    decided, bond, prev = [], -1, None
+    for i, pair in enumerate(maximal_constellations(base)):
+        if pair.cut is not prev:
+            bond, prev = bond + 1, pair.cut
+        verdicts = O.dissolved_by_pair(o_tower, pair.xi.edges, pair.theta.edges, pair.g_choices)
+        span = None
+        for g in pair.g_choices:
+            r = next(reports)
+            assert (r.label, r.dissolved, r.method) == ("max%d:g%d" % (i, g), verdicts[g], method)
+            if bond not in derived:
+                decided.append((astuple(r), astuple(decide(pair.constellation(g), r.label))))
+            if r.witness is not None:
+                u, v = (x.letters for x in r.witness)
+                assert O.walk_inside(table, pair.xi.edges, u) == g, r.label
+                assert O.walk_inside(table, pair.theta.edges, v) == g, r.label
+                assert o_tower.top.evaluate(u) == o_tower.top.evaluate(v), r.label
+            if r.endpoint is not None:
+                assert o_tower.proj[-1][r.endpoint] == g, r.label
+                span = span or elimination_span(tower.top, phi, pair.xi, pair.theta)[0]
+                assert r.vector and span.contains(r.vector), r.label
+            assert r.dissolved or (r.witness is None) == (method == "linear")
+    assert next(reports, None) is None
+    assert 0 < len(derived) < len(cuts)
+    got, want = zip(*decided)
+    assert got == want
 
 
 ONE_LAYER_BASES = [CyclicSpec(2, (1, 1)), CyclicSpec(3, (1, 1)), CyclicSpec(4, (1, 1)),
@@ -953,6 +1076,21 @@ def test_failed_witness_check_raises(monkeypatch):
         dissolves_materialized(phi, delta_a(base, 0))
 
 
+def test_a_translated_report_that_fails_its_check_raises(monkeypatch):
+    # a derived witness is walked again before it is kept, and a derived
+    # linear endpoint must lie over its g: here t is lost, as if the
+    # translated words and endpoint were read from 1 instead of from k
+    z6 = build_tower(TowerSpec(CyclicSpec(6, (1, 2)), ((2, True),)))
+    with monkeypatch.context() as patch:
+        patch.setattr(constel.dissolve, "_lifted_end", lambda phi, edges, w: None)
+        with pytest.raises(VerificationError, match=r"translated witness .* not re-verify"):
+            dissolve_all(z6)
+    monkeypatch.setattr(constel.dissolve, "MATERIALIZE_BOUND", 1)
+    monkeypatch.setattr(constel.dissolve, "tree_word", lambda tree, v: Word())
+    with pytest.raises(VerificationError, match=r"translated endpoint \d+ does not lie over"):
+        dissolve_all(z6)
+
+
 def test_a_witness_endpoint_missing_from_its_tree_raises():
     # the deciders ask only for endpoints in both lifts, so a tree that
     # never reaches one is a fault, not a dissolved report
@@ -1007,6 +1145,7 @@ def test_path_stays_and_trace_against_oracle():
                 assert want is not None or not inside
                 assert want == (group.cayley.trace(0, u)
                                 if constel.dissolve._path_stays(sub, u) else None)
+                assert want == constel.dissolve._lifted_end(identity_morphism(group), sub.edges, u)
 
 
 def test_reachable_lift_fibers_match_brute_force():

@@ -46,6 +46,15 @@ def test_reduce_examples():
     assert format_word(reduce(parse_word("aabBa", A2))) == "aaa"
 
 
+def test_reduce_keeps_the_input_pairs():
+    # reduction appends the input's own (letter, sign) objects, so a word
+    # built from shared pairs stays built from them
+    pairs = [tuple(pair) for pair in ([0, 1], [1, 1], [1, -1], [0, 1], [0, 1])]
+    kept = reduce(Word(tuple(pairs))).letters
+    assert kept == ((0, 1),) * 3
+    assert [id(pair) for pair in kept] == [id(pairs[i]) for i in (0, 3, 4)]
+
+
 def test_reduce_idempotent_random():
     rng = random.Random(7)
     for _ in range(200):
